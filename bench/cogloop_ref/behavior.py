@@ -1,0 +1,158 @@
+"""Posture scoring against a personal baseline pose, and parsing of
+note-assessment replies.
+
+Posture quality is the mean of up to three sub-scores, each
+100 * max(0, 1 - deviation / tolerance):
+
+  shoulder_level:   change of the shoulder line's tilt angle (degrees)
+  neck_alignment:   horizontal drift of the ear midpoint relative to
+                    the shoulder midpoint (normalized units)
+  back_straightness: change of the trunk line's angle from vertical
+                    (degrees)
+
+Sub-scores are computed only when their landmarks are visible in both
+the sample and the baseline; the final percentage averages whatever is
+available. Both shoulders are mandatory.
+"""
+
+from __future__ import annotations
+
+import math
+import re
+import statistics
+from dataclasses import dataclass
+from enum import Enum
+
+from .errors import MalformedReplyError, MissingLandmarksError, OutOfRangeError
+from .model import NoteScoreSample, PostureSample
+
+VISIBILITY_FLOOR = 0.5
+
+SHOULDER_TILT_TOLERANCE_DEG = 10.0
+NECK_OFFSET_TOLERANCE = 0.05
+TRUNK_ANGLE_TOLERANCE_DEG = 12.0
+
+
+class PostureCategory(str, Enum):
+    IDEAL = "ideal"
+    AVERAGE = "average"
+    BELOW_AVERAGE = "below_average"
+    POOR = "poor"
+
+
+def categorize_posture(percent: float) -> PostureCategory:
+    """Band a posture percentage: 90 and up ideal, 75 to 89 average,
+    60 to 74 below average, under 60 poor."""
+    if not (0.0 <= percent <= 100.0):
+        raise OutOfRangeError(f"posture percent must lie in [0, 100], got {percent!r}")
+    if percent >= 90.0:
+        return PostureCategory.IDEAL
+    if percent >= 75.0:
+        return PostureCategory.AVERAGE
+    if percent >= 60.0:
+        return PostureCategory.BELOW_AVERAGE
+    return PostureCategory.POOR
+
+
+@dataclass(frozen=True)
+class PostureScore:
+    percent: float
+    category: PostureCategory
+    sub_scores: dict[str, float]
+
+
+def _midpoint(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
+    return (a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0
+
+
+def _pair_visible(pose: PostureSample, left: str, right: str) -> bool:
+    return pose.point_visible(left, VISIBILITY_FLOOR) and pose.point_visible(right, VISIBILITY_FLOOR)
+
+
+def _shoulder_tilt_deg(pose: PostureSample) -> float:
+    (lx, ly) = pose.landmarks["shoulder_left"]
+    (rx, ry) = pose.landmarks["shoulder_right"]
+    return math.degrees(math.atan2(ry - ly, rx - lx))
+
+
+def _neck_offset(pose: PostureSample) -> float:
+    ear_mid = _midpoint(pose.landmarks["ear_left"], pose.landmarks["ear_right"])
+    shoulder_mid = _midpoint(pose.landmarks["shoulder_left"], pose.landmarks["shoulder_right"])
+    return ear_mid[0] - shoulder_mid[0]
+
+
+def _trunk_angle_deg(pose: PostureSample) -> float:
+    shoulder_mid = _midpoint(pose.landmarks["shoulder_left"], pose.landmarks["shoulder_right"])
+    hip_mid = _midpoint(pose.landmarks["hip_left"], pose.landmarks["hip_right"])
+    # angle from the vertical axis; y grows downward in image coordinates
+    dx = shoulder_mid[0] - hip_mid[0]
+    dy = hip_mid[1] - shoulder_mid[1]
+    return math.degrees(math.atan2(dx, dy))
+
+
+def _sub_score(deviation: float, tolerance: float) -> float:
+    return 100.0 * max(0.0, 1.0 - abs(deviation) / tolerance)
+
+
+def score_posture(sample: PostureSample, baseline: PostureSample) -> PostureScore:
+    """Score a pose against the calibrated baseline pose."""
+    if not (_pair_visible(sample, "shoulder_left", "shoulder_right")
+            and _pair_visible(baseline, "shoulder_left", "shoulder_right")):
+        raise MissingLandmarksError("both shoulders must be visible in sample and baseline")
+
+    sub_scores: dict[str, float] = {
+        "shoulder_level": _sub_score(
+            _shoulder_tilt_deg(sample) - _shoulder_tilt_deg(baseline),
+            SHOULDER_TILT_TOLERANCE_DEG,
+        )
+    }
+    if _pair_visible(sample, "ear_left", "ear_right") and _pair_visible(baseline, "ear_left", "ear_right"):
+        sub_scores["neck_alignment"] = _sub_score(
+            _neck_offset(sample) - _neck_offset(baseline), NECK_OFFSET_TOLERANCE
+        )
+    if _pair_visible(sample, "hip_left", "hip_right") and _pair_visible(baseline, "hip_left", "hip_right"):
+        sub_scores["back_straightness"] = _sub_score(
+            _trunk_angle_deg(sample) - _trunk_angle_deg(baseline), TRUNK_ANGLE_TOLERANCE_DEG
+        )
+
+    percent = statistics.fmean(sub_scores.values())
+    return PostureScore(
+        percent=percent,
+        category=categorize_posture(percent),
+        sub_scores=sub_scores,
+    )
+
+
+# ---------------------------------------------------------------------------
+# note assessment replies
+
+# Expected reply shape: score=<number>; feedback=<free text>
+_REPLY_RE = re.compile(r"^\s*score\s*=\s*(?P<score>[^;]+);\s*feedback\s*=\s*(?P<feedback>.*)$", re.DOTALL)
+
+
+def ingest_note_assessment(raw_response: str, analyzer_id: str = "") -> NoteScoreSample:
+    """Parse an analyzer reply into a note score.
+
+    Scores outside [0, 1] are clamped and the result is marked
+    ``clamped`` so the caller can surface a warning. A reply that does
+    not parse, including a non-numeric score, raises
+    MalformedReplyError; it is never silently defaulted.
+    """
+    match = _REPLY_RE.match(raw_response)
+    if match is None:
+        raise MalformedReplyError(f"reply does not match 'score=<float>; feedback=<text>': {raw_response!r}")
+    score_text = match.group("score").strip()
+    try:
+        score = float(score_text)
+    except ValueError:
+        raise MalformedReplyError(f"non-numeric score {score_text!r}") from None
+    if math.isnan(score) or math.isinf(score):
+        raise MalformedReplyError(f"non-finite score {score_text!r}")
+
+    clamped = not (0.0 <= score <= 1.0)
+    return NoteScoreSample(
+        correctness=min(1.0, max(0.0, score)),
+        feedback_text=match.group("feedback").strip(),
+        analyzer_id=analyzer_id,
+        clamped=clamped,
+    )

@@ -1,0 +1,140 @@
+"""Heart-rate variability features from beat-to-beat intervals.
+
+Time-domain definitions over an interval series rr (milliseconds):
+
+    rmssd = sqrt(mean(d_i^2))        d_i = rr_{i+1} - rr_i
+    sdnn  = population std of rr
+    pnn50 = 100 * |{i : |d_i| > 50}| / (n - 1)
+
+pnn50 uses a strict 50 ms comparison: a difference of exactly 50 does
+not count.
+"""
+
+from __future__ import annotations
+
+import math
+import statistics
+from dataclasses import dataclass
+from enum import Enum
+
+from .errors import OutOfRangeError, TooFewIntervalsError
+from .model import RRSample, Timestamp
+from .streams import Window
+
+# Intervals outside this physiological range are treated as artifacts
+# (missed or spurious beats) and excluded from windowed features.
+RR_ARTIFACT_LOW_MS = 200.0
+RR_ARTIFACT_HIGH_MS = 3000.0
+
+# Fewer valid intervals than this makes a window's features unusable.
+MIN_VALID_INTERVALS = 5
+
+PNN50_THRESHOLD_MS = 50.0
+
+
+class StressBand(str, Enum):
+    HIGH = "high"
+    MODERATE = "moderate"
+    LOW = "low"
+
+
+def _successive_diffs(rr_ms: list[float]) -> list[float]:
+    if len(rr_ms) < 2:
+        raise TooFewIntervalsError(f"need at least 2 intervals, got {len(rr_ms)}")
+    return [b - a for a, b in zip(rr_ms, rr_ms[1:])]
+
+
+def rmssd(rr_ms: list[float]) -> float:
+    """Root mean square of successive differences."""
+    diffs = _successive_diffs(rr_ms)
+    return math.sqrt(statistics.fmean(d * d for d in diffs))
+
+
+def sdnn(rr_ms: list[float]) -> float:
+    """Population standard deviation of the interval series."""
+    if len(rr_ms) < 2:
+        raise TooFewIntervalsError(f"need at least 2 intervals, got {len(rr_ms)}")
+    return statistics.pstdev(rr_ms)
+
+
+def pnn50(rr_ms: list[float]) -> float:
+    """Percentage of successive differences strictly beyond 50 ms."""
+    diffs = _successive_diffs(rr_ms)
+    beyond = sum(1 for d in diffs if abs(d) > PNN50_THRESHOLD_MS)
+    return 100.0 * beyond / len(diffs)
+
+
+def classify_stress(pnn50_percent: float) -> StressBand:
+    """Band a pnn50 percentage: under 20 high stress, 20 to 50 moderate
+    (both ends included), above 50 low."""
+    if not (0.0 <= pnn50_percent <= 100.0):
+        raise OutOfRangeError(f"pnn50 must lie in [0, 100], got {pnn50_percent!r}")
+    if pnn50_percent < 20.0:
+        return StressBand.HIGH
+    if pnn50_percent <= 50.0:
+        return StressBand.MODERATE
+    return StressBand.LOW
+
+
+@dataclass(frozen=True)
+class HrvFeatures:
+    start: Timestamp
+    end: Timestamp
+    present: bool
+    quality: float
+    rmssd_ms: float | None = None
+    sdnn_ms: float | None = None
+    pnn50_percent: float | None = None
+    mean_hr_bpm: float | None = None
+    stress_band: StressBand | None = None
+    valid_intervals: int = 0
+    artifact_intervals: int = 0
+
+
+def window_hrv(window: Window) -> HrvFeatures:
+    """Windowed HRV features with artifact rejection.
+
+    Intervals outside [200, 3000] ms are dropped before computing the
+    statistics; windows with fewer than five remaining intervals come
+    back absent with quality zero. Quality combines the mean source
+    confidence of the valid samples with the fraction that survived the
+    artifact filter.
+    """
+    rr: list[float] = []
+    confidences: list[float] = []
+    artifacts = 0
+    for envelope in window.samples:
+        sample = envelope.payload
+        if not isinstance(sample, RRSample):
+            raise TypeError(f"expected RRSample payload, got {type(sample).__name__}")
+        if RR_ARTIFACT_LOW_MS <= sample.rr_ms <= RR_ARTIFACT_HIGH_MS:
+            rr.append(sample.rr_ms)
+            confidences.append(envelope.source_confidence)
+        else:
+            artifacts += 1
+
+    total = len(rr) + artifacts
+    if len(rr) < MIN_VALID_INTERVALS:
+        return HrvFeatures(
+            start=window.start,
+            end=window.end,
+            present=False,
+            quality=0.0,
+            valid_intervals=len(rr),
+            artifact_intervals=artifacts,
+        )
+
+    pnn = pnn50(rr)
+    return HrvFeatures(
+        start=window.start,
+        end=window.end,
+        present=True,
+        quality=statistics.fmean(confidences) * (len(rr) / total),
+        rmssd_ms=rmssd(rr),
+        sdnn_ms=sdnn(rr),
+        pnn50_percent=pnn,
+        mean_hr_bpm=60000.0 / statistics.fmean(rr),
+        stress_band=classify_stress(pnn),
+        valid_intervals=len(rr),
+        artifact_intervals=artifacts,
+    )

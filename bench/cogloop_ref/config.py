@@ -1,0 +1,320 @@
+"""Session configuration: defaults, validation, and the flat config file.
+
+The config file is one ``key = value`` per line with ``#`` comments.
+Unknown keys are errors, not warnings, so typos cannot silently fall
+back to defaults. Dotted keys address structured entries:
+
+    weight.<dimension>.<channel> = <float>
+    window_length.<stream_kind>  = <seconds>
+    cooldown.<category>          = <seconds>
+    strategy.<dimension>.<severity>.<modality> = <template_id>
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+from dataclasses import dataclass, field
+
+from .errors import ConfigError
+from .interventions import Category, Severity, StrategyKey
+from .model import Dimension, Modality, StreamKind
+from .state import SIGMA_FLOOR, MODERATE_FLOOR, WeightMatrix, default_weight_matrix
+
+
+def default_window_lengths() -> dict[StreamKind, float]:
+    return {
+        StreamKind.PUPIL_GAZE: 10.0,
+        StreamKind.RR_INTERVAL: 60.0,
+        StreamKind.POSTURE_LANDMARKS: 10.0,
+        StreamKind.NOTE_SCORE: 60.0,
+    }
+
+
+def default_cooldowns() -> dict[Category, float]:
+    return {
+        Category.COGNITIVE_ATTENTIONAL: 60.0,
+        Category.PHYSIOLOGICAL: 120.0,
+        Category.COMPREHENSION_ORIENTED: 60.0,
+        Category.CHALLENGE_ENHANCEMENT: 60.0,
+    }
+
+
+@dataclass
+class SessionConfig:
+    calibration_duration_s: float = 300.0
+    window_length_s: dict[StreamKind, float] = field(default_factory=default_window_lengths)
+    window_hop_s: float = 10.0
+    jitter_tolerance_s: float = 0.25
+    ivt_velocity_threshold: float = 1.0
+    min_fixation_duration_s: float = 0.1
+    rolling_median_width: int = 5
+    weights: WeightMatrix = field(default_factory=default_weight_matrix)
+    quality_floor: float = 0.0
+    trigger_threshold: float = 1.5
+    persistence_s: float = 10.0
+    consecutive_windows: int = 3
+    confidence_min: float = 0.6
+    cooldown_s: dict[Category, float] = field(default_factory=default_cooldowns)
+    sigma_floor: float = SIGMA_FLOOR
+    baseline_min_samples: int = 30
+    history_turns: int = 6
+    client: str = "mock"
+    rng_seed: int = 0
+    strategy_overrides: dict[StrategyKey, str] = field(default_factory=dict)
+
+
+@dataclass
+class ValidationReport:
+    failures: list[str] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
+def validate_config(cfg: SessionConfig) -> ValidationReport:
+    """Check every invariant the runtime assumes. Returns all failures
+    at once rather than stopping at the first."""
+    report = ValidationReport()
+    fail = report.failures.append
+
+    def positive(name: str, value: float) -> None:
+        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            fail(f"{name} must be a positive finite number, got {value!r}")
+
+    positive("calibration_duration_s", cfg.calibration_duration_s)
+    positive("window_hop_s", cfg.window_hop_s)
+    positive("ivt_velocity_threshold", cfg.ivt_velocity_threshold)
+    positive("min_fixation_duration_s", cfg.min_fixation_duration_s)
+    positive("persistence_s", cfg.persistence_s)
+    positive("sigma_floor", cfg.sigma_floor)
+
+    for kind in StreamKind:
+        length = cfg.window_length_s.get(kind)
+        if length is None:
+            fail(f"window_length_s missing entry for {kind.value}")
+            continue
+        positive(f"window_length.{kind.value}", length)
+        if isinstance(length, (int, float)) and 0 < length < cfg.window_hop_s:
+            fail(
+                f"window_length.{kind.value} ({length}) must be at least "
+                f"window_hop_s ({cfg.window_hop_s})"
+            )
+
+    if cfg.jitter_tolerance_s < 0 or not math.isfinite(cfg.jitter_tolerance_s):
+        fail(f"jitter_tolerance_s must be non-negative, got {cfg.jitter_tolerance_s!r}")
+    if cfg.rolling_median_width < 3 or cfg.rolling_median_width % 2 == 0:
+        fail(f"rolling_median_width must be odd and >= 3, got {cfg.rolling_median_width}")
+    if cfg.trigger_threshold < MODERATE_FLOOR:
+        fail(
+            f"trigger_threshold ({cfg.trigger_threshold}) is below the moderate "
+            f"deviation floor ({MODERATE_FLOOR})"
+        )
+    if cfg.consecutive_windows < 1:
+        fail(f"consecutive_windows must be >= 1, got {cfg.consecutive_windows}")
+    if not (0.0 <= cfg.confidence_min <= 1.0):
+        fail(f"confidence_min must lie in [0, 1], got {cfg.confidence_min}")
+    if not (0.0 <= cfg.quality_floor < 1.0):
+        fail(f"quality_floor must lie in [0, 1), got {cfg.quality_floor}")
+    if cfg.baseline_min_samples < 2:
+        fail(f"baseline_min_samples must be >= 2, got {cfg.baseline_min_samples}")
+    if cfg.history_turns < 0:
+        fail(f"history_turns must be >= 0, got {cfg.history_turns}")
+    if cfg.client not in ("mock", "live"):
+        fail(f"client must be 'mock' or 'live', got {cfg.client!r}")
+
+    for category in Category:
+        cooldown = cfg.cooldown_s.get(category)
+        if cooldown is None:
+            fail(f"cooldown_s missing entry for {category.value}")
+        else:
+            positive(f"cooldown.{category.value}", cooldown)
+
+    for dimension in Dimension:
+        row = cfg.weights.get(dimension)
+        if not row:
+            fail(f"weight row for {dimension.value} is empty")
+            continue
+        if any(w < 0 or not math.isfinite(w) for w in row.values()):
+            fail(f"weight row for {dimension.value} has a negative or non-finite entry")
+        elif sum(row.values()) <= 0:
+            fail(f"weight row for {dimension.value} has no positive entry")
+
+    return report
+
+
+# ---------------------------------------------------------------------------
+# flat key=value entries
+
+_SCALAR_KEYS = {
+    "calibration_duration_s": float,
+    "window_hop_s": float,
+    "jitter_tolerance_s": float,
+    "ivt_velocity_threshold": float,
+    "min_fixation_duration_s": float,
+    "rolling_median_width": int,
+    "quality_floor": float,
+    "trigger_threshold": float,
+    "persistence_s": float,
+    "consecutive_windows": int,
+    "confidence_min": float,
+    "sigma_floor": float,
+    "baseline_min_samples": int,
+    "history_turns": int,
+    "client": str,
+    "rng_seed": int,
+}
+
+
+def _coerce(key: str, raw: object, target: type) -> object:
+    try:
+        if target is int:
+            if isinstance(raw, bool):
+                raise ValueError
+            if isinstance(raw, (int, float)) and float(raw).is_integer():
+                return int(raw)
+            return int(str(raw).strip())
+        if target is float:
+            return float(raw if isinstance(raw, (int, float)) else str(raw).strip())
+        return str(raw).strip()
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key}: cannot interpret {raw!r} as {target.__name__}") from None
+
+
+def _enum_member(key: str, enum_cls, token: str):
+    try:
+        return enum_cls(token)
+    except ValueError:
+        valid = ", ".join(m.value for m in enum_cls)
+        raise ConfigError(f"{key}: unknown {enum_cls.__name__.lower()} {token!r} (valid: {valid})") from None
+
+
+def apply_entries(cfg: SessionConfig, entries: dict[str, object]) -> SessionConfig:
+    """Return a new config with the given flat entries applied.
+
+    Accepts the same keys as the config file; values may already be
+    numbers (scenario headers embed them as JSON). Unknown keys raise
+    ConfigError.
+    """
+    updates: dict[str, object] = {}
+    window_lengths = dict(cfg.window_length_s)
+    cooldowns = dict(cfg.cooldown_s)
+    weights = {dim: dict(row) for dim, row in cfg.weights.items()}
+    strategy = dict(cfg.strategy_overrides)
+
+    for key in sorted(entries):
+        raw = entries[key]
+        if key in _SCALAR_KEYS:
+            updates[key] = _coerce(key, raw, _SCALAR_KEYS[key])
+            continue
+        parts = key.split(".")
+        if parts[0] == "window_length" and len(parts) == 2:
+            kind = _enum_member(key, StreamKind, parts[1])
+            window_lengths[kind] = _coerce(key, raw, float)
+        elif parts[0] == "cooldown" and len(parts) == 2:
+            category = _enum_member(key, Category, parts[1])
+            cooldowns[category] = _coerce(key, raw, float)
+        elif parts[0] == "weight" and len(parts) == 3:
+            dimension = _enum_member(key, Dimension, parts[1])
+            weights.setdefault(dimension, {})[parts[2]] = _coerce(key, raw, float)
+        elif parts[0] == "strategy" and len(parts) == 4:
+            dimension = _enum_member(key, Dimension, parts[1])
+            severity = _enum_member(key, Severity, parts[2])
+            modality = _enum_member(key, Modality, parts[3])
+            strategy[(dimension, severity, modality)] = _coerce(key, raw, str)
+        else:
+            raise ConfigError(f"unknown config key {key!r}")
+
+    return dataclasses.replace(
+        cfg,
+        window_length_s=window_lengths,
+        cooldown_s=cooldowns,
+        weights=weights,
+        strategy_overrides=strategy,
+        **updates,
+    )
+
+
+def parse_config_text(text: str) -> dict[str, str]:
+    """Parse ``key = value`` lines into a flat dict, stripping comments."""
+    entries: dict[str, str] = {}
+    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {line_no}: expected 'key = value', got {raw_line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if not key or not value:
+            raise ConfigError(f"line {line_no}: empty key or value in {raw_line!r}")
+        if key in entries:
+            raise ConfigError(f"line {line_no}: duplicate key {key!r}")
+        entries[key] = value
+    return entries
+
+
+def load_config_file(path, base: SessionConfig | None = None) -> SessionConfig:
+    with open(path, "r", encoding="utf-8") as handle:
+        entries = parse_config_text(handle.read())
+    return apply_entries(base or SessionConfig(), entries)
+
+
+# ---------------------------------------------------------------------------
+# round-trip through JSON (trace headers)
+
+def config_to_dict(cfg: SessionConfig) -> dict:
+    return {
+        "calibration_duration_s": cfg.calibration_duration_s,
+        "window_length_s": {k.value: v for k, v in sorted(cfg.window_length_s.items())},
+        "window_hop_s": cfg.window_hop_s,
+        "jitter_tolerance_s": cfg.jitter_tolerance_s,
+        "ivt_velocity_threshold": cfg.ivt_velocity_threshold,
+        "min_fixation_duration_s": cfg.min_fixation_duration_s,
+        "rolling_median_width": cfg.rolling_median_width,
+        "weights": {
+            dim.value: dict(sorted(row.items())) for dim, row in sorted(cfg.weights.items())
+        },
+        "quality_floor": cfg.quality_floor,
+        "trigger_threshold": cfg.trigger_threshold,
+        "persistence_s": cfg.persistence_s,
+        "consecutive_windows": cfg.consecutive_windows,
+        "confidence_min": cfg.confidence_min,
+        "cooldown_s": {c.value: v for c, v in sorted(cfg.cooldown_s.items())},
+        "sigma_floor": cfg.sigma_floor,
+        "baseline_min_samples": cfg.baseline_min_samples,
+        "history_turns": cfg.history_turns,
+        "client": cfg.client,
+        "rng_seed": cfg.rng_seed,
+        "strategy_overrides": {
+            f"{d.value}.{s.value}.{m.value}": tid
+            for (d, s, m), tid in sorted(cfg.strategy_overrides.items())
+        },
+    }
+
+
+def config_from_dict(data: dict) -> SessionConfig:
+    cfg = SessionConfig()
+    flat: dict[str, object] = {}
+    for key, value in data.items():
+        if key == "window_length_s":
+            for kind, length in value.items():
+                flat[f"window_length.{kind}"] = length
+        elif key == "cooldown_s":
+            for category, seconds in value.items():
+                flat[f"cooldown.{category}"] = seconds
+        elif key == "weights":
+            cfg.weights = {}
+            for dim, row in value.items():
+                for channel, weight in row.items():
+                    flat[f"weight.{dim}.{channel}"] = weight
+        elif key == "strategy_overrides":
+            for dotted, template_id in value.items():
+                flat[f"strategy.{dotted}"] = template_id
+        elif key in _SCALAR_KEYS:
+            flat[key] = value
+        else:
+            raise ConfigError(f"unknown config key {key!r}")
+    return apply_entries(cfg, flat)

@@ -1,0 +1,75 @@
+"""Exception types shared across the engine."""
+
+
+class EngineError(Exception):
+    """Base class for every error raised by this package."""
+
+
+class ConfigError(EngineError):
+    """Invalid configuration entry, unknown key, or failed validation."""
+
+
+class DuplicateStreamError(EngineError):
+    """A stream id was registered twice on the same merger."""
+
+
+class UnknownStreamError(EngineError):
+    """An envelope or sync mark referenced an unregistered stream."""
+
+
+class InsufficientMarksError(EngineError):
+    """Clock offset estimation needs at least two sync marks."""
+
+
+class ZeroDtError(EngineError):
+    """Velocity is undefined for a non-positive time step."""
+
+
+class TooFewSamplesError(EngineError):
+    """The operation needs more samples than were supplied."""
+
+
+class TooFewIntervalsError(EngineError):
+    """An HRV statistic needs at least two intervals."""
+
+
+class OutOfRangeError(EngineError):
+    """A value fell outside its documented domain."""
+
+
+class MissingLandmarksError(EngineError):
+    """Posture scoring requires both shoulders in sample and baseline."""
+
+
+class MalformedReplyError(EngineError):
+    """A note-analysis reply could not be parsed."""
+
+
+class UncalibratedChannelError(EngineError):
+    """The channel has no baseline in the calibration profile."""
+
+
+class NoUsableChannelsError(EngineError):
+    """Every weighted channel of the dimension has zero effective quality."""
+
+
+class NonMonotoneTimeError(EngineError):
+    """State vectors must arrive with strictly increasing timestamps."""
+
+
+class UnknownTemplateError(EngineError):
+    """No directive template registered under the requested id."""
+
+
+class ScenarioError(EngineError):
+    """Malformed scenario or trace file."""
+
+    def __init__(self, message: str, line_no: int | None = None):
+        self.line_no = line_no
+        if line_no is not None:
+            message = f"line {line_no}: {message}"
+        super().__init__(message)
+
+
+class ClientUnavailableError(EngineError):
+    """The generation client failed after its retry."""

@@ -1,0 +1,455 @@
+"""Closed-loop trigger policy and strategy selection.
+
+A dimension becomes a candidate when its score stays above the trigger
+threshold with sufficient confidence for at least the configured number
+of consecutive windows AND for at least the persistence interval, and
+its strategy category is not cooling down. At most one decision is
+emitted per state vector: the candidate with the highest score wins,
+ties broken by a fixed dimension priority.
+
+A cooldown failure only defers a candidate; threshold or confidence
+failures reset its consecutive-window run. After a decision the winning
+run is reset as well, so re-triggering requires a fresh sustained
+excursion (hysteresis).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from enum import Enum
+
+from .errors import NonMonotoneTimeError
+from .model import Dimension, Modality, Timestamp
+from .state import Descriptor, StateVector, to_descriptor
+
+
+class Severity(str, Enum):
+    MODERATE = "moderate"
+    PRONOUNCED = "pronounced"
+
+
+class Category(str, Enum):
+    COGNITIVE_ATTENTIONAL = "cognitive_attentional"
+    PHYSIOLOGICAL = "physiological"
+    COMPREHENSION_ORIENTED = "comprehension_oriented"
+    CHALLENGE_ENHANCEMENT = "challenge_enhancement"
+
+
+class Tier(str, Enum):
+    MICRO = "micro"
+    MESO = "meso"
+    MACRO = "macro"
+
+
+class Framing(str, Enum):
+    IMPLICIT = "implicit"
+    EXPLICIT = "explicit"
+
+
+# Tie-break order when candidates score equal, most urgent first.
+PRIORITY_ORDER = (
+    Dimension.STRESS,
+    Dimension.COGNITIVE_LOAD,
+    Dimension.FATIGUE,
+    Dimension.UNDERSTANDING,
+    Dimension.ATTENTION,
+    Dimension.ENGAGEMENT,
+)
+
+# Directional gate for the challenge-enhancement composite: cognitive
+# load this far below baseline (signed z) with engagement above it.
+CHALLENGE_LOAD_CEILING = -1.0
+
+
+def severity_of(score: float) -> Severity:
+    descriptor = to_descriptor(score)
+    if descriptor is Descriptor.PRONOUNCED:
+        return Severity.PRONOUNCED
+    if descriptor is Descriptor.MODERATE:
+        return Severity.MODERATE
+    raise ValueError(f"score {score!r} is below the moderate band, no severity")
+
+
+@dataclass(frozen=True)
+class StrategyEntry:
+    category: Category
+    tier: Tier
+    template_id: str
+
+
+StrategyKey = tuple[Dimension, Severity, Modality]
+
+
+def _default_entries() -> dict[StrategyKey, StrategyEntry]:
+    # (category, tier, template) per dimension and severity; the default
+    # table uses the same entry for all four modalities, the renderer
+    # handles modality-specific mechanics.
+    per_dim: dict[Dimension, dict[Severity, StrategyEntry]] = {
+        Dimension.STRESS: {
+            Severity.MODERATE: StrategyEntry(
+                Category.PHYSIOLOGICAL, Tier.MESO, "reassurance"
+            ),
+            Severity.PRONOUNCED: StrategyEntry(
+                Category.PHYSIOLOGICAL, Tier.MESO, "box_breathing"
+            ),
+        },
+        Dimension.COGNITIVE_LOAD: {
+            Severity.MODERATE: StrategyEntry(
+                Category.COGNITIVE_ATTENTIONAL, Tier.MICRO, "restructure"
+            ),
+            Severity.PRONOUNCED: StrategyEntry(
+                Category.COGNITIVE_ATTENTIONAL, Tier.MICRO, "chunk_and_distill"
+            ),
+        },
+        Dimension.ATTENTION: {
+            Severity.MODERATE: StrategyEntry(
+                Category.COGNITIVE_ATTENTIONAL, Tier.MESO, "curiosity_prompt"
+            ),
+            Severity.PRONOUNCED: StrategyEntry(
+                Category.COGNITIVE_ATTENTIONAL, Tier.MESO, "physical_reset"
+            ),
+        },
+        Dimension.UNDERSTANDING: {
+            Severity.MODERATE: StrategyEntry(
+                Category.COMPREHENSION_ORIENTED, Tier.MICRO, "alternate_explanations"
+            ),
+            Severity.PRONOUNCED: StrategyEntry(
+                Category.COMPREHENSION_ORIENTED, Tier.MACRO, "first_principles"
+            ),
+        },
+        Dimension.FATIGUE: {
+            Severity.MODERATE: StrategyEntry(
+                Category.PHYSIOLOGICAL, Tier.MESO, "shorter_segments"
+            ),
+            Severity.PRONOUNCED: StrategyEntry(
+                Category.PHYSIOLOGICAL, Tier.MESO, "take_break"
+            ),
+        },
+        Dimension.ENGAGEMENT: {
+            Severity.MODERATE: StrategyEntry(
+                Category.CHALLENGE_ENHANCEMENT, Tier.MICRO, "advanced_application"
+            ),
+            Severity.PRONOUNCED: StrategyEntry(
+                Category.CHALLENGE_ENHANCEMENT, Tier.MICRO, "synthesis_prompt"
+            ),
+        },
+    }
+    entries: dict[StrategyKey, StrategyEntry] = {}
+    for dimension, by_severity in per_dim.items():
+        for severity, entry in by_severity.items():
+            for modality in Modality:
+                entries[(dimension, severity, modality)] = entry
+    return entries
+
+
+@dataclass
+class StrategyTable:
+    """Total mapping (dimension, severity, modality) -> strategy entry."""
+
+    entries: dict[StrategyKey, StrategyEntry] = field(default_factory=_default_entries)
+
+    def validate(self) -> None:
+        for dimension in Dimension:
+            categories = set()
+            for severity in Severity:
+                for modality in Modality:
+                    key = (dimension, severity, modality)
+                    if key not in self.entries:
+                        raise ValueError(f"strategy table missing entry for {key}")
+                    categories.add(self.entries[key].category)
+            # the cooldown ledger is keyed by category, so a dimension
+            # must not switch category across modalities
+            if len(categories) > 2:
+                raise ValueError(f"{dimension.value}: inconsistent categories {categories}")
+
+    def lookup(self, dimension: Dimension, severity: Severity, modality: Modality) -> StrategyEntry:
+        return self.entries[(dimension, severity, modality)]
+
+    def with_template_overrides(self, overrides: dict[StrategyKey, str]) -> "StrategyTable":
+        entries = dict(self.entries)
+        for key, template_id in overrides.items():
+            base = entries[key]
+            entries[key] = StrategyEntry(base.category, base.tier, template_id)
+        return StrategyTable(entries=entries)
+
+
+def select_strategy(
+    dimension: Dimension,
+    severity: Severity,
+    modality: Modality,
+    table: StrategyTable | None = None,
+) -> StrategyEntry:
+    """Resolve the strategy entry for a triggered dimension."""
+    table = table or StrategyTable()
+    return table.lookup(dimension, severity, modality)
+
+
+@dataclass(frozen=True)
+class Candidate:
+    """A dimension that has cleared every trigger gate this window."""
+
+    dimension: Dimension
+    t: Timestamp
+    score: float
+    confidence: float
+    severity: Severity
+    supra_channels: int
+    composite: bool = False
+    repeat_ordinal: int = 1
+
+
+@dataclass(frozen=True)
+class InterventionDecision:
+    t: Timestamp
+    dimension: Dimension
+    severity: Severity
+    category: Category
+    tier: Tier
+    framing: Framing
+    modality: Modality
+    template_id: str
+    triggering_score: float
+    confidence: float
+    composite: bool = False
+
+
+@dataclass
+class _Run:
+    consecutive: int = 0
+    first_exceeded_at: Timestamp | None = None
+    repeat_count: int = 0  # decisions within the current supra episode
+
+    def reset(self) -> None:
+        self.consecutive = 0
+        self.first_exceeded_at = None
+
+    def clear(self) -> None:
+        self.reset()
+        self.repeat_count = 0
+
+
+@dataclass
+class TriggerTracker:
+    """Mutable per-dimension run state plus per-category cooldowns."""
+
+    runs: dict[Dimension, _Run] = field(
+        default_factory=lambda: {d: _Run() for d in Dimension}
+    )
+    challenge_run: _Run = field(default_factory=_Run)
+    cooldown_until: dict[Category, Timestamp] = field(
+        default_factory=lambda: {c: -math.inf for c in Category}
+    )
+    last_t: Timestamp | None = None
+
+
+@dataclass(frozen=True)
+class TriggerPolicy:
+    """The knobs consulted by :func:`update`."""
+
+    trigger_threshold: float = 1.5
+    confidence_min: float = 0.6
+    consecutive_windows: int = 3
+    persistence_s: float = 10.0
+
+
+def _gates_pass(run: _Run, t: Timestamp, policy: TriggerPolicy) -> bool:
+    assert run.first_exceeded_at is not None
+    return (
+        run.consecutive >= policy.consecutive_windows
+        and (t - run.first_exceeded_at) >= policy.persistence_s
+    )
+
+
+def update(
+    tracker: TriggerTracker,
+    state: StateVector,
+    policy: TriggerPolicy,
+    modality: Modality = Modality.TEXT,
+    table: StrategyTable | None = None,
+) -> list[Candidate]:
+    """Advance the tracker by one state vector and collect candidates.
+
+    Mutates ``tracker`` in place. Raises NonMonotoneTimeError when the
+    vector does not move time strictly forward. A candidate blocked
+    only by its category cooldown keeps its run; threshold and
+    confidence failures clear the run and its repeat count.
+    """
+    table = table or StrategyTable()
+    t = state.t
+    if tracker.last_t is not None and t <= tracker.last_t:
+        raise NonMonotoneTimeError(
+            f"state at t={t} does not advance past t={tracker.last_t}"
+        )
+    tracker.last_t = t
+
+    candidates: list[Candidate] = []
+    for dimension in Dimension:
+        ds = state.dims[dimension]
+        run = tracker.runs[dimension]
+        above = (
+            ds.observed
+            and ds.score > policy.trigger_threshold
+            and ds.confidence > policy.confidence_min
+        )
+        if not above:
+            run.clear()
+            continue
+        run.consecutive += 1
+        if run.first_exceeded_at is None:
+            run.first_exceeded_at = t
+        if not _gates_pass(run, t, policy):
+            continue
+        severity = severity_of(ds.score)
+        category = table.lookup(dimension, severity, modality).category
+        if t < tracker.cooldown_until[category]:
+            continue  # deferred, run intact
+        candidates.append(
+            Candidate(
+                dimension=dimension,
+                t=t,
+                score=ds.score,
+                confidence=ds.confidence,
+                severity=severity,
+                supra_channels=ds.supra_channels,
+                repeat_ordinal=run.repeat_count + 1,
+            )
+        )
+
+    composite = _challenge_candidate(tracker, state, policy, modality, table)
+    if composite is not None:
+        # the composite route supersedes a plain engagement deviation
+        candidates = [c for c in candidates if c.dimension is not Dimension.ENGAGEMENT]
+        candidates.append(composite)
+    return candidates
+
+
+def _challenge_candidate(
+    tracker: TriggerTracker,
+    state: StateVector,
+    policy: TriggerPolicy,
+    modality: Modality,
+    table: StrategyTable,
+) -> Candidate | None:
+    """Under-challenge composite: load well below baseline, engagement above.
+
+    Tracked like a seventh dimension so the same persistence and
+    cooldown discipline applies.
+    """
+    load = state.dims[Dimension.COGNITIVE_LOAD]
+    engagement = state.dims[Dimension.ENGAGEMENT]
+    run = tracker.challenge_run
+    confidence = min(load.confidence, engagement.confidence)
+    active = (
+        load.observed
+        and engagement.observed
+        and load.signed_score <= CHALLENGE_LOAD_CEILING
+        and engagement.signed_score > 0.0
+        and confidence > policy.confidence_min
+    )
+    if not active:
+        run.clear()
+        return None
+    run.consecutive += 1
+    if run.first_exceeded_at is None:
+        run.first_exceeded_at = state.t
+    if not _gates_pass(run, state.t, policy):
+        return None
+    score = abs(load.signed_score)
+    severity = severity_of(score)
+    category = table.lookup(Dimension.ENGAGEMENT, severity, modality).category
+    if state.t < tracker.cooldown_until[category]:
+        return None
+    return Candidate(
+        dimension=Dimension.ENGAGEMENT,
+        t=state.t,
+        score=score,
+        confidence=confidence,
+        severity=severity,
+        supra_channels=max(load.supra_channels, engagement.supra_channels),
+        composite=True,
+        repeat_ordinal=run.repeat_count + 1,
+    )
+
+
+def prioritize(candidates: list[Candidate]) -> Candidate | None:
+    """Pick the single candidate to act on: highest score wins, exact
+    ties fall back to the fixed dimension priority order."""
+    best: Candidate | None = None
+    for candidate in candidates:
+        if best is None:
+            best = candidate
+            continue
+        if candidate.score > best.score:
+            best = candidate
+        elif candidate.score == best.score:
+            if PRIORITY_ORDER.index(candidate.dimension) < PRIORITY_ORDER.index(best.dimension):
+                best = candidate
+    return best
+
+
+def choose_framing(
+    dimension: Dimension, repeat_count: int, contributing_channels: int
+) -> Framing:
+    """Explicit acknowledgment is reserved for persistent or strongly
+    corroborated states; everything else adapts silently."""
+    del dimension  # framing policy is currently dimension-agnostic
+    if repeat_count >= 2 or contributing_channels >= 2:
+        return Framing.EXPLICIT
+    return Framing.IMPLICIT
+
+
+def apply_cooldown(
+    tracker: TriggerTracker,
+    decision: InterventionDecision,
+    cooldown_s: dict[Category, float],
+) -> None:
+    """Start the decision category's cooldown. The boundary is
+    inclusive: a candidate at exactly ``t + cooldown`` may fire."""
+    tracker.cooldown_until[decision.category] = decision.t + cooldown_s[decision.category]
+
+
+class InterventionEngine:
+    """Stateful wrapper driving one trigger tracker over a session."""
+
+    def __init__(
+        self,
+        policy: TriggerPolicy,
+        cooldown_s: dict[Category, float],
+        modality: Modality = Modality.TEXT,
+        table: StrategyTable | None = None,
+    ):
+        self.policy = policy
+        self.cooldown_s = dict(cooldown_s)
+        self.modality = modality
+        self.table = table or StrategyTable()
+        self.table.validate()
+        self.tracker = TriggerTracker()
+
+    def step(self, state: StateVector) -> tuple[list[Candidate], InterventionDecision | None]:
+        candidates = update(self.tracker, state, self.policy, self.modality, self.table)
+        winner = prioritize(candidates)
+        if winner is None:
+            return candidates, None
+        entry = self.table.lookup(winner.dimension, winner.severity, self.modality)
+        framing = choose_framing(
+            winner.dimension, winner.repeat_ordinal, winner.supra_channels
+        )
+        decision = InterventionDecision(
+            t=winner.t,
+            dimension=winner.dimension,
+            severity=winner.severity,
+            category=entry.category,
+            tier=entry.tier,
+            framing=framing,
+            modality=self.modality,
+            template_id=entry.template_id,
+            triggering_score=winner.score,
+            confidence=winner.confidence,
+            composite=winner.composite,
+        )
+        apply_cooldown(self.tracker, decision, self.cooldown_s)
+        run = self.tracker.challenge_run if winner.composite else self.tracker.runs[winner.dimension]
+        run.reset()
+        run.repeat_count += 1
+        return candidates, decision

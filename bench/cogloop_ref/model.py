@@ -1,0 +1,201 @@
+"""Core data model: stream descriptors, sample payloads, and envelope ordering.
+
+Timestamps are seconds on the session clock, stored as plain floats.
+Producers with their own clocks are aligned via per-stream offsets at
+ingestion (see :mod:`cogloop.streams`).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from enum import Enum
+
+Timestamp = float
+
+
+class StreamKind(str, Enum):
+    PUPIL_GAZE = "pupil_gaze"
+    RR_INTERVAL = "rr_interval"
+    POSTURE_LANDMARKS = "posture_landmarks"
+    NOTE_SCORE = "note_score"
+
+
+class Dimension(str, Enum):
+    COGNITIVE_LOAD = "cognitive_load"
+    ATTENTION = "attention"
+    ENGAGEMENT = "engagement"
+    UNDERSTANDING = "understanding"
+    STRESS = "stress"
+    FATIGUE = "fatigue"
+
+
+class Modality(str, Enum):
+    TEXT = "text"
+    IMAGE = "image"
+    AUDIO = "audio"
+    VIDEO = "video"
+
+
+def _check_unit_interval(name: str, value: float) -> None:
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and 0.0 <= value <= 1.0):
+        raise ValueError(f"{name} must be a finite number in [0, 1], got {value!r}")
+
+
+def _check_finite(name: str, value: float) -> None:
+    if not (isinstance(value, (int, float)) and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+@dataclass(frozen=True)
+class StreamDescriptor:
+    """Identity and nominal cadence of one producer stream."""
+
+    stream_id: str
+    kind: StreamKind
+    nominal_rate_hz: float
+
+    def __post_init__(self):
+        if not self.stream_id:
+            raise ValueError("stream_id must be non-empty")
+        if not (math.isfinite(self.nominal_rate_hz) and self.nominal_rate_hz > 0):
+            raise ValueError(f"nominal_rate_hz must be positive, got {self.nominal_rate_hz!r}")
+
+
+@dataclass(frozen=True)
+class GazeSample:
+    """One eye-tracker sample in screen-normalized coordinates.
+
+    ``pupil_diameter_mm`` is None while the pupil is not measurable
+    (blinks, track loss). ``confidence`` is the tracker's own quality
+    estimate for the sample.
+    """
+
+    x: float
+    y: float
+    pupil_diameter_mm: float | None = None
+    confidence: float = 1.0
+
+    def __post_init__(self):
+        _check_unit_interval("x", self.x)
+        _check_unit_interval("y", self.y)
+        _check_unit_interval("confidence", self.confidence)
+        if self.pupil_diameter_mm is not None:
+            _check_finite("pupil_diameter_mm", self.pupil_diameter_mm)
+            if self.pupil_diameter_mm <= 0:
+                raise ValueError("pupil_diameter_mm must be positive when present")
+
+
+@dataclass(frozen=True)
+class RRSample:
+    """One beat-to-beat interval in milliseconds."""
+
+    rr_ms: float
+
+    def __post_init__(self):
+        _check_finite("rr_ms", self.rr_ms)
+        if self.rr_ms <= 0:
+            raise ValueError(f"rr_ms must be positive, got {self.rr_ms!r}")
+
+
+# Landmark names used by the posture scorer. Coordinates are
+# normalized to [0, 1] with y growing downward (image convention).
+POSTURE_POINTS = (
+    "shoulder_left",
+    "shoulder_right",
+    "ear_left",
+    "ear_right",
+    "hip_left",
+    "hip_right",
+)
+
+
+@dataclass(frozen=True)
+class PostureSample:
+    landmarks: dict[str, tuple[float, float]]
+    visibility: dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name, point in self.landmarks.items():
+            if name not in POSTURE_POINTS:
+                raise ValueError(f"unknown landmark {name!r}")
+            x, y = point
+            _check_unit_interval(f"{name}.x", x)
+            _check_unit_interval(f"{name}.y", y)
+        for name, vis in self.visibility.items():
+            if name not in POSTURE_POINTS:
+                raise ValueError(f"unknown landmark {name!r}")
+            _check_unit_interval(f"{name}.visibility", vis)
+
+    def point_visible(self, name: str, floor: float = 0.5) -> bool:
+        if name not in self.landmarks:
+            return False
+        return self.visibility.get(name, 1.0) >= floor
+
+
+@dataclass(frozen=True)
+class NoteScoreSample:
+    """Assessed correctness of the learner's recent notes, in [0, 1]."""
+
+    correctness: float
+    feedback_text: str = ""
+    analyzer_id: str = ""
+    clamped: bool = False
+
+    def __post_init__(self):
+        _check_unit_interval("correctness", self.correctness)
+
+
+Payload = GazeSample | RRSample | PostureSample | NoteScoreSample
+
+PAYLOAD_TYPE_BY_KIND: dict[StreamKind, type] = {
+    StreamKind.PUPIL_GAZE: GazeSample,
+    StreamKind.RR_INTERVAL: RRSample,
+    StreamKind.POSTURE_LANDMARKS: PostureSample,
+    StreamKind.NOTE_SCORE: NoteScoreSample,
+}
+
+
+@dataclass(frozen=True)
+class SampleEnvelope:
+    """A timestamped payload on the session timeline.
+
+    ``seq`` is the ingestion sequence number assigned by the merger; it
+    is the final tie-break so that envelope ordering is a strict total
+    order even for identical timestamps. Envelopes built by hand default
+    to seq -1 (unassigned).
+    """
+
+    stream_id: str
+    timestamp: Timestamp
+    payload: Payload
+    source_confidence: float = 1.0
+    seq: int = -1
+
+    def __post_init__(self):
+        _check_finite("timestamp", self.timestamp)
+        if self.timestamp < 0:
+            raise ValueError(f"timestamp must be non-negative, got {self.timestamp!r}")
+        _check_unit_interval("source_confidence", self.source_confidence)
+
+    def sort_key(self) -> tuple[float, str, int]:
+        return (self.timestamp, self.stream_id, self.seq)
+
+
+def envelope_sort_key(env: SampleEnvelope) -> tuple[float, str, int]:
+    """Key realizing the canonical (timestamp, stream_id, seq) order."""
+    return env.sort_key()
+
+
+def compare_envelopes(a: SampleEnvelope, b: SampleEnvelope) -> int:
+    """Three-way comparison under the canonical envelope order.
+
+    Returns -1, 0 or 1. Zero only when timestamp, stream id and
+    sequence number all coincide.
+    """
+    ka, kb = a.sort_key(), b.sort_key()
+    if ka < kb:
+        return -1
+    if ka > kb:
+        return 1
+    return 0

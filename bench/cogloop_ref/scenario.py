@@ -1,0 +1,692 @@
+"""Scenario files and the synthetic stream generator.
+
+A scenario is JSON Lines: a header object first, then one record per
+line in session-time order. Records are either samples or sync-mark
+batches. Timestamps are seconds (``t``) or milliseconds (``t_ms``).
+
+The synthesizer turns a profile (ordered segments with per-control
+generators) into a fully deterministic scenario. Generators steer a
+small set of physical controls in z-units of their nominal spread:
+
+    pupil_mm         mean pupil diameter (mm)
+    gaze_drift_speed within-fixation wander speed (units/s)
+    blink_rate_hz    blink frequency
+    rr_mean_ms       mean beat interval
+    rr_jitter_ms     beat-to-beat variability (sd of the interval)
+    posture_slump    composite slouch factor (tilt, ear drift, lean)
+    note_correctness mean note score
+
+The ``noise`` map gates every stochastic element; an all-zero noise map
+produces constant streams at each control's nominal mean.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import random
+from dataclasses import dataclass, field
+
+from .errors import ScenarioError
+from .model import (
+    GazeSample,
+    Modality,
+    NoteScoreSample,
+    Payload,
+    PostureSample,
+    RRSample,
+    StreamDescriptor,
+    StreamKind,
+    Timestamp,
+)
+
+# ---------------------------------------------------------------------------
+# scenario records
+
+
+@dataclass(frozen=True)
+class SampleRecord:
+    stream_id: str
+    t: Timestamp
+    source_confidence: float
+    payload: Payload | None = None
+    transcript: str | None = None  # note awaiting analysis
+
+
+@dataclass(frozen=True)
+class SyncRecord:
+    stream_id: str
+    marks: tuple[tuple[float, float], ...]
+
+
+@dataclass
+class ScenarioHeader:
+    streams: list[StreamDescriptor]
+    config_entries: dict[str, object] = field(default_factory=dict)
+    seed: int = 0
+    modality: Modality = Modality.TEXT
+    topic: str = "the current topic"
+    analyzer_replies: tuple[str, ...] = ()
+    dialogue: tuple[dict[str, str], ...] = ()
+
+
+@dataclass
+class Scenario:
+    header: ScenarioHeader
+    records: list[SampleRecord | SyncRecord]
+
+    def duration_s(self) -> float:
+        return max((r.t for r in self.records if isinstance(r, SampleRecord)), default=0.0)
+
+
+def _record_time(raw: dict, line_no: int) -> float:
+    if "t" in raw and "t_ms" in raw:
+        raise ScenarioError("record carries both t and t_ms", line_no)
+    if "t" in raw:
+        t = raw["t"]
+    elif "t_ms" in raw:
+        t = raw["t_ms"] / 1000.0
+    else:
+        raise ScenarioError("record missing timestamp (t or t_ms)", line_no)
+    if not (isinstance(t, (int, float)) and math.isfinite(t) and t >= 0):
+        raise ScenarioError(f"bad timestamp {t!r}", line_no)
+    return float(t)
+
+
+def _parse_payload(kind: StreamKind, raw: dict, line_no: int) -> tuple[Payload | None, str | None]:
+    try:
+        if kind is StreamKind.PUPIL_GAZE:
+            pupil = raw.get("pupil_mm")
+            if pupil is not None and pupil <= 0:
+                pupil = None  # trackers report 0 while the eye is shut
+            return (
+                GazeSample(
+                    x=raw["x"],
+                    y=raw["y"],
+                    pupil_diameter_mm=pupil,
+                    confidence=raw.get("confidence", 1.0),
+                ),
+                None,
+            )
+        if kind is StreamKind.RR_INTERVAL:
+            return RRSample(rr_ms=raw["rr_ms"]), None
+        if kind is StreamKind.POSTURE_LANDMARKS:
+            landmarks = {name: tuple(point) for name, point in raw["landmarks"].items()}
+            return (
+                PostureSample(landmarks=landmarks, visibility=raw.get("visibility", {})),
+                None,
+            )
+        # note stream: either a pre-assessed correctness or a transcript
+        # for the analyzer, never both
+        has_score = "correctness" in raw
+        has_transcript = "transcript" in raw
+        if has_score == has_transcript:
+            raise ScenarioError("note record needs exactly one of correctness/transcript", line_no)
+        if has_transcript:
+            transcript = raw["transcript"]
+            if not isinstance(transcript, str) or not transcript.strip():
+                raise ScenarioError("note transcript must be a non-empty string", line_no)
+            return None, transcript
+        return (
+            NoteScoreSample(
+                correctness=raw["correctness"],
+                feedback_text=raw.get("feedback", ""),
+            ),
+            None,
+        )
+    except ScenarioError:
+        raise
+    except (KeyError, TypeError, ValueError) as error:
+        raise ScenarioError(f"bad {kind.value} payload: {error}", line_no) from None
+
+
+def parse_scenario_lines(lines) -> Scenario:
+    header: ScenarioHeader | None = None
+    records: list[SampleRecord | SyncRecord] = []
+    kinds: dict[str, StreamKind] = {}
+    last_t: dict[str, float] = {}
+
+    for line_no, raw_line in enumerate(lines, start=1):
+        line = raw_line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as error:
+            raise ScenarioError(f"invalid JSON: {error.msg}", line_no) from None
+        if not isinstance(obj, dict) or "type" not in obj:
+            raise ScenarioError("each line must be an object with a 'type'", line_no)
+
+        if obj["type"] == "header":
+            if header is not None:
+                raise ScenarioError("duplicate header", line_no)
+            if records:
+                raise ScenarioError("header must be the first record", line_no)
+            header = _parse_header(obj, line_no)
+            kinds = {d.stream_id: d.kind for d in header.streams}
+            continue
+        if header is None:
+            raise ScenarioError("first line must be the header", line_no)
+
+        if obj["type"] == "sync":
+            stream_id = obj.get("stream")
+            if stream_id not in kinds:
+                raise ScenarioError(f"sync for undeclared stream {stream_id!r}", line_no)
+            marks = obj.get("marks")
+            if not isinstance(marks, list) or any(len(m) != 2 for m in marks):
+                raise ScenarioError("sync marks must be [producer_t, session_t] pairs", line_no)
+            records.append(SyncRecord(stream_id=stream_id, marks=tuple((float(p), float(s)) for p, s in marks)))
+            continue
+        if obj["type"] != "sample":
+            raise ScenarioError(f"unknown record type {obj['type']!r}", line_no)
+
+        stream_id = obj.get("stream")
+        if stream_id not in kinds:
+            raise ScenarioError(f"sample for undeclared stream {stream_id!r}", line_no)
+        t = _record_time(obj, line_no)
+        kind = kinds[stream_id]
+        previous = last_t.get(stream_id)
+        if previous is not None:
+            # gaze velocity needs strictly advancing clocks; other
+            # streams may legitimately repeat a timestamp
+            if kind is StreamKind.PUPIL_GAZE and t <= previous:
+                raise ScenarioError(f"gaze timestamps must strictly increase ({t} after {previous})", line_no)
+            if t < previous:
+                raise ScenarioError(f"stream {stream_id!r} timestamps decrease ({t} after {previous})", line_no)
+        last_t[stream_id] = t
+
+        source_confidence = obj.get("source_confidence", 1.0)
+        if not (isinstance(source_confidence, (int, float)) and 0.0 <= source_confidence <= 1.0):
+            raise ScenarioError(f"bad source_confidence {source_confidence!r}", line_no)
+        payload, transcript = _parse_payload(kind, obj, line_no)
+        records.append(
+            SampleRecord(
+                stream_id=stream_id,
+                t=t,
+                source_confidence=float(source_confidence),
+                payload=payload,
+                transcript=transcript,
+            )
+        )
+
+    if header is None:
+        raise ScenarioError("scenario is empty (no header)", 1)
+    return Scenario(header=header, records=records)
+
+
+def _parse_header(obj: dict, line_no: int) -> ScenarioHeader:
+    streams_raw = obj.get("streams")
+    if not isinstance(streams_raw, list) or not streams_raw:
+        raise ScenarioError("header must declare at least one stream", line_no)
+    streams: list[StreamDescriptor] = []
+    seen: set[str] = set()
+    for entry in streams_raw:
+        try:
+            descriptor = StreamDescriptor(
+                stream_id=entry["stream_id"],
+                kind=StreamKind(entry["kind"]),
+                nominal_rate_hz=entry["nominal_rate_hz"],
+            )
+        except (KeyError, TypeError, ValueError) as error:
+            raise ScenarioError(f"bad stream descriptor: {error}", line_no) from None
+        if descriptor.stream_id in seen:
+            raise ScenarioError(f"duplicate stream id {descriptor.stream_id!r}", line_no)
+        seen.add(descriptor.stream_id)
+        streams.append(descriptor)
+
+    modality_raw = obj.get("modality", Modality.TEXT.value)
+    try:
+        modality = Modality(modality_raw)
+    except ValueError:
+        raise ScenarioError(f"unknown modality {modality_raw!r}", line_no) from None
+
+    seed = obj.get("seed", 0)
+    if not isinstance(seed, int):
+        raise ScenarioError(f"seed must be an integer, got {seed!r}", line_no)
+
+    config_entries = obj.get("config", {})
+    if not isinstance(config_entries, dict):
+        raise ScenarioError("header config must be an object", line_no)
+
+    return ScenarioHeader(
+        streams=streams,
+        config_entries=config_entries,
+        seed=seed,
+        modality=modality,
+        topic=str(obj.get("topic", "the current topic")),
+        analyzer_replies=tuple(obj.get("analyzer_replies", [])),
+        dialogue=tuple(obj.get("dialogue", [])),
+    )
+
+
+def load_scenario(path) -> Scenario:
+    with open(path, "r", encoding="utf-8") as handle:
+        return parse_scenario_lines(handle)
+
+
+# ---------------------------------------------------------------------------
+# serialization
+
+def _sample_to_obj(record: SampleRecord, kind: StreamKind) -> dict:
+    obj: dict = {"type": "sample", "stream": record.stream_id, "t": record.t}
+    if record.source_confidence != 1.0:
+        obj["source_confidence"] = record.source_confidence
+    if record.transcript is not None:
+        obj["transcript"] = record.transcript
+        return obj
+    payload = record.payload
+    if kind is StreamKind.PUPIL_GAZE:
+        obj.update(
+            x=payload.x, y=payload.y, pupil_mm=payload.pupil_diameter_mm,
+            confidence=payload.confidence,
+        )
+    elif kind is StreamKind.RR_INTERVAL:
+        obj["rr_ms"] = payload.rr_ms
+    elif kind is StreamKind.POSTURE_LANDMARKS:
+        obj["landmarks"] = {name: list(point) for name, point in sorted(payload.landmarks.items())}
+        if payload.visibility:
+            obj["visibility"] = dict(sorted(payload.visibility.items()))
+    else:
+        obj["correctness"] = payload.correctness
+        if payload.feedback_text:
+            obj["feedback"] = payload.feedback_text
+    return obj
+
+
+def scenario_to_lines(scenario: Scenario) -> list[str]:
+    header = scenario.header
+    header_obj = {
+        "type": "header",
+        "streams": [
+            {"stream_id": d.stream_id, "kind": d.kind.value, "nominal_rate_hz": d.nominal_rate_hz}
+            for d in header.streams
+        ],
+        "config": header.config_entries,
+        "seed": header.seed,
+        "modality": header.modality.value,
+        "topic": header.topic,
+        "analyzer_replies": list(header.analyzer_replies),
+        "dialogue": list(header.dialogue),
+    }
+    kinds = {d.stream_id: d.kind for d in header.streams}
+    lines = [json.dumps(header_obj, sort_keys=True, separators=(",", ":"))]
+    for record in scenario.records:
+        if isinstance(record, SyncRecord):
+            obj = {"type": "sync", "stream": record.stream_id, "marks": [list(m) for m in record.marks]}
+        else:
+            obj = _sample_to_obj(record, kinds[record.stream_id])
+        lines.append(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    return lines
+
+
+def write_scenario(scenario: Scenario, path) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        for line in scenario_to_lines(scenario):
+            handle.write(line + "\n")
+
+
+# ---------------------------------------------------------------------------
+# synthetic profiles
+
+# control -> (nominal mean, nominal spread); generator z-units refer to
+# the spread
+CONTROLS: dict[str, tuple[float, float]] = {
+    "pupil_mm": (3.0, 0.15),
+    "gaze_drift_speed": (0.2, 0.05),
+    "blink_rate_hz": (0.28, 0.06),
+    "rr_mean_ms": (850.0, 30.0),
+    "rr_jitter_ms": (53.0, 6.0),
+    "posture_slump": (0.0, 0.5),
+    "note_correctness": (0.9, 0.04),
+}
+
+NOISE_DEFAULTS: dict[str, float] = {
+    "pupil_mm": 0.02,        # absolute sd on pupil readings
+    "note_correctness": 0.04,  # absolute sd on note scores
+    "gaze_xy": 1.0,          # scales wander and enables saccades/jumps
+    "blink": 1.0,            # scales blink frequency
+    "rr_ms": 1.0,            # scales beat-to-beat jitter
+    "posture": 1.0,          # scales landmark jitter (sd 0.003)
+}
+
+_GENERATOR_KINDS = ("baseline", "ramp", "oscillation")
+
+
+@dataclass(frozen=True)
+class GeneratorSpec:
+    kind: str
+    target_z: float = 0.0
+    tau_s: float = 10.0
+    amplitude_z: float = 0.0
+    period_s: float = 60.0
+
+
+@dataclass(frozen=True)
+class ProfileSegment:
+    duration_s: float
+    channels: dict[str, GeneratorSpec] = field(default_factory=dict)
+
+
+@dataclass
+class SyntheticProfile:
+    segments: list[ProfileSegment]
+    seed: int = 0
+    topic: str = "the current topic"
+    modality: Modality = Modality.TEXT
+    noise: dict[str, float] = field(default_factory=dict)
+    config_entries: dict[str, object] = field(default_factory=dict)
+    analyzer_replies: tuple[str, ...] = ()
+    dialogue: tuple[dict[str, str], ...] = ()
+    gaze_rate_hz: float = 60.0
+    posture_rate_hz: float = 5.0
+    note_interval_s: float = 60.0
+
+    def duration_s(self) -> float:
+        return sum(segment.duration_s for segment in self.segments)
+
+
+def load_profile(path) -> SyntheticProfile:
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            data = json.load(handle)
+        except json.JSONDecodeError as error:
+            raise ScenarioError(f"invalid profile JSON: {error.msg}", error.lineno) from None
+    return parse_profile(data)
+
+
+def parse_profile(data: dict) -> SyntheticProfile:
+    if not isinstance(data, dict):
+        raise ScenarioError("profile must be a JSON object")
+    segments_raw = data.get("segments")
+    if not isinstance(segments_raw, list) or not segments_raw:
+        raise ScenarioError("profile needs a non-empty segments list")
+    segments: list[ProfileSegment] = []
+    for index, seg in enumerate(segments_raw):
+        duration = seg.get("duration_s")
+        if not (isinstance(duration, (int, float)) and duration > 0):
+            raise ScenarioError(f"segment {index}: duration_s must be positive")
+        channels: dict[str, GeneratorSpec] = {}
+        for control, spec in seg.get("channels", {}).items():
+            if control not in CONTROLS:
+                raise ScenarioError(f"segment {index}: unknown control {control!r}")
+            kind = spec.get("kind")
+            if kind not in _GENERATOR_KINDS:
+                raise ScenarioError(f"segment {index}: unknown generator kind {kind!r}")
+            generator = GeneratorSpec(
+                kind=kind,
+                target_z=float(spec.get("target_z", 0.0)),
+                tau_s=float(spec.get("tau_s", 10.0)),
+                amplitude_z=float(spec.get("amplitude_z", 0.0)),
+                period_s=float(spec.get("period_s", 60.0)),
+            )
+            if generator.tau_s <= 0 or generator.period_s <= 0:
+                raise ScenarioError(f"segment {index}: tau_s and period_s must be positive")
+            channels[control] = generator
+        segments.append(ProfileSegment(duration_s=float(duration), channels=channels))
+
+    noise = dict(NOISE_DEFAULTS)
+    for key, value in data.get("noise", {}).items():
+        if key not in NOISE_DEFAULTS:
+            raise ScenarioError(f"unknown noise key {key!r}")
+        noise[key] = float(value)
+
+    try:
+        modality = Modality(data.get("modality", Modality.TEXT.value))
+    except ValueError:
+        raise ScenarioError(f"unknown modality {data.get('modality')!r}") from None
+
+    return SyntheticProfile(
+        segments=segments,
+        seed=int(data.get("seed", 0)),
+        topic=str(data.get("topic", "the current topic")),
+        modality=modality,
+        noise=noise,
+        config_entries=dict(data.get("config", {})),
+        analyzer_replies=tuple(data.get("analyzer_replies", [])),
+        dialogue=tuple(data.get("dialogue", [])),
+        gaze_rate_hz=float(data.get("gaze_rate_hz", 60.0)),
+        posture_rate_hz=float(data.get("posture_rate_hz", 5.0)),
+        note_interval_s=float(data.get("note_interval_s", 60.0)),
+    )
+
+
+class _ControlCurve:
+    """Piecewise z-trajectory of one control across the segments.
+
+    Ramps approach their target exponentially from wherever the
+    previous segment left the control, so hand-offs are continuous.
+    """
+
+    def __init__(self, profile: SyntheticProfile, control: str):
+        self.pieces: list[tuple[float, float, GeneratorSpec, float]] = []
+        t0 = 0.0
+        z_start = 0.0
+        for segment in profile.segments:
+            spec = segment.channels.get(control, GeneratorSpec(kind="baseline"))
+            self.pieces.append((t0, t0 + segment.duration_s, spec, z_start))
+            z_start = self._z_at(spec, z_start, segment.duration_s)
+            t0 += segment.duration_s
+        self.mu, self.sigma = CONTROLS[control]
+
+    @staticmethod
+    def _z_at(spec: GeneratorSpec, z_start: float, elapsed: float) -> float:
+        if spec.kind == "baseline":
+            return 0.0
+        if spec.kind == "ramp":
+            return spec.target_z + (z_start - spec.target_z) * math.exp(-elapsed / spec.tau_s)
+        return spec.amplitude_z * math.sin(2.0 * math.pi * elapsed / spec.period_s)
+
+    def z(self, t: float) -> float:
+        for start, end, spec, z_start in self.pieces:
+            if start <= t < end:
+                return self._z_at(spec, z_start, t - start)
+        # past the final segment: hold its end state
+        start, end, spec, z_start = self.pieces[-1]
+        return self._z_at(spec, z_start, end - start)
+
+    def value(self, t: float) -> float:
+        return self.mu + self.z(t) * self.sigma
+
+
+_BASE_POSE = {
+    "shoulder_left": (0.38, 0.50),
+    "shoulder_right": (0.62, 0.50),
+    "ear_left": (0.44, 0.30),
+    "ear_right": (0.56, 0.30),
+    "hip_left": (0.42, 0.88),
+    "hip_right": (0.58, 0.88),
+}
+
+# slump factor 1.0 produces this much shoulder tilt, forward lean and
+# ear drift
+_SLUMP_TILT_DEG = 5.0
+_SLUMP_LEAN_DEG = 7.0
+_SLUMP_EAR_DRIFT = 0.035
+_TRUNK_LENGTH = 0.38
+_SHOULDER_HALF_WIDTH = 0.12
+
+
+def _clamp(value: float, lo: float, hi: float) -> float:
+    return max(lo, min(hi, value))
+
+
+def synthesize(profile: SyntheticProfile, seed: int | None = None) -> Scenario:
+    """Generate a complete scenario from the profile, deterministically.
+
+    Each stream draws from its own RNG keyed by (seed, stream name), so
+    editing one stream's parameters never perturbs the others.
+    """
+    seed = profile.seed if seed is None else seed
+    duration = profile.duration_s()
+    curves = {name: _ControlCurve(profile, name) for name in CONTROLS}
+    noise = {**NOISE_DEFAULTS, **profile.noise}
+
+    records: list[SampleRecord] = []
+    records.extend(_gen_gaze(profile, curves, noise, seed, duration))
+    records.extend(_gen_rr(curves, noise, seed, duration))
+    records.extend(_gen_posture(profile, curves, noise, seed, duration))
+    records.extend(_gen_notes(profile, curves, noise, seed, duration))
+    records.sort(key=lambda r: (r.t, r.stream_id))
+
+    header = ScenarioHeader(
+        streams=[
+            StreamDescriptor("gaze", StreamKind.PUPIL_GAZE, profile.gaze_rate_hz),
+            StreamDescriptor("heart", StreamKind.RR_INTERVAL, 200.0),
+            StreamDescriptor("cam", StreamKind.POSTURE_LANDMARKS, profile.posture_rate_hz),
+            StreamDescriptor("notes", StreamKind.NOTE_SCORE, 1.0 / profile.note_interval_s),
+        ],
+        config_entries=dict(profile.config_entries),
+        seed=seed,
+        modality=profile.modality,
+        topic=profile.topic,
+        analyzer_replies=profile.analyzer_replies,
+        dialogue=profile.dialogue,
+    )
+    return Scenario(header=header, records=records)
+
+
+def _gen_gaze(profile, curves, noise, seed, duration) -> list[SampleRecord]:
+    rng = random.Random(f"{seed}:gaze")
+    dt = 1.0 / profile.gaze_rate_hz
+    motion_scale = noise["gaze_xy"]
+    blink_scale = noise["blink"]
+    pupil_noise = noise["pupil_mm"]
+
+    records: list[SampleRecord] = []
+    anchor_x, anchor_y = 0.5, 0.5
+    offset_x = offset_y = 0.0
+    dwell_left = rng.uniform(0.8, 2.5)
+    blink_left = 0.0
+
+    n = int(round(duration * profile.gaze_rate_hz))
+    for k in range(n):
+        t = round(k * dt, 6)
+        blinking = blink_left > 0.0
+        if blinking:
+            blink_left -= dt
+        elif blink_scale > 0 and rng.random() < curves["blink_rate_hz"].value(t) * blink_scale * dt:
+            blink_left = rng.uniform(0.08, 0.15)
+            blinking = True
+
+        if not blinking and motion_scale > 0:
+            dwell_left -= dt
+            if dwell_left <= 0:
+                anchor_x = rng.uniform(0.15, 0.85)
+                anchor_y = rng.uniform(0.15, 0.85)
+                offset_x = offset_y = 0.0
+                dwell_left = rng.uniform(0.8, 2.5)
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            step = curves["gaze_drift_speed"].value(t) * dt * motion_scale
+            offset_x = (offset_x + step * math.cos(angle)) * 0.95
+            offset_y = (offset_y + step * math.sin(angle)) * 0.95
+
+        x = _clamp(anchor_x + offset_x, 0.0, 1.0)
+        y = _clamp(anchor_y + offset_y, 0.0, 1.0)
+        if blinking:
+            pupil = None
+            confidence = 0.05
+        else:
+            pupil = curves["pupil_mm"].value(t)
+            if pupil_noise > 0:
+                pupil += rng.gauss(0.0, pupil_noise)
+            pupil = round(_clamp(pupil, 1.0, 9.0), 6)
+            confidence = 0.98
+        records.append(
+            SampleRecord(
+                stream_id="gaze",
+                t=t,
+                source_confidence=0.99,
+                payload=GazeSample(
+                    x=round(x, 6), y=round(y, 6),
+                    pupil_diameter_mm=pupil, confidence=confidence,
+                ),
+            )
+        )
+    return records
+
+
+def _gen_rr(curves, noise, seed, duration) -> list[SampleRecord]:
+    rng = random.Random(f"{seed}:rr")
+    jitter_scale = noise["rr_ms"]
+    records: list[SampleRecord] = []
+    t = 0.0
+    while True:
+        rr = curves["rr_mean_ms"].value(t)
+        jitter = max(0.0, curves["rr_jitter_ms"].value(t)) * jitter_scale
+        if jitter > 0:
+            rr += rng.gauss(0.0, jitter)
+        rr = round(_clamp(rr, 300.0, 2000.0), 3)
+        t_next = t + rr / 1000.0
+        if t_next >= duration:
+            break
+        records.append(
+            SampleRecord(
+                stream_id="heart",
+                t=round(t_next, 6),
+                source_confidence=1.0,
+                payload=RRSample(rr_ms=rr),
+            )
+        )
+        t = t_next
+    return records
+
+
+def _gen_posture(profile, curves, noise, seed, duration) -> list[SampleRecord]:
+    rng = random.Random(f"{seed}:posture")
+    jitter_sd = 0.003 * noise["posture"]
+    dt = 1.0 / profile.posture_rate_hz
+    records: list[SampleRecord] = []
+    n = int(round(duration * profile.posture_rate_hz))
+    for k in range(n):
+        t = round(k * dt, 6)
+        slump = curves["posture_slump"].value(t)
+        tilt_dy = math.tan(math.radians(_SLUMP_TILT_DEG * slump)) * _SHOULDER_HALF_WIDTH
+        lean_dx = math.tan(math.radians(_SLUMP_LEAN_DEG * slump)) * _TRUNK_LENGTH
+        ear_dx = _SLUMP_EAR_DRIFT * slump
+
+        def place(base_x: float, base_y: float, dx: float = 0.0, dy: float = 0.0):
+            jx = rng.gauss(0.0, jitter_sd) if jitter_sd > 0 else 0.0
+            jy = rng.gauss(0.0, jitter_sd) if jitter_sd > 0 else 0.0
+            return (
+                round(_clamp(base_x + dx + jx, 0.0, 1.0), 6),
+                round(_clamp(base_y + dy + jy, 0.0, 1.0), 6),
+            )
+
+        landmarks = {
+            "shoulder_left": place(*_BASE_POSE["shoulder_left"], dx=lean_dx, dy=tilt_dy),
+            "shoulder_right": place(*_BASE_POSE["shoulder_right"], dx=lean_dx, dy=-tilt_dy),
+            "ear_left": place(*_BASE_POSE["ear_left"], dx=lean_dx + ear_dx),
+            "ear_right": place(*_BASE_POSE["ear_right"], dx=lean_dx + ear_dx),
+            "hip_left": place(*_BASE_POSE["hip_left"]),
+            "hip_right": place(*_BASE_POSE["hip_right"]),
+        }
+        records.append(
+            SampleRecord(
+                stream_id="cam",
+                t=t,
+                source_confidence=1.0,
+                payload=PostureSample(landmarks=landmarks),
+            )
+        )
+    return records
+
+
+def _gen_notes(profile, curves, noise, seed, duration) -> list[SampleRecord]:
+    rng = random.Random(f"{seed}:notes")
+    note_noise = noise["note_correctness"]
+    records: list[SampleRecord] = []
+    t = profile.note_interval_s / 2.0
+    while t < duration:
+        value = curves["note_correctness"].value(t)
+        if note_noise > 0:
+            value += rng.gauss(0.0, note_noise)
+        records.append(
+            SampleRecord(
+                stream_id="notes",
+                t=round(t, 6),
+                source_confidence=1.0,
+                payload=NoteScoreSample(correctness=round(_clamp(value, 0.0, 1.0), 4)),
+            )
+        )
+        t += profile.note_interval_s
+    return records

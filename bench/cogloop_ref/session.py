@@ -1,0 +1,760 @@
+"""Replay runner: scenario in, ordered trace out.
+
+The runner ingests every record, closes the merge, extracts windowed
+features, freezes the baseline from the calibration span, then walks
+the decision grid one hop at a time. Everything observable lands in the
+trace as an event; the trace is sorted by time with a fixed per-kind
+priority and the emission sequence as final tie-break, so identical
+inputs produce byte-identical traces.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import math
+import statistics
+import time
+from dataclasses import dataclass
+
+from .behavior import PostureScore, ingest_note_assessment, score_posture
+from .cardio import window_hrv
+from .config import (
+    SessionConfig,
+    apply_entries,
+    config_from_dict,
+    config_to_dict,
+    validate_config,
+)
+from .directives import (
+    GenerationClient,
+    LearningContext,
+    LiveGenerationClient,
+    MockGenerationClient,
+    build_directives,
+    render_prompt,
+)
+from .errors import (
+    ClientUnavailableError,
+    ConfigError,
+    MalformedReplyError,
+    MissingLandmarksError,
+    ScenarioError,
+)
+from .gaze import window_gaze_features
+from .interventions import InterventionDecision, InterventionEngine, StrategyTable, TriggerPolicy
+from .model import (
+    Dimension,
+    PostureSample,
+    SampleEnvelope,
+    StreamKind,
+    Timestamp,
+)
+from .scenario import SampleRecord, Scenario, SyncRecord
+from .state import (
+    CHANNEL_BLINK_RATE,
+    CHANNEL_FIXATION_COUNT,
+    CHANNEL_FIXATION_DURATION,
+    CHANNEL_GAZE_VELOCITY,
+    CHANNEL_HEART_RATE,
+    CHANNEL_NOTE_ERROR,
+    CHANNEL_PNN50,
+    CHANNEL_POSTURE,
+    CHANNEL_PUPIL,
+    CHANNEL_RMSSD,
+    CHANNEL_SDNN,
+    CalibrationProfile,
+    ChannelFeature,
+    StateVector,
+    compute_baseline,
+    infer_state,
+)
+from .streams import StreamMerger, Window
+
+ENGINE_TAG = "cogloop-0.1.0"
+
+# stable tie-break for events sharing a timestamp: causes before effects
+KIND_PRIORITY: dict[str, int] = {
+    "sync": 0,
+    "ingest": 0,
+    "window_features": 1,
+    "state_vector": 2,
+    "candidate": 3,
+    "decision": 4,
+    "directive_sent": 5,
+    "client_reply": 6,
+    "warning": 7,
+}
+
+CHANNEL_KIND: dict[str, StreamKind] = {
+    CHANNEL_PUPIL: StreamKind.PUPIL_GAZE,
+    CHANNEL_FIXATION_DURATION: StreamKind.PUPIL_GAZE,
+    CHANNEL_FIXATION_COUNT: StreamKind.PUPIL_GAZE,
+    CHANNEL_GAZE_VELOCITY: StreamKind.PUPIL_GAZE,
+    CHANNEL_BLINK_RATE: StreamKind.PUPIL_GAZE,
+    CHANNEL_HEART_RATE: StreamKind.RR_INTERVAL,
+    CHANNEL_RMSSD: StreamKind.RR_INTERVAL,
+    CHANNEL_SDNN: StreamKind.RR_INTERVAL,
+    CHANNEL_PNN50: StreamKind.RR_INTERVAL,
+    CHANNEL_POSTURE: StreamKind.POSTURE_LANDMARKS,
+    CHANNEL_NOTE_ERROR: StreamKind.NOTE_SCORE,
+}
+
+
+@dataclass(frozen=True)
+class TraceEvent:
+    t: Timestamp
+    kind: str
+    seq: int
+    payload: dict
+
+    def sort_key(self) -> tuple[float, int, int]:
+        return (self.t, KIND_PRIORITY[self.kind], self.seq)
+
+
+@dataclass
+class SessionResult:
+    config: SessionConfig
+    events: list[TraceEvent]
+    decisions: list[InterventionDecision]
+    baseline: CalibrationProfile
+    seed: int = 0
+    modality: str = "text"
+    topic: str = ""
+
+
+class _Recorder:
+    def __init__(self):
+        self.events: list[TraceEvent] = []
+        self._seq = 0
+
+    def add(self, t: float, kind: str, payload: dict) -> None:
+        self.events.append(TraceEvent(t=t, kind=kind, seq=self._seq, payload=payload))
+        self._seq += 1
+
+    def sorted_events(self) -> list[TraceEvent]:
+        return sorted(self.events, key=TraceEvent.sort_key)
+
+
+def _make_client(cfg: SessionConfig, scenario: Scenario) -> GenerationClient:
+    if cfg.client == "live":
+        return LiveGenerationClient()
+    return MockGenerationClient(scripted_note_replies=scenario.header.analyzer_replies)
+
+
+def expected_calibration_windows(cfg: SessionConfig, kind: StreamKind) -> int:
+    """How many complete windows of this kind fit inside calibration."""
+    length = cfg.window_length_s[kind]
+    if cfg.calibration_duration_s < length:
+        return 0
+    return int(math.floor((cfg.calibration_duration_s - length) / cfg.window_hop_s)) + 1
+
+
+def _baseline_minimums(cfg: SessionConfig) -> dict[str, int]:
+    """Per-channel sample minimum for the baseline.
+
+    Slow channels cannot physically produce ``baseline_min_samples``
+    windows inside the calibration span, so the requirement is capped at
+    80% of what the window grid can yield (never below 2).
+    """
+    minimums: dict[str, int] = {}
+    for channel, kind in CHANNEL_KIND.items():
+        expected = expected_calibration_windows(cfg, kind)
+        attainable = max(2, int(math.floor(0.8 * expected)))
+        minimums[channel] = min(cfg.baseline_min_samples, attainable)
+    return minimums
+
+
+# ---------------------------------------------------------------------------
+# window -> channel features
+
+def _gaze_channel_features(window: Window, cfg: SessionConfig, recorder: _Recorder) -> list[ChannelFeature]:
+    gf = window_gaze_features(
+        window,
+        median_width=cfg.rolling_median_width,
+        velocity_threshold=cfg.ivt_velocity_threshold,
+        min_fixation_duration_s=cfg.min_fixation_duration_s,
+    )
+    features: list[ChannelFeature] = []
+    values: dict[str, float] = {}
+    if gf.present:
+        if gf.mean_pupil_mm is not None:
+            features.append(
+                ChannelFeature(
+                    CHANNEL_PUPIL, gf.mean_pupil_mm,
+                    gf.quality * gf.valid_pupil_fraction, window.end,
+                )
+            )
+        if gf.mean_fixation_duration_s is not None:
+            features.append(
+                ChannelFeature(CHANNEL_FIXATION_DURATION, gf.mean_fixation_duration_s, gf.quality, window.end)
+            )
+        features.append(ChannelFeature(CHANNEL_FIXATION_COUNT, float(gf.fixation_count), gf.quality, window.end))
+        if gf.mean_gaze_velocity is not None:
+            features.append(ChannelFeature(CHANNEL_GAZE_VELOCITY, gf.mean_gaze_velocity, gf.quality, window.end))
+        features.append(ChannelFeature(CHANNEL_BLINK_RATE, gf.blink_rate_per_min, gf.quality, window.end))
+        values = {f.channel_id: f.value for f in features}
+    recorder.add(
+        window.end,
+        "window_features",
+        {
+            "stream_kind": window.kind.value,
+            "start": window.start,
+            "end": window.end,
+            "present": gf.present,
+            "quality": gf.quality,
+            "values": values,
+            "saccade_count": gf.saccade_count,
+        },
+    )
+    return features
+
+
+def _hrv_channel_features(window: Window, recorder: _Recorder) -> list[ChannelFeature]:
+    hf = window_hrv(window)
+    features: list[ChannelFeature] = []
+    if hf.present:
+        features = [
+            ChannelFeature(CHANNEL_HEART_RATE, hf.mean_hr_bpm, hf.quality, window.end),
+            ChannelFeature(CHANNEL_RMSSD, hf.rmssd_ms, hf.quality, window.end),
+            ChannelFeature(CHANNEL_SDNN, hf.sdnn_ms, hf.quality, window.end),
+            ChannelFeature(CHANNEL_PNN50, hf.pnn50_percent, hf.quality, window.end),
+        ]
+    recorder.add(
+        window.end,
+        "window_features",
+        {
+            "stream_kind": window.kind.value,
+            "start": window.start,
+            "end": window.end,
+            "present": hf.present,
+            "quality": hf.quality,
+            "values": {f.channel_id: f.value for f in features},
+            "stress_band": hf.stress_band.value if hf.stress_band else None,
+            "valid_intervals": hf.valid_intervals,
+            "artifact_intervals": hf.artifact_intervals,
+        },
+    )
+    return features
+
+
+def _posture_channel_features(
+    window: Window, baseline_pose: PostureSample | None, recorder: _Recorder
+) -> list[ChannelFeature]:
+    scores: list[PostureScore] = []
+    confidences: list[float] = []
+    skipped = 0
+    if baseline_pose is not None:
+        for envelope in window.samples:
+            try:
+                scores.append(score_posture(envelope.payload, baseline_pose))
+                confidences.append(envelope.source_confidence)
+            except MissingLandmarksError:
+                skipped += 1
+    present = bool(scores)
+    features: list[ChannelFeature] = []
+    percent = None
+    category = None
+    if present:
+        percent = statistics.fmean(s.percent for s in scores)
+        category = scores[-1].category  # latest pose band in the window
+        quality = statistics.fmean(confidences) * len(scores) / (len(scores) + skipped)
+        features = [ChannelFeature(CHANNEL_POSTURE, percent, quality, window.end)]
+    recorder.add(
+        window.end,
+        "window_features",
+        {
+            "stream_kind": window.kind.value,
+            "start": window.start,
+            "end": window.end,
+            "present": present,
+            "quality": features[0].quality if features else 0.0,
+            "values": {CHANNEL_POSTURE: percent} if present else {},
+            "category": category.value if category else None,
+            "skipped_samples": skipped,
+        },
+    )
+    return features
+
+
+def _note_channel_features(window: Window, recorder: _Recorder) -> list[ChannelFeature]:
+    errors = [1.0 - env.payload.correctness for env in window.samples]
+    present = bool(errors)
+    features: list[ChannelFeature] = []
+    if present:
+        quality = statistics.fmean(env.source_confidence for env in window.samples)
+        features = [ChannelFeature(CHANNEL_NOTE_ERROR, statistics.fmean(errors), quality, window.end)]
+    recorder.add(
+        window.end,
+        "window_features",
+        {
+            "stream_kind": window.kind.value,
+            "start": window.start,
+            "end": window.end,
+            "present": present,
+            "quality": features[0].quality if features else 0.0,
+            "values": {CHANNEL_NOTE_ERROR: features[0].value} if present else {},
+            "sample_count": len(window.samples),
+        },
+    )
+    return features
+
+
+def _mean_pose(samples: list[PostureSample]) -> PostureSample | None:
+    """Average landmark positions over calibration poses.
+
+    Each landmark is averaged over the samples where it is visible;
+    the result is usable only if both shoulders made it in.
+    """
+    sums: dict[str, tuple[float, float, int]] = {}
+    for pose in samples:
+        for name in pose.landmarks:
+            if not pose.point_visible(name):
+                continue
+            x, y = pose.landmarks[name]
+            sx, sy, n = sums.get(name, (0.0, 0.0, 0))
+            sums[name] = (sx + x, sy + y, n + 1)
+    landmarks = {name: (sx / n, sy / n) for name, (sx, sy, n) in sums.items() if n > 0}
+    if "shoulder_left" not in landmarks or "shoulder_right" not in landmarks:
+        return None
+    return PostureSample(landmarks=landmarks)
+
+
+# ---------------------------------------------------------------------------
+# the runner
+
+def resolve_config(scenario: Scenario, overrides: dict[str, object] | None = None) -> SessionConfig:
+    """Defaults, then scenario header entries, then caller overrides."""
+    cfg = apply_entries(SessionConfig(), scenario.header.config_entries)
+    if overrides:
+        cfg = apply_entries(cfg, overrides)
+    report = validate_config(cfg)
+    if not report.ok:
+        raise ConfigError("; ".join(report.failures))
+    return cfg
+
+
+def run_session(
+    scenario: Scenario,
+    overrides: dict[str, object] | None = None,
+    client: GenerationClient | None = None,
+    realtime: bool = False,
+    _sleep=time.sleep,
+) -> SessionResult:
+    cfg = resolve_config(scenario, overrides)
+    client = client or _make_client(cfg, scenario)
+    recorder = _Recorder()
+    merger = StreamMerger(jitter_tolerance_s=cfg.jitter_tolerance_s)
+    for descriptor in scenario.header.streams:
+        merger.register_stream(descriptor)
+    kinds = {d.stream_id: d.kind for d in scenario.header.streams}
+
+    last_t: float | None = None
+    for record in scenario.records:
+        if isinstance(record, SyncRecord):
+            offset = merger.set_offset(record.stream_id, list(record.marks))
+            sync_t = max(session_t for _, session_t in record.marks)
+            recorder.add(sync_t, "sync", {"stream": record.stream_id, "offset_s": offset})
+            continue
+        if realtime and last_t is not None and record.t > last_t:
+            _sleep(record.t - last_t)
+        last_t = record.t
+
+        payload = record.payload
+        if record.transcript is not None:
+            # transcripts go through the analyzer before they can score
+            try:
+                reply = client.analyze_note(record.transcript)
+            except ClientUnavailableError as error:
+                recorder.add(record.t, "warning", {"reason": "analysis_failed", "detail": str(error)})
+                continue
+            try:
+                payload = ingest_note_assessment(reply, analyzer_id=cfg.client)
+            except MalformedReplyError as error:
+                recorder.add(record.t, "warning", {"reason": "malformed_note_reply", "detail": str(error)})
+                continue
+            if payload.clamped:
+                recorder.add(record.t, "warning", {"reason": "note_score_clamped", "stream": record.stream_id})
+
+        offset = merger.registrations[record.stream_id].clock_offset_s
+        envelope = SampleEnvelope(
+            stream_id=record.stream_id,
+            timestamp=record.t + offset,
+            payload=payload,
+            source_confidence=record.source_confidence,
+        )
+        outcome = merger.ingest(envelope)
+        recorder.add(
+            envelope.timestamp,
+            "ingest",
+            {"stream": record.stream_id, "outcome": outcome.value},
+        )
+    merger.flush()
+
+    # two-pass posture baseline: the reference pose comes from the raw
+    # calibration poses, then every posture window is scored against it
+    calibration_poses = [
+        env.payload
+        for env in merger.emitted
+        if kinds[env.stream_id] is StreamKind.POSTURE_LANDMARKS
+        and env.timestamp < cfg.calibration_duration_s
+    ]
+    baseline_pose = _mean_pose(calibration_poses) if calibration_poses else None
+
+    calibration_values: dict[str, list[tuple[float, float]]] = {}
+    live_features: list[ChannelFeature] = []
+    for kind in StreamKind:
+        for window in merger.pop_windows(kind, cfg.window_length_s[kind], cfg.window_hop_s):
+            if kind is StreamKind.PUPIL_GAZE:
+                features = _gaze_channel_features(window, cfg, recorder)
+            elif kind is StreamKind.RR_INTERVAL:
+                features = _hrv_channel_features(window, recorder)
+            elif kind is StreamKind.POSTURE_LANDMARKS:
+                features = _posture_channel_features(window, baseline_pose, recorder)
+            else:
+                features = _note_channel_features(window, recorder)
+            if window.end <= cfg.calibration_duration_s:
+                for feature in features:
+                    calibration_values.setdefault(feature.channel_id, []).append(
+                        (feature.value, feature.quality)
+                    )
+            else:
+                live_features.extend(features)
+
+    baseline = compute_baseline(
+        calibration_values,
+        min_samples=cfg.baseline_min_samples,
+        sigma_floor=cfg.sigma_floor,
+        min_samples_per_channel=_baseline_minimums(cfg),
+    )
+    for channel, reason in sorted(baseline.uncalibrated.items()):
+        recorder.add(
+            cfg.calibration_duration_s,
+            "warning",
+            {"reason": "uncalibrated_channel", "channel": channel, "detail": reason},
+        )
+
+    engine = InterventionEngine(
+        policy=TriggerPolicy(
+            trigger_threshold=cfg.trigger_threshold,
+            confidence_min=cfg.confidence_min,
+            consecutive_windows=cfg.consecutive_windows,
+            persistence_s=cfg.persistence_s,
+        ),
+        cooldown_s=cfg.cooldown_s,
+        modality=scenario.header.modality,
+        table=StrategyTable().with_template_overrides(cfg.strategy_overrides),
+    )
+    context = LearningContext(topic=scenario.header.topic, dialogue=scenario.header.dialogue)
+    decisions: list[InterventionDecision] = []
+
+    live_features.sort(key=lambda f: f.t)
+    cursor = 0
+    watermark = merger.watermark
+    tick = cfg.calibration_duration_s + cfg.window_hop_s
+    while tick <= watermark:
+        fresh: list[ChannelFeature] = []
+        while cursor < len(live_features) and live_features[cursor].t <= tick:
+            feature = live_features[cursor]
+            if feature.t > tick - cfg.window_hop_s:
+                fresh.append(feature)
+            cursor += 1
+        state = infer_state(
+            fresh, baseline, cfg.weights, tick,
+            trigger_threshold=cfg.trigger_threshold,
+            quality_floor=cfg.quality_floor,
+        )
+        recorder.add(tick, "state_vector", _state_payload(state))
+
+        candidates, decision = engine.step(state)
+        for candidate in candidates:
+            recorder.add(
+                tick,
+                "candidate",
+                {
+                    "dimension": candidate.dimension.value,
+                    "score": candidate.score,
+                    "confidence": candidate.confidence,
+                    "severity": candidate.severity.value,
+                    "supra_channels": candidate.supra_channels,
+                    "composite": candidate.composite,
+                    "repeat_ordinal": candidate.repeat_ordinal,
+                },
+            )
+        if decision is not None:
+            decisions.append(decision)
+            recorder.add(tick, "decision", _decision_payload(decision))
+            descriptors = {dim: state.dims[dim].descriptor for dim in Dimension}
+            packet = build_directives(decision, descriptors, context)
+            prompt = render_prompt(packet, history_turns=cfg.history_turns)
+            recorder.add(
+                tick,
+                "directive_sent",
+                {
+                    "template_id": decision.template_id,
+                    "category": decision.category.value,
+                    "tier": decision.tier.value,
+                    "framing": decision.framing.value,
+                    "modality": decision.modality.value,
+                    "dimension": decision.dimension.value,
+                    "severity": decision.severity.value,
+                    "composite": decision.composite,
+                    "tone": {
+                        "sentence_complexity": packet.tone.sentence_complexity.value,
+                        "encouragement_frequency": packet.tone.encouragement_frequency.value,
+                        "explanation_directness": packet.tone.explanation_directness.value,
+                        "metaphor_usage": packet.tone.metaphor_usage.value,
+                    },
+                    "directive": packet.directive_text,
+                    "prompt": prompt,
+                    "prompt_sha256": hashlib.sha256(prompt.encode("utf-8")).hexdigest(),
+                },
+            )
+            try:
+                reply = client.generate(prompt)
+                recorder.add(tick, "client_reply", {"reply": reply})
+            except ClientUnavailableError as error:
+                recorder.add(tick, "warning", {"reason": "generation_failed", "detail": str(error)})
+        tick += cfg.window_hop_s
+
+    return SessionResult(
+        config=cfg,
+        events=recorder.sorted_events(),
+        decisions=decisions,
+        baseline=baseline,
+        seed=scenario.header.seed,
+        modality=scenario.header.modality.value,
+        topic=scenario.header.topic,
+    )
+
+
+def _state_payload(state: StateVector) -> dict:
+    return {
+        "dims": {
+            dim.value: {
+                "score": ds.score,
+                "confidence": ds.confidence,
+                "descriptor": ds.descriptor.value,
+                "observed": ds.observed,
+                "signed_score": ds.signed_score,
+                "supra_channels": ds.supra_channels,
+            }
+            for dim, ds in sorted(state.dims.items())
+        }
+    }
+
+
+def _decision_payload(decision: InterventionDecision) -> dict:
+    return {
+        "dimension": decision.dimension.value,
+        "severity": decision.severity.value,
+        "category": decision.category.value,
+        "tier": decision.tier.value,
+        "framing": decision.framing.value,
+        "modality": decision.modality.value,
+        "template_id": decision.template_id,
+        "triggering_score": decision.triggering_score,
+        "confidence": decision.confidence,
+        "composite": decision.composite,
+    }
+
+
+# ---------------------------------------------------------------------------
+# trace files
+
+def write_trace(result: SessionResult, path) -> None:
+    header = {
+        "type": "header",
+        "engine": ENGINE_TAG,
+        "config": config_to_dict(result.config),
+        "seed": result.seed,
+        "modality": result.modality,
+        "topic": result.topic,
+    }
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+        for event in result.events:
+            obj = {"type": "event", "t": event.t, "kind": event.kind, "seq": event.seq, "payload": event.payload}
+            handle.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def read_trace(path) -> tuple[dict, list[TraceEvent]]:
+    header: dict | None = None
+    events: list[TraceEvent] = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for line_no, raw_line in enumerate(handle, start=1):
+            line = raw_line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as error:
+                raise ScenarioError(f"invalid trace JSON: {error.msg}", line_no) from None
+            if obj.get("type") == "header":
+                if header is not None:
+                    raise ScenarioError("duplicate trace header", line_no)
+                header = obj
+                continue
+            if obj.get("type") != "event":
+                raise ScenarioError(f"unknown trace record type {obj.get('type')!r}", line_no)
+            if header is None:
+                raise ScenarioError("trace events before header", line_no)
+            try:
+                events.append(
+                    TraceEvent(t=obj["t"], kind=obj["kind"], seq=obj["seq"], payload=obj["payload"])
+                )
+            except KeyError as error:
+                raise ScenarioError(f"trace event missing field {error}", line_no) from None
+    if header is None:
+        raise ScenarioError("trace is empty (no header)", 1)
+    return header, events
+
+
+def summarize(header: dict, events: list[TraceEvent]) -> dict:
+    """Aggregate counts a human wants first when reading a trace."""
+    cfg = config_from_dict(header["config"])
+    ingest_outcomes: dict[str, int] = {}
+    decisions_by_category: dict[str, int] = {}
+    decisions_by_dimension: dict[str, int] = {}
+    warnings_by_reason: dict[str, int] = {}
+    supra_ticks: dict[str, int] = {dim.value: 0 for dim in Dimension}
+    ticks = 0
+    windows = 0
+    for event in events:
+        if event.kind == "ingest":
+            outcome = event.payload["outcome"]
+            ingest_outcomes[outcome] = ingest_outcomes.get(outcome, 0) + 1
+        elif event.kind == "window_features":
+            windows += 1
+        elif event.kind == "state_vector":
+            ticks += 1
+            for dim, ds in event.payload["dims"].items():
+                if ds["score"] > cfg.trigger_threshold:
+                    supra_ticks[dim] += 1
+        elif event.kind == "decision":
+            category = event.payload["category"]
+            dimension = event.payload["dimension"]
+            decisions_by_category[category] = decisions_by_category.get(category, 0) + 1
+            decisions_by_dimension[dimension] = decisions_by_dimension.get(dimension, 0) + 1
+        elif event.kind == "warning":
+            reason = event.payload["reason"]
+            warnings_by_reason[reason] = warnings_by_reason.get(reason, 0) + 1
+    return {
+        "engine": header.get("engine"),
+        "ingest": dict(sorted(ingest_outcomes.items())),
+        "windows": windows,
+        "ticks": ticks,
+        "decisions_total": sum(decisions_by_category.values()),
+        "decisions_by_category": dict(sorted(decisions_by_category.items())),
+        "decisions_by_dimension": dict(sorted(decisions_by_dimension.items())),
+        "time_above_threshold_s": {
+            dim: count * cfg.window_hop_s for dim, count in sorted(supra_ticks.items())
+        },
+        "warnings": dict(sorted(warnings_by_reason.items())),
+    }
+
+
+def validate_trace(header: dict, events: list[TraceEvent]) -> list[str]:
+    """Check the closed-loop invariants a finished trace must satisfy.
+
+    Violations (empty list when clean):
+      - every decision is preceded by enough consecutive qualifying
+        state vectors, spanning at least the persistence time;
+      - decision confidence clears the floor;
+      - decisions of one category are spaced by at least the category
+        cooldown (boundary inclusive);
+      - every decision coincides with a candidate of the same dimension;
+      - events are sorted by (t, kind priority, seq).
+    """
+    cfg = config_from_dict(header["config"])
+    violations: list[str] = []
+
+    keys = [e.sort_key() for e in events]
+    if keys != sorted(keys):
+        violations.append("events are not sorted by (t, kind priority, seq)")
+
+    states = [e for e in events if e.kind == "state_vector"]
+    state_index = {e.t: i for i, e in enumerate(states)}
+    candidates = {(e.t, e.payload["dimension"]) for e in events if e.kind == "candidate"}
+    decisions = [e for e in events if e.kind == "decision"]
+
+    def qualifying_run(t: float, qualifies) -> tuple[int, float] | None:
+        """Length and span of the maximal qualifying run ending at t."""
+        index = state_index.get(t)
+        if index is None:
+            return None
+        count = 0
+        first_t = t
+        for i in range(index, -1, -1):
+            if not qualifies(states[i].payload["dims"]):
+                break
+            count += 1
+            first_t = states[i].t
+        if count == 0:
+            return None
+        return count, t - first_t
+
+    for event in decisions:
+        dim = event.payload["dimension"]
+        label = f"decision t={event.t} {dim}"
+        if (event.t, dim) not in candidates:
+            violations.append(f"{label}: no matching candidate event")
+        if not event.payload["confidence"] > cfg.confidence_min:
+            violations.append(
+                f"{label}: confidence {event.payload['confidence']} not above {cfg.confidence_min}"
+            )
+
+        if event.payload["composite"]:
+            def qualifies(dims, _cfg=cfg):
+                load = dims[Dimension.COGNITIVE_LOAD.value]
+                eng = dims[Dimension.ENGAGEMENT.value]
+                return (
+                    load["observed"] and eng["observed"]
+                    and load["signed_score"] <= -1.0
+                    and eng["signed_score"] > 0.0
+                    and min(load["confidence"], eng["confidence"]) > _cfg.confidence_min
+                )
+        else:
+            def qualifies(dims, _dim=dim, _cfg=cfg):
+                ds = dims[_dim]
+                return (
+                    ds["observed"]
+                    and ds["score"] > _cfg.trigger_threshold
+                    and ds["confidence"] > _cfg.confidence_min
+                )
+
+        run = qualifying_run(event.t, qualifies)
+        if run is None:
+            violations.append(f"{label}: no qualifying state vector at decision time")
+            continue
+        count, span = run
+        if count < cfg.consecutive_windows:
+            violations.append(
+                f"{label}: only {count} consecutive qualifying windows, "
+                f"need {cfg.consecutive_windows}"
+            )
+        if span < cfg.persistence_s:
+            violations.append(
+                f"{label}: qualifying span {span}s is shorter than persistence {cfg.persistence_s}s"
+            )
+
+    last_by_category: dict[str, TraceEvent] = {}
+    for event in decisions:
+        category = event.payload["category"]
+        previous = last_by_category.get(category)
+        if previous is not None:
+            gap = event.t - previous.t
+            needed = cfg.cooldown_s[_category_member(category)]
+            if gap < needed:
+                violations.append(
+                    f"decision t={event.t} {category}: only {gap}s after the previous "
+                    f"{category} decision, cooldown is {needed}s"
+                )
+        last_by_category[category] = event
+    return violations
+
+
+def _category_member(value: str):
+    from .interventions import Category
+
+    return Category(value)

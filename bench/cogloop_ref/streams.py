@@ -1,0 +1,184 @@
+"""Multi-stream alignment: clock offsets, reorder buffering, windowing.
+
+Envelopes from independent producers are merged into one timeline
+ordered by (timestamp, stream_id, ingestion sequence). A bounded
+reorder buffer absorbs cross-stream jitter: an envelope may arrive up
+to ``jitter_tolerance_s`` behind the newest timestamp seen and still be
+emitted in order. Anything older than the already-emitted frontier is
+dropped and counted, never reordered retroactively.
+"""
+
+from __future__ import annotations
+
+import heapq
+import statistics
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
+from enum import Enum
+
+from .errors import DuplicateStreamError, InsufficientMarksError, UnknownStreamError
+from .model import SampleEnvelope, StreamDescriptor, StreamKind, Timestamp
+
+
+class IngestOutcome(str, Enum):
+    ACCEPTED = "accepted"
+    REORDERED = "reordered"
+    DROPPED_LATE = "dropped_late"
+
+
+@dataclass
+class StreamRegistration:
+    descriptor: StreamDescriptor
+    clock_offset_s: float = 0.0
+    ingested: int = 0
+    dropped: int = 0
+
+
+@dataclass(frozen=True)
+class Window:
+    """Half-open slice [start, end) of one channel's merged timeline."""
+
+    kind: StreamKind
+    start: Timestamp
+    end: Timestamp
+    samples: tuple[SampleEnvelope, ...]
+
+    @property
+    def duration_s(self) -> float:
+        return self.end - self.start
+
+
+def estimate_offset(marks: list[tuple[Timestamp, Timestamp]]) -> float:
+    """Median clock offset from (producer_time, session_time) pairs.
+
+    The median keeps a single outlier mark from skewing the estimate.
+    """
+    if len(marks) < 2:
+        raise InsufficientMarksError(f"need at least 2 sync marks, got {len(marks)}")
+    return statistics.median(session_t - producer_t for producer_t, session_t in marks)
+
+
+@dataclass
+class _ChannelTimeline:
+    times: list[float] = field(default_factory=list)
+    samples: list[SampleEnvelope] = field(default_factory=list)
+    next_window_index: int = 0
+
+
+class StreamMerger:
+    """Orders envelopes from all registered streams onto one timeline."""
+
+    def __init__(self, jitter_tolerance_s: float = 0.25):
+        if jitter_tolerance_s < 0:
+            raise ValueError("jitter_tolerance_s must be non-negative")
+        self.jitter_tolerance_s = jitter_tolerance_s
+        self.registrations: dict[str, StreamRegistration] = {}
+        self._heap: list[tuple[tuple[float, str, int], SampleEnvelope]] = []
+        self._seq = 0
+        self._max_seen_t = float("-inf")
+        self._frontier_key: tuple[float, str, int] | None = None
+        self._emitted: list[SampleEnvelope] = []
+        self._by_kind: dict[StreamKind, _ChannelTimeline] = {}
+        self._flushed = False
+        self.dropped_late = 0
+        self.reordered = 0
+
+    def register_stream(self, descriptor: StreamDescriptor) -> StreamRegistration:
+        if descriptor.stream_id in self.registrations:
+            raise DuplicateStreamError(f"stream {descriptor.stream_id!r} already registered")
+        registration = StreamRegistration(descriptor=descriptor)
+        self.registrations[descriptor.stream_id] = registration
+        return registration
+
+    def set_offset(self, stream_id: str, marks: list[tuple[Timestamp, Timestamp]]) -> float:
+        """Estimate and install the clock offset for one stream.
+
+        Applies to envelopes ingested afterwards; earlier ones keep the
+        correction they were emitted with.
+        """
+        registration = self.registrations.get(stream_id)
+        if registration is None:
+            raise UnknownStreamError(f"stream {stream_id!r} is not registered")
+        registration.clock_offset_s = estimate_offset(marks)
+        return registration.clock_offset_s
+
+    def ingest(self, envelope: SampleEnvelope) -> IngestOutcome:
+        registration = self.registrations.get(envelope.stream_id)
+        if registration is None:
+            raise UnknownStreamError(f"stream {envelope.stream_id!r} is not registered")
+        registration.ingested += 1
+
+        corrected_t = envelope.timestamp + registration.clock_offset_s
+        corrected = replace(envelope, timestamp=corrected_t, seq=self._seq)
+        self._seq += 1
+        key = corrected.sort_key()
+
+        if self._frontier_key is not None and key < self._frontier_key:
+            registration.dropped += 1
+            self.dropped_late += 1
+            return IngestOutcome.DROPPED_LATE
+
+        outcome = (
+            IngestOutcome.REORDERED
+            if corrected_t < self._max_seen_t
+            else IngestOutcome.ACCEPTED
+        )
+        if outcome is IngestOutcome.REORDERED:
+            self.reordered += 1
+        self._max_seen_t = max(self._max_seen_t, corrected_t)
+        heapq.heappush(self._heap, (key, corrected))
+        self._drain(self._max_seen_t - self.jitter_tolerance_s)
+        return outcome
+
+    def _drain(self, up_to: float) -> None:
+        while self._heap and self._heap[0][0][0] <= up_to:
+            key, envelope = heapq.heappop(self._heap)
+            self._frontier_key = key
+            self._emitted.append(envelope)
+            kind = self.registrations[envelope.stream_id].descriptor.kind
+            timeline = self._by_kind.setdefault(kind, _ChannelTimeline())
+            timeline.times.append(envelope.timestamp)
+            timeline.samples.append(envelope)
+
+    def flush(self) -> None:
+        """Emit everything still buffered; call once at end of input."""
+        self._drain(float("inf"))
+        self._flushed = True
+
+    @property
+    def emitted(self) -> list[SampleEnvelope]:
+        return self._emitted
+
+    @property
+    def watermark(self) -> float:
+        """Largest time up to which the merged timeline is final."""
+        if self._max_seen_t == float("-inf"):
+            return float("-inf")
+        if self._flushed:
+            return self._max_seen_t
+        return self._max_seen_t - self.jitter_tolerance_s
+
+    def pop_windows(self, kind: StreamKind, length_s: float, hop_s: float) -> list[Window]:
+        """Return every not-yet-emitted complete window for a channel.
+
+        Windows are [k*hop, k*hop + length) anchored at the session
+        origin; a window is complete once the watermark has passed its
+        end. Repeated calls continue where the previous one stopped.
+        """
+        if not (hop_s > 0 and length_s >= hop_s):
+            raise ValueError(f"need 0 < hop_s <= length_s, got hop={hop_s} length={length_s}")
+        timeline = self._by_kind.setdefault(kind, _ChannelTimeline())
+        watermark = self.watermark
+        windows: list[Window] = []
+        k = timeline.next_window_index
+        while k * hop_s + length_s <= watermark:
+            start = k * hop_s
+            end = start + length_s
+            lo = bisect_left(timeline.times, start)
+            hi = bisect_left(timeline.times, end)
+            windows.append(
+                Window(kind=kind, start=start, end=end, samples=tuple(timeline.samples[lo:hi]))
+            )
+            k += 1
+        timeline.next_window_index = k
+        return windows
