@@ -1,158 +1,3 @@
 """Closed-loop learner state engine over replayed multi-modal streams."""
 
-from .behavior import (
-    PostureCategory,
-    PostureScore,
-    categorize_posture,
-    ingest_note_assessment,
-    score_posture,
-)
-from .cardio import HrvFeatures, StressBand, classify_stress, pnn50, rmssd, sdnn, window_hrv
-from .config import SessionConfig, load_config_file, validate_config
-from .directives import (
-    DirectivePacket,
-    LearningContext,
-    LiveGenerationClient,
-    MockGenerationClient,
-    ToneParameters,
-    build_directives,
-    build_tone,
-    render_prompt,
-    render_template,
-)
-from .errors import ConfigError, EngineError, ScenarioError
-from .gaze import (
-    FixationEvent,
-    GazeFeatures,
-    SaccadeEvent,
-    despike_pupil,
-    detect_fixations,
-    gaze_velocity,
-    window_gaze_features,
-)
-from .interventions import (
-    Candidate,
-    Category,
-    Framing,
-    InterventionDecision,
-    InterventionEngine,
-    Severity,
-    StrategyTable,
-    Tier,
-    TriggerPolicy,
-    prioritize,
-    select_strategy,
-)
-from .model import (
-    Dimension,
-    GazeSample,
-    Modality,
-    NoteScoreSample,
-    PostureSample,
-    RRSample,
-    SampleEnvelope,
-    StreamDescriptor,
-    StreamKind,
-)
-from .scenario import Scenario, SyntheticProfile, load_profile, load_scenario, synthesize, write_scenario
-from .session import SessionResult, TraceEvent, read_trace, run_session, summarize, validate_trace, write_trace
-from .state import (
-    CalibrationProfile,
-    ChannelFeature,
-    Descriptor,
-    StateVector,
-    compute_baseline,
-    default_weight_matrix,
-    dimension_score,
-    infer_state,
-    to_descriptor,
-    zscore,
-)
-from .streams import IngestOutcome, StreamMerger, Window, estimate_offset
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Candidate",
-    "CalibrationProfile",
-    "Category",
-    "ChannelFeature",
-    "ConfigError",
-    "Descriptor",
-    "Dimension",
-    "DirectivePacket",
-    "EngineError",
-    "FixationEvent",
-    "Framing",
-    "GazeFeatures",
-    "GazeSample",
-    "HrvFeatures",
-    "IngestOutcome",
-    "InterventionDecision",
-    "InterventionEngine",
-    "LearningContext",
-    "LiveGenerationClient",
-    "MockGenerationClient",
-    "Modality",
-    "NoteScoreSample",
-    "PostureCategory",
-    "PostureSample",
-    "PostureScore",
-    "RRSample",
-    "SampleEnvelope",
-    "Scenario",
-    "ScenarioError",
-    "SessionConfig",
-    "SessionResult",
-    "Severity",
-    "StateVector",
-    "StrategyTable",
-    "StreamDescriptor",
-    "StreamKind",
-    "StreamMerger",
-    "StressBand",
-    "SyntheticProfile",
-    "Tier",
-    "ToneParameters",
-    "TraceEvent",
-    "TriggerPolicy",
-    "Window",
-    "build_directives",
-    "build_tone",
-    "categorize_posture",
-    "classify_stress",
-    "compute_baseline",
-    "default_weight_matrix",
-    "despike_pupil",
-    "detect_fixations",
-    "dimension_score",
-    "estimate_offset",
-    "gaze_velocity",
-    "infer_state",
-    "ingest_note_assessment",
-    "load_config_file",
-    "load_profile",
-    "load_scenario",
-    "pnn50",
-    "prioritize",
-    "read_trace",
-    "render_prompt",
-    "render_template",
-    "rmssd",
-    "run_session",
-    "score_posture",
-    "sdnn",
-    "select_strategy",
-    "summarize",
-    "synthesize",
-    "to_descriptor",
-    "validate_config",
-    "validate_trace",
-    "window_gaze_features",
-    "window_hrv",
-    "write_scenario",
-    "write_trace",
-    "zscore",
-    "SaccadeEvent",
-    "__version__",
-]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from .errors import TooFewSamplesError, ZeroDtError
@@ -52,10 +53,6 @@ class GazePoint:
 class FixationEvent:
     start: Timestamp
     end: Timestamp
-    centroid_x: float
-    centroid_y: float
-    dispersion: float
-    mean_pupil_mm: float | None
 
     @property
     def duration_s(self) -> float:
@@ -66,7 +63,6 @@ class FixationEvent:
 class SaccadeEvent:
     start: Timestamp
     end: Timestamp
-    peak_velocity: float
 
     @property
     def duration_s(self) -> float:
@@ -132,45 +128,44 @@ def gaze_velocity(prev: GazePoint, cur: GazePoint) -> float:
     return math.hypot(cur.x - prev.x, cur.y - prev.y) / dt
 
 
-def _max_pairwise_distance(xs: list[float], ys: list[float]) -> float:
-    """Diameter of a point set. Exact; uses the convex hull for large
-    sets since the farthest pair always lies on it."""
-    n = len(xs)
-    if n < 2:
-        return 0.0
-    points = list(zip(xs, ys))
-    if n > 64:
-        points = _convex_hull(points)
-    best = 0.0
-    for i in range(len(points)):
-        xi, yi = points[i]
-        for xj, yj in points[i + 1:]:
-            d = math.hypot(xj - xi, yj - yi)
-            if d > best:
-                best = d
-    return best
+def _pair_velocities(points: Sequence[GazePoint]) -> list[float | None]:
+    """Velocity of each consecutive pair, computed once; None where a
+    blink sample touches the pair."""
+    return [
+        None if prev.is_blink or cur.is_blink else gaze_velocity(prev, cur)
+        for prev, cur in zip(points, points[1:])
+    ]
 
 
-def _convex_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    points = sorted(set(points))
-    if len(points) <= 2:
-        return points
+def _segment(
+    points: Sequence[GazePoint],
+    velocities: list[float | None],
+    velocity_threshold: float,
+    min_fixation_duration_s: float,
+) -> tuple[list[FixationEvent], list[SaccadeEvent]]:
+    fixations: list[FixationEvent] = []
+    saccades: list[SaccadeEvent] = []
+    run_label: bool | None = None  # True = fixation pairs
+    run_first = 0  # index of the first member sample
 
-    def half(iterable):
-        hull: list[tuple[float, float]] = []
-        for p in iterable:
-            while len(hull) >= 2:
-                (ox, oy), (ax, ay) = hull[-2], hull[-1]
-                if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) <= 0:
-                    hull.pop()
-                else:
-                    break
-            hull.append(p)
-        return hull
+    def close_run(last_member: int) -> None:
+        start, end = points[run_first].t, points[last_member].t
+        if run_label:
+            if end - start >= min_fixation_duration_s:
+                fixations.append(FixationEvent(start=start, end=end))
+        else:
+            saccades.append(SaccadeEvent(start=start, end=end))
 
-    lower = half(points)
-    upper = half(reversed(points))
-    return lower[:-1] + upper[:-1]
+    for i, velocity in enumerate(velocities, start=1):
+        label = None if velocity is None else velocity < velocity_threshold
+        if label != run_label:
+            if run_label is not None:
+                close_run(i - 1)
+            run_label = label
+            run_first = i - 1
+    if run_label is not None:
+        close_run(len(points) - 1)
+    return fixations, saccades
 
 
 def detect_fixations(
@@ -192,58 +187,7 @@ def detect_fixations(
         raise TooFewSamplesError(f"need at least 2 samples, got {len(points)}")
     if velocity_threshold <= 0:
         raise ValueError(f"velocity_threshold must be positive, got {velocity_threshold}")
-
-    fixations: list[FixationEvent] = []
-    saccades: list[SaccadeEvent] = []
-
-    run_label: bool | None = None  # True = fixation pairs
-    run_first = 0  # index of the first member sample
-    run_velocities: list[float] = []
-
-    def close_run(last_member: int) -> None:
-        nonlocal run_label
-        if run_label is None:
-            return
-        members = points[run_first:last_member + 1]
-        start, end = members[0].t, members[-1].t
-        if run_label:
-            if end - start >= min_fixation_duration_s:
-                fixations.append(_build_fixation(members))
-        else:
-            saccades.append(
-                SaccadeEvent(start=start, end=end, peak_velocity=max(run_velocities))
-            )
-        run_label = None
-        run_velocities.clear()
-
-    for i in range(1, len(points)):
-        prev, cur = points[i - 1], points[i]
-        if prev.is_blink or cur.is_blink:
-            close_run(i - 1)
-            continue
-        velocity = gaze_velocity(prev, cur)
-        label = velocity < velocity_threshold
-        if label != run_label:
-            close_run(i - 1)
-            run_label = label
-            run_first = i - 1
-        run_velocities.append(velocity)
-    close_run(len(points) - 1)
-    return fixations, saccades
-
-
-def _build_fixation(members: list[GazePoint]) -> FixationEvent:
-    xs = [p.x for p in members]
-    ys = [p.y for p in members]
-    pupils = [p.pupil_mm for p in members if p.pupil_mm is not None]
-    return FixationEvent(
-        start=members[0].t,
-        end=members[-1].t,
-        centroid_x=statistics.fmean(xs),
-        centroid_y=statistics.fmean(ys),
-        dispersion=_max_pairwise_distance(xs, ys),
-        mean_pupil_mm=statistics.fmean(pupils) if pupils else None,
-    )
+    return _segment(points, _pair_velocities(points), velocity_threshold, min_fixation_duration_s)
 
 
 @dataclass(frozen=True)
@@ -280,15 +224,11 @@ def window_gaze_features(
 
     points = [GazePoint.from_envelope(env) for env in window.samples]
     despiked = despike_pupil(points, median_width)
-    fixations, saccades = detect_fixations(
-        list(despiked.points), velocity_threshold, min_fixation_duration_s
+    pair_velocities = _pair_velocities(despiked.points)
+    fixations, saccades = _segment(
+        despiked.points, pair_velocities, velocity_threshold, min_fixation_duration_s
     )
-
-    velocities: list[float] = []
-    for i in range(1, len(despiked.points)):
-        prev, cur = despiked.points[i - 1], despiked.points[i]
-        if not (prev.is_blink or cur.is_blink):
-            velocities.append(gaze_velocity(prev, cur))
+    velocities = [v for v in pair_velocities if v is not None]
 
     pupils = [p.pupil_mm for p in despiked.points if p.pupil_mm is not None]
     quality = statistics.fmean(env.source_confidence for env in window.samples)

@@ -151,17 +151,11 @@ class StrategyTable:
 
     def validate(self) -> None:
         for dimension in Dimension:
-            categories = set()
             for severity in Severity:
                 for modality in Modality:
                     key = (dimension, severity, modality)
                     if key not in self.entries:
                         raise ValueError(f"strategy table missing entry for {key}")
-                    categories.add(self.entries[key].category)
-            # the cooldown ledger is keyed by category, so a dimension
-            # must not switch category across modalities
-            if len(categories) > 2:
-                raise ValueError(f"{dimension.value}: inconsistent categories {categories}")
 
     def lookup(self, dimension: Dimension, severity: Severity, modality: Modality) -> StrategyEntry:
         return self.entries[(dimension, severity, modality)]
@@ -172,17 +166,6 @@ class StrategyTable:
             base = entries[key]
             entries[key] = StrategyEntry(base.category, base.tier, template_id)
         return StrategyTable(entries=entries)
-
-
-def select_strategy(
-    dimension: Dimension,
-    severity: Severity,
-    modality: Modality,
-    table: StrategyTable | None = None,
-) -> StrategyEntry:
-    """Resolve the strategy entry for a triggered dimension."""
-    table = table or StrategyTable()
-    return table.lookup(dimension, severity, modality)
 
 
 @dataclass(frozen=True)

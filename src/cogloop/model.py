@@ -181,21 +181,3 @@ class SampleEnvelope:
     def sort_key(self) -> tuple[float, str, int]:
         return (self.timestamp, self.stream_id, self.seq)
 
-
-def envelope_sort_key(env: SampleEnvelope) -> tuple[float, str, int]:
-    """Key realizing the canonical (timestamp, stream_id, seq) order."""
-    return env.sort_key()
-
-
-def compare_envelopes(a: SampleEnvelope, b: SampleEnvelope) -> int:
-    """Three-way comparison under the canonical envelope order.
-
-    Returns -1, 0 or 1. Zero only when timestamp, stream id and
-    sequence number all coincide.
-    """
-    ka, kb = a.sort_key(), b.sort_key()
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0

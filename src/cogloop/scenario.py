@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 
 from .errors import ScenarioError
@@ -39,6 +40,7 @@ from .model import (
     StreamKind,
     Timestamp,
 )
+from .streams import estimate_offset
 
 # ---------------------------------------------------------------------------
 # scenario records
@@ -79,18 +81,32 @@ class Scenario:
         return max((r.t for r in self.records if isinstance(r, SampleRecord)), default=0.0)
 
 
+def _is_finite_number(value) -> bool:
+    """A JSON number that converts to a finite float; booleans are not
+    numbers here, and integers too large for a float are refused."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
 def _record_time(raw: dict, line_no: int) -> float:
     if "t" in raw and "t_ms" in raw:
         raise ScenarioError("record carries both t and t_ms", line_no)
     if "t" in raw:
-        t = raw["t"]
+        t, scale = raw["t"], 1.0
     elif "t_ms" in raw:
-        t = raw["t_ms"] / 1000.0
+        t, scale = raw["t_ms"], 1000.0
     else:
         raise ScenarioError("record missing timestamp (t or t_ms)", line_no)
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t >= 0):
+    if not (_is_finite_number(t) and t >= 0):
         raise ScenarioError(f"bad timestamp {t!r}", line_no)
-    return float(t)
+    return float(t) / scale
+
+
+def _is_mark(mark) -> bool:
+    return isinstance(mark, list) and len(mark) == 2 and all(map(_is_finite_number, mark))
 
 
 def _parse_payload(kind: StreamKind, raw: dict, line_no: int) -> tuple[Payload | None, str | None]:
@@ -173,9 +189,16 @@ def parse_scenario_lines(lines) -> Scenario:
             if stream_id not in kinds:
                 raise ScenarioError(f"sync for undeclared stream {stream_id!r}", line_no)
             marks = obj.get("marks")
-            if not isinstance(marks, list) or any(len(m) != 2 for m in marks):
-                raise ScenarioError("sync marks must be [producer_t, session_t] pairs", line_no)
-            records.append(SyncRecord(stream_id=stream_id, marks=tuple((float(p), float(s)) for p, s in marks)))
+            if not (isinstance(marks, list) and len(marks) >= 2 and all(map(_is_mark, marks))):
+                raise ScenarioError(
+                    "sync marks must be a list of at least 2 [producer_t, session_t] "
+                    "pairs of finite numbers",
+                    line_no,
+                )
+            marks = tuple((float(p), float(s)) for p, s in marks)
+            if not math.isfinite(estimate_offset(marks)):
+                raise ScenarioError("sync marks give a non-finite clock offset", line_no)
+            records.append(SyncRecord(stream_id=stream_id, marks=marks))
             continue
         if obj["type"] != "sample":
             raise ScenarioError(f"unknown record type {obj['type']!r}", line_no)

@@ -42,15 +42,15 @@ from .errors import (
     ScenarioError,
 )
 from .gaze import window_gaze_features
-from .interventions import InterventionDecision, InterventionEngine, StrategyTable, TriggerPolicy
-from .model import (
-    Dimension,
-    PostureSample,
-    SampleEnvelope,
-    StreamKind,
-    Timestamp,
+from .interventions import (
+    Category,
+    InterventionDecision,
+    InterventionEngine,
+    StrategyTable,
+    TriggerPolicy,
 )
-from .scenario import SampleRecord, Scenario, SyncRecord
+from .model import Dimension, PostureSample, StreamKind, Timestamp
+from .scenario import Scenario, SyncRecord
 from .state import (
     CHANNEL_BLINK_RATE,
     CHANNEL_FIXATION_COUNT,
@@ -168,7 +168,15 @@ def _baseline_minimums(cfg: SessionConfig) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 # window -> channel features
 
-def _gaze_channel_features(window: Window, cfg: SessionConfig, recorder: _Recorder) -> list[ChannelFeature]:
+# Each extractor turns one window into (quality, channel features,
+# kind-specific payload extras). Extractors reach the feature functions
+# through this module's globals at call time, so a profiler that wraps
+# those names here sees every window.
+
+Extraction = tuple[float, list[ChannelFeature], dict]
+
+
+def _gaze_features(window: Window, cfg: SessionConfig, baseline_pose: PostureSample | None) -> Extraction:
     gf = window_gaze_features(
         window,
         median_width=cfg.rolling_median_width,
@@ -176,7 +184,6 @@ def _gaze_channel_features(window: Window, cfg: SessionConfig, recorder: _Record
         min_fixation_duration_s=cfg.min_fixation_duration_s,
     )
     features: list[ChannelFeature] = []
-    values: dict[str, float] = {}
     if gf.present:
         if gf.mean_pupil_mm is not None:
             features.append(
@@ -193,24 +200,10 @@ def _gaze_channel_features(window: Window, cfg: SessionConfig, recorder: _Record
         if gf.mean_gaze_velocity is not None:
             features.append(ChannelFeature(CHANNEL_GAZE_VELOCITY, gf.mean_gaze_velocity, gf.quality, window.end))
         features.append(ChannelFeature(CHANNEL_BLINK_RATE, gf.blink_rate_per_min, gf.quality, window.end))
-        values = {f.channel_id: f.value for f in features}
-    recorder.add(
-        window.end,
-        "window_features",
-        {
-            "stream_kind": window.kind.value,
-            "start": window.start,
-            "end": window.end,
-            "present": gf.present,
-            "quality": gf.quality,
-            "values": values,
-            "saccade_count": gf.saccade_count,
-        },
-    )
-    return features
+    return gf.quality, features, {"saccade_count": gf.saccade_count}
 
 
-def _hrv_channel_features(window: Window, recorder: _Recorder) -> list[ChannelFeature]:
+def _hrv_features(window: Window, cfg: SessionConfig, baseline_pose: PostureSample | None) -> Extraction:
     hf = window_hrv(window)
     features: list[ChannelFeature] = []
     if hf.present:
@@ -220,27 +213,14 @@ def _hrv_channel_features(window: Window, recorder: _Recorder) -> list[ChannelFe
             ChannelFeature(CHANNEL_SDNN, hf.sdnn_ms, hf.quality, window.end),
             ChannelFeature(CHANNEL_PNN50, hf.pnn50_percent, hf.quality, window.end),
         ]
-    recorder.add(
-        window.end,
-        "window_features",
-        {
-            "stream_kind": window.kind.value,
-            "start": window.start,
-            "end": window.end,
-            "present": hf.present,
-            "quality": hf.quality,
-            "values": {f.channel_id: f.value for f in features},
-            "stress_band": hf.stress_band.value if hf.stress_band else None,
-            "valid_intervals": hf.valid_intervals,
-            "artifact_intervals": hf.artifact_intervals,
-        },
-    )
-    return features
+    return hf.quality, features, {
+        "stress_band": hf.stress_band.value if hf.stress_band else None,
+        "valid_intervals": hf.valid_intervals,
+        "artifact_intervals": hf.artifact_intervals,
+    }
 
 
-def _posture_channel_features(
-    window: Window, baseline_pose: PostureSample | None, recorder: _Recorder
-) -> list[ChannelFeature]:
+def _posture_features(window: Window, cfg: SessionConfig, baseline_pose: PostureSample | None) -> Extraction:
     scores: list[PostureScore] = []
     confidences: list[float] = []
     skipped = 0
@@ -251,53 +231,30 @@ def _posture_channel_features(
                 confidences.append(envelope.source_confidence)
             except MissingLandmarksError:
                 skipped += 1
-    present = bool(scores)
-    features: list[ChannelFeature] = []
-    percent = None
-    category = None
-    if present:
-        percent = statistics.fmean(s.percent for s in scores)
-        category = scores[-1].category  # latest pose band in the window
-        quality = statistics.fmean(confidences) * len(scores) / (len(scores) + skipped)
-        features = [ChannelFeature(CHANNEL_POSTURE, percent, quality, window.end)]
-    recorder.add(
-        window.end,
-        "window_features",
-        {
-            "stream_kind": window.kind.value,
-            "start": window.start,
-            "end": window.end,
-            "present": present,
-            "quality": features[0].quality if features else 0.0,
-            "values": {CHANNEL_POSTURE: percent} if present else {},
-            "category": category.value if category else None,
-            "skipped_samples": skipped,
-        },
-    )
-    return features
+    if not scores:
+        return 0.0, [], {"category": None, "skipped_samples": skipped}
+    percent = statistics.fmean(s.percent for s in scores)
+    quality = statistics.fmean(confidences) * len(scores) / (len(scores) + skipped)
+    # the category is the latest pose band in the window
+    extras = {"category": scores[-1].category.value, "skipped_samples": skipped}
+    return quality, [ChannelFeature(CHANNEL_POSTURE, percent, quality, window.end)], extras
 
 
-def _note_channel_features(window: Window, recorder: _Recorder) -> list[ChannelFeature]:
-    errors = [1.0 - env.payload.correctness for env in window.samples]
-    present = bool(errors)
-    features: list[ChannelFeature] = []
-    if present:
-        quality = statistics.fmean(env.source_confidence for env in window.samples)
-        features = [ChannelFeature(CHANNEL_NOTE_ERROR, statistics.fmean(errors), quality, window.end)]
-    recorder.add(
-        window.end,
-        "window_features",
-        {
-            "stream_kind": window.kind.value,
-            "start": window.start,
-            "end": window.end,
-            "present": present,
-            "quality": features[0].quality if features else 0.0,
-            "values": {CHANNEL_NOTE_ERROR: features[0].value} if present else {},
-            "sample_count": len(window.samples),
-        },
-    )
-    return features
+def _note_features(window: Window, cfg: SessionConfig, baseline_pose: PostureSample | None) -> Extraction:
+    extras = {"sample_count": len(window.samples)}
+    if not window.samples:
+        return 0.0, [], extras
+    error = statistics.fmean(1.0 - env.payload.correctness for env in window.samples)
+    quality = statistics.fmean(env.source_confidence for env in window.samples)
+    return quality, [ChannelFeature(CHANNEL_NOTE_ERROR, error, quality, window.end)], extras
+
+
+EXTRACTORS = {
+    StreamKind.PUPIL_GAZE: _gaze_features,
+    StreamKind.RR_INTERVAL: _hrv_features,
+    StreamKind.POSTURE_LANDMARKS: _posture_features,
+    StreamKind.NOTE_SCORE: _note_features,
+}
 
 
 def _mean_pose(samples: list[PostureSample]) -> PostureSample | None:
@@ -360,6 +317,19 @@ def run_session(
             _sleep(record.t - last_t)
         last_t = record.t
 
+        session_t = merger.session_time(record.stream_id, record.t)
+        if not 0.0 <= session_t < math.inf:
+            recorder.add(
+                record.t,
+                "warning",
+                {
+                    "reason": "session_time_out_of_range",
+                    "stream": record.stream_id,
+                    "detail": f"producer time {record.t} maps to session time {session_t}",
+                },
+            )
+            continue
+
         payload = record.payload
         if record.transcript is not None:
             # transcripts go through the analyzer before they can score
@@ -376,19 +346,8 @@ def run_session(
             if payload.clamped:
                 recorder.add(record.t, "warning", {"reason": "note_score_clamped", "stream": record.stream_id})
 
-        offset = merger.registrations[record.stream_id].clock_offset_s
-        envelope = SampleEnvelope(
-            stream_id=record.stream_id,
-            timestamp=record.t + offset,
-            payload=payload,
-            source_confidence=record.source_confidence,
-        )
-        outcome = merger.ingest(envelope)
-        recorder.add(
-            envelope.timestamp,
-            "ingest",
-            {"stream": record.stream_id, "outcome": outcome.value},
-        )
+        outcome = merger.ingest(record.stream_id, record.t, payload, record.source_confidence)
+        recorder.add(session_t, "ingest", {"stream": record.stream_id, "outcome": outcome.value})
     merger.flush()
 
     # two-pass posture baseline: the reference pose comes from the raw
@@ -404,15 +363,22 @@ def run_session(
     calibration_values: dict[str, list[tuple[float, float]]] = {}
     live_features: list[ChannelFeature] = []
     for kind in StreamKind:
+        extract = EXTRACTORS[kind]
         for window in merger.pop_windows(kind, cfg.window_length_s[kind], cfg.window_hop_s):
-            if kind is StreamKind.PUPIL_GAZE:
-                features = _gaze_channel_features(window, cfg, recorder)
-            elif kind is StreamKind.RR_INTERVAL:
-                features = _hrv_channel_features(window, recorder)
-            elif kind is StreamKind.POSTURE_LANDMARKS:
-                features = _posture_channel_features(window, baseline_pose, recorder)
-            else:
-                features = _note_channel_features(window, recorder)
+            quality, features, extras = extract(window, cfg, baseline_pose)
+            recorder.add(
+                window.end,
+                "window_features",
+                {
+                    "stream_kind": kind.value,
+                    "start": window.start,
+                    "end": window.end,
+                    "present": bool(features),
+                    "quality": quality,
+                    "values": {f.channel_id: f.value for f in features},
+                    **extras,
+                },
+            )
             if window.end <= cfg.calibration_duration_s:
                 for feature in features:
                     calibration_values.setdefault(feature.channel_id, []).append(
@@ -744,7 +710,7 @@ def validate_trace(header: dict, events: list[TraceEvent]) -> list[str]:
         previous = last_by_category.get(category)
         if previous is not None:
             gap = event.t - previous.t
-            needed = cfg.cooldown_s[_category_member(category)]
+            needed = cfg.cooldown_s[Category(category)]
             if gap < needed:
                 violations.append(
                     f"decision t={event.t} {category}: only {gap}s after the previous "
@@ -753,8 +719,3 @@ def validate_trace(header: dict, events: list[TraceEvent]) -> list[str]:
         last_by_category[category] = event
     return violations
 
-
-def _category_member(value: str):
-    from .interventions import Category
-
-    return Category(value)

@@ -1,11 +1,13 @@
 """Multi-stream alignment: clock offsets, reorder buffering, windowing.
 
-Envelopes from independent producers are merged into one timeline
-ordered by (timestamp, stream_id, ingestion sequence). A bounded
-reorder buffer absorbs cross-stream jitter: an envelope may arrive up
-to ``jitter_tolerance_s`` behind the newest timestamp seen and still be
-emitted in order. Anything older than the already-emitted frontier is
-dropped and counted, never reordered retroactively.
+Samples from independent producers are shifted onto the session clock
+by their stream's offset and merged into one timeline of envelopes
+ordered by (timestamp, stream_id, ingestion sequence). The merger is
+the one place that applies a clock offset and builds an envelope. A
+bounded reorder buffer absorbs cross-stream jitter: an envelope may
+arrive up to ``jitter_tolerance_s`` behind the newest timestamp seen
+and still be emitted in order. Anything older than the already-emitted
+frontier is dropped and counted, never reordered retroactively.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ from __future__ import annotations
 import heapq
 import statistics
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import DuplicateStreamError, InsufficientMarksError, UnknownStreamError
-from .model import SampleEnvelope, StreamDescriptor, StreamKind, Timestamp
+from .model import Payload, SampleEnvelope, StreamDescriptor, StreamKind, Timestamp
 
 
 class IngestOutcome(str, Enum):
@@ -90,28 +92,47 @@ class StreamMerger:
         self.registrations[descriptor.stream_id] = registration
         return registration
 
-    def set_offset(self, stream_id: str, marks: list[tuple[Timestamp, Timestamp]]) -> float:
-        """Estimate and install the clock offset for one stream.
-
-        Applies to envelopes ingested afterwards; earlier ones keep the
-        correction they were emitted with.
-        """
+    def _registration(self, stream_id: str) -> StreamRegistration:
         registration = self.registrations.get(stream_id)
         if registration is None:
             raise UnknownStreamError(f"stream {stream_id!r} is not registered")
+        return registration
+
+    def set_offset(self, stream_id: str, marks: list[tuple[Timestamp, Timestamp]]) -> float:
+        """Estimate and install the clock offset for one stream.
+
+        Applies to samples ingested afterwards; earlier ones keep the
+        correction they were emitted with.
+        """
+        registration = self._registration(stream_id)
         registration.clock_offset_s = estimate_offset(marks)
         return registration.clock_offset_s
 
-    def ingest(self, envelope: SampleEnvelope) -> IngestOutcome:
-        registration = self.registrations.get(envelope.stream_id)
-        if registration is None:
-            raise UnknownStreamError(f"stream {envelope.stream_id!r} is not registered")
-        registration.ingested += 1
+    def session_time(self, stream_id: str, t: Timestamp) -> Timestamp:
+        """A producer timestamp on the session clock, under the stream's
+        current offset. This is the time ``ingest`` places the sample at."""
+        return t + self._registration(stream_id).clock_offset_s
 
-        corrected_t = envelope.timestamp + registration.clock_offset_s
-        corrected = replace(envelope, timestamp=corrected_t, seq=self._seq)
+    def ingest(
+        self,
+        stream_id: str,
+        t: Timestamp,
+        payload: Payload,
+        source_confidence: float = 1.0,
+    ) -> IngestOutcome:
+        """Place one sample, stamped ``t`` by its producer, on the timeline."""
+        session_t = self.session_time(stream_id, t)
+        envelope = SampleEnvelope(
+            stream_id=stream_id,
+            timestamp=session_t,
+            payload=payload,
+            source_confidence=source_confidence,
+            seq=self._seq,
+        )
+        registration = self.registrations[stream_id]
+        registration.ingested += 1
         self._seq += 1
-        key = corrected.sort_key()
+        key = envelope.sort_key()
 
         if self._frontier_key is not None and key < self._frontier_key:
             registration.dropped += 1
@@ -120,13 +141,13 @@ class StreamMerger:
 
         outcome = (
             IngestOutcome.REORDERED
-            if corrected_t < self._max_seen_t
+            if session_t < self._max_seen_t
             else IngestOutcome.ACCEPTED
         )
         if outcome is IngestOutcome.REORDERED:
             self.reordered += 1
-        self._max_seen_t = max(self._max_seen_t, corrected_t)
-        heapq.heappush(self._heap, (key, corrected))
+        self._max_seen_t = max(self._max_seen_t, session_t)
+        heapq.heappush(self._heap, (key, envelope))
         self._drain(self._max_seen_t - self.jitter_tolerance_s)
         return outcome
 

@@ -81,6 +81,38 @@ def test_malformed_scenario_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+HEART_HEADER = json.dumps({
+    "type": "header",
+    "streams": [{"stream_id": "heart", "kind": "rr_interval", "nominal_rate_hz": 200}],
+})
+
+
+@pytest.mark.parametrize(
+    "marks", [[[0, float("nan")], [1, 2]], [1, 2], [["a", "b"], [1, 2]], [[0, 1]]]
+)
+def test_bad_sync_marks_exit_2_with_the_line(tmp_path, capsys, marks):
+    scenario = tmp_path / "sync.jsonl"
+    sync = json.dumps({"type": "sync", "stream": "heart", "marks": marks})
+    scenario.write_text(f"{HEART_HEADER}\n{sync}\n")
+    assert main(["run", "--scenario", str(scenario)]) == 2
+    assert "error: line 2: sync marks" in capsys.readouterr().err
+
+
+def test_sample_before_session_start_is_a_warning(tmp_path, capsys):
+    scenario = tmp_path / "early.jsonl"
+    lines = [
+        HEART_HEADER,
+        json.dumps({"type": "sync", "stream": "heart", "marks": [[10, 0], [20, 10]]}),
+        json.dumps({"type": "sample", "stream": "heart", "t": 1, "rr_ms": 800}),
+    ]
+    scenario.write_text("\n".join(lines) + "\n")
+    trace = tmp_path / "early.trace.jsonl"
+    assert main(["run", "--scenario", str(scenario), "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    assert main(["summarize", "--trace", str(trace)]) == 0
+    assert json.loads(capsys.readouterr().out)["warnings"] == {"session_time_out_of_range": 1}
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     assert main(["run", "--scenario", str(tmp_path / "absent.jsonl")]) == 1
     assert "error:" in capsys.readouterr().err

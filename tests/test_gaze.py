@@ -130,15 +130,7 @@ def _oracle_events(points, threshold, min_duration):
         members = points[i:j + 2]
         if labels[i] == "fix":
             if members[-1].t - members[0].t >= min_duration:
-                disp = max(
-                    (
-                        math.hypot(b.x - a.x, b.y - a.y)
-                        for k, a in enumerate(members)
-                        for b in members[k + 1:]
-                    ),
-                    default=0.0,
-                )
-                fixations.append((members[0].t, members[-1].t, disp))
+                fixations.append((members[0].t, members[-1].t))
         else:
             saccades.append((members[0].t, members[-1].t))
         i = j + 1
@@ -172,10 +164,8 @@ def test_fixation_events_match_oracle_on_fuzzed_traces():
         points = _random_trace(rng, rng.randrange(2, 120))
         fixations, saccades = detect_fixations(points, threshold, min_dur)
         oracle_fix, oracle_sac = _oracle_events(points, threshold, min_dur)
-        assert [(f.start, f.end) for f in fixations] == [(s, e) for s, e, _ in oracle_fix]
+        assert [(f.start, f.end) for f in fixations] == oracle_fix
         assert [(s.start, s.end) for s in saccades] == oracle_sac
-        for event, (_, _, disp) in zip(fixations, oracle_fix):
-            assert event.dispersion == pytest.approx(disp, abs=1e-12)
 
 
 def test_stationary_trace_is_one_fixation():
@@ -185,8 +175,6 @@ def test_stationary_trace_is_one_fixation():
     assert saccades == []
     assert fixations[0].start == points[0].t
     assert fixations[0].end == points[-1].t
-    assert fixations[0].dispersion == 0.0
-    assert fixations[0].centroid_x == pytest.approx(0.5)
 
 
 def test_two_dwells_share_the_saccade_boundary_samples():
@@ -211,22 +199,6 @@ def test_fixations_shorter_than_minimum_are_dropped():
 def test_detect_needs_two_samples():
     with pytest.raises(TooFewSamplesError):
         detect_fixations([_pt(0.0)], 1.0, 0.1)
-
-
-def test_convex_hull_dispersion_matches_brute_force_on_large_sets():
-    rng = random.Random(9)
-    points = [
-        _pt(i * 0.001, x=rng.random() * 0.01 + 0.5, y=rng.random() * 0.01 + 0.5)
-        for i in range(200)
-    ]
-    fixations, _ = detect_fixations(points, velocity_threshold=1e9, min_fixation_duration_s=0.0)
-    assert len(fixations) == 1
-    brute = max(
-        math.hypot(b.x - a.x, b.y - a.y)
-        for i, a in enumerate(points)
-        for b in points[i + 1:]
-    )
-    assert fixations[0].dispersion == pytest.approx(brute, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from cogloop.interventions import (
     TriggerTracker,
     choose_framing,
     prioritize,
-    select_strategy,
     severity_of,
     update,
 )
@@ -296,21 +295,22 @@ def test_severity_bands():
 
 
 def test_default_strategy_lookups():
+    table = StrategyTable()
     for modality in Modality:
-        entry = select_strategy(Dimension.STRESS, Severity.PRONOUNCED, modality)
+        entry = table.lookup(Dimension.STRESS, Severity.PRONOUNCED, modality)
         assert entry.template_id == "box_breathing"
         assert entry.category is Category.PHYSIOLOGICAL
         assert entry.tier is Tier.MESO
 
-    entry = select_strategy(Dimension.COGNITIVE_LOAD, Severity.PRONOUNCED, Modality.TEXT)
+    entry = table.lookup(Dimension.COGNITIVE_LOAD, Severity.PRONOUNCED, Modality.TEXT)
     assert (entry.category, entry.tier, entry.template_id) == (
         Category.COGNITIVE_ATTENTIONAL, Tier.MICRO, "chunk_and_distill"
     )
-    entry = select_strategy(Dimension.UNDERSTANDING, Severity.PRONOUNCED, Modality.VIDEO)
+    entry = table.lookup(Dimension.UNDERSTANDING, Severity.PRONOUNCED, Modality.VIDEO)
     assert (entry.category, entry.tier, entry.template_id) == (
         Category.COMPREHENSION_ORIENTED, Tier.MACRO, "first_principles"
     )
-    entry = select_strategy(Dimension.FATIGUE, Severity.PRONOUNCED, Modality.AUDIO)
+    entry = table.lookup(Dimension.FATIGUE, Severity.PRONOUNCED, Modality.AUDIO)
     assert entry.template_id == "take_break"
     assert entry.category is Category.PHYSIOLOGICAL
 

@@ -7,8 +7,6 @@ from cogloop.model import (
     NoteScoreSample,
     RRSample,
     SampleEnvelope,
-    compare_envelopes,
-    envelope_sort_key,
 )
 
 
@@ -23,28 +21,9 @@ def test_sort_key_orders_by_time_then_stream_then_seq():
     b = _envelope(1.0, "hr", 1)
     c = _envelope(1.0, "zz", 0)
     d = _envelope(0.5, "zz", 9)
-    assert envelope_sort_key(a) < envelope_sort_key(b)
-    assert envelope_sort_key(b) < envelope_sort_key(c)
-    assert envelope_sort_key(d) < envelope_sort_key(a)
-
-
-def test_compare_envelopes_is_a_total_order():
-    rng = random.Random(42)
-    envelopes = [
-        _envelope(rng.choice([0.0, 0.5, 1.0, 2.5]), rng.choice(["a", "b", "c"]), rng.randrange(4))
-        for _ in range(60)
-    ]
-    for a in envelopes:
-        for b in envelopes:
-            ab = compare_envelopes(a, b)
-            ba = compare_envelopes(b, a)
-            assert ab == -ba
-            if ab == 0:
-                assert envelope_sort_key(a) == envelope_sort_key(b)
-    # transitivity via consistency with the key
-    ordered = sorted(envelopes, key=envelope_sort_key)
-    for earlier, later in zip(ordered, ordered[1:]):
-        assert compare_envelopes(earlier, later) <= 0
+    assert a.sort_key() < b.sort_key()
+    assert b.sort_key() < c.sort_key()
+    assert d.sort_key() < a.sort_key()
 
 
 def test_sorting_envelopes_matches_key_order():
@@ -54,7 +33,7 @@ def test_sorting_envelopes_matches_key_order():
         for i in range(200)
     ]
     rng.shuffle(envelopes)
-    by_key = sorted(envelopes, key=envelope_sort_key)
+    by_key = sorted(envelopes, key=SampleEnvelope.sort_key)
     by_cmp = sorted(envelopes, key=lambda e: (e.timestamp, e.stream_id, e.seq))
     assert by_key == by_cmp
 

@@ -2,7 +2,10 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cogloop.config import config_to_dict
 from cogloop.errors import ScenarioError
 from cogloop.model import StreamKind
 from cogloop.scenario import (
@@ -18,6 +21,7 @@ from cogloop.scenario import (
     synthesize,
     write_scenario,
 )
+from cogloop.session import run_session, validate_trace
 
 HEADER = json.dumps({
     "type": "header",
@@ -53,6 +57,15 @@ def test_t_ms_is_converted():
     line = json.dumps({"type": "sample", "stream": "heart", "t_ms": 1500, "rr_ms": 820})
     scenario = parse_scenario_lines([HEADER, line])
     assert scenario.records[0].t == pytest.approx(1.5)
+
+
+@pytest.mark.parametrize(
+    "stamp", [{"t": -1.0}, {"t": 10**400}, {"t": True}, {"t_ms": "1500"}, {"t_ms": 10**400}]
+)
+def test_bad_timestamps_rejected_with_line_number(stamp):
+    line = json.dumps({"type": "sample", "stream": "heart", "rr_ms": 820, **stamp})
+    with pytest.raises(ScenarioError, match="line 2: bad timestamp"):
+        parse_scenario_lines([HEADER, line])
 
 
 def test_both_time_fields_rejected_with_line_number():
@@ -147,6 +160,83 @@ def test_sync_records_parse_marks():
     record = scenario.records[0]
     assert isinstance(record, SyncRecord)
     assert record.marks == ((0.0, 5.0), (10.0, 15.0))
+
+
+@pytest.mark.parametrize(
+    "marks",
+    [
+        [[0, float("nan")], [1, 2]],
+        [[0, float("inf")], [1, 2]],
+        [1, 2],
+        [["a", "b"], [1, 2]],
+        [[0, 1]],
+        [],
+        [[0, 1], [1, 2, 3]],
+        [[True, 1], [1, 2]],
+        [[0, 10**400], [1, 2]],
+        {"0": 1, "1": 2},
+        # finite marks whose median offset overflows
+        [[-1e308, 1e308], [-1e308, 1e308]],
+    ],
+)
+def test_malformed_sync_marks_rejected_with_line_number(marks):
+    sync = json.dumps({"type": "sync", "stream": "heart", "marks": marks})
+    with pytest.raises(ScenarioError, match="line 2: sync marks"):
+        parse_scenario_lines([HEADER, sync])
+
+
+# Finite mark values stay within +-1000 s: replay walks every window and
+# tick up to the latest session time, so an offset of days makes a slow,
+# huge but valid replay rather than a failure.
+_FINITE = st.one_of(
+    st.floats(min_value=-1000.0, max_value=1000.0), st.integers(min_value=-1000, max_value=1000)
+)
+_JUNK = st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), True, None, "", "7", [], [1.0], [1.0, 2.0, 3.0]]
+)
+
+
+@st.composite
+def _mutated_marks(draw):
+    """A valid list of marks, then at most one mutation of it."""
+    marks = draw(st.lists(st.lists(_FINITE, min_size=2, max_size=2), min_size=2, max_size=4))
+    mutation = draw(st.sampled_from(["none", "value", "mark", "drop", "whole"]))
+    i = draw(st.integers(min_value=0, max_value=len(marks) - 1))
+    if mutation == "value":
+        marks[i][draw(st.integers(min_value=0, max_value=1))] = draw(_JUNK)
+    elif mutation == "mark":
+        marks[i] = draw(_JUNK)
+    elif mutation == "drop":
+        marks = marks[:1]
+    elif mutation == "whole":
+        marks = draw(_JUNK)
+    return marks
+
+
+_BEATS = [
+    json.dumps({"type": "sample", "stream": "heart", "t": round(i * 0.8, 3), "rr_ms": 800})
+    for i in range(40)
+] + [json.dumps({"type": "sample", "stream": "notes", "t": 20.0, "correctness": 0.9})]
+_SHORT = {"calibration_duration_s": 10.0, "window_hop_s": 5.0, "window_length.rr_interval": 5.0}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    stream=st.sampled_from(["heart", "heart", "notes", "ghost"]),
+    marks=_mutated_marks(),
+    position=st.integers(min_value=0, max_value=len(_BEATS)),
+)
+def test_mutated_sync_lines_fail_cleanly_or_replay_clean(stream, marks, position):
+    sync = json.dumps({"type": "sync", "stream": stream, "marks": marks})
+    header = json.loads(HEADER)
+    header["config"] = _SHORT
+    lines = [json.dumps(header)] + _BEATS[:position] + [sync] + _BEATS[position:]
+    try:
+        scenario = parse_scenario_lines(lines)
+    except ScenarioError:
+        return
+    result = run_session(scenario)
+    assert validate_trace({"config": config_to_dict(result.config)}, result.events) == []
 
 
 def test_bad_stream_descriptor_in_header():

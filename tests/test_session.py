@@ -274,6 +274,44 @@ def test_sync_marks_shift_later_ingests():
     assert ingest.t == pytest.approx(12.0)  # producer 10s + 2s offset
 
 
+def test_sync_offset_is_applied_once_on_the_merged_timeline():
+    # 2 s rr windows: the beat stamped 10 s by its producer must land in
+    # [12, 14), the window its ingest event names, not two seconds later
+    lines = [
+        _header_lines(NOTE_AND_HEART, config={"window_hop_s": 2.0, "window_length.rr_interval": 2.0}),
+        json.dumps({"type": "sync", "stream": "heart", "marks": [[0.0, 2.0], [10.0, 12.0]]}),
+        json.dumps({"type": "sample", "stream": "heart", "t": 10.0, "rr_ms": 800}),
+        json.dumps({"type": "sample", "stream": "heart", "t": 20.0, "rr_ms": 800}),
+    ]
+    result = run_session(parse_scenario_lines(lines))
+    assert [e.t for e in result.events if e.kind == "ingest"] == [12.0, 22.0]
+    occupied = [
+        e.payload["start"] for e in result.events
+        if e.kind == "window_features"
+        and e.payload["stream_kind"] == "rr_interval"
+        and e.payload["valid_intervals"]
+    ]
+    assert occupied == [12.0]
+
+
+def test_negative_session_time_is_skipped_with_a_warning():
+    lines = [
+        _header_lines(NOTE_AND_HEART),
+        json.dumps({"type": "sync", "stream": "heart", "marks": [[10.0, 0.0], [20.0, 10.0]]}),
+        json.dumps({"type": "sample", "stream": "heart", "t": 1.0, "rr_ms": 800}),
+        json.dumps({"type": "sample", "stream": "heart", "t": 15.0, "rr_ms": 800}),
+    ]
+    result = run_session(parse_scenario_lines(lines))
+    warnings = [e for e in result.events if e.kind == "warning"]
+    assert [(w.payload["reason"], w.payload["stream"]) for w in warnings] == [
+        ("session_time_out_of_range", "heart")
+    ]
+    assert [e.t for e in result.events if e.kind == "ingest"] == [5.0]
+    header = {"config": config_to_dict(result.config)}
+    assert validate_trace(header, result.events) == []
+    assert summarize(header, result.events)["warnings"] == {"session_time_out_of_range": 1}
+
+
 def test_realtime_mode_paces_by_record_gaps():
     lines = [
         _header_lines(NOTE_AND_HEART),

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cogloop.errors import DuplicateStreamError, InsufficientMarksError, UnknownStreamError
-from cogloop.model import RRSample, SampleEnvelope, StreamDescriptor, StreamKind, envelope_sort_key
+from cogloop.model import RRSample, StreamDescriptor, StreamKind
 from cogloop.streams import IngestOutcome, StreamMerger, estimate_offset
 
 
@@ -14,8 +14,8 @@ def _merger(jitter=0.25, streams=("hr",)):
     return merger
 
 
-def _env(t, stream="hr"):
-    return SampleEnvelope(stream_id=stream, timestamp=t, payload=RRSample(rr_ms=800.0))
+def _ingest(merger, t, stream="hr"):
+    return merger.ingest(stream, t, RRSample(rr_ms=800.0))
 
 
 def test_estimate_offset_is_the_median():
@@ -37,23 +37,36 @@ def test_register_twice_raises():
 def test_ingest_unknown_stream_raises():
     merger = _merger()
     with pytest.raises(UnknownStreamError):
-        merger.ingest(_env(0.0, stream="nope"))
+        _ingest(merger, 0.0, stream="nope")
 
 
 def test_offset_applies_to_later_ingests_only():
     merger = _merger(streams=("hr",))
-    merger.ingest(_env(10.0))
+    _ingest(merger, 10.0)
     merger.set_offset("hr", [(0.0, 2.0), (1.0, 3.0)])
-    merger.ingest(_env(10.0))
+    _ingest(merger, 10.0)
     merger.flush()
     times = [e.timestamp for e in merger.emitted]
     assert times == [10.0, 12.0]
 
 
+def test_ingest_stamps_session_time_and_sequence():
+    merger = _merger(jitter=0.0)
+    merger.set_offset("hr", [(0.0, 2.0), (1.0, 3.0)])
+    assert merger.session_time("hr", 10.0) == 12.0
+    merger.ingest("hr", 10.0, RRSample(rr_ms=800.0), source_confidence=0.5)
+    _ingest(merger, 11.0)
+    merger.flush()
+    assert [(e.timestamp, e.seq, e.source_confidence) for e in merger.emitted] == [
+        (12.0, 0, 0.5),
+        (13.0, 1, 1.0),
+    ]
+
+
 def test_within_jitter_arrivals_are_reordered_not_dropped():
     merger = _merger()
-    assert merger.ingest(_env(1.0)) is IngestOutcome.ACCEPTED
-    assert merger.ingest(_env(0.9)) is IngestOutcome.REORDERED
+    assert _ingest(merger, 1.0) is IngestOutcome.ACCEPTED
+    assert _ingest(merger, 0.9) is IngestOutcome.REORDERED
     merger.flush()
     assert [e.timestamp for e in merger.emitted] == [0.9, 1.0]
     assert merger.reordered == 1
@@ -62,10 +75,10 @@ def test_within_jitter_arrivals_are_reordered_not_dropped():
 
 def test_arrival_behind_the_frontier_is_dropped():
     merger = _merger(jitter=0.25)
-    merger.ingest(_env(0.0))
-    merger.ingest(_env(10.0))
-    merger.ingest(_env(10.5))  # emits t=10.0, moving the frontier past 0.5
-    assert merger.ingest(_env(0.5)) is IngestOutcome.DROPPED_LATE
+    _ingest(merger, 0.0)
+    _ingest(merger, 10.0)
+    _ingest(merger, 10.5)  # emits t=10.0, moving the frontier past 0.5
+    assert _ingest(merger, 0.5) is IngestOutcome.DROPPED_LATE
     merger.flush()
     assert [e.timestamp for e in merger.emitted] == [0.0, 10.0, 10.5]
     assert merger.dropped_late == 1
@@ -75,9 +88,9 @@ def test_arrival_between_frontier_and_watermark_is_salvaged():
     # behind the watermark but ahead of everything emitted so far: the
     # merger can still place it, so it counts as reordered, not dropped
     merger = _merger(jitter=0.25)
-    merger.ingest(_env(0.0))
-    merger.ingest(_env(10.0))  # emits only t=0.0
-    assert merger.ingest(_env(0.5)) is IngestOutcome.REORDERED
+    _ingest(merger, 0.0)
+    _ingest(merger, 10.0)  # emits only t=0.0
+    assert _ingest(merger, 0.5) is IngestOutcome.REORDERED
     merger.flush()
     assert [e.timestamp for e in merger.emitted] == [0.0, 0.5, 10.0]
     assert merger.dropped_late == 0
@@ -87,9 +100,9 @@ def test_duplicate_timestamp_same_stream_is_kept():
     # the ingest order is the final key component, so an equal (t, stream)
     # pair lands after the frontier rather than below it
     merger = _merger(jitter=0.0)
-    merger.ingest(_env(1.0))
-    merger.ingest(_env(2.0))
-    assert merger.ingest(_env(2.0)) is IngestOutcome.ACCEPTED
+    _ingest(merger, 1.0)
+    _ingest(merger, 2.0)
+    assert _ingest(merger, 2.0) is IngestOutcome.ACCEPTED
     merger.flush()
     assert [e.timestamp for e in merger.emitted] == [1.0, 2.0, 2.0]
 
@@ -97,7 +110,7 @@ def test_duplicate_timestamp_same_stream_is_kept():
 def test_watermark_tracks_max_seen_minus_jitter_until_flush():
     merger = _merger(jitter=0.25)
     assert merger.watermark == float("-inf")
-    merger.ingest(_env(5.0))
+    _ingest(merger, 5.0)
     assert merger.watermark == pytest.approx(4.75)
     merger.flush()
     assert merger.watermark == 5.0
@@ -108,25 +121,22 @@ def test_emitted_matches_offline_sort_of_survivors():
     merger = _merger(jitter=0.5, streams=("a", "b", "c"))
     survivors = []
     for _ in range(400):
-        env = _env(round(rng.uniform(0, 30), 3), stream=rng.choice("abc"))
-        outcome = merger.ingest(env)
-        if outcome is not IngestOutcome.DROPPED_LATE:
-            survivors.append(env)
+        t, stream = round(rng.uniform(0, 30), 3), rng.choice("abc")
+        if _ingest(merger, t, stream=stream) is not IngestOutcome.DROPPED_LATE:
+            survivors.append((t, stream))
     merger.flush()
     emitted = merger.emitted
     assert len(emitted) == len(survivors)
-    keys = [envelope_sort_key(e) for e in emitted]
+    keys = [e.sort_key() for e in emitted]
     assert keys == sorted(keys)
     # same multiset of (t, stream) as the accepted inputs
-    assert sorted((e.timestamp, e.stream_id) for e in emitted) == sorted(
-        (e.timestamp, e.stream_id) for e in survivors
-    )
+    assert sorted((e.timestamp, e.stream_id) for e in emitted) == sorted(survivors)
 
 
 def test_window_decomposition_length4_hop2():
     merger = _merger(jitter=0.0)
     for t in [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]:
-        merger.ingest(_env(t))
+        _ingest(merger, t)
     merger.flush()
     windows = merger.pop_windows(StreamKind.RR_INTERVAL, length_s=4.0, hop_s=2.0)
     assert [(w.start, w.end) for w in windows] == [(0.0, 4.0), (2.0, 6.0), (4.0, 8.0)]
@@ -138,14 +148,14 @@ def test_window_decomposition_length4_hop2():
 def test_windows_need_watermark_past_their_end():
     merger = _merger(jitter=0.0)
     for t in [0.0, 2.5, 5.0, 7.5, 9.9]:
-        merger.ingest(_env(t))
+        _ingest(merger, t)
     merger.flush()
     windows = merger.pop_windows(StreamKind.RR_INTERVAL, length_s=5.0, hop_s=5.0)
     assert [(w.start, w.end) for w in windows] == [(0.0, 5.0)]
 
     merger2 = _merger(jitter=0.0)
     for t in [0.0, 2.5, 5.0, 7.5, 10.0]:
-        merger2.ingest(_env(t))
+        _ingest(merger2, t)
     merger2.flush()
     windows2 = merger2.pop_windows(StreamKind.RR_INTERVAL, length_s=5.0, hop_s=5.0)
     assert [(w.start, w.end) for w in windows2] == [(0.0, 5.0), (5.0, 10.0)]
@@ -154,10 +164,10 @@ def test_windows_need_watermark_past_their_end():
 def test_pop_windows_continues_where_it_stopped():
     merger = _merger(jitter=0.0)
     for t in [0.0, 1.0, 2.0, 3.0]:
-        merger.ingest(_env(t))
+        _ingest(merger, t)
     first = merger.pop_windows(StreamKind.RR_INTERVAL, length_s=2.0, hop_s=1.0)
     for t in [4.0, 5.0]:
-        merger.ingest(_env(t))
+        _ingest(merger, t)
     merger.flush()
     second = merger.pop_windows(StreamKind.RR_INTERVAL, length_s=2.0, hop_s=1.0)
     starts = [w.start for w in first] + [w.start for w in second]
@@ -176,7 +186,7 @@ def test_every_sample_lands_in_the_right_windows():
     merger = _merger(jitter=0.0)
     times = sorted(round(rng.uniform(0, 20), 3) for _ in range(100))
     for t in times:
-        merger.ingest(_env(t))
+        _ingest(merger, t)
     merger.flush()
     windows = merger.pop_windows(StreamKind.RR_INTERVAL, length_s=4.0, hop_s=2.0)
     for window in windows:
