@@ -6,16 +6,26 @@ screen-normalized units divided by the time step. Samples moving slower
 than the velocity threshold are fixation samples; maximal runs of them
 become fixation events, and runs shorter than the minimum duration are
 discarded as noise. Blink samples break runs on both sides.
+
+None of the per-sample quantities (blink flag, pair velocity, I-VT
+label, despiked pupil) depends on the window, so a ``GazeTrack``
+computes each once per channel timeline, and every window aggregates
+its index slice of the track. Only the pupil medians within half a
+median width of a window edge are recomputed there, because the edge
+truncates their neighbourhood.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import statistics
+from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import compress
 
-from .errors import TooFewSamplesError, ZeroDtError
+from .errors import ZeroDtError
 from .model import GazeSample, SampleEnvelope, Timestamp
 from .streams import Window
 
@@ -23,171 +33,171 @@ from .streams import Window
 # pupil value is reported.
 BLINK_CONFIDENCE_FLOOR = 0.2
 
+# I-VT label of the pair (i-1, i). Pairs touching a blink carry none;
+# a pair whose time step is not positive has no velocity at all.
+NO_LABEL, FIXATION, SACCADE, ZERO_DT = 0, 1, 2, 3
+_RUNS = re.compile(b"\x01+|\x02+")
 
-@dataclass(frozen=True)
-class GazePoint:
-    """A gaze sample bound to its session timestamp."""
 
-    t: Timestamp
-    x: float
-    y: float
-    pupil_mm: float | None = None
-    confidence: float = 1.0
-    is_blink: bool = False
+def is_blink(sample: GazeSample) -> bool:
+    """Absent or non-positive pupil, or tracker confidence under the floor."""
+    pupil = sample.pupil_diameter_mm
+    if pupil is None or pupil <= 0:
+        return True
+    return sample.confidence < BLINK_CONFIDENCE_FLOOR
 
-    @classmethod
-    def from_envelope(cls, envelope: SampleEnvelope) -> "GazePoint":
-        sample = envelope.payload
-        if not isinstance(sample, GazeSample):
-            raise TypeError(f"expected GazeSample payload, got {type(sample).__name__}")
-        return cls(
-            t=envelope.timestamp,
-            x=sample.x,
-            y=sample.y,
-            pupil_mm=sample.pupil_diameter_mm,
-            confidence=sample.confidence,
+
+class GazeTrack:
+    """Per-sample gaze quantities of one channel timeline, each computed once.
+
+    Every column is indexed by timeline position minus ``base``. Sample
+    columns: ``valid`` (1 for a usable sample, 0 for a blink), the raw
+    and the despiked pupil (NaN on blinks), and the source confidence.
+    Pair columns hold the pair (i-1, i) at position i: its velocity and
+    its I-VT label.
+
+    Windows are read in order of their start. ``advance`` computes the
+    columns of each sample the first time a window reaches it and drops
+    those no later window can reach, so the track holds about one window
+    of samples at a time, however long the timeline.
+
+    Computing a column raises nothing: a pair whose time step is not
+    positive is labelled ``ZERO_DT``, and only a window holding it
+    raises ``ZeroDtError``.
+    """
+
+    def __init__(
+        self,
+        samples: Sequence[SampleEnvelope],
+        median_width: int = 5,
+        velocity_threshold: float = 1.0,
+    ):
+        if median_width < 3 or median_width % 2 == 0:
+            raise ValueError(f"median_width must be odd and >= 3, got {median_width}")
+        if velocity_threshold <= 0:
+            raise ValueError(f"velocity_threshold must be positive, got {velocity_threshold}")
+        self.samples = samples
+        self.half = median_width // 2
+        self.velocity_threshold = velocity_threshold
+        self.base = 0
+        self._last_lo = 0
+        # valid and raw_pupil run half a median width ahead of the rest:
+        # the median at sample i reaches sample i + half
+        self.valid = bytearray()
+        self.raw_pupil = array("d")
+        self.pupil = array("d")
+        self.confidence = array("d")
+        self.velocity = array("d")
+        self.label = bytearray()
+
+    def advance(self, lo: int, hi: int) -> None:
+        """Cover the window [lo, hi) of the timeline."""
+        if lo < self._last_lo:
+            raise ValueError(f"windows must come in order of their start, got {lo} after {self._last_lo}")
+        self._last_lo = lo
+        # a median at lo or later looks back at most half a width
+        drop = min(lo - self.half, self.base + len(self.valid)) - self.base
+        if drop > 0:
+            for column in (self.valid, self.raw_pupil, self.pupil, self.confidence, self.velocity, self.label):
+                del column[:drop]
+            self.base += drop
+        self._compute(hi)
+
+    def _compute(self, hi: int) -> None:
+        samples, base, half = self.samples, self.base, self.half
+        n = len(samples)
+        valid, raw = self.valid, self.raw_pupil
+        for j in range(base + len(valid), min(n, hi + half)):
+            gaze = samples[j].payload
+            ok = not is_blink(gaze)
+            valid.append(ok)
+            raw.append(gaze.pupil_diameter_mm if ok else math.nan)
+        for i in range(base + len(self.pupil), hi):
+            k = i - base
+            self.pupil.append(self._median(i, base, n) if valid[k] else math.nan)
+            self.confidence.append(samples[i].source_confidence)
+            velocity, label = 0.0, NO_LABEL
+            if k > 0 and valid[k - 1] and valid[k]:
+                prev, cur = samples[i - 1], samples[i]
+                dt = cur.timestamp - prev.timestamp
+                if dt <= 0:
+                    label = ZERO_DT
+                else:
+                    velocity = math.hypot(cur.payload.x - prev.payload.x, cur.payload.y - prev.payload.y) / dt
+                    label = FIXATION if velocity < self.velocity_threshold else SACCADE
+            self.velocity.append(velocity)
+            self.label.append(label)
+
+    def _median(self, i: int, lo: int, hi: int) -> float:
+        """Median of the valid raw pupils around sample i, within [lo, hi)."""
+        valid, raw, base = self.valid, self.raw_pupil, self.base
+        return statistics.median(
+            [raw[j - base] for j in range(max(lo, i - self.half), min(hi, i + self.half + 1)) if valid[j - base]]
         )
 
+    def despiked_pupils(self, lo: int, hi: int) -> list[float]:
+        """The despiked pupils of the valid samples in [lo, hi), in order.
 
-@dataclass(frozen=True)
-class FixationEvent:
-    start: Timestamp
-    end: Timestamp
+        Equal to a rolling median over the window's samples alone: the
+        window edge truncates the neighbourhood of the first and last
+        ``half`` samples, so those medians are recomputed; the others
+        come from the track.
+        """
+        valid, base = self.valid, self.base
+        head_end = min(lo + self.half, hi)
+        tail_start = max(hi - self.half, head_end)
+        head = [self._median(i, lo, hi) for i in range(lo, head_end) if valid[i - base]]
+        tail = [self._median(i, lo, hi) for i in range(tail_start, hi) if valid[i - base]]
+        a, b = head_end - base, tail_start - base
+        return head + list(compress(self.pupil[a:b], valid[a:b])) + tail
 
-    @property
-    def duration_s(self) -> float:
-        return self.end - self.start
+    def velocities(self, lo: int, hi: int) -> list[float]:
+        """Velocities of the labelled pairs inside [lo, hi), in order."""
+        a, b = lo + 1 - self.base, hi - self.base
+        return list(compress(self.velocity[a:b], self.label[a:b]))
 
+    def blink_count(self, lo: int, hi: int) -> int:
+        """Blink runs inside [lo, hi); a run cut by a window edge counts."""
+        valid = self.valid[lo - self.base:hi - self.base]
+        return valid.count(b"\x01\x00") + valid.startswith(b"\x00")
 
-@dataclass(frozen=True)
-class SaccadeEvent:
-    start: Timestamp
-    end: Timestamp
+    def quality(self, lo: int, hi: int) -> float:
+        """Mean source confidence of the samples in [lo, hi)."""
+        return statistics.fmean(self.confidence[lo - self.base:hi - self.base])
 
-    @property
-    def duration_s(self) -> float:
-        return self.end - self.start
+    def segment(
+        self, lo: int, hi: int, min_fixation_duration_s: float
+    ) -> tuple[list[tuple[Timestamp, Timestamp]], list[tuple[Timestamp, Timestamp]]]:
+        """Fixation and saccade events of the samples in [lo, hi).
 
-
-@dataclass(frozen=True)
-class DespikeResult:
-    points: tuple[GazePoint, ...]
-    blink_events: tuple[tuple[Timestamp, Timestamp], ...]
-
-    @property
-    def blink_count(self) -> int:
-        return len(self.blink_events)
-
-
-def _is_blink(point: GazePoint) -> bool:
-    if point.pupil_mm is None or point.pupil_mm <= 0:
-        return True
-    return point.confidence < BLINK_CONFIDENCE_FLOOR
-
-
-def despike_pupil(points: list[GazePoint], median_width: int) -> DespikeResult:
-    """Replace the pupil series with a centered rolling median.
-
-    Blink samples (absent or non-positive pupil, or confidence under
-    the blink floor) are flagged and excluded from every median window;
-    their pupil stays absent rather than being invented. Windows shrink
-    at the series edges. Sample count is always preserved.
-    """
-    if median_width < 3 or median_width % 2 == 0:
-        raise ValueError(f"median_width must be odd and >= 3, got {median_width}")
-    n = len(points)
-    blink = [_is_blink(p) for p in points]
-    half = median_width // 2
-    out: list[GazePoint] = []
-    for i, point in enumerate(points):
-        if blink[i]:
-            out.append(replace(point, pupil_mm=None, is_blink=True))
-            continue
-        lo = max(0, i - half)
-        hi = min(n, i + half + 1)
-        window = [points[j].pupil_mm for j in range(lo, hi) if not blink[j]]
-        out.append(replace(point, pupil_mm=statistics.median(window), is_blink=False))
-
-    events: list[tuple[Timestamp, Timestamp]] = []
-    run_start: int | None = None
-    for i in range(n + 1):
-        if i < n and blink[i]:
-            if run_start is None:
-                run_start = i
-        elif run_start is not None:
-            events.append((points[run_start].t, points[i - 1].t))
-            run_start = None
-    return DespikeResult(points=tuple(out), blink_events=tuple(events))
-
-
-def gaze_velocity(prev: GazePoint, cur: GazePoint) -> float:
-    """Angular-free point-to-point speed in normalized units per second."""
-    dt = cur.t - prev.t
-    if dt <= 0:
-        raise ZeroDtError(f"time step must be positive, got {dt}")
-    return math.hypot(cur.x - prev.x, cur.y - prev.y) / dt
-
-
-def _pair_velocities(points: Sequence[GazePoint]) -> list[float | None]:
-    """Velocity of each consecutive pair, computed once; None where a
-    blink sample touches the pair."""
-    return [
-        None if prev.is_blink or cur.is_blink else gaze_velocity(prev, cur)
-        for prev, cur in zip(points, points[1:])
-    ]
-
-
-def _segment(
-    points: Sequence[GazePoint],
-    velocities: list[float | None],
-    velocity_threshold: float,
-    min_fixation_duration_s: float,
-) -> tuple[list[FixationEvent], list[SaccadeEvent]]:
-    fixations: list[FixationEvent] = []
-    saccades: list[SaccadeEvent] = []
-    run_label: bool | None = None  # True = fixation pairs
-    run_first = 0  # index of the first member sample
-
-    def close_run(last_member: int) -> None:
-        start, end = points[run_first].t, points[last_member].t
-        if run_label:
-            if end - start >= min_fixation_duration_s:
-                fixations.append(FixationEvent(start=start, end=end))
-        else:
-            saccades.append(SaccadeEvent(start=start, end=end))
-
-    for i, velocity in enumerate(velocities, start=1):
-        label = None if velocity is None else velocity < velocity_threshold
-        if label != run_label:
-            if run_label is not None:
-                close_run(i - 1)
-            run_label = label
-            run_first = i - 1
-    if run_label is not None:
-        close_run(len(points) - 1)
-    return fixations, saccades
-
-
-def detect_fixations(
-    points: list[GazePoint],
-    velocity_threshold: float,
-    min_fixation_duration_s: float,
-) -> tuple[list[FixationEvent], list[SaccadeEvent]]:
-    """Classify the trace into fixation and saccade events.
-
-    Each consecutive pair of non-blink samples is labeled by its
-    velocity (below threshold: fixation, otherwise saccade); maximal
-    runs of equally labeled pairs become events spanning from the first
-    to the last sample of the run, so neighboring events share their
-    boundary sample. Pairs touching a blink sample carry no label and
-    split runs. Fixation candidates shorter than the minimum duration
-    are dropped.
-    """
-    if len(points) < 2:
-        raise TooFewSamplesError(f"need at least 2 samples, got {len(points)}")
-    if velocity_threshold <= 0:
-        raise ValueError(f"velocity_threshold must be positive, got {velocity_threshold}")
-    return _segment(points, _pair_velocities(points), velocity_threshold, min_fixation_duration_s)
+        Each consecutive pair of non-blink samples is labeled by its
+        velocity (below threshold: fixation, otherwise saccade); maximal
+        runs of equally labeled pairs become (start, end) events spanning
+        from the first to the last sample of the run, so neighboring
+        events share their boundary sample. Pairs touching a blink sample
+        carry no label and split runs; runs cut by a window edge end at
+        it. Fixation candidates shorter than the minimum duration are
+        dropped.
+        """
+        base = self.base
+        zero_dt = self.label.find(ZERO_DT, lo + 1 - base, hi - base)
+        if zero_dt >= 0:
+            i = zero_dt + base
+            raise ZeroDtError(
+                f"time step must be positive, got {self.samples[i].timestamp - self.samples[i - 1].timestamp}"
+            )
+        samples, label = self.samples, self.label
+        fixations: list[tuple[Timestamp, Timestamp]] = []
+        saccades: list[tuple[Timestamp, Timestamp]] = []
+        # a run of pairs p..q spans the samples p-1..q
+        for run in _RUNS.finditer(label, lo + 1 - base, hi - base):
+            start = samples[run.start() - 1 + base].timestamp
+            end = samples[run.end() - 1 + base].timestamp
+            if label[run.start()] == SACCADE:
+                saccades.append((start, end))
+            elif end - start >= min_fixation_duration_s:
+                fixations.append((start, end))
+        return fixations, saccades
 
 
 @dataclass(frozen=True)
@@ -209,42 +219,36 @@ class GazeFeatures:
 
 def window_gaze_features(
     window: Window,
-    median_width: int = 5,
-    velocity_threshold: float = 1.0,
+    track: GazeTrack,
     min_fixation_duration_s: float = 0.1,
 ) -> GazeFeatures:
-    """Despike, detect events, and aggregate one gaze window.
+    """Aggregate one gaze window from its slice [lo, hi) of the track.
 
     Values stay in physical units; baseline normalization happens in
     state inference. Windows with fewer than two samples come back
     absent with quality zero.
     """
-    if len(window.samples) < 2:
+    lo, hi = window.lo, window.hi
+    if hi - lo < 2:
         return GazeFeatures(start=window.start, end=window.end, present=False, quality=0.0)
 
-    points = [GazePoint.from_envelope(env) for env in window.samples]
-    despiked = despike_pupil(points, median_width)
-    pair_velocities = _pair_velocities(despiked.points)
-    fixations, saccades = _segment(
-        despiked.points, pair_velocities, velocity_threshold, min_fixation_duration_s
-    )
-    velocities = [v for v in pair_velocities if v is not None]
-
-    pupils = [p.pupil_mm for p in despiked.points if p.pupil_mm is not None]
-    quality = statistics.fmean(env.source_confidence for env in window.samples)
+    track.advance(lo, hi)
+    fixations, saccades = track.segment(lo, hi, min_fixation_duration_s)
+    velocities = track.velocities(lo, hi)
+    pupils = track.despiked_pupils(lo, hi)
     duration = window.duration_s
     return GazeFeatures(
         start=window.start,
         end=window.end,
         present=True,
-        quality=quality,
+        quality=track.quality(lo, hi),
         fixation_count=len(fixations),
         mean_fixation_duration_s=(
-            statistics.fmean(f.duration_s for f in fixations) if fixations else None
+            statistics.fmean(end - start for start, end in fixations) if fixations else None
         ),
         saccade_count=len(saccades),
         mean_gaze_velocity=statistics.fmean(velocities) if velocities else None,
-        blink_rate_per_min=despiked.blink_count / duration * 60.0 if duration > 0 else 0.0,
+        blink_rate_per_min=track.blink_count(lo, hi) / duration * 60.0 if duration > 0 else 0.0,
         mean_pupil_mm=statistics.fmean(pupils) if pupils else None,
-        valid_pupil_fraction=len(pupils) / len(despiked.points),
+        valid_pupil_fraction=len(pupils) / (hi - lo),
     )

@@ -15,7 +15,9 @@ import json
 import math
 import statistics
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .behavior import PostureScore, ingest_note_assessment, score_posture
 from .cardio import window_hrv
@@ -41,7 +43,7 @@ from .errors import (
     MissingLandmarksError,
     ScenarioError,
 )
-from .gaze import window_gaze_features
+from .gaze import GazeTrack, window_gaze_features
 from .interventions import (
     Category,
     InterventionDecision,
@@ -49,7 +51,7 @@ from .interventions import (
     StrategyTable,
     TriggerPolicy,
 )
-from .model import Dimension, PostureSample, StreamKind, Timestamp
+from .model import Dimension, PostureSample, SampleEnvelope, StreamKind, Timestamp
 from .scenario import Scenario, SyncRecord
 from .state import (
     CHANNEL_BLINK_RATE,
@@ -133,7 +135,16 @@ class _Recorder:
         self._seq += 1
 
     def sorted_events(self) -> list[TraceEvent]:
-        return sorted(self.events, key=TraceEvent.sort_key)
+        """The events in (t, kind priority, seq) order.
+
+        seq grows with insertion and list.sort is stable, so sorting by
+        priority and then by time gives that order without building a
+        key tuple per event, which made this sort the replay's memory
+        peak.
+        """
+        self.events.sort(key=lambda event: KIND_PRIORITY[event.kind])
+        self.events.sort(key=attrgetter("t"))
+        return self.events
 
 
 def _make_client(cfg: SessionConfig, scenario: Scenario) -> GenerationClient:
@@ -168,92 +179,124 @@ def _baseline_minimums(cfg: SessionConfig) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 # window -> channel features
 
-# Each extractor turns one window into (quality, channel features,
-# kind-specific payload extras). Extractors reach the feature functions
-# through this module's globals at call time, so a profiler that wraps
-# those names here sees every window.
+# An extractor is made once per stream kind, from that channel's merged
+# timeline, and then turns one window at a time into (quality, channel
+# features, kind-specific payload extras). Windows come in order of
+# their start, and a per-sample quantity is computed once, the first
+# time a window reaches the sample. Extractors reach the feature
+# functions through this module's globals at call time, so a profiler
+# that wraps those names here sees every call.
 
 Extraction = tuple[float, list[ChannelFeature], dict]
+Extractor = Callable[[Window], Extraction]
 
 
-def _gaze_features(window: Window, cfg: SessionConfig, baseline_pose: PostureSample | None) -> Extraction:
-    gf = window_gaze_features(
-        window,
-        median_width=cfg.rolling_median_width,
-        velocity_threshold=cfg.ivt_velocity_threshold,
-        min_fixation_duration_s=cfg.min_fixation_duration_s,
-    )
-    features: list[ChannelFeature] = []
-    if gf.present:
-        if gf.mean_pupil_mm is not None:
-            features.append(
-                ChannelFeature(
-                    CHANNEL_PUPIL, gf.mean_pupil_mm,
-                    gf.quality * gf.valid_pupil_fraction, window.end,
+def _gaze_extractor(
+    timeline: list[SampleEnvelope], cfg: SessionConfig, baseline_pose: PostureSample | None
+) -> Extractor:
+    track = GazeTrack(timeline, cfg.rolling_median_width, cfg.ivt_velocity_threshold)
+
+    def extract(window: Window) -> Extraction:
+        gf = window_gaze_features(window, track, cfg.min_fixation_duration_s)
+        features: list[ChannelFeature] = []
+        if gf.present:
+            if gf.mean_pupil_mm is not None:
+                features.append(
+                    ChannelFeature(
+                        CHANNEL_PUPIL, gf.mean_pupil_mm,
+                        gf.quality * gf.valid_pupil_fraction, window.end,
+                    )
                 )
-            )
-        if gf.mean_fixation_duration_s is not None:
-            features.append(
-                ChannelFeature(CHANNEL_FIXATION_DURATION, gf.mean_fixation_duration_s, gf.quality, window.end)
-            )
-        features.append(ChannelFeature(CHANNEL_FIXATION_COUNT, float(gf.fixation_count), gf.quality, window.end))
-        if gf.mean_gaze_velocity is not None:
-            features.append(ChannelFeature(CHANNEL_GAZE_VELOCITY, gf.mean_gaze_velocity, gf.quality, window.end))
-        features.append(ChannelFeature(CHANNEL_BLINK_RATE, gf.blink_rate_per_min, gf.quality, window.end))
-    return gf.quality, features, {"saccade_count": gf.saccade_count}
+            if gf.mean_fixation_duration_s is not None:
+                features.append(
+                    ChannelFeature(CHANNEL_FIXATION_DURATION, gf.mean_fixation_duration_s, gf.quality, window.end)
+                )
+            features.append(ChannelFeature(CHANNEL_FIXATION_COUNT, float(gf.fixation_count), gf.quality, window.end))
+            if gf.mean_gaze_velocity is not None:
+                features.append(ChannelFeature(CHANNEL_GAZE_VELOCITY, gf.mean_gaze_velocity, gf.quality, window.end))
+            features.append(ChannelFeature(CHANNEL_BLINK_RATE, gf.blink_rate_per_min, gf.quality, window.end))
+        return gf.quality, features, {"saccade_count": gf.saccade_count}
+
+    return extract
 
 
-def _hrv_features(window: Window, cfg: SessionConfig, baseline_pose: PostureSample | None) -> Extraction:
-    hf = window_hrv(window)
-    features: list[ChannelFeature] = []
-    if hf.present:
-        features = [
-            ChannelFeature(CHANNEL_HEART_RATE, hf.mean_hr_bpm, hf.quality, window.end),
-            ChannelFeature(CHANNEL_RMSSD, hf.rmssd_ms, hf.quality, window.end),
-            ChannelFeature(CHANNEL_SDNN, hf.sdnn_ms, hf.quality, window.end),
-            ChannelFeature(CHANNEL_PNN50, hf.pnn50_percent, hf.quality, window.end),
+def _hrv_extractor(
+    timeline: list[SampleEnvelope], cfg: SessionConfig, baseline_pose: PostureSample | None
+) -> Extractor:
+    def extract(window: Window) -> Extraction:
+        hf = window_hrv(window)
+        features: list[ChannelFeature] = []
+        if hf.present:
+            features = [
+                ChannelFeature(CHANNEL_HEART_RATE, hf.mean_hr_bpm, hf.quality, window.end),
+                ChannelFeature(CHANNEL_RMSSD, hf.rmssd_ms, hf.quality, window.end),
+                ChannelFeature(CHANNEL_SDNN, hf.sdnn_ms, hf.quality, window.end),
+                ChannelFeature(CHANNEL_PNN50, hf.pnn50_percent, hf.quality, window.end),
+            ]
+        return hf.quality, features, {
+            "stress_band": hf.stress_band.value if hf.stress_band else None,
+            "valid_intervals": hf.valid_intervals,
+            "artifact_intervals": hf.artifact_intervals,
+        }
+
+    return extract
+
+
+def _posture_extractor(
+    timeline: list[SampleEnvelope], cfg: SessionConfig, baseline_pose: PostureSample | None
+) -> Extractor:
+    # Each frame is scored once, when the first window reaches it, and
+    # forgotten once the windows have moved past it. scores[i] belongs
+    # to timeline position base + i; None where a shoulder is missing.
+    scores: list[PostureScore | None] = []
+    base = 0
+
+    def extract(window: Window) -> Extraction:
+        nonlocal base
+        if baseline_pose is not None:
+            del scores[:window.lo - base]
+            base = window.lo
+            for envelope in timeline[base + len(scores):window.hi]:
+                try:
+                    scores.append(score_posture(envelope.payload, baseline_pose))
+                except MissingLandmarksError:
+                    scores.append(None)
+        window_scores = scores[:window.hi - base]
+        scored = [s for s in window_scores if s is not None]
+        skipped = len(window_scores) - len(scored)
+        if not scored:
+            return 0.0, [], {"category": None, "skipped_samples": skipped}
+        percent = statistics.fmean(s.percent for s in scored)
+        confidences = [
+            env.source_confidence for env, s in zip(window.samples, window_scores) if s is not None
         ]
-    return hf.quality, features, {
-        "stress_band": hf.stress_band.value if hf.stress_band else None,
-        "valid_intervals": hf.valid_intervals,
-        "artifact_intervals": hf.artifact_intervals,
-    }
+        quality = statistics.fmean(confidences) * len(scored) / (len(scored) + skipped)
+        # the category is the latest pose band in the window
+        extras = {"category": scored[-1].category.value, "skipped_samples": skipped}
+        return quality, [ChannelFeature(CHANNEL_POSTURE, percent, quality, window.end)], extras
+
+    return extract
 
 
-def _posture_features(window: Window, cfg: SessionConfig, baseline_pose: PostureSample | None) -> Extraction:
-    scores: list[PostureScore] = []
-    confidences: list[float] = []
-    skipped = 0
-    if baseline_pose is not None:
-        for envelope in window.samples:
-            try:
-                scores.append(score_posture(envelope.payload, baseline_pose))
-                confidences.append(envelope.source_confidence)
-            except MissingLandmarksError:
-                skipped += 1
-    if not scores:
-        return 0.0, [], {"category": None, "skipped_samples": skipped}
-    percent = statistics.fmean(s.percent for s in scores)
-    quality = statistics.fmean(confidences) * len(scores) / (len(scores) + skipped)
-    # the category is the latest pose band in the window
-    extras = {"category": scores[-1].category.value, "skipped_samples": skipped}
-    return quality, [ChannelFeature(CHANNEL_POSTURE, percent, quality, window.end)], extras
+def _note_extractor(
+    timeline: list[SampleEnvelope], cfg: SessionConfig, baseline_pose: PostureSample | None
+) -> Extractor:
+    def extract(window: Window) -> Extraction:
+        extras = {"sample_count": len(window.samples)}
+        if not window.samples:
+            return 0.0, [], extras
+        error = statistics.fmean(1.0 - env.payload.correctness for env in window.samples)
+        quality = statistics.fmean(env.source_confidence for env in window.samples)
+        return quality, [ChannelFeature(CHANNEL_NOTE_ERROR, error, quality, window.end)], extras
 
-
-def _note_features(window: Window, cfg: SessionConfig, baseline_pose: PostureSample | None) -> Extraction:
-    extras = {"sample_count": len(window.samples)}
-    if not window.samples:
-        return 0.0, [], extras
-    error = statistics.fmean(1.0 - env.payload.correctness for env in window.samples)
-    quality = statistics.fmean(env.source_confidence for env in window.samples)
-    return quality, [ChannelFeature(CHANNEL_NOTE_ERROR, error, quality, window.end)], extras
+    return extract
 
 
 EXTRACTORS = {
-    StreamKind.PUPIL_GAZE: _gaze_features,
-    StreamKind.RR_INTERVAL: _hrv_features,
-    StreamKind.POSTURE_LANDMARKS: _posture_features,
-    StreamKind.NOTE_SCORE: _note_features,
+    StreamKind.PUPIL_GAZE: _gaze_extractor,
+    StreamKind.RR_INTERVAL: _hrv_extractor,
+    StreamKind.POSTURE_LANDMARKS: _posture_extractor,
+    StreamKind.NOTE_SCORE: _note_extractor,
 }
 
 
@@ -304,7 +347,6 @@ def run_session(
     merger = StreamMerger(jitter_tolerance_s=cfg.jitter_tolerance_s)
     for descriptor in scenario.header.streams:
         merger.register_stream(descriptor)
-    kinds = {d.stream_id: d.kind for d in scenario.header.streams}
 
     last_t: float | None = None
     for record in scenario.records:
@@ -354,18 +396,17 @@ def run_session(
     # calibration poses, then every posture window is scored against it
     calibration_poses = [
         env.payload
-        for env in merger.emitted
-        if kinds[env.stream_id] is StreamKind.POSTURE_LANDMARKS
-        and env.timestamp < cfg.calibration_duration_s
+        for env in merger.timeline(StreamKind.POSTURE_LANDMARKS)
+        if env.timestamp < cfg.calibration_duration_s
     ]
     baseline_pose = _mean_pose(calibration_poses) if calibration_poses else None
 
     calibration_values: dict[str, list[tuple[float, float]]] = {}
     live_features: list[ChannelFeature] = []
     for kind in StreamKind:
-        extract = EXTRACTORS[kind]
+        extract = EXTRACTORS[kind](merger.timeline(kind), cfg, baseline_pose)
         for window in merger.pop_windows(kind, cfg.window_length_s[kind], cfg.window_hop_s):
-            quality, features, extras = extract(window, cfg, baseline_pose)
+            quality, features, extras = extract(window)
             recorder.add(
                 window.end,
                 "window_features",

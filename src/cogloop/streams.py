@@ -38,12 +38,22 @@ class StreamRegistration:
 
 @dataclass(frozen=True)
 class Window:
-    """Half-open slice [start, end) of one channel's merged timeline."""
+    """Half-open slice [start, end) of one channel's merged timeline.
+
+    ``samples`` sit at positions [lo, hi) of the channel timeline, so
+    per-sample quantities computed once over the timeline can be sliced
+    by those indices.
+    """
 
     kind: StreamKind
     start: Timestamp
     end: Timestamp
     samples: tuple[SampleEnvelope, ...]
+    lo: int = 0
+
+    @property
+    def hi(self) -> int:
+        return self.lo + len(self.samples)
 
     @property
     def duration_s(self) -> float:
@@ -170,6 +180,10 @@ class StreamMerger:
     def emitted(self) -> list[SampleEnvelope]:
         return self._emitted
 
+    def timeline(self, kind: StreamKind) -> list[SampleEnvelope]:
+        """The emitted envelopes of one channel, in merged order."""
+        return self._by_kind.setdefault(kind, _ChannelTimeline()).samples
+
     @property
     def watermark(self) -> float:
         """Largest time up to which the merged timeline is final."""
@@ -198,7 +212,7 @@ class StreamMerger:
             lo = bisect_left(timeline.times, start)
             hi = bisect_left(timeline.times, end)
             windows.append(
-                Window(kind=kind, start=start, end=end, samples=tuple(timeline.samples[lo:hi]))
+                Window(kind=kind, start=start, end=end, samples=tuple(timeline.samples[lo:hi]), lo=lo)
             )
             k += 1
         timeline.next_window_index = k

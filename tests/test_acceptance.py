@@ -24,7 +24,7 @@ from cogloop.directives import (
     build_directives,
     render_prompt,
 )
-from cogloop.gaze import GazePoint, detect_fixations
+from cogloop.gaze import GazeTrack
 from cogloop.interventions import (
     Candidate,
     Category,
@@ -38,7 +38,7 @@ from cogloop.interventions import (
     prioritize,
     severity_of,
 )
-from cogloop.model import Dimension, Modality
+from cogloop.model import Dimension, GazeSample, Modality, SampleEnvelope
 from cogloop.scenario import load_profile, synthesize
 from cogloop.session import run_session, validate_trace, write_trace
 from cogloop.state import (
@@ -136,10 +136,11 @@ def test_criterion_02_band_edges_are_pinned():
 def _oracle_fixations(points, threshold, min_duration):
     labels = []
     for prev, cur in zip(points, points[1:]):
-        if prev.is_blink or cur.is_blink:
+        if prev.payload.pupil_diameter_mm is None or cur.payload.pupil_diameter_mm is None:
             labels.append(None)
         else:
-            v = math.hypot(cur.x - prev.x, cur.y - prev.y) / (cur.t - prev.t)
+            dx, dy = cur.payload.x - prev.payload.x, cur.payload.y - prev.payload.y
+            v = math.hypot(dx, dy) / (cur.timestamp - prev.timestamp)
             labels.append(v < threshold)
     fixations, saccades = [], []
     i = 0
@@ -151,7 +152,7 @@ def _oracle_fixations(points, threshold, min_duration):
         while j + 1 < len(labels) and labels[j + 1] == labels[i]:
             j += 1
         members = points[i:j + 2]
-        span = (members[0].t, members[-1].t)
+        span = (members[0].timestamp, members[-1].timestamp)
         if labels[i]:
             if span[1] - span[0] >= min_duration:
                 fixations.append(span)
@@ -159,6 +160,11 @@ def _oracle_fixations(points, threshold, min_duration):
             saccades.append(span)
         i = j + 1
     return fixations, saccades
+
+
+def _gaze_envelope(t, x, y, blink):
+    sample = GazeSample(x=x, y=y, pupil_diameter_mm=None if blink else 3.0, confidence=0.05 if blink else 0.95)
+    return SampleEnvelope(stream_id="gaze", timestamp=t, payload=sample)
 
 
 def test_criterion_03_fixation_segmentation_matches_oracle():
@@ -172,7 +178,7 @@ def test_criterion_03_fixation_segmentation_matches_oracle():
             t += rng.uniform(0.01, 0.03)
             roll = rng.random()
             if roll < 0.08:
-                points.append(GazePoint(t=t, x=x, y=y, pupil_mm=None, confidence=0.05, is_blink=True))
+                points.append(_gaze_envelope(t, x, y, blink=True))
                 continue
             if roll < 0.25:
                 x = min(1.0, max(0.0, x + rng.uniform(-0.4, 0.4)))
@@ -180,11 +186,11 @@ def test_criterion_03_fixation_segmentation_matches_oracle():
             else:
                 x = min(1.0, max(0.0, x + rng.uniform(-0.005, 0.005)))
                 y = min(1.0, max(0.0, y + rng.uniform(-0.005, 0.005)))
-            points.append(GazePoint(t=t, x=x, y=y, pupil_mm=3.0, confidence=0.95))
-        fixations, saccades = detect_fixations(points, threshold, min_dur)
+            points.append(_gaze_envelope(t, x, y, blink=False))
+        track = GazeTrack(points, median_width=3, velocity_threshold=threshold)
+        track.advance(0, len(points))
+        got_fix, got_sac = track.segment(0, len(points), min_dur)
         want_fix, want_sac = _oracle_fixations(points, threshold, min_dur)
-        got_fix = [(f.start, f.end) for f in fixations]
-        got_sac = [(s.start, s.end) for s in saccades]
         if got_fix != want_fix:
             failures.append(f"case {case}: fixations {got_fix} != {want_fix}")
         if got_sac != want_sac:

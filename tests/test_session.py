@@ -1,12 +1,17 @@
 import dataclasses
 import hashlib
 import json
+import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cogloop import session
+from cogloop.behavior import score_posture
 from cogloop.config import SessionConfig, config_to_dict
-from cogloop.errors import ConfigError
-from cogloop.model import StreamKind
+from cogloop.errors import ConfigError, MissingLandmarksError
+from cogloop.model import PostureSample, StreamDescriptor, StreamKind
 from cogloop.scenario import (
     Scenario,
     ScenarioHeader,
@@ -25,6 +30,8 @@ from cogloop.session import (
     validate_trace,
     write_trace,
 )
+from cogloop.state import CHANNEL_POSTURE, ChannelFeature
+from cogloop.streams import StreamMerger
 
 # calibration shortened so the whole session stays around five minutes
 STRESS_PROFILE = {
@@ -352,3 +359,79 @@ def test_expected_calibration_window_counts():
     assert expected_calibration_windows(cfg, StreamKind.RR_INTERVAL) == 25
     short = dataclasses.replace(cfg, calibration_duration_s=5.0)
     assert expected_calibration_windows(short, StreamKind.RR_INTERVAL) == 0
+
+
+# ---------------------------------------------------------------------------
+# posture windows against the per-window scoring they replaced
+
+_POSE = {
+    "shoulder_left": (0.38, 0.50),
+    "shoulder_right": (0.62, 0.50),
+    "ear_left": (0.44, 0.30),
+    "ear_right": (0.56, 0.30),
+    "hip_left": (0.42, 0.88),
+    "hip_right": (0.58, 0.88),
+}
+
+
+def _oracle_posture(window, baseline_pose):
+    """Score every frame of the window from scratch, skipping frames
+    without both shoulders."""
+    scores, confidences, skipped = [], [], 0
+    if baseline_pose is not None:
+        for envelope in window.samples:
+            try:
+                scores.append(score_posture(envelope.payload, baseline_pose))
+                confidences.append(envelope.source_confidence)
+            except MissingLandmarksError:
+                skipped += 1
+    if not scores:
+        return 0.0, [], {"category": None, "skipped_samples": skipped}
+    percent = statistics.fmean(s.percent for s in scores)
+    quality = statistics.fmean(confidences) * len(scores) / (len(scores) + skipped)
+    extras = {"category": scores[-1].category.value, "skipped_samples": skipped}
+    return quality, [ChannelFeature(CHANNEL_POSTURE, percent, quality, window.end)], extras
+
+
+_FRAME = st.tuples(
+    st.sampled_from([0.1, 0.25, 0.5, 1.0]),  # time step
+    st.floats(min_value=-0.05, max_value=0.05),  # lean
+    st.sampled_from([1.0, 1.0, 1.0, 0.2]),  # left shoulder visibility: 0.2 skips the frame
+    st.sampled_from([0.3, 0.9, 1.0]),  # source confidence
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    frames=st.lists(_FRAME, max_size=60),
+    length=st.sampled_from([0.5, 1.0, 2.0, 5.0]),
+    hop_share=st.sampled_from([0.3, 0.5, 0.7, 1.0]),
+    calibrated=st.booleans(),
+)
+def test_posture_windows_equal_the_per_window_scoring(frames, length, hop_share, calibrated):
+    merger = StreamMerger(jitter_tolerance_s=0.0)
+    merger.register_stream(StreamDescriptor("cam", StreamKind.POSTURE_LANDMARKS, 10.0))
+    t = 0.0
+    for dt, lean, visible, source_confidence in frames:
+        t += dt
+        landmarks = dict(_POSE, ear_left=(0.44 + lean, 0.30), ear_right=(0.56 + lean, 0.30))
+        pose = PostureSample(landmarks=landmarks, visibility={"shoulder_left": visible})
+        merger.ingest("cam", t, pose, source_confidence)
+    merger.flush()
+    timeline = merger.timeline(StreamKind.POSTURE_LANDMARKS)
+    windows = merger.pop_windows(StreamKind.POSTURE_LANDMARKS, length, length * hop_share)
+    baseline_pose = PostureSample(landmarks=dict(_POSE)) if calibrated else None
+
+    calls = []
+    session.score_posture = lambda *args: calls.append(args) or score_posture(*args)
+    try:
+        extract = session.EXTRACTORS[StreamKind.POSTURE_LANDMARKS](timeline, SessionConfig(), baseline_pose)
+        for window in windows:
+            assert extract(window) == _oracle_posture(window, baseline_pose)
+    finally:
+        session.score_posture = score_posture
+    # every frame a window holds is scored exactly once
+    scored = [args[0] for args in calls]
+    assert len(scored) == len({id(pose) for pose in scored})
+    if calibrated and windows:
+        assert len(scored) == windows[-1].hi
