@@ -178,7 +178,7 @@ def _coerce(key: str, raw: object, target: type) -> object:
         if target is float:
             return float(raw if isinstance(raw, (int, float)) else str(raw).strip())
         return str(raw).strip()
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key}: cannot interpret {raw!r} as {target.__name__}") from None
 
 

@@ -127,9 +127,14 @@ def _parse_payload(kind: StreamKind, raw: dict, line_no: int) -> tuple[Payload |
         if kind is StreamKind.RR_INTERVAL:
             return RRSample(rr_ms=raw["rr_ms"]), None
         if kind is StreamKind.POSTURE_LANDMARKS:
-            landmarks = {name: tuple(point) for name, point in raw["landmarks"].items()}
+            landmarks, visibility = raw["landmarks"], raw.get("visibility", {})
+            if not (isinstance(landmarks, dict) and isinstance(visibility, dict)):
+                raise ScenarioError("posture landmarks and visibility must be objects", line_no)
             return (
-                PostureSample(landmarks=landmarks, visibility=raw.get("visibility", {})),
+                PostureSample(
+                    landmarks={name: tuple(point) for name, point in landmarks.items()},
+                    visibility=visibility,
+                ),
                 None,
             )
         # note stream: either a pre-assessed correctness or a transcript
@@ -152,7 +157,7 @@ def _parse_payload(kind: StreamKind, raw: dict, line_no: int) -> tuple[Payload |
         )
     except ScenarioError:
         raise
-    except (KeyError, TypeError, ValueError) as error:
+    except (KeyError, TypeError, ValueError, OverflowError) as error:
         raise ScenarioError(f"bad {kind.value} payload: {error}", line_no) from None
 
 
@@ -186,7 +191,7 @@ def parse_scenario_lines(lines) -> Scenario:
 
         if obj["type"] == "sync":
             stream_id = obj.get("stream")
-            if stream_id not in kinds:
+            if not isinstance(stream_id, str) or stream_id not in kinds:
                 raise ScenarioError(f"sync for undeclared stream {stream_id!r}", line_no)
             marks = obj.get("marks")
             if not (isinstance(marks, list) and len(marks) >= 2 and all(map(_is_mark, marks))):
@@ -204,7 +209,7 @@ def parse_scenario_lines(lines) -> Scenario:
             raise ScenarioError(f"unknown record type {obj['type']!r}", line_no)
 
         stream_id = obj.get("stream")
-        if stream_id not in kinds:
+        if not isinstance(stream_id, str) or stream_id not in kinds:
             raise ScenarioError(f"sample for undeclared stream {stream_id!r}", line_no)
         t = _record_time(obj, line_no)
         kind = kinds[stream_id]
@@ -243,18 +248,30 @@ def _parse_header(obj: dict, line_no: int) -> ScenarioHeader:
         raise ScenarioError("header must declare at least one stream", line_no)
     streams: list[StreamDescriptor] = []
     seen: set[str] = set()
+    # one stream per kind: windows are cut from a per-kind timeline, and
+    # two gaze streams on one timeline make pairs with no time step
+    kind_owner: dict[StreamKind, str] = {}
     for entry in streams_raw:
+        if not (isinstance(entry, dict) and isinstance(entry.get("stream_id"), str)):
+            raise ScenarioError("each stream must be an object with a string stream_id", line_no)
         try:
             descriptor = StreamDescriptor(
                 stream_id=entry["stream_id"],
                 kind=StreamKind(entry["kind"]),
                 nominal_rate_hz=entry["nominal_rate_hz"],
             )
-        except (KeyError, TypeError, ValueError) as error:
+        except (KeyError, TypeError, ValueError, OverflowError) as error:
             raise ScenarioError(f"bad stream descriptor: {error}", line_no) from None
         if descriptor.stream_id in seen:
             raise ScenarioError(f"duplicate stream id {descriptor.stream_id!r}", line_no)
+        if descriptor.kind in kind_owner:
+            raise ScenarioError(
+                f"stream {descriptor.stream_id!r} is a second {descriptor.kind.value} stream "
+                f"(after {kind_owner[descriptor.kind]!r}); declare at most one stream per kind",
+                line_no,
+            )
         seen.add(descriptor.stream_id)
+        kind_owner[descriptor.kind] = descriptor.stream_id
         streams.append(descriptor)
 
     modality_raw = obj.get("modality", Modality.TEXT.value)
@@ -271,14 +288,21 @@ def _parse_header(obj: dict, line_no: int) -> ScenarioHeader:
     if not isinstance(config_entries, dict):
         raise ScenarioError("header config must be an object", line_no)
 
+    analyzer_replies = obj.get("analyzer_replies", [])
+    if not (isinstance(analyzer_replies, list) and all(isinstance(r, str) for r in analyzer_replies)):
+        raise ScenarioError("header analyzer_replies must be a list of strings", line_no)
+    dialogue = obj.get("dialogue", [])
+    if not (isinstance(dialogue, list) and all(isinstance(turn, dict) for turn in dialogue)):
+        raise ScenarioError("header dialogue must be a list of objects", line_no)
+
     return ScenarioHeader(
         streams=streams,
         config_entries=config_entries,
         seed=seed,
         modality=modality,
         topic=str(obj.get("topic", "the current topic")),
-        analyzer_replies=tuple(obj.get("analyzer_replies", [])),
-        dialogue=tuple(obj.get("dialogue", [])),
+        analyzer_replies=tuple(analyzer_replies),
+        dialogue=tuple(dialogue),
     )
 
 

@@ -98,6 +98,28 @@ def test_bad_sync_marks_exit_2_with_the_line(tmp_path, capsys, marks):
     assert "error: line 2: sync marks" in capsys.readouterr().err
 
 
+def test_two_gaze_streams_exit_2_with_the_line(tmp_path, capsys):
+    # two streams of one kind shared one timeline, and equal timestamps
+    # across them made a zero gaze time step: a traceback, not an error
+    header = json.dumps({
+        "type": "header",
+        "streams": [
+            {"stream_id": "g1", "kind": "pupil_gaze", "nominal_rate_hz": 10},
+            {"stream_id": "g2", "kind": "pupil_gaze", "nominal_rate_hz": 10},
+        ],
+    })
+    samples = [
+        json.dumps({"type": "sample", "stream": stream, "t": round(i * 0.1, 3),
+                    "x": 0.5, "y": 0.5, "pupil_mm": 3.0, "confidence": 0.98})
+        for i in range(200)
+        for stream in ("g1", "g2")
+    ]
+    scenario = tmp_path / "two_gaze.jsonl"
+    scenario.write_text("\n".join([header, *samples]) + "\n")
+    assert main(["run", "--scenario", str(scenario)]) == 2
+    assert "error: line 1: stream 'g2' is a second pupil_gaze stream" in capsys.readouterr().err
+
+
 def test_sample_before_session_start_is_a_warning(tmp_path, capsys):
     scenario = tmp_path / "early.jsonl"
     lines = [

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cogloop.config import config_to_dict
-from cogloop.errors import ScenarioError
+from cogloop.errors import ConfigError, ScenarioError
 from cogloop.model import StreamKind
 from cogloop.scenario import (
     CONTROLS,
@@ -237,6 +237,140 @@ def test_mutated_sync_lines_fail_cleanly_or_replay_clean(stream, marks, position
         return
     result = run_session(scenario)
     assert validate_trace({"config": config_to_dict(result.config)}, result.events) == []
+
+
+# A small valid scenario with one stream of every kind, then one mutated
+# header or sample line. Finite timestamps stay within +-1000 s for the
+# reason given above the sync property; for the same reason no junk
+# value is a positive number under 0.5, which as window_hop_s would make
+# a replay of millions of windows.
+_CAM = {
+    "shoulder_left": [0.38, 0.5], "shoulder_right": [0.62, 0.5], "ear_left": [0.44, 0.3],
+    "ear_right": [0.56, 0.3], "hip_left": [0.42, 0.88], "hip_right": [0.58, 0.88],
+}
+_FULL_HEADER = {
+    "type": "header",
+    "streams": [
+        {"stream_id": "gaze", "kind": "pupil_gaze", "nominal_rate_hz": 5},
+        {"stream_id": "heart", "kind": "rr_interval", "nominal_rate_hz": 1},
+        {"stream_id": "cam", "kind": "posture_landmarks", "nominal_rate_hz": 1},
+        {"stream_id": "notes", "kind": "note_score", "nominal_rate_hz": 0.1},
+    ],
+    "seed": 5,
+    "modality": "text",
+    "topic": "osmosis",
+    "analyzer_replies": ["score=0.7; feedback=fine"],
+    "dialogue": [{"role": "learner", "text": "why?"}],
+    "config": {
+        "calibration_duration_s": 10.0, "window_hop_s": 2.5, "baseline_min_samples": 2,
+        "window_length.pupil_gaze": 5.0, "window_length.rr_interval": 5.0,
+        "window_length.posture_landmarks": 5.0, "window_length.note_score": 10.0,
+    },
+}
+
+
+def _stressed_beats():
+    """Calm beats through calibration, then fast and steady ones: enough
+    for a stress decision, so the directive path runs too."""
+    beats, t, i = [], 0.0, 0
+    while t < 25.0:
+        rr = 800 + (i % 5) * 10 if t < 10.0 else 520 + (i % 2) * 2
+        beats.append({"type": "sample", "stream": "heart", "t": round(t, 3), "rr_ms": rr})
+        t, i = t + rr / 1000.0, i + 1
+    return beats
+
+
+_STRESSED_BEATS = _stressed_beats()
+_SAMPLES = sorted(
+    [{"type": "sample", "stream": "gaze", "t": i / 5, "x": 0.5 + (i % 7) / 100, "y": 0.5,
+      "pupil_mm": None if i % 23 == 5 else 3.0 + (i % 3) / 10, "confidence": 0.95,
+      "source_confidence": 0.9} for i in range(125)]
+    + _STRESSED_BEATS
+    + [{"type": "sample", "stream": "cam", "t": float(i), "landmarks": _CAM,
+        "visibility": {"hip_left": 0.9}} for i in range(25)]
+    + [{"type": "sample", "stream": "notes", "t": 8.0, "correctness": 0.6, "feedback": "ok"},
+       {"type": "sample", "stream": "notes", "t": 18.0, "transcript": "water moves in"}],
+    key=lambda obj: obj["t"],
+)
+_JUNK = st.sampled_from([
+    None, True, False, "", "7", "pupil_gaze", [], [1.0], [0.5, 0.5], {}, {"x": 1},
+    float("nan"), float("inf"), float("-inf"), 10**400, -(10**400), 1e308,
+    -1, 0, 0.5, 1, 3, 60.0, 999.0,
+])
+# timestamps: finite ones within +-1000 s, or values that are no timestamp
+_JUNK_T = st.one_of(
+    st.floats(min_value=-1000.0, max_value=1000.0),
+    st.integers(-1000, 1000),
+    st.sampled_from([None, True, "", "7", [], float("nan"), float("inf"), float("-inf"), 10**400]),
+)
+_SAMPLE_KEYS = [
+    "type", "stream", "t", "t_ms", "x", "y", "pupil_mm", "confidence", "source_confidence",
+    "rr_ms", "landmarks", "visibility", "correctness", "feedback", "transcript",
+]
+_HEADER_KEYS = ["type", "streams", "seed", "modality", "topic", "analyzer_replies", "dialogue", "config"]
+_CONFIG_KEYS = [
+    "calibration_duration_s", "window_hop_s", "jitter_tolerance_s", "ivt_velocity_threshold",
+    "min_fixation_duration_s", "rolling_median_width", "quality_floor", "trigger_threshold",
+    "persistence_s", "consecutive_windows", "confidence_min", "sigma_floor", "baseline_min_samples",
+    "history_turns", "client", "window_length.pupil_gaze", "window_length.rr_interval",
+    "cooldown.physiological", "weight.stress.rmssd", "strategy.stress.high.text", "no_such_key",
+]
+
+
+@st.composite
+def _mutated_scenario(draw):
+    """The valid scenario above with one header or sample field replaced,
+    removed or nested junk put in its place."""
+    header = json.loads(json.dumps(_FULL_HEADER))
+    samples = json.loads(json.dumps(_SAMPLES))
+    target = draw(st.sampled_from(["header", "stream", "config", "sample", "landmark"]))
+    if target == "header":
+        key = draw(st.sampled_from(_HEADER_KEYS))
+        if draw(st.booleans()):
+            header.pop(key, None)
+        else:
+            header[key] = draw(_JUNK)
+    elif target == "stream":
+        entry = draw(st.sampled_from(header["streams"]))
+        key = draw(st.sampled_from(["stream_id", "kind", "nominal_rate_hz"]))
+        entry[key] = draw(st.one_of(_JUNK, st.sampled_from(["gaze", "heart", "rr_interval", "ghost"])))
+    elif target == "config":
+        header["config"][draw(st.sampled_from(_CONFIG_KEYS))] = draw(_JUNK)
+    else:
+        sample = draw(st.sampled_from(samples))
+        if target == "landmark":
+            sample.setdefault("landmarks", dict(_CAM))[draw(st.sampled_from(sorted(_CAM)))] = draw(_JUNK)
+        else:
+            key = draw(st.sampled_from(_SAMPLE_KEYS))
+            if draw(st.booleans()) and key in sample:
+                del sample[key]
+            else:
+                sample[key] = draw(_JUNK_T if key in ("t", "t_ms") else _JUNK)
+    return [json.dumps(header)] + [json.dumps(obj) for obj in samples]
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=_mutated_scenario())
+def test_mutated_header_and_sample_lines_fail_cleanly_or_replay_clean(lines):
+    try:
+        scenario = parse_scenario_lines(lines)
+        result = run_session(scenario)
+    except (ScenarioError, ConfigError):
+        return
+    assert validate_trace({"config": config_to_dict(result.config)}, result.events) == []
+
+
+def test_second_stream_of_a_kind_rejected_with_line_number():
+    header = json.dumps({
+        "type": "header",
+        "streams": [
+            {"stream_id": "heart", "kind": "rr_interval", "nominal_rate_hz": 200},
+            {"stream_id": "g1", "kind": "pupil_gaze", "nominal_rate_hz": 60},
+            {"stream_id": "g2", "kind": "pupil_gaze", "nominal_rate_hz": 60},
+        ],
+    })
+    with pytest.raises(ScenarioError, match="line 1: stream 'g2' is a second pupil_gaze stream"):
+        parse_scenario_lines([header])
 
 
 def test_bad_stream_descriptor_in_header():
