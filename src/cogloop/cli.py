@@ -30,7 +30,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scenario", required=True, help="scenario JSONL file")
     run.add_argument("--config", help="key = value config file layered over the scenario header")
     run.add_argument("--trace", help="write the full trace JSONL here")
-    run.add_argument("--seed", type=int, help="override the RNG seed")
     run.add_argument("--client", choices=["mock", "live"], help="generation client")
     run.add_argument("--realtime", action="store_true", help="pace ingestion at sample timestamps")
 
@@ -62,8 +61,6 @@ def _cmd_run(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             overrides.update(parse_config_text(handle.read()))
-    if args.seed is not None:
-        overrides["rng_seed"] = args.seed
     if args.client is not None:
         overrides["client"] = args.client
 

@@ -60,7 +60,6 @@ class SessionConfig:
     baseline_min_samples: int = 30
     history_turns: int = 6
     client: str = "mock"
-    rng_seed: int = 0
     strategy_overrides: dict[StrategyKey, str] = field(default_factory=dict)
 
 
@@ -163,7 +162,6 @@ _SCALAR_KEYS = {
     "baseline_min_samples": int,
     "history_turns": int,
     "client": str,
-    "rng_seed": int,
 }
 
 
@@ -287,7 +285,6 @@ def config_to_dict(cfg: SessionConfig) -> dict:
         "baseline_min_samples": cfg.baseline_min_samples,
         "history_turns": cfg.history_turns,
         "client": cfg.client,
-        "rng_seed": cfg.rng_seed,
         "strategy_overrides": {
             f"{d.value}.{s.value}.{m.value}": tid
             for (d, s, m), tid in sorted(cfg.strategy_overrides.items())

@@ -11,6 +11,7 @@ inputs produce byte-identical traces.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import statistics
@@ -71,7 +72,7 @@ from .state import (
     compute_baseline,
     infer_state,
 )
-from .streams import StreamMerger, Window
+from .streams import StreamMerger, Window, grid_time
 
 ENGINE_TAG = "cogloop-0.1.0"
 
@@ -458,14 +459,18 @@ def run_session(
     live_features.sort(key=lambda f: f.t)
     cursor = 0
     watermark = merger.watermark
-    tick = cfg.calibration_duration_s + cfg.window_hop_s
-    while tick <= watermark:
+    previous_tick = grid_time(0, cfg.window_hop_s, cfg.calibration_duration_s)
+    for step in itertools.count(1):
+        tick = grid_time(step, cfg.window_hop_s, cfg.calibration_duration_s)
+        if tick > watermark:
+            break
         fresh: list[ChannelFeature] = []
         while cursor < len(live_features) and live_features[cursor].t <= tick:
             feature = live_features[cursor]
-            if feature.t > tick - cfg.window_hop_s:
+            if feature.t > previous_tick:
                 fresh.append(feature)
             cursor += 1
+        previous_tick = tick
         state = infer_state(
             fresh, baseline, cfg.weights, tick,
             trigger_threshold=cfg.trigger_threshold,
@@ -522,7 +527,6 @@ def run_session(
                 recorder.add(tick, "client_reply", {"reply": reply})
             except ClientUnavailableError as error:
                 recorder.add(tick, "warning", {"reason": "generation_failed", "detail": str(error)})
-        tick += cfg.window_hop_s
 
     return SessionResult(
         config=cfg,

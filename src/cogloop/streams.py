@@ -70,6 +70,16 @@ def estimate_offset(marks: list[tuple[Timestamp, Timestamp]]) -> float:
     return statistics.median(session_t - producer_t for producer_t, session_t in marks)
 
 
+def grid_time(index: int, hop_s: float, offset_s: float = 0.0) -> Timestamp:
+    """Time of step ``index`` on the hop grid that starts at ``offset_s``.
+
+    Window bounds and decision ticks both come from here, from integer
+    indices rather than a running sum, rounded to the nanosecond: a tick
+    and a window end that are the same time are then the same float.
+    """
+    return round(offset_s + index * hop_s, 9)
+
+
 @dataclass
 class _ChannelTimeline:
     times: list[float] = field(default_factory=list)
@@ -197,7 +207,7 @@ class StreamMerger:
         """Return every not-yet-emitted complete window for a channel.
 
         Windows are [k*hop, k*hop + length) anchored at the session
-        origin; a window is complete once the watermark has passed its
+        origin, times from ``grid_time``; a window is complete once the watermark has passed its
         end. Repeated calls continue where the previous one stopped.
         """
         if not (hop_s > 0 and length_s >= hop_s):
@@ -206,9 +216,8 @@ class StreamMerger:
         watermark = self.watermark
         windows: list[Window] = []
         k = timeline.next_window_index
-        while k * hop_s + length_s <= watermark:
-            start = k * hop_s
-            end = start + length_s
+        while (end := grid_time(k, hop_s, length_s)) <= watermark:
+            start = grid_time(k, hop_s)
             lo = bisect_left(timeline.times, start)
             hi = bisect_left(timeline.times, end)
             windows.append(

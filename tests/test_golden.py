@@ -19,25 +19,25 @@ from cogloop.session import run_session, write_trace
 # (profile, window_hop_s override) -> (trace sha256, decision list sha256)
 GOLDEN = {
     ("all_baseline", None): (
-        "8a279b58423a5025fa2a1178865bca991ee3a2e164860bda254d8c7044674c7f",
+        "89106c049a8f21b5d287e3e3ab0f7ddc5b461ee60867bfa703f17db680932c45",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     ),
     ("load_excursion", None): (
-        "932620baa6699643c1d874f958bfce49f33d7a3e5c652ae62c4f34c99206f189",
+        "84008d76de4ca856bf31ae2ce73255741f3aa17fb35a1de5d358a5a5a5d16c7f",
         "b442f6c5c5495b6651de3ff571e84e0c230bec3d30b73860232018226344ae7f",
     ),
     ("mixed_session", None): (
-        "e9f7617218d2227a918a64c8626b853de37130c10a3024c3e97992a3b7583551",
+        "df86ee0836825b33a36badfdaa9d55c03d3af5b9995dd9f78ee77f48a192f53a",
         "f662c72fc3304daa9e772aa75087d6d3bba9c273146a6e11b000f703a28cb6ab",
     ),
     ("stress_ramp", None): (
-        "cbe9291e83cad951759299404651a61535a0bd14fbd41ac383ec666cb6c0eb56",
+        "60ba8c8afac2f4eb922e3abac32a181c72cf79230624651de5d8367adfe4eefe",
         "83d9c05a6f0a5f058107bc9ca955286e7bfe85e94980756118cd53a50a2d9da4",
     ),
     # dense hop: every gaze sample lands in many overlapping windows
     ("stress_ramp", 0.6): (
-        "46867e23d11f413d1174359b8d41c68334cc51989bc694666492b2c8b5680070",
-        "be6c12206e79097d5e2b4f27f51eef6fc56ea368748ea89305fd25577ab5a861",
+        "75d0790498708f439a4fd3e611562b98aaeab7505e57362c79423ce081f0706f",
+        "a40e18c05ab64a9fbdcd3dc99ebd851a6d174f6910fc3772f2f0e5c3d404a224",
     ),
 }
 

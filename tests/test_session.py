@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import statistics
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from cogloop.scenario import (
     Scenario,
     ScenarioHeader,
     SyncRecord,
+    load_profile,
     parse_profile,
     parse_scenario_lines,
     synthesize,
@@ -359,6 +361,24 @@ def test_expected_calibration_window_counts():
     assert expected_calibration_windows(cfg, StreamKind.RR_INTERVAL) == 25
     short = dataclasses.replace(cfg, calibration_duration_s=5.0)
     assert expected_calibration_windows(short, StreamKind.RR_INTERVAL) == 0
+
+
+def test_every_dense_hop_tick_sees_the_rr_window_ending_on_it():
+    # A running sum of hops put the tick meant for 565.2 at
+    # 565.1999999999999, just before the rr window ending at 565.2, so
+    # that state vector came out with stress unobserved.
+    ref = resources.files("cogloop").joinpath("profiles", "stress_ramp.json")
+    with resources.as_file(ref) as path:
+        result = run_session(synthesize(load_profile(path)), overrides={"window_hop_s": 0.3})
+    rr_ends = {
+        e.payload["end"] for e in result.events
+        if e.kind == "window_features" and e.payload["stream_kind"] == "rr_interval"
+    }
+    states = {e.t: e.payload["dims"]["stress"] for e in result.events if e.kind == "state_vector"}
+    assert 565.2 in rr_ends
+    assert states[565.2]["observed"]
+    assert set(states) <= rr_ends
+    assert all(stress["observed"] for stress in states.values())
 
 
 # ---------------------------------------------------------------------------

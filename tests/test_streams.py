@@ -4,7 +4,7 @@ import pytest
 
 from cogloop.errors import DuplicateStreamError, InsufficientMarksError, UnknownStreamError
 from cogloop.model import RRSample, StreamDescriptor, StreamKind
-from cogloop.streams import IngestOutcome, StreamMerger, estimate_offset
+from cogloop.streams import IngestOutcome, StreamMerger, estimate_offset, grid_time
 
 
 def _merger(jitter=0.25, streams=("hr",)):
@@ -143,6 +143,15 @@ def test_window_decomposition_length4_hop2():
     # half-open: start included, end excluded
     assert [e.timestamp for e in windows[0].samples] == [0.0, 1.0, 2.0, 3.0]
     assert [e.timestamp for e in windows[2].samples] == [4.0, 5.0, 6.0, 7.0]
+
+
+def test_grid_times_come_from_indices_not_a_running_sum():
+    # 3 * 0.3 is 0.8999999999999999 in floats; the grid says 0.9
+    assert [grid_time(k, 0.3) for k in range(4)] == [0.0, 0.3, 0.6, 0.9]
+    # a decision tick and a window end at the same time are the same float
+    for k in range(3000):
+        assert grid_time(k + 200, 0.3, 60.0) == grid_time(k + 400, 0.3)
+        assert grid_time(k, 0.3, 300.0) == grid_time(k + 800, 0.3, 60.0)
 
 
 def test_windows_need_watermark_past_their_end():
