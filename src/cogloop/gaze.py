@@ -98,7 +98,8 @@ class GazeTrack:
         # a median at lo or later looks back at most half a width
         drop = min(lo - self.half, self.base + len(self.valid)) - self.base
         if drop > 0:
-            for column in (self.valid, self.raw_pupil, self.pupil, self.confidence, self.velocity, self.label):
+            columns = (self.valid, self.raw_pupil, self.pupil, self.confidence, self.velocity, self.label)
+            for column in columns:
                 del column[:drop]
             self.base += drop
         self._compute(hi)
@@ -131,9 +132,8 @@ class GazeTrack:
     def _median(self, i: int, lo: int, hi: int) -> float:
         """Median of the valid raw pupils around sample i, within [lo, hi)."""
         valid, raw, base = self.valid, self.raw_pupil, self.base
-        return statistics.median(
-            [raw[j - base] for j in range(max(lo, i - self.half), min(hi, i + self.half + 1)) if valid[j - base]]
-        )
+        around = range(max(lo, i - self.half) - base, min(hi, i + self.half + 1) - base)
+        return statistics.median([raw[k] for k in around if valid[k]])
 
     def despiked_pupils(self, lo: int, hi: int) -> list[float]:
         """The despiked pupils of the valid samples in [lo, hi), in order.

@@ -99,7 +99,6 @@ class StreamMerger:
         self._seq = 0
         self._max_seen_t = float("-inf")
         self._frontier_key: tuple[float, str, int] | None = None
-        self._emitted: list[SampleEnvelope] = []
         self._by_kind: dict[StreamKind, _ChannelTimeline] = {}
         self._flushed = False
         self.dropped_late = 0
@@ -175,7 +174,6 @@ class StreamMerger:
         while self._heap and self._heap[0][0][0] <= up_to:
             key, envelope = heapq.heappop(self._heap)
             self._frontier_key = key
-            self._emitted.append(envelope)
             kind = self.registrations[envelope.stream_id].descriptor.kind
             timeline = self._by_kind.setdefault(kind, _ChannelTimeline())
             timeline.times.append(envelope.timestamp)
@@ -188,7 +186,13 @@ class StreamMerger:
 
     @property
     def emitted(self) -> list[SampleEnvelope]:
-        return self._emitted
+        """Every emitted envelope, in merged order.
+
+        Only the per-channel timelines are stored: emission follows the
+        sort key, so merging them restores the order.
+        """
+        timelines = [timeline.samples for timeline in self._by_kind.values()]
+        return list(heapq.merge(*timelines, key=SampleEnvelope.sort_key))
 
     def timeline(self, kind: StreamKind) -> list[SampleEnvelope]:
         """The emitted envelopes of one channel, in merged order."""
@@ -207,8 +211,9 @@ class StreamMerger:
         """Return every not-yet-emitted complete window for a channel.
 
         Windows are [k*hop, k*hop + length) anchored at the session
-        origin, times from ``grid_time``; a window is complete once the watermark has passed its
-        end. Repeated calls continue where the previous one stopped.
+        origin, their bounds from ``grid_time``; a window is complete
+        once the watermark has passed its end. Repeated calls continue
+        where the previous one stopped.
         """
         if not (hop_s > 0 and length_s >= hop_s):
             raise ValueError(f"need 0 < hop_s <= length_s, got hop={hop_s} length={length_s}")
