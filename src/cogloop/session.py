@@ -155,11 +155,16 @@ def _make_client(cfg: SessionConfig, scenario: Scenario) -> GenerationClient:
 
 
 def expected_calibration_windows(cfg: SessionConfig, kind: StreamKind) -> int:
-    """How many complete windows of this kind fit inside calibration."""
-    length = cfg.window_length_s[kind]
-    if cfg.calibration_duration_s < length:
-        return 0
-    return int(math.floor((cfg.calibration_duration_s - length) / cfg.window_hop_s)) + 1
+    """How many complete windows of this kind fit inside calibration:
+    the windows whose end on the hop grid is at most its end."""
+    length, hop, end = cfg.window_length_s[kind], cfg.window_hop_s, cfg.calibration_duration_s
+    # the quotient is off by at most one; the grid settles the count
+    count = max(0, math.floor((end - length) / hop) + 1)
+    while grid_time(count, hop, length) <= end:
+        count += 1
+    while count > 0 and grid_time(count - 1, hop, length) > end:
+        count -= 1
+    return count
 
 
 def _baseline_minimums(cfg: SessionConfig) -> dict[str, int]:

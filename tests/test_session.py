@@ -12,7 +12,7 @@ from cogloop import session
 from cogloop.behavior import score_posture
 from cogloop.config import SessionConfig, config_to_dict
 from cogloop.errors import ConfigError, MissingLandmarksError
-from cogloop.model import PostureSample, StreamDescriptor, StreamKind
+from cogloop.model import PostureSample, RRSample, StreamDescriptor, StreamKind
 from cogloop.scenario import (
     Scenario,
     ScenarioHeader,
@@ -361,6 +361,22 @@ def test_expected_calibration_window_counts():
     assert expected_calibration_windows(cfg, StreamKind.RR_INTERVAL) == 25
     short = dataclasses.replace(cfg, calibration_duration_s=5.0)
     assert expected_calibration_windows(short, StreamKind.RR_INTERVAL) == 0
+
+
+@pytest.mark.parametrize("calibration,length,hop", [(0.3, 0.1, 0.1), (0.6, 0.2, 0.1), (30.0, 10.0, 0.7)])
+def test_expected_calibration_windows_count_the_grid(calibration, length, hop):
+    # (0.3 - 0.1) / 0.1 is 1.9999999999999998: a floor of the quotient
+    # missed the window [0.2, 0.3) that the merger does cut
+    merger = StreamMerger(jitter_tolerance_s=0.0)
+    merger.register_stream(StreamDescriptor("heart", StreamKind.RR_INTERVAL, 1.0))
+    merger.ingest("heart", calibration, RRSample(rr_ms=800.0))
+    merger.flush()
+    windows = merger.pop_windows(StreamKind.RR_INTERVAL, length, hop)
+    cfg = dataclasses.replace(
+        SessionConfig(), calibration_duration_s=calibration, window_hop_s=hop,
+        window_length_s={**SessionConfig().window_length_s, StreamKind.RR_INTERVAL: length},
+    )
+    assert expected_calibration_windows(cfg, StreamKind.RR_INTERVAL) == len(windows)
 
 
 def test_every_dense_hop_tick_sees_the_rr_window_ending_on_it():
