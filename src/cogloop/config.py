@@ -63,6 +63,10 @@ class SessionConfig:
     strategy_overrides: dict[StrategyKey, str] = field(default_factory=dict)
 
 
+# the most hops of window_hop_s a calibration span or window may hold
+MAX_GRID_HOPS = 2**52
+
+
 @dataclass
 class ValidationReport:
     failures: list[str] = field(default_factory=list)
@@ -78,11 +82,23 @@ def validate_config(cfg: SessionConfig) -> ValidationReport:
     report = ValidationReport()
     fail = report.failures.append
 
+    def is_positive(value) -> bool:
+        return isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+
     def positive(name: str, value: float) -> None:
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        if not is_positive(value):
             fail(f"{name} must be a positive finite number, got {value!r}")
 
+    def grid_span(name: str, span: float) -> None:
+        # window ends and ticks are hop multiples on a float grid; past
+        # MAX_GRID_HOPS hops neighbouring grid times round to one float
+        # (and past the float range the count is infinite)
+        hop = cfg.window_hop_s
+        if is_positive(span) and is_positive(hop) and not span / hop <= MAX_GRID_HOPS:
+            fail(f"{name} ({span}) spans more than 2**52 hops of window_hop_s ({hop})")
+
     positive("calibration_duration_s", cfg.calibration_duration_s)
+    grid_span("calibration_duration_s", cfg.calibration_duration_s)
     positive("window_hop_s", cfg.window_hop_s)
     positive("ivt_velocity_threshold", cfg.ivt_velocity_threshold)
     positive("min_fixation_duration_s", cfg.min_fixation_duration_s)
@@ -95,6 +111,7 @@ def validate_config(cfg: SessionConfig) -> ValidationReport:
             fail(f"window_length_s missing entry for {kind.value}")
             continue
         positive(f"window_length.{kind.value}", length)
+        grid_span(f"window_length.{kind.value}", length)
         if isinstance(length, (int, float)) and 0 < length < cfg.window_hop_s:
             fail(
                 f"window_length.{kind.value} ({length}) must be at least "

@@ -3,6 +3,11 @@
 Timestamps are seconds on the session clock, stored as plain floats.
 Producers with their own clocks are aligned via per-stream offsets at
 ingestion (see :mod:`cogloop.streams`).
+
+The types built once per record (gaze and RR samples, envelopes) are
+slotted dataclasses and not frozen: a frozen dataclass sets each field
+through ``object.__setattr__``, which costs several times a plain slot
+store. Nothing mutates them after construction.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ class StreamDescriptor:
             raise ValueError(f"nominal_rate_hz must be positive, got {self.nominal_rate_hz!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GazeSample:
     """One eye-tracker sample in screen-normalized coordinates.
 
@@ -86,7 +91,7 @@ class GazeSample:
                 raise ValueError("pupil_diameter_mm must be positive when present")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RRSample:
     """One beat-to-beat interval in milliseconds."""
 
@@ -156,7 +161,7 @@ PAYLOAD_TYPE_BY_KIND: dict[StreamKind, type] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SampleEnvelope:
     """A timestamped payload on the session timeline.
 
@@ -164,6 +169,9 @@ class SampleEnvelope:
     is the final tie-break so that envelope ordering is a strict total
     order even for identical timestamps. Envelopes built by hand default
     to seq -1 (unassigned).
+
+    The constructor checks nothing: the merger range-checks the session
+    time it computes and the source confidence before building one.
     """
 
     stream_id: str
@@ -171,12 +179,6 @@ class SampleEnvelope:
     payload: Payload
     source_confidence: float = 1.0
     seq: int = -1
-
-    def __post_init__(self):
-        _check_finite("timestamp", self.timestamp)
-        if self.timestamp < 0:
-            raise ValueError(f"timestamp must be non-negative, got {self.timestamp!r}")
-        _check_unit_interval("source_confidence", self.source_confidence)
 
     def sort_key(self) -> tuple[float, str, int]:
         return (self.timestamp, self.stream_id, self.seq)

@@ -46,7 +46,7 @@ from .streams import estimate_offset
 # scenario records
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SampleRecord:
     stream_id: str
     t: Timestamp
@@ -161,6 +161,12 @@ def _parse_payload(kind: StreamKind, raw: dict, line_no: int) -> tuple[Payload |
         raise ScenarioError(f"bad {kind.value} payload: {error}", line_no) from None
 
 
+# One decoder for every line. The lines are stripped, so decoding from
+# position 0 and refusing anything after the value accepts and rejects
+# what json.loads does, without its whitespace scans.
+_decode = json.JSONDecoder().raw_decode
+
+
 def parse_scenario_lines(lines) -> Scenario:
     header: ScenarioHeader | None = None
     records: list[SampleRecord | SyncRecord] = []
@@ -172,9 +178,11 @@ def parse_scenario_lines(lines) -> Scenario:
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            obj, end = _decode(line)
         except json.JSONDecodeError as error:
             raise ScenarioError(f"invalid JSON: {error.msg}", line_no) from None
+        if end != len(line):
+            raise ScenarioError("invalid JSON: Extra data", line_no)
         if not isinstance(obj, dict) or "type" not in obj:
             raise ScenarioError("each line must be an object with a 'type'", line_no)
 
@@ -314,6 +322,10 @@ def load_scenario(path) -> Scenario:
 # ---------------------------------------------------------------------------
 # serialization
 
+# one encoder for every line written: sorted keys, no spaces
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _sample_to_obj(record: SampleRecord, kind: StreamKind) -> dict:
     obj: dict = {"type": "sample", "stream": record.stream_id, "t": record.t}
     if record.source_confidence != 1.0:
@@ -356,13 +368,13 @@ def scenario_to_lines(scenario: Scenario) -> list[str]:
         "dialogue": list(header.dialogue),
     }
     kinds = {d.stream_id: d.kind for d in header.streams}
-    lines = [json.dumps(header_obj, sort_keys=True, separators=(",", ":"))]
+    lines = [_encode(header_obj)]
     for record in scenario.records:
         if isinstance(record, SyncRecord):
             obj = {"type": "sync", "stream": record.stream_id, "marks": [list(m) for m in record.marks]}
         else:
             obj = _sample_to_obj(record, kinds[record.stream_id])
-        lines.append(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+        lines.append(_encode(obj))
     return lines
 
 

@@ -104,7 +104,7 @@ CHANNEL_KIND: dict[str, StreamKind] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEvent:
     t: Timestamp
     kind: str
@@ -132,7 +132,7 @@ class _Recorder:
         self._seq = 0
 
     def add(self, t: float, kind: str, payload: dict) -> None:
-        self.events.append(TraceEvent(t=t, kind=kind, seq=self._seq, payload=payload))
+        self.events.append(TraceEvent(t, kind, self._seq, payload))
         self._seq += 1
 
     def sorted_events(self) -> list[TraceEvent]:
@@ -354,6 +354,13 @@ def run_session(
     for descriptor in scenario.header.streams:
         merger.register_stream(descriptor)
 
+    # gaze velocity needs strictly increasing session times; the parser
+    # checks producer times, and a sync that moves the offset back can
+    # still map a gaze sample onto or before its predecessor
+    gaze_stream = next(
+        (d.stream_id for d in scenario.header.streams if d.kind is StreamKind.PUPIL_GAZE), None
+    )
+    last_gaze_t = -math.inf
     last_t: float | None = None
     for record in scenario.records:
         if isinstance(record, SyncRecord):
@@ -377,6 +384,20 @@ def run_session(
                 },
             )
             continue
+        if record.stream_id == gaze_stream:
+            if session_t <= last_gaze_t:
+                recorder.add(
+                    session_t,
+                    "warning",
+                    {
+                        "reason": "session_time_not_increasing",
+                        "stream": record.stream_id,
+                        "detail": f"producer time {record.t} maps to session time {session_t}, "
+                        f"not after the previous gaze sample at {last_gaze_t}",
+                    },
+                )
+                continue
+            last_gaze_t = session_t
 
         payload = record.payload
         if record.transcript is not None:
@@ -578,6 +599,14 @@ def _decision_payload(decision: InterventionDecision) -> dict:
 # ---------------------------------------------------------------------------
 # trace files
 
+# One encoder for every trace line (sorted keys, no spaces) and one
+# decoder. Read lines are stripped, so decoding from position 0 and
+# refusing anything after the value accepts and rejects what json.loads
+# does, without its whitespace scans.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_decode = json.JSONDecoder().raw_decode
+
+
 def write_trace(result: SessionResult, path) -> None:
     header = {
         "type": "header",
@@ -588,10 +617,11 @@ def write_trace(result: SessionResult, path) -> None:
         "topic": result.topic,
     }
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+        write = handle.write
+        write(_encode(header) + "\n")
         for event in result.events:
             obj = {"type": "event", "t": event.t, "kind": event.kind, "seq": event.seq, "payload": event.payload}
-            handle.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+            write(_encode(obj) + "\n")
 
 
 def read_trace(path) -> tuple[dict, list[TraceEvent]]:
@@ -603,9 +633,13 @@ def read_trace(path) -> tuple[dict, list[TraceEvent]]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj, end = _decode(line)
             except json.JSONDecodeError as error:
                 raise ScenarioError(f"invalid trace JSON: {error.msg}", line_no) from None
+            if end != len(line):
+                raise ScenarioError("invalid trace JSON: Extra data", line_no)
+            if not isinstance(obj, dict):
+                raise ScenarioError("each trace line must be an object", line_no)
             if obj.get("type") == "header":
                 if header is not None:
                     raise ScenarioError("duplicate trace header", line_no)
@@ -616,9 +650,7 @@ def read_trace(path) -> tuple[dict, list[TraceEvent]]:
             if header is None:
                 raise ScenarioError("trace events before header", line_no)
             try:
-                events.append(
-                    TraceEvent(t=obj["t"], kind=obj["kind"], seq=obj["seq"], payload=obj["payload"])
-                )
+                events.append(TraceEvent(obj["t"], obj["kind"], obj["seq"], obj["payload"]))
             except KeyError as error:
                 raise ScenarioError(f"trace event missing field {error}", line_no) from None
     if header is None:

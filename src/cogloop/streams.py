@@ -13,6 +13,7 @@ frontier is dropped and counted, never reordered retroactively.
 from __future__ import annotations
 
 import heapq
+import math
 import statistics
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -99,7 +100,7 @@ class StreamMerger:
         self._seq = 0
         self._max_seen_t = float("-inf")
         self._frontier_key: tuple[float, str, int] | None = None
-        self._by_kind: dict[StreamKind, _ChannelTimeline] = {}
+        self._by_kind = {kind: _ChannelTimeline() for kind in StreamKind}
         self._flushed = False
         self.dropped_late = 0
         self.reordered = 0
@@ -139,43 +140,45 @@ class StreamMerger:
         payload: Payload,
         source_confidence: float = 1.0,
     ) -> IngestOutcome:
-        """Place one sample, stamped ``t`` by its producer, on the timeline."""
-        session_t = self.session_time(stream_id, t)
-        envelope = SampleEnvelope(
-            stream_id=stream_id,
-            timestamp=session_t,
-            payload=payload,
-            source_confidence=source_confidence,
-            seq=self._seq,
-        )
-        registration = self.registrations[stream_id]
+        """Place one sample, stamped ``t`` by its producer, on the timeline.
+
+        The parser has checked the sample itself; this checks what the
+        merger adds, the session time, and the source confidence the
+        envelope carries.
+        """
+        registration = self._registration(stream_id)
+        session_t = t + registration.clock_offset_s
+        if not 0.0 <= session_t < math.inf:
+            raise ValueError(f"session time must be finite and non-negative, got {session_t!r}")
+        if not 0.0 <= source_confidence <= 1.0:
+            raise ValueError(f"source_confidence must lie in [0, 1], got {source_confidence!r}")
+        seq = self._seq
+        self._seq = seq + 1
         registration.ingested += 1
-        self._seq += 1
-        key = envelope.sort_key()
+        key = (session_t, stream_id, seq)
 
         if self._frontier_key is not None and key < self._frontier_key:
             registration.dropped += 1
             self.dropped_late += 1
             return IngestOutcome.DROPPED_LATE
 
-        outcome = (
-            IngestOutcome.REORDERED
-            if session_t < self._max_seen_t
-            else IngestOutcome.ACCEPTED
-        )
-        if outcome is IngestOutcome.REORDERED:
+        if session_t < self._max_seen_t:
+            outcome = IngestOutcome.REORDERED
             self.reordered += 1
-        self._max_seen_t = max(self._max_seen_t, session_t)
+        else:
+            outcome = IngestOutcome.ACCEPTED
+            self._max_seen_t = session_t
+        envelope = SampleEnvelope(stream_id, session_t, payload, source_confidence, seq)
         heapq.heappush(self._heap, (key, envelope))
         self._drain(self._max_seen_t - self.jitter_tolerance_s)
         return outcome
 
     def _drain(self, up_to: float) -> None:
-        while self._heap and self._heap[0][0][0] <= up_to:
-            key, envelope = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][0][0] <= up_to:
+            key, envelope = heapq.heappop(heap)
             self._frontier_key = key
-            kind = self.registrations[envelope.stream_id].descriptor.kind
-            timeline = self._by_kind.setdefault(kind, _ChannelTimeline())
+            timeline = self._by_kind[self.registrations[envelope.stream_id].descriptor.kind]
             timeline.times.append(envelope.timestamp)
             timeline.samples.append(envelope)
 
@@ -196,7 +199,7 @@ class StreamMerger:
 
     def timeline(self, kind: StreamKind) -> list[SampleEnvelope]:
         """The emitted envelopes of one channel, in merged order."""
-        return self._by_kind.setdefault(kind, _ChannelTimeline()).samples
+        return self._by_kind[kind].samples
 
     @property
     def watermark(self) -> float:
@@ -217,7 +220,7 @@ class StreamMerger:
         """
         if not (hop_s > 0 and length_s >= hop_s):
             raise ValueError(f"need 0 < hop_s <= length_s, got hop={hop_s} length={length_s}")
-        timeline = self._by_kind.setdefault(kind, _ChannelTimeline())
+        timeline = self._by_kind[kind]
         watermark = self.watermark
         windows: list[Window] = []
         k = timeline.next_window_index

@@ -146,3 +146,25 @@ def test_config_file_layered_on_run(tmp_path, profile_path, capsys):
     config.write_text("trigger_threshold = not_a_number\n")
     assert main(["run", "--scenario", str(scenario), "--config", str(config)]) == 2
     assert "trigger_threshold" in capsys.readouterr().err
+
+
+def test_sync_that_moves_gaze_time_back_is_a_warning(tmp_path, capsys):
+    # a sync that moves the gaze clock back maps a sample onto its
+    # predecessor's session time: a zero gaze time step, once a traceback
+    def gaze(t):
+        return json.dumps({"type": "sample", "stream": "gaze", "t": t, "x": 0.5, "y": 0.5,
+                           "pupil_mm": 3.0, "confidence": 0.98})
+
+    header = json.dumps({
+        "type": "header",
+        "streams": [{"stream_id": "gaze", "kind": "pupil_gaze", "nominal_rate_hz": 1}],
+        "config": {"calibration_duration_s": 10, "window_hop_s": 10, "window_length.pupil_gaze": 10},
+    })
+    sync = json.dumps({"type": "sync", "stream": "gaze", "marks": [[10, 9], [20, 19]]})
+    scenario = tmp_path / "sync_back.jsonl"
+    scenario.write_text("\n".join([header, *map(gaze, range(21)), sync, *map(gaze, range(21, 60))]) + "\n")
+    trace = tmp_path / "sync_back.trace.jsonl"
+    assert main(["run", "--scenario", str(scenario), "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    assert main(["summarize", "--trace", str(trace)]) == 0
+    assert json.loads(capsys.readouterr().out)["warnings"]["session_time_not_increasing"] == 1

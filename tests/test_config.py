@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from cogloop.config import (
@@ -12,6 +14,8 @@ from cogloop.config import (
 from cogloop.errors import ConfigError
 from cogloop.interventions import Category, Severity
 from cogloop.model import Dimension, Modality, StreamKind
+from cogloop.scenario import parse_scenario_lines
+from cogloop.session import run_session
 
 
 def test_defaults_are_valid():
@@ -52,6 +56,35 @@ def test_validation_collects_several_failures_at_once():
     cfg = SessionConfig(window_hop_s=-1.0, confidence_min=2.0, client="other")
     report = validate_config(cfg)
     assert len(report.failures) >= 3
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        # the calibration window count overflowed: OverflowError
+        {"calibration_duration_s": 1e308, "window_hop_s": 0.5},
+        # a finite count, but neighbouring grid times are one float, so
+        # counting the calibration windows never ended
+        {"calibration_duration_s": 1e308, "window_hop_s": 2.5},
+        {"calibration_duration_s": 2.0**53 * 10.0},
+        {"window_length.rr_interval": 1e308},
+    ],
+)
+def test_spans_of_too_many_hops_rejected(entries):
+    report = validate_config(apply_entries(SessionConfig(), entries))
+    assert len(report.failures) == 1
+    assert "spans more than 2**52 hops of window_hop_s" in report.failures[0]
+    header = json.dumps({
+        "type": "header",
+        "streams": [{"stream_id": "heart", "kind": "rr_interval", "nominal_rate_hz": 1}],
+        "config": entries,
+    })
+    with pytest.raises(ConfigError, match="2\\*\\*52 hops"):
+        run_session(parse_scenario_lines([header]))
+
+
+def test_span_of_many_hops_within_the_grid_accepted():
+    assert validate_config(SessionConfig(calibration_duration_s=2.0**51 * 10.0)).ok
 
 
 def test_parse_config_text_comments_and_blanks():

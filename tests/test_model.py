@@ -59,8 +59,3 @@ def test_note_score_bounds():
     NoteScoreSample(correctness=1.0)
     with pytest.raises(ValueError):
         NoteScoreSample(correctness=1.5)
-
-
-def test_envelope_rejects_negative_timestamp():
-    with pytest.raises(ValueError):
-        _envelope(-0.1, "hr", 0)

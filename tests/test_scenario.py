@@ -80,6 +80,12 @@ def test_invalid_json_reports_its_line():
     with pytest.raises(ScenarioError) as excinfo:
         parse_scenario_lines([HEADER, _gaze_line(0.0), "{not json"])
     assert excinfo.value.line_no == 3
+    # two objects on one line: trailing data is an error, as in json.loads
+    with pytest.raises(ScenarioError, match="line 3: invalid JSON: Extra data") as excinfo:
+        parse_scenario_lines([HEADER, _gaze_line(0.0), _gaze_line(0.1) + " " + _gaze_line(0.2)])
+    assert excinfo.value.line_no == 3
+    # surrounding whitespace is not trailing data
+    assert len(parse_scenario_lines([HEADER, "  " + _gaze_line(0.0) + " \t"]).records) == 1
 
 
 def test_header_must_come_first():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cogloop import session
 from cogloop.behavior import score_posture
 from cogloop.config import SessionConfig, config_to_dict
-from cogloop.errors import ConfigError, MissingLandmarksError
+from cogloop.errors import ConfigError, MissingLandmarksError, ScenarioError
 from cogloop.model import PostureSample, RRSample, StreamDescriptor, StreamKind
 from cogloop.scenario import (
     Scenario,
@@ -173,6 +173,20 @@ def test_trace_file_round_trip(tmp_path, stress_result):
         assert json.loads(json.dumps(ours.payload)) == theirs.payload
 
 
+def test_trace_lines_that_are_not_one_object_report_their_line(tmp_path, stress_result):
+    path = tmp_path / "session.trace.jsonl"
+    write_trace(stress_result, path)
+    header, first, *_ = path.read_text().splitlines()
+    for bad, message in [
+        (first + first, "line 2: invalid trace JSON: Extra data"),
+        ("{not json", "line 2: invalid trace JSON: Expecting property name"),
+        ("[1, 2]", "line 2: each trace line must be an object"),
+    ]:
+        path.write_text(f"{header}\n{bad}\n")
+        with pytest.raises(ScenarioError, match=message):
+            read_trace(path)
+
+
 def test_validator_flags_unsorted_events(stress_result):
     header = {"type": "header", "config": config_to_dict(stress_result.config)}
     shuffled = list(reversed(stress_result.events))
@@ -319,6 +333,34 @@ def test_negative_session_time_is_skipped_with_a_warning():
     header = {"config": config_to_dict(result.config)}
     assert validate_trace(header, result.events) == []
     assert summarize(header, result.events)["warnings"] == {"session_time_out_of_range": 1}
+
+
+def test_gaze_sample_whose_session_time_does_not_advance_is_skipped_with_a_warning():
+    # gaze at t = 0..20, a sync that moves the clock back 1 s, then
+    # t = 21..59: producer t = 21 lands on session time 20 a second time
+    def gaze(t):
+        return json.dumps({"type": "sample", "stream": "gaze", "t": t, "x": 0.5, "y": 0.5,
+                           "pupil_mm": 3.0, "confidence": 0.98})
+
+    header = _header_lines(
+        [{"stream_id": "gaze", "kind": "pupil_gaze", "nominal_rate_hz": 1}],
+        config={"calibration_duration_s": 10.0, "window_hop_s": 10.0,
+                "window_length.pupil_gaze": 10.0},
+    )
+    sync = json.dumps({"type": "sync", "stream": "gaze", "marks": [[10, 9], [20, 19]]})
+    lines = [header, *map(gaze, range(21)), sync, *map(gaze, range(21, 60))]
+    result = run_session(parse_scenario_lines(lines))
+    skipped = [
+        (e.t, e.payload["stream"]) for e in result.events
+        if e.kind == "warning" and e.payload["reason"] == "session_time_not_increasing"
+    ]
+    assert skipped == [(20.0, "gaze")]
+    ingest_times = [e.t for e in result.events if e.kind == "ingest"]
+    assert len(ingest_times) == 59
+    assert all(a < b for a, b in zip(ingest_times, ingest_times[1:]))
+    assert [e.t for e in result.events if e.kind == "state_vector"] == [20.0, 30.0, 40.0, 50.0]
+    header = {"config": config_to_dict(result.config)}
+    assert validate_trace(header, result.events) == []
 
 
 def test_realtime_mode_paces_by_record_gaps():

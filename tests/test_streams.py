@@ -63,6 +63,22 @@ def test_ingest_stamps_session_time_and_sequence():
     ]
 
 
+def test_ingest_rejects_out_of_range_session_time_and_confidence():
+    merger = _merger(jitter=0.0)
+    merger.set_offset("hr", [(10.0, 0.0), (20.0, 10.0)])  # offset -10 s
+    with pytest.raises(ValueError, match="session time"):
+        _ingest(merger, 9.5)
+    with pytest.raises(ValueError, match="session time"):
+        _ingest(merger, float("nan"))
+    with pytest.raises(ValueError, match="source_confidence"):
+        merger.ingest("hr", 12.0, RRSample(rr_ms=800.0), source_confidence=1.5)
+    # a refused sample takes no sequence number and reaches no timeline
+    assert merger.registrations["hr"].ingested == 0
+    _ingest(merger, 10.0)
+    merger.flush()
+    assert [(e.timestamp, e.seq) for e in merger.emitted] == [(0.0, 0)]
+
+
 def test_within_jitter_arrivals_are_reordered_not_dropped():
     merger = _merger()
     assert _ingest(merger, 1.0) is IngestOutcome.ACCEPTED
