@@ -309,10 +309,15 @@ def config_to_dict(cfg: SessionConfig) -> dict:
     }
 
 
+_NESTED_KEYS = {"window_length_s", "cooldown_s", "weights", "strategy_overrides"}
+
+
 def config_from_dict(data: dict) -> SessionConfig:
     cfg = SessionConfig()
     flat: dict[str, object] = {}
     for key, value in data.items():
+        if key in _NESTED_KEYS and not isinstance(value, dict):
+            raise ConfigError(f"{key} must be an object, got {value!r}")
         if key == "window_length_s":
             for kind, length in value.items():
                 flat[f"window_length.{kind}"] = length
@@ -322,6 +327,8 @@ def config_from_dict(data: dict) -> SessionConfig:
         elif key == "weights":
             cfg.weights = {}
             for dim, row in value.items():
+                if not isinstance(row, dict):
+                    raise ConfigError(f"weights.{dim} must be an object, got {row!r}")
                 for channel, weight in row.items():
                     flat[f"weight.{dim}.{channel}"] = weight
         elif key == "strategy_overrides":

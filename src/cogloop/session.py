@@ -72,7 +72,7 @@ from .state import (
     compute_baseline,
     infer_state,
 )
-from .streams import StreamMerger, Window, grid_time
+from .streams import IngestOutcome, StreamMerger, Window, grid_time
 
 ENGINE_TAG = "cogloop-0.1.0"
 
@@ -80,6 +80,7 @@ ENGINE_TAG = "cogloop-0.1.0"
 KIND_PRIORITY: dict[str, int] = {
     "sync": 0,
     "ingest": 0,
+    "stream_summary": 0,
     "window_features": 1,
     "state_vector": 2,
     "candidate": 3,
@@ -88,6 +89,9 @@ KIND_PRIORITY: dict[str, int] = {
     "client_reply": 6,
     "warning": 7,
 }
+
+# the counts a stream_summary event carries, one per ingest outcome
+INGEST_OUTCOMES = tuple(outcome.value for outcome in IngestOutcome)
 
 CHANNEL_KIND: dict[str, StreamKind] = {
     CHANNEL_PUPIL: StreamKind.PUPIL_GAZE,
@@ -416,8 +420,26 @@ def run_session(
                 recorder.add(record.t, "warning", {"reason": "note_score_clamped", "stream": record.stream_id})
 
         outcome = merger.ingest(record.stream_id, record.t, payload, record.source_confidence)
-        recorder.add(session_t, "ingest", {"stream": record.stream_id, "outcome": outcome.value})
+        if outcome is not IngestOutcome.ACCEPTED:
+            recorder.add(session_t, "ingest", {"stream": record.stream_id, "outcome": outcome.value})
     merger.flush()
+    # accepted samples are counted, not traced one by one
+    summary_t = max(merger.watermark, 0.0)
+    for descriptor in scenario.header.streams:
+        registration = merger.registrations[descriptor.stream_id]
+        first_t, last_t = merger.emitted_span(descriptor.stream_id) or (None, None)
+        recorder.add(
+            summary_t,
+            "stream_summary",
+            {
+                "stream": descriptor.stream_id,
+                "accepted": registration.accepted,
+                "reordered": registration.reordered,
+                "dropped_late": registration.dropped,
+                "first_t": first_t,
+                "last_t": last_t,
+            },
+        )
 
     # two-pass posture baseline: the reference pose comes from the raw
     # calibration poses, then every posture window is scored against it
@@ -624,6 +646,111 @@ def write_trace(result: SessionResult, path) -> None:
             write(_encode(obj) + "\n")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    """A JSON number that is a finite float; an integer too large for a
+    float is not."""
+    if not _is_number(value):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _one_of(values) -> tuple[str, Callable[[object], bool]]:
+    return f"one of {', '.join(values)}", lambda value: isinstance(value, str) and value in values
+
+
+_STRING = ("a string", lambda value: isinstance(value, str))
+_NUMBER = ("a number", _is_number)
+_COUNT = ("a non-negative integer", lambda value: _is_int(value) and value >= 0)
+_TIME_OR_NULL = ("a number or null", lambda value: value is None or _is_number(value))
+_FLAG = ("true or false", lambda value: isinstance(value, bool))
+_DIMENSION = _one_of([dim.value for dim in Dimension])
+_DIMENSION_STATE = {
+    "score": _NUMBER, "confidence": _NUMBER, "signed_score": _NUMBER, "observed": _FLAG,
+}
+
+
+def _is_dims(dims) -> bool:
+    return (
+        isinstance(dims, dict)
+        and dims.keys() == {dim.value for dim in Dimension}
+        and all(
+            isinstance(state, dict)
+            and all(name in state and check(state[name]) for name, (_, check) in _DIMENSION_STATE.items())
+            for state in dims.values()
+        )
+    )
+
+
+# the payload fields validate_trace and summarize read, by event kind
+PAYLOAD_FIELDS: dict[str, dict[str, tuple[str, Callable[[object], bool]]]] = {
+    "ingest": {"stream": _STRING, "outcome": _one_of(INGEST_OUTCOMES)},
+    "stream_summary": {
+        "stream": _STRING,
+        **{outcome: _COUNT for outcome in INGEST_OUTCOMES},
+        "first_t": _TIME_OR_NULL,
+        "last_t": _TIME_OR_NULL,
+    },
+    "state_vector": {
+        "dims": ("an object of every dimension's score, confidence, signed_score and observed", _is_dims),
+    },
+    "candidate": {"dimension": _DIMENSION},
+    "decision": {
+        "dimension": _DIMENSION,
+        "category": _one_of([category.value for category in Category]),
+        "confidence": _NUMBER,
+        "composite": _FLAG,
+    },
+    "warning": {"reason": _STRING},
+}
+
+
+def _trace_event(obj: dict, line_no: int) -> TraceEvent:
+    """The event on one trace line, with every field validate_trace and
+    summarize read checked, so a hand-edited trace fails here with its
+    line number instead of deep inside them."""
+    try:
+        t, kind, seq, payload = obj["t"], obj["kind"], obj["seq"], obj["payload"]
+    except KeyError as error:
+        raise ScenarioError(f"trace event missing field {error}", line_no) from None
+    if not (isinstance(kind, str) and kind in KIND_PRIORITY):
+        raise ScenarioError(f"unknown trace event kind {kind!r}", line_no)
+    if not _is_finite_number(t):
+        raise ScenarioError(f"trace event t must be a finite number, got {t!r}", line_no)
+    if not _is_int(seq):
+        raise ScenarioError(f"trace event seq must be an integer, got {seq!r}", line_no)
+    if not isinstance(payload, dict):
+        raise ScenarioError("trace event payload must be an object", line_no)
+    for name, (expected, check) in PAYLOAD_FIELDS.get(kind, {}).items():
+        if name not in payload:
+            raise ScenarioError(f"{kind} payload missing field {name!r}", line_no)
+        if not check(payload[name]):
+            raise ScenarioError(
+                f"{kind} payload field {name!r} must be {expected}, got {payload[name]!r}", line_no
+            )
+    return TraceEvent(t, kind, seq, payload)
+
+
+def _check_trace_header(header: dict, line_no: int) -> None:
+    config = header.get("config")
+    if not isinstance(config, dict):
+        raise ScenarioError("trace header needs a config object", line_no)
+    try:
+        config_from_dict(config)
+    except ConfigError as error:
+        raise ScenarioError(f"trace header config: {error}", line_no) from None
+
+
 def read_trace(path) -> tuple[dict, list[TraceEvent]]:
     header: dict | None = None
     events: list[TraceEvent] = []
@@ -643,16 +770,14 @@ def read_trace(path) -> tuple[dict, list[TraceEvent]]:
             if obj.get("type") == "header":
                 if header is not None:
                     raise ScenarioError("duplicate trace header", line_no)
+                _check_trace_header(obj, line_no)
                 header = obj
                 continue
             if obj.get("type") != "event":
                 raise ScenarioError(f"unknown trace record type {obj.get('type')!r}", line_no)
             if header is None:
                 raise ScenarioError("trace events before header", line_no)
-            try:
-                events.append(TraceEvent(obj["t"], obj["kind"], obj["seq"], obj["payload"]))
-            except KeyError as error:
-                raise ScenarioError(f"trace event missing field {error}", line_no) from None
+            events.append(_trace_event(obj, line_no))
     if header is None:
         raise ScenarioError("trace is empty (no header)", 1)
     return header, events
@@ -661,7 +786,7 @@ def read_trace(path) -> tuple[dict, list[TraceEvent]]:
 def summarize(header: dict, events: list[TraceEvent]) -> dict:
     """Aggregate counts a human wants first when reading a trace."""
     cfg = config_from_dict(header["config"])
-    ingest_outcomes: dict[str, int] = {}
+    ingest_outcomes = dict.fromkeys(INGEST_OUTCOMES, 0)
     decisions_by_category: dict[str, int] = {}
     decisions_by_dimension: dict[str, int] = {}
     warnings_by_reason: dict[str, int] = {}
@@ -669,9 +794,9 @@ def summarize(header: dict, events: list[TraceEvent]) -> dict:
     ticks = 0
     windows = 0
     for event in events:
-        if event.kind == "ingest":
-            outcome = event.payload["outcome"]
-            ingest_outcomes[outcome] = ingest_outcomes.get(outcome, 0) + 1
+        if event.kind == "stream_summary":
+            for outcome in INGEST_OUTCOMES:
+                ingest_outcomes[outcome] += event.payload[outcome]
         elif event.kind == "window_features":
             windows += 1
         elif event.kind == "state_vector":
@@ -689,7 +814,7 @@ def summarize(header: dict, events: list[TraceEvent]) -> dict:
             warnings_by_reason[reason] = warnings_by_reason.get(reason, 0) + 1
     return {
         "engine": header.get("engine"),
-        "ingest": dict(sorted(ingest_outcomes.items())),
+        "ingest": {outcome: n for outcome, n in sorted(ingest_outcomes.items()) if n},
         "windows": windows,
         "ticks": ticks,
         "decisions_total": sum(decisions_by_category.values()),
@@ -712,7 +837,10 @@ def validate_trace(header: dict, events: list[TraceEvent]) -> list[str]:
       - decisions of one category are spaced by at least the category
         cooldown (boundary inclusive);
       - every decision coincides with a candidate of the same dimension;
-      - events are sorted by (t, kind priority, seq).
+      - events are sorted by (t, kind priority, seq);
+      - every stream has at most one stream_summary, a stream that
+        ingest events name has one, and its reordered and dropped_late
+        counts equal the number of its ingest events with that outcome.
     """
     cfg = config_from_dict(header["config"])
     violations: list[str] = []
@@ -720,6 +848,7 @@ def validate_trace(header: dict, events: list[TraceEvent]) -> list[str]:
     keys = [e.sort_key() for e in events]
     if keys != sorted(keys):
         violations.append("events are not sorted by (t, kind priority, seq)")
+    violations.extend(_stream_summary_violations(events))
 
     states = [e for e in events if e.kind == "state_vector"]
     state_index = {e.t: i for i, e in enumerate(states)}
@@ -793,7 +922,9 @@ def validate_trace(header: dict, events: list[TraceEvent]) -> list[str]:
         if previous is not None:
             gap = event.t - previous.t
             needed = cfg.cooldown_s[Category(category)]
-            if gap < needed:
+            # the engine's own arithmetic: the category is off cooldown
+            # from previous.t + cooldown on
+            if event.t < previous.t + needed:
                 violations.append(
                     f"decision t={event.t} {category}: only {gap}s after the previous "
                     f"{category} decision, cooldown is {needed}s"
@@ -801,3 +932,28 @@ def validate_trace(header: dict, events: list[TraceEvent]) -> list[str]:
         last_by_category[category] = event
     return violations
 
+
+def _stream_summary_violations(events: list[TraceEvent]) -> list[str]:
+    violations: list[str] = []
+    summaries: dict[str, dict] = {}
+    traced: dict[tuple[str, str], int] = {}
+    for event in events:
+        if event.kind == "stream_summary":
+            stream = event.payload["stream"]
+            if stream in summaries:
+                violations.append(f"stream {stream!r}: more than one stream_summary")
+            summaries[stream] = event.payload
+        elif event.kind == "ingest":
+            key = (event.payload["stream"], event.payload["outcome"])
+            traced[key] = traced.get(key, 0) + 1
+    for stream in sorted({stream for stream, _ in traced} - summaries.keys()):
+        violations.append(f"stream {stream!r}: ingest events but no stream_summary")
+    for stream, summary in summaries.items():
+        for outcome in (IngestOutcome.REORDERED.value, IngestOutcome.DROPPED_LATE.value):
+            count = traced.get((stream, outcome), 0)
+            if summary[outcome] != count:
+                violations.append(
+                    f"stream {stream!r}: stream_summary counts {summary[outcome]} {outcome}, "
+                    f"the trace has {count} {outcome} ingest events"
+                )
+    return violations

@@ -34,7 +34,12 @@ class StreamRegistration:
     descriptor: StreamDescriptor
     clock_offset_s: float = 0.0
     ingested: int = 0
+    reordered: int = 0
     dropped: int = 0
+
+    @property
+    def accepted(self) -> int:
+        return self.ingested - self.reordered - self.dropped
 
 
 @dataclass(frozen=True)
@@ -164,6 +169,7 @@ class StreamMerger:
 
         if session_t < self._max_seen_t:
             outcome = IngestOutcome.REORDERED
+            registration.reordered += 1
             self.reordered += 1
         else:
             outcome = IngestOutcome.ACCEPTED
@@ -200,6 +206,17 @@ class StreamMerger:
     def timeline(self, kind: StreamKind) -> list[SampleEnvelope]:
         """The emitted envelopes of one channel, in merged order."""
         return self._by_kind[kind].samples
+
+    def emitted_span(self, stream_id: str) -> tuple[Timestamp, Timestamp] | None:
+        """Session times of the stream's first and last emitted envelopes,
+        or None when it has emitted none."""
+        samples = self.timeline(self._registration(stream_id).descriptor.kind)
+        times = (envelope.timestamp for envelope in samples if envelope.stream_id == stream_id)
+        first = next(times, None)
+        if first is None:
+            return None
+        last = next(e.timestamp for e in reversed(samples) if e.stream_id == stream_id)
+        return first, last
 
     @property
     def watermark(self) -> float:

@@ -19,24 +19,24 @@ from cogloop.session import run_session, write_trace
 # (profile, window_hop_s override) -> (trace sha256, decision list sha256)
 GOLDEN = {
     ("all_baseline", None): (
-        "89106c049a8f21b5d287e3e3ab0f7ddc5b461ee60867bfa703f17db680932c45",
+        "313ac689ee7efdfca5f434353285055f01fa41dd0feead3c1c8450002b87d62c",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     ),
     ("load_excursion", None): (
-        "84008d76de4ca856bf31ae2ce73255741f3aa17fb35a1de5d358a5a5a5d16c7f",
+        "7cb487244b154d54443015126e40a1d8118a4670ecc599fea8eaa29bff0bbcd7",
         "b442f6c5c5495b6651de3ff571e84e0c230bec3d30b73860232018226344ae7f",
     ),
     ("mixed_session", None): (
-        "df86ee0836825b33a36badfdaa9d55c03d3af5b9995dd9f78ee77f48a192f53a",
+        "3b80a89d0c5cf547eae81e4539db3a55617d9c8d13ceed1abbc1d91d2531192e",
         "f662c72fc3304daa9e772aa75087d6d3bba9c273146a6e11b000f703a28cb6ab",
     ),
     ("stress_ramp", None): (
-        "60ba8c8afac2f4eb922e3abac32a181c72cf79230624651de5d8367adfe4eefe",
+        "5a5ef6ba3d51793b6d1483527c15bb178457cd3a898f51c230a0ef3b7c8f7cc7",
         "83d9c05a6f0a5f058107bc9ca955286e7bfe85e94980756118cd53a50a2d9da4",
     ),
     # dense hop: every gaze sample lands in many overlapping windows
     ("stress_ramp", 0.6): (
-        "75d0790498708f439a4fd3e611562b98aaeab7505e57362c79423ce081f0706f",
+        "0b9c16c10821b4a6f320097641316efee9721d2b3a0f7a6130d6698c11b1507f",
         "a40e18c05ab64a9fbdcd3dc99ebd851a6d174f6910fc3772f2f0e5c3d404a224",
     ),
 }

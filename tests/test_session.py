@@ -12,7 +12,7 @@ from cogloop import session
 from cogloop.behavior import score_posture
 from cogloop.config import SessionConfig, config_to_dict
 from cogloop.errors import ConfigError, MissingLandmarksError, ScenarioError
-from cogloop.model import PostureSample, RRSample, StreamDescriptor, StreamKind
+from cogloop.model import NoteScoreSample, PostureSample, RRSample, StreamDescriptor, StreamKind
 from cogloop.scenario import (
     Scenario,
     ScenarioHeader,
@@ -75,6 +75,14 @@ NOTE_AND_HEART = [
 ]
 
 
+def _summaries(result):
+    """The stream_summary payloads by stream id; one each."""
+    summaries = [e.payload for e in result.events if e.kind == "stream_summary"]
+    by_stream = {payload["stream"]: payload for payload in summaries}
+    assert len(by_stream) == len(summaries)
+    return by_stream
+
+
 def _beats(start, end, rr=850.0):
     lines = []
     t = start
@@ -96,9 +104,12 @@ def test_events_are_totally_ordered(stress_result):
 def test_every_sample_lands_in_the_trace(stress_result):
     scenario = synthesize(parse_profile(STRESS_PROFILE))
     sample_count = sum(1 for r in scenario.records if not isinstance(r, SyncRecord))
-    ingests = [e for e in stress_result.events if e.kind == "ingest"]
-    assert len(ingests) == sample_count
-    assert all(e.payload["outcome"] == "accepted" for e in ingests)
+    summaries = _summaries(stress_result)
+    assert list(summaries) == [d.stream_id for d in scenario.header.streams]
+    assert sum(s["accepted"] for s in summaries.values()) == sample_count
+    assert all(s["reordered"] == s["dropped_late"] == 0 for s in summaries.values())
+    # in order, every sample is accepted and none has an event of its own
+    assert not any(e.kind == "ingest" for e in stress_result.events)
 
 
 def test_sustained_stress_produces_a_physiological_decision(stress_result):
@@ -141,9 +152,9 @@ def test_summary_matches_a_direct_recount(stress_result):
     header = {"type": "header", "engine": "x", "config": config_to_dict(stress_result.config)}
     summary = summarize(header, stress_result.events)
     events = stress_result.events
-    assert summary["ingest"]["accepted"] == sum(
-        1 for e in events if e.kind == "ingest" and e.payload["outcome"] == "accepted"
-    )
+    assert summary["ingest"] == {
+        "accepted": sum(e.payload["accepted"] for e in events if e.kind == "stream_summary")
+    }
     assert summary["windows"] == sum(1 for e in events if e.kind == "window_features")
     assert summary["ticks"] == sum(1 for e in events if e.kind == "state_vector")
     assert summary["decisions_total"] == len(stress_result.decisions)
@@ -235,6 +246,24 @@ def test_validator_flags_cooldown_violation(stress_result):
     assert any("cooldown" in v for v in violations)
 
 
+def test_validator_checks_cooldowns_with_the_engines_arithmetic():
+    # at hop 0.6 stress_ramp fires comprehension decisions at 460.8 and
+    # 520.8; the engine allows the second (460.8 + 60 == 520.8), though
+    # 520.8 - 460.8 is 59.99999999999994
+    header = {"config": config_to_dict(SessionConfig())}  # comprehension cooldown 60 s
+
+    def decision(t, seq):
+        payload = {"dimension": "understanding", "category": "comprehension_oriented",
+                   "confidence": 1.0, "composite": False}
+        return TraceEvent(t, "decision", seq, payload)
+
+    def cooldown_violations(events):
+        return [v for v in validate_trace(header, events) if "cooldown" in v]
+
+    assert cooldown_violations([decision(460.8, 0), decision(520.8, 1)]) == []
+    assert len(cooldown_violations([decision(460.8, 0), decision(520.7, 1)])) == 1
+
+
 # ---------------------------------------------------------------------------
 # analyzer reply handling
 
@@ -255,12 +284,9 @@ def test_malformed_analyzer_reply_becomes_warning_and_skip():
     assert warnings["malformed_note_reply"].t == 30.0
     assert "note_score_clamped" in warnings
     # the malformed note never ingested, the clamped one did
-    note_ingests = [
-        e for e in result.events
-        if e.kind == "ingest" and e.payload["stream"] == "notes"
-    ]
-    assert len(note_ingests) == 1
-    assert note_ingests[0].t == 90.0
+    notes = _summaries(result)["notes"]
+    assert notes["accepted"] == 1
+    assert notes["first_t"] == notes["last_t"] == 90.0
 
 
 def test_underfilled_channel_warns_as_uncalibrated():
@@ -293,13 +319,13 @@ def test_sync_marks_shift_later_ingests():
     assert len(sync_events) == 1
     assert sync_events[0].payload["offset_s"] == pytest.approx(2.0)
     assert sync_events[0].t == pytest.approx(12.0)
-    ingest = next(e for e in result.events if e.kind == "ingest")
-    assert ingest.t == pytest.approx(12.0)  # producer 10s + 2s offset
+    # producer 10s + 2s offset
+    assert _summaries(result)["heart"]["last_t"] == pytest.approx(12.0)
 
 
 def test_sync_offset_is_applied_once_on_the_merged_timeline():
     # 2 s rr windows: the beat stamped 10 s by its producer must land in
-    # [12, 14), the window its ingest event names, not two seconds later
+    # [12, 14), the window its summary's first_t names, not two seconds later
     lines = [
         _header_lines(NOTE_AND_HEART, config={"window_hop_s": 2.0, "window_length.rr_interval": 2.0}),
         json.dumps({"type": "sync", "stream": "heart", "marks": [[0.0, 2.0], [10.0, 12.0]]}),
@@ -307,7 +333,8 @@ def test_sync_offset_is_applied_once_on_the_merged_timeline():
         json.dumps({"type": "sample", "stream": "heart", "t": 20.0, "rr_ms": 800}),
     ]
     result = run_session(parse_scenario_lines(lines))
-    assert [e.t for e in result.events if e.kind == "ingest"] == [12.0, 22.0]
+    heart = _summaries(result)["heart"]
+    assert (heart["accepted"], heart["first_t"], heart["last_t"]) == (2, 12.0, 22.0)
     occupied = [
         e.payload["start"] for e in result.events
         if e.kind == "window_features"
@@ -329,7 +356,8 @@ def test_negative_session_time_is_skipped_with_a_warning():
     assert [(w.payload["reason"], w.payload["stream"]) for w in warnings] == [
         ("session_time_out_of_range", "heart")
     ]
-    assert [e.t for e in result.events if e.kind == "ingest"] == [5.0]
+    heart = _summaries(result)["heart"]
+    assert (heart["accepted"], heart["first_t"]) == (1, 5.0)
     header = {"config": config_to_dict(result.config)}
     assert validate_trace(header, result.events) == []
     assert summarize(header, result.events)["warnings"] == {"session_time_out_of_range": 1}
@@ -355,9 +383,9 @@ def test_gaze_sample_whose_session_time_does_not_advance_is_skipped_with_a_warni
         if e.kind == "warning" and e.payload["reason"] == "session_time_not_increasing"
     ]
     assert skipped == [(20.0, "gaze")]
-    ingest_times = [e.t for e in result.events if e.kind == "ingest"]
-    assert len(ingest_times) == 59
-    assert all(a < b for a, b in zip(ingest_times, ingest_times[1:]))
+    gaze_summary = _summaries(result)["gaze"]
+    assert gaze_summary["accepted"] == 59
+    assert (gaze_summary["first_t"], gaze_summary["last_t"]) == (0.0, 58.0)
     assert [e.t for e in result.events if e.kind == "state_vector"] == [20.0, 30.0, 40.0, 50.0]
     header = {"config": config_to_dict(result.config)}
     assert validate_trace(header, result.events) == []
@@ -373,6 +401,182 @@ def test_realtime_mode_paces_by_record_gaps():
     naps = []
     run_session(parse_scenario_lines(lines), realtime=True, _sleep=naps.append)
     assert naps == [pytest.approx(0.8), pytest.approx(0.8)]
+
+
+# ---------------------------------------------------------------------------
+# stream summaries: accepted samples are counted, the rest traced
+
+# (stream, producer t) in arrival order; default 0.25 s jitter tolerance.
+# Notes at 1.9 and 5.8 arrive behind a heart beat but inside the
+# tolerance (reordered); notes at 2.9 arrive after the heart beat at 3.0
+# was emitted (dropped); notes at 3.0 tie that beat's time and sort
+# after it by stream id (reordered).
+ARRIVALS = [
+    ("heart", 0.0), ("heart", 1.0), ("heart", 2.0), ("notes", 1.9), ("heart", 3.0), ("heart", 4.0),
+    ("notes", 2.9), ("notes", 3.0), ("heart", 5.0), ("heart", 6.0), ("notes", 5.8),
+]
+
+
+def _arrival_lines(arrivals):
+    samples = {
+        "heart": lambda t: {"type": "sample", "stream": "heart", "t": t, "rr_ms": 800},
+        "notes": lambda t: {"type": "sample", "stream": "notes", "t": t, "correctness": 0.8},
+    }
+    return [_header_lines(NOTE_AND_HEART, config={"jitter_tolerance_s": 0.25})] + [
+        json.dumps(samples[stream](t)) for stream, t in arrivals
+    ]
+
+
+def test_only_reordered_and_dropped_samples_get_ingest_events():
+    result = run_session(parse_scenario_lines(_arrival_lines(ARRIVALS)))
+    ingests = [(e.t, e.payload["stream"], e.payload["outcome"]) for e in result.events if e.kind == "ingest"]
+    assert ingests == [
+        (1.9, "notes", "reordered"),
+        (2.9, "notes", "dropped_late"),
+        (3.0, "notes", "reordered"),
+        (5.8, "notes", "reordered"),
+    ]
+
+    merger = StreamMerger(jitter_tolerance_s=0.25)
+    for payload in NOTE_AND_HEART:
+        merger.register_stream(StreamDescriptor(payload["stream_id"], StreamKind(payload["kind"]), 1.0))
+    make = {"heart": lambda: RRSample(rr_ms=800.0), "notes": lambda: NoteScoreSample(correctness=0.8)}
+    for stream, t in ARRIVALS:
+        merger.ingest(stream, t, make[stream]())
+    merger.flush()
+    summaries = _summaries(result)
+    assert list(summaries) == ["notes", "heart"]  # header order
+    for stream, registration in merger.registrations.items():
+        summary = summaries[stream]
+        assert (summary["accepted"], summary["reordered"], summary["dropped_late"]) == (
+            registration.accepted, registration.reordered, registration.dropped
+        )
+    assert (summaries["heart"]["accepted"], summaries["heart"]["first_t"], summaries["heart"]["last_t"]) == (
+        7, 0.0, 6.0
+    )
+    assert (summaries["notes"]["accepted"], summaries["notes"]["first_t"], summaries["notes"]["last_t"]) == (
+        0, 1.9, 5.8
+    )
+    assert {e.t for e in result.events if e.kind == "stream_summary"} == {6.0}  # the final watermark
+
+    header = {"config": config_to_dict(result.config)}
+    assert validate_trace(header, result.events) == []
+    assert summarize(header, result.events)["ingest"] == {"accepted": 7, "dropped_late": 1, "reordered": 3}
+
+
+def test_stream_without_samples_has_an_empty_summary():
+    result = run_session(parse_scenario_lines(_arrival_lines([("heart", 0.0), ("heart", 1.0)])))
+    assert _summaries(result)["notes"] == {
+        "stream": "notes", "accepted": 0, "reordered": 0, "dropped_late": 0, "first_t": None, "last_t": None,
+    }
+
+
+def test_validator_flags_stream_summaries_that_disagree_with_the_trace():
+    result = run_session(parse_scenario_lines(_arrival_lines(ARRIVALS)))
+    header = {"config": config_to_dict(result.config)}
+    events = result.events
+    notes_summary = next(e for e in events if e.kind == "stream_summary" and e.payload["stream"] == "notes")
+
+    def with_notes_summary(**changes):
+        doctored = dataclasses.replace(notes_summary, payload=dict(notes_summary.payload, **changes))
+        return [doctored if e is notes_summary else e for e in events]
+
+    assert validate_trace(header, with_notes_summary(reordered=2)) == [
+        "stream 'notes': stream_summary counts 2 reordered, the trace has 3 reordered ingest events"
+    ]
+    assert validate_trace(header, with_notes_summary(dropped_late=0)) == [
+        "stream 'notes': stream_summary counts 0 dropped_late, the trace has 1 dropped_late ingest events"
+    ]
+    missing = [e for e in events if e is not notes_summary]
+    assert validate_trace(header, missing) == ["stream 'notes': ingest events but no stream_summary"]
+    twice = sorted(events + [dataclasses.replace(notes_summary, seq=len(events))], key=TraceEvent.sort_key)
+    assert validate_trace(header, twice) == ["stream 'notes': more than one stream_summary"]
+
+
+STEADY_GAZE_PROFILE = {
+    "seed": 31,
+    "topic": "orbital mechanics",
+    "config": {"calibration_duration_s": 20.0, "window_hop_s": 5.0,
+               "window_length.rr_interval": 20.0, "window_length.note_score": 20.0},
+    "segments": [{"duration_s": 60.0, "channels": {}}],
+    "note_interval_s": 10.0,
+    # steady gaze, so both rates give the same gaze features
+    "noise": {"gaze_xy": 0.0, "blink": 0.0, "pupil_mm": 0.0},
+}
+
+
+def test_trace_grows_with_windows_and_ticks_not_with_records():
+    def replay(rate_hz):
+        scenario = synthesize(parse_profile(dict(STEADY_GAZE_PROFILE, gaze_rate_hz=rate_hz)))
+        kinds = [e.kind for e in run_session(scenario).events if e.kind != "stream_summary"]
+        return len(scenario.records), kinds
+
+    records_30, kinds_30 = replay(30.0)
+    records_60, kinds_60 = replay(60.0)
+    assert records_60 - records_30 >= 29 * 60  # the extra gaze samples
+    assert kinds_60 == kinds_30
+    assert "ingest" not in kinds_60
+
+
+# ---------------------------------------------------------------------------
+# hand-edited traces fail with a line number
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.just(10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.sampled_from(
+        list(session.KIND_PRIORITY) + list(session.INGEST_OUTCOMES)
+        + ["header", "event", "stress", "engagement", "physiological", "heart"]
+    ),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+_DELETE = object()
+
+
+@pytest.fixture(scope="module")
+def small_traces(stress_result, tmp_path_factory):
+    """Trace lines of a replay with decisions and of one with reordered
+    and dropped samples."""
+    arrivals = run_session(parse_scenario_lines(_arrival_lines(ARRIVALS)))
+    traces = []
+    for index, result in enumerate([stress_result, arrivals]):
+        path = tmp_path_factory.mktemp("traces") / f"{index}.trace.jsonl"
+        write_trace(result, path)
+        traces.append(path.read_text().splitlines())
+    return traces
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_trace_fields_fail_cleanly_or_audit(small_traces, tmp_path_factory, data):
+    lines = data.draw(st.sampled_from(small_traces))
+    line_no = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
+    obj = json.loads(lines[line_no])
+    # walk down to one field: a top-level key, or one inside the
+    # payload, the header config or a state vector's dims
+    parent = obj
+    key = data.draw(st.sampled_from(sorted(parent)))
+    while isinstance(parent[key], dict) and parent[key] and data.draw(st.booleans()):
+        parent = parent[key]
+        key = data.draw(st.sampled_from(sorted(parent)))
+    value = data.draw(st.one_of(st.just(_DELETE), _JUNK))
+    if value is _DELETE:
+        del parent[key]
+    else:
+        parent[key] = value
+    path = tmp_path_factory.mktemp("mutated") / "trace.jsonl"
+    path.write_text("\n".join(lines[:line_no] + [json.dumps(obj)] + lines[line_no + 1:]) + "\n")
+    try:
+        header, events = read_trace(path)
+    except ScenarioError:
+        return
+    validate_trace(header, events)
+    summarize(header, events)
 
 
 # ---------------------------------------------------------------------------
