@@ -43,7 +43,8 @@ class Modality(str, Enum):
 
 
 def _check_unit_interval(name: str, value: float) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and 0.0 <= value <= 1.0):
+    # the range comparison is False for NaN and both infinities
+    if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
         raise ValueError(f"{name} must be a finite number in [0, 1], got {value!r}")
 
 

@@ -59,3 +59,11 @@ def test_note_score_bounds():
     NoteScoreSample(correctness=1.0)
     with pytest.raises(ValueError):
         NoteScoreSample(correctness=1.5)
+
+
+@pytest.mark.parametrize("field", ["x", "y", "confidence"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -0.1, 1.1])
+def test_gaze_unit_interval_fields_refuse_non_finite_and_out_of_range(field, value):
+    fields = {"x": 0.5, "y": 0.5, "confidence": 0.9, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be a finite number in \\[0, 1\\]"):
+        GazeSample(**fields)
