@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -168,3 +169,55 @@ def test_sync_that_moves_gaze_time_back_is_a_warning(tmp_path, capsys):
     capsys.readouterr()
     assert main(["summarize", "--trace", str(trace)]) == 0
     assert json.loads(capsys.readouterr().out)["warnings"]["session_time_not_increasing"] == 1
+
+
+CONFIG_HEADER = json.dumps({"type": "header", "config": {}})
+
+
+@pytest.mark.parametrize(
+    "commands,lines,message",
+    [
+        (["validate"], [CONFIG_HEADER, {"t": 1.0, "kind": "nonsense", "payload": {}}],
+         "line 2: unknown trace event kind 'nonsense'"),
+        (["validate", "summarize"], [CONFIG_HEADER, {"t": 1.0, "kind": "decision", "payload": {}}],
+         "line 2: decision payload missing field 'dimension'"),
+        (["validate", "summarize"], [json.dumps({"type": "header"}), {"t": 1.0, "kind": "sync", "payload": {}}],
+         "line 1: trace header needs a config object"),
+        (["summarize"], [CONFIG_HEADER, {"t": 1.0, "kind": "ingest", "payload": {"stream": "heart"}}],
+         "line 2: ingest payload missing field 'outcome'"),
+    ],
+    ids=["unknown_kind", "empty_decision", "header_without_config", "ingest_without_outcome"],
+)
+def test_hand_edited_trace_exits_2_with_the_line(tmp_path, capsys, commands, lines, message):
+    # each of these ended in a KeyError traceback, exit 1
+    trace = tmp_path / "edited.trace.jsonl"
+    header, event = lines
+    trace.write_text(f"{header}\n{json.dumps(dict(type='event', seq=0, **event))}\n")
+    for command in commands:
+        assert main([command, "--trace", str(trace)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+
+def _readme_console_block():
+    """(command, printed lines) for each command in the README's Quick start."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```console\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            commands.append((line[2:].split(), []))
+        elif line:
+            commands[-1][1].append(line)
+    return commands
+
+
+def test_quick_start_prints_what_the_readme_shows(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_console_block()
+    assert [argv[:2] for argv, _ in commands] == [
+        ["cogloop", "synth"], ["cogloop", "run"], ["cogloop", "validate"], ["cogloop", "summarize"],
+    ]
+    # summarize's output is abridged in the README; the rest is verbatim
+    for argv, printed in commands[:3]:
+        assert main(argv[1:]) == 0
+        assert capsys.readouterr().out.splitlines() == printed
