@@ -115,7 +115,14 @@ class GazeTrack:
             raw.append(gaze.pupil_diameter_mm if ok else math.nan)
         for i in range(base + len(self.pupil), hi):
             k = i - base
-            self.pupil.append(self._median(i, base, n) if valid[k] else math.nan)
+            if valid[k]:
+                # _median(i, base, n), inlined: this runs once per sample
+                near = range(max(0, k - half), min(n - base, k + half + 1))
+                around = sorted([raw[j] for j in near if valid[j]])
+                m = len(around) // 2
+                self.pupil.append(around[m] if len(around) % 2 else (around[m - 1] + around[m]) / 2)
+            else:
+                self.pupil.append(math.nan)
             self.confidence.append(samples[i].source_confidence)
             velocity, label = 0.0, NO_LABEL
             if k > 0 and valid[k - 1] and valid[k]:
@@ -130,10 +137,16 @@ class GazeTrack:
             self.label.append(label)
 
     def _median(self, i: int, lo: int, hi: int) -> float:
-        """Median of the valid raw pupils around sample i, within [lo, hi)."""
+        """Median of the valid raw pupils around sample i, within [lo, hi).
+
+        The arithmetic of ``statistics.median``: the middle value of the
+        sorted neighbours, or the mean of the two middle ones.
+        """
         valid, raw, base = self.valid, self.raw_pupil, self.base
-        around = range(max(lo, i - self.half) - base, min(hi, i + self.half + 1) - base)
-        return statistics.median([raw[k] for k in around if valid[k]])
+        near = range(max(lo, i - self.half) - base, min(hi, i + self.half + 1) - base)
+        around = sorted([raw[k] for k in near if valid[k]])
+        m = len(around) // 2
+        return around[m] if len(around) % 2 else (around[m - 1] + around[m]) / 2
 
     def despiked_pupils(self, lo: int, hi: int) -> list[float]:
         """The despiked pupils of the valid samples in [lo, hi), in order.

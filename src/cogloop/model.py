@@ -8,6 +8,11 @@ The types built once per record (gaze and RR samples, envelopes) are
 slotted dataclasses and not frozen: a frozen dataclass sets each field
 through ``object.__setattr__``, which costs several times a plain slot
 store. Nothing mutates them after construction.
+
+Payload constructors check nothing. A sample from a scenario file is
+checked once, field by field, by its stream's parser in
+:mod:`cogloop.scenario`; that parser is the only owner of sample
+validation.
 """
 
 from __future__ import annotations
@@ -42,17 +47,6 @@ class Modality(str, Enum):
     VIDEO = "video"
 
 
-def _check_unit_interval(name: str, value: float) -> None:
-    # the range comparison is False for NaN and both infinities
-    if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
-        raise ValueError(f"{name} must be a finite number in [0, 1], got {value!r}")
-
-
-def _check_finite(name: str, value: float) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value)):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class StreamDescriptor:
     """Identity and nominal cadence of one producer stream."""
@@ -82,26 +76,12 @@ class GazeSample:
     pupil_diameter_mm: float | None = None
     confidence: float = 1.0
 
-    def __post_init__(self):
-        _check_unit_interval("x", self.x)
-        _check_unit_interval("y", self.y)
-        _check_unit_interval("confidence", self.confidence)
-        if self.pupil_diameter_mm is not None:
-            _check_finite("pupil_diameter_mm", self.pupil_diameter_mm)
-            if self.pupil_diameter_mm <= 0:
-                raise ValueError("pupil_diameter_mm must be positive when present")
-
 
 @dataclass(slots=True)
 class RRSample:
     """One beat-to-beat interval in milliseconds."""
 
     rr_ms: float
-
-    def __post_init__(self):
-        _check_finite("rr_ms", self.rr_ms)
-        if self.rr_ms <= 0:
-            raise ValueError(f"rr_ms must be positive, got {self.rr_ms!r}")
 
 
 # Landmark names used by the posture scorer. Coordinates are
@@ -121,18 +101,6 @@ class PostureSample:
     landmarks: dict[str, tuple[float, float]]
     visibility: dict[str, float] = field(default_factory=dict)
 
-    def __post_init__(self):
-        for name, point in self.landmarks.items():
-            if name not in POSTURE_POINTS:
-                raise ValueError(f"unknown landmark {name!r}")
-            x, y = point
-            _check_unit_interval(f"{name}.x", x)
-            _check_unit_interval(f"{name}.y", y)
-        for name, vis in self.visibility.items():
-            if name not in POSTURE_POINTS:
-                raise ValueError(f"unknown landmark {name!r}")
-            _check_unit_interval(f"{name}.visibility", vis)
-
     def point_visible(self, name: str, floor: float = 0.5) -> bool:
         if name not in self.landmarks:
             return False
@@ -148,18 +116,8 @@ class NoteScoreSample:
     analyzer_id: str = ""
     clamped: bool = False
 
-    def __post_init__(self):
-        _check_unit_interval("correctness", self.correctness)
-
 
 Payload = GazeSample | RRSample | PostureSample | NoteScoreSample
-
-PAYLOAD_TYPE_BY_KIND: dict[StreamKind, type] = {
-    StreamKind.PUPIL_GAZE: GazeSample,
-    StreamKind.RR_INTERVAL: RRSample,
-    StreamKind.POSTURE_LANDMARKS: PostureSample,
-    StreamKind.NOTE_SCORE: NoteScoreSample,
-}
 
 
 @dataclass(slots=True)

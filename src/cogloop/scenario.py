@@ -26,10 +26,12 @@ import json
 import math
 import random
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .errors import ScenarioError
 from .model import (
+    POSTURE_POINTS,
     GazeSample,
     Modality,
     NoteScoreSample,
@@ -81,84 +83,159 @@ class Scenario:
         return max((r.t for r in self.records if isinstance(r, SampleRecord)), default=0.0)
 
 
+_FLOAT_MAX = sys.float_info.max
+_NUMBER = (int, float)
+
+
 def _is_finite_number(value) -> bool:
     """A JSON number that converts to a finite float; booleans are not
     numbers here, and integers too large for a float are refused."""
     return (
-        isinstance(value, (int, float))
+        isinstance(value, _NUMBER)
         and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max
+        and abs(value) <= _FLOAT_MAX
     )
-
-
-def _record_time(raw: dict, line_no: int) -> float:
-    if "t" in raw and "t_ms" in raw:
-        raise ScenarioError("record carries both t and t_ms", line_no)
-    if "t" in raw:
-        t, scale = raw["t"], 1.0
-    elif "t_ms" in raw:
-        t, scale = raw["t_ms"], 1000.0
-    else:
-        raise ScenarioError("record missing timestamp (t or t_ms)", line_no)
-    if not (_is_finite_number(t) and t >= 0):
-        raise ScenarioError(f"bad timestamp {t!r}", line_no)
-    return float(t) / scale
 
 
 def _is_mark(mark) -> bool:
     return isinstance(mark, list) and len(mark) == 2 and all(map(_is_finite_number, mark))
 
 
-def _parse_payload(kind: StreamKind, raw: dict, line_no: int) -> tuple[Payload | None, str | None]:
-    try:
-        if kind is StreamKind.PUPIL_GAZE:
-            pupil = raw.get("pupil_mm")
-            if pupil is not None and pupil <= 0:
-                pupil = None  # trackers report 0 while the eye is shut
-            return (
-                GazeSample(
-                    x=raw["x"],
-                    y=raw["y"],
-                    pupil_diameter_mm=pupil,
-                    confidence=raw.get("confidence", 1.0),
-                ),
-                None,
-            )
-        if kind is StreamKind.RR_INTERVAL:
-            return RRSample(rr_ms=raw["rr_ms"]), None
-        if kind is StreamKind.POSTURE_LANDMARKS:
-            landmarks, visibility = raw["landmarks"], raw.get("visibility", {})
-            if not (isinstance(landmarks, dict) and isinstance(visibility, dict)):
-                raise ScenarioError("posture landmarks and visibility must be objects", line_no)
-            return (
-                PostureSample(
-                    landmarks={name: tuple(point) for name, point in landmarks.items()},
-                    visibility=visibility,
-                ),
-                None,
-            )
-        # note stream: either a pre-assessed correctness or a transcript
-        # for the analyzer, never both
-        has_score = "correctness" in raw
-        has_transcript = "transcript" in raw
-        if has_score == has_transcript:
-            raise ScenarioError("note record needs exactly one of correctness/transcript", line_no)
-        if has_transcript:
-            transcript = raw["transcript"]
-            if not isinstance(transcript, str) or not transcript.strip():
-                raise ScenarioError("note transcript must be a non-empty string", line_no)
-            return None, transcript
-        return (
-            NoteScoreSample(
-                correctness=raw["correctness"],
-                feedback_text=raw.get("feedback", ""),
-            ),
-            None,
-        )
-    except ScenarioError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as error:
-        raise ScenarioError(f"bad {kind.value} payload: {error}", line_no) from None
+# ---------------------------------------------------------------------------
+# sample parsers: one per declared stream, the only owner of sample checks
+#
+# A record builder reads one kind's payload fields from a decoded sample
+# line, checks each once and builds the record; the payload constructors
+# check nothing. It raises KeyError, TypeError, ValueError or
+# OverflowError on a malformed field, which the stream's parser reports
+# with the line.
+# A unit-interval field is a number (booleans included, as 0 and 1) in
+# [0, 1]: the range comparison is False for NaN and both infinities.
+
+_LANDMARKS = frozenset(POSTURE_POINTS)
+
+
+def _outside_unit_interval(name: str, value) -> ValueError:
+    return ValueError(f"{name} must be a finite number in [0, 1], got {value!r}")
+
+
+def _gaze_record(obj: dict, stream_id: str, t: float, source_confidence: float) -> SampleRecord:
+    pupil = obj.get("pupil_mm")
+    if pupil is not None:
+        if pupil <= 0:
+            pupil = None  # trackers report 0 while the eye is shut
+        elif not math.isfinite(pupil):
+            raise ValueError(f"pupil_mm must be finite, got {pupil!r}")
+    x, y, confidence = obj["x"], obj["y"], obj.get("confidence", 1.0)
+    if not (isinstance(x, _NUMBER) and 0.0 <= x <= 1.0):
+        raise _outside_unit_interval("x", x)
+    if not (isinstance(y, _NUMBER) and 0.0 <= y <= 1.0):
+        raise _outside_unit_interval("y", y)
+    if not (isinstance(confidence, _NUMBER) and 0.0 <= confidence <= 1.0):
+        raise _outside_unit_interval("confidence", confidence)
+    return SampleRecord(stream_id, t, source_confidence, GazeSample(x, y, pupil, confidence))
+
+
+def _rr_record(obj: dict, stream_id: str, t: float, source_confidence: float) -> SampleRecord:
+    rr = obj["rr_ms"]
+    if not (isinstance(rr, _NUMBER) and math.isfinite(rr) and rr > 0):
+        raise ValueError(f"rr_ms must be a positive finite number, got {rr!r}")
+    return SampleRecord(stream_id, t, source_confidence, RRSample(rr))
+
+
+def _posture_record(obj: dict, stream_id: str, t: float, source_confidence: float) -> SampleRecord:
+    landmarks, visibility = obj["landmarks"], obj.get("visibility", {})
+    if not (isinstance(landmarks, dict) and isinstance(visibility, dict)):
+        raise ValueError("landmarks and visibility must be objects")
+    points: dict[str, tuple[float, float]] = {}
+    for name, point in landmarks.items():
+        if name not in _LANDMARKS:
+            raise ValueError(f"unknown landmark {name!r}")
+        x, y = point
+        if not (isinstance(x, _NUMBER) and 0.0 <= x <= 1.0):
+            raise _outside_unit_interval(f"{name}.x", x)
+        if not (isinstance(y, _NUMBER) and 0.0 <= y <= 1.0):
+            raise _outside_unit_interval(f"{name}.y", y)
+        points[name] = (x, y)
+    for name, value in visibility.items():
+        if name not in _LANDMARKS:
+            raise ValueError(f"unknown landmark {name!r}")
+        if not (isinstance(value, _NUMBER) and 0.0 <= value <= 1.0):
+            raise _outside_unit_interval(f"{name}.visibility", value)
+    return SampleRecord(stream_id, t, source_confidence, PostureSample(points, visibility))
+
+
+def _note_record(obj: dict, stream_id: str, t: float, source_confidence: float) -> SampleRecord:
+    # either a pre-assessed correctness or a transcript for the
+    # analyzer, never both
+    if ("correctness" in obj) == ("transcript" in obj):
+        raise ValueError("a note needs exactly one of correctness/transcript")
+    if "transcript" in obj:
+        transcript = obj["transcript"]
+        if not (isinstance(transcript, str) and transcript.strip()):
+            raise ValueError("a note transcript must be a non-empty string")
+        return SampleRecord(stream_id, t, source_confidence, transcript=transcript)
+    correctness = obj["correctness"]
+    if not (isinstance(correctness, _NUMBER) and 0.0 <= correctness <= 1.0):
+        raise _outside_unit_interval("correctness", correctness)
+    feedback = obj.get("feedback", "")
+    return SampleRecord(stream_id, t, source_confidence, NoteScoreSample(correctness, feedback))
+
+
+_RECORD_BUILDERS = {
+    StreamKind.PUPIL_GAZE: _gaze_record,
+    StreamKind.RR_INTERVAL: _rr_record,
+    StreamKind.POSTURE_LANDMARKS: _posture_record,
+    StreamKind.NOTE_SCORE: _note_record,
+}
+
+
+def _sample_parser(descriptor: StreamDescriptor) -> Callable[[dict, int], SampleRecord]:
+    """The parser of one declared stream's sample lines.
+
+    It checks a line's timestamp (``t`` in seconds or ``t_ms``, finite
+    and non-negative), its order after the stream's previous sample
+    (gaze strictly increasing, other streams non-decreasing) and its
+    source confidence, then its payload fields through the stream
+    kind's builder. Each check runs once per sample.
+    """
+    stream_id = descriptor.stream_id
+    kind = descriptor.kind
+    build = _RECORD_BUILDERS[kind]
+    # gaze velocity needs strictly advancing clocks; other streams may
+    # legitimately repeat a timestamp
+    strictly = kind is StreamKind.PUPIL_GAZE
+    last_t = -math.inf
+
+    def parse(obj: dict, line_no: int) -> SampleRecord:
+        nonlocal last_t
+        if "t" in obj:
+            if "t_ms" in obj:
+                raise ScenarioError("record carries both t and t_ms", line_no)
+            t, scale = obj["t"], 1.0
+        elif "t_ms" in obj:
+            t, scale = obj["t_ms"], 1000.0
+        else:
+            raise ScenarioError("record missing timestamp (t or t_ms)", line_no)
+        # booleans are not timestamps, and integers too large for a
+        # float are refused; the comparison is False for NaN
+        if not ((type(t) is float or type(t) is int) and 0 <= t <= _FLOAT_MAX):
+            raise ScenarioError(f"bad timestamp {t!r}", line_no)
+        t = float(t) / scale
+        if t <= last_t and (strictly or t < last_t):
+            if strictly:
+                raise ScenarioError(f"gaze timestamps must strictly increase ({t} after {last_t})", line_no)
+            raise ScenarioError(f"stream {stream_id!r} timestamps decrease ({t} after {last_t})", line_no)
+        last_t = t
+        source_confidence = obj.get("source_confidence", 1.0)
+        if not (isinstance(source_confidence, _NUMBER) and 0.0 <= source_confidence <= 1.0):
+            raise ScenarioError(f"bad source_confidence {source_confidence!r}", line_no)
+        try:
+            return build(obj, stream_id, t, float(source_confidence))
+        except (KeyError, TypeError, ValueError, OverflowError) as error:
+            raise ScenarioError(f"bad {kind.value} payload: {error}", line_no) from None
+
+    return parse
 
 
 # One decoder for every line. The lines are stripped, so decoding from
@@ -170,8 +247,8 @@ _decode = json.JSONDecoder().raw_decode
 def parse_scenario_lines(lines) -> Scenario:
     header: ScenarioHeader | None = None
     records: list[SampleRecord | SyncRecord] = []
-    kinds: dict[str, StreamKind] = {}
-    last_t: dict[str, float] = {}
+    # one parser per declared stream, built when the header is read
+    parsers: dict[str, Callable[[dict, int], SampleRecord]] = {}
 
     for line_no, raw_line in enumerate(lines, start=1):
         line = raw_line.strip()
@@ -186,64 +263,41 @@ def parse_scenario_lines(lines) -> Scenario:
         if not isinstance(obj, dict) or "type" not in obj:
             raise ScenarioError("each line must be an object with a 'type'", line_no)
 
-        if obj["type"] == "header":
+        record_type = obj["type"]
+        if record_type == "sample" and header is not None:
+            stream_id = obj.get("stream")
+            parse = parsers.get(stream_id) if isinstance(stream_id, str) else None
+            if parse is None:
+                raise ScenarioError(f"sample for undeclared stream {stream_id!r}", line_no)
+            records.append(parse(obj, line_no))
+            continue
+        if record_type == "header":
             if header is not None:
                 raise ScenarioError("duplicate header", line_no)
             if records:
                 raise ScenarioError("header must be the first record", line_no)
             header = _parse_header(obj, line_no)
-            kinds = {d.stream_id: d.kind for d in header.streams}
+            parsers = {d.stream_id: _sample_parser(d) for d in header.streams}
             continue
         if header is None:
             raise ScenarioError("first line must be the header", line_no)
-
-        if obj["type"] == "sync":
-            stream_id = obj.get("stream")
-            if not isinstance(stream_id, str) or stream_id not in kinds:
-                raise ScenarioError(f"sync for undeclared stream {stream_id!r}", line_no)
-            marks = obj.get("marks")
-            if not (isinstance(marks, list) and len(marks) >= 2 and all(map(_is_mark, marks))):
-                raise ScenarioError(
-                    "sync marks must be a list of at least 2 [producer_t, session_t] "
-                    "pairs of finite numbers",
-                    line_no,
-                )
-            marks = tuple((float(p), float(s)) for p, s in marks)
-            if not math.isfinite(estimate_offset(marks)):
-                raise ScenarioError("sync marks give a non-finite clock offset", line_no)
-            records.append(SyncRecord(stream_id=stream_id, marks=marks))
-            continue
-        if obj["type"] != "sample":
-            raise ScenarioError(f"unknown record type {obj['type']!r}", line_no)
+        if record_type != "sync":
+            raise ScenarioError(f"unknown record type {record_type!r}", line_no)
 
         stream_id = obj.get("stream")
-        if not isinstance(stream_id, str) or stream_id not in kinds:
-            raise ScenarioError(f"sample for undeclared stream {stream_id!r}", line_no)
-        t = _record_time(obj, line_no)
-        kind = kinds[stream_id]
-        previous = last_t.get(stream_id)
-        if previous is not None:
-            # gaze velocity needs strictly advancing clocks; other
-            # streams may legitimately repeat a timestamp
-            if kind is StreamKind.PUPIL_GAZE and t <= previous:
-                raise ScenarioError(f"gaze timestamps must strictly increase ({t} after {previous})", line_no)
-            if t < previous:
-                raise ScenarioError(f"stream {stream_id!r} timestamps decrease ({t} after {previous})", line_no)
-        last_t[stream_id] = t
-
-        source_confidence = obj.get("source_confidence", 1.0)
-        if not (isinstance(source_confidence, (int, float)) and 0.0 <= source_confidence <= 1.0):
-            raise ScenarioError(f"bad source_confidence {source_confidence!r}", line_no)
-        payload, transcript = _parse_payload(kind, obj, line_no)
-        records.append(
-            SampleRecord(
-                stream_id=stream_id,
-                t=t,
-                source_confidence=float(source_confidence),
-                payload=payload,
-                transcript=transcript,
+        if not isinstance(stream_id, str) or stream_id not in parsers:
+            raise ScenarioError(f"sync for undeclared stream {stream_id!r}", line_no)
+        marks = obj.get("marks")
+        if not (isinstance(marks, list) and len(marks) >= 2 and all(map(_is_mark, marks))):
+            raise ScenarioError(
+                "sync marks must be a list of at least 2 [producer_t, session_t] "
+                "pairs of finite numbers",
+                line_no,
             )
-        )
+        marks = tuple((float(p), float(s)) for p, s in marks)
+        if not math.isfinite(estimate_offset(marks)):
+            raise ScenarioError("sync marks give a non-finite clock offset", line_no)
+        records.append(SyncRecord(stream_id=stream_id, marks=marks))
 
     if header is None:
         raise ScenarioError("scenario is empty (no header)", 1)

@@ -366,6 +366,7 @@ def run_session(
     )
     last_gaze_t = -math.inf
     last_t: float | None = None
+    registrations = merger.registrations
     for record in scenario.records:
         if isinstance(record, SyncRecord):
             offset = merger.set_offset(record.stream_id, list(record.marks))
@@ -376,7 +377,8 @@ def run_session(
             _sleep(record.t - last_t)
         last_t = record.t
 
-        session_t = merger.session_time(record.stream_id, record.t)
+        registration = registrations[record.stream_id]
+        session_t = registration.session_time(record.t)
         if not 0.0 <= session_t < math.inf:
             recorder.add(
                 record.t,
@@ -419,7 +421,7 @@ def run_session(
             if payload.clamped:
                 recorder.add(record.t, "warning", {"reason": "note_score_clamped", "stream": record.stream_id})
 
-        outcome = merger.ingest(record.stream_id, record.t, payload, record.source_confidence)
+        outcome = merger.ingest(registration, session_t, payload, record.source_confidence)
         if outcome is not IngestOutcome.ACCEPTED:
             recorder.add(session_t, "ingest", {"stream": record.stream_id, "outcome": outcome.value})
     merger.flush()

@@ -29,17 +29,6 @@ class IngestOutcome(str, Enum):
     DROPPED_LATE = "dropped_late"
 
 
-@dataclass
-class StreamRegistration:
-    descriptor: StreamDescriptor
-    clock_offset_s: float = 0.0
-    ingested: int = 0
-    reordered: int = 0
-    dropped: int = 0
-
-    @property
-    def accepted(self) -> int:
-        return self.ingested - self.reordered - self.dropped
 
 
 @dataclass(frozen=True)
@@ -93,6 +82,28 @@ class _ChannelTimeline:
     next_window_index: int = 0
 
 
+@dataclass
+class StreamRegistration:
+    """One registered stream: its clock offset, its ingest counts and
+    the timeline of its kind, which its emitted envelopes join."""
+
+    descriptor: StreamDescriptor
+    timeline: _ChannelTimeline = field(repr=False, compare=False)
+    clock_offset_s: float = 0.0
+    ingested: int = 0
+    reordered: int = 0
+    dropped: int = 0
+
+    @property
+    def accepted(self) -> int:
+        return self.ingested - self.reordered - self.dropped
+
+    def session_time(self, t: Timestamp) -> Timestamp:
+        """A producer timestamp on the session clock, under the stream's
+        current offset. This is the time to ``ingest`` the sample at."""
+        return t + self.clock_offset_s
+
+
 class StreamMerger:
     """Orders envelopes from all registered streams onto one timeline."""
 
@@ -101,7 +112,8 @@ class StreamMerger:
             raise ValueError("jitter_tolerance_s must be non-negative")
         self.jitter_tolerance_s = jitter_tolerance_s
         self.registrations: dict[str, StreamRegistration] = {}
-        self._heap: list[tuple[tuple[float, str, int], SampleEnvelope]] = []
+        # (sort key, envelope, the timeline the envelope joins when emitted)
+        self._heap: list[tuple[tuple[float, str, int], SampleEnvelope, _ChannelTimeline]] = []
         self._seq = 0
         self._max_seen_t = float("-inf")
         self._frontier_key: tuple[float, str, int] | None = None
@@ -113,11 +125,11 @@ class StreamMerger:
     def register_stream(self, descriptor: StreamDescriptor) -> StreamRegistration:
         if descriptor.stream_id in self.registrations:
             raise DuplicateStreamError(f"stream {descriptor.stream_id!r} already registered")
-        registration = StreamRegistration(descriptor=descriptor)
+        registration = StreamRegistration(descriptor, self._by_kind[descriptor.kind])
         self.registrations[descriptor.stream_id] = registration
         return registration
 
-    def _registration(self, stream_id: str) -> StreamRegistration:
+    def registration(self, stream_id: str) -> StreamRegistration:
         registration = self.registrations.get(stream_id)
         if registration is None:
             raise UnknownStreamError(f"stream {stream_id!r} is not registered")
@@ -129,34 +141,29 @@ class StreamMerger:
         Applies to samples ingested afterwards; earlier ones keep the
         correction they were emitted with.
         """
-        registration = self._registration(stream_id)
+        registration = self.registration(stream_id)
         registration.clock_offset_s = estimate_offset(marks)
         return registration.clock_offset_s
 
-    def session_time(self, stream_id: str, t: Timestamp) -> Timestamp:
-        """A producer timestamp on the session clock, under the stream's
-        current offset. This is the time ``ingest`` places the sample at."""
-        return t + self._registration(stream_id).clock_offset_s
-
     def ingest(
         self,
-        stream_id: str,
-        t: Timestamp,
+        registration: StreamRegistration,
+        session_t: Timestamp,
         payload: Payload,
         source_confidence: float = 1.0,
     ) -> IngestOutcome:
-        """Place one sample, stamped ``t`` by its producer, on the timeline.
+        """Place one sample of a registered stream on the timeline at
+        ``session_t``, its producer time under the stream's offset
+        (``registration.session_time``).
 
         The parser has checked the sample itself; this checks what the
-        merger adds, the session time, and the source confidence the
-        envelope carries.
+        envelope adds, the session time and the source confidence.
         """
-        registration = self._registration(stream_id)
-        session_t = t + registration.clock_offset_s
         if not 0.0 <= session_t < math.inf:
             raise ValueError(f"session time must be finite and non-negative, got {session_t!r}")
         if not 0.0 <= source_confidence <= 1.0:
             raise ValueError(f"source_confidence must lie in [0, 1], got {source_confidence!r}")
+        stream_id = registration.descriptor.stream_id
         seq = self._seq
         self._seq = seq + 1
         registration.ingested += 1
@@ -175,16 +182,15 @@ class StreamMerger:
             outcome = IngestOutcome.ACCEPTED
             self._max_seen_t = session_t
         envelope = SampleEnvelope(stream_id, session_t, payload, source_confidence, seq)
-        heapq.heappush(self._heap, (key, envelope))
+        heapq.heappush(self._heap, (key, envelope, registration.timeline))
         self._drain(self._max_seen_t - self.jitter_tolerance_s)
         return outcome
 
     def _drain(self, up_to: float) -> None:
         heap = self._heap
         while heap and heap[0][0][0] <= up_to:
-            key, envelope = heapq.heappop(heap)
+            key, envelope, timeline = heapq.heappop(heap)
             self._frontier_key = key
-            timeline = self._by_kind[self.registrations[envelope.stream_id].descriptor.kind]
             timeline.times.append(envelope.timestamp)
             timeline.samples.append(envelope)
 
@@ -193,16 +199,6 @@ class StreamMerger:
         self._drain(float("inf"))
         self._flushed = True
 
-    @property
-    def emitted(self) -> list[SampleEnvelope]:
-        """Every emitted envelope, in merged order.
-
-        Only the per-channel timelines are stored: emission follows the
-        sort key, so merging them restores the order.
-        """
-        timelines = [timeline.samples for timeline in self._by_kind.values()]
-        return list(heapq.merge(*timelines, key=SampleEnvelope.sort_key))
-
     def timeline(self, kind: StreamKind) -> list[SampleEnvelope]:
         """The emitted envelopes of one channel, in merged order."""
         return self._by_kind[kind].samples
@@ -210,7 +206,7 @@ class StreamMerger:
     def emitted_span(self, stream_id: str) -> tuple[Timestamp, Timestamp] | None:
         """Session times of the stream's first and last emitted envelopes,
         or None when it has emitted none."""
-        samples = self.timeline(self._registration(stream_id).descriptor.kind)
+        samples = self.registration(stream_id).timeline.samples
         times = (envelope.timestamp for envelope in samples if envelope.stream_id == stream_id)
         first = next(times, None)
         if first is None:

@@ -339,9 +339,9 @@ def _gaze_timeline(steps):
 
 def _merged_windows(samples, length, hop):
     merger = StreamMerger(jitter_tolerance_s=0.0)
-    merger.register_stream(StreamDescriptor(stream_id="gaze", kind=StreamKind.PUPIL_GAZE, nominal_rate_hz=60))
+    gaze = merger.register_stream(StreamDescriptor(stream_id="gaze", kind=StreamKind.PUPIL_GAZE, nominal_rate_hz=60))
     for env in samples:
-        merger.ingest("gaze", env.timestamp, env.payload, env.source_confidence)
+        merger.ingest(gaze, env.timestamp, env.payload, env.source_confidence)
     merger.flush()
     return merger.timeline(StreamKind.PUPIL_GAZE), merger.pop_windows(StreamKind.PUPIL_GAZE, length, hop)
 

@@ -1,5 +1,6 @@
 import json
 import math
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -7,13 +8,24 @@ from hypothesis import strategies as st
 
 from cogloop.config import config_to_dict
 from cogloop.errors import ConfigError, ScenarioError
-from cogloop.model import StreamKind
+from cogloop.model import (
+    POSTURE_POINTS,
+    GazeSample,
+    NoteScoreSample,
+    PostureSample,
+    RRSample,
+    StreamKind,
+)
 from cogloop.scenario import (
     CONTROLS,
     GeneratorSpec,
     SampleRecord,
     SyncRecord,
     _ControlCurve,
+    _is_finite_number,
+    _is_mark,
+    _parse_header,
+    load_profile,
     load_scenario,
     parse_profile,
     parse_scenario_lines,
@@ -21,6 +33,7 @@ from cogloop.scenario import (
     synthesize,
     write_scenario,
 )
+from cogloop.streams import estimate_offset
 from cogloop.session import run_session, validate_trace
 
 HEADER = json.dumps({
@@ -366,6 +379,223 @@ def test_mutated_header_and_sample_lines_fail_cleanly_or_replay_clean(lines):
     assert validate_trace({"config": config_to_dict(result.config)}, result.events) == []
 
 
+# ---------------------------------------------------------------------------
+# the per-stream parsers against the single-pass parser they replaced
+
+def _oracle_unit_interval(name, value):
+    if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
+        raise ValueError(f"{name} must be a finite number in [0, 1], got {value!r}")
+
+
+def _oracle_finite(name, value):
+    if not (isinstance(value, (int, float)) and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _oracle_payload(kind, raw, line_no):
+    """The parser's payload step, with the checks the payload
+    constructors used to make, in their order."""
+    try:
+        if kind is StreamKind.PUPIL_GAZE:
+            pupil = raw.get("pupil_mm")
+            if pupil is not None and pupil <= 0:
+                pupil = None
+            sample = GazeSample(x=raw["x"], y=raw["y"], pupil_diameter_mm=pupil, confidence=raw.get("confidence", 1.0))
+            _oracle_unit_interval("x", sample.x)
+            _oracle_unit_interval("y", sample.y)
+            _oracle_unit_interval("confidence", sample.confidence)
+            if sample.pupil_diameter_mm is not None:
+                _oracle_finite("pupil_diameter_mm", sample.pupil_diameter_mm)
+                if sample.pupil_diameter_mm <= 0:
+                    raise ValueError("pupil_diameter_mm must be positive when present")
+            return sample, None
+        if kind is StreamKind.RR_INTERVAL:
+            sample = RRSample(rr_ms=raw["rr_ms"])
+            _oracle_finite("rr_ms", sample.rr_ms)
+            if sample.rr_ms <= 0:
+                raise ValueError("rr_ms must be positive")
+            return sample, None
+        if kind is StreamKind.POSTURE_LANDMARKS:
+            landmarks, visibility = raw["landmarks"], raw.get("visibility", {})
+            if not (isinstance(landmarks, dict) and isinstance(visibility, dict)):
+                raise ScenarioError("posture landmarks and visibility must be objects", line_no)
+            sample = PostureSample(
+                landmarks={name: tuple(point) for name, point in landmarks.items()}, visibility=visibility
+            )
+            for name, point in sample.landmarks.items():
+                if name not in POSTURE_POINTS:
+                    raise ValueError(f"unknown landmark {name!r}")
+                x, y = point
+                _oracle_unit_interval(f"{name}.x", x)
+                _oracle_unit_interval(f"{name}.y", y)
+            for name, vis in sample.visibility.items():
+                if name not in POSTURE_POINTS:
+                    raise ValueError(f"unknown landmark {name!r}")
+                _oracle_unit_interval(f"{name}.visibility", vis)
+            return sample, None
+        has_score = "correctness" in raw
+        has_transcript = "transcript" in raw
+        if has_score == has_transcript:
+            raise ScenarioError("note record needs exactly one of correctness/transcript", line_no)
+        if has_transcript:
+            transcript = raw["transcript"]
+            if not isinstance(transcript, str) or not transcript.strip():
+                raise ScenarioError("note transcript must be a non-empty string", line_no)
+            return None, transcript
+        sample = NoteScoreSample(correctness=raw["correctness"], feedback_text=raw.get("feedback", ""))
+        _oracle_unit_interval("correctness", sample.correctness)
+        return sample, None
+    except ScenarioError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as error:
+        raise ScenarioError(f"bad {kind.value} payload: {error}", line_no) from None
+
+
+def _oracle_time(raw, line_no):
+    if "t" in raw and "t_ms" in raw:
+        raise ScenarioError("record carries both t and t_ms", line_no)
+    if "t" in raw:
+        t, scale = raw["t"], 1.0
+    elif "t_ms" in raw:
+        t, scale = raw["t_ms"], 1000.0
+    else:
+        raise ScenarioError("record missing timestamp (t or t_ms)", line_no)
+    if not (_is_finite_number(t) and t >= 0):
+        raise ScenarioError(f"bad timestamp {t!r}", line_no)
+    return float(t) / scale
+
+
+def _oracle_parse(lines):
+    """The single pass that checked every sample line with shared helpers
+    and constructor checks, kept as the reference."""
+    header, records, kinds, last_t = None, [], {}, {}
+    for line_no, raw_line in enumerate(lines, start=1):
+        line = raw_line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as error:
+            raise ScenarioError(f"invalid JSON: {error.msg}", line_no) from None
+        if not isinstance(obj, dict) or "type" not in obj:
+            raise ScenarioError("each line must be an object with a 'type'", line_no)
+        if obj["type"] == "header":
+            if header is not None:
+                raise ScenarioError("duplicate header", line_no)
+            if records:
+                raise ScenarioError("header must be the first record", line_no)
+            header = _parse_header(obj, line_no)
+            kinds = {d.stream_id: d.kind for d in header.streams}
+            continue
+        if header is None:
+            raise ScenarioError("first line must be the header", line_no)
+        if obj["type"] == "sync":
+            stream_id = obj.get("stream")
+            if not isinstance(stream_id, str) or stream_id not in kinds:
+                raise ScenarioError(f"sync for undeclared stream {stream_id!r}", line_no)
+            marks = obj.get("marks")
+            if not (isinstance(marks, list) and len(marks) >= 2 and all(map(_is_mark, marks))):
+                raise ScenarioError("sync marks", line_no)
+            marks = tuple((float(p), float(s)) for p, s in marks)
+            if not math.isfinite(estimate_offset(marks)):
+                raise ScenarioError("sync marks give a non-finite clock offset", line_no)
+            records.append(SyncRecord(stream_id=stream_id, marks=marks))
+            continue
+        if obj["type"] != "sample":
+            raise ScenarioError(f"unknown record type {obj['type']!r}", line_no)
+        stream_id = obj.get("stream")
+        if not isinstance(stream_id, str) or stream_id not in kinds:
+            raise ScenarioError(f"sample for undeclared stream {stream_id!r}", line_no)
+        t = _oracle_time(obj, line_no)
+        kind = kinds[stream_id]
+        previous = last_t.get(stream_id)
+        if previous is not None:
+            if kind is StreamKind.PUPIL_GAZE and t <= previous:
+                raise ScenarioError("gaze timestamps must strictly increase", line_no)
+            if t < previous:
+                raise ScenarioError("timestamps decrease", line_no)
+        last_t[stream_id] = t
+        source_confidence = obj.get("source_confidence", 1.0)
+        if not (isinstance(source_confidence, (int, float)) and 0.0 <= source_confidence <= 1.0):
+            raise ScenarioError(f"bad source_confidence {source_confidence!r}", line_no)
+        payload, transcript = _oracle_payload(kind, obj, line_no)
+        records.append(SampleRecord(stream_id, t, float(source_confidence), payload, transcript))
+    if header is None:
+        raise ScenarioError("scenario is empty (no header)", 1)
+    return header, records
+
+
+# Integers either side of the largest one that still converts to a
+# finite float (it rounds down to the largest float): a bound written
+# as a float comparison and one that converts disagree between them.
+_EDGE_NUMBERS = st.sampled_from(
+    [2**1024 - 2**970 - 1, 2**1024 - 2**970, 2**1023, True, False, -0.0, 0, 1, 1.0000000000000002, 5e-324]
+)
+_POINT_JUNK = st.one_of(_JUNK, st.lists(st.one_of(_JUNK, _EDGE_NUMBERS, st.floats()), max_size=3))
+
+
+@st.composite
+def _parser_junk(draw):
+    """_mutated_scenario's lines, or the valid scenario with junk in a
+    posture, note or numeric field, a sample stamped with its
+    predecessor's time, or one sample line moved."""
+    target = draw(st.sampled_from(
+        ["mutated", "landmarks", "visibility", "note", "time", "number", "repeat", "order"]
+    ))
+    if target == "mutated":
+        return draw(_mutated_scenario())
+    samples = json.loads(json.dumps(_SAMPLES))
+    stream = {"landmarks": "cam", "visibility": "cam", "note": "notes"}.get(target)
+    # junk times and numbers go into an early sample, where a junk time
+    # that a check let through would not be refused for its order instead
+    early = target not in ("time", "number") or None
+    sample = draw(st.sampled_from([
+        obj for obj in samples if stream in (None, obj["stream"]) and (early or obj["t"] < 1.0)
+    ]))
+    if target in ("landmarks", "visibility"):
+        names = st.sampled_from([*sorted(_CAM), "nose", ""])
+        field = sample.setdefault(target, {})
+        if draw(st.booleans()):
+            field[draw(names)] = draw(_POINT_JUNK if target == "landmarks" else st.one_of(_JUNK, _EDGE_NUMBERS))
+        else:
+            sample[target] = draw(st.one_of(_JUNK, st.dictionaries(names, _POINT_JUNK, max_size=3)))
+    elif target == "note":
+        key = draw(st.sampled_from(["correctness", "feedback", "transcript"]))
+        if draw(st.booleans()) and key in sample:
+            del sample[key]
+        else:
+            sample[key] = draw(st.one_of(_JUNK, _EDGE_NUMBERS, st.text(max_size=3)))
+    elif target == "time":
+        sample.pop("t")
+        sample[draw(st.sampled_from(["t", "t_ms"]))] = draw(st.one_of(_EDGE_NUMBERS, _JUNK_T))
+    elif target == "number":
+        key = draw(st.sampled_from(["t", "t_ms", "x", "y", "pupil_mm", "confidence", "rr_ms", "source_confidence"]))
+        sample[key] = draw(st.one_of(_EDGE_NUMBERS, st.floats(), _JUNK))
+    elif target == "repeat":
+        same = [obj for obj in samples if obj["stream"] == sample["stream"]]
+        i = same.index(sample)
+        if i > 0:
+            del sample["t"]
+            sample[draw(st.sampled_from(["t", "t_ms"]))] = same[i - 1]["t"] * (1 if draw(st.booleans()) else 1000)
+    else:
+        samples.insert(draw(st.integers(0, len(samples))), samples.pop(samples.index(sample)))
+    return [json.dumps(_FULL_HEADER)] + [json.dumps(obj) for obj in samples]
+
+
+@settings(max_examples=400, deadline=None)
+@given(lines=_parser_junk())
+def test_stream_parsers_agree_with_the_single_pass_parser(lines):
+    try:
+        expected = _oracle_parse(lines)
+    except ScenarioError as error:
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario_lines(lines)
+        assert excinfo.value.line_no == error.line_no
+        return
+    scenario = parse_scenario_lines(lines)
+    assert (scenario.header, scenario.records) == expected
+
+
 def test_second_stream_of_a_kind_rejected_with_line_number():
     header = json.dumps({
         "type": "header",
@@ -547,6 +777,18 @@ def test_synthesized_records_are_time_ordered_and_parseable():
     assert times == sorted(times)
     reparsed = parse_scenario_lines(scenario_to_lines(scenario))
     assert len(reparsed.records) == len(scenario.records)
+
+
+@pytest.mark.parametrize("name", ["all_baseline", "load_excursion", "mixed_session", "stress_ramp"])
+def test_every_bundled_profile_survives_write_and_parse(tmp_path, name):
+    # synthesized payloads are built with no checks; the parser checks them
+    ref = resources.files("cogloop").joinpath("profiles", f"{name}.json")
+    with resources.as_file(ref) as path:
+        scenario = synthesize(load_profile(path))
+    write_scenario(scenario, tmp_path / "scenario.jsonl")
+    reloaded = load_scenario(tmp_path / "scenario.jsonl")
+    assert reloaded.header == scenario.header
+    assert reloaded.records == scenario.records
 
 
 def test_stream_rngs_are_independent():

@@ -442,7 +442,7 @@ def test_only_reordered_and_dropped_samples_get_ingest_events():
         merger.register_stream(StreamDescriptor(payload["stream_id"], StreamKind(payload["kind"]), 1.0))
     make = {"heart": lambda: RRSample(rr_ms=800.0), "notes": lambda: NoteScoreSample(correctness=0.8)}
     for stream, t in ARRIVALS:
-        merger.ingest(stream, t, make[stream]())
+        merger.ingest(merger.registration(stream), t, make[stream]())
     merger.flush()
     summaries = _summaries(result)
     assert list(summaries) == ["notes", "heart"]  # header order
@@ -614,8 +614,8 @@ def test_expected_calibration_windows_count_the_grid(calibration, length, hop):
     # (0.3 - 0.1) / 0.1 is 1.9999999999999998: a floor of the quotient
     # missed the window [0.2, 0.3) that the merger does cut
     merger = StreamMerger(jitter_tolerance_s=0.0)
-    merger.register_stream(StreamDescriptor("heart", StreamKind.RR_INTERVAL, 1.0))
-    merger.ingest("heart", calibration, RRSample(rr_ms=800.0))
+    heart = merger.register_stream(StreamDescriptor("heart", StreamKind.RR_INTERVAL, 1.0))
+    merger.ingest(heart, calibration, RRSample(rr_ms=800.0))
     merger.flush()
     windows = merger.pop_windows(StreamKind.RR_INTERVAL, length, hop)
     cfg = dataclasses.replace(
@@ -692,13 +692,13 @@ _FRAME = st.tuples(
 )
 def test_posture_windows_equal_the_per_window_scoring(frames, length, hop_share, calibrated):
     merger = StreamMerger(jitter_tolerance_s=0.0)
-    merger.register_stream(StreamDescriptor("cam", StreamKind.POSTURE_LANDMARKS, 10.0))
+    cam = merger.register_stream(StreamDescriptor("cam", StreamKind.POSTURE_LANDMARKS, 10.0))
     t = 0.0
     for dt, lean, visible, source_confidence in frames:
         t += dt
         landmarks = dict(_POSE, ear_left=(0.44 + lean, 0.30), ear_right=(0.56 + lean, 0.30))
         pose = PostureSample(landmarks=landmarks, visibility={"shoulder_left": visible})
-        merger.ingest("cam", t, pose, source_confidence)
+        merger.ingest(cam, t, pose, source_confidence)
     merger.flush()
     timeline = merger.timeline(StreamKind.POSTURE_LANDMARKS)
     windows = merger.pop_windows(StreamKind.POSTURE_LANDMARKS, length, length * hop_share)

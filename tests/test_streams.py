@@ -14,8 +14,11 @@ def _merger(jitter=0.25, streams=("hr",)):
     return merger
 
 
-def _ingest(merger, t, stream="hr"):
-    return merger.ingest(stream, t, RRSample(rr_ms=800.0))
+def _ingest(merger, t, stream="hr", source_confidence=1.0):
+    """Ingest a beat stamped ``t`` by its producer."""
+    registration = merger.registration(stream)
+    session_t = registration.session_time(t)
+    return merger.ingest(registration, session_t, RRSample(rr_ms=800.0), source_confidence)
 
 
 def test_estimate_offset_is_the_median():
@@ -46,18 +49,18 @@ def test_offset_applies_to_later_ingests_only():
     merger.set_offset("hr", [(0.0, 2.0), (1.0, 3.0)])
     _ingest(merger, 10.0)
     merger.flush()
-    times = [e.timestamp for e in merger.emitted]
+    times = [e.timestamp for e in merger.timeline(StreamKind.RR_INTERVAL)]
     assert times == [10.0, 12.0]
 
 
 def test_ingest_stamps_session_time_and_sequence():
     merger = _merger(jitter=0.0)
     merger.set_offset("hr", [(0.0, 2.0), (1.0, 3.0)])
-    assert merger.session_time("hr", 10.0) == 12.0
-    merger.ingest("hr", 10.0, RRSample(rr_ms=800.0), source_confidence=0.5)
+    assert merger.registration("hr").session_time(10.0) == 12.0
+    _ingest(merger, 10.0, source_confidence=0.5)
     _ingest(merger, 11.0)
     merger.flush()
-    assert [(e.timestamp, e.seq, e.source_confidence) for e in merger.emitted] == [
+    assert [(e.timestamp, e.seq, e.source_confidence) for e in merger.timeline(StreamKind.RR_INTERVAL)] == [
         (12.0, 0, 0.5),
         (13.0, 1, 1.0),
     ]
@@ -71,12 +74,12 @@ def test_ingest_rejects_out_of_range_session_time_and_confidence():
     with pytest.raises(ValueError, match="session time"):
         _ingest(merger, float("nan"))
     with pytest.raises(ValueError, match="source_confidence"):
-        merger.ingest("hr", 12.0, RRSample(rr_ms=800.0), source_confidence=1.5)
+        _ingest(merger, 12.0, source_confidence=1.5)
     # a refused sample takes no sequence number and reaches no timeline
     assert merger.registrations["hr"].ingested == 0
     _ingest(merger, 10.0)
     merger.flush()
-    assert [(e.timestamp, e.seq) for e in merger.emitted] == [(0.0, 0)]
+    assert [(e.timestamp, e.seq) for e in merger.timeline(StreamKind.RR_INTERVAL)] == [(0.0, 0)]
 
 
 def test_within_jitter_arrivals_are_reordered_not_dropped():
@@ -84,7 +87,7 @@ def test_within_jitter_arrivals_are_reordered_not_dropped():
     assert _ingest(merger, 1.0) is IngestOutcome.ACCEPTED
     assert _ingest(merger, 0.9) is IngestOutcome.REORDERED
     merger.flush()
-    assert [e.timestamp for e in merger.emitted] == [0.9, 1.0]
+    assert [e.timestamp for e in merger.timeline(StreamKind.RR_INTERVAL)] == [0.9, 1.0]
     assert merger.reordered == 1
     assert merger.dropped_late == 0
 
@@ -96,7 +99,7 @@ def test_arrival_behind_the_frontier_is_dropped():
     _ingest(merger, 10.5)  # emits t=10.0, moving the frontier past 0.5
     assert _ingest(merger, 0.5) is IngestOutcome.DROPPED_LATE
     merger.flush()
-    assert [e.timestamp for e in merger.emitted] == [0.0, 10.0, 10.5]
+    assert [e.timestamp for e in merger.timeline(StreamKind.RR_INTERVAL)] == [0.0, 10.0, 10.5]
     assert merger.dropped_late == 1
 
 
@@ -108,7 +111,7 @@ def test_arrival_between_frontier_and_watermark_is_salvaged():
     _ingest(merger, 10.0)  # emits only t=0.0
     assert _ingest(merger, 0.5) is IngestOutcome.REORDERED
     merger.flush()
-    assert [e.timestamp for e in merger.emitted] == [0.0, 0.5, 10.0]
+    assert [e.timestamp for e in merger.timeline(StreamKind.RR_INTERVAL)] == [0.0, 0.5, 10.0]
     assert merger.dropped_late == 0
 
 
@@ -120,7 +123,7 @@ def test_duplicate_timestamp_same_stream_is_kept():
     _ingest(merger, 2.0)
     assert _ingest(merger, 2.0) is IngestOutcome.ACCEPTED
     merger.flush()
-    assert [e.timestamp for e in merger.emitted] == [1.0, 2.0, 2.0]
+    assert [e.timestamp for e in merger.timeline(StreamKind.RR_INTERVAL)] == [1.0, 2.0, 2.0]
 
 
 def test_watermark_tracks_max_seen_minus_jitter_until_flush():
@@ -141,7 +144,7 @@ def test_emitted_matches_offline_sort_of_survivors():
         if _ingest(merger, t, stream=stream) is not IngestOutcome.DROPPED_LATE:
             survivors.append((t, stream))
     merger.flush()
-    emitted = merger.emitted
+    emitted = merger.timeline(StreamKind.RR_INTERVAL)
     assert len(emitted) == len(survivors)
     keys = [e.sort_key() for e in emitted]
     assert keys == sorted(keys)
