@@ -271,12 +271,6 @@ def parse_config_text(text: str) -> dict[str, str]:
     return entries
 
 
-def load_config_file(path, base: SessionConfig | None = None) -> SessionConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        entries = parse_config_text(handle.read())
-    return apply_entries(base or SessionConfig(), entries)
-
-
 # ---------------------------------------------------------------------------
 # round-trip through JSON (trace headers)
 

@@ -25,10 +25,6 @@ class ZeroDtError(EngineError):
     """Velocity is undefined for a non-positive time step."""
 
 
-class TooFewSamplesError(EngineError):
-    """The operation needs more samples than were supplied."""
-
-
 class TooFewIntervalsError(EngineError):
     """An HRV statistic needs at least two intervals."""
 

@@ -7,7 +7,6 @@ from cogloop.config import (
     apply_entries,
     config_from_dict,
     config_to_dict,
-    load_config_file,
     parse_config_text,
     validate_config,
 )
@@ -150,7 +149,8 @@ def test_apply_entries_bad_number_raises():
 def test_config_file_round_trip(tmp_path):
     path = tmp_path / "session.cfg"
     path.write_text("trigger_threshold = 1.6\ncooldown.physiological = 30\n")
-    cfg = load_config_file(path)
+    # read the way `cogloop run --config` reads it
+    cfg = apply_entries(SessionConfig(), parse_config_text(path.read_text(encoding="utf-8")))
     assert cfg.trigger_threshold == 1.6
     assert cfg.cooldown_s[Category.PHYSIOLOGICAL] == 30.0
 
