@@ -19,6 +19,7 @@ from enum import Enum
 
 from .errors import OutOfRangeError, TooFewIntervalsError
 from .model import RRSample, Timestamp
+from .stats import pstdev
 from .streams import Window
 
 # Intervals outside this physiological range are treated as artifacts
@@ -54,7 +55,7 @@ def sdnn(rr_ms: list[float]) -> float:
     """Population standard deviation of the interval series."""
     if len(rr_ms) < 2:
         raise TooFewIntervalsError(f"need at least 2 intervals, got {len(rr_ms)}")
-    return statistics.pstdev(rr_ms)
+    return pstdev(rr_ms)
 
 
 def pnn50(rr_ms: list[float]) -> float:

@@ -22,6 +22,7 @@ from enum import Enum
 
 from .errors import NoUsableChannelsError, UncalibratedChannelError
 from .model import Dimension, Timestamp
+from .stats import pstdev
 
 # Channel identifiers produced by the feature pipelines.
 CHANNEL_PUPIL = "pupil_mm"
@@ -175,7 +176,7 @@ def compute_baseline(
         values = [v for v, _ in pairs]
         qualities = [q for _, q in pairs]
         mu = statistics.fmean(values)
-        sigma = max(statistics.pstdev(values, mu=mu), sigma_floor)
+        sigma = max(pstdev(values, mu=mu), sigma_floor)
         profile.channels[channel_id] = ChannelBaseline(
             mu=mu,
             sigma=sigma,

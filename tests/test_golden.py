@@ -1,5 +1,5 @@
 """Golden digests: replaying a bundled profile gives the same bytes in
-every process and after every refactor.
+every process, after every refactor and on every supported Python.
 
 Criterion 07 compares two replays inside one process; these pins hold
 across processes and across changes to the engine. A change that alters
@@ -7,14 +7,19 @@ behaviour on purpose re-pins them and records the old and new digests,
 with the reason, in CHANGES.md.
 """
 
-import hashlib
 import json
-from importlib import resources
+import os
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cogloop.scenario import load_profile, synthesize
-from cogloop.session import run_session, write_trace
+from golden_replay import replay_digests
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # (profile, window_hop_s override) -> (trace sha256, decision list sha256)
 GOLDEN = {
@@ -42,24 +47,50 @@ GOLDEN = {
 }
 
 
-def _bundled_profile(name):
-    ref = resources.files("cogloop").joinpath("profiles", f"{name}.json")
-    with resources.as_file(ref) as path:
-        return load_profile(path)
-
-
-def _decisions_sha256(events) -> str:
-    decisions = [{"t": e.t, "payload": e.payload} for e in events if e.kind == "decision"]
-    return hashlib.sha256(json.dumps(decisions, sort_keys=True).encode("utf-8")).hexdigest()
-
-
 @pytest.mark.parametrize(
     "name,hop", list(GOLDEN), ids=[f"{name}@{hop or 'default'}" for name, hop in GOLDEN]
 )
-def test_replay_matches_golden_digests(tmp_path, name, hop):
-    overrides = {"window_hop_s": hop} if hop is not None else None
-    result = run_session(synthesize(_bundled_profile(name)), overrides=overrides)
-    path = tmp_path / "trace.jsonl"
-    write_trace(result, path)
-    trace_sha256 = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert (trace_sha256, _decisions_sha256(result.events)) == GOLDEN[(name, hop)]
+def test_replay_matches_golden_digests(name, hop):
+    assert replay_digests(name, hop) == GOLDEN[(name, hop)]
+
+
+_VERSION = "import platform, sys; print(platform.python_implementation(), *sys.version_info[:3])"
+
+
+def _oldest_other_cpython() -> tuple[str, tuple[int, ...]] | None:
+    """The oldest installed CPython that ``requires-python`` admits, other
+    than the running one's minor version: ``pythonX.Y`` on PATH, or one
+    of pyenv's versions. None when there is no such interpreter."""
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    minimum = tuple(int(part) for part in re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups())
+    candidates = {shutil.which(f"python3.{minor}") for minor in range(minimum[1], 30)}
+    pyenv_versions = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
+    candidates.update(str(path) for path in pyenv_versions.glob("*/bin/python3"))
+    found = []
+    for executable in sorted(filter(None, candidates)):
+        try:
+            probe = subprocess.run([executable, "-c", _VERSION], capture_output=True, text=True, timeout=30)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        implementation, *version = probe.stdout.split() or [""]
+        if probe.returncode != 0 or implementation != "CPython":
+            continue
+        version = tuple(int(part) for part in version)
+        if version[:2] >= minimum and version[:2] != sys.version_info[:2]:
+            found.append((version, executable))
+    return min(found, default=None)
+
+
+def test_replay_matches_golden_digests_on_the_oldest_other_python():
+    oldest = _oldest_other_cpython()
+    if oldest is None:
+        pytest.skip("no other CPython that requires-python admits is installed")
+    version, executable = oldest
+    # the engine is standard-library only; the other interpreter needs no pytest
+    replay = subprocess.run(
+        [executable, str(ROOT / "tests" / "golden_replay.py"), json.dumps(list(GOLDEN))],
+        env={"PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True, timeout=900,
+    )
+    assert replay.returncode == 0, replay.stderr
+    digests = {key: tuple(pair) for key, pair in zip(GOLDEN, json.loads(replay.stdout))}
+    assert digests == GOLDEN, f"Python {'.'.join(map(str, version))} ({executable})"
