@@ -76,6 +76,13 @@ from .streams import IngestOutcome, StreamMerger, Window, grid_time
 
 ENGINE_TAG = "cogloop-0.1.0"
 
+# The longest session a replay covers, in seconds. Replay walks every
+# window and decision tick up to the last session time, so its cost
+# grows with the timestamps, not with the data: a sample whose session
+# time lies past this is skipped with a warning, not replayed through a
+# gap of years. A constant, not a config key: one value is in use.
+MAX_SESSION_S = 24 * 3600.0
+
 # stable tie-break for events sharing a timestamp: causes before effects
 KIND_PRIORITY: dict[str, int] = {
     "sync": 0,
@@ -365,7 +372,7 @@ def run_session(
         (d.stream_id for d in scenario.header.streams if d.kind is StreamKind.PUPIL_GAZE), None
     )
     last_gaze_t = -math.inf
-    last_t: float | None = None
+    paced_to: float | None = None
     registrations = merger.registrations
     for record in scenario.records:
         if isinstance(record, SyncRecord):
@@ -373,23 +380,25 @@ def run_session(
             sync_t = max(session_t for _, session_t in record.marks)
             recorder.add(sync_t, "sync", {"stream": record.stream_id, "offset_s": offset})
             continue
-        if realtime and last_t is not None and record.t > last_t:
-            _sleep(record.t - last_t)
-        last_t = record.t
-
         registration = registrations[record.stream_id]
         session_t = registration.session_time(record.t)
-        if not 0.0 <= session_t < math.inf:
+        if not 0.0 <= session_t <= MAX_SESSION_S:
             recorder.add(
                 record.t,
                 "warning",
                 {
                     "reason": "session_time_out_of_range",
                     "stream": record.stream_id,
-                    "detail": f"producer time {record.t} maps to session time {session_t}",
+                    "detail": f"producer time {record.t} maps to session time {session_t}, "
+                    f"outside [0, {MAX_SESSION_S}]",
                 },
             )
             continue
+        if realtime:
+            # pace at the session times, which the check above bounds
+            if paced_to is not None and session_t > paced_to:
+                _sleep(session_t - paced_to)
+            paced_to = session_t if paced_to is None else max(paced_to, session_t)
         if record.stream_id == gaze_stream:
             if session_t <= last_gaze_t:
                 recorder.add(

@@ -1,13 +1,18 @@
 import dataclasses
 import hashlib
 import json
+import os
 import statistics
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cogloop
 from cogloop import session
 from cogloop.behavior import score_posture
 from cogloop.config import SessionConfig, config_to_dict
@@ -361,6 +366,60 @@ def test_negative_session_time_is_skipped_with_a_warning():
     header = {"config": config_to_dict(result.config)}
     assert validate_trace(header, result.events) == []
     assert summarize(header, result.events)["warnings"] == {"session_time_out_of_range": 1}
+
+
+def _replay_in_a_subprocess(tmp_path, lines, *flags):
+    """``cogloop run`` on the lines, in a child process given 60 s: a
+    replay walking every hop to a session time of 1e9 runs for hours."""
+    scenario, trace = tmp_path / "scenario.jsonl", tmp_path / "trace.jsonl"
+    scenario.write_text("\n".join(lines) + "\n")
+    src = str(Path(cogloop.__file__).resolve().parents[1])
+    subprocess.run(
+        [sys.executable, "-m", "cogloop.cli", "run", "--scenario", str(scenario), "--trace", str(trace), *flags],
+        env={**os.environ, "PYTHONPATH": src}, check=True, capture_output=True, timeout=60,
+    )
+    return read_trace(trace)
+
+
+def _beats_at(*times):
+    return [json.dumps({"type": "sample", "stream": "heart", "t": t, "rr_ms": 800}) for t in times]
+
+
+def test_sample_past_the_session_span_is_skipped_without_replaying_or_pacing_the_gap(tmp_path):
+    # --realtime sleeps 0.1 s between the first beats, and never for the gap
+    lines = [_header_lines(NOTE_AND_HEART), *_beats_at(0.0, 0.05, 0.1, 1e9)]
+    header, events = _replay_in_a_subprocess(tmp_path, lines, "--realtime")
+    warnings = [(e.t, e.payload["reason"]) for e in events if e.kind == "warning"]
+    assert warnings == [(1e9, "session_time_out_of_range")]
+    assert str(session.MAX_SESSION_S) in next(e for e in events if e.kind == "warning").payload["detail"]
+    heart = next(e.payload for e in events if e.kind == "stream_summary" and e.payload["stream"] == "heart")
+    assert (heart["accepted"], heart["first_t"], heart["last_t"]) == (3, 0.0, 0.1)
+    assert validate_trace(header, events) == []
+
+
+def test_sync_offset_past_the_session_span_skips_later_samples(tmp_path):
+    sync = json.dumps({"type": "sync", "stream": "heart", "marks": [[0.0, 1e9], [10.0, 1e9 + 10.0]]})
+    lines = [_header_lines(NOTE_AND_HEART), *_beats_at(0.0, 0.8), sync, *_beats_at(1.6, 2.4)]
+    header, events = _replay_in_a_subprocess(tmp_path, lines)
+    warnings = [(e.t, e.payload["reason"]) for e in events if e.kind == "warning"]
+    assert warnings == [(1.6, "session_time_out_of_range"), (2.4, "session_time_out_of_range")]
+    heart = next(e.payload for e in events if e.kind == "stream_summary" and e.payload["stream"] == "heart")
+    assert (heart["accepted"], heart["first_t"], heart["last_t"]) == (2, 0.0, 0.8)
+    assert validate_trace(header, events) == []
+
+
+def test_realtime_pacing_follows_session_time_and_never_goes_back():
+    # the heart's producer clock runs 100 s ahead; a note arrives late
+    lines = [
+        _header_lines(NOTE_AND_HEART),
+        json.dumps({"type": "sync", "stream": "heart", "marks": [[100.0, 0.0], [101.0, 1.0]]}),
+        *_beats_at(100.0, 100.8),
+        json.dumps({"type": "sample", "stream": "notes", "t": 0.5, "correctness": 0.8}),
+        *_beats_at(101.6),
+    ]
+    naps = []
+    run_session(parse_scenario_lines(lines), realtime=True, _sleep=naps.append)
+    assert naps == [pytest.approx(0.8), pytest.approx(0.8)]
 
 
 def test_gaze_sample_whose_session_time_does_not_advance_is_skipped_with_a_warning():
