@@ -396,9 +396,11 @@ def run_session(
             continue
         if realtime:
             # pace at the session times, which the check above bounds
-            if paced_to is not None and session_t > paced_to:
+            if paced_to is None:
+                paced_to = session_t
+            elif session_t > paced_to:
                 _sleep(session_t - paced_to)
-            paced_to = session_t if paced_to is None else max(paced_to, session_t)
+                paced_to = session_t
         if record.stream_id == gaze_stream:
             if session_t <= last_gaze_t:
                 recorder.add(

@@ -2,8 +2,10 @@
 
 Samples from independent producers are shifted onto the session clock
 by their stream's offset and merged into one timeline of envelopes
-ordered by (timestamp, stream_id, ingestion sequence). The merger is
-the one place that applies a clock offset and builds an envelope. A
+ordered by (timestamp, stream_id, ingestion sequence). A stream's
+registration is the one place that applies its clock offset
+(``StreamRegistration.session_time``), and the merger the one place
+that builds an envelope. A
 bounded reorder buffer absorbs cross-stream jitter: an envelope may
 arrive up to ``jitter_tolerance_s`` behind the newest timestamp seen
 and still be emitted in order. Anything older than the already-emitted
@@ -27,8 +29,6 @@ class IngestOutcome(str, Enum):
     ACCEPTED = "accepted"
     REORDERED = "reordered"
     DROPPED_LATE = "dropped_late"
-
-
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,8 @@ from cogloop.scenario import (
     synthesize,
     write_scenario,
 )
-from cogloop.streams import estimate_offset
 from cogloop.session import run_session, validate_trace
+from cogloop.streams import estimate_offset
 
 HEADER = json.dumps({
     "type": "header",
