@@ -16,10 +16,10 @@ import json
 import sys
 from importlib import resources
 
-from .config import parse_config_text
+from .config import config_to_dict, parse_config_text
 from .errors import ConfigError, ScenarioError
 from .scenario import load_profile, load_scenario, synthesize, write_scenario
-from .session import read_trace, run_session, summarize, validate_trace
+from .session import read_trace, run_session, summarize, validate_trace, write_trace
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,20 +66,14 @@ def _cmd_run(args) -> int:
 
     result = run_session(scenario, overrides=overrides, realtime=args.realtime)
     if args.trace:
-        from .session import write_trace
-
         write_trace(result, args.trace)
 
-    by_category: dict[str, int] = {}
-    by_dimension: dict[str, int] = {}
-    for decision in result.decisions:
-        by_category[decision.category.value] = by_category.get(decision.category.value, 0) + 1
-        by_dimension[decision.dimension.value] = by_dimension.get(decision.dimension.value, 0) + 1
+    summary = summarize({"config": config_to_dict(result.config)}, result.events)
     print(f"events: {len(result.events)}")
-    print(f"decisions: {len(result.decisions)}")
-    for category, count in sorted(by_category.items()):
+    print(f"decisions: {summary['decisions_total']}")
+    for category, count in summary["decisions_by_category"].items():
         print(f"  category {category}: {count}")
-    for dimension, count in sorted(by_dimension.items()):
+    for dimension, count in summary["decisions_by_dimension"].items():
         print(f"  dimension {dimension}: {count}")
     if args.trace:
         print(f"trace written to {args.trace}")

@@ -66,6 +66,14 @@ class SessionConfig:
 # the most hops of window_hop_s a calibration span or window may hold
 MAX_GRID_HOPS = 2**52
 
+# The longest session a replay covers, in seconds. Replay walks every
+# window and decision tick up to the last session time, so its cost
+# grows with the timestamps, not with the data: a sample whose session
+# time lies past this is skipped with a warning, not replayed through a
+# gap of years, and every trace event lies in [0, MAX_SESSION_S]. A
+# constant, not a config key: one value is in use.
+MAX_SESSION_S = 24 * 3600.0
+
 
 @dataclass
 class ValidationReport:
@@ -99,6 +107,9 @@ def validate_config(cfg: SessionConfig) -> ValidationReport:
 
     positive("calibration_duration_s", cfg.calibration_duration_s)
     grid_span("calibration_duration_s", cfg.calibration_duration_s)
+    # the uncalibrated_channel warnings are stamped at its end
+    if is_positive(cfg.calibration_duration_s) and cfg.calibration_duration_s > MAX_SESSION_S:
+        fail(f"calibration_duration_s ({cfg.calibration_duration_s}) exceeds the session span ({MAX_SESSION_S})")
     positive("window_hop_s", cfg.window_hop_s)
     positive("ivt_velocity_threshold", cfg.ivt_velocity_threshold)
     positive("min_fixation_duration_s", cfg.min_fixation_duration_s)
@@ -163,22 +174,10 @@ def validate_config(cfg: SessionConfig) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # flat key=value entries
 
+# the flat scalar keys, each typed by its default; the other fields are
+# the structured entries, built by a default factory
 _SCALAR_KEYS = {
-    "calibration_duration_s": float,
-    "window_hop_s": float,
-    "jitter_tolerance_s": float,
-    "ivt_velocity_threshold": float,
-    "min_fixation_duration_s": float,
-    "rolling_median_width": int,
-    "quality_floor": float,
-    "trigger_threshold": float,
-    "persistence_s": float,
-    "consecutive_windows": int,
-    "confidence_min": float,
-    "sigma_floor": float,
-    "baseline_min_samples": int,
-    "history_turns": int,
-    "client": str,
+    f.name: type(f.default) for f in dataclasses.fields(SessionConfig) if f.default is not dataclasses.MISSING
 }
 
 
@@ -276,26 +275,12 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def config_to_dict(cfg: SessionConfig) -> dict:
     return {
-        "calibration_duration_s": cfg.calibration_duration_s,
+        **{key: getattr(cfg, key) for key in _SCALAR_KEYS},
         "window_length_s": {k.value: v for k, v in sorted(cfg.window_length_s.items())},
-        "window_hop_s": cfg.window_hop_s,
-        "jitter_tolerance_s": cfg.jitter_tolerance_s,
-        "ivt_velocity_threshold": cfg.ivt_velocity_threshold,
-        "min_fixation_duration_s": cfg.min_fixation_duration_s,
-        "rolling_median_width": cfg.rolling_median_width,
         "weights": {
             dim.value: dict(sorted(row.items())) for dim, row in sorted(cfg.weights.items())
         },
-        "quality_floor": cfg.quality_floor,
-        "trigger_threshold": cfg.trigger_threshold,
-        "persistence_s": cfg.persistence_s,
-        "consecutive_windows": cfg.consecutive_windows,
-        "confidence_min": cfg.confidence_min,
         "cooldown_s": {c.value: v for c, v in sorted(cfg.cooldown_s.items())},
-        "sigma_floor": cfg.sigma_floor,
-        "baseline_min_samples": cfg.baseline_min_samples,
-        "history_turns": cfg.history_turns,
-        "client": cfg.client,
         "strategy_overrides": {
             f"{d.value}.{s.value}.{m.value}": tid
             for (d, s, m), tid in sorted(cfg.strategy_overrides.items())

@@ -13,10 +13,6 @@ class DuplicateStreamError(EngineError):
     """A stream id was registered twice on the same merger."""
 
 
-class UnknownStreamError(EngineError):
-    """An envelope or sync mark referenced an unregistered stream."""
-
-
 class InsufficientMarksError(EngineError):
     """Clock offset estimation needs at least two sync marks."""
 

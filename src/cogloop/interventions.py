@@ -212,23 +212,9 @@ class _Run:
         self.repeat_count = 0
 
 
-@dataclass
-class TriggerTracker:
-    """Mutable per-dimension run state plus per-category cooldowns."""
-
-    runs: dict[Dimension, _Run] = field(
-        default_factory=lambda: {d: _Run() for d in Dimension}
-    )
-    challenge_run: _Run = field(default_factory=_Run)
-    cooldown_until: dict[Category, Timestamp] = field(
-        default_factory=lambda: {c: -math.inf for c in Category}
-    )
-    last_t: Timestamp | None = None
-
-
 @dataclass(frozen=True)
 class TriggerPolicy:
-    """The knobs consulted by :func:`update`."""
+    """The knobs consulted by :class:`InterventionEngine`."""
 
     trigger_threshold: float = 1.5
     confidence_min: float = 0.6
@@ -236,123 +222,41 @@ class TriggerPolicy:
     persistence_s: float = 10.0
 
 
-def _gates_pass(run: _Run, t: Timestamp, policy: TriggerPolicy) -> bool:
-    assert run.first_exceeded_at is not None
-    return (
-        run.consecutive >= policy.consecutive_windows
-        and (t - run.first_exceeded_at) >= policy.persistence_s
-    )
+# The trigger routes, walked in this order: (dimension, composite). The
+# six dimensions, then the under-challenge composite, which acts on
+# engagement and supersedes a plain engagement candidate.
+ROUTES: tuple[tuple[Dimension, bool], ...] = (
+    *((dimension, False) for dimension in Dimension),
+    (Dimension.ENGAGEMENT, True),
+)
 
 
-def update(
-    tracker: TriggerTracker,
-    state: StateVector,
-    policy: TriggerPolicy,
-    modality: Modality = Modality.TEXT,
-    table: StrategyTable | None = None,
-) -> list[Candidate]:
-    """Advance the tracker by one state vector and collect candidates.
+def _reading(
+    dimension: Dimension, composite: bool, state: StateVector, policy: TriggerPolicy
+) -> tuple[float, float, int] | None:
+    """(score, confidence, supra channels) when the route is active.
 
-    Mutates ``tracker`` in place. Raises NonMonotoneTimeError when the
-    vector does not move time strictly forward. A candidate blocked
-    only by its category cooldown keeps its run; threshold and
-    confidence failures clear the run and its repeat count.
+    A dimension is active above the trigger threshold; the composite
+    when cognitive load sits well below baseline with engagement above
+    it. Either way the confidence must clear the floor.
     """
-    table = table or StrategyTable()
-    t = state.t
-    if tracker.last_t is not None and t <= tracker.last_t:
-        raise NonMonotoneTimeError(
-            f"state at t={t} does not advance past t={tracker.last_t}"
-        )
-    tracker.last_t = t
-
-    candidates: list[Candidate] = []
-    for dimension in Dimension:
+    if not composite:
         ds = state.dims[dimension]
-        run = tracker.runs[dimension]
-        above = (
-            ds.observed
-            and ds.score > policy.trigger_threshold
-            and ds.confidence > policy.confidence_min
-        )
-        if not above:
-            run.clear()
-            continue
-        run.consecutive += 1
-        if run.first_exceeded_at is None:
-            run.first_exceeded_at = t
-        if not _gates_pass(run, t, policy):
-            continue
-        severity = severity_of(ds.score)
-        category = table.lookup(dimension, severity, modality).category
-        if t < tracker.cooldown_until[category]:
-            continue  # deferred, run intact
-        candidates.append(
-            Candidate(
-                dimension=dimension,
-                t=t,
-                score=ds.score,
-                confidence=ds.confidence,
-                severity=severity,
-                supra_channels=ds.supra_channels,
-                repeat_ordinal=run.repeat_count + 1,
-            )
-        )
-
-    composite = _challenge_candidate(tracker, state, policy, modality, table)
-    if composite is not None:
-        # the composite route supersedes a plain engagement deviation
-        candidates = [c for c in candidates if c.dimension is not Dimension.ENGAGEMENT]
-        candidates.append(composite)
-    return candidates
-
-
-def _challenge_candidate(
-    tracker: TriggerTracker,
-    state: StateVector,
-    policy: TriggerPolicy,
-    modality: Modality,
-    table: StrategyTable,
-) -> Candidate | None:
-    """Under-challenge composite: load well below baseline, engagement above.
-
-    Tracked like a seventh dimension so the same persistence and
-    cooldown discipline applies.
-    """
+        if ds.observed and ds.score > policy.trigger_threshold and ds.confidence > policy.confidence_min:
+            return ds.score, ds.confidence, ds.supra_channels
+        return None
     load = state.dims[Dimension.COGNITIVE_LOAD]
     engagement = state.dims[Dimension.ENGAGEMENT]
-    run = tracker.challenge_run
     confidence = min(load.confidence, engagement.confidence)
-    active = (
+    if (
         load.observed
         and engagement.observed
         and load.signed_score <= CHALLENGE_LOAD_CEILING
         and engagement.signed_score > 0.0
         and confidence > policy.confidence_min
-    )
-    if not active:
-        run.clear()
-        return None
-    run.consecutive += 1
-    if run.first_exceeded_at is None:
-        run.first_exceeded_at = state.t
-    if not _gates_pass(run, state.t, policy):
-        return None
-    score = abs(load.signed_score)
-    severity = severity_of(score)
-    category = table.lookup(Dimension.ENGAGEMENT, severity, modality).category
-    if state.t < tracker.cooldown_until[category]:
-        return None
-    return Candidate(
-        dimension=Dimension.ENGAGEMENT,
-        t=state.t,
-        score=score,
-        confidence=confidence,
-        severity=severity,
-        supra_channels=max(load.supra_channels, engagement.supra_channels),
-        composite=True,
-        repeat_ordinal=run.repeat_count + 1,
-    )
+    ):
+        return abs(load.signed_score), confidence, max(load.supra_channels, engagement.supra_channels)
+    return None
 
 
 def prioritize(candidates: list[Candidate]) -> Candidate | None:
@@ -382,18 +286,9 @@ def choose_framing(
     return Framing.IMPLICIT
 
 
-def apply_cooldown(
-    tracker: TriggerTracker,
-    decision: InterventionDecision,
-    cooldown_s: dict[Category, float],
-) -> None:
-    """Start the decision category's cooldown. The boundary is
-    inclusive: a candidate at exactly ``t + cooldown`` may fire."""
-    tracker.cooldown_until[decision.category] = decision.t + cooldown_s[decision.category]
-
-
 class InterventionEngine:
-    """Stateful wrapper driving one trigger tracker over a session."""
+    """Drives the trigger routes over a session: per-route runs,
+    per-category cooldowns and the time of the last state vector."""
 
     def __init__(
         self,
@@ -407,10 +302,46 @@ class InterventionEngine:
         self.modality = modality
         self.table = table or StrategyTable()
         self.table.validate()
-        self.tracker = TriggerTracker()
+        self.runs = {route: _Run() for route in ROUTES}
+        self.cooldown_until = {category: -math.inf for category in Category}
+        self.last_t: Timestamp | None = None
 
     def step(self, state: StateVector) -> tuple[list[Candidate], InterventionDecision | None]:
-        candidates = update(self.tracker, state, self.policy, self.modality, self.table)
+        """Advance every route by one state vector; decide on the winner.
+
+        Raises NonMonotoneTimeError when the vector does not move time
+        strictly forward. Each route goes through the same gates: active,
+        run, persistence, cooldown. A candidate blocked only by its
+        category cooldown keeps its run; an inactive route clears its run
+        and its repeat count.
+        """
+        t = state.t
+        if self.last_t is not None and t <= self.last_t:
+            raise NonMonotoneTimeError(f"state at t={t} does not advance past t={self.last_t}")
+        self.last_t = t
+        policy = self.policy
+
+        candidates: list[Candidate] = []
+        for (dimension, composite), run in self.runs.items():
+            reading = _reading(dimension, composite, state, policy)
+            if reading is None:
+                run.clear()
+                continue
+            run.consecutive += 1
+            if run.first_exceeded_at is None:
+                run.first_exceeded_at = t
+            if run.consecutive < policy.consecutive_windows or t - run.first_exceeded_at < policy.persistence_s:
+                continue
+            score, confidence, supra_channels = reading
+            severity = severity_of(score)
+            if t < self.cooldown_until[self.table.lookup(dimension, severity, self.modality).category]:
+                continue  # deferred, run intact
+            if composite:
+                candidates = [c for c in candidates if c.dimension is not dimension]
+            candidates.append(
+                Candidate(dimension, t, score, confidence, severity, supra_channels, composite, run.repeat_count + 1)
+            )
+
         winner = prioritize(candidates)
         if winner is None:
             return candidates, None
@@ -431,8 +362,10 @@ class InterventionEngine:
             confidence=winner.confidence,
             composite=winner.composite,
         )
-        apply_cooldown(self.tracker, decision, self.cooldown_s)
-        run = self.tracker.challenge_run if winner.composite else self.tracker.runs[winner.dimension]
+        # the cooldown boundary is inclusive: a candidate at exactly
+        # t + cooldown may fire
+        self.cooldown_until[entry.category] = t + self.cooldown_s[entry.category]
+        run = self.runs[winner.dimension, winner.composite]
         run.reset()
         run.repeat_count += 1
         return candidates, decision

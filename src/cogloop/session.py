@@ -23,6 +23,7 @@ from operator import attrgetter
 from .behavior import PostureScore, ingest_note_assessment, score_posture
 from .cardio import window_hrv
 from .config import (
+    MAX_SESSION_S,
     SessionConfig,
     apply_entries,
     config_from_dict,
@@ -53,7 +54,7 @@ from .interventions import (
     TriggerPolicy,
 )
 from .model import Dimension, PostureSample, SampleEnvelope, StreamKind, Timestamp
-from .scenario import Scenario, SyncRecord
+from .scenario import Scenario, SyncRecord, _is_finite_number
 from .state import (
     CHANNEL_BLINK_RATE,
     CHANNEL_FIXATION_COUNT,
@@ -75,13 +76,6 @@ from .state import (
 from .streams import IngestOutcome, StreamMerger, Window, grid_time
 
 ENGINE_TAG = "cogloop-0.1.0"
-
-# The longest session a replay covers, in seconds. Replay walks every
-# window and decision tick up to the last session time, so its cost
-# grows with the timestamps, not with the data: a sample whose session
-# time lies past this is skipped with a warning, not replayed through a
-# gap of years. A constant, not a config key: one value is in use.
-MAX_SESSION_S = 24 * 3600.0
 
 # stable tie-break for events sharing a timestamp: causes before effects
 KIND_PRIORITY: dict[str, int] = {
@@ -157,6 +151,12 @@ class _Recorder:
         self.events.sort(key=lambda event: KIND_PRIORITY[event.kind])
         self.events.sort(key=attrgetter("t"))
         return self.events
+
+
+def _on_span(t: float) -> float:
+    """A session time clamped into [0, MAX_SESSION_S]: where an event
+    about a time off the span is stamped."""
+    return min(t, MAX_SESSION_S) if t >= 0.0 else 0.0
 
 
 def _make_client(cfg: SessionConfig, scenario: Scenario) -> GenerationClient:
@@ -376,15 +376,15 @@ def run_session(
     registrations = merger.registrations
     for record in scenario.records:
         if isinstance(record, SyncRecord):
-            offset = merger.set_offset(record.stream_id, list(record.marks))
-            sync_t = max(session_t for _, session_t in record.marks)
+            offset = registrations[record.stream_id].set_offset(list(record.marks))
+            sync_t = _on_span(max(session_t for _, session_t in record.marks))
             recorder.add(sync_t, "sync", {"stream": record.stream_id, "offset_s": offset})
             continue
         registration = registrations[record.stream_id]
         session_t = registration.session_time(record.t)
         if not 0.0 <= session_t <= MAX_SESSION_S:
             recorder.add(
-                record.t,
+                _on_span(session_t),
                 "warning",
                 {
                     "reason": "session_time_out_of_range",
@@ -422,15 +422,15 @@ def run_session(
             try:
                 reply = client.analyze_note(record.transcript)
             except ClientUnavailableError as error:
-                recorder.add(record.t, "warning", {"reason": "analysis_failed", "detail": str(error)})
+                recorder.add(session_t, "warning", {"reason": "analysis_failed", "detail": str(error)})
                 continue
             try:
                 payload = ingest_note_assessment(reply, analyzer_id=cfg.client)
             except MalformedReplyError as error:
-                recorder.add(record.t, "warning", {"reason": "malformed_note_reply", "detail": str(error)})
+                recorder.add(session_t, "warning", {"reason": "malformed_note_reply", "detail": str(error)})
                 continue
             if payload.clamped:
-                recorder.add(record.t, "warning", {"reason": "note_score_clamped", "stream": record.stream_id})
+                recorder.add(session_t, "warning", {"reason": "note_score_clamped", "stream": record.stream_id})
 
         outcome = merger.ingest(registration, session_t, payload, record.source_confidence)
         if outcome is not IngestOutcome.ACCEPTED:
@@ -439,8 +439,7 @@ def run_session(
     # accepted samples are counted, not traced one by one
     summary_t = max(merger.watermark, 0.0)
     for descriptor in scenario.header.streams:
-        registration = merger.registrations[descriptor.stream_id]
-        first_t, last_t = merger.emitted_span(descriptor.stream_id) or (None, None)
+        registration = registrations[descriptor.stream_id]
         recorder.add(
             summary_t,
             "stream_summary",
@@ -449,8 +448,8 @@ def run_session(
                 "accepted": registration.accepted,
                 "reordered": registration.reordered,
                 "dropped_late": registration.dropped,
-                "first_t": first_t,
-                "last_t": last_t,
+                "first_t": registration.first_t,
+                "last_t": registration.last_t,
             },
         )
 
@@ -667,17 +666,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_finite_number(value) -> bool:
-    """A JSON number that is a finite float; an integer too large for a
-    float is not."""
-    if not _is_number(value):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 def _one_of(values) -> tuple[str, Callable[[object], bool]]:
     return f"one of {', '.join(values)}", lambda value: isinstance(value, str) and value in values
 
@@ -850,7 +838,8 @@ def validate_trace(header: dict, events: list[TraceEvent]) -> list[str]:
       - decisions of one category are spaced by at least the category
         cooldown (boundary inclusive);
       - every decision coincides with a candidate of the same dimension;
-      - events are sorted by (t, kind priority, seq);
+      - events are sorted by (t, kind priority, seq), each within
+        [0, MAX_SESSION_S];
       - every stream has at most one stream_summary, a stream that
         ingest events name has one, and its reordered and dropped_late
         counts equal the number of its ingest events with that outcome.
@@ -861,6 +850,10 @@ def validate_trace(header: dict, events: list[TraceEvent]) -> list[str]:
     keys = [e.sort_key() for e in events]
     if keys != sorted(keys):
         violations.append("events are not sorted by (t, kind priority, seq)")
+    violations.extend(
+        f"{e.kind} event at t={e.t}: outside the session span [0, {MAX_SESSION_S}]"
+        for e in events if not 0.0 <= e.t <= MAX_SESSION_S
+    )
     violations.extend(_stream_summary_violations(events))
 
     states = [e for e in events if e.kind == "state_vector"]

@@ -3,13 +3,13 @@
 Samples from independent producers are shifted onto the session clock
 by their stream's offset and merged into one timeline of envelopes
 ordered by (timestamp, stream_id, ingestion sequence). A stream's
-registration is the one place that applies its clock offset
-(``StreamRegistration.session_time``), and the merger the one place
-that builds an envelope. A
-bounded reorder buffer absorbs cross-stream jitter: an envelope may
-arrive up to ``jitter_tolerance_s`` behind the newest timestamp seen
-and still be emitted in order. Anything older than the already-emitted
-frontier is dropped and counted, never reordered retroactively.
+registration is the one place that sets and applies its clock offset
+(``set_offset``, ``session_time``) and keeps its counts, and the merger
+the one place that builds an envelope. A bounded reorder buffer absorbs
+cross-stream jitter: an envelope may arrive up to ``jitter_tolerance_s``
+behind the newest timestamp seen and still be emitted in order.
+Anything older than the already-emitted frontier is dropped and
+counted, never reordered retroactively.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import DuplicateStreamError, InsufficientMarksError, UnknownStreamError
+from .errors import DuplicateStreamError, InsufficientMarksError
 from .model import Payload, SampleEnvelope, StreamDescriptor, StreamKind, Timestamp
 
 
@@ -84,8 +84,9 @@ class _ChannelTimeline:
 
 @dataclass
 class StreamRegistration:
-    """One registered stream: its clock offset, its ingest counts and
-    the timeline of its kind, which its emitted envelopes join."""
+    """One registered stream: its clock offset, its ingest counts, the
+    session times of its first and last emitted envelopes, and the
+    timeline of its kind, which its emitted envelopes join."""
 
     descriptor: StreamDescriptor
     timeline: _ChannelTimeline = field(repr=False, compare=False)
@@ -93,6 +94,8 @@ class StreamRegistration:
     ingested: int = 0
     reordered: int = 0
     dropped: int = 0
+    first_t: Timestamp | None = None
+    last_t: Timestamp | None = None
 
     @property
     def accepted(self) -> int:
@@ -103,6 +106,15 @@ class StreamRegistration:
         current offset. This is the time to ``ingest`` the sample at."""
         return t + self.clock_offset_s
 
+    def set_offset(self, marks: list[tuple[Timestamp, Timestamp]]) -> float:
+        """Estimate and install the stream's clock offset from sync marks.
+
+        Applies to samples ingested afterwards; earlier ones keep the
+        correction they were emitted with.
+        """
+        self.clock_offset_s = estimate_offset(marks)
+        return self.clock_offset_s
+
 
 class StreamMerger:
     """Orders envelopes from all registered streams onto one timeline."""
@@ -112,15 +124,13 @@ class StreamMerger:
             raise ValueError("jitter_tolerance_s must be non-negative")
         self.jitter_tolerance_s = jitter_tolerance_s
         self.registrations: dict[str, StreamRegistration] = {}
-        # (sort key, envelope, the timeline the envelope joins when emitted)
-        self._heap: list[tuple[tuple[float, str, int], SampleEnvelope, _ChannelTimeline]] = []
+        # (sort key, envelope, the registration of its stream)
+        self._heap: list[tuple[tuple[float, str, int], SampleEnvelope, StreamRegistration]] = []
         self._seq = 0
         self._max_seen_t = float("-inf")
         self._frontier_key: tuple[float, str, int] | None = None
         self._by_kind = {kind: _ChannelTimeline() for kind in StreamKind}
         self._flushed = False
-        self.dropped_late = 0
-        self.reordered = 0
 
     def register_stream(self, descriptor: StreamDescriptor) -> StreamRegistration:
         if descriptor.stream_id in self.registrations:
@@ -128,22 +138,6 @@ class StreamMerger:
         registration = StreamRegistration(descriptor, self._by_kind[descriptor.kind])
         self.registrations[descriptor.stream_id] = registration
         return registration
-
-    def registration(self, stream_id: str) -> StreamRegistration:
-        registration = self.registrations.get(stream_id)
-        if registration is None:
-            raise UnknownStreamError(f"stream {stream_id!r} is not registered")
-        return registration
-
-    def set_offset(self, stream_id: str, marks: list[tuple[Timestamp, Timestamp]]) -> float:
-        """Estimate and install the clock offset for one stream.
-
-        Applies to samples ingested afterwards; earlier ones keep the
-        correction they were emitted with.
-        """
-        registration = self.registration(stream_id)
-        registration.clock_offset_s = estimate_offset(marks)
-        return registration.clock_offset_s
 
     def ingest(
         self,
@@ -171,27 +165,30 @@ class StreamMerger:
 
         if self._frontier_key is not None and key < self._frontier_key:
             registration.dropped += 1
-            self.dropped_late += 1
             return IngestOutcome.DROPPED_LATE
 
         if session_t < self._max_seen_t:
             outcome = IngestOutcome.REORDERED
             registration.reordered += 1
-            self.reordered += 1
         else:
             outcome = IngestOutcome.ACCEPTED
             self._max_seen_t = session_t
         envelope = SampleEnvelope(stream_id, session_t, payload, source_confidence, seq)
-        heapq.heappush(self._heap, (key, envelope, registration.timeline))
+        heapq.heappush(self._heap, (key, envelope, registration))
         self._drain(self._max_seen_t - self.jitter_tolerance_s)
         return outcome
 
     def _drain(self, up_to: float) -> None:
         heap = self._heap
         while heap and heap[0][0][0] <= up_to:
-            key, envelope, timeline = heapq.heappop(heap)
+            key, envelope, registration = heapq.heappop(heap)
             self._frontier_key = key
-            timeline.times.append(envelope.timestamp)
+            t = envelope.timestamp
+            if registration.first_t is None:
+                registration.first_t = t
+            registration.last_t = t
+            timeline = registration.timeline
+            timeline.times.append(t)
             timeline.samples.append(envelope)
 
     def flush(self) -> None:
@@ -202,17 +199,6 @@ class StreamMerger:
     def timeline(self, kind: StreamKind) -> list[SampleEnvelope]:
         """The emitted envelopes of one channel, in merged order."""
         return self._by_kind[kind].samples
-
-    def emitted_span(self, stream_id: str) -> tuple[Timestamp, Timestamp] | None:
-        """Session times of the stream's first and last emitted envelopes,
-        or None when it has emitted none."""
-        samples = self.registration(stream_id).timeline.samples
-        times = (envelope.timestamp for envelope in samples if envelope.stream_id == stream_id)
-        first = next(times, None)
-        if first is None:
-            return None
-        last = next(e.timestamp for e in reversed(samples) if e.stream_id == stream_id)
-        return first, last
 
     @property
     def watermark(self) -> float:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from cogloop.config import (
+    MAX_SESSION_S,
     SessionConfig,
     apply_entries,
     config_from_dict,
@@ -71,8 +72,10 @@ def test_validation_collects_several_failures_at_once():
 )
 def test_spans_of_too_many_hops_rejected(entries):
     report = validate_config(apply_entries(SessionConfig(), entries))
-    assert len(report.failures) == 1
-    assert "spans more than 2**52 hops of window_hop_s" in report.failures[0]
+    # a calibration span this long also exceeds the session span
+    hops = [f for f in report.failures if "exceeds the session span" not in f]
+    assert len(hops) == 1
+    assert "spans more than 2**52 hops of window_hop_s" in hops[0]
     header = json.dumps({
         "type": "header",
         "streams": [{"stream_id": "heart", "kind": "rr_interval", "nominal_rate_hz": 1}],
@@ -83,7 +86,17 @@ def test_spans_of_too_many_hops_rejected(entries):
 
 
 def test_span_of_many_hops_within_the_grid_accepted():
-    assert validate_config(SessionConfig(calibration_duration_s=2.0**51 * 10.0)).ok
+    cfg = SessionConfig(calibration_duration_s=MAX_SESSION_S, window_hop_s=MAX_SESSION_S / 2**51)
+    assert validate_config(cfg).ok
+
+
+def test_calibration_past_the_session_span_rejected():
+    # the uncalibrated_channel warnings are stamped where calibration ends
+    assert validate_config(SessionConfig(calibration_duration_s=MAX_SESSION_S)).ok
+    report = validate_config(SessionConfig(calibration_duration_s=MAX_SESSION_S + 10.0))
+    assert report.failures == [
+        f"calibration_duration_s ({MAX_SESSION_S + 10.0}) exceeds the session span ({MAX_SESSION_S})"
+    ]
 
 
 def test_parse_config_text_comments_and_blanks():

@@ -1,5 +1,9 @@
+import io
+import json
 import random
 import re
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -8,6 +12,7 @@ from cogloop.directives import (
     EncouragementFrequency,
     ExplanationDirectness,
     LearningContext,
+    LiveGenerationClient,
     MetaphorUsage,
     MockGenerationClient,
     SentenceComplexity,
@@ -20,7 +25,7 @@ from cogloop.directives import (
     render_prompt,
     render_template,
 )
-from cogloop.errors import UnknownTemplateError
+from cogloop.errors import ClientUnavailableError, UnknownTemplateError
 from cogloop.interventions import (
     Category,
     Framing,
@@ -261,3 +266,49 @@ def test_mock_client_generate_delegates():
     client = MockGenerationClient()
     prompt = render_prompt(_packet())
     assert client.generate(prompt) == mock_generate(prompt)
+
+
+# ---------------------------------------------------------------------------
+# live client, with urlopen replaced: nothing leaves the process
+
+ENDPOINT = "http://localhost:9/generate"
+
+
+def _serve(monkeypatch, *outcomes):
+    """Make urlopen raise or answer with each outcome in turn; returns
+    the JSON bodies it was sent."""
+    sent = []
+    pending = list(outcomes)
+
+    def urlopen(request, timeout):
+        assert request.full_url == ENDPOINT
+        sent.append(json.loads(request.data))
+        outcome = pending.pop(0)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return io.BytesIO(outcome.encode("utf-8"))
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    return sent
+
+
+def test_live_client_without_an_endpoint_is_unavailable(monkeypatch):
+    monkeypatch.delenv("COGLOOP_GENERATION_URL", raising=False)
+    sent = _serve(monkeypatch)
+    with pytest.raises(ClientUnavailableError, match="no generation endpoint"):
+        LiveGenerationClient().generate("hello")
+    assert sent == []
+
+
+def test_live_client_retries_once_after_a_failure(monkeypatch):
+    sent = _serve(monkeypatch, urllib.error.URLError("connection refused"), "a reply")
+    assert LiveGenerationClient(endpoint=ENDPOINT).generate("hello") == "a reply"
+    assert sent == [{"kind": "generate", "prompt": "hello"}] * 2
+
+
+def test_live_client_raises_after_two_failures(monkeypatch):
+    monkeypatch.setenv("COGLOOP_GENERATION_URL", ENDPOINT)
+    sent = _serve(monkeypatch, urllib.error.URLError("connection refused"), TimeoutError("timed out"))
+    with pytest.raises(ClientUnavailableError, match="failed twice: timed out"):
+        LiveGenerationClient().analyze_note("osmosis")
+    assert sent == [{"kind": "analyze_note", "transcript": "osmosis"}] * 2

@@ -10,11 +10,9 @@ from cogloop.interventions import (
     StrategyTable,
     Tier,
     TriggerPolicy,
-    TriggerTracker,
     choose_framing,
     prioritize,
     severity_of,
-    update,
 )
 from cogloop.model import Dimension, Modality
 from cogloop.state import Descriptor, DimensionState, StateVector, to_descriptor
@@ -136,12 +134,12 @@ def test_unobserved_dimension_never_triggers():
 
 
 def test_time_must_move_forward():
-    tracker = TriggerTracker()
-    update(tracker, _vec(100.0), POLICY)
+    engine = _engine()
+    engine.step(_vec(100.0))
     with pytest.raises(NonMonotoneTimeError):
-        update(tracker, _vec(100.0), POLICY)
+        engine.step(_vec(100.0))
     with pytest.raises(NonMonotoneTimeError):
-        update(tracker, _vec(90.0), POLICY)
+        engine.step(_vec(90.0))
 
 
 # ---------------------------------------------------------------------------

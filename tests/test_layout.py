@@ -1,0 +1,58 @@
+"""The package's imports, checked from its source.
+
+The runtime stays standard-library only, and a module imports no name
+it never uses, so a deletion cannot leave a dead import behind.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+import cogloop
+
+MODULES = sorted(Path(cogloop.__file__).parent.glob("*.py"))
+
+
+def _imports(tree: ast.Module):
+    """(line, module, bound names) for every import statement; module is
+    None for a relative import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name, [alias.asname or alias.name.partition(".")[0]]
+        elif isinstance(node, ast.ImportFrom):
+            module = None if node.level else node.module
+            yield node.lineno, module, [alias.asname or alias.name for alias in node.names]
+
+
+def test_the_package_has_modules():
+    assert {"session", "streams", "interventions"} <= {path.stem for path in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_imports_are_standard_library_or_the_package(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    foreign = [
+        f"line {line}: {module}"
+        for line, module, _ in _imports(tree)
+        if module is not None
+        and module.partition(".")[0] not in sys.stdlib_module_names
+        and module.partition(".")[0] != "cogloop"
+    ]
+    assert foreign == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [
+        f"line {line}: {name}"
+        for line, module, names in _imports(tree)
+        if module != "__future__"
+        for name in names
+        if name not in used
+    ]
+    assert unused == []

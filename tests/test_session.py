@@ -5,6 +5,8 @@ import os
 import statistics
 import subprocess
 import sys
+import urllib.error
+import urllib.request
 from importlib import resources
 from pathlib import Path
 
@@ -294,6 +296,54 @@ def test_malformed_analyzer_reply_becomes_warning_and_skip():
     assert notes["first_t"] == notes["last_t"] == 90.0
 
 
+def test_transcript_warning_is_stamped_at_its_session_time():
+    # the notes clock runs 100 s behind the session: the transcript the
+    # producer stamped 30 s was written at session time 130 s
+    lines = [
+        _header_lines(NOTE_AND_HEART, config={"calibration_duration_s": 120.0}, analyzer_replies=["gibberish"]),
+        json.dumps({"type": "sync", "stream": "notes", "marks": [[0.0, 100.0], [10.0, 110.0]]}),
+        json.dumps({"type": "sample", "stream": "notes", "t": 30.0, "transcript": "osmosis is diffusion of water"}),
+    ] + _beats(0.0, 140.0)
+    result = run_session(parse_scenario_lines(lines))
+    warnings = [(e.t, e.payload["reason"]) for e in result.events if e.kind == "warning"]
+    assert (130.0, "malformed_note_reply") in warnings
+    assert validate_trace({"config": config_to_dict(result.config)}, result.events) == []
+
+
+def test_validator_flags_events_outside_the_session_span(stress_result):
+    header = {"config": config_to_dict(stress_result.config)}
+    stray = TraceEvent(1e9, "warning", len(stress_result.events), {"reason": "hand_edited"})
+    assert validate_trace(header, [*stress_result.events, stray]) == [
+        f"warning event at t=1000000000.0: outside the session span [0, {session.MAX_SESSION_S}]"
+    ]
+
+
+def test_failing_live_client_degrades_to_warnings(monkeypatch):
+    def unreachable(request, timeout):
+        raise urllib.error.URLError("connection refused")
+
+    monkeypatch.setattr(urllib.request, "urlopen", unreachable)
+    monkeypatch.setenv("COGLOOP_GENERATION_URL", "http://localhost:9/generate")
+    scenario = synthesize(parse_profile(STRESS_PROFILE))
+    first_note = next(i for i, r in enumerate(scenario.records) if getattr(r, "stream_id", None) == "notes")
+    scenario.records[first_note] = dataclasses.replace(
+        scenario.records[first_note], payload=None, transcript="osmosis is diffusion of water"
+    )
+    result = run_session(scenario, overrides={"client": "live"})
+    assert result.decisions
+    failures = [
+        (e.t, e.payload["reason"]) for e in result.events
+        if e.kind == "warning" and e.payload["reason"].endswith("_failed")
+    ]
+    assert failures == [
+        (scenario.records[first_note].t, "analysis_failed"),
+        *((d.t, "generation_failed") for d in result.decisions),
+    ]
+    assert not any(e.kind == "client_reply" for e in result.events)
+    header = {"config": config_to_dict(result.config)}
+    assert validate_trace(header, result.events) == []
+
+
 def test_underfilled_channel_warns_as_uncalibrated():
     lines = [
         _header_lines(NOTE_AND_HEART, config={"calibration_duration_s": 120.0}),
@@ -390,7 +440,8 @@ def test_sample_past_the_session_span_is_skipped_without_replaying_or_pacing_the
     lines = [_header_lines(NOTE_AND_HEART), *_beats_at(0.0, 0.05, 0.1, 1e9)]
     header, events = _replay_in_a_subprocess(tmp_path, lines, "--realtime")
     warnings = [(e.t, e.payload["reason"]) for e in events if e.kind == "warning"]
-    assert warnings == [(1e9, "session_time_out_of_range")]
+    # stamped at the session span's end, not at the producer time 1e9
+    assert warnings == [(session.MAX_SESSION_S, "session_time_out_of_range")]
     assert str(session.MAX_SESSION_S) in next(e for e in events if e.kind == "warning").payload["detail"]
     heart = next(e.payload for e in events if e.kind == "stream_summary" and e.payload["stream"] == "heart")
     assert (heart["accepted"], heart["first_t"], heart["last_t"]) == (3, 0.0, 0.1)
@@ -402,7 +453,9 @@ def test_sync_offset_past_the_session_span_skips_later_samples(tmp_path):
     lines = [_header_lines(NOTE_AND_HEART), *_beats_at(0.0, 0.8), sync, *_beats_at(1.6, 2.4)]
     header, events = _replay_in_a_subprocess(tmp_path, lines)
     warnings = [(e.t, e.payload["reason"]) for e in events if e.kind == "warning"]
-    assert warnings == [(1.6, "session_time_out_of_range"), (2.4, "session_time_out_of_range")]
+    # stamped at their session times 1e9 + 1.6 and 1e9 + 2.4, clamped to the span
+    assert warnings == [(session.MAX_SESSION_S, "session_time_out_of_range")] * 2
+    assert [e.t for e in events if e.kind == "sync"] == [session.MAX_SESSION_S]
     heart = next(e.payload for e in events if e.kind == "stream_summary" and e.payload["stream"] == "heart")
     assert (heart["accepted"], heart["first_t"], heart["last_t"]) == (2, 0.0, 0.8)
     assert validate_trace(header, events) == []
@@ -501,7 +554,7 @@ def test_only_reordered_and_dropped_samples_get_ingest_events():
         merger.register_stream(StreamDescriptor(payload["stream_id"], StreamKind(payload["kind"]), 1.0))
     make = {"heart": lambda: RRSample(rr_ms=800.0), "notes": lambda: NoteScoreSample(correctness=0.8)}
     for stream, t in ARRIVALS:
-        merger.ingest(merger.registration(stream), t, make[stream]())
+        merger.ingest(merger.registrations[stream], t, make[stream]())
     merger.flush()
     summaries = _summaries(result)
     assert list(summaries) == ["notes", "heart"]  # header order

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cogloop.errors import DuplicateStreamError, InsufficientMarksError, UnknownStreamError
+from cogloop.errors import DuplicateStreamError, InsufficientMarksError
 from cogloop.model import RRSample, StreamDescriptor, StreamKind
 from cogloop.streams import IngestOutcome, StreamMerger, estimate_offset, grid_time
 
@@ -16,7 +16,7 @@ def _merger(jitter=0.25, streams=("hr",)):
 
 def _ingest(merger, t, stream="hr", source_confidence=1.0):
     """Ingest a beat stamped ``t`` by its producer."""
-    registration = merger.registration(stream)
+    registration = merger.registrations[stream]
     session_t = registration.session_time(t)
     return merger.ingest(registration, session_t, RRSample(rr_ms=800.0), source_confidence)
 
@@ -37,16 +37,10 @@ def test_register_twice_raises():
         merger.register_stream(StreamDescriptor("hr", StreamKind.RR_INTERVAL, 1.0))
 
 
-def test_ingest_unknown_stream_raises():
-    merger = _merger()
-    with pytest.raises(UnknownStreamError):
-        _ingest(merger, 0.0, stream="nope")
-
-
 def test_offset_applies_to_later_ingests_only():
     merger = _merger(streams=("hr",))
     _ingest(merger, 10.0)
-    merger.set_offset("hr", [(0.0, 2.0), (1.0, 3.0)])
+    merger.registrations["hr"].set_offset([(0.0, 2.0), (1.0, 3.0)])
     _ingest(merger, 10.0)
     merger.flush()
     times = [e.timestamp for e in merger.timeline(StreamKind.RR_INTERVAL)]
@@ -55,8 +49,8 @@ def test_offset_applies_to_later_ingests_only():
 
 def test_ingest_stamps_session_time_and_sequence():
     merger = _merger(jitter=0.0)
-    merger.set_offset("hr", [(0.0, 2.0), (1.0, 3.0)])
-    assert merger.registration("hr").session_time(10.0) == 12.0
+    merger.registrations["hr"].set_offset([(0.0, 2.0), (1.0, 3.0)])
+    assert merger.registrations["hr"].session_time(10.0) == 12.0
     _ingest(merger, 10.0, source_confidence=0.5)
     _ingest(merger, 11.0)
     merger.flush()
@@ -68,7 +62,7 @@ def test_ingest_stamps_session_time_and_sequence():
 
 def test_ingest_rejects_out_of_range_session_time_and_confidence():
     merger = _merger(jitter=0.0)
-    merger.set_offset("hr", [(10.0, 0.0), (20.0, 10.0)])  # offset -10 s
+    merger.registrations["hr"].set_offset([(10.0, 0.0), (20.0, 10.0)])  # offset -10 s
     with pytest.raises(ValueError, match="session time"):
         _ingest(merger, 9.5)
     with pytest.raises(ValueError, match="session time"):
@@ -88,8 +82,8 @@ def test_within_jitter_arrivals_are_reordered_not_dropped():
     assert _ingest(merger, 0.9) is IngestOutcome.REORDERED
     merger.flush()
     assert [e.timestamp for e in merger.timeline(StreamKind.RR_INTERVAL)] == [0.9, 1.0]
-    assert merger.reordered == 1
-    assert merger.dropped_late == 0
+    assert merger.registrations["hr"].reordered == 1
+    assert merger.registrations["hr"].dropped == 0
 
 
 def test_arrival_behind_the_frontier_is_dropped():
@@ -100,7 +94,7 @@ def test_arrival_behind_the_frontier_is_dropped():
     assert _ingest(merger, 0.5) is IngestOutcome.DROPPED_LATE
     merger.flush()
     assert [e.timestamp for e in merger.timeline(StreamKind.RR_INTERVAL)] == [0.0, 10.0, 10.5]
-    assert merger.dropped_late == 1
+    assert merger.registrations["hr"].dropped == 1
 
 
 def test_arrival_between_frontier_and_watermark_is_salvaged():
@@ -112,7 +106,7 @@ def test_arrival_between_frontier_and_watermark_is_salvaged():
     assert _ingest(merger, 0.5) is IngestOutcome.REORDERED
     merger.flush()
     assert [e.timestamp for e in merger.timeline(StreamKind.RR_INTERVAL)] == [0.0, 0.5, 10.0]
-    assert merger.dropped_late == 0
+    assert merger.registrations["hr"].dropped == 0
 
 
 def test_duplicate_timestamp_same_stream_is_kept():
