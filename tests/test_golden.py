@@ -1,10 +1,13 @@
 """Golden digests: replaying a bundled profile gives the same bytes in
-every process, after every refactor and on every supported Python.
+every process, after every refactor and on every supported Python, and
+so does the scenario file it synthesizes to.
 
 Criterion 07 compares two replays inside one process; these pins hold
-across processes and across changes to the engine. A change that alters
-behaviour on purpose re-pins them and records the old and new digests,
-with the reason, in CHANGES.md.
+across processes and across changes to the engine. The replay pins
+synthesize in memory; the scenario pins cover the synthesizer and the
+writer down to the byte. A change that alters behaviour on purpose
+re-pins them and records the old and new digests, with the reason, in
+CHANGES.md.
 """
 
 import json
@@ -17,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from golden_replay import replay_digests
+from golden_replay import replay_digests, scenario_sha256
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,6 +47,15 @@ GOLDEN = {
         "0b9c16c10821b4a6f320097641316efee9721d2b3a0f7a6130d6698c11b1507f",
         "a40e18c05ab64a9fbdcd3dc99ebd851a6d174f6910fc3772f2f0e5c3d404a224",
     ),
+}
+
+
+# profile -> sha256 of write_scenario(synthesize(profile)) at its own seed
+SCENARIO_GOLDEN = {
+    "all_baseline": "f00e374d86e6fd9dabe514874531dc81fb3b4609a0bb517f78d31c334fd1dea2",
+    "load_excursion": "8365f23305deaf3a2d29fee46d6cd8e8b86cfef9636bc8beb4ea3f3195e0618f",
+    "mixed_session": "42a05b9b8448274c40c7e54e106466980e0900cec0d2f878315df31597a28107",
+    "stress_ramp": "3942af717ccd07741740b1ed52c84574e58013b308260e60357045f95916b554",
 }
 
 
@@ -81,16 +93,35 @@ def _oldest_other_cpython() -> tuple[str, tuple[int, ...]] | None:
     return min(found, default=None)
 
 
-def test_replay_matches_golden_digests_on_the_oldest_other_python():
+def _run_on_the_oldest_other_python(*args: str):
+    """(version, executable, decoded stdout) of ``golden_replay.py`` run
+    with ``args`` under the oldest other CPython; skips when there is none."""
     oldest = _oldest_other_cpython()
     if oldest is None:
         pytest.skip("no other CPython that requires-python admits is installed")
     version, executable = oldest
     # the engine is standard-library only; the other interpreter needs no pytest
-    replay = subprocess.run(
-        [executable, str(ROOT / "tests" / "golden_replay.py"), json.dumps(list(GOLDEN))],
+    child = subprocess.run(
+        [executable, str(ROOT / "tests" / "golden_replay.py"), *args],
         env={"PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True, timeout=900,
     )
-    assert replay.returncode == 0, replay.stderr
-    digests = {key: tuple(pair) for key, pair in zip(GOLDEN, json.loads(replay.stdout))}
-    assert digests == GOLDEN, f"Python {'.'.join(map(str, version))} ({executable})"
+    assert child.returncode == 0, child.stderr
+    return ".".join(map(str, version)), executable, json.loads(child.stdout)
+
+
+def test_replay_matches_golden_digests_on_the_oldest_other_python():
+    version, executable, pairs = _run_on_the_oldest_other_python(json.dumps(list(GOLDEN)))
+    digests = {key: tuple(pair) for key, pair in zip(GOLDEN, pairs)}
+    assert digests == GOLDEN, f"Python {version} ({executable})"
+
+
+@pytest.mark.parametrize("name", list(SCENARIO_GOLDEN))
+def test_written_scenario_matches_golden_digest(name):
+    assert scenario_sha256(name) == SCENARIO_GOLDEN[name]
+
+
+def test_written_scenarios_match_golden_digests_on_the_oldest_other_python():
+    version, executable, digests = _run_on_the_oldest_other_python(
+        "--scenarios", json.dumps(list(SCENARIO_GOLDEN))
+    )
+    assert dict(zip(SCENARIO_GOLDEN, digests)) == SCENARIO_GOLDEN, f"Python {version} ({executable})"
