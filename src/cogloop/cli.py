@@ -84,8 +84,7 @@ def _cmd_synth(args) -> int:
     profile = _load_profile_arg(args.profile)
     scenario = synthesize(profile, seed=args.seed)
     write_scenario(scenario, args.out)
-    samples = sum(1 for r in scenario.records)
-    print(f"wrote {samples} records ({scenario.duration_s():.0f}s) to {args.out}")
+    print(f"wrote {len(scenario.records)} records ({scenario.duration_s():.0f}s) to {args.out}")
     return 0
 
 

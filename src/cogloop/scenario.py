@@ -26,9 +26,12 @@ import json
 import math
 import random
 import sys
+from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import attrgetter
 
+from .config import MAX_SESSION_S
 from .errors import ScenarioError
 from .model import (
     POSTURE_POINTS,
@@ -380,33 +383,97 @@ def load_scenario(path) -> Scenario:
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _sample_to_obj(record: SampleRecord, kind: StreamKind) -> dict:
-    obj: dict = {"type": "sample", "stream": record.stream_id, "t": record.t}
-    if record.source_confidence != 1.0:
-        obj["source_confidence"] = record.source_confidence
-    if record.transcript is not None:
-        obj["transcript"] = record.transcript
-        return obj
-    payload = record.payload
-    if kind is StreamKind.PUPIL_GAZE:
-        obj.update(
-            x=payload.x, y=payload.y, pupil_mm=payload.pupil_diameter_mm,
-            confidence=payload.confidence,
-        )
-    elif kind is StreamKind.RR_INTERVAL:
-        obj["rr_ms"] = payload.rr_ms
-    elif kind is StreamKind.POSTURE_LANDMARKS:
-        obj["landmarks"] = {name: list(point) for name, point in sorted(payload.landmarks.items())}
-        if payload.visibility:
-            obj["visibility"] = dict(sorted(payload.visibility.items()))
-    else:
-        obj["correctness"] = payload.correctness
-        if payload.feedback_text:
-            obj["feedback"] = payload.feedback_text
-    return obj
+def _literal(value) -> str:
+    """JSON text of a value that is part of a line template, its % signs
+    escaped."""
+    return _encode(value).replace("%", "%%")
+
+
+def _template(stream_id: str, has_source_confidence: bool, fields: dict[str, str]) -> str:
+    """A sample line with one "%s" per number. ``fields`` maps each
+    payload key to its text; the keys come out sorted, as the encoder
+    sorts them, so the numbers fill it in sorted key order."""
+    fields = {**fields, "stream": _literal(stream_id), "t": "%s", "type": '"sample"'}
+    if has_source_confidence:
+        fields["source_confidence"] = "%s"
+    return "{" + ",".join(f"{_literal(key)}:{text}" for key, text in sorted(fields.items())) + "}"
+
+
+def _render(numbers: list) -> list[str]:
+    """The JSON text of each number (or null), from one encoder call.
+
+    The encoder renders a list's items as it renders each alone, so
+    splitting the list's text on commas gives each item's text, unless
+    some item's text holds a comma; then each item is rendered alone.
+    """
+    texts = _encode(numbers)[1:-1].split(",")
+    if len(texts) != len(numbers):
+        texts = [_encode(number) for number in numbers]
+    return texts
+
+
+def _sample_templates(records, kinds: dict[str, StreamKind]):
+    """Yield (template, numbers) for each record of a scenario: the line
+    template, and the numbers that fill it in order. A sync line is
+    finished text, its % signs escaped, with no numbers. Landmark points
+    are (x, y) pairs, as ``PostureSample`` declares."""
+    known: dict[tuple, str] = {}
+    for record in records:
+        if isinstance(record, SyncRecord):
+            marks = [list(mark) for mark in record.marks]
+            yield _literal({"type": "sync", "stream": record.stream_id, "marks": marks}), ()
+            continue
+        stream_id, payload, t = record.stream_id, record.payload, record.t
+        source_confidence = record.source_confidence
+        has_sc = source_confidence != 1.0
+        head = (source_confidence, t) if has_sc else (t,)
+        if record.transcript is not None:
+            fields = {"transcript": _literal(record.transcript)}
+            yield _template(stream_id, has_sc, fields), head
+            continue
+        kind = kinds[stream_id]
+        if kind is StreamKind.PUPIL_GAZE:
+            key = (stream_id, has_sc)
+            template = known.get(key)
+            if template is None:
+                fields = {"confidence": "%s", "pupil_mm": "%s", "x": "%s", "y": "%s"}
+                template = known[key] = _template(stream_id, has_sc, fields)
+            yield template, (payload.confidence, payload.pupil_diameter_mm, *head, payload.x, payload.y)
+        elif kind is StreamKind.RR_INTERVAL:
+            key = (stream_id, has_sc)
+            template = known.get(key)
+            if template is None:
+                template = known[key] = _template(stream_id, has_sc, {"rr_ms": "%s"})
+            yield template, (payload.rr_ms, *head)
+        elif kind is StreamKind.POSTURE_LANDMARKS:
+            landmarks = sorted(payload.landmarks.items())
+            visibility = sorted(payload.visibility.items())
+            key = (stream_id, has_sc, *[name for name, _ in landmarks], None, *[name for name, _ in visibility])
+            template = known.get(key)
+            if template is None:
+                fields = {"landmarks": "{" + ",".join(f"{_literal(name)}:[%s,%s]" for name, _ in landmarks) + "}"}
+                if visibility:
+                    fields["visibility"] = "{" + ",".join(f"{_literal(name)}:%s" for name, _ in visibility) + "}"
+                template = known[key] = _template(stream_id, has_sc, fields)
+            yield template, (
+                *[coordinate for _, point in landmarks for coordinate in point],
+                *head,
+                *[value for _, value in visibility],
+            )
+        else:
+            fields = {"correctness": "%s"}
+            if payload.feedback_text:
+                fields["feedback"] = _literal(payload.feedback_text)
+            yield _template(stream_id, has_sc, fields), (payload.correctness, *head)
 
 
 def scenario_to_lines(scenario: Scenario) -> list[str]:
+    """The scenario's lines: canonical JSON, sorted keys, no spaces.
+
+    Sample lines are filled from templates (strings encoded into them,
+    keys sorted), and the numbers of all lines are rendered by one
+    encoder call.
+    """
     header = scenario.header
     header_obj = {
         "type": "header",
@@ -422,20 +489,20 @@ def scenario_to_lines(scenario: Scenario) -> list[str]:
         "dialogue": list(header.dialogue),
     }
     kinds = {d.stream_id: d.kind for d in header.streams}
+    templates: list[str] = []
+    numbers: list = []
+    for template, values in _sample_templates(scenario.records, kinds):
+        templates.append(template)
+        numbers += values
     lines = [_encode(header_obj)]
-    for record in scenario.records:
-        if isinstance(record, SyncRecord):
-            obj = {"type": "sync", "stream": record.stream_id, "marks": [list(m) for m in record.marks]}
-        else:
-            obj = _sample_to_obj(record, kinds[record.stream_id])
-        lines.append(_encode(obj))
+    if templates:
+        lines += ("\n".join(templates) % tuple(_render(numbers))).split("\n")
     return lines
 
 
 def write_scenario(scenario: Scenario, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        for line in scenario_to_lines(scenario):
-            handle.write(line + "\n")
+        handle.write("\n".join(scenario_to_lines(scenario)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -507,60 +574,90 @@ def load_profile(path) -> SyntheticProfile:
     return parse_profile(data)
 
 
+def _profile_number(value, what: str, positive: bool = False) -> float:
+    """A profile number as a float: a finite JSON number, above zero
+    when ``positive``. A non-finite rate, duration or time constant
+    would hang or crash the synthesizer, so each is refused here."""
+    if not (_is_finite_number(value) and (value > 0 or not positive)):
+        qualifier = "positive " if positive else ""
+        raise ScenarioError(f"{what} must be a {qualifier}finite number, got {value!r}")
+    return float(value)
+
+
+def _profile_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{what} must be an object, got {value!r}")
+    return value
+
+
 def parse_profile(data: dict) -> SyntheticProfile:
-    if not isinstance(data, dict):
-        raise ScenarioError("profile must be a JSON object")
+    """Check a decoded profile and build it; any malformed field is a
+    ScenarioError, and the segments may span at most MAX_SESSION_S,
+    the span a replay covers."""
+    _profile_object(data, "profile")
     segments_raw = data.get("segments")
     if not isinstance(segments_raw, list) or not segments_raw:
         raise ScenarioError("profile needs a non-empty segments list")
     segments: list[ProfileSegment] = []
     for index, seg in enumerate(segments_raw):
-        duration = seg.get("duration_s")
-        if not (isinstance(duration, (int, float)) and duration > 0):
-            raise ScenarioError(f"segment {index}: duration_s must be positive")
+        where = f"segment {index}"
+        _profile_object(seg, where)
+        duration = _profile_number(seg.get("duration_s"), f"{where}: duration_s", positive=True)
         channels: dict[str, GeneratorSpec] = {}
-        for control, spec in seg.get("channels", {}).items():
+        for control, spec in _profile_object(seg.get("channels", {}), f"{where}: channels").items():
             if control not in CONTROLS:
-                raise ScenarioError(f"segment {index}: unknown control {control!r}")
+                raise ScenarioError(f"{where}: unknown control {control!r}")
+            _profile_object(spec, f"{where}: {control}")
             kind = spec.get("kind")
             if kind not in _GENERATOR_KINDS:
-                raise ScenarioError(f"segment {index}: unknown generator kind {kind!r}")
-            generator = GeneratorSpec(
+                raise ScenarioError(f"{where}: unknown generator kind {kind!r}")
+            channels[control] = GeneratorSpec(
                 kind=kind,
-                target_z=float(spec.get("target_z", 0.0)),
-                tau_s=float(spec.get("tau_s", 10.0)),
-                amplitude_z=float(spec.get("amplitude_z", 0.0)),
-                period_s=float(spec.get("period_s", 60.0)),
+                target_z=_profile_number(spec.get("target_z", 0.0), f"{where}: {control} target_z"),
+                tau_s=_profile_number(spec.get("tau_s", 10.0), f"{where}: {control} tau_s", positive=True),
+                amplitude_z=_profile_number(spec.get("amplitude_z", 0.0), f"{where}: {control} amplitude_z"),
+                period_s=_profile_number(spec.get("period_s", 60.0), f"{where}: {control} period_s", positive=True),
             )
-            if generator.tau_s <= 0 or generator.period_s <= 0:
-                raise ScenarioError(f"segment {index}: tau_s and period_s must be positive")
-            channels[control] = generator
-        segments.append(ProfileSegment(duration_s=float(duration), channels=channels))
+        segments.append(ProfileSegment(duration_s=duration, channels=channels))
 
     noise = dict(NOISE_DEFAULTS)
-    for key, value in data.get("noise", {}).items():
+    for key, value in _profile_object(data.get("noise", {}), "noise").items():
         if key not in NOISE_DEFAULTS:
             raise ScenarioError(f"unknown noise key {key!r}")
-        noise[key] = float(value)
+        noise[key] = _profile_number(value, f"noise {key}")
 
     try:
         modality = Modality(data.get("modality", Modality.TEXT.value))
     except ValueError:
         raise ScenarioError(f"unknown modality {data.get('modality')!r}") from None
 
-    return SyntheticProfile(
+    seed = data.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ScenarioError(f"seed must be an integer, got {seed!r}")
+    analyzer_replies = data.get("analyzer_replies", [])
+    if not (isinstance(analyzer_replies, list) and all(isinstance(r, str) for r in analyzer_replies)):
+        raise ScenarioError("analyzer_replies must be a list of strings")
+    dialogue = data.get("dialogue", [])
+    if not (isinstance(dialogue, list) and all(isinstance(turn, dict) for turn in dialogue)):
+        raise ScenarioError("dialogue must be a list of objects")
+
+    profile = SyntheticProfile(
         segments=segments,
-        seed=int(data.get("seed", 0)),
+        seed=seed,
         topic=str(data.get("topic", "the current topic")),
         modality=modality,
         noise=noise,
-        config_entries=dict(data.get("config", {})),
-        analyzer_replies=tuple(data.get("analyzer_replies", [])),
-        dialogue=tuple(data.get("dialogue", [])),
-        gaze_rate_hz=float(data.get("gaze_rate_hz", 60.0)),
-        posture_rate_hz=float(data.get("posture_rate_hz", 5.0)),
-        note_interval_s=float(data.get("note_interval_s", 60.0)),
+        config_entries=dict(_profile_object(data.get("config", {}), "config")),
+        analyzer_replies=tuple(analyzer_replies),
+        dialogue=tuple(dialogue),
+        gaze_rate_hz=_profile_number(data.get("gaze_rate_hz", 60.0), "gaze_rate_hz", positive=True),
+        posture_rate_hz=_profile_number(data.get("posture_rate_hz", 5.0), "posture_rate_hz", positive=True),
+        note_interval_s=_profile_number(data.get("note_interval_s", 60.0), "note_interval_s", positive=True),
     )
+    span = profile.duration_s()
+    if span > MAX_SESSION_S:
+        raise ScenarioError(f"segments span {span} s, past the session span ({MAX_SESSION_S} s)")
+    return profile
 
 
 class _ControlCurve:
@@ -600,6 +697,32 @@ class _ControlCurve:
     def value(self, t: float) -> float:
         return self.mu + self.z(t) * self.sigma
 
+    def values(self, times: list[float]) -> list[float]:
+        """``value(t)`` for each of ``times``, which are non-negative and
+        increasing, bit for bit: one piece at a time, with the float
+        expressions of ``z`` and ``value``."""
+        mu, sigma = self.mu, self.sigma
+        exp, sin = math.exp, math.sin
+        two_pi = 2.0 * math.pi
+        out: list[float] = []
+        lo = 0
+        for start, end, spec, z_start in self.pieces:
+            hi = bisect_left(times, end, lo)
+            span = times[lo:hi]
+            lo = hi
+            if spec.kind == "baseline":
+                out += [mu + 0.0 * sigma] * len(span)
+            elif spec.kind == "ramp":
+                target, tau = spec.target_z, spec.tau_s
+                out += [mu + (target + (z_start - target) * exp(-(t - start) / tau)) * sigma for t in span]
+            else:
+                amplitude, period = spec.amplitude_z, spec.period_s
+                out += [mu + (amplitude * sin(two_pi * (t - start) / period)) * sigma for t in span]
+        # past the final segment: hold its end state
+        start, end, spec, z_start = self.pieces[-1]
+        out += [mu + self._z_at(spec, z_start, end - start) * sigma] * (len(times) - lo)
+        return out
+
 
 _BASE_POSE = {
     "shoulder_left": (0.38, 0.50),
@@ -619,10 +742,6 @@ _TRUNK_LENGTH = 0.38
 _SHOULDER_HALF_WIDTH = 0.12
 
 
-def _clamp(value: float, lo: float, hi: float) -> float:
-    return max(lo, min(hi, value))
-
-
 def synthesize(profile: SyntheticProfile, seed: int | None = None) -> Scenario:
     """Generate a complete scenario from the profile, deterministically.
 
@@ -639,7 +758,7 @@ def synthesize(profile: SyntheticProfile, seed: int | None = None) -> Scenario:
     records.extend(_gen_rr(curves, noise, seed, duration))
     records.extend(_gen_posture(profile, curves, noise, seed, duration))
     records.extend(_gen_notes(profile, curves, noise, seed, duration))
-    records.sort(key=lambda r: (r.t, r.stream_id))
+    records.sort(key=attrgetter("t", "stream_id"))
 
     header = ScenarioHeader(
         streams=[
@@ -658,63 +777,66 @@ def synthesize(profile: SyntheticProfile, seed: int | None = None) -> Scenario:
     return Scenario(header=header, records=records)
 
 
+# The generators clamp with max(lo, min(hi, v)), which turns a -0.0
+# into a lo of 0.0 where a conditional would keep it, and draw
+# rng.uniform(a, b) as its body on every supported CPython,
+# a + (b - a) * rng.random(). Each keeps its RNG calls in one fixed
+# order, so a seed gives the same bytes.
+
+
 def _gen_gaze(profile, curves, noise, seed, duration) -> list[SampleRecord]:
     rng = random.Random(f"{seed}:gaze")
+    draw, gauss = rng.random, rng.gauss
+    cos, sin = math.cos, math.sin
+    two_pi = 2.0 * math.pi
     dt = 1.0 / profile.gaze_rate_hz
     motion_scale = noise["gaze_xy"]
     blink_scale = noise["blink"]
     pupil_noise = noise["pupil_mm"]
 
+    n = int(round(duration * profile.gaze_rate_hz))
+    times = [round(k * dt, 6) for k in range(n)]
+    blink_rates = curves["blink_rate_hz"].values(times)
+    drift_speeds = curves["gaze_drift_speed"].values(times)
+    pupil_means = curves["pupil_mm"].values(times)
+
     records: list[SampleRecord] = []
+    append = records.append
     anchor_x, anchor_y = 0.5, 0.5
     offset_x = offset_y = 0.0
-    dwell_left = rng.uniform(0.8, 2.5)
+    dwell_left = 0.8 + (2.5 - 0.8) * draw()
     blink_left = 0.0
-
-    n = int(round(duration * profile.gaze_rate_hz))
-    for k in range(n):
-        t = round(k * dt, 6)
+    for t, blink_rate, drift_speed, pupil in zip(times, blink_rates, drift_speeds, pupil_means):
         blinking = blink_left > 0.0
         if blinking:
             blink_left -= dt
-        elif blink_scale > 0 and rng.random() < curves["blink_rate_hz"].value(t) * blink_scale * dt:
-            blink_left = rng.uniform(0.08, 0.15)
+        elif blink_scale > 0 and draw() < blink_rate * blink_scale * dt:
+            blink_left = 0.08 + (0.15 - 0.08) * draw()
             blinking = True
 
         if not blinking and motion_scale > 0:
             dwell_left -= dt
             if dwell_left <= 0:
-                anchor_x = rng.uniform(0.15, 0.85)
-                anchor_y = rng.uniform(0.15, 0.85)
+                anchor_x = 0.15 + (0.85 - 0.15) * draw()
+                anchor_y = 0.15 + (0.85 - 0.15) * draw()
                 offset_x = offset_y = 0.0
-                dwell_left = rng.uniform(0.8, 2.5)
-            angle = rng.uniform(0.0, 2.0 * math.pi)
-            step = curves["gaze_drift_speed"].value(t) * dt * motion_scale
-            offset_x = (offset_x + step * math.cos(angle)) * 0.95
-            offset_y = (offset_y + step * math.sin(angle)) * 0.95
+                dwell_left = 0.8 + (2.5 - 0.8) * draw()
+            angle = 0.0 + (two_pi - 0.0) * draw()
+            step = drift_speed * dt * motion_scale
+            offset_x = (offset_x + step * cos(angle)) * 0.95
+            offset_y = (offset_y + step * sin(angle)) * 0.95
 
-        x = _clamp(anchor_x + offset_x, 0.0, 1.0)
-        y = _clamp(anchor_y + offset_y, 0.0, 1.0)
+        x = max(0.0, min(1.0, anchor_x + offset_x))
+        y = max(0.0, min(1.0, anchor_y + offset_y))
         if blinking:
             pupil = None
             confidence = 0.05
         else:
-            pupil = curves["pupil_mm"].value(t)
             if pupil_noise > 0:
-                pupil += rng.gauss(0.0, pupil_noise)
-            pupil = round(_clamp(pupil, 1.0, 9.0), 6)
+                pupil += gauss(0.0, pupil_noise)
+            pupil = round(max(1.0, min(9.0, pupil)), 6)
             confidence = 0.98
-        records.append(
-            SampleRecord(
-                stream_id="gaze",
-                t=t,
-                source_confidence=0.99,
-                payload=GazeSample(
-                    x=round(x, 6), y=round(y, 6),
-                    pupil_diameter_mm=pupil, confidence=confidence,
-                ),
-            )
-        )
+        append(SampleRecord("gaze", t, 0.99, GazeSample(round(x, 6), round(y, 6), pupil, confidence)))
     return records
 
 
@@ -728,59 +850,45 @@ def _gen_rr(curves, noise, seed, duration) -> list[SampleRecord]:
         jitter = max(0.0, curves["rr_jitter_ms"].value(t)) * jitter_scale
         if jitter > 0:
             rr += rng.gauss(0.0, jitter)
-        rr = round(_clamp(rr, 300.0, 2000.0), 3)
+        rr = round(max(300.0, min(2000.0, rr)), 3)
         t_next = t + rr / 1000.0
         if t_next >= duration:
             break
-        records.append(
-            SampleRecord(
-                stream_id="heart",
-                t=round(t_next, 6),
-                source_confidence=1.0,
-                payload=RRSample(rr_ms=rr),
-            )
-        )
+        records.append(SampleRecord("heart", round(t_next, 6), 1.0, RRSample(rr)))
         t = t_next
     return records
 
 
+# (name, base x, base y) of each landmark, in the order of its draws
+_POSE = tuple((name, *_BASE_POSE[name]) for name in POSTURE_POINTS)
+
+
 def _gen_posture(profile, curves, noise, seed, duration) -> list[SampleRecord]:
     rng = random.Random(f"{seed}:posture")
+    gauss = rng.gauss
+    tan, radians = math.tan, math.radians
     jitter_sd = 0.003 * noise["posture"]
     dt = 1.0 / profile.posture_rate_hz
-    records: list[SampleRecord] = []
     n = int(round(duration * profile.posture_rate_hz))
-    for k in range(n):
-        t = round(k * dt, 6)
-        slump = curves["posture_slump"].value(t)
-        tilt_dy = math.tan(math.radians(_SLUMP_TILT_DEG * slump)) * _SHOULDER_HALF_WIDTH
-        lean_dx = math.tan(math.radians(_SLUMP_LEAN_DEG * slump)) * _TRUNK_LENGTH
+    times = [round(k * dt, 6) for k in range(n)]
+
+    records: list[SampleRecord] = []
+    for t, slump in zip(times, curves["posture_slump"].values(times)):
+        tilt_dy = tan(radians(_SLUMP_TILT_DEG * slump)) * _SHOULDER_HALF_WIDTH
+        lean_dx = tan(radians(_SLUMP_LEAN_DEG * slump)) * _TRUNK_LENGTH
         ear_dx = _SLUMP_EAR_DRIFT * slump
-
-        def place(base_x: float, base_y: float, dx: float = 0.0, dy: float = 0.0):
-            jx = rng.gauss(0.0, jitter_sd) if jitter_sd > 0 else 0.0
-            jy = rng.gauss(0.0, jitter_sd) if jitter_sd > 0 else 0.0
-            return (
-                round(_clamp(base_x + dx + jx, 0.0, 1.0), 6),
-                round(_clamp(base_y + dy + jy, 0.0, 1.0), 6),
+        # shoulders lean and tilt, ears lean and drift, hips stay
+        dxs = (lean_dx, lean_dx, lean_dx + ear_dx, lean_dx + ear_dx, 0.0, 0.0)
+        dys = (tilt_dy, -tilt_dy, 0.0, 0.0, 0.0, 0.0)
+        landmarks = {}
+        for (name, base_x, base_y), dx, dy in zip(_POSE, dxs, dys):
+            jx = gauss(0.0, jitter_sd) if jitter_sd > 0 else 0.0
+            jy = gauss(0.0, jitter_sd) if jitter_sd > 0 else 0.0
+            landmarks[name] = (
+                round(max(0.0, min(1.0, base_x + dx + jx)), 6),
+                round(max(0.0, min(1.0, base_y + dy + jy)), 6),
             )
-
-        landmarks = {
-            "shoulder_left": place(*_BASE_POSE["shoulder_left"], dx=lean_dx, dy=tilt_dy),
-            "shoulder_right": place(*_BASE_POSE["shoulder_right"], dx=lean_dx, dy=-tilt_dy),
-            "ear_left": place(*_BASE_POSE["ear_left"], dx=lean_dx + ear_dx),
-            "ear_right": place(*_BASE_POSE["ear_right"], dx=lean_dx + ear_dx),
-            "hip_left": place(*_BASE_POSE["hip_left"]),
-            "hip_right": place(*_BASE_POSE["hip_right"]),
-        }
-        records.append(
-            SampleRecord(
-                stream_id="cam",
-                t=t,
-                source_confidence=1.0,
-                payload=PostureSample(landmarks=landmarks),
-            )
-        )
+        records.append(SampleRecord("cam", t, 1.0, PostureSample(landmarks)))
     return records
 
 
@@ -793,13 +901,7 @@ def _gen_notes(profile, curves, noise, seed, duration) -> list[SampleRecord]:
         value = curves["note_correctness"].value(t)
         if note_noise > 0:
             value += rng.gauss(0.0, note_noise)
-        records.append(
-            SampleRecord(
-                stream_id="notes",
-                t=round(t, 6),
-                source_confidence=1.0,
-                payload=NoteScoreSample(correctness=round(_clamp(value, 0.0, 1.0), 4)),
-            )
-        )
+        correctness = round(max(0.0, min(1.0, value)), 4)
+        records.append(SampleRecord("notes", round(t, 6), 1.0, NoteScoreSample(correctness)))
         t += profile.note_interval_s
     return records

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cogloop
 from cogloop.cli import main
 
 PROFILE = {
@@ -56,6 +60,64 @@ def test_bundled_profile_names_resolve(tmp_path):
     out = tmp_path / "bundled.jsonl"
     assert main(["synth", "--profile", "all_baseline", "--out", str(out)]) == 0
     assert out.exists()
+
+
+def _segment(**channel):
+    """PROFILE's one segment, with the pupil channel given as ``channel``."""
+    return [{"duration_s": 8.0, "channels": {"pupil_mm": {"kind": "ramp", **channel}}}]
+
+
+# each of these ended in a traceback (exit 1) or was accepted
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        ({"gaze_rate_hz": 0}, "gaze_rate_hz must be a positive finite number, got 0"),
+        ({"posture_rate_hz": "nan"}, "posture_rate_hz must be a positive finite number, got 'nan'"),
+        ({"segments": [5]}, "segment 0 must be an object, got 5"),
+        ({"segments": _segment(target_z="x")}, "segment 0: pupil_mm target_z must be a finite number, got 'x'"),
+        ({"segments": _segment(tau_s="nan")}, "segment 0: pupil_mm tau_s must be a positive finite number, got 'nan'"),
+        ({"segments": _segment(period_s=float("inf"))}, "segment 0: pupil_mm period_s must be a positive finite number, got inf"),
+        ({"segments": _segment(amplitude_z=float("nan"))}, "segment 0: pupil_mm amplitude_z must be a finite number, got nan"),
+        ({"segments": [{"duration_s": 8.0, "channels": [1]}]}, "segment 0: channels must be an object"),
+        ({"segments": [{"duration_s": 8.0, "channels": {"pupil_mm": "ramp"}}]}, "segment 0: pupil_mm must be an object"),
+        ({"segments": [{"duration_s": float("nan")}]}, "segment 0: duration_s must be a positive finite number"),
+        ({"segments": [{"duration_s": 50_000}] * 2}, "segments span 100000.0 s, past the session span (86400.0 s)"),
+        ({"noise": {"pupil_mm": float("inf")}}, "noise pupil_mm must be a finite number, got inf"),
+        ({"noise": [0.0]}, "noise must be an object"),
+        ({"note_interval_s": -1.0}, "note_interval_s must be a positive finite number, got -1.0"),
+        ({"seed": "x"}, "seed must be an integer, got 'x'"),
+        ({"config": "x"}, "config must be an object"),
+    ],
+    ids=[
+        "zero_gaze_rate", "nan_posture_rate", "segment_not_object", "text_target_z", "nan_tau",
+        "infinite_period", "nan_amplitude", "channels_not_object", "spec_not_object", "nan_duration",
+        "span_past_24h", "infinite_noise", "noise_not_object", "negative_note_interval", "text_seed",
+        "config_not_object",
+    ],
+)
+def test_hostile_profile_exits_2(tmp_path, capsys, edit, message):
+    profile = tmp_path / "hostile.json"
+    profile.write_text(json.dumps({**PROFILE, **edit}))
+    assert main(["synth", "--profile", str(profile), "--out", str(tmp_path / "out.jsonl")]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [{"note_interval_s": 0}, {"segments": [{"duration_s": 1e300}]}],
+    ids=["zero_note_interval", "duration_1e300"],
+)
+def test_hanging_profile_exits_2_in_a_child_process(tmp_path, edit):
+    # both looped for ever: a child process given 60 s
+    profile = tmp_path / "hostile.json"
+    profile.write_text(json.dumps({**PROFILE, **edit}))
+    src = str(Path(cogloop.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-m", "cogloop.cli", "synth", "--profile", str(profile), "--out", str(tmp_path / "out.jsonl")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 2, child.stderr
+    assert child.stderr.startswith("error: ")
 
 
 def test_validate_scenario_and_trace(tmp_path, profile_path, capsys):

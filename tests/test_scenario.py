@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cogloop.config import config_to_dict
+from cogloop.config import MAX_SESSION_S, config_to_dict
 from cogloop.errors import ConfigError, ScenarioError
 from cogloop.model import (
     POSTURE_POINTS,
@@ -14,14 +14,18 @@ from cogloop.model import (
     NoteScoreSample,
     PostureSample,
     RRSample,
+    StreamDescriptor,
     StreamKind,
 )
 from cogloop.scenario import (
     CONTROLS,
     GeneratorSpec,
     SampleRecord,
+    Scenario,
+    ScenarioHeader,
     SyncRecord,
     _ControlCurve,
+    _render,
     _is_finite_number,
     _is_mark,
     _parse_header,
@@ -652,6 +656,101 @@ def test_serialization_is_canonical():
         assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
 
 
+def _sample_to_obj(record: SampleRecord, kind: StreamKind) -> dict:
+    """The writer's oracle: a sample line as one object, which
+    ``json.dumps`` with sorted keys renders as the line."""
+    obj: dict = {"type": "sample", "stream": record.stream_id, "t": record.t}
+    if record.source_confidence != 1.0:
+        obj["source_confidence"] = record.source_confidence
+    if record.transcript is not None:
+        obj["transcript"] = record.transcript
+        return obj
+    payload = record.payload
+    if kind is StreamKind.PUPIL_GAZE:
+        obj.update(
+            x=payload.x, y=payload.y, pupil_mm=payload.pupil_diameter_mm,
+            confidence=payload.confidence,
+        )
+    elif kind is StreamKind.RR_INTERVAL:
+        obj["rr_ms"] = payload.rr_ms
+    elif kind is StreamKind.POSTURE_LANDMARKS:
+        obj["landmarks"] = {name: list(point) for name, point in sorted(payload.landmarks.items())}
+        if payload.visibility:
+            obj["visibility"] = dict(sorted(payload.visibility.items()))
+    else:
+        obj["correctness"] = payload.correctness
+        if payload.feedback_text:
+            obj["feedback"] = payload.feedback_text
+    return obj
+
+
+def _oracle_line(record, kinds) -> str:
+    if isinstance(record, SyncRecord):
+        obj = {"type": "sync", "stream": record.stream_id, "marks": [list(m) for m in record.marks]}
+    else:
+        obj = _sample_to_obj(record, kinds[record.stream_id])
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+# any JSON number the writer may meet: floats of every kind (NaN, the
+# infinities, -0.0), and the ints and bools a unit field may hold
+_NUMBER = st.one_of(st.floats(), st.integers(min_value=-(2**70), max_value=2**70), st.booleans())
+_UNIT = st.one_of(st.floats(min_value=0.0, max_value=1.0), st.integers(0, 1), st.booleans(), st.just(math.nan))
+# strings with the characters a template must carry through: the
+# separators, quotes, escapes, % and non-ASCII
+_TEXT = st.text(alphabet=st.one_of(st.sampled_from(',"\\%:{}[]\n é中😀'), st.characters()), max_size=8)
+_KINDS = (StreamKind.PUPIL_GAZE, StreamKind.RR_INTERVAL, StreamKind.POSTURE_LANDMARKS, StreamKind.NOTE_SCORE)
+
+
+def _point_map(draw, values):
+    names = draw(st.lists(st.sampled_from(POSTURE_POINTS), unique=True))
+    return {name: draw(values) for name in names}
+
+
+@st.composite
+def _written_scenario(draw):
+    ids = draw(st.lists(_TEXT.filter(bool), min_size=4, max_size=4, unique=True))
+    streams = [StreamDescriptor(stream_id, kind, 1.0) for stream_id, kind in zip(ids, _KINDS)]
+    records = []
+    for _ in range(draw(st.integers(0, 12))):
+        index = draw(st.integers(0, 3))
+        stream_id, kind = ids[index], _KINDS[index]
+        if draw(st.integers(0, 9)) == 0:
+            marks = draw(st.lists(st.tuples(_NUMBER, _NUMBER), min_size=2, max_size=3))
+            records.append(SyncRecord(stream_id, tuple(marks)))
+            continue
+        t = draw(_NUMBER)
+        source_confidence = draw(st.one_of(st.just(1.0), _UNIT))
+        if draw(st.integers(0, 9)) == 0:
+            records.append(SampleRecord(stream_id, t, source_confidence, transcript=draw(_TEXT)))
+            continue
+        if kind is StreamKind.PUPIL_GAZE:
+            pupil = draw(st.one_of(st.none(), _NUMBER))
+            payload = GazeSample(draw(_UNIT), draw(_UNIT), pupil, draw(_UNIT))
+        elif kind is StreamKind.RR_INTERVAL:
+            payload = RRSample(draw(_NUMBER))
+        elif kind is StreamKind.POSTURE_LANDMARKS:
+            landmarks = _point_map(draw, st.tuples(_UNIT, _UNIT))
+            payload = PostureSample(landmarks, _point_map(draw, _UNIT))
+        else:
+            payload = NoteScoreSample(draw(_UNIT), draw(_TEXT))
+        records.append(SampleRecord(stream_id, t, source_confidence, payload))
+    return Scenario(ScenarioHeader(streams=streams), records)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=_written_scenario())
+def test_every_written_line_is_the_oracles_json(scenario):
+    kinds = {d.stream_id: d.kind for d in scenario.header.streams}
+    lines = scenario_to_lines(scenario)
+    assert lines[1:] == [_oracle_line(record, kinds) for record in scenario.records]
+
+
+def test_values_whose_text_holds_a_comma_are_rendered_alone():
+    assert _render([1.5, [1, 2], None, True, math.nan]) == ["1.5", "[1,2]", "null", "true", "NaN"]
+    assert _render([]) == []
+
+
 # ---------------------------------------------------------------------------
 # profiles
 
@@ -679,6 +778,13 @@ def test_profile_needs_segments():
 def test_profile_rejects_unknown_noise_key():
     with pytest.raises(ScenarioError, match="unknown noise key"):
         parse_profile({"segments": [{"duration_s": 5}], "noise": {"sparkle": 1.0}})
+
+
+def test_profile_may_span_the_whole_session_span_and_no_more():
+    half = {"duration_s": MAX_SESSION_S / 2}
+    assert parse_profile({"segments": [half, half]}).duration_s() == MAX_SESSION_S
+    with pytest.raises(ScenarioError, match="past the session span"):
+        parse_profile({"segments": [half, half, {"duration_s": 0.5}]})
 
 
 def test_profile_rejects_non_positive_tau():
@@ -728,6 +834,48 @@ def test_oscillation_and_value_mapping():
     assert curve.z(15.0) == pytest.approx(-1.5)
     mu, sigma = CONTROLS["rr_mean_ms"]
     assert curve.value(5.0) == pytest.approx(mu + 1.5 * sigma)
+
+
+_GENERATOR = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("baseline")}),
+    st.fixed_dictionaries({
+        "kind": st.just("ramp"),
+        "target_z": st.floats(-4, 4),
+        "tau_s": st.floats(1e-3, 1e3),
+    }),
+    st.fixed_dictionaries({
+        "kind": st.just("oscillation"),
+        "amplitude_z": st.floats(-4, 4),
+        "period_s": st.floats(1e-3, 1e3),
+    }),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    segments=st.lists(
+        st.tuples(st.floats(1e-3, 500), st.one_of(st.none(), _GENERATOR)), min_size=1, max_size=6
+    ),
+    data=st.data(),
+)
+def test_values_over_a_grid_equal_value_at_each_time_bit_for_bit(segments, data):
+    profile = parse_profile({
+        "segments": [
+            {"duration_s": duration, "channels": {} if spec is None else {"pupil_mm": spec}}
+            for duration, spec in segments
+        ],
+    })
+    curve = _ControlCurve(profile, "pupil_mm")
+    end = curve.pieces[-1][1]
+    # times on each piece boundary and either side of it, a sample grid,
+    # and random times up to well past the last piece
+    boundaries = [b for start, stop, _, _ in curve.pieces for b in (start, stop)]
+    near = [math.nextafter(b, direction) for b in boundaries for direction in (-math.inf, math.inf)]
+    dt = data.draw(st.floats(1e-3, 50), label="dt")
+    grid = [round(k * dt, 6) for k in range(min(int(end * 1.2 / dt), 500))]
+    drawn = data.draw(st.lists(st.floats(0.0, 2.0 * end), max_size=40), label="times")
+    times = sorted(t for t in [*boundaries, *near, *grid, *drawn] if t >= 0.0)
+    assert list(map(float.hex, curve.values(times))) == [curve.value(t).hex() for t in times]
 
 
 # ---------------------------------------------------------------------------
