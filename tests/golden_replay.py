@@ -7,8 +7,8 @@ under interpreters that have no pytest:
 
     PYTHONPATH=src python tests/golden_replay.py '[["stress_ramp", null], ["stress_ramp", 0.6]]'
 
-prints a JSON list with one [trace sha256, decisions sha256] pair for
-each (profile, window_hop_s override) given, and
+prints a JSON list with one [trace sha256, decisions sha256, unsequenced
+trace sha256] triple for each (profile, window_hop_s override) given, and
 
     PYTHONPATH=src python tests/golden_replay.py --scenarios '["all_baseline", "stress_ramp"]'
 
@@ -37,16 +37,32 @@ def _decisions_sha256(events) -> str:
     return hashlib.sha256(json.dumps(decisions, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def replay_digests(name, hop) -> tuple[str, str]:
-    """(trace sha256, decision list sha256) of one replay of a bundled
-    profile, with ``window_hop_s`` overridden unless ``hop`` is None."""
+def _unsequenced_sha256(trace: bytes) -> str:
+    """sha256 of the trace with ``seq`` removed from every event line.
+
+    ``seq`` only breaks ties between events of equal time and kind
+    priority, in the order the engine emitted them; this digest pins the
+    content and the order of the lines without it.
+    """
+    lines = []
+    for line in trace.decode("utf-8").splitlines():
+        obj = json.loads(line)
+        obj.pop("seq", None)
+        lines.append(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def replay_digests(name, hop) -> tuple[str, str, str]:
+    """(trace sha256, decision list sha256, unsequenced trace sha256) of
+    one replay of a bundled profile, with ``window_hop_s`` overridden
+    unless ``hop`` is None."""
     overrides = {"window_hop_s": hop} if hop is not None else None
     result = run_session(synthesize(_bundled_profile(name)), overrides=overrides)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.jsonl"
         write_trace(result, path)
-        trace_sha256 = hashlib.sha256(path.read_bytes()).hexdigest()
-    return trace_sha256, _decisions_sha256(result.events)
+        trace = path.read_bytes()
+    return hashlib.sha256(trace).hexdigest(), _decisions_sha256(result.events), _unsequenced_sha256(trace)
 
 
 def scenario_sha256(name) -> str:

@@ -24,28 +24,36 @@ from golden_replay import replay_digests, scenario_sha256
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# (profile, window_hop_s override) -> (trace sha256, decision list sha256)
+# (profile, window_hop_s override) -> (trace sha256, decision list sha256,
+# unsequenced trace sha256: the trace with seq removed from every event
+# line, which pins every line's content and place but not the tie-break
+# numbering)
 GOLDEN = {
     ("all_baseline", None): (
         "313ac689ee7efdfca5f434353285055f01fa41dd0feead3c1c8450002b87d62c",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "77fa96ac912cd58dfa1b94d3365dd9a046eeee8696ae85b87c0fcd298e880de8",
     ),
     ("load_excursion", None): (
         "7cb487244b154d54443015126e40a1d8118a4670ecc599fea8eaa29bff0bbcd7",
         "b442f6c5c5495b6651de3ff571e84e0c230bec3d30b73860232018226344ae7f",
+        "a4b71bbc8dc263b768e48ca00da5560ff383916caf82ca60cf05638ee1978c8e",
     ),
     ("mixed_session", None): (
         "3b80a89d0c5cf547eae81e4539db3a55617d9c8d13ceed1abbc1d91d2531192e",
         "f662c72fc3304daa9e772aa75087d6d3bba9c273146a6e11b000f703a28cb6ab",
+        "8a86d20393174d9e3e8c58c8e5c4570bdb77c150634f8220921a84105c65dc51",
     ),
     ("stress_ramp", None): (
         "5a5ef6ba3d51793b6d1483527c15bb178457cd3a898f51c230a0ef3b7c8f7cc7",
         "83d9c05a6f0a5f058107bc9ca955286e7bfe85e94980756118cd53a50a2d9da4",
+        "e38bbf294813cd06eaa64389b6e708e8b53512614fd399ffca75fd3c11b941ac",
     ),
     # dense hop: every gaze sample lands in many overlapping windows
     ("stress_ramp", 0.6): (
         "0b9c16c10821b4a6f320097641316efee9721d2b3a0f7a6130d6698c11b1507f",
         "a40e18c05ab64a9fbdcd3dc99ebd851a6d174f6910fc3772f2f0e5c3d404a224",
+        "6ca64ab3e7e95bbad922d9aa5d4cee2b6773b65eb1c8a5f6ae7fe535d1eba689",
     ),
 }
 
@@ -110,8 +118,8 @@ def _run_on_the_oldest_other_python(*args: str):
 
 
 def test_replay_matches_golden_digests_on_the_oldest_other_python():
-    version, executable, pairs = _run_on_the_oldest_other_python(json.dumps(list(GOLDEN)))
-    digests = {key: tuple(pair) for key, pair in zip(GOLDEN, pairs)}
+    version, executable, triples = _run_on_the_oldest_other_python(json.dumps(list(GOLDEN)))
+    digests = {key: tuple(triple) for key, triple in zip(GOLDEN, triples)}
     assert digests == GOLDEN, f"Python {version} ({executable})"
 
 
