@@ -11,8 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import urllib.error
-import urllib.request
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -345,6 +343,11 @@ class LiveGenerationClient:
         return url
 
     def _post(self, payload: dict) -> str:
+        # imported here: urllib.request pulls in http.client, ssl, email
+        # and socket, which a replay with the mock client never needs
+        import urllib.error
+        import urllib.request
+
         body = json.dumps(payload).encode("utf-8")
         request = urllib.request.Request(
             self._url(), data=body, headers={"Content-Type": "application/json"}

@@ -9,10 +9,11 @@ discarded as noise. Blink samples break runs on both sides.
 
 None of the per-sample quantities (blink flag, pair velocity, I-VT
 label, despiked pupil) depends on the window, so a ``GazeTrack``
-computes each once per channel timeline, and every window aggregates
-its index slice of the track. Only the pupil medians within half a
-median width of a window edge are recomputed there, because the edge
-truncates their neighbourhood.
+computes each once per channel timeline, from the samples of the
+windows it is given, and every window aggregates its index slice of the
+track. Only the pupil medians within half a median width of a window
+edge are recomputed there, because the edge truncates their
+neighbourhood.
 """
 
 from __future__ import annotations
@@ -52,89 +53,86 @@ class GazeTrack:
 
     Every column is indexed by timeline position minus ``base``. Sample
     columns: ``valid`` (1 for a usable sample, 0 for a blink), the raw
-    and the despiked pupil (NaN on blinks), and the source confidence.
-    Pair columns hold the pair (i-1, i) at position i: its velocity and
-    its I-VT label.
+    and the despiked pupil (NaN on blinks), the time and the source
+    confidence. Pair columns hold the pair (i-1, i) at position i: its
+    velocity and its I-VT label.
 
-    Windows are read in order of their start. ``advance`` computes the
-    columns of each sample the first time a window reaches it and drops
-    those no later window can reach, so the track holds about one window
-    of samples at a time, however long the timeline.
+    Windows are given in order of their start, each with its samples.
+    ``advance`` drops the columns before the window, which no later
+    window reaches, and computes the columns of each sample the first
+    time a window holds it, so the track holds one window of samples at
+    a time and never reads outside the window it is given. A despiked
+    pupil is computed once its whole neighbourhood is in: only the
+    pupils at least half a median width inside some window are read
+    from the track, and those have it.
 
     Computing a column raises nothing: a pair whose time step is not
     positive is labelled ``ZERO_DT``, and only a window holding it
     raises ``ZeroDtError``.
     """
 
-    def __init__(
-        self,
-        samples: Sequence[SampleEnvelope],
-        median_width: int = 5,
-        velocity_threshold: float = 1.0,
-    ):
+    def __init__(self, median_width: int = 5, velocity_threshold: float = 1.0):
         if median_width < 3 or median_width % 2 == 0:
             raise ValueError(f"median_width must be odd and >= 3, got {median_width}")
         if velocity_threshold <= 0:
             raise ValueError(f"velocity_threshold must be positive, got {velocity_threshold}")
-        self.samples = samples
         self.half = median_width // 2
         self.velocity_threshold = velocity_threshold
         self.base = 0
         self._last_lo = 0
-        # valid and raw_pupil run half a median width ahead of the rest:
-        # the median at sample i reaches sample i + half
         self.valid = bytearray()
         self.raw_pupil = array("d")
         self.pupil = array("d")
+        self.times = array("d")
         self.confidence = array("d")
         self.velocity = array("d")
         self.label = bytearray()
 
-    def advance(self, lo: int, hi: int) -> None:
-        """Cover the window [lo, hi) of the timeline."""
+    def advance(self, lo: int, samples: Sequence[SampleEnvelope]) -> None:
+        """Cover the window whose samples sit at positions [lo, lo + len(samples))."""
         if lo < self._last_lo:
             raise ValueError(f"windows must come in order of their start, got {lo} after {self._last_lo}")
         self._last_lo = lo
-        # a median at lo or later looks back at most half a width
-        drop = min(lo - self.half, self.base + len(self.valid)) - self.base
+        drop = lo - self.base
         if drop > 0:
-            columns = (self.valid, self.raw_pupil, self.pupil, self.confidence, self.velocity, self.label)
+            columns = (self.valid, self.raw_pupil, self.pupil, self.times, self.confidence, self.velocity, self.label)
             for column in columns:
                 del column[:drop]
-            self.base += drop
-        self._compute(hi)
+            self.base = lo
+        self._compute(samples)
 
-    def _compute(self, hi: int) -> None:
-        samples, base, half = self.samples, self.base, self.half
-        n = len(samples)
-        valid, raw = self.valid, self.raw_pupil
-        for j in range(base + len(valid), min(n, hi + half)):
-            gaze = samples[j].payload
+    def _compute(self, samples: Sequence[SampleEnvelope]) -> None:
+        # base is the window's lo: column position k holds samples[k]
+        half, n = self.half, len(samples)
+        valid, raw, times = self.valid, self.raw_pupil, self.times
+        for k in range(len(valid), n):
+            cur = samples[k]
+            gaze = cur.payload
             ok = not is_blink(gaze)
             valid.append(ok)
             raw.append(gaze.pupil_diameter_mm if ok else math.nan)
-        for i in range(base + len(self.pupil), hi):
-            k = i - base
-            if valid[k]:
-                # _median(i, base, n), inlined: this runs once per sample
-                near = range(max(0, k - half), min(n - base, k + half + 1))
-                around = sorted([raw[j] for j in near if valid[j]])
-                m = len(around) // 2
-                self.pupil.append(around[m] if len(around) % 2 else (around[m - 1] + around[m]) / 2)
-            else:
-                self.pupil.append(math.nan)
-            self.confidence.append(samples[i].source_confidence)
+            times.append(cur.timestamp)
+            self.confidence.append(cur.source_confidence)
             velocity, label = 0.0, NO_LABEL
-            if k > 0 and valid[k - 1] and valid[k]:
-                prev, cur = samples[i - 1], samples[i]
+            # the pair at the window's first sample is read by no window
+            if k > 0 and valid[k - 1] and ok:
+                prev = samples[k - 1]
                 dt = cur.timestamp - prev.timestamp
                 if dt <= 0:
                     label = ZERO_DT
                 else:
-                    velocity = math.hypot(cur.payload.x - prev.payload.x, cur.payload.y - prev.payload.y) / dt
+                    velocity = math.hypot(gaze.x - prev.payload.x, gaze.y - prev.payload.y) / dt
                     label = FIXATION if velocity < self.velocity_threshold else SACCADE
             self.velocity.append(velocity)
             self.label.append(label)
+        for k in range(len(self.pupil), n - half):
+            if valid[k]:
+                # _median(base + k, base, base + n), inlined: this runs once per sample
+                around = sorted([raw[j] for j in range(max(0, k - half), k + half + 1) if valid[j]])
+                m = len(around) // 2
+                self.pupil.append(around[m] if len(around) % 2 else (around[m - 1] + around[m]) / 2)
+            else:
+                self.pupil.append(math.nan)
 
     def _median(self, i: int, lo: int, hi: int) -> float:
         """Median of the valid raw pupils around sample i, within [lo, hi).
@@ -192,20 +190,16 @@ class GazeTrack:
         it. Fixation candidates shorter than the minimum duration are
         dropped.
         """
-        base = self.base
-        zero_dt = self.label.find(ZERO_DT, lo + 1 - base, hi - base)
+        base, times, label = self.base, self.times, self.label
+        zero_dt = label.find(ZERO_DT, lo + 1 - base, hi - base)
         if zero_dt >= 0:
-            i = zero_dt + base
-            raise ZeroDtError(
-                f"time step must be positive, got {self.samples[i].timestamp - self.samples[i - 1].timestamp}"
-            )
-        samples, label = self.samples, self.label
+            raise ZeroDtError(f"time step must be positive, got {times[zero_dt] - times[zero_dt - 1]}")
         fixations: list[tuple[Timestamp, Timestamp]] = []
         saccades: list[tuple[Timestamp, Timestamp]] = []
         # a run of pairs p..q spans the samples p-1..q
         for run in _RUNS.finditer(label, lo + 1 - base, hi - base):
-            start = samples[run.start() - 1 + base].timestamp
-            end = samples[run.end() - 1 + base].timestamp
+            start = times[run.start() - 1]
+            end = times[run.end() - 1]
             if label[run.start()] == SACCADE:
                 saccades.append((start, end))
             elif end - start >= min_fixation_duration_s:
@@ -245,7 +239,7 @@ def window_gaze_features(
     if hi - lo < 2:
         return GazeFeatures(start=window.start, end=window.end, present=False, quality=0.0)
 
-    track.advance(lo, hi)
+    track.advance(lo, window.samples)
     fixations, saccades = track.segment(lo, hi, min_fixation_duration_s)
     velocities = track.velocities(lo, hi)
     pupils = track.despiked_pupils(lo, hi)

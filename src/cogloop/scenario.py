@@ -3,6 +3,8 @@
 A scenario is JSON Lines: a header object first, then one record per
 line in session-time order. Records are either samples or sync-mark
 batches. Timestamps are seconds (``t``) or milliseconds (``t_ms``).
+A loaded scenario reads its header at once and parses its records a
+line at a time, each time they are iterated.
 
 The synthesizer turns a profile (ordered segments with per-control
 generators) into a fully deterministic scenario. Generators steer a
@@ -27,7 +29,7 @@ import math
 import random
 import sys
 from bisect import bisect_left
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -79,8 +81,11 @@ class ScenarioHeader:
 
 @dataclass
 class Scenario:
+    """A header and its records: a list when synthesized or parsed from
+    lines, a ``ScenarioFile`` when loaded from a file."""
+
     header: ScenarioHeader
-    records: list[SampleRecord | SyncRecord]
+    records: list[SampleRecord | SyncRecord] | ScenarioFile
 
     def duration_s(self) -> float:
         return max((r.t for r in self.records if isinstance(r, SampleRecord)), default=0.0)
@@ -247,9 +252,10 @@ def _sample_parser(descriptor: StreamDescriptor) -> Callable[[dict, int], Sample
 _decode = json.JSONDecoder().raw_decode
 
 
-def parse_scenario_lines(lines) -> Scenario:
+def _scan(lines) -> Iterator[ScenarioHeader | SampleRecord | SyncRecord]:
+    """The header, then each record, of a scenario's lines, one at a
+    time; a malformed line raises ScenarioError with its number."""
     header: ScenarioHeader | None = None
-    records: list[SampleRecord | SyncRecord] = []
     # one parser per declared stream, built when the header is read
     parsers: dict[str, Callable[[dict, int], SampleRecord]] = {}
 
@@ -272,15 +278,14 @@ def parse_scenario_lines(lines) -> Scenario:
             parse = parsers.get(stream_id) if isinstance(stream_id, str) else None
             if parse is None:
                 raise ScenarioError(f"sample for undeclared stream {stream_id!r}", line_no)
-            records.append(parse(obj, line_no))
+            yield parse(obj, line_no)
             continue
         if record_type == "header":
             if header is not None:
                 raise ScenarioError("duplicate header", line_no)
-            if records:
-                raise ScenarioError("header must be the first record", line_no)
             header = _parse_header(obj, line_no)
             parsers = {d.stream_id: _sample_parser(d) for d in header.streams}
+            yield header
             continue
         if header is None:
             raise ScenarioError("first line must be the header", line_no)
@@ -300,11 +305,26 @@ def parse_scenario_lines(lines) -> Scenario:
         marks = tuple((float(p), float(s)) for p, s in marks)
         if not math.isfinite(estimate_offset(marks)):
             raise ScenarioError("sync marks give a non-finite clock offset", line_no)
-        records.append(SyncRecord(stream_id=stream_id, marks=marks))
+        yield SyncRecord(stream_id=stream_id, marks=marks)
 
     if header is None:
         raise ScenarioError("scenario is empty (no header)", 1)
-    return Scenario(header=header, records=records)
+
+
+def iter_records(lines) -> Iterator[SampleRecord | SyncRecord]:
+    """The records of a scenario's lines, parsed one at a time as they
+    are taken, with every check ``parse_scenario_lines`` makes. The
+    header is checked here and skipped."""
+    scan = _scan(lines)
+    next(scan)
+    return scan
+
+
+def parse_scenario_lines(lines) -> Scenario:
+    """A scenario with all its records parsed into memory."""
+    scan = _scan(lines)
+    header = next(scan)
+    return Scenario(header=header, records=list(scan))
 
 
 def _parse_header(obj: dict, line_no: int) -> ScenarioHeader:
@@ -371,9 +391,35 @@ def _parse_header(obj: dict, line_no: int) -> ScenarioHeader:
     )
 
 
+class ScenarioFile:
+    """The records of a scenario file, read afresh on each iteration.
+
+    Each iteration opens the file and parses it a line at a time
+    (``iter_records``), so a replay holds one record at a time and a
+    malformed line raises its ScenarioError when the iteration reaches
+    it. ``len`` parses the whole file once and keeps the count.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self._count: int | None = None
+
+    def __iter__(self) -> Iterator[SampleRecord | SyncRecord]:
+        with open(self.path, "r", encoding="utf-8") as handle:
+            yield from iter_records(handle)
+
+    def __len__(self) -> int:
+        if self._count is None:
+            self._count = sum(1 for _ in self)
+        return self._count
+
+
 def load_scenario(path) -> Scenario:
+    """The scenario in a file: its header read and checked now, its
+    records a ``ScenarioFile`` view, parsed as they are replayed."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_scenario_lines(handle)
+        header = next(_scan(handle))
+    return Scenario(header=header, records=ScenarioFile(path))
 
 
 # ---------------------------------------------------------------------------
@@ -657,6 +703,11 @@ def parse_profile(data: dict) -> SyntheticProfile:
     span = profile.duration_s()
     if span > MAX_SESSION_S:
         raise ScenarioError(f"segments span {span} s, past the session span ({MAX_SESSION_S} s)")
+    # the generators count their samples as round(span * rate)
+    for name in ("gaze_rate_hz", "posture_rate_hz"):
+        rate = getattr(profile, name)
+        if not math.isfinite(span * rate):
+            raise ScenarioError(f"{name} ({rate}) over the segments' {span} s gives no finite sample count")
     return profile
 
 

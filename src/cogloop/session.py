@@ -1,11 +1,18 @@
 """Replay runner: scenario in, ordered trace out.
 
-The runner ingests every record, closes the merge, extracts windowed
-features, freezes the baseline from the calibration span, then walks
-the decision grid one hop at a time. Everything observable lands in the
-trace as an event; the trace is sorted by time with a fixed per-kind
-priority and the emission sequence as final tie-break, so identical
-inputs produce byte-identical traces.
+A ``Session`` takes one record at a time (``push``). Each record is
+ingested into the stream merger; then every window that the merged
+timeline has made final is cut and turned into channel features, the
+baseline freezes once calibration is over, and every final decision
+tick is walked: fuse, trigger, render, send. ``close`` flushes the
+merger and finishes the rest. So decisions come out while the records
+are still arriving, and memory holds about one window of samples per
+stream, whatever the session's length. ``run_session`` replays a
+whole scenario through one session.
+
+Everything observable lands in the trace as an event; the trace is
+sorted by time with a fixed per-kind priority and a sequence number as
+final tie-break, so identical inputs produce byte-identical traces.
 """
 
 from __future__ import annotations
@@ -53,8 +60,8 @@ from .interventions import (
     StrategyTable,
     TriggerPolicy,
 )
-from .model import Dimension, PostureSample, SampleEnvelope, StreamKind, Timestamp
-from .scenario import Scenario, SyncRecord, _is_finite_number
+from .model import Dimension, PostureSample, StreamKind, Timestamp
+from .scenario import SampleRecord, Scenario, ScenarioHeader, SyncRecord, _is_finite_number
 from .state import (
     CHANNEL_BLINK_RATE,
     CHANNEL_FIXATION_COUNT,
@@ -132,25 +139,38 @@ class SessionResult:
 
 
 class _Recorder:
+    """The events of one replay, kept as (t, kind, payload) in two lists:
+    what arriving records caused (``note``: their sync, ingest and
+    warning events) and what the engine made of the merged timeline
+    (``add``). seq numbers the arrivals first, then the engine's events,
+    each in the order recorded: among events of one time and priority,
+    an arrival comes before the engine's events, whichever was recorded
+    first, as a cause before its effects."""
+
     def __init__(self):
-        self.events: list[TraceEvent] = []
-        self._seq = 0
+        self.arrivals: list[tuple[float, str, dict]] = []
+        self.engine: list[tuple[float, str, dict]] = []
+
+    def note(self, t: float, kind: str, payload: dict) -> None:
+        self.arrivals.append((t, kind, payload))
 
     def add(self, t: float, kind: str, payload: dict) -> None:
-        self.events.append(TraceEvent(t, kind, self._seq, payload))
-        self._seq += 1
+        self.engine.append((t, kind, payload))
 
     def sorted_events(self) -> list[TraceEvent]:
         """The events in (t, kind priority, seq) order.
 
-        seq grows with insertion and list.sort is stable, so sorting by
+        seq grows in list order and list.sort is stable, so sorting by
         priority and then by time gives that order without building a
-        key tuple per event, which made this sort the replay's memory
-        peak.
+        key tuple per event.
         """
-        self.events.sort(key=lambda event: KIND_PRIORITY[event.kind])
-        self.events.sort(key=attrgetter("t"))
-        return self.events
+        events = [
+            TraceEvent(t, kind, seq, payload)
+            for seq, (t, kind, payload) in enumerate(itertools.chain(self.arrivals, self.engine))
+        ]
+        events.sort(key=lambda event: KIND_PRIORITY[event.kind])
+        events.sort(key=attrgetter("t"))
+        return events
 
 
 def _on_span(t: float) -> float:
@@ -159,10 +179,10 @@ def _on_span(t: float) -> float:
     return min(t, MAX_SESSION_S) if t >= 0.0 else 0.0
 
 
-def _make_client(cfg: SessionConfig, scenario: Scenario) -> GenerationClient:
+def _make_client(cfg: SessionConfig, header: ScenarioHeader) -> GenerationClient:
     if cfg.client == "live":
         return LiveGenerationClient()
-    return MockGenerationClient(scripted_note_replies=scenario.header.analyzer_replies)
+    return MockGenerationClient(scripted_note_replies=header.analyzer_replies)
 
 
 def expected_calibration_windows(cfg: SessionConfig, kind: StreamKind) -> int:
@@ -196,11 +216,11 @@ def _baseline_minimums(cfg: SessionConfig) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 # window -> channel features
 
-# An extractor is made once per stream kind, from that channel's merged
-# timeline, and then turns one window at a time into (quality, channel
+# An extractor is made once per stream kind, when its first windows are
+# cut, and then turns one window at a time into (quality, channel
 # features, kind-specific payload extras). Windows come in order of
 # their start, and a per-sample quantity is computed once, the first
-# time a window reaches the sample. Extractors reach the feature
+# time a window holds the sample. Extractors reach the feature
 # functions through this module's globals at call time, so a profiler
 # that wraps those names here sees every call.
 
@@ -208,10 +228,8 @@ Extraction = tuple[float, list[ChannelFeature], dict]
 Extractor = Callable[[Window], Extraction]
 
 
-def _gaze_extractor(
-    timeline: list[SampleEnvelope], cfg: SessionConfig, baseline_pose: PostureSample | None
-) -> Extractor:
-    track = GazeTrack(timeline, cfg.rolling_median_width, cfg.ivt_velocity_threshold)
+def _gaze_extractor(cfg: SessionConfig, baseline_pose: PostureSample | None) -> Extractor:
+    track = GazeTrack(cfg.rolling_median_width, cfg.ivt_velocity_threshold)
 
     def extract(window: Window) -> Extraction:
         gf = window_gaze_features(window, track, cfg.min_fixation_duration_s)
@@ -237,9 +255,7 @@ def _gaze_extractor(
     return extract
 
 
-def _hrv_extractor(
-    timeline: list[SampleEnvelope], cfg: SessionConfig, baseline_pose: PostureSample | None
-) -> Extractor:
+def _hrv_extractor(cfg: SessionConfig, baseline_pose: PostureSample | None) -> Extractor:
     def extract(window: Window) -> Extraction:
         hf = window_hrv(window)
         features: list[ChannelFeature] = []
@@ -259,10 +275,8 @@ def _hrv_extractor(
     return extract
 
 
-def _posture_extractor(
-    timeline: list[SampleEnvelope], cfg: SessionConfig, baseline_pose: PostureSample | None
-) -> Extractor:
-    # Each frame is scored once, when the first window reaches it, and
+def _posture_extractor(cfg: SessionConfig, baseline_pose: PostureSample | None) -> Extractor:
+    # Each frame is scored once, when the first window holds it, and
     # forgotten once the windows have moved past it. scores[i] belongs
     # to timeline position base + i; None where a shoulder is missing.
     scores: list[PostureScore | None] = []
@@ -273,7 +287,7 @@ def _posture_extractor(
         if baseline_pose is not None:
             del scores[:window.lo - base]
             base = window.lo
-            for envelope in timeline[base + len(scores):window.hi]:
+            for envelope in window.samples[len(scores):]:
                 try:
                     scores.append(score_posture(envelope.payload, baseline_pose))
                 except MissingLandmarksError:
@@ -295,9 +309,7 @@ def _posture_extractor(
     return extract
 
 
-def _note_extractor(
-    timeline: list[SampleEnvelope], cfg: SessionConfig, baseline_pose: PostureSample | None
-) -> Extractor:
+def _note_extractor(cfg: SessionConfig, baseline_pose: PostureSample | None) -> Extractor:
     def extract(window: Window) -> Extraction:
         extras = {"sample_count": len(window.samples)}
         if not window.samples:
@@ -315,6 +327,12 @@ EXTRACTORS = {
     StreamKind.POSTURE_LANDMARKS: _posture_extractor,
     StreamKind.NOTE_SCORE: _note_extractor,
 }
+
+# The kinds whose windows are cut before calibration ends. Posture
+# windows wait for the baseline pose, which needs every calibration
+# frame, and note windows wait behind them, so that windows ending at
+# one time always come out in StreamKind order.
+_CUT_WHILE_CALIBRATING = (StreamKind.PUPIL_GAZE, StreamKind.RR_INTERVAL)
 
 
 def _mean_pose(samples: list[PostureSample]) -> PostureSample | None:
@@ -340,9 +358,9 @@ def _mean_pose(samples: list[PostureSample]) -> PostureSample | None:
 # ---------------------------------------------------------------------------
 # the runner
 
-def resolve_config(scenario: Scenario, overrides: dict[str, object] | None = None) -> SessionConfig:
+def resolve_config(header: ScenarioHeader, overrides: dict[str, object] | None = None) -> SessionConfig:
     """Defaults, then scenario header entries, then caller overrides."""
-    cfg = apply_entries(SessionConfig(), scenario.header.config_entries)
+    cfg = apply_entries(SessionConfig(), header.config_entries)
     if overrides:
         cfg = apply_entries(cfg, overrides)
     report = validate_config(cfg)
@@ -351,39 +369,83 @@ def resolve_config(scenario: Scenario, overrides: dict[str, object] | None = Non
     return cfg
 
 
-def run_session(
-    scenario: Scenario,
-    overrides: dict[str, object] | None = None,
-    client: GenerationClient | None = None,
-    realtime: bool = False,
-    _sleep=time.sleep,
-) -> SessionResult:
-    cfg = resolve_config(scenario, overrides)
-    client = client or _make_client(cfg, scenario)
-    recorder = _Recorder()
-    merger = StreamMerger(jitter_tolerance_s=cfg.jitter_tolerance_s)
-    for descriptor in scenario.header.streams:
-        merger.register_stream(descriptor)
+class Session:
+    """One replay, fed one record at a time.
 
-    # gaze velocity needs strictly increasing session times; the parser
-    # checks producer times, and a sync that moves the offset back can
-    # still map a gaze sample onto or before its predecessor
-    gaze_stream = next(
-        (d.stream_id for d in scenario.header.streams if d.kind is StreamKind.PUPIL_GAZE), None
-    )
-    last_gaze_t = -math.inf
-    paced_to: float | None = None
-    registrations = merger.registrations
-    for record in scenario.records:
+    ``push`` ingests a record, then cuts every window and walks every
+    decision tick that the merged timeline has made final: those ending
+    at or before the merger's frontier. Calibration windows feed the
+    baseline, which freezes once the frontier reaches the end of
+    calibration; posture and note windows are cut from then on (see
+    ``_CUT_WHILE_CALIBRATING``). ``close`` flushes the merger and cuts
+    and walks the rest. A decision is therefore made as soon as the
+    samples that decide it are in, and the session holds about one
+    window of samples per stream, not the records it has seen.
+
+    ``pace``, when given, is called with each in-span record's session
+    time before the record takes effect (``run_session``'s realtime
+    mode sleeps there).
+    """
+
+    def __init__(
+        self,
+        header: ScenarioHeader,
+        overrides: dict[str, object] | None = None,
+        client: GenerationClient | None = None,
+        pace: Callable[[float], None] | None = None,
+    ):
+        cfg = self.config = resolve_config(header, overrides)
+        self.header = header
+        self.client = client or _make_client(cfg, header)
+        self.decisions: list[InterventionDecision] = []
+        self.baseline: CalibrationProfile | None = None
+        self._pace = pace
+        self._recorder = _Recorder()
+        self._merger = StreamMerger(jitter_tolerance_s=cfg.jitter_tolerance_s)
+        for descriptor in header.streams:
+            self._merger.register_stream(descriptor)
+        # gaze velocity needs strictly increasing session times; the
+        # parser checks producer times, and a sync that moves the offset
+        # back can still map a gaze sample onto or before its predecessor
+        self._gaze_stream = next((d.stream_id for d in header.streams if d.kind is StreamKind.PUPIL_GAZE), None)
+        self._last_gaze_t = -math.inf
+
+        self._extractors: dict[StreamKind, Extractor] = {}
+        self._calibration_values: dict[str, list[tuple[float, float]]] = {}
+        # live features cut but not yet read by a tick, in time order
+        self._live: list[ChannelFeature] = []
+        self._engine = InterventionEngine(
+            policy=TriggerPolicy(
+                trigger_threshold=cfg.trigger_threshold,
+                confidence_min=cfg.confidence_min,
+                consecutive_windows=cfg.consecutive_windows,
+                persistence_s=cfg.persistence_s,
+            ),
+            cooldown_s=cfg.cooldown_s,
+            modality=header.modality,
+            table=StrategyTable().with_template_overrides(cfg.strategy_overrides),
+        )
+        self._context = LearningContext(topic=header.topic, dialogue=header.dialogue)
+        self._step = 1  # index of the next decision tick
+        self._previous_tick = grid_time(0, cfg.window_hop_s, cfg.calibration_duration_s)
+        # the end of each kind's next window: the frontier that makes it final
+        self._ends = {kind: self._next_window_end(kind) for kind in StreamKind}
+        # the frontier at which the next window, the baseline or the
+        # next tick becomes final
+        self._due = self._next_due()
+
+    def push(self, record: SampleRecord | SyncRecord) -> None:
+        """Ingest one record, then cut and walk whatever it made final."""
+        merger = self._merger
         if isinstance(record, SyncRecord):
-            offset = registrations[record.stream_id].set_offset(list(record.marks))
+            offset = merger.registrations[record.stream_id].set_offset(list(record.marks))
             sync_t = _on_span(max(session_t for _, session_t in record.marks))
-            recorder.add(sync_t, "sync", {"stream": record.stream_id, "offset_s": offset})
-            continue
-        registration = registrations[record.stream_id]
+            self._recorder.note(sync_t, "sync", {"stream": record.stream_id, "offset_s": offset})
+            return
+        registration = merger.registrations[record.stream_id]
         session_t = registration.session_time(record.t)
         if not 0.0 <= session_t <= MAX_SESSION_S:
-            recorder.add(
+            self._recorder.note(
                 _on_span(session_t),
                 "warning",
                 {
@@ -393,82 +455,130 @@ def run_session(
                     f"outside [0, {MAX_SESSION_S}]",
                 },
             )
-            continue
-        if realtime:
-            # pace at the session times, which the check above bounds
-            if paced_to is None:
-                paced_to = session_t
-            elif session_t > paced_to:
-                _sleep(session_t - paced_to)
-                paced_to = session_t
-        if record.stream_id == gaze_stream:
-            if session_t <= last_gaze_t:
-                recorder.add(
+            return
+        if self._pace is not None:
+            self._pace(session_t)
+        if record.stream_id == self._gaze_stream:
+            if session_t <= self._last_gaze_t:
+                self._recorder.note(
                     session_t,
                     "warning",
                     {
                         "reason": "session_time_not_increasing",
                         "stream": record.stream_id,
                         "detail": f"producer time {record.t} maps to session time {session_t}, "
-                        f"not after the previous gaze sample at {last_gaze_t}",
+                        f"not after the previous gaze sample at {self._last_gaze_t}",
                     },
                 )
-                continue
-            last_gaze_t = session_t
+                return
+            self._last_gaze_t = session_t
 
         payload = record.payload
         if record.transcript is not None:
             # transcripts go through the analyzer before they can score
             try:
-                reply = client.analyze_note(record.transcript)
+                reply = self.client.analyze_note(record.transcript)
             except ClientUnavailableError as error:
-                recorder.add(session_t, "warning", {"reason": "analysis_failed", "detail": str(error)})
-                continue
+                self._recorder.note(session_t, "warning", {"reason": "analysis_failed", "detail": str(error)})
+                return
             try:
-                payload = ingest_note_assessment(reply, analyzer_id=cfg.client)
+                payload = ingest_note_assessment(reply, analyzer_id=self.config.client)
             except MalformedReplyError as error:
-                recorder.add(session_t, "warning", {"reason": "malformed_note_reply", "detail": str(error)})
-                continue
+                self._recorder.note(session_t, "warning", {"reason": "malformed_note_reply", "detail": str(error)})
+                return
             if payload.clamped:
-                recorder.add(session_t, "warning", {"reason": "note_score_clamped", "stream": record.stream_id})
+                self._recorder.note(session_t, "warning", {"reason": "note_score_clamped", "stream": record.stream_id})
 
         outcome = merger.ingest(registration, session_t, payload, record.source_confidence)
         if outcome is not IngestOutcome.ACCEPTED:
-            recorder.add(session_t, "ingest", {"stream": record.stream_id, "outcome": outcome.value})
-    merger.flush()
-    # accepted samples are counted, not traced one by one
-    summary_t = max(merger.watermark, 0.0)
-    for descriptor in scenario.header.streams:
-        registration = registrations[descriptor.stream_id]
-        recorder.add(
-            summary_t,
-            "stream_summary",
-            {
-                "stream": descriptor.stream_id,
-                "accepted": registration.accepted,
-                "reordered": registration.reordered,
-                "dropped_late": registration.dropped,
-                "first_t": registration.first_t,
-                "last_t": registration.last_t,
-            },
+            self._recorder.note(session_t, "ingest", {"stream": record.stream_id, "outcome": outcome.value})
+        if merger.frontier >= self._due:
+            self._advance()
+
+    def close(self) -> SessionResult:
+        """Flush the merger, cut and walk the rest, and return the result."""
+        merger = self._merger
+        merger.flush()
+        # accepted samples are counted, not traced one by one
+        summary_t = max(merger.watermark, 0.0)
+        for descriptor in self.header.streams:
+            registration = merger.registrations[descriptor.stream_id]
+            self._recorder.add(
+                summary_t,
+                "stream_summary",
+                {
+                    "stream": descriptor.stream_id,
+                    "accepted": registration.accepted,
+                    "reordered": registration.reordered,
+                    "dropped_late": registration.dropped,
+                    "first_t": registration.first_t,
+                    "last_t": registration.last_t,
+                },
+            )
+        self._advance(final=True)
+        return SessionResult(
+            config=self.config,
+            events=self._recorder.sorted_events(),
+            decisions=self.decisions,
+            baseline=self.baseline,
+            seed=self.header.seed,
+            modality=self.header.modality.value,
+            topic=self.header.topic,
         )
 
-    # two-pass posture baseline: the reference pose comes from the raw
-    # calibration poses, then every posture window is scored against it
-    calibration_poses = [
-        env.payload
-        for env in merger.timeline(StreamKind.POSTURE_LANDMARKS)
-        if env.timestamp < cfg.calibration_duration_s
-    ]
-    baseline_pose = _mean_pose(calibration_poses) if calibration_poses else None
+    def _next_window_end(self, kind: StreamKind) -> float:
+        return self._merger.next_window_end(kind, self.config.window_length_s[kind], self.config.window_hop_s)
 
-    calibration_values: dict[str, list[tuple[float, float]]] = {}
-    live_features: list[ChannelFeature] = []
-    for kind in StreamKind:
-        extract = EXTRACTORS[kind](merger.timeline(kind), cfg, baseline_pose)
-        for window in merger.pop_windows(kind, cfg.window_length_s[kind], cfg.window_hop_s):
+    def _next_due(self) -> float:
+        cfg = self.config
+        if self.baseline is None:
+            return min(cfg.calibration_duration_s, *[self._ends[kind] for kind in _CUT_WHILE_CALIBRATING])
+        return min(grid_time(self._step, cfg.window_hop_s, cfg.calibration_duration_s), *self._ends.values())
+
+    def _advance(self, final: bool = False) -> None:
+        """Cut every window the frontier has made final, freeze the
+        baseline once calibration is over, and walk the final ticks."""
+        cfg = self.config
+        frontier = self._merger.frontier
+        calibrated = self.baseline is not None or final or frontier >= cfg.calibration_duration_s
+        live: list[ChannelFeature] = []
+        for kind in StreamKind if calibrated else _CUT_WHILE_CALIBRATING:
+            if self._ends[kind] <= frontier:
+                live += self._cut(kind)
+        # every window of this cut ends after every window of the last
+        live.sort(key=attrgetter("t"))
+        self._live += live
+        if self.baseline is None and calibrated:
+            self._freeze_baseline()
+        if self.baseline is not None:
+            while (tick := grid_time(self._step, cfg.window_hop_s, cfg.calibration_duration_s)) <= frontier:
+                self._tick(tick)
+        self._due = self._next_due()
+
+    def _extractor(self, kind: StreamKind) -> Extractor:
+        extract = self._extractors.get(kind)
+        if extract is None:
+            pose = None
+            if kind is StreamKind.POSTURE_LANDMARKS:
+                # two-pass posture baseline: the reference pose comes
+                # from the raw calibration poses, all still on the
+                # timeline, then every posture window is scored against it
+                poses = [
+                    env.payload for env in self._merger.timeline(kind)
+                    if env.timestamp < self.config.calibration_duration_s
+                ]
+                pose = _mean_pose(poses) if poses else None
+            extract = self._extractors[kind] = EXTRACTORS[kind](self.config, pose)
+        return extract
+
+    def _cut(self, kind: StreamKind) -> list[ChannelFeature]:
+        """Cut the kind's final windows; returns their live features."""
+        cfg = self.config
+        extract = self._extractor(kind)
+        live: list[ChannelFeature] = []
+        for window in self._merger.pop_windows(kind, cfg.window_length_s[kind], cfg.window_hop_s):
             quality, features, extras = extract(window)
-            recorder.add(
+            self._recorder.add(
                 window.end,
                 "window_features",
                 {
@@ -483,64 +593,52 @@ def run_session(
             )
             if window.end <= cfg.calibration_duration_s:
                 for feature in features:
-                    calibration_values.setdefault(feature.channel_id, []).append(
+                    self._calibration_values.setdefault(feature.channel_id, []).append(
                         (feature.value, feature.quality)
                     )
             else:
-                live_features.extend(features)
+                live += features
+        self._ends[kind] = self._next_window_end(kind)
+        return live
 
-    baseline = compute_baseline(
-        calibration_values,
-        min_samples=cfg.baseline_min_samples,
-        sigma_floor=cfg.sigma_floor,
-        min_samples_per_channel=_baseline_minimums(cfg),
-    )
-    for channel, reason in sorted(baseline.uncalibrated.items()):
-        recorder.add(
-            cfg.calibration_duration_s,
-            "warning",
-            {"reason": "uncalibrated_channel", "channel": channel, "detail": reason},
+    def _freeze_baseline(self) -> None:
+        cfg = self.config
+        self.baseline = compute_baseline(
+            self._calibration_values,
+            min_samples=cfg.baseline_min_samples,
+            sigma_floor=cfg.sigma_floor,
+            min_samples_per_channel=_baseline_minimums(cfg),
         )
+        self._calibration_values.clear()
+        for channel, reason in sorted(self.baseline.uncalibrated.items()):
+            self._recorder.add(
+                cfg.calibration_duration_s,
+                "warning",
+                {"reason": "uncalibrated_channel", "channel": channel, "detail": reason},
+            )
 
-    engine = InterventionEngine(
-        policy=TriggerPolicy(
-            trigger_threshold=cfg.trigger_threshold,
-            confidence_min=cfg.confidence_min,
-            consecutive_windows=cfg.consecutive_windows,
-            persistence_s=cfg.persistence_s,
-        ),
-        cooldown_s=cfg.cooldown_s,
-        modality=scenario.header.modality,
-        table=StrategyTable().with_template_overrides(cfg.strategy_overrides),
-    )
-    context = LearningContext(topic=scenario.header.topic, dialogue=scenario.header.dialogue)
-    decisions: list[InterventionDecision] = []
-
-    live_features.sort(key=lambda f: f.t)
-    cursor = 0
-    watermark = merger.watermark
-    previous_tick = grid_time(0, cfg.window_hop_s, cfg.calibration_duration_s)
-    for step in itertools.count(1):
-        tick = grid_time(step, cfg.window_hop_s, cfg.calibration_duration_s)
-        if tick > watermark:
-            break
-        fresh: list[ChannelFeature] = []
-        while cursor < len(live_features) and live_features[cursor].t <= tick:
-            feature = live_features[cursor]
-            if feature.t > previous_tick:
-                fresh.append(feature)
-            cursor += 1
-        previous_tick = tick
+    def _tick(self, tick: float) -> None:
+        """Fuse the features that ended since the previous tick, then
+        trigger, render and send."""
+        cfg, add = self.config, self._recorder.add
+        live = self._live
+        n = 0
+        while n < len(live) and live[n].t <= tick:
+            n += 1
+        fresh = [feature for feature in live[:n] if feature.t > self._previous_tick]
+        del live[:n]
+        self._previous_tick = tick
+        self._step += 1
         state = infer_state(
-            fresh, baseline, cfg.weights, tick,
+            fresh, self.baseline, cfg.weights, tick,
             trigger_threshold=cfg.trigger_threshold,
             quality_floor=cfg.quality_floor,
         )
-        recorder.add(tick, "state_vector", _state_payload(state))
+        add(tick, "state_vector", _state_payload(state))
 
-        candidates, decision = engine.step(state)
+        candidates, decision = self._engine.step(state)
         for candidate in candidates:
-            recorder.add(
+            add(
                 tick,
                 "candidate",
                 {
@@ -553,50 +651,73 @@ def run_session(
                     "repeat_ordinal": candidate.repeat_ordinal,
                 },
             )
-        if decision is not None:
-            decisions.append(decision)
-            recorder.add(tick, "decision", _decision_payload(decision))
-            descriptors = {dim: state.dims[dim].descriptor for dim in Dimension}
-            packet = build_directives(decision, descriptors, context)
-            prompt = render_prompt(packet, history_turns=cfg.history_turns)
-            recorder.add(
-                tick,
-                "directive_sent",
-                {
-                    "template_id": decision.template_id,
-                    "category": decision.category.value,
-                    "tier": decision.tier.value,
-                    "framing": decision.framing.value,
-                    "modality": decision.modality.value,
-                    "dimension": decision.dimension.value,
-                    "severity": decision.severity.value,
-                    "composite": decision.composite,
-                    "tone": {
-                        "sentence_complexity": packet.tone.sentence_complexity.value,
-                        "encouragement_frequency": packet.tone.encouragement_frequency.value,
-                        "explanation_directness": packet.tone.explanation_directness.value,
-                        "metaphor_usage": packet.tone.metaphor_usage.value,
-                    },
-                    "directive": packet.directive_text,
-                    "prompt": prompt,
-                    "prompt_sha256": hashlib.sha256(prompt.encode("utf-8")).hexdigest(),
+        if decision is None:
+            return
+        self.decisions.append(decision)
+        add(tick, "decision", _decision_payload(decision))
+        descriptors = {dim: state.dims[dim].descriptor for dim in Dimension}
+        packet = build_directives(decision, descriptors, self._context)
+        prompt = render_prompt(packet, history_turns=cfg.history_turns)
+        add(
+            tick,
+            "directive_sent",
+            {
+                "template_id": decision.template_id,
+                "category": decision.category.value,
+                "tier": decision.tier.value,
+                "framing": decision.framing.value,
+                "modality": decision.modality.value,
+                "dimension": decision.dimension.value,
+                "severity": decision.severity.value,
+                "composite": decision.composite,
+                "tone": {
+                    "sentence_complexity": packet.tone.sentence_complexity.value,
+                    "encouragement_frequency": packet.tone.encouragement_frequency.value,
+                    "explanation_directness": packet.tone.explanation_directness.value,
+                    "metaphor_usage": packet.tone.metaphor_usage.value,
                 },
-            )
-            try:
-                reply = client.generate(prompt)
-                recorder.add(tick, "client_reply", {"reply": reply})
-            except ClientUnavailableError as error:
-                recorder.add(tick, "warning", {"reason": "generation_failed", "detail": str(error)})
+                "directive": packet.directive_text,
+                "prompt": prompt,
+                "prompt_sha256": hashlib.sha256(prompt.encode("utf-8")).hexdigest(),
+            },
+        )
+        try:
+            reply = self.client.generate(prompt)
+            add(tick, "client_reply", {"reply": reply})
+        except ClientUnavailableError as error:
+            add(tick, "warning", {"reason": "generation_failed", "detail": str(error)})
 
-    return SessionResult(
-        config=cfg,
-        events=recorder.sorted_events(),
-        decisions=decisions,
-        baseline=baseline,
-        seed=scenario.header.seed,
-        modality=scenario.header.modality.value,
-        topic=scenario.header.topic,
-    )
+
+def _pacer(sleep: Callable[[float], None]) -> Callable[[float], None]:
+    """Sleep through the session time from one in-span record to the
+    next; a record behind the latest one does not sleep."""
+    paced_to: float | None = None
+
+    def pace(session_t: float) -> None:
+        nonlocal paced_to
+        if paced_to is None:
+            paced_to = session_t
+        elif session_t > paced_to:
+            sleep(session_t - paced_to)
+            paced_to = session_t
+
+    return pace
+
+
+def run_session(
+    scenario: Scenario,
+    overrides: dict[str, object] | None = None,
+    client: GenerationClient | None = None,
+    realtime: bool = False,
+    _sleep=time.sleep,
+) -> SessionResult:
+    """Replay a scenario through one ``Session``, a record at a time;
+    ``realtime`` paces the records at their session times."""
+    session = Session(scenario.header, overrides, client, pace=_pacer(_sleep) if realtime else None)
+    push = session.push
+    for record in scenario.records:
+        push(record)
+    return session.close()
 
 
 def _state_payload(state: StateVector) -> dict:

@@ -10,6 +10,13 @@ cross-stream jitter: an envelope may arrive up to ``jitter_tolerance_s``
 behind the newest timestamp seen and still be emitted in order.
 Anything older than the already-emitted frontier is dropped and
 counted, never reordered retroactively.
+
+Windows are cut at the frontier, the time of the last emitted envelope:
+a window is final once the frontier has reached its end, because a
+later sample is either emitted at or after the frontier or dropped.
+Each kind's timeline forgets the envelopes that start before its next
+window, so it holds about one window of samples, however long the
+session; window positions count from the start of the timeline.
 """
 
 from __future__ import annotations
@@ -35,9 +42,9 @@ class IngestOutcome(str, Enum):
 class Window:
     """Half-open slice [start, end) of one channel's merged timeline.
 
-    ``samples`` sit at positions [lo, hi) of the channel timeline, so
-    per-sample quantities computed once over the timeline can be sliced
-    by those indices.
+    ``samples`` sit at positions [lo, hi) of the channel timeline,
+    counted from its first envelope ever, so per-sample quantities
+    computed once per position can be sliced by those indices.
     """
 
     kind: StreamKind
@@ -77,8 +84,12 @@ def grid_time(index: int, hop_s: float, offset_s: float = 0.0) -> Timestamp:
 
 @dataclass
 class _ChannelTimeline:
+    """The emitted envelopes of one kind from position ``base`` on; the
+    ones before it lie before every window still to be cut."""
+
     times: list[float] = field(default_factory=list)
     samples: list[SampleEnvelope] = field(default_factory=list)
+    base: int = 0
     next_window_index: int = 0
 
 
@@ -129,6 +140,9 @@ class StreamMerger:
         self._seq = 0
         self._max_seen_t = float("-inf")
         self._frontier_key: tuple[float, str, int] | None = None
+        # time of the last emitted envelope: no later sample can join the
+        # timeline before it
+        self.frontier = -math.inf
         self._by_kind = {kind: _ChannelTimeline() for kind in StreamKind}
         self._flushed = False
 
@@ -183,7 +197,7 @@ class StreamMerger:
         while heap and heap[0][0][0] <= up_to:
             key, envelope, registration = heapq.heappop(heap)
             self._frontier_key = key
-            t = envelope.timestamp
+            t = self.frontier = envelope.timestamp
             if registration.first_t is None:
                 registration.first_t = t
             registration.last_t = t
@@ -197,7 +211,8 @@ class StreamMerger:
         self._flushed = True
 
     def timeline(self, kind: StreamKind) -> list[SampleEnvelope]:
-        """The emitted envelopes of one channel, in merged order."""
+        """The emitted envelopes of one channel that no cut window has
+        left behind, in merged order."""
         return self._by_kind[kind].samples
 
     @property
@@ -209,27 +224,36 @@ class StreamMerger:
             return self._max_seen_t
         return self._max_seen_t - self.jitter_tolerance_s
 
+    def next_window_end(self, kind: StreamKind, length_s: float, hop_s: float) -> Timestamp:
+        """End of the channel's next window to cut: the frontier that
+        makes it final."""
+        return grid_time(self._by_kind[kind].next_window_index, hop_s, length_s)
+
     def pop_windows(self, kind: StreamKind, length_s: float, hop_s: float) -> list[Window]:
-        """Return every not-yet-emitted complete window for a channel.
+        """Return every not-yet-emitted final window for a channel.
 
         Windows are [k*hop, k*hop + length) anchored at the session
-        origin, their bounds from ``grid_time``; a window is complete
-        once the watermark has passed its end. Repeated calls continue
-        where the previous one stopped.
+        origin, their bounds from ``grid_time``; a window is final once
+        the frontier has reached its end. Repeated calls continue where
+        the previous one stopped, and the envelopes before the next
+        window's start leave the timeline.
         """
         if not (hop_s > 0 and length_s >= hop_s):
             raise ValueError(f"need 0 < hop_s <= length_s, got hop={hop_s} length={length_s}")
         timeline = self._by_kind[kind]
-        watermark = self.watermark
+        times, samples, base = timeline.times, timeline.samples, timeline.base
+        frontier = self.frontier
         windows: list[Window] = []
         k = timeline.next_window_index
-        while (end := grid_time(k, hop_s, length_s)) <= watermark:
+        while (end := grid_time(k, hop_s, length_s)) <= frontier:
             start = grid_time(k, hop_s)
-            lo = bisect_left(timeline.times, start)
-            hi = bisect_left(timeline.times, end)
-            windows.append(
-                Window(kind=kind, start=start, end=end, samples=tuple(timeline.samples[lo:hi]), lo=lo)
-            )
+            lo = bisect_left(times, start)
+            hi = bisect_left(times, end, lo)
+            windows.append(Window(kind=kind, start=start, end=end, samples=tuple(samples[lo:hi]), lo=base + lo))
             k += 1
-        timeline.next_window_index = k
+        if windows:
+            timeline.next_window_index = k
+            gone = bisect_left(times, grid_time(k, hop_s))
+            del times[:gone], samples[:gone]
+            timeline.base = base + gone
         return windows

@@ -187,8 +187,8 @@ def test_criterion_03_fixation_segmentation_matches_oracle():
                 x = min(1.0, max(0.0, x + rng.uniform(-0.005, 0.005)))
                 y = min(1.0, max(0.0, y + rng.uniform(-0.005, 0.005)))
             points.append(_gaze_envelope(t, x, y, blink=False))
-        track = GazeTrack(points, median_width=3, velocity_threshold=threshold)
-        track.advance(0, len(points))
+        track = GazeTrack(median_width=3, velocity_threshold=threshold)
+        track.advance(0, points)
         got_fix, got_sac = track.segment(0, len(points), min_dur)
         want_fix, want_sac = _oracle_fixations(points, threshold, min_dur)
         if got_fix != want_fix:

@@ -87,12 +87,14 @@ def _segment(**channel):
         ({"note_interval_s": -1.0}, "note_interval_s must be a positive finite number, got -1.0"),
         ({"seed": "x"}, "seed must be an integer, got 'x'"),
         ({"config": "x"}, "config must be an object"),
+        ({"gaze_rate_hz": 1e308}, "gaze_rate_hz (1e+308) over the segments' 8.0 s gives no finite sample count"),
+        ({"posture_rate_hz": 1e308}, "posture_rate_hz (1e+308) over the segments' 8.0 s gives no finite sample count"),
     ],
     ids=[
         "zero_gaze_rate", "nan_posture_rate", "segment_not_object", "text_target_z", "nan_tau",
         "infinite_period", "nan_amplitude", "channels_not_object", "spec_not_object", "nan_duration",
         "span_past_24h", "infinite_noise", "noise_not_object", "negative_note_interval", "text_seed",
-        "config_not_object",
+        "config_not_object", "overflowing_gaze_rate", "overflowing_posture_rate",
     ],
 )
 def test_hostile_profile_exits_2(tmp_path, capsys, edit, message):

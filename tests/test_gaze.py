@@ -23,8 +23,8 @@ def _gaze_env(t, x=0.5, y=0.5, pupil=3.0, conf=0.9, source_conf=1.0):
 
 def _track(samples, median_width=5, threshold=1.0):
     """A track advanced over all of ``samples``."""
-    track = GazeTrack(samples, median_width=median_width, velocity_threshold=threshold)
-    track.advance(0, len(samples))
+    track = GazeTrack(median_width=median_width, velocity_threshold=threshold)
+    track.advance(0, samples)
     return track
 
 
@@ -57,9 +57,9 @@ def test_despike_preserves_length_and_order():
 def test_even_or_tiny_width_rejected():
     samples = [_gaze_env(0.0), _gaze_env(0.1)]
     with pytest.raises(ValueError):
-        GazeTrack(samples, median_width=4)
+        GazeTrack(median_width=4)
     with pytest.raises(ValueError):
-        GazeTrack(samples, median_width=1)
+        GazeTrack(median_width=1)
 
 
 def test_blink_samples_stay_absent_and_are_excluded_from_windows():
@@ -108,16 +108,16 @@ def test_velocity_translation_invariance():
 
 def test_zero_dt_raises():
     samples = [_gaze_env(0.0), _gaze_env(1.0), _gaze_env(1.0), _gaze_env(2.0)]
-    track = GazeTrack(samples)  # building the track raises nothing
+    track = GazeTrack()  # building the track raises nothing
     with pytest.raises(ZeroDtError):
         window_gaze_features(Window(StreamKind.PUPIL_GAZE, 0.0, 3.0, tuple(samples)), track)
     # a window that does not hold the pair is fine
-    track = GazeTrack(samples)
+    track = GazeTrack()
     assert window_gaze_features(Window(StreamKind.PUPIL_GAZE, 0.0, 1.5, tuple(samples[:2])), track).present
     # a pair touching a blink has no velocity to compute
     blinking = [_gaze_env(0.0), _gaze_env(1.0, pupil=None), _gaze_env(1.0), _gaze_env(2.0)]
     assert window_gaze_features(
-        Window(StreamKind.PUPIL_GAZE, 0.0, 3.0, tuple(blinking)), GazeTrack(blinking)
+        Window(StreamKind.PUPIL_GAZE, 0.0, 3.0, tuple(blinking)), GazeTrack()
     ).present
 
 
@@ -222,7 +222,7 @@ def test_detect_needs_two_samples():
 
 def _features(samples, start=0.0, end=10.0):
     return window_gaze_features(
-        Window(kind=StreamKind.PUPIL_GAZE, start=start, end=end, samples=tuple(samples)), GazeTrack(samples)
+        Window(kind=StreamKind.PUPIL_GAZE, start=start, end=end, samples=tuple(samples)), GazeTrack()
     )
 
 
@@ -249,7 +249,7 @@ def test_window_quality_is_mean_source_confidence():
 
 def test_windows_must_come_in_order_of_their_start():
     samples = [_gaze_env(i * 0.1) for i in range(10)]
-    track = GazeTrack(samples)
+    track = GazeTrack()
     window_gaze_features(Window(StreamKind.PUPIL_GAZE, 0.5, 1.0, tuple(samples[5:]), lo=5), track)
     with pytest.raises(ValueError, match="order"):
         window_gaze_features(Window(StreamKind.PUPIL_GAZE, 0.0, 0.5, tuple(samples[:5]), lo=0), track)
@@ -343,7 +343,7 @@ def _merged_windows(samples, length, hop):
     for env in samples:
         merger.ingest(gaze, env.timestamp, env.payload, env.source_confidence)
     merger.flush()
-    return merger.timeline(StreamKind.PUPIL_GAZE), merger.pop_windows(StreamKind.PUPIL_GAZE, length, hop)
+    return merger.pop_windows(StreamKind.PUPIL_GAZE, length, hop)
 
 
 @settings(max_examples=300, deadline=None)
@@ -361,8 +361,8 @@ def _merged_windows(samples, length, hop):
     length=0.1, hop_share=0.3, median_width=7, min_fixation=0.02,
 )
 def test_window_features_equal_the_per_window_computation(steps, length, hop_share, median_width, min_fixation):
-    timeline, windows = _merged_windows(_gaze_timeline(steps), length, length * hop_share)
-    track = GazeTrack(timeline, median_width=median_width, velocity_threshold=1.0)
+    windows = _merged_windows(_gaze_timeline(steps), length, length * hop_share)
+    track = GazeTrack(median_width=median_width, velocity_threshold=1.0)
     for window in windows:
         try:
             want = _oracle_window(window, median_width, 1.0, min_fixation)

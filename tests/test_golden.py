@@ -30,28 +30,28 @@ ROOT = Path(__file__).resolve().parents[1]
 # numbering)
 GOLDEN = {
     ("all_baseline", None): (
-        "313ac689ee7efdfca5f434353285055f01fa41dd0feead3c1c8450002b87d62c",
+        "0752f09c040f498c9e8b5f407c2e8a97225c5ab2b30453b5eed134aebbd51d35",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
         "77fa96ac912cd58dfa1b94d3365dd9a046eeee8696ae85b87c0fcd298e880de8",
     ),
     ("load_excursion", None): (
-        "7cb487244b154d54443015126e40a1d8118a4670ecc599fea8eaa29bff0bbcd7",
+        "ed5fb9619fbcc880fc67389f03165495e19b49bbe4138f6d9956147519fa5385",
         "b442f6c5c5495b6651de3ff571e84e0c230bec3d30b73860232018226344ae7f",
         "a4b71bbc8dc263b768e48ca00da5560ff383916caf82ca60cf05638ee1978c8e",
     ),
     ("mixed_session", None): (
-        "3b80a89d0c5cf547eae81e4539db3a55617d9c8d13ceed1abbc1d91d2531192e",
+        "47bc0eaaf154f9cacee3c67aa762e8139b9163ffc027803eb19f93d36aec53a2",
         "f662c72fc3304daa9e772aa75087d6d3bba9c273146a6e11b000f703a28cb6ab",
         "8a86d20393174d9e3e8c58c8e5c4570bdb77c150634f8220921a84105c65dc51",
     ),
     ("stress_ramp", None): (
-        "5a5ef6ba3d51793b6d1483527c15bb178457cd3a898f51c230a0ef3b7c8f7cc7",
+        "a96368d4b9bdb2a325aa2e62b2e1cae54de69c8cdd675d733ecbc1331db42c7e",
         "83d9c05a6f0a5f058107bc9ca955286e7bfe85e94980756118cd53a50a2d9da4",
         "e38bbf294813cd06eaa64389b6e708e8b53512614fd399ffca75fd3c11b941ac",
     ),
     # dense hop: every gaze sample lands in many overlapping windows
     ("stress_ramp", 0.6): (
-        "0b9c16c10821b4a6f320097641316efee9721d2b3a0f7a6130d6698c11b1507f",
+        "8c6bca0f149a5237db5efafe94bc2b3d96e07e0234829d00ea6f38ce031565d1",
         "a40e18c05ab64a9fbdcd3dc99ebd851a6d174f6910fc3772f2f0e5c3d404a224",
         "6ca64ab3e7e95bbad922d9aa5d4cee2b6773b65eb1c8a5f6ae7fe535d1eba689",
     ),

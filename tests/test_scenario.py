@@ -934,7 +934,7 @@ def test_every_bundled_profile_survives_write_and_parse(tmp_path, name):
     write_scenario(scenario, tmp_path / "scenario.jsonl")
     reloaded = load_scenario(tmp_path / "scenario.jsonl")
     assert reloaded.header == scenario.header
-    assert reloaded.records == scenario.records
+    assert list(reloaded.records) == scenario.records
 
 
 def test_stream_rngs_are_independent():

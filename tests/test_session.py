@@ -700,8 +700,8 @@ def test_config_resolution_precedence():
         json.dumps({"type": "sample", "stream": "heart", "t": 0.0, "rr_ms": 800}),
     ]
     scenario = parse_scenario_lines(lines)
-    assert resolve_config(scenario).trigger_threshold == 2.0
-    assert resolve_config(scenario, {"trigger_threshold": 2.5}).trigger_threshold == 2.5
+    assert resolve_config(scenario.header).trigger_threshold == 2.0
+    assert resolve_config(scenario.header, {"trigger_threshold": 2.5}).trigger_threshold == 2.5
 
 
 def test_config_resolution_rejects_invalid_combinations():
@@ -710,7 +710,7 @@ def test_config_resolution_rejects_invalid_combinations():
         json.dumps({"type": "sample", "stream": "heart", "t": 0.0, "rr_ms": 800}),
     ]
     with pytest.raises(ConfigError, match="window_length"):
-        resolve_config(parse_scenario_lines(lines))
+        resolve_config(parse_scenario_lines(lines).header)
 
 
 def test_expected_calibration_window_counts():
@@ -812,14 +812,13 @@ def test_posture_windows_equal_the_per_window_scoring(frames, length, hop_share,
         pose = PostureSample(landmarks=landmarks, visibility={"shoulder_left": visible})
         merger.ingest(cam, t, pose, source_confidence)
     merger.flush()
-    timeline = merger.timeline(StreamKind.POSTURE_LANDMARKS)
     windows = merger.pop_windows(StreamKind.POSTURE_LANDMARKS, length, length * hop_share)
     baseline_pose = PostureSample(landmarks=dict(_POSE)) if calibrated else None
 
     calls = []
     session.score_posture = lambda *args: calls.append(args) or score_posture(*args)
     try:
-        extract = session.EXTRACTORS[StreamKind.POSTURE_LANDMARKS](timeline, SessionConfig(), baseline_pose)
+        extract = session.EXTRACTORS[StreamKind.POSTURE_LANDMARKS](SessionConfig(), baseline_pose)
         for window in windows:
             assert extract(window) == _oracle_posture(window, baseline_pose)
     finally:

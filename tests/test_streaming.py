@@ -1,0 +1,241 @@
+"""A replay streams from file to decision.
+
+``load_scenario`` reads the header and leaves the records in the file,
+``Session.push`` cuts each window and walks each tick as soon as the
+merged timeline makes it final, and the merger's timelines forget what
+no later window reaches. So a decision comes out within a hop of its
+tick, and a replay's memory does not grow with the session's length.
+"""
+
+import json
+import subprocess
+import sys
+from importlib import resources
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cogloop
+from cogloop.cli import main
+from cogloop.config import config_to_dict
+from cogloop.errors import ScenarioError
+from cogloop.model import RRSample, StreamDescriptor, StreamKind
+from cogloop.scenario import (
+    ScenarioFile,
+    SyncRecord,
+    iter_records,
+    load_scenario,
+    parse_profile,
+    parse_scenario_lines,
+    scenario_to_lines,
+    synthesize,
+    write_scenario,
+)
+from cogloop.session import Session, run_session, validate_trace
+from cogloop.streams import StreamMerger
+
+ROOT = Path(__file__).resolve().parents[1]
+REPLAY_CHILD = ROOT / "bench" / "replay_child.py"
+SRC = Path(cogloop.__file__).resolve().parents[1]
+
+STRESS_PROFILE = {
+    "seed": 404,
+    "topic": "enzyme kinetics",
+    "config": {"calibration_duration_s": 120.0},
+    "segments": [
+        {"duration_s": 120.0, "channels": {}},
+        {"duration_s": 120.0, "channels": {
+            "rr_jitter_ms": {"kind": "ramp", "target_z": -7.0, "tau_s": 15.0},
+            "rr_mean_ms": {"kind": "ramp", "target_z": -3.0, "tau_s": 15.0},
+        }},
+        {"duration_s": 60.0, "channels": {}},
+    ],
+}
+
+
+# ---------------------------------------------------------------------------
+# decisions come out while the records are still arriving
+
+def _first_record_past(records, t):
+    return next((i for i, r in enumerate(records) if not isinstance(r, SyncRecord) and r.t > t), None)
+
+
+@pytest.mark.parametrize("hop", [10.0, 2.5])
+def test_every_decision_is_out_before_a_record_a_hop_past_its_tick(hop):
+    scenario = synthesize(parse_profile(STRESS_PROFILE))
+    records = scenario.records
+    session = Session(scenario.header, {"window_hop_s": hop})
+    out_after = []  # decisions out after each push
+    for record in records:
+        session.push(record)
+        out_after.append(len(session.decisions))
+    result = session.close()
+
+    assert result.decisions == run_session(scenario, {"window_hop_s": hop}).decisions
+    assert len(result.decisions) >= 2
+    for index, decision in enumerate(result.decisions):
+        late = _first_record_past(records, decision.t + hop)
+        assert late is not None
+        assert out_after[late - 1] > index, f"decision at {decision.t} waited past {records[late].t}"
+
+
+def test_an_arrival_sorts_before_the_engine_events_of_its_time():
+    # the transcript stamped at the end of calibration arrives 20 s late,
+    # after the baseline froze and warned there, and its reply is clamped
+    header = json.dumps({
+        "type": "header",
+        "streams": [{"stream_id": "notes", "kind": "note_score", "nominal_rate_hz": 0.1},
+                    {"stream_id": "heart", "kind": "rr_interval", "nominal_rate_hz": 1}],
+        "config": {"calibration_duration_s": 10.0, "window_hop_s": 5.0,
+                   "window_length.rr_interval": 5.0, "window_length.note_score": 5.0},
+        "analyzer_replies": ["score=1.5; feedback=sure"],
+    })
+    # one scored note in calibration: too few for a note_error baseline
+    first = json.dumps({"type": "sample", "stream": "notes", "t": 2.0, "correctness": 0.8})
+    beats = [json.dumps({"type": "sample", "stream": "heart", "t": i * 0.8, "rr_ms": 800}) for i in range(38)]
+    late = json.dumps({"type": "sample", "stream": "notes", "t": 10.0, "transcript": "late notes"})
+    result = run_session(parse_scenario_lines([header, first, *beats, late]))
+    at_10 = [(e.kind, e.payload.get("reason")) for e in result.events if e.t == 10.0 and e.kind != "window_features"]
+    assert at_10 == [
+        ("ingest", None),  # dropped: the merger had moved past it
+        ("warning", "note_score_clamped"),
+        ("warning", "uncalibrated_channel"),
+    ]
+    assert validate_trace({"config": config_to_dict(result.config)}, result.events) == []
+
+
+def test_a_session_shorter_than_calibration_freezes_the_baseline_at_close():
+    scenario = synthesize(parse_profile({**STRESS_PROFILE, "config": {"calibration_duration_s": 900.0}}))
+    session = Session(scenario.header)
+    for record in scenario.records:
+        session.push(record)
+        assert session.baseline is None
+    result = session.close()
+    assert result.baseline is not None
+    assert not [e for e in result.events if e.kind == "state_vector"]
+
+
+# ---------------------------------------------------------------------------
+# windows cut as the frontier moves equal windows cut once at the end
+
+@settings(max_examples=150, deadline=None)
+@given(
+    times=st.lists(st.floats(min_value=0.0, max_value=40.0), max_size=120),
+    jitter=st.sampled_from([0.0, 0.25, 2.0]),
+    length=st.sampled_from([1.0, 2.5, 4.0]),
+    hop_share=st.sampled_from([0.3, 0.5, 1.0]),
+)
+def test_windows_cut_after_every_ingest_equal_windows_cut_once(times, jitter, length, hop_share):
+    hop = length * hop_share
+
+    def merger_with(arrivals, pop_each_time):
+        merger = StreamMerger(jitter_tolerance_s=jitter)
+        heart = merger.register_stream(StreamDescriptor("heart", StreamKind.RR_INTERVAL, 1.0))
+        windows = []
+        for t in arrivals:
+            merger.ingest(heart, t, RRSample(rr_ms=800.0))
+            if pop_each_time:
+                windows += merger.pop_windows(StreamKind.RR_INTERVAL, length, hop)
+        merger.flush()
+        windows += merger.pop_windows(StreamKind.RR_INTERVAL, length, hop)
+        return windows
+
+    streamed = merger_with(times, pop_each_time=True)
+    assert streamed == merger_with(times, pop_each_time=False)
+    # each window holds exactly the kept samples in its span
+    for window in streamed:
+        assert all(window.start <= env.timestamp < window.end for env in window.samples)
+
+
+def test_the_timeline_forgets_what_no_later_window_reaches():
+    merger = StreamMerger(jitter_tolerance_s=0.0)
+    heart = merger.register_stream(StreamDescriptor("heart", StreamKind.RR_INTERVAL, 1.0))
+    for t in range(1000):
+        merger.ingest(heart, t * 0.5, RRSample(rr_ms=500.0))
+        merger.pop_windows(StreamKind.RR_INTERVAL, 10.0, 5.0)
+    # the next window is [490, 500): samples from 490 s on stay
+    assert [env.timestamp for env in merger.timeline(StreamKind.RR_INTERVAL)][:2] == [490.0, 490.5]
+    assert len(merger.timeline(StreamKind.RR_INTERVAL)) == 20
+
+
+# ---------------------------------------------------------------------------
+# a loaded scenario parses its records as they are replayed
+
+def _written(tmp_path, lines):
+    path = tmp_path / "scenario.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_loaded_records_are_a_reiterable_view_of_the_file(tmp_path):
+    scenario = synthesize(parse_profile({"seed": 3, "segments": [{"duration_s": 6.0}], "note_interval_s": 2.0}))
+    path = tmp_path / "scenario.jsonl"
+    write_scenario(scenario, path)
+    loaded = load_scenario(path)
+    assert isinstance(loaded.records, ScenarioFile)
+    assert loaded.header == scenario.header
+    assert list(loaded.records) == scenario.records
+    assert list(loaded.records) == scenario.records  # a second pass parses again
+    assert len(loaded.records) == len(scenario.records)
+    assert list(iter_records(scenario_to_lines(scenario))) == scenario.records
+
+
+def test_a_bad_line_late_in_the_file_raises_when_the_replay_reaches_it(tmp_path, capsys):
+    header = json.dumps({"type": "header", "streams": [{"stream_id": "heart", "kind": "rr_interval",
+                                                          "nominal_rate_hz": 1}]})
+    beats = [json.dumps({"type": "sample", "stream": "heart", "t": t, "rr_ms": 800}) for t in range(5)]
+    path = _written(tmp_path, [header, *beats, json.dumps({"type": "sample", "stream": "heart", "t": 9})])
+    scenario = load_scenario(path)  # the header is fine
+    with pytest.raises(ScenarioError, match="line 7: bad rr_interval payload"):
+        run_session(scenario)
+    with pytest.raises(ScenarioError, match="line 7"):
+        len(scenario.records)
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert "line 7" in capsys.readouterr().err
+
+
+def test_a_bad_header_raises_at_load(tmp_path):
+    with pytest.raises(ScenarioError, match="line 1: first line must be the header"):
+        load_scenario(_written(tmp_path, [json.dumps({"type": "sample", "stream": "heart", "t": 0})]))
+    with pytest.raises(ScenarioError, match="line 1: scenario is empty"):
+        load_scenario(_written(tmp_path, [""]))
+
+
+# ---------------------------------------------------------------------------
+# memory does not grow with the session's length
+
+def _shrunk_mixed_session(scale: float) -> dict:
+    """The bundled mixed_session with every time constant scaled, and
+    its calibration span with it."""
+    text = resources.files("cogloop").joinpath("profiles", "mixed_session.json").read_text(encoding="utf-8")
+    data = json.loads(text)
+    for segment in data["segments"]:
+        segment["duration_s"] *= scale
+        for spec in segment.get("channels", {}).values():
+            for key in ("tau_s", "period_s"):
+                if key in spec:
+                    spec[key] *= scale
+    data.setdefault("config", {})["calibration_duration_s"] = 300.0 * scale
+    return data
+
+
+def _peak_rss_of_a_replay(tmp_path, data, name) -> int:
+    """VmHWM of a fresh process that loads, replays and writes the trace
+    of the profile's scenario."""
+    scenario_path, trace_path = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.trace.jsonl"
+    write_scenario(synthesize(parse_profile(data)), scenario_path)
+    child = subprocess.run(
+        [sys.executable, str(REPLAY_CHILD), str(SRC), str(scenario_path), str(trace_path)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout.strip().splitlines()[-1])["peak_rss_bytes"]
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="VmHWM is read from /proc")
+def test_peak_memory_of_a_replay_grows_little_with_session_length(tmp_path):
+    short = _peak_rss_of_a_replay(tmp_path, _shrunk_mixed_session(0.2), "short")  # 240 s
+    long = _peak_rss_of_a_replay(tmp_path, _shrunk_mixed_session(1.0), "long")  # 1,200 s
+    assert long <= 1.5 * short, f"{long / 1e6:.1f} MB for 1,200 s against {short / 1e6:.1f} MB for 240 s"
