@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import OutOfRangeError, TooFewIntervalsError
-from .model import RRSample, Timestamp
+from .model import RRSample
 from .stats import pstdev
 from .streams import Window
 
@@ -79,8 +79,6 @@ def classify_stress(pnn50_percent: float) -> StressBand:
 
 @dataclass(frozen=True)
 class HrvFeatures:
-    start: Timestamp
-    end: Timestamp
     present: bool
     quality: float
     rmssd_ms: float | None = None
@@ -117,8 +115,6 @@ def window_hrv(window: Window) -> HrvFeatures:
     total = len(rr) + artifacts
     if len(rr) < MIN_VALID_INTERVALS:
         return HrvFeatures(
-            start=window.start,
-            end=window.end,
             present=False,
             quality=0.0,
             valid_intervals=len(rr),
@@ -127,8 +123,6 @@ def window_hrv(window: Window) -> HrvFeatures:
 
     pnn = pnn50(rr)
     return HrvFeatures(
-        start=window.start,
-        end=window.end,
         present=True,
         quality=statistics.fmean(confidences) * (len(rr) / total),
         rmssd_ms=rmssd(rr),

@@ -211,8 +211,6 @@ class GazeTrack:
 class GazeFeatures:
     """Window-level aggregates handed to state inference."""
 
-    start: Timestamp
-    end: Timestamp
     present: bool
     quality: float
     fixation_count: int = 0
@@ -237,7 +235,7 @@ def window_gaze_features(
     """
     lo, hi = window.lo, window.hi
     if hi - lo < 2:
-        return GazeFeatures(start=window.start, end=window.end, present=False, quality=0.0)
+        return GazeFeatures(present=False, quality=0.0)
 
     track.advance(lo, window.samples)
     fixations, saccades = track.segment(lo, hi, min_fixation_duration_s)
@@ -245,8 +243,6 @@ def window_gaze_features(
     pupils = track.despiked_pupils(lo, hi)
     duration = window.duration_s
     return GazeFeatures(
-        start=window.start,
-        end=window.end,
         present=True,
         quality=track.quality(lo, hi),
         fixation_count=len(fixations),

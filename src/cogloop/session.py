@@ -101,20 +101,6 @@ KIND_PRIORITY: dict[str, int] = {
 # the counts a stream_summary event carries, one per ingest outcome
 INGEST_OUTCOMES = tuple(outcome.value for outcome in IngestOutcome)
 
-CHANNEL_KIND: dict[str, StreamKind] = {
-    CHANNEL_PUPIL: StreamKind.PUPIL_GAZE,
-    CHANNEL_FIXATION_DURATION: StreamKind.PUPIL_GAZE,
-    CHANNEL_FIXATION_COUNT: StreamKind.PUPIL_GAZE,
-    CHANNEL_GAZE_VELOCITY: StreamKind.PUPIL_GAZE,
-    CHANNEL_BLINK_RATE: StreamKind.PUPIL_GAZE,
-    CHANNEL_HEART_RATE: StreamKind.RR_INTERVAL,
-    CHANNEL_RMSSD: StreamKind.RR_INTERVAL,
-    CHANNEL_SDNN: StreamKind.RR_INTERVAL,
-    CHANNEL_PNN50: StreamKind.RR_INTERVAL,
-    CHANNEL_POSTURE: StreamKind.POSTURE_LANDMARKS,
-    CHANNEL_NOTE_ERROR: StreamKind.NOTE_SCORE,
-}
-
 
 @dataclass(slots=True)
 class TraceEvent:
@@ -198,29 +184,25 @@ def expected_calibration_windows(cfg: SessionConfig, kind: StreamKind) -> int:
     return count
 
 
-def _baseline_minimums(cfg: SessionConfig) -> dict[str, int]:
-    """Per-channel sample minimum for the baseline.
+def _baseline_minimum(cfg: SessionConfig, kind: StreamKind) -> int:
+    """The baseline's sample minimum for a channel of this kind.
 
     Slow channels cannot physically produce ``baseline_min_samples``
     windows inside the calibration span, so the requirement is capped at
     80% of what the window grid can yield (never below 2).
     """
-    minimums: dict[str, int] = {}
-    for channel, kind in CHANNEL_KIND.items():
-        expected = expected_calibration_windows(cfg, kind)
-        attainable = max(2, int(math.floor(0.8 * expected)))
-        minimums[channel] = min(cfg.baseline_min_samples, attainable)
-    return minimums
+    attainable = max(2, int(math.floor(0.8 * expected_calibration_windows(cfg, kind))))
+    return min(cfg.baseline_min_samples, attainable)
 
 
 # ---------------------------------------------------------------------------
 # window -> channel features
 
-# An extractor is made once per stream kind, when its first windows are
-# cut, and then turns one window at a time into (quality, channel
+# An extractor turns one window at a time into (quality, channel
 # features, kind-specific payload extras). Windows come in order of
-# their start, and a per-sample quantity is computed once, the first
-# time a window holds the sample. Extractors reach the feature
+# their start; the gaze and posture extractors are made once per
+# session and compute a per-sample quantity once, the first time a
+# window holds the sample. Extractors reach the feature
 # functions through this module's globals at call time, so a profiler
 # that wraps those names here sees every call.
 
@@ -228,7 +210,7 @@ Extraction = tuple[float, list[ChannelFeature], dict]
 Extractor = Callable[[Window], Extraction]
 
 
-def _gaze_extractor(cfg: SessionConfig, baseline_pose: PostureSample | None) -> Extractor:
+def _gaze_extractor(cfg: SessionConfig) -> Extractor:
     track = GazeTrack(cfg.rolling_median_width, cfg.ivt_velocity_threshold)
 
     def extract(window: Window) -> Extraction:
@@ -255,27 +237,24 @@ def _gaze_extractor(cfg: SessionConfig, baseline_pose: PostureSample | None) -> 
     return extract
 
 
-def _hrv_extractor(cfg: SessionConfig, baseline_pose: PostureSample | None) -> Extractor:
-    def extract(window: Window) -> Extraction:
-        hf = window_hrv(window)
-        features: list[ChannelFeature] = []
-        if hf.present:
-            features = [
-                ChannelFeature(CHANNEL_HEART_RATE, hf.mean_hr_bpm, hf.quality, window.end),
-                ChannelFeature(CHANNEL_RMSSD, hf.rmssd_ms, hf.quality, window.end),
-                ChannelFeature(CHANNEL_SDNN, hf.sdnn_ms, hf.quality, window.end),
-                ChannelFeature(CHANNEL_PNN50, hf.pnn50_percent, hf.quality, window.end),
-            ]
-        return hf.quality, features, {
-            "stress_band": hf.stress_band.value if hf.stress_band else None,
-            "valid_intervals": hf.valid_intervals,
-            "artifact_intervals": hf.artifact_intervals,
-        }
-
-    return extract
+def _extract_hrv(window: Window) -> Extraction:
+    hf = window_hrv(window)
+    features: list[ChannelFeature] = []
+    if hf.present:
+        features = [
+            ChannelFeature(CHANNEL_HEART_RATE, hf.mean_hr_bpm, hf.quality, window.end),
+            ChannelFeature(CHANNEL_RMSSD, hf.rmssd_ms, hf.quality, window.end),
+            ChannelFeature(CHANNEL_SDNN, hf.sdnn_ms, hf.quality, window.end),
+            ChannelFeature(CHANNEL_PNN50, hf.pnn50_percent, hf.quality, window.end),
+        ]
+    return hf.quality, features, {
+        "stress_band": hf.stress_band.value if hf.stress_band else None,
+        "valid_intervals": hf.valid_intervals,
+        "artifact_intervals": hf.artifact_intervals,
+    }
 
 
-def _posture_extractor(cfg: SessionConfig, baseline_pose: PostureSample | None) -> Extractor:
+def _posture_extractor(baseline_pose: PostureSample | None) -> Extractor:
     # Each frame is scored once, when the first window holds it, and
     # forgotten once the windows have moved past it. scores[i] belongs
     # to timeline position base + i; None where a shoulder is missing.
@@ -309,30 +288,13 @@ def _posture_extractor(cfg: SessionConfig, baseline_pose: PostureSample | None) 
     return extract
 
 
-def _note_extractor(cfg: SessionConfig, baseline_pose: PostureSample | None) -> Extractor:
-    def extract(window: Window) -> Extraction:
-        extras = {"sample_count": len(window.samples)}
-        if not window.samples:
-            return 0.0, [], extras
-        error = statistics.fmean(1.0 - env.payload.correctness for env in window.samples)
-        quality = statistics.fmean(env.source_confidence for env in window.samples)
-        return quality, [ChannelFeature(CHANNEL_NOTE_ERROR, error, quality, window.end)], extras
-
-    return extract
-
-
-EXTRACTORS = {
-    StreamKind.PUPIL_GAZE: _gaze_extractor,
-    StreamKind.RR_INTERVAL: _hrv_extractor,
-    StreamKind.POSTURE_LANDMARKS: _posture_extractor,
-    StreamKind.NOTE_SCORE: _note_extractor,
-}
-
-# The kinds whose windows are cut before calibration ends. Posture
-# windows wait for the baseline pose, which needs every calibration
-# frame, and note windows wait behind them, so that windows ending at
-# one time always come out in StreamKind order.
-_CUT_WHILE_CALIBRATING = (StreamKind.PUPIL_GAZE, StreamKind.RR_INTERVAL)
+def _extract_notes(window: Window) -> Extraction:
+    extras = {"sample_count": len(window.samples)}
+    if not window.samples:
+        return 0.0, [], extras
+    error = statistics.fmean(1.0 - env.payload.correctness for env in window.samples)
+    quality = statistics.fmean(env.source_confidence for env in window.samples)
+    return quality, [ChannelFeature(CHANNEL_NOTE_ERROR, error, quality, window.end)], extras
 
 
 def _mean_pose(samples: list[PostureSample]) -> PostureSample | None:
@@ -377,7 +339,7 @@ class Session:
     at or before the merger's frontier. Calibration windows feed the
     baseline, which freezes once the frontier reaches the end of
     calibration; posture and note windows are cut from then on (see
-    ``_CUT_WHILE_CALIBRATING``). ``close`` flushes the merger and cuts
+    ``_advance``). ``close`` flushes the merger and cuts
     and walks the rest. A decision is therefore made as soon as the
     samples that decide it are in, and the session holds about one
     window of samples per stream, not the records it has seen.
@@ -410,8 +372,13 @@ class Session:
         self._gaze_stream = next((d.stream_id for d in header.streams if d.kind is StreamKind.PUPIL_GAZE), None)
         self._last_gaze_t = -math.inf
 
-        self._extractors: dict[StreamKind, Extractor] = {}
+        # the kinds whose windows are being cut, in StreamKind order
+        self._extractors: dict[StreamKind, Extractor] = {
+            StreamKind.PUPIL_GAZE: _gaze_extractor(cfg),
+            StreamKind.RR_INTERVAL: _extract_hrv,
+        }
         self._calibration_values: dict[str, list[tuple[float, float]]] = {}
+        self._calibration_kinds: dict[str, StreamKind] = {}
         # live features cut but not yet read by a tick, in time order
         self._live: list[ChannelFeature] = []
         self._engine = InterventionEngine(
@@ -427,9 +394,6 @@ class Session:
         )
         self._context = LearningContext(topic=header.topic, dialogue=header.dialogue)
         self._step = 1  # index of the next decision tick
-        self._previous_tick = grid_time(0, cfg.window_hop_s, cfg.calibration_duration_s)
-        # the end of each kind's next window: the frontier that makes it final
-        self._ends = {kind: self._next_window_end(kind) for kind in StreamKind}
         # the frontier at which the next window, the baseline or the
         # next tick becomes final
         self._due = self._next_due()
@@ -526,55 +490,51 @@ class Session:
             topic=self.header.topic,
         )
 
-    def _next_window_end(self, kind: StreamKind) -> float:
-        return self._merger.next_window_end(kind, self.config.window_length_s[kind], self.config.window_hop_s)
-
     def _next_due(self) -> float:
-        cfg = self.config
+        cfg, merger = self.config, self._merger
         if self.baseline is None:
-            return min(cfg.calibration_duration_s, *[self._ends[kind] for kind in _CUT_WHILE_CALIBRATING])
-        return min(grid_time(self._step, cfg.window_hop_s, cfg.calibration_duration_s), *self._ends.values())
+            due = cfg.calibration_duration_s
+        else:
+            due = grid_time(self._step, cfg.window_hop_s, cfg.calibration_duration_s)
+        return min(
+            due,
+            *[merger.next_window_end(kind, cfg.window_length_s[kind], cfg.window_hop_s) for kind in self._extractors],
+        )
 
     def _advance(self, final: bool = False) -> None:
         """Cut every window the frontier has made final, freeze the
         baseline once calibration is over, and walk the final ticks."""
-        cfg = self.config
-        frontier = self._merger.frontier
-        calibrated = self.baseline is not None or final or frontier >= cfg.calibration_duration_s
+        cfg, merger = self.config, self._merger
+        frontier = merger.frontier
+        calibration_over = self.baseline is None and (final or frontier >= cfg.calibration_duration_s)
+        if calibration_over:
+            # two-pass posture baseline: the reference pose comes from
+            # the raw calibration poses, all still on the timeline, then
+            # every posture window is scored against it. Note windows
+            # start after posture ones, so that windows ending at one
+            # time always come out in StreamKind order.
+            poses = [
+                env.payload for env in merger.timeline(StreamKind.POSTURE_LANDMARKS)
+                if env.timestamp < cfg.calibration_duration_s
+            ]
+            self._extractors[StreamKind.POSTURE_LANDMARKS] = _posture_extractor(_mean_pose(poses))
+            self._extractors[StreamKind.NOTE_SCORE] = _extract_notes
         live: list[ChannelFeature] = []
-        for kind in StreamKind if calibrated else _CUT_WHILE_CALIBRATING:
-            if self._ends[kind] <= frontier:
-                live += self._cut(kind)
+        for kind, extract in self._extractors.items():
+            live += self._cut(kind, extract)
         # every window of this cut ends after every window of the last
         live.sort(key=attrgetter("t"))
         self._live += live
-        if self.baseline is None and calibrated:
+        if calibration_over:
             self._freeze_baseline()
         if self.baseline is not None:
             while (tick := grid_time(self._step, cfg.window_hop_s, cfg.calibration_duration_s)) <= frontier:
                 self._tick(tick)
         self._due = self._next_due()
 
-    def _extractor(self, kind: StreamKind) -> Extractor:
-        extract = self._extractors.get(kind)
-        if extract is None:
-            pose = None
-            if kind is StreamKind.POSTURE_LANDMARKS:
-                # two-pass posture baseline: the reference pose comes
-                # from the raw calibration poses, all still on the
-                # timeline, then every posture window is scored against it
-                poses = [
-                    env.payload for env in self._merger.timeline(kind)
-                    if env.timestamp < self.config.calibration_duration_s
-                ]
-                pose = _mean_pose(poses) if poses else None
-            extract = self._extractors[kind] = EXTRACTORS[kind](self.config, pose)
-        return extract
-
-    def _cut(self, kind: StreamKind) -> list[ChannelFeature]:
+    def _cut(self, kind: StreamKind, extract: Extractor) -> list[ChannelFeature]:
         """Cut the kind's final windows; returns their live features."""
         cfg = self.config
-        extract = self._extractor(kind)
         live: list[ChannelFeature] = []
         for window in self._merger.pop_windows(kind, cfg.window_length_s[kind], cfg.window_hop_s):
             quality, features, extras = extract(window)
@@ -596,9 +556,9 @@ class Session:
                     self._calibration_values.setdefault(feature.channel_id, []).append(
                         (feature.value, feature.quality)
                     )
+                    self._calibration_kinds[feature.channel_id] = kind
             else:
                 live += features
-        self._ends[kind] = self._next_window_end(kind)
         return live
 
     def _freeze_baseline(self) -> None:
@@ -607,7 +567,9 @@ class Session:
             self._calibration_values,
             min_samples=cfg.baseline_min_samples,
             sigma_floor=cfg.sigma_floor,
-            min_samples_per_channel=_baseline_minimums(cfg),
+            min_samples_per_channel={
+                channel: _baseline_minimum(cfg, kind) for channel, kind in self._calibration_kinds.items()
+            },
         )
         self._calibration_values.clear()
         for channel, reason in sorted(self.baseline.uncalibrated.items()):
@@ -625,9 +587,8 @@ class Session:
         n = 0
         while n < len(live) and live[n].t <= tick:
             n += 1
-        fresh = [feature for feature in live[:n] if feature.t > self._previous_tick]
+        fresh = live[:n]
         del live[:n]
-        self._previous_tick = tick
         self._step += 1
         state = infer_state(
             fresh, self.baseline, cfg.weights, tick,

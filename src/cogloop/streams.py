@@ -47,7 +47,6 @@ class Window:
     computed once per position can be sliced by those indices.
     """
 
-    kind: StreamKind
     start: Timestamp
     end: Timestamp
     samples: tuple[SampleEnvelope, ...]
@@ -249,7 +248,7 @@ class StreamMerger:
             start = grid_time(k, hop_s)
             lo = bisect_left(times, start)
             hi = bisect_left(times, end, lo)
-            windows.append(Window(kind=kind, start=start, end=end, samples=tuple(samples[lo:hi]), lo=base + lo))
+            windows.append(Window(start=start, end=end, samples=tuple(samples[lo:hi]), lo=base + lo))
             k += 1
         if windows:
             timeline.next_window_index = k

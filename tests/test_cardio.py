@@ -12,7 +12,7 @@ from cogloop.cardio import (
     window_hrv,
 )
 from cogloop.errors import OutOfRangeError, TooFewIntervalsError
-from cogloop.model import RRSample, SampleEnvelope, StreamKind
+from cogloop.model import RRSample, SampleEnvelope
 from cogloop.streams import Window
 
 
@@ -118,7 +118,7 @@ def _rr_window(values, confs=None):
     samples = tuple(
         _rr_env(i * 0.8, rr, conf) for i, (rr, conf) in enumerate(zip(values, confs))
     )
-    return Window(kind=StreamKind.RR_INTERVAL, start=0.0, end=60.0, samples=samples)
+    return Window(start=0.0, end=60.0, samples=samples)
 
 
 def test_window_rejects_artifacts_and_computes_on_the_rest():

@@ -110,14 +110,14 @@ def test_zero_dt_raises():
     samples = [_gaze_env(0.0), _gaze_env(1.0), _gaze_env(1.0), _gaze_env(2.0)]
     track = GazeTrack()  # building the track raises nothing
     with pytest.raises(ZeroDtError):
-        window_gaze_features(Window(StreamKind.PUPIL_GAZE, 0.0, 3.0, tuple(samples)), track)
+        window_gaze_features(Window(0.0, 3.0, tuple(samples)), track)
     # a window that does not hold the pair is fine
     track = GazeTrack()
-    assert window_gaze_features(Window(StreamKind.PUPIL_GAZE, 0.0, 1.5, tuple(samples[:2])), track).present
+    assert window_gaze_features(Window(0.0, 1.5, tuple(samples[:2])), track).present
     # a pair touching a blink has no velocity to compute
     blinking = [_gaze_env(0.0), _gaze_env(1.0, pupil=None), _gaze_env(1.0), _gaze_env(2.0)]
     assert window_gaze_features(
-        Window(StreamKind.PUPIL_GAZE, 0.0, 3.0, tuple(blinking)), GazeTrack()
+        Window(0.0, 3.0, tuple(blinking)), GazeTrack()
     ).present
 
 
@@ -222,7 +222,7 @@ def test_detect_needs_two_samples():
 
 def _features(samples, start=0.0, end=10.0):
     return window_gaze_features(
-        Window(kind=StreamKind.PUPIL_GAZE, start=start, end=end, samples=tuple(samples)), GazeTrack()
+        Window(start=start, end=end, samples=tuple(samples)), GazeTrack()
     )
 
 
@@ -250,9 +250,9 @@ def test_window_quality_is_mean_source_confidence():
 def test_windows_must_come_in_order_of_their_start():
     samples = [_gaze_env(i * 0.1) for i in range(10)]
     track = GazeTrack()
-    window_gaze_features(Window(StreamKind.PUPIL_GAZE, 0.5, 1.0, tuple(samples[5:]), lo=5), track)
+    window_gaze_features(Window(0.5, 1.0, tuple(samples[5:]), lo=5), track)
     with pytest.raises(ValueError, match="order"):
-        window_gaze_features(Window(StreamKind.PUPIL_GAZE, 0.0, 0.5, tuple(samples[:5]), lo=0), track)
+        window_gaze_features(Window(0.0, 0.5, tuple(samples[:5]), lo=0), track)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +264,7 @@ def test_windows_must_come_in_order_of_their_start():
 def _oracle_window(window, median_width, threshold, min_fixation_duration_s):
     samples = window.samples
     if len(samples) < 2:
-        return GazeFeatures(start=window.start, end=window.end, present=False, quality=0.0)
+        return GazeFeatures(present=False, quality=0.0)
     n = len(samples)
     times = [env.timestamp for env in samples]
     gaze = [env.payload for env in samples]
@@ -304,8 +304,6 @@ def _oracle_window(window, median_width, threshold, min_fixation_duration_s):
     moving = [v for v in velocities if v is not None]
     duration = window.end - window.start
     return GazeFeatures(
-        start=window.start,
-        end=window.end,
         present=True,
         quality=statistics.fmean(env.source_confidence for env in samples),
         fixation_count=len(fixations),

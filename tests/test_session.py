@@ -818,7 +818,7 @@ def test_posture_windows_equal_the_per_window_scoring(frames, length, hop_share,
     calls = []
     session.score_posture = lambda *args: calls.append(args) or score_posture(*args)
     try:
-        extract = session.EXTRACTORS[StreamKind.POSTURE_LANDMARKS](SessionConfig(), baseline_pose)
+        extract = session._posture_extractor(baseline_pose)
         for window in windows:
             assert extract(window) == _oracle_posture(window, baseline_pose)
     finally:
