@@ -16,10 +16,11 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 
+from .directives import TEMPLATE_IDS
 from .errors import ConfigError
 from .interventions import Category, Severity, StrategyKey
 from .model import Dimension, Modality, StreamKind
-from .state import SIGMA_FLOOR, MODERATE_FLOOR, WeightMatrix, default_weight_matrix
+from .state import ALL_CHANNELS, SIGMA_FLOOR, MODERATE_FLOOR, WeightMatrix, default_weight_matrix
 
 
 def default_window_lengths() -> dict[StreamKind, float]:
@@ -163,10 +164,19 @@ def validate_config(cfg: SessionConfig) -> ValidationReport:
         if not row:
             fail(f"weight row for {dimension.value} is empty")
             continue
+        for channel in sorted(set(row).difference(ALL_CHANNELS)):
+            fail(f"weight.{dimension.value}.{channel}: unknown channel (valid: {', '.join(ALL_CHANNELS)})")
         if any(w < 0 or not math.isfinite(w) for w in row.values()):
             fail(f"weight row for {dimension.value} has a negative or non-finite entry")
         elif sum(row.values()) <= 0:
             fail(f"weight row for {dimension.value} has no positive entry")
+
+    for (dimension, severity, modality), template_id in cfg.strategy_overrides.items():
+        if template_id not in TEMPLATE_IDS:
+            fail(
+                f"strategy.{dimension.value}.{severity.value}.{modality.value}: unknown template id "
+                f"{template_id!r} (valid: {', '.join(TEMPLATE_IDS)})"
+            )
 
     return report
 

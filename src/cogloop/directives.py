@@ -14,7 +14,7 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 from .errors import ClientUnavailableError, UnknownTemplateError
 from .interventions import Framing, InterventionDecision
@@ -274,7 +274,6 @@ def render_prompt(packet: DirectivePacket, history_turns: int = 6) -> str:
 # ---------------------------------------------------------------------------
 # generation clients
 
-@runtime_checkable
 class GenerationClient(Protocol):
     """Boundary to the language model that produces tutor replies and
     note assessments."""

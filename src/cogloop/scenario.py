@@ -105,6 +105,11 @@ def _is_finite_number(value) -> bool:
     )
 
 
+def _is_seed(value) -> bool:
+    """A JSON integer; booleans are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_mark(mark) -> bool:
     return isinstance(mark, list) and len(mark) == 2 and all(map(_is_finite_number, mark))
 
@@ -366,7 +371,7 @@ def _parse_header(obj: dict, line_no: int) -> ScenarioHeader:
         raise ScenarioError(f"unknown modality {modality_raw!r}", line_no) from None
 
     seed = obj.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_seed(seed):
         raise ScenarioError(f"seed must be an integer, got {seed!r}", line_no)
 
     config_entries = obj.get("config", {})
@@ -678,7 +683,7 @@ def parse_profile(data: dict) -> SyntheticProfile:
         raise ScenarioError(f"unknown modality {data.get('modality')!r}") from None
 
     seed = data.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    if not _is_seed(seed):
         raise ScenarioError(f"seed must be an integer, got {seed!r}")
     analyzer_replies = data.get("analyzer_replies", [])
     if not (isinstance(analyzer_replies, list) and all(isinstance(r, str) for r in analyzer_replies)):

@@ -213,6 +213,42 @@ def test_config_file_layered_on_run(tmp_path, profile_path, capsys):
     assert "trigger_threshold" in capsys.readouterr().err
 
 
+# each of these ran: exit 0, or exit 1 with a traceback at the first
+# decision that picked the unknown template
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("strategy.stress.pronounced.text", "nope", "unknown template id 'nope'"),
+        ("weight.stress.rmsd_ms", 0.3, "weight.stress.rmsd_ms: unknown channel"),
+    ],
+)
+@pytest.mark.parametrize("source", ["header", "config_file"])
+def test_unknown_config_name_exits_2(tmp_path, profile_path, capsys, key, value, message, source):
+    scenario = _synth(tmp_path, profile_path)
+    command = ["run", "--scenario", str(scenario)]
+    if source == "header":
+        header, rest = scenario.read_text().split("\n", 1)
+        edited = json.loads(header)
+        edited.setdefault("config", {})[key] = value
+        scenario.write_text(json.dumps(edited) + "\n" + rest)
+    else:
+        config = tmp_path / "typo.cfg"
+        config.write_text(f"{key} = {value}\n")
+        command += ["--config", str(config)]
+    capsys.readouterr()
+    assert main(command) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_boolean_header_seed_exits_2(tmp_path, profile_path, capsys):
+    # it replayed, exit 0, and wrote "seed":true into the trace header
+    scenario = _synth(tmp_path, profile_path)
+    header, rest = scenario.read_text().split("\n", 1)
+    scenario.write_text(json.dumps({**json.loads(header), "seed": True}) + "\n" + rest)
+    assert main(["run", "--scenario", str(scenario)]) == 2
+    assert "error: line 1: seed must be an integer, got True" in capsys.readouterr().err
+
+
 def test_sync_that_moves_gaze_time_back_is_a_warning(tmp_path, capsys):
     # a sync that moves the gaze clock back maps a sample onto its
     # predecessor's session time: a zero gaze time step, once a traceback

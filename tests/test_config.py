@@ -15,7 +15,7 @@ from cogloop.errors import ConfigError
 from cogloop.interventions import Category, Severity
 from cogloop.model import Dimension, Modality, StreamKind
 from cogloop.scenario import parse_scenario_lines
-from cogloop.session import run_session
+from cogloop.session import resolve_config, run_session
 
 
 def test_defaults_are_valid():
@@ -83,6 +83,27 @@ def test_spans_of_too_many_hops_rejected(entries):
     })
     with pytest.raises(ConfigError, match="2\\*\\*52 hops"):
         run_session(parse_scenario_lines([header]))
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        # validated, then UnknownTemplateError at the first stress decision
+        ({"strategy.stress.pronounced.text": "nope"}, "strategy.stress.pronounced.text: unknown template id 'nope'"),
+        # a typo of rmssd_ms, taken as a fourth stress weight
+        ({"weight.stress.rmsd_ms": 0.3}, "weight.stress.rmsd_ms: unknown channel"),
+    ],
+)
+def test_unknown_template_id_or_weight_channel_rejected(entries, message):
+    report = validate_config(apply_entries(SessionConfig(), entries))
+    assert [f for f in report.failures if message in f] == report.failures
+    assert len(report.failures) == 1
+    # from a scenario header, and from overrides (``--config``)
+    header = {"type": "header", "streams": [{"stream_id": "heart", "kind": "rr_interval", "nominal_rate_hz": 1}]}
+    with pytest.raises(ConfigError, match=message):
+        resolve_config(parse_scenario_lines([json.dumps({**header, "config": entries})]).header)
+    with pytest.raises(ConfigError, match=message):
+        resolve_config(parse_scenario_lines([json.dumps(header)]).header, entries)
 
 
 def test_span_of_many_hops_within_the_grid_accepted():

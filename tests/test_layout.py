@@ -56,3 +56,38 @@ def test_every_imported_name_is_used(path):
         if name not in used
     ]
     assert unused == []
+
+
+def _module_level_names(tree: ast.Module):
+    """(line, name) for every def, class and assignment target of the
+    module body."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield node.lineno, name.id
+
+
+def test_every_private_module_level_name_is_read():
+    # read: loaded as a name, reached as an attribute or imported by name
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = [
+        f"{module} line {line}: {name}"
+        for module, tree in trees.items()
+        for line, name in _module_level_names(tree)
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+    assert unread == []

@@ -620,6 +620,18 @@ def test_bad_stream_descriptor_in_header():
         parse_scenario_lines([header])
 
 
+@pytest.mark.parametrize("seed", [True, False, 1.5, "1", None])
+def test_header_seed_must_be_an_integer(seed):
+    # a boolean seed replayed and was written into the trace header
+    header = json.dumps({
+        "type": "header",
+        "streams": [{"stream_id": "heart", "kind": "rr_interval", "nominal_rate_hz": 1}],
+        "seed": seed,
+    })
+    with pytest.raises(ScenarioError, match="line 1: seed must be an integer"):
+        parse_scenario_lines([header])
+
+
 def test_blank_lines_are_skipped():
     scenario = parse_scenario_lines([HEADER, "", _gaze_line(0.0), "   "])
     assert len(scenario.records) == 1

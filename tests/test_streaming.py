@@ -10,6 +10,7 @@ tick, and a replay's memory does not grow with the session's length.
 import json
 import subprocess
 import sys
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -115,6 +116,40 @@ def test_a_session_shorter_than_calibration_freezes_the_baseline_at_close():
     result = session.close()
     assert result.baseline is not None
     assert not [e for e in result.events if e.kind == "state_vector"]
+
+
+@pytest.mark.parametrize("hop", [None, 0.6])
+def test_each_tick_fuses_the_live_features_since_the_previous_tick_once(monkeypatch, hop):
+    # wrapped where the session looks it up, as the bench's tracer does
+    fused = []
+    infer_state = cogloop.session.infer_state
+
+    def recording(features, baseline, weights, t, **kwargs):
+        fused.append((t, list(features)))
+        return infer_state(features, baseline, weights, t, **kwargs)
+
+    monkeypatch.setattr(cogloop.session, "infer_state", recording)
+    text = resources.files("cogloop").joinpath("profiles", "stress_ramp.json").read_text(encoding="utf-8")
+    overrides = None if hop is None else {"window_hop_s": hop}
+    result = run_session(synthesize(parse_profile(json.loads(text))), overrides=overrides)
+    cfg = result.config
+
+    assert fused
+    previous = cfg.calibration_duration_s
+    for tick, features in fused:
+        assert tick - previous == pytest.approx(cfg.window_hop_s)
+        assert all(previous < feature.t <= tick for feature in features)
+        previous = tick
+    fused_values = Counter((f.channel_id, f.t, f.value) for _, features in fused for f in features)
+    # a window ending after the last tick is cut at close and read by no tick
+    cut_values = Counter(
+        (channel, event.t, value)
+        for event in result.events
+        if event.kind == "window_features" and cfg.calibration_duration_s < event.t <= previous
+        for channel, value in event.payload["values"].items()
+    )
+    assert fused_values == cut_values
+    assert set(fused_values.values()) == {1}
 
 
 # ---------------------------------------------------------------------------
