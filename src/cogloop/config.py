@@ -1,8 +1,9 @@
 """Session configuration: defaults, validation, and the flat config file.
 
 The config file is one ``key = value`` per line with ``#`` comments.
-Unknown keys are errors, not warnings, so typos cannot silently fall
-back to defaults. Dotted keys address structured entries:
+Unknown keys, weight channels and template ids are errors, not
+warnings, so typos cannot silently fall back to defaults. Dotted keys
+address structured entries:
 
     weight.<dimension>.<channel> = <float>
     window_length.<stream_kind>  = <seconds>

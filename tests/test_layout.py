@@ -68,7 +68,7 @@ def _module_level_names(tree: ast.Module):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 for name in ast.walk(target):
-                    if isinstance(name, ast.Name):
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
                         yield node.lineno, name.id
 
 
