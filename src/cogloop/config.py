@@ -65,9 +65,6 @@ class SessionConfig:
     strategy_overrides: dict[StrategyKey, str] = field(default_factory=dict)
 
 
-# the most hops of window_hop_s a calibration span or window may hold
-MAX_GRID_HOPS = 2**52
-
 # The longest session a replay covers, in seconds. Replay walks every
 # window and decision tick up to the last session time, so its cost
 # grows with the timestamps, not with the data: a sample whose session
@@ -75,6 +72,11 @@ MAX_GRID_HOPS = 2**52
 # gap of years, and every trace event lies in [0, MAX_SESSION_S]. A
 # constant, not a config key: one value is in use.
 MAX_SESSION_S = 24 * 3600.0
+
+# The smallest window_hop_s, in seconds. With every span at most
+# MAX_SESSION_S, a replay walks at most 864,000 ticks and cuts at most
+# that many windows of each kind, whatever the input.
+MIN_WINDOW_HOP_S = 0.1
 
 
 @dataclass
@@ -99,20 +101,16 @@ def validate_config(cfg: SessionConfig) -> ValidationReport:
         if not is_positive(value):
             fail(f"{name} must be a positive finite number, got {value!r}")
 
-    def grid_span(name: str, span: float) -> None:
-        # window ends and ticks are hop multiples on a float grid; past
-        # MAX_GRID_HOPS hops neighbouring grid times round to one float
-        # (and past the float range the count is infinite)
-        hop = cfg.window_hop_s
-        if is_positive(span) and is_positive(hop) and not span / hop <= MAX_GRID_HOPS:
-            fail(f"{name} ({span}) spans more than 2**52 hops of window_hop_s ({hop})")
+    def within_session(name: str, span: float) -> None:
+        if is_positive(span) and span > MAX_SESSION_S:
+            fail(f"{name} ({span}) exceeds the session span ({MAX_SESSION_S})")
 
     positive("calibration_duration_s", cfg.calibration_duration_s)
-    grid_span("calibration_duration_s", cfg.calibration_duration_s)
     # the uncalibrated_channel warnings are stamped at its end
-    if is_positive(cfg.calibration_duration_s) and cfg.calibration_duration_s > MAX_SESSION_S:
-        fail(f"calibration_duration_s ({cfg.calibration_duration_s}) exceeds the session span ({MAX_SESSION_S})")
+    within_session("calibration_duration_s", cfg.calibration_duration_s)
     positive("window_hop_s", cfg.window_hop_s)
+    if is_positive(cfg.window_hop_s) and cfg.window_hop_s < MIN_WINDOW_HOP_S:
+        fail(f"window_hop_s ({cfg.window_hop_s}) is below the floor of {MIN_WINDOW_HOP_S} s")
     positive("ivt_velocity_threshold", cfg.ivt_velocity_threshold)
     positive("min_fixation_duration_s", cfg.min_fixation_duration_s)
     positive("persistence_s", cfg.persistence_s)
@@ -124,7 +122,7 @@ def validate_config(cfg: SessionConfig) -> ValidationReport:
             fail(f"window_length_s missing entry for {kind.value}")
             continue
         positive(f"window_length.{kind.value}", length)
-        grid_span(f"window_length.{kind.value}", length)
+        within_session(f"window_length.{kind.value}", length)
         if isinstance(length, (int, float)) and 0 < length < cfg.window_hop_s:
             fail(
                 f"window_length.{kind.value} ({length}) must be at least "

@@ -582,6 +582,11 @@ NOISE_DEFAULTS: dict[str, float] = {
 
 _GENERATOR_KINDS = ("baseline", "ramp", "oscillation")
 
+# The most samples a profile may make on one stream. Synthesis holds
+# every record it makes, so its work and memory grow with the rates,
+# not with the span; 24 h of gaze at 60 Hz is 5.2M samples.
+MAX_STREAM_SAMPLES = 2**23
+
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -708,11 +713,18 @@ def parse_profile(data: dict) -> SyntheticProfile:
     span = profile.duration_s()
     if span > MAX_SESSION_S:
         raise ScenarioError(f"segments span {span} s, past the session span ({MAX_SESSION_S} s)")
-    # the generators count their samples as round(span * rate)
-    for name in ("gaze_rate_hz", "posture_rate_hz"):
-        rate = getattr(profile, name)
-        if not math.isfinite(span * rate):
-            raise ScenarioError(f"{name} ({rate}) over the segments' {span} s gives no finite sample count")
+    # gaze and posture count their samples as round(span * rate), notes
+    # come one per note_interval_s
+    counts = {
+        "gaze_rate_hz": span * profile.gaze_rate_hz,
+        "posture_rate_hz": span * profile.posture_rate_hz,
+        "note_interval_s": span / profile.note_interval_s,
+    }
+    for name, count in counts.items():
+        if not count <= MAX_STREAM_SAMPLES:
+            raise ScenarioError(
+                f"{name} ({getattr(profile, name)}) over the segments' {span} s gives more than 2**23 samples"
+            )
     return profile
 
 

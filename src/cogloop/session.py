@@ -336,8 +336,8 @@ class Session:
 
     ``push`` ingests a record, then cuts every window and walks every
     decision tick that the merged timeline has made final: those ending
-    at or before the merger's frontier. Calibration windows feed the
-    baseline, which freezes once the frontier reaches the end of
+    at or before the merger's watermark. Calibration windows feed the
+    baseline, which freezes once the watermark reaches the end of
     calibration; posture and note windows are cut from then on (see
     ``_advance``). ``close`` flushes the merger and cuts
     and walks the rest. A decision is therefore made as soon as the
@@ -394,7 +394,7 @@ class Session:
         )
         self._context = LearningContext(topic=header.topic, dialogue=header.dialogue)
         self._step = 1  # index of the next decision tick
-        # the frontier at which the next window, the baseline or the
+        # the watermark at which the next window, the baseline or the
         # next tick becomes final
         self._due = self._next_due()
 
@@ -456,7 +456,7 @@ class Session:
         outcome = merger.ingest(registration, session_t, payload, record.source_confidence)
         if outcome is not IngestOutcome.ACCEPTED:
             self._recorder.note(session_t, "ingest", {"stream": record.stream_id, "outcome": outcome.value})
-        if merger.frontier >= self._due:
+        if merger.watermark >= self._due:
             self._advance()
 
     def close(self) -> SessionResult:
@@ -502,11 +502,11 @@ class Session:
         )
 
     def _advance(self, final: bool = False) -> None:
-        """Cut every window the frontier has made final, freeze the
+        """Cut every window the watermark has made final, freeze the
         baseline once calibration is over, and walk the final ticks."""
         cfg, merger = self.config, self._merger
-        frontier = merger.frontier
-        calibration_over = self.baseline is None and (final or frontier >= cfg.calibration_duration_s)
+        watermark = merger.watermark
+        calibration_over = self.baseline is None and (final or watermark >= cfg.calibration_duration_s)
         if calibration_over:
             # two-pass posture baseline: the reference pose comes from
             # the raw calibration poses, all still on the timeline, then
@@ -528,7 +528,7 @@ class Session:
         if calibration_over:
             self._freeze_baseline()
         if self.baseline is not None:
-            while (tick := grid_time(self._step, cfg.window_hop_s, cfg.calibration_duration_s)) <= frontier:
+            while (tick := grid_time(self._step, cfg.window_hop_s, cfg.calibration_duration_s)) <= watermark:
                 self._tick(tick)
         self._due = self._next_due()
 

@@ -6,17 +6,17 @@ ordered by (timestamp, stream_id, ingestion sequence). A stream's
 registration is the one place that sets and applies its clock offset
 (``set_offset``, ``session_time``) and keeps its counts, and the merger
 the one place that builds an envelope. A bounded reorder buffer absorbs
-cross-stream jitter: an envelope may arrive up to ``jitter_tolerance_s``
-behind the newest timestamp seen and still be emitted in order.
-Anything older than the already-emitted frontier is dropped and
-counted, never reordered retroactively.
+cross-stream jitter: the watermark is the newest time seen less
+``jitter_tolerance_s``. A sample at or after the watermark is placed in
+order; one stamped before it is late, and is dropped and counted, never
+reordered retroactively.
 
-Windows are cut at the frontier, the time of the last emitted envelope:
-a window is final once the frontier has reached its end, because a
-later sample is either emitted at or after the frontier or dropped.
-Each kind's timeline forgets the envelopes that start before its next
-window, so it holds about one window of samples, however long the
-session; window positions count from the start of the timeline.
+The watermark is the one finality rule: everything up to it is
+emitted, and a window is final once the watermark has reached its end,
+because no later sample can land before the watermark. Each kind's
+timeline forgets the envelopes that start before its next window, so
+it holds about one window of samples, however long the session; window
+positions count from the start of the timeline.
 """
 
 from __future__ import annotations
@@ -137,13 +137,10 @@ class StreamMerger:
         # (sort key, envelope, the registration of its stream)
         self._heap: list[tuple[tuple[float, str, int], SampleEnvelope, StreamRegistration]] = []
         self._seq = 0
-        self._max_seen_t = float("-inf")
-        self._frontier_key: tuple[float, str, int] | None = None
-        # time of the last emitted envelope: no later sample can join the
-        # timeline before it
-        self.frontier = -math.inf
+        self._max_seen_t = -math.inf
+        # largest time up to which the merged timeline is final
+        self.watermark = -math.inf
         self._by_kind = {kind: _ChannelTimeline() for kind in StreamKind}
-        self._flushed = False
 
     def register_stream(self, descriptor: StreamDescriptor) -> StreamRegistration:
         if descriptor.stream_id in self.registrations:
@@ -174,9 +171,8 @@ class StreamMerger:
         seq = self._seq
         self._seq = seq + 1
         registration.ingested += 1
-        key = (session_t, stream_id, seq)
 
-        if self._frontier_key is not None and key < self._frontier_key:
+        if session_t < self.watermark:
             registration.dropped += 1
             return IngestOutcome.DROPPED_LATE
 
@@ -186,17 +182,21 @@ class StreamMerger:
         else:
             outcome = IngestOutcome.ACCEPTED
             self._max_seen_t = session_t
+            self.watermark = session_t - self.jitter_tolerance_s
         envelope = SampleEnvelope(stream_id, session_t, payload, source_confidence, seq)
-        heapq.heappush(self._heap, (key, envelope, registration))
-        self._drain(self._max_seen_t - self.jitter_tolerance_s)
+        heapq.heappush(self._heap, ((session_t, stream_id, seq), envelope, registration))
+        self._drain()
         return outcome
 
-    def _drain(self, up_to: float) -> None:
-        heap = self._heap
-        while heap and heap[0][0][0] <= up_to:
-            key, envelope, registration = heapq.heappop(heap)
-            self._frontier_key = key
-            t = self.frontier = envelope.timestamp
+    def _drain(self) -> None:
+        """Emit every buffered envelope up to the watermark. A sample
+        placed at the watermark after one of the same time was emitted
+        still joins its timeline in key order: a scenario feeds each
+        kind from one stream, and its later sample has the larger seq."""
+        heap, watermark = self._heap, self.watermark
+        while heap and heap[0][0][0] <= watermark:
+            _, envelope, registration = heapq.heappop(heap)
+            t = envelope.timestamp
             if registration.first_t is None:
                 registration.first_t = t
             registration.last_t = t
@@ -206,25 +206,16 @@ class StreamMerger:
 
     def flush(self) -> None:
         """Emit everything still buffered; call once at end of input."""
-        self._drain(float("inf"))
-        self._flushed = True
+        self.watermark = self._max_seen_t
+        self._drain()
 
     def timeline(self, kind: StreamKind) -> list[SampleEnvelope]:
         """The emitted envelopes of one channel that no cut window has
         left behind, in merged order."""
         return self._by_kind[kind].samples
 
-    @property
-    def watermark(self) -> float:
-        """Largest time up to which the merged timeline is final."""
-        if self._max_seen_t == float("-inf"):
-            return float("-inf")
-        if self._flushed:
-            return self._max_seen_t
-        return self._max_seen_t - self.jitter_tolerance_s
-
     def next_window_end(self, kind: StreamKind, length_s: float, hop_s: float) -> Timestamp:
-        """End of the channel's next window to cut: the frontier that
+        """End of the channel's next window to cut: the watermark that
         makes it final."""
         return grid_time(self._by_kind[kind].next_window_index, hop_s, length_s)
 
@@ -233,7 +224,7 @@ class StreamMerger:
 
         Windows are [k*hop, k*hop + length) anchored at the session
         origin, their bounds from ``grid_time``; a window is final once
-        the frontier has reached its end. Repeated calls continue where
+        the watermark has reached its end. Repeated calls continue where
         the previous one stopped, and the envelopes before the next
         window's start leave the timeline.
         """
@@ -241,10 +232,10 @@ class StreamMerger:
             raise ValueError(f"need 0 < hop_s <= length_s, got hop={hop_s} length={length_s}")
         timeline = self._by_kind[kind]
         times, samples, base = timeline.times, timeline.samples, timeline.base
-        frontier = self.frontier
+        watermark = self.watermark
         windows: list[Window] = []
         k = timeline.next_window_index
-        while (end := grid_time(k, hop_s, length_s)) <= frontier:
+        while (end := grid_time(k, hop_s, length_s)) <= watermark:
             start = grid_time(k, hop_s)
             lo = bisect_left(times, start)
             hi = bisect_left(times, end, lo)

@@ -8,7 +8,9 @@ under interpreters that have no pytest:
     PYTHONPATH=src python tests/golden_replay.py '[["stress_ramp", null], ["stress_ramp", 0.6]]'
 
 prints a JSON list with one [trace sha256, decisions sha256, unsequenced
-trace sha256] triple for each (profile, window_hop_s override) given, and
+trace sha256] triple for each (profile, window_hop_s override) given; a
+profile named ``<name>:arrivals`` is replayed in a seeded arrival order
+(``arrival_order``); and
 
     PYTHONPATH=src python tests/golden_replay.py --scenarios '["all_baseline", "stress_ramp"]'
 
@@ -17,6 +19,7 @@ prints a JSON list with the sha256 of each profile's written scenario.
 
 import hashlib
 import json
+import random
 import sys
 import tempfile
 from importlib import resources
@@ -52,12 +55,36 @@ def _unsequenced_sha256(trace: bytes) -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
+def arrival_order(records, rng: random.Random) -> list:
+    """The records in the order a live session might deliver them.
+
+    Each record is delayed by up to 0.2 s, inside the default 0.25 s
+    jitter tolerance, and about one in 200 by 0.3-1.0 s, outside it. No
+    record overtakes an earlier one of its own stream, so the merger
+    reorders across streams and drops a stalled stream's backlog.
+    """
+    last_arrival: dict[str, float] = {}
+    keyed = []
+    for index, record in enumerate(records):
+        delay = rng.uniform(0.3, 1.0) if rng.random() < 1 / 200 else rng.uniform(0.0, 0.2)
+        arrival = max(last_arrival.get(record.stream_id, 0.0), record.t + delay)
+        last_arrival[record.stream_id] = arrival
+        keyed.append((arrival, index))
+    keyed.sort()
+    return [records[index] for _, index in keyed]
+
+
 def replay_digests(name, hop) -> tuple[str, str, str]:
     """(trace sha256, decision list sha256, unsequenced trace sha256) of
     one replay of a bundled profile, with ``window_hop_s`` overridden
-    unless ``hop`` is None."""
+    unless ``hop`` is None. ``<name>:arrivals`` replays the profile's
+    records in a seeded ``arrival_order``."""
+    profile, _, order = name.partition(":")
+    scenario = synthesize(_bundled_profile(profile))
+    if order == "arrivals":
+        scenario.records = arrival_order(scenario.records, random.Random(11))
     overrides = {"window_hop_s": hop} if hop is not None else None
-    result = run_session(synthesize(_bundled_profile(name)), overrides=overrides)
+    result = run_session(scenario, overrides=overrides)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.jsonl"
         write_trace(result, path)

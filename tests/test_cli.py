@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -87,8 +88,8 @@ def _segment(**channel):
         ({"note_interval_s": -1.0}, "note_interval_s must be a positive finite number, got -1.0"),
         ({"seed": "x"}, "seed must be an integer, got 'x'"),
         ({"config": "x"}, "config must be an object"),
-        ({"gaze_rate_hz": 1e308}, "gaze_rate_hz (1e+308) over the segments' 8.0 s gives no finite sample count"),
-        ({"posture_rate_hz": 1e308}, "posture_rate_hz (1e+308) over the segments' 8.0 s gives no finite sample count"),
+        ({"gaze_rate_hz": 1e308}, "gaze_rate_hz (1e+308) over the segments' 8.0 s gives more than 2**23 samples"),
+        ({"posture_rate_hz": 1e308}, "posture_rate_hz (1e+308) over the segments' 8.0 s gives more than 2**23 samples"),
     ],
     ids=[
         "zero_gaze_rate", "nan_posture_rate", "segment_not_object", "text_target_z", "nan_tau",
@@ -104,22 +105,51 @@ def test_hostile_profile_exits_2(tmp_path, capsys, edit, message):
     assert f"error: {message}" in capsys.readouterr().err
 
 
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def _cogloop_in_a_child(*args):
+    """``cogloop`` with ``args`` in a child process given 60 s and 1 GiB
+    of address space: an input that asks for unbounded work fails the
+    test instead of running for hours or filling the host's memory."""
+    src = str(Path(cogloop.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "cogloop.cli", *args],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+
+
 @pytest.mark.parametrize(
     "edit",
-    [{"note_interval_s": 0}, {"segments": [{"duration_s": 1e300}]}],
-    ids=["zero_note_interval", "duration_1e300"],
+    [{"note_interval_s": 0}, {"segments": [{"duration_s": 1e300}]}, {"note_interval_s": 1e-9}],
+    ids=["zero_note_interval", "duration_1e300", "tiny_note_interval"],
 )
 def test_hanging_profile_exits_2_in_a_child_process(tmp_path, edit):
-    # both looped for ever: a child process given 60 s
+    # the first two looped for ever; the third made a note every
+    # nanosecond, 8e9 records
     profile = tmp_path / "hostile.json"
     profile.write_text(json.dumps({**PROFILE, **edit}))
-    src = str(Path(cogloop.__file__).resolve().parents[1])
-    child = subprocess.run(
-        [sys.executable, "-m", "cogloop.cli", "synth", "--profile", str(profile), "--out", str(tmp_path / "out.jsonl")],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
-    )
+    child = _cogloop_in_a_child("synth", "--profile", str(profile), "--out", str(tmp_path / "out.jsonl"))
     assert child.returncode == 2, child.stderr
     assert child.stderr.startswith("error: ")
+
+
+def test_replay_at_a_hop_below_the_floor_exits_2_in_a_child_process(tmp_path):
+    # at a 1 ms hop, one beat near the end of the session span would
+    # walk 86 million ticks
+    header = {
+        "type": "header",
+        "streams": [{"stream_id": "heart", "kind": "rr_interval", "nominal_rate_hz": 1}],
+        "config": {"window_hop_s": 1e-3},
+    }
+    beats = [{"type": "sample", "stream": "heart", "t": t, "rr_ms": 800} for t in (0.0, 86_000.0)]
+    scenario = tmp_path / "scenario.jsonl"
+    scenario.write_text("".join(json.dumps(line) + "\n" for line in [header, *beats]))
+    child = _cogloop_in_a_child("run", "--scenario", str(scenario), "--trace", str(tmp_path / "trace.jsonl"))
+    assert child.returncode == 2, child.stderr
+    assert "window_hop_s (0.001) is below the floor of 0.1 s" in child.stderr
 
 
 def test_validate_scenario_and_trace(tmp_path, profile_path, capsys):

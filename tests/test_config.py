@@ -1,9 +1,11 @@
 import json
+import math
 
 import pytest
 
 from cogloop.config import (
     MAX_SESSION_S,
+    MIN_WINDOW_HOP_S,
     SessionConfig,
     apply_entries,
     config_from_dict,
@@ -71,17 +73,17 @@ def test_validation_collects_several_failures_at_once():
     ],
 )
 def test_spans_of_too_many_hops_rejected(entries):
+    # every span is at most the session span and every hop at least the
+    # floor, so no span holds more than 864,000 hops
     report = validate_config(apply_entries(SessionConfig(), entries))
-    # a calibration span this long also exceeds the session span
-    hops = [f for f in report.failures if "exceeds the session span" not in f]
-    assert len(hops) == 1
-    assert "spans more than 2**52 hops of window_hop_s" in hops[0]
+    assert len(report.failures) == 1
+    assert f"exceeds the session span ({MAX_SESSION_S})" in report.failures[0]
     header = json.dumps({
         "type": "header",
         "streams": [{"stream_id": "heart", "kind": "rr_interval", "nominal_rate_hz": 1}],
         "config": entries,
     })
-    with pytest.raises(ConfigError, match="2\\*\\*52 hops"):
+    with pytest.raises(ConfigError, match="exceeds the session span"):
         run_session(parse_scenario_lines([header]))
 
 
@@ -106,8 +108,11 @@ def test_unknown_template_id_or_weight_channel_rejected(entries, message):
 
 
 def test_span_of_many_hops_within_the_grid_accepted():
-    cfg = SessionConfig(calibration_duration_s=MAX_SESSION_S, window_hop_s=MAX_SESSION_S / 2**51)
+    cfg = SessionConfig(calibration_duration_s=MAX_SESSION_S, window_hop_s=MIN_WINDOW_HOP_S)
     assert validate_config(cfg).ok
+    below = math.nextafter(MIN_WINDOW_HOP_S, 0.0)
+    failures = validate_config(SessionConfig(calibration_duration_s=MAX_SESSION_S, window_hop_s=below)).failures
+    assert failures == [f"window_hop_s ({below}) is below the floor of {MIN_WINDOW_HOP_S} s"]
 
 
 def test_calibration_past_the_session_span_rejected():

@@ -55,6 +55,12 @@ GOLDEN = {
         "a40e18c05ab64a9fbdcd3dc99ebd851a6d174f6910fc3772f2f0e5c3d404a224",
         "6ca64ab3e7e95bbad922d9aa5d4cee2b6773b65eb1c8a5f6ae7fe535d1eba689",
     ),
+    # seeded arrival order: the merger reorders some samples and drops others
+    ("stress_ramp:arrivals", None): (
+        "4a47891ad47a96f5f54830bee8c518b517db2e22ae6a4d737b686306584edcc8",
+        "daa3ac567e2bd52017d4190ea5ffcc4dab1c678b8b9a12dfe3d87cf2fcce6f47",
+        "0b59635bd74c759b759e8fa96644d70f6fe5fcb71ba9d5f80c6fea260bcbe3ea",
+    ),
 }
 
 

@@ -520,9 +520,8 @@ def test_realtime_mode_paces_by_record_gaps():
 
 # (stream, producer t) in arrival order; default 0.25 s jitter tolerance.
 # Notes at 1.9 and 5.8 arrive behind a heart beat but inside the
-# tolerance (reordered); notes at 2.9 arrive after the heart beat at 3.0
-# was emitted (dropped); notes at 3.0 tie that beat's time and sort
-# after it by stream id (reordered).
+# tolerance (reordered); notes at 2.9 and 3.0 arrive after the heart beat
+# at 4.0 set the watermark to 3.75 (dropped).
 ARRIVALS = [
     ("heart", 0.0), ("heart", 1.0), ("heart", 2.0), ("notes", 1.9), ("heart", 3.0), ("heart", 4.0),
     ("notes", 2.9), ("notes", 3.0), ("heart", 5.0), ("heart", 6.0), ("notes", 5.8),
@@ -545,7 +544,7 @@ def test_only_reordered_and_dropped_samples_get_ingest_events():
     assert ingests == [
         (1.9, "notes", "reordered"),
         (2.9, "notes", "dropped_late"),
-        (3.0, "notes", "reordered"),
+        (3.0, "notes", "dropped_late"),
         (5.8, "notes", "reordered"),
     ]
 
@@ -573,7 +572,7 @@ def test_only_reordered_and_dropped_samples_get_ingest_events():
 
     header = {"config": config_to_dict(result.config)}
     assert validate_trace(header, result.events) == []
-    assert summarize(header, result.events)["ingest"] == {"accepted": 7, "dropped_late": 1, "reordered": 3}
+    assert summarize(header, result.events)["ingest"] == {"accepted": 7, "dropped_late": 2, "reordered": 2}
 
 
 def test_stream_without_samples_has_an_empty_summary():
@@ -593,11 +592,11 @@ def test_validator_flags_stream_summaries_that_disagree_with_the_trace():
         doctored = dataclasses.replace(notes_summary, payload=dict(notes_summary.payload, **changes))
         return [doctored if e is notes_summary else e for e in events]
 
-    assert validate_trace(header, with_notes_summary(reordered=2)) == [
-        "stream 'notes': stream_summary counts 2 reordered, the trace has 3 reordered ingest events"
+    assert validate_trace(header, with_notes_summary(reordered=1)) == [
+        "stream 'notes': stream_summary counts 1 reordered, the trace has 2 reordered ingest events"
     ]
     assert validate_trace(header, with_notes_summary(dropped_late=0)) == [
-        "stream 'notes': stream_summary counts 0 dropped_late, the trace has 1 dropped_late ingest events"
+        "stream 'notes': stream_summary counts 0 dropped_late, the trace has 2 dropped_late ingest events"
     ]
     missing = [e for e in events if e is not notes_summary]
     assert validate_trace(header, missing) == ["stream 'notes': ingest events but no stream_summary"]

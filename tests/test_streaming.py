@@ -3,8 +3,9 @@
 ``load_scenario`` reads the header and leaves the records in the file,
 ``Session.push`` cuts each window and walks each tick as soon as the
 merged timeline makes it final, and the merger's timelines forget what
-no later window reaches. So a decision comes out within a hop of its
-tick, and a replay's memory does not grow with the session's length.
+no later window reaches. So a decision comes out once a record stamped
+a jitter tolerance past its tick is in, and a replay's memory does not
+grow with the session's length.
 """
 
 import json
@@ -77,9 +78,37 @@ def test_every_decision_is_out_before_a_record_a_hop_past_its_tick(hop):
     assert result.decisions == run_session(scenario, {"window_hop_s": hop}).decisions
     assert len(result.decisions) >= 2
     for index, decision in enumerate(result.decisions):
-        late = _first_record_past(records, decision.t + hop)
+        late = _first_record_past(records, decision.t + result.config.jitter_tolerance_s)
         assert late is not None
         assert out_after[late - 1] > index, f"decision at {decision.t} waited past {records[late].t}"
+
+
+def test_ticks_inside_a_silence_are_walked_before_close(monkeypatch):
+    # beats up to 199.2 s, then nothing until one at 500 s: that beat
+    # alone moves the watermark past every tick of the silence
+    walked = []
+    infer_state = cogloop.session.infer_state
+
+    def recording(features, baseline, weights, t, **kwargs):
+        walked.append(t)
+        return infer_state(features, baseline, weights, t, **kwargs)
+
+    monkeypatch.setattr(cogloop.session, "infer_state", recording)
+    header = json.dumps({
+        "type": "header",
+        "streams": [{"stream_id": "heart", "kind": "rr_interval", "nominal_rate_hz": 1}],
+        "config": {"calibration_duration_s": 60.0, "window_hop_s": 10.0},
+    })
+    beats = [json.dumps({"type": "sample", "stream": "heart", "t": t, "rr_ms": 800})
+             for t in [round(i * 0.8, 1) for i in range(250)] + [500.0]]
+    scenario = parse_scenario_lines([header, *beats])
+    assert scenario.records[-2].t == 199.2
+    session = Session(scenario.header)
+    for record in scenario.records:
+        session.push(record)
+    assert walked == [70.0 + 10.0 * i for i in range(43)]  # up to 490 s
+    session.close()
+    assert walked[-1] == 500.0
 
 
 def test_an_arrival_sorts_before_the_engine_events_of_its_time():
@@ -93,14 +122,15 @@ def test_an_arrival_sorts_before_the_engine_events_of_its_time():
                    "window_length.rr_interval": 5.0, "window_length.note_score": 5.0},
         "analyzer_replies": ["score=1.5; feedback=sure"],
     })
-    # one scored note in calibration: too few for a note_error baseline
+    # one scored note in calibration, in time order between the beats at
+    # 1.6 and 2.4 s: too few for a note_error baseline
     first = json.dumps({"type": "sample", "stream": "notes", "t": 2.0, "correctness": 0.8})
     beats = [json.dumps({"type": "sample", "stream": "heart", "t": i * 0.8, "rr_ms": 800}) for i in range(38)]
     late = json.dumps({"type": "sample", "stream": "notes", "t": 10.0, "transcript": "late notes"})
-    result = run_session(parse_scenario_lines([header, first, *beats, late]))
+    result = run_session(parse_scenario_lines([header, *beats[:3], first, *beats[3:], late]))
     at_10 = [(e.kind, e.payload.get("reason")) for e in result.events if e.t == 10.0 and e.kind != "window_features"]
     assert at_10 == [
-        ("ingest", None),  # dropped: the merger had moved past it
+        ("ingest", None),  # dropped: the watermark had passed it
         ("warning", "note_score_clamped"),
         ("warning", "uncalibrated_channel"),
     ]
@@ -153,7 +183,7 @@ def test_each_tick_fuses_the_live_features_since_the_previous_tick_once(monkeypa
 
 
 # ---------------------------------------------------------------------------
-# windows cut as the frontier moves equal windows cut once at the end
+# windows cut as the watermark moves equal windows cut once at the end
 
 @settings(max_examples=150, deadline=None)
 @given(

@@ -90,28 +90,31 @@ def test_arrival_behind_the_frontier_is_dropped():
     merger = _merger(jitter=0.25)
     _ingest(merger, 0.0)
     _ingest(merger, 10.0)
-    _ingest(merger, 10.5)  # emits t=10.0, moving the frontier past 0.5
+    _ingest(merger, 10.5)  # emits t=10.0; the watermark is 10.25
     assert _ingest(merger, 0.5) is IngestOutcome.DROPPED_LATE
     merger.flush()
     assert [e.timestamp for e in merger.timeline(StreamKind.RR_INTERVAL)] == [0.0, 10.0, 10.5]
     assert merger.registrations["hr"].dropped == 1
 
 
-def test_arrival_between_frontier_and_watermark_is_salvaged():
-    # behind the watermark but ahead of everything emitted so far: the
-    # merger can still place it, so it counts as reordered, not dropped
+def test_arrival_below_the_watermark_is_dropped_and_one_at_it_is_placed():
+    # the watermark is the newest time seen less the jitter tolerance,
+    # whether or not anything has been emitted up to it
     merger = _merger(jitter=0.25)
     _ingest(merger, 0.0)
-    _ingest(merger, 10.0)  # emits only t=0.0
-    assert _ingest(merger, 0.5) is IngestOutcome.REORDERED
+    _ingest(merger, 10.0)  # emits only t=0.0; the watermark is 9.75
+    assert _ingest(merger, 0.5) is IngestOutcome.DROPPED_LATE
+    assert _ingest(merger, 9.7) is IngestOutcome.DROPPED_LATE
+    assert _ingest(merger, 9.75) is IngestOutcome.REORDERED
     merger.flush()
-    assert [e.timestamp for e in merger.timeline(StreamKind.RR_INTERVAL)] == [0.0, 0.5, 10.0]
-    assert merger.registrations["hr"].dropped == 0
+    assert [e.timestamp for e in merger.timeline(StreamKind.RR_INTERVAL)] == [0.0, 9.75, 10.0]
+    registration = merger.registrations["hr"]
+    assert (registration.accepted, registration.reordered, registration.dropped) == (2, 1, 2)
 
 
 def test_duplicate_timestamp_same_stream_is_kept():
     # the ingest order is the final key component, so an equal (t, stream)
-    # pair lands after the frontier rather than below it
+    # pair lands after the one already emitted rather than below it
     merger = _merger(jitter=0.0)
     _ingest(merger, 1.0)
     _ingest(merger, 2.0)
