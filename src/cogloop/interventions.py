@@ -275,12 +275,9 @@ def prioritize(candidates: list[Candidate]) -> Candidate | None:
     return best
 
 
-def choose_framing(
-    dimension: Dimension, repeat_count: int, contributing_channels: int
-) -> Framing:
+def choose_framing(repeat_count: int, contributing_channels: int) -> Framing:
     """Explicit acknowledgment is reserved for persistent or strongly
     corroborated states; everything else adapts silently."""
-    del dimension  # framing policy is currently dimension-agnostic
     if repeat_count >= 2 or contributing_channels >= 2:
         return Framing.EXPLICIT
     return Framing.IMPLICIT
@@ -346,9 +343,7 @@ class InterventionEngine:
         if winner is None:
             return candidates, None
         entry = self.table.lookup(winner.dimension, winner.severity, self.modality)
-        framing = choose_framing(
-            winner.dimension, winner.repeat_ordinal, winner.supra_channels
-        )
+        framing = choose_framing(winner.repeat_ordinal, winner.supra_channels)
         decision = InterventionDecision(
             t=winner.t,
             dimension=winner.dimension,

@@ -1,4 +1,4 @@
-"""Core data model: stream descriptors, sample payloads, and envelope ordering.
+"""Core data model: stream descriptors, sample payloads and envelopes.
 
 Timestamps are seconds on the session clock, stored as plain floats.
 Producers with their own clocks are aligned via per-stream offsets at
@@ -122,23 +122,13 @@ Payload = GazeSample | RRSample | PostureSample | NoteScoreSample
 
 @dataclass(slots=True)
 class SampleEnvelope:
-    """A timestamped payload on the session timeline.
-
-    ``seq`` is the ingestion sequence number assigned by the merger; it
-    is the final tie-break so that envelope ordering is a strict total
-    order even for identical timestamps. Envelopes built by hand default
-    to seq -1 (unassigned).
+    """A payload at its session time, with the confidence its source
+    gave it.
 
     The constructor checks nothing: the merger range-checks the session
     time it computes and the source confidence before building one.
     """
 
-    stream_id: str
     timestamp: Timestamp
     payload: Payload
     source_confidence: float = 1.0
-    seq: int = -1
-
-    def sort_key(self) -> tuple[float, str, int]:
-        return (self.timestamp, self.stream_id, self.seq)
-

@@ -332,6 +332,37 @@ def parse_scenario_lines(lines) -> Scenario:
     return Scenario(header=header, records=list(scan))
 
 
+def _shared_fields(obj: dict, line_no: int | None = None) -> dict:
+    """The fields a scenario header and a profile share, checked and
+    keyed by their names on ``ScenarioHeader`` and ``SyntheticProfile``;
+    ``line_no`` is the header's line, None for a profile."""
+    modality_raw = obj.get("modality", Modality.TEXT.value)
+    try:
+        modality = Modality(modality_raw)
+    except ValueError:
+        raise ScenarioError(f"unknown modality {modality_raw!r}", line_no) from None
+    seed = obj.get("seed", 0)
+    if not _is_seed(seed):
+        raise ScenarioError(f"seed must be an integer, got {seed!r}", line_no)
+    config_entries = obj.get("config", {})
+    if not isinstance(config_entries, dict):
+        raise ScenarioError(f"config must be an object, got {config_entries!r}", line_no)
+    analyzer_replies = obj.get("analyzer_replies", [])
+    if not (isinstance(analyzer_replies, list) and all(isinstance(r, str) for r in analyzer_replies)):
+        raise ScenarioError("analyzer_replies must be a list of strings", line_no)
+    dialogue = obj.get("dialogue", [])
+    if not (isinstance(dialogue, list) and all(isinstance(turn, dict) for turn in dialogue)):
+        raise ScenarioError("dialogue must be a list of objects", line_no)
+    return {
+        "modality": modality,
+        "seed": seed,
+        "topic": str(obj.get("topic", "the current topic")),
+        "config_entries": dict(config_entries),
+        "analyzer_replies": tuple(analyzer_replies),
+        "dialogue": tuple(dialogue),
+    }
+
+
 def _parse_header(obj: dict, line_no: int) -> ScenarioHeader:
     streams_raw = obj.get("streams")
     if not isinstance(streams_raw, list) or not streams_raw:
@@ -364,36 +395,7 @@ def _parse_header(obj: dict, line_no: int) -> ScenarioHeader:
         kind_owner[descriptor.kind] = descriptor.stream_id
         streams.append(descriptor)
 
-    modality_raw = obj.get("modality", Modality.TEXT.value)
-    try:
-        modality = Modality(modality_raw)
-    except ValueError:
-        raise ScenarioError(f"unknown modality {modality_raw!r}", line_no) from None
-
-    seed = obj.get("seed", 0)
-    if not _is_seed(seed):
-        raise ScenarioError(f"seed must be an integer, got {seed!r}", line_no)
-
-    config_entries = obj.get("config", {})
-    if not isinstance(config_entries, dict):
-        raise ScenarioError("header config must be an object", line_no)
-
-    analyzer_replies = obj.get("analyzer_replies", [])
-    if not (isinstance(analyzer_replies, list) and all(isinstance(r, str) for r in analyzer_replies)):
-        raise ScenarioError("header analyzer_replies must be a list of strings", line_no)
-    dialogue = obj.get("dialogue", [])
-    if not (isinstance(dialogue, list) and all(isinstance(turn, dict) for turn in dialogue)):
-        raise ScenarioError("header dialogue must be a list of objects", line_no)
-
-    return ScenarioHeader(
-        streams=streams,
-        config_entries=config_entries,
-        seed=seed,
-        modality=modality,
-        topic=str(obj.get("topic", "the current topic")),
-        analyzer_replies=tuple(analyzer_replies),
-        dialogue=tuple(dialogue),
-    )
+    return ScenarioHeader(streams=streams, **_shared_fields(obj, line_no))
 
 
 class ScenarioFile:
@@ -682,30 +684,10 @@ def parse_profile(data: dict) -> SyntheticProfile:
             raise ScenarioError(f"unknown noise key {key!r}")
         noise[key] = _profile_number(value, f"noise {key}")
 
-    try:
-        modality = Modality(data.get("modality", Modality.TEXT.value))
-    except ValueError:
-        raise ScenarioError(f"unknown modality {data.get('modality')!r}") from None
-
-    seed = data.get("seed", 0)
-    if not _is_seed(seed):
-        raise ScenarioError(f"seed must be an integer, got {seed!r}")
-    analyzer_replies = data.get("analyzer_replies", [])
-    if not (isinstance(analyzer_replies, list) and all(isinstance(r, str) for r in analyzer_replies)):
-        raise ScenarioError("analyzer_replies must be a list of strings")
-    dialogue = data.get("dialogue", [])
-    if not (isinstance(dialogue, list) and all(isinstance(turn, dict) for turn in dialogue)):
-        raise ScenarioError("dialogue must be a list of objects")
-
     profile = SyntheticProfile(
         segments=segments,
-        seed=seed,
-        topic=str(data.get("topic", "the current topic")),
-        modality=modality,
         noise=noise,
-        config_entries=dict(_profile_object(data.get("config", {}), "config")),
-        analyzer_replies=tuple(analyzer_replies),
-        dialogue=tuple(dialogue),
+        **_shared_fields(data),
         gaze_rate_hz=_profile_number(data.get("gaze_rate_hz", 60.0), "gaze_rate_hz", positive=True),
         posture_rate_hz=_profile_number(data.get("posture_rate_hz", 5.0), "posture_rate_hz", positive=True),
         note_interval_s=_profile_number(data.get("note_interval_s", 60.0), "note_interval_s", positive=True),

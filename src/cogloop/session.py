@@ -1,8 +1,8 @@
 """Replay runner: scenario in, ordered trace out.
 
 A ``Session`` takes one record at a time (``push``). Each record is
-ingested into the stream merger; then every window that the merged
-timeline has made final is cut and turned into channel features, the
+ingested into the stream merger; then every window that the merger's
+watermark has made final is cut and turned into channel features, the
 baseline freezes once calibration is over, and every final decision
 tick is walked: fuse, trigger, render, send. ``close`` flushes the
 merger and finishes the rest. So decisions come out while the records
@@ -127,7 +127,7 @@ class SessionResult:
 class _Recorder:
     """The events of one replay, kept as (t, kind, payload) in two lists:
     what arriving records caused (``note``: their sync, ingest and
-    warning events) and what the engine made of the merged timeline
+    warning events) and what the engine made of the merger's timelines
     (``add``). seq numbers the arrivals first, then the engine's events,
     each in the order recorded: among events of one time and priority,
     an arrival comes before the engine's events, whichever was recorded
@@ -335,7 +335,7 @@ class Session:
     """One replay, fed one record at a time.
 
     ``push`` ingests a record, then cuts every window and walks every
-    decision tick that the merged timeline has made final: those ending
+    decision tick that the merger's watermark has made final: those ending
     at or before the merger's watermark. Calibration windows feed the
     baseline, which freezes once the watermark reaches the end of
     calibration; posture and note windows are cut from then on (see

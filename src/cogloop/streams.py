@@ -1,32 +1,31 @@
-"""Multi-stream alignment: clock offsets, reorder buffering, windowing.
+"""Multi-stream alignment: clock offsets, late-sample dropping, windowing.
 
 Samples from independent producers are shifted onto the session clock
-by their stream's offset and merged into one timeline of envelopes
-ordered by (timestamp, stream_id, ingestion sequence). A stream's
-registration is the one place that sets and applies its clock offset
-(``set_offset``, ``session_time``) and keeps its counts, and the merger
-the one place that builds an envelope. A bounded reorder buffer absorbs
-cross-stream jitter: the watermark is the newest time seen less
-``jitter_tolerance_s``. A sample at or after the watermark is placed in
-order; one stamped before it is late, and is dropped and counted, never
-reordered retroactively.
+by their stream's offset, and each kept sample goes straight onto the
+timeline of its stream's kind, in session-time order; samples of equal
+time keep their arrival order. A stream's registration is the one place
+that sets and applies its clock offset (``set_offset``,
+``session_time``) and keeps its counts, and the merger the one place
+that builds an envelope. The watermark, the newest time seen less
+``jitter_tolerance_s``, absorbs cross-stream jitter: a sample at or
+after it is placed; one stamped before it is late, and is dropped and
+counted.
 
-The watermark is the one finality rule: everything up to it is
-emitted, and a window is final once the watermark has reached its end,
-because no later sample can land before the watermark. Each kind's
-timeline forgets the envelopes that start before its next window, so
-it holds about one window of samples, however long the session; window
-positions count from the start of the timeline.
+The watermark is the one finality rule: a window is final once the
+watermark has reached its end, because no later sample can land before
+the watermark. Each kind's timeline forgets the envelopes that start
+before its next window, so it holds about one window of samples, however
+long the session; window positions count from the start of the timeline.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import statistics
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 
 from .errors import DuplicateStreamError, InsufficientMarksError
 from .model import Payload, SampleEnvelope, StreamDescriptor, StreamKind, Timestamp
@@ -40,7 +39,7 @@ class IngestOutcome(str, Enum):
 
 @dataclass(frozen=True)
 class Window:
-    """Half-open slice [start, end) of one channel's merged timeline.
+    """Half-open slice [start, end) of one channel's timeline.
 
     ``samples`` sit at positions [lo, hi) of the channel timeline,
     counted from its first envelope ever, so per-sample quantities
@@ -81,12 +80,14 @@ def grid_time(index: int, hop_s: float, offset_s: float = 0.0) -> Timestamp:
     return round(offset_s + index * hop_s, 9)
 
 
+_timestamp = attrgetter("timestamp")
+
+
 @dataclass
 class _ChannelTimeline:
-    """The emitted envelopes of one kind from position ``base`` on; the
+    """The placed envelopes of one kind from position ``base`` on; the
     ones before it lie before every window still to be cut."""
 
-    times: list[float] = field(default_factory=list)
     samples: list[SampleEnvelope] = field(default_factory=list)
     base: int = 0
     next_window_index: int = 0
@@ -95,8 +96,8 @@ class _ChannelTimeline:
 @dataclass
 class StreamRegistration:
     """One registered stream: its clock offset, its ingest counts, the
-    session times of its first and last emitted envelopes, and the
-    timeline of its kind, which its emitted envelopes join."""
+    earliest and latest session times of its placed envelopes, and the
+    timeline of its kind, which its placed envelopes join."""
 
     descriptor: StreamDescriptor
     timeline: _ChannelTimeline = field(repr=False, compare=False)
@@ -120,25 +121,23 @@ class StreamRegistration:
         """Estimate and install the stream's clock offset from sync marks.
 
         Applies to samples ingested afterwards; earlier ones keep the
-        correction they were emitted with.
+        correction they were placed with.
         """
         self.clock_offset_s = estimate_offset(marks)
         return self.clock_offset_s
 
 
 class StreamMerger:
-    """Orders envelopes from all registered streams onto one timeline."""
+    """Places envelopes from all registered streams on their kinds'
+    timelines and keeps the watermark."""
 
     def __init__(self, jitter_tolerance_s: float = 0.25):
         if jitter_tolerance_s < 0:
             raise ValueError("jitter_tolerance_s must be non-negative")
         self.jitter_tolerance_s = jitter_tolerance_s
         self.registrations: dict[str, StreamRegistration] = {}
-        # (sort key, envelope, the registration of its stream)
-        self._heap: list[tuple[tuple[float, str, int], SampleEnvelope, StreamRegistration]] = []
-        self._seq = 0
         self._max_seen_t = -math.inf
-        # largest time up to which the merged timeline is final
+        # largest time up to which every timeline is final
         self.watermark = -math.inf
         self._by_kind = {kind: _ChannelTimeline() for kind in StreamKind}
 
@@ -156,7 +155,7 @@ class StreamMerger:
         payload: Payload,
         source_confidence: float = 1.0,
     ) -> IngestOutcome:
-        """Place one sample of a registered stream on the timeline at
+        """Place one sample of a registered stream on its kind's timeline at
         ``session_t``, its producer time under the stream's offset
         (``registration.session_time``).
 
@@ -167,9 +166,6 @@ class StreamMerger:
             raise ValueError(f"session time must be finite and non-negative, got {session_t!r}")
         if not 0.0 <= source_confidence <= 1.0:
             raise ValueError(f"source_confidence must lie in [0, 1], got {source_confidence!r}")
-        stream_id = registration.descriptor.stream_id
-        seq = self._seq
-        self._seq = seq + 1
         registration.ingested += 1
 
         if session_t < self.watermark:
@@ -183,35 +179,27 @@ class StreamMerger:
             outcome = IngestOutcome.ACCEPTED
             self._max_seen_t = session_t
             self.watermark = session_t - self.jitter_tolerance_s
-        envelope = SampleEnvelope(stream_id, session_t, payload, source_confidence, seq)
-        heapq.heappush(self._heap, ((session_t, stream_id, seq), envelope, registration))
-        self._drain()
+        envelope = SampleEnvelope(session_t, payload, source_confidence)
+        samples = registration.timeline.samples
+        if not samples or samples[-1].timestamp <= session_t:
+            samples.append(envelope)
+        else:
+            # in a scenario, only after a sync moves a stream's clock
+            # back: the sample lands after those of its time placed
+            samples.insert(bisect_right(samples, session_t, key=_timestamp), envelope)
+        if registration.first_t is None or session_t < registration.first_t:
+            registration.first_t = session_t
+        if registration.last_t is None or session_t > registration.last_t:
+            registration.last_t = session_t
         return outcome
 
-    def _drain(self) -> None:
-        """Emit every buffered envelope up to the watermark. A sample
-        placed at the watermark after one of the same time was emitted
-        still joins its timeline in key order: a scenario feeds each
-        kind from one stream, and its later sample has the larger seq."""
-        heap, watermark = self._heap, self.watermark
-        while heap and heap[0][0][0] <= watermark:
-            _, envelope, registration = heapq.heappop(heap)
-            t = envelope.timestamp
-            if registration.first_t is None:
-                registration.first_t = t
-            registration.last_t = t
-            timeline = registration.timeline
-            timeline.times.append(t)
-            timeline.samples.append(envelope)
-
     def flush(self) -> None:
-        """Emit everything still buffered; call once at end of input."""
+        """Make everything placed final; call once at end of input."""
         self.watermark = self._max_seen_t
-        self._drain()
 
     def timeline(self, kind: StreamKind) -> list[SampleEnvelope]:
-        """The emitted envelopes of one channel that no cut window has
-        left behind, in merged order."""
+        """The placed envelopes of one channel that no cut window has
+        left behind, in session-time order."""
         return self._by_kind[kind].samples
 
     def next_window_end(self, kind: StreamKind, length_s: float, hop_s: float) -> Timestamp:
@@ -220,7 +208,7 @@ class StreamMerger:
         return grid_time(self._by_kind[kind].next_window_index, hop_s, length_s)
 
     def pop_windows(self, kind: StreamKind, length_s: float, hop_s: float) -> list[Window]:
-        """Return every not-yet-emitted final window for a channel.
+        """Return every final window of a channel not returned before.
 
         Windows are [k*hop, k*hop + length) anchored at the session
         origin, their bounds from ``grid_time``; a window is final once
@@ -231,19 +219,19 @@ class StreamMerger:
         if not (hop_s > 0 and length_s >= hop_s):
             raise ValueError(f"need 0 < hop_s <= length_s, got hop={hop_s} length={length_s}")
         timeline = self._by_kind[kind]
-        times, samples, base = timeline.times, timeline.samples, timeline.base
+        samples, base = timeline.samples, timeline.base
         watermark = self.watermark
         windows: list[Window] = []
         k = timeline.next_window_index
         while (end := grid_time(k, hop_s, length_s)) <= watermark:
             start = grid_time(k, hop_s)
-            lo = bisect_left(times, start)
-            hi = bisect_left(times, end, lo)
+            lo = bisect_left(samples, start, key=_timestamp)
+            hi = bisect_left(samples, end, lo, key=_timestamp)
             windows.append(Window(start=start, end=end, samples=tuple(samples[lo:hi]), lo=base + lo))
             k += 1
         if windows:
             timeline.next_window_index = k
-            gone = bisect_left(times, grid_time(k, hop_s))
-            del times[:gone], samples[:gone]
+            gone = bisect_left(samples, grid_time(k, hop_s), key=_timestamp)
+            del samples[:gone]
             timeline.base = base + gone
         return windows

@@ -164,7 +164,7 @@ def _oracle_fixations(points, threshold, min_duration):
 
 def _gaze_envelope(t, x, y, blink):
     sample = GazeSample(x=x, y=y, pupil_diameter_mm=None if blink else 3.0, confidence=0.05 if blink else 0.95)
-    return SampleEnvelope(stream_id="gaze", timestamp=t, payload=sample)
+    return SampleEnvelope(timestamp=t, payload=sample)
 
 
 def test_criterion_03_fixation_segmentation_matches_oracle():

@@ -106,7 +106,6 @@ def test_stress_band_rejects_out_of_range():
 
 def _rr_env(t, rr, conf=1.0):
     return SampleEnvelope(
-        stream_id="hr",
         timestamp=t,
         payload=RRSample(rr_ms=rr),
         source_confidence=conf,

@@ -14,7 +14,6 @@ from cogloop.streams import StreamMerger, Window
 
 def _gaze_env(t, x=0.5, y=0.5, pupil=3.0, conf=0.9, source_conf=1.0):
     return SampleEnvelope(
-        stream_id="gaze",
         timestamp=t,
         payload=GazeSample(x=x, y=y, pupil_diameter_mm=pupil, confidence=conf),
         source_confidence=source_conf,

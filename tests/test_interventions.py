@@ -345,11 +345,11 @@ def test_template_overrides_swap_text_only():
 # framing rules
 
 def test_framing_rules():
-    assert choose_framing(Dimension.STRESS, repeat_count=1, contributing_channels=0) is Framing.IMPLICIT
-    assert choose_framing(Dimension.STRESS, repeat_count=1, contributing_channels=1) is Framing.IMPLICIT
-    assert choose_framing(Dimension.STRESS, repeat_count=2, contributing_channels=0) is Framing.EXPLICIT
-    assert choose_framing(Dimension.STRESS, repeat_count=1, contributing_channels=2) is Framing.EXPLICIT
-    assert choose_framing(Dimension.FATIGUE, repeat_count=3, contributing_channels=5) is Framing.EXPLICIT
+    assert choose_framing(repeat_count=1, contributing_channels=0) is Framing.IMPLICIT
+    assert choose_framing(repeat_count=1, contributing_channels=1) is Framing.IMPLICIT
+    assert choose_framing(repeat_count=2, contributing_channels=0) is Framing.EXPLICIT
+    assert choose_framing(repeat_count=1, contributing_channels=2) is Framing.EXPLICIT
+    assert choose_framing(repeat_count=3, contributing_channels=5) is Framing.EXPLICIT
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import json
-import random
 
 import pytest
 
@@ -8,37 +7,8 @@ from cogloop.model import (
     GazeSample,
     NoteScoreSample,
     RRSample,
-    SampleEnvelope,
 )
 from cogloop.scenario import parse_scenario_lines
-
-
-def _envelope(t, stream, seq):
-    return SampleEnvelope(
-        stream_id=stream, timestamp=t, payload=RRSample(rr_ms=800.0), seq=seq
-    )
-
-
-def test_sort_key_orders_by_time_then_stream_then_seq():
-    a = _envelope(1.0, "hr", 0)
-    b = _envelope(1.0, "hr", 1)
-    c = _envelope(1.0, "zz", 0)
-    d = _envelope(0.5, "zz", 9)
-    assert a.sort_key() < b.sort_key()
-    assert b.sort_key() < c.sort_key()
-    assert d.sort_key() < a.sort_key()
-
-
-def test_sorting_envelopes_matches_key_order():
-    rng = random.Random(7)
-    envelopes = [
-        _envelope(round(rng.uniform(0, 5), 2), rng.choice(["x", "y"]), i)
-        for i in range(200)
-    ]
-    rng.shuffle(envelopes)
-    by_key = sorted(envelopes, key=SampleEnvelope.sort_key)
-    by_cmp = sorted(envelopes, key=lambda e: (e.timestamp, e.stream_id, e.seq))
-    assert by_key == by_cmp
 
 
 # Payload constructors check nothing: a sample is checked once, by its

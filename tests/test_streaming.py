@@ -2,7 +2,7 @@
 
 ``load_scenario`` reads the header and leaves the records in the file,
 ``Session.push`` cuts each window and walks each tick as soon as the
-merged timeline makes it final, and the merger's timelines forget what
+merger's watermark makes it final, and the merger's timelines forget what
 no later window reaches. So a decision comes out once a record stamped
 a jitter tolerance past its tick is in, and a replay's memory does not
 grow with the session's length.

@@ -54,9 +54,9 @@ def test_ingest_stamps_session_time_and_sequence():
     _ingest(merger, 10.0, source_confidence=0.5)
     _ingest(merger, 11.0)
     merger.flush()
-    assert [(e.timestamp, e.seq, e.source_confidence) for e in merger.timeline(StreamKind.RR_INTERVAL)] == [
-        (12.0, 0, 0.5),
-        (13.0, 1, 1.0),
+    assert [(e.timestamp, e.source_confidence) for e in merger.timeline(StreamKind.RR_INTERVAL)] == [
+        (12.0, 0.5),
+        (13.0, 1.0),
     ]
 
 
@@ -69,11 +69,11 @@ def test_ingest_rejects_out_of_range_session_time_and_confidence():
         _ingest(merger, float("nan"))
     with pytest.raises(ValueError, match="source_confidence"):
         _ingest(merger, 12.0, source_confidence=1.5)
-    # a refused sample takes no sequence number and reaches no timeline
+    # a refused sample is not counted and reaches no timeline
     assert merger.registrations["hr"].ingested == 0
     _ingest(merger, 10.0)
     merger.flush()
-    assert [(e.timestamp, e.seq) for e in merger.timeline(StreamKind.RR_INTERVAL)] == [(0.0, 0)]
+    assert [e.timestamp for e in merger.timeline(StreamKind.RR_INTERVAL)] == [0.0]
 
 
 def test_within_jitter_arrivals_are_reordered_not_dropped():
@@ -90,7 +90,7 @@ def test_arrival_behind_the_frontier_is_dropped():
     merger = _merger(jitter=0.25)
     _ingest(merger, 0.0)
     _ingest(merger, 10.0)
-    _ingest(merger, 10.5)  # emits t=10.0; the watermark is 10.25
+    _ingest(merger, 10.5)  # the watermark is 10.25
     assert _ingest(merger, 0.5) is IngestOutcome.DROPPED_LATE
     merger.flush()
     assert [e.timestamp for e in merger.timeline(StreamKind.RR_INTERVAL)] == [0.0, 10.0, 10.5]
@@ -98,11 +98,10 @@ def test_arrival_behind_the_frontier_is_dropped():
 
 
 def test_arrival_below_the_watermark_is_dropped_and_one_at_it_is_placed():
-    # the watermark is the newest time seen less the jitter tolerance,
-    # whether or not anything has been emitted up to it
+    # the watermark is the newest time seen less the jitter tolerance
     merger = _merger(jitter=0.25)
     _ingest(merger, 0.0)
-    _ingest(merger, 10.0)  # emits only t=0.0; the watermark is 9.75
+    _ingest(merger, 10.0)  # the watermark is 9.75
     assert _ingest(merger, 0.5) is IngestOutcome.DROPPED_LATE
     assert _ingest(merger, 9.7) is IngestOutcome.DROPPED_LATE
     assert _ingest(merger, 9.75) is IngestOutcome.REORDERED
@@ -113,8 +112,7 @@ def test_arrival_below_the_watermark_is_dropped_and_one_at_it_is_placed():
 
 
 def test_duplicate_timestamp_same_stream_is_kept():
-    # the ingest order is the final key component, so an equal (t, stream)
-    # pair lands after the one already emitted rather than below it
+    # a sample lands after those of its time already placed
     merger = _merger(jitter=0.0)
     _ingest(merger, 1.0)
     _ingest(merger, 2.0)
@@ -133,20 +131,47 @@ def test_watermark_tracks_max_seen_minus_jitter_until_flush():
 
 
 def test_emitted_matches_offline_sort_of_survivors():
+    # three streams of three kinds, each in time order on its own clock,
+    # arriving up to 0.7 s late on a 0.1 s grid; halfway, a sync moves
+    # stream a's clock 0.4 s back, so its next samples land among its
+    # placed ones
     rng = random.Random(2024)
-    merger = _merger(jitter=0.5, streams=("a", "b", "c"))
-    survivors = []
-    for _ in range(400):
-        t, stream = round(rng.uniform(0, 30), 3), rng.choice("abc")
-        if _ingest(merger, t, stream=stream) is not IngestOutcome.DROPPED_LATE:
-            survivors.append((t, stream))
+    merger = StreamMerger(jitter_tolerance_s=0.5)
+    kinds = {"a": StreamKind.RR_INTERVAL, "b": StreamKind.POSTURE_LANDMARKS, "c": StreamKind.NOTE_SCORE}
+    for stream_id, kind in kinds.items():
+        merger.register_stream(StreamDescriptor(stream_id, kind, 1.0))
+    last = dict.fromkeys(kinds, 0.0)
+    kept = {stream_id: [] for stream_id in kinds}
+    t = 1.0
+    for i in range(600):
+        if i == 300:
+            merger.registrations["a"].set_offset([(0.0, -0.4), (1.0, 0.6)])
+        t += rng.uniform(0.0, 0.1)
+        stream_id = rng.choice("abc")
+        producer_t = last[stream_id] = max(last[stream_id], round(t - rng.uniform(0.0, 0.7), 1))
+        registration = merger.registrations[stream_id]
+        session_t = registration.session_time(producer_t)
+        if merger.ingest(registration, session_t, RRSample(rr_ms=float(i))) is not IngestOutcome.DROPPED_LATE:
+            kept[stream_id].append((session_t, float(i)))
     merger.flush()
-    emitted = merger.timeline(StreamKind.RR_INTERVAL)
-    assert len(emitted) == len(survivors)
-    keys = [e.sort_key() for e in emitted]
-    assert keys == sorted(keys)
-    # same multiset of (t, stream) as the accepted inputs
-    assert sorted((e.timestamp, e.stream_id) for e in emitted) == sorted(survivors)
+    # the sort key's second part is the arrival index: samples of one
+    # time stay in arrival order, as a stable sort by time keeps them
+    assert kept["a"] != sorted(kept["a"])
+    for stream_id, kind in kinds.items():
+        placed = [(e.timestamp, e.payload.rr_ms) for e in merger.timeline(kind)]
+        assert placed == sorted(kept[stream_id])
+
+
+def test_a_tie_lands_after_the_sample_already_placed():
+    merger = _merger(jitter=2.0)
+    for t, source_confidence in [(1.0, 0.1), (2.0, 0.2), (1.0, 0.3)]:
+        _ingest(merger, t, source_confidence=source_confidence)
+    merger.flush()
+    assert [(e.timestamp, e.source_confidence) for e in merger.timeline(StreamKind.RR_INTERVAL)] == [
+        (1.0, 0.1),
+        (1.0, 0.3),
+        (2.0, 0.2),
+    ]
 
 
 def test_window_decomposition_length4_hop2():
