@@ -130,7 +130,7 @@ def score_posture(sample: PostureSample, baseline: PostureSample) -> PostureScor
 _REPLY_RE = re.compile(r"^\s*score\s*=\s*(?P<score>[^;]+);\s*feedback\s*=\s*(?P<feedback>.*)$", re.DOTALL)
 
 
-def ingest_note_assessment(raw_response: str, analyzer_id: str = "") -> NoteScoreSample:
+def ingest_note_assessment(raw_response: str) -> NoteScoreSample:
     """Parse an analyzer reply into a note score.
 
     Scores outside [0, 1] are clamped and the result is marked
@@ -153,6 +153,5 @@ def ingest_note_assessment(raw_response: str, analyzer_id: str = "") -> NoteScor
     return NoteScoreSample(
         correctness=min(1.0, max(0.0, score)),
         feedback_text=match.group("feedback").strip(),
-        analyzer_id=analyzer_id,
         clamped=clamped,
     )

@@ -1,4 +1,4 @@
-"""Heart-rate variability features from beat-to-beat intervals.
+"""Heart-rate variability channels from beat-to-beat intervals.
 
 Time-domain definitions over an interval series rr (milliseconds):
 
@@ -7,18 +7,20 @@ Time-domain definitions over an interval series rr (milliseconds):
     pnn50 = 100 * |{i : |d_i| > 50}| / (n - 1)
 
 pnn50 uses a strict 50 ms comparison: a difference of exactly 50 does
-not count.
+not count. ``window_hrv`` turns one RR window into the heart rate, rmssd,
+sdnn and pnn50 channels of state inference, in the shape every window
+extractor returns (``state.Extraction``).
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import OutOfRangeError, TooFewIntervalsError
 from .model import RRSample
+from .state import CHANNEL_HEART_RATE, CHANNEL_PNN50, CHANNEL_RMSSD, CHANNEL_SDNN, ChannelFeature, Extraction
 from .stats import pstdev
 from .streams import Window
 
@@ -77,27 +79,16 @@ def classify_stress(pnn50_percent: float) -> StressBand:
     return StressBand.LOW
 
 
-@dataclass(frozen=True)
-class HrvFeatures:
-    present: bool
-    quality: float
-    rmssd_ms: float | None = None
-    sdnn_ms: float | None = None
-    pnn50_percent: float | None = None
-    mean_hr_bpm: float | None = None
-    stress_band: StressBand | None = None
-    valid_intervals: int = 0
-    artifact_intervals: int = 0
-
-
-def window_hrv(window: Window) -> HrvFeatures:
-    """Windowed HRV features with artifact rejection.
+def window_hrv(window: Window) -> Extraction:
+    """Windowed HRV channels with artifact rejection.
 
     Intervals outside [200, 3000] ms are dropped before computing the
-    statistics; windows with fewer than five remaining intervals come
-    back absent with quality zero. Quality combines the mean source
-    confidence of the valid samples with the fraction that survived the
-    artifact filter.
+    statistics; a window with fewer than five remaining intervals has no
+    channels and quality zero. Otherwise it yields mean heart rate,
+    RMSSD, SDNN and pNN50, in this order, each carrying the window
+    quality: the mean source confidence of the valid samples times the
+    fraction that survived the artifact filter. The extras carry the
+    stress band (None when absent) and the valid and artifact counts.
     """
     rr: list[float] = []
     confidences: list[float] = []
@@ -112,24 +103,16 @@ def window_hrv(window: Window) -> HrvFeatures:
         else:
             artifacts += 1
 
-    total = len(rr) + artifacts
+    extras = {"stress_band": None, "valid_intervals": len(rr), "artifact_intervals": artifacts}
     if len(rr) < MIN_VALID_INTERVALS:
-        return HrvFeatures(
-            present=False,
-            quality=0.0,
-            valid_intervals=len(rr),
-            artifact_intervals=artifacts,
-        )
+        return 0.0, [], extras
 
-    pnn = pnn50(rr)
-    return HrvFeatures(
-        present=True,
-        quality=statistics.fmean(confidences) * (len(rr) / total),
-        rmssd_ms=rmssd(rr),
-        sdnn_ms=sdnn(rr),
-        pnn50_percent=pnn,
-        mean_hr_bpm=60000.0 / statistics.fmean(rr),
-        stress_band=classify_stress(pnn),
-        valid_intervals=len(rr),
-        artifact_intervals=artifacts,
-    )
+    quality = statistics.fmean(confidences) * (len(rr) / (len(rr) + artifacts))
+    end, pnn = window.end, pnn50(rr)
+    extras["stress_band"] = classify_stress(pnn).value
+    return quality, [
+        ChannelFeature(CHANNEL_HEART_RATE, 60000.0 / statistics.fmean(rr), quality, end),
+        ChannelFeature(CHANNEL_RMSSD, rmssd(rr), quality, end),
+        ChannelFeature(CHANNEL_SDNN, sdnn(rr), quality, end),
+        ChannelFeature(CHANNEL_PNN50, pnn, quality, end),
+    ], extras

@@ -1,5 +1,5 @@
 """Gaze processing: blink handling, pupil despiking, velocity-threshold
-fixation detection, and per-window feature aggregation.
+fixation detection, and the per-window gaze channels.
 
 Velocity between consecutive samples is the Euclidean step in
 screen-normalized units divided by the time step. Samples moving slower
@@ -13,7 +13,8 @@ computes each once per channel timeline, from the samples of the
 windows it is given, and every window aggregates its index slice of the
 track. Only the pupil medians within half a median width of a window
 edge are recomputed there, because the edge truncates their
-neighbourhood.
+neighbourhood. ``window_gaze_features`` returns a window's channels in
+the shape every window extractor returns (``state.Extraction``).
 """
 
 from __future__ import annotations
@@ -23,11 +24,19 @@ import re
 import statistics
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import compress
 
 from .errors import ZeroDtError
 from .model import GazeSample, SampleEnvelope, Timestamp
+from .state import (
+    CHANNEL_BLINK_RATE,
+    CHANNEL_FIXATION_COUNT,
+    CHANNEL_FIXATION_DURATION,
+    CHANNEL_GAZE_VELOCITY,
+    CHANNEL_PUPIL,
+    ChannelFeature,
+    Extraction,
+)
 from .streams import Window
 
 # Tracker confidence below this marks the sample as a blink even when a
@@ -207,51 +216,41 @@ class GazeTrack:
         return fixations, saccades
 
 
-@dataclass(frozen=True)
-class GazeFeatures:
-    """Window-level aggregates handed to state inference."""
-
-    present: bool
-    quality: float
-    fixation_count: int = 0
-    mean_fixation_duration_s: float | None = None
-    saccade_count: int = 0
-    mean_gaze_velocity: float | None = None
-    blink_rate_per_min: float = 0.0
-    mean_pupil_mm: float | None = None
-    valid_pupil_fraction: float = 0.0
-
-
 def window_gaze_features(
     window: Window,
     track: GazeTrack,
     min_fixation_duration_s: float = 0.1,
-) -> GazeFeatures:
+) -> Extraction:
     """Aggregate one gaze window from its slice [lo, hi) of the track.
 
-    Values stay in physical units; baseline normalization happens in
-    state inference. Windows with fewer than two samples come back
-    absent with quality zero.
+    Channels, in this order: mean despiked pupil, mean fixation duration
+    (each only when the window has one), fixation count, mean velocity
+    (when a pair has one) and blink rate. Every channel carries the
+    window quality, the mean source confidence; the pupil's is scaled by
+    the fraction of samples with a valid pupil. Values stay in physical
+    units; baseline normalization happens in state inference. A window
+    with fewer than two samples has no channels and quality zero. The
+    extras carry the saccade count.
     """
     lo, hi = window.lo, window.hi
     if hi - lo < 2:
-        return GazeFeatures(present=False, quality=0.0)
+        return 0.0, [], {"saccade_count": 0}
 
     track.advance(lo, window.samples)
     fixations, saccades = track.segment(lo, hi, min_fixation_duration_s)
     velocities = track.velocities(lo, hi)
     pupils = track.despiked_pupils(lo, hi)
-    duration = window.duration_s
-    return GazeFeatures(
-        present=True,
-        quality=track.quality(lo, hi),
-        fixation_count=len(fixations),
-        mean_fixation_duration_s=(
-            statistics.fmean(end - start for start, end in fixations) if fixations else None
-        ),
-        saccade_count=len(saccades),
-        mean_gaze_velocity=statistics.fmean(velocities) if velocities else None,
-        blink_rate_per_min=track.blink_count(lo, hi) / duration * 60.0 if duration > 0 else 0.0,
-        mean_pupil_mm=statistics.fmean(pupils) if pupils else None,
-        valid_pupil_fraction=len(pupils) / (hi - lo),
-    )
+    quality, end, duration = track.quality(lo, hi), window.end, window.duration_s
+    features: list[ChannelFeature] = []
+    if pupils:
+        pupil_quality = quality * (len(pupils) / (hi - lo))
+        features.append(ChannelFeature(CHANNEL_PUPIL, statistics.fmean(pupils), pupil_quality, end))
+    if fixations:
+        mean_duration = statistics.fmean(stop - start for start, stop in fixations)
+        features.append(ChannelFeature(CHANNEL_FIXATION_DURATION, mean_duration, quality, end))
+    features.append(ChannelFeature(CHANNEL_FIXATION_COUNT, float(len(fixations)), quality, end))
+    if velocities:
+        features.append(ChannelFeature(CHANNEL_GAZE_VELOCITY, statistics.fmean(velocities), quality, end))
+    blink_rate = track.blink_count(lo, hi) / duration * 60.0 if duration > 0 else 0.0
+    features.append(ChannelFeature(CHANNEL_BLINK_RATE, blink_rate, quality, end))
+    return quality, features, {"saccade_count": len(saccades)}

@@ -113,7 +113,6 @@ class NoteScoreSample:
 
     correctness: float
     feedback_text: str = ""
-    analyzer_id: str = ""
     clamped: bool = False
 
 

@@ -132,13 +132,23 @@ def _outside_unit_interval(name: str, value) -> ValueError:
     return ValueError(f"{name} must be a finite number in [0, 1], got {value!r}")
 
 
+# Gaze bounds that keep every window statistic finite. No human pupil
+# is wider than about 9 mm (the synthesizer clamps pupils to [1, 9]),
+# and a few readings near the float maximum overflow a window's mean.
+# Gaze velocity divides by the time step, and a step under the
+# nanosecond that window bounds are rounded to (streams.grid_time) can
+# make it infinite.
+MAX_PUPIL_MM = 10.0
+MIN_GAZE_STEP_S = 1e-9
+
+
 def _gaze_record(obj: dict, stream_id: str, t: float, source_confidence: float) -> SampleRecord:
     pupil = obj.get("pupil_mm")
     if pupil is not None:
         if pupil <= 0:
             pupil = None  # trackers report 0 while the eye is shut
-        elif not math.isfinite(pupil):
-            raise ValueError(f"pupil_mm must be finite, got {pupil!r}")
+        elif not pupil <= MAX_PUPIL_MM:
+            raise ValueError(f"pupil_mm must be at most {MAX_PUPIL_MM}, got {pupil!r}")
     x, y, confidence = obj["x"], obj["y"], obj.get("confidence", 1.0)
     if not (isinstance(x, _NUMBER) and 0.0 <= x <= 1.0):
         raise _outside_unit_interval("x", x)
@@ -208,16 +218,16 @@ def _sample_parser(descriptor: StreamDescriptor) -> Callable[[dict, int], Sample
 
     It checks a line's timestamp (``t`` in seconds or ``t_ms``, finite
     and non-negative), its order after the stream's previous sample
-    (gaze strictly increasing, other streams non-decreasing) and its
-    source confidence, then its payload fields through the stream
-    kind's builder. Each check runs once per sample.
+    (gaze at least ``MIN_GAZE_STEP_S`` later, other streams
+    non-decreasing) and its source confidence, then its payload fields
+    through the stream kind's builder. Each check runs once per sample.
     """
     stream_id = descriptor.stream_id
     kind = descriptor.kind
     build = _RECORD_BUILDERS[kind]
-    # gaze velocity needs strictly advancing clocks; other streams may
+    # gaze velocity needs advancing clocks; other streams may
     # legitimately repeat a timestamp
-    strictly = kind is StreamKind.PUPIL_GAZE
+    min_step = MIN_GAZE_STEP_S if kind is StreamKind.PUPIL_GAZE else 0.0
     last_t = -math.inf
 
     def parse(obj: dict, line_no: int) -> SampleRecord:
@@ -235,9 +245,10 @@ def _sample_parser(descriptor: StreamDescriptor) -> Callable[[dict, int], Sample
         if not ((type(t) is float or type(t) is int) and 0 <= t <= _FLOAT_MAX):
             raise ScenarioError(f"bad timestamp {t!r}", line_no)
         t = float(t) / scale
-        if t <= last_t and (strictly or t < last_t):
-            if strictly:
-                raise ScenarioError(f"gaze timestamps must strictly increase ({t} after {last_t})", line_no)
+        if t - last_t < min_step:
+            if min_step:
+                rule = f"gaze timestamps must strictly increase, by at least {min_step} s"
+                raise ScenarioError(f"{rule} ({t} after {last_t})", line_no)
             raise ScenarioError(f"stream {stream_id!r} timestamps decrease ({t} after {last_t})", line_no)
         last_t = t
         source_confidence = obj.get("source_confidence", 1.0)

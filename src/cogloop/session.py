@@ -61,21 +61,13 @@ from .interventions import (
     TriggerPolicy,
 )
 from .model import Dimension, PostureSample, StreamKind, Timestamp
-from .scenario import SampleRecord, Scenario, ScenarioHeader, SyncRecord, _is_finite_number
+from .scenario import MIN_GAZE_STEP_S, SampleRecord, Scenario, ScenarioHeader, SyncRecord, _is_finite_number
 from .state import (
-    CHANNEL_BLINK_RATE,
-    CHANNEL_FIXATION_COUNT,
-    CHANNEL_FIXATION_DURATION,
-    CHANNEL_GAZE_VELOCITY,
-    CHANNEL_HEART_RATE,
     CHANNEL_NOTE_ERROR,
-    CHANNEL_PNN50,
     CHANNEL_POSTURE,
-    CHANNEL_PUPIL,
-    CHANNEL_RMSSD,
-    CHANNEL_SDNN,
     CalibrationProfile,
     ChannelFeature,
+    Extraction,
     StateVector,
     compute_baseline,
     infer_state,
@@ -198,60 +190,17 @@ def _baseline_minimum(cfg: SessionConfig, kind: StreamKind) -> int:
 # ---------------------------------------------------------------------------
 # window -> channel features
 
-# An extractor turns one window at a time into (quality, channel
-# features, kind-specific payload extras). Windows come in order of
-# their start; the gaze and posture extractors are made once per
-# session and compute a per-sample quantity once, the first time a
-# window holds the sample. Extractors reach the feature
-# functions through this module's globals at call time, so a profiler
-# that wraps those names here sees every call.
+# An extractor turns one window at a time into a ``state.Extraction``:
+# (quality, channel features, kind-specific payload extras). Windows
+# come in order of their start; the gaze and posture extractors are made
+# once per session and compute a per-sample quantity once, the first
+# time a window holds the sample. The gaze and RR extractors are
+# ``gaze.window_gaze_features`` (with the session's track) and
+# ``cardio.window_hrv``. The session reaches the feature functions by
+# their names in this module, so a profiler that wraps those names here
+# before a session starts sees every call.
 
-Extraction = tuple[float, list[ChannelFeature], dict]
 Extractor = Callable[[Window], Extraction]
-
-
-def _gaze_extractor(cfg: SessionConfig) -> Extractor:
-    track = GazeTrack(cfg.rolling_median_width, cfg.ivt_velocity_threshold)
-
-    def extract(window: Window) -> Extraction:
-        gf = window_gaze_features(window, track, cfg.min_fixation_duration_s)
-        features: list[ChannelFeature] = []
-        if gf.present:
-            if gf.mean_pupil_mm is not None:
-                features.append(
-                    ChannelFeature(
-                        CHANNEL_PUPIL, gf.mean_pupil_mm,
-                        gf.quality * gf.valid_pupil_fraction, window.end,
-                    )
-                )
-            if gf.mean_fixation_duration_s is not None:
-                features.append(
-                    ChannelFeature(CHANNEL_FIXATION_DURATION, gf.mean_fixation_duration_s, gf.quality, window.end)
-                )
-            features.append(ChannelFeature(CHANNEL_FIXATION_COUNT, float(gf.fixation_count), gf.quality, window.end))
-            if gf.mean_gaze_velocity is not None:
-                features.append(ChannelFeature(CHANNEL_GAZE_VELOCITY, gf.mean_gaze_velocity, gf.quality, window.end))
-            features.append(ChannelFeature(CHANNEL_BLINK_RATE, gf.blink_rate_per_min, gf.quality, window.end))
-        return gf.quality, features, {"saccade_count": gf.saccade_count}
-
-    return extract
-
-
-def _extract_hrv(window: Window) -> Extraction:
-    hf = window_hrv(window)
-    features: list[ChannelFeature] = []
-    if hf.present:
-        features = [
-            ChannelFeature(CHANNEL_HEART_RATE, hf.mean_hr_bpm, hf.quality, window.end),
-            ChannelFeature(CHANNEL_RMSSD, hf.rmssd_ms, hf.quality, window.end),
-            ChannelFeature(CHANNEL_SDNN, hf.sdnn_ms, hf.quality, window.end),
-            ChannelFeature(CHANNEL_PNN50, hf.pnn50_percent, hf.quality, window.end),
-        ]
-    return hf.quality, features, {
-        "stress_band": hf.stress_band.value if hf.stress_band else None,
-        "valid_intervals": hf.valid_intervals,
-        "artifact_intervals": hf.artifact_intervals,
-    }
 
 
 def _posture_extractor(baseline_pose: PostureSample | None) -> Extractor:
@@ -366,16 +315,17 @@ class Session:
         self._merger = StreamMerger(jitter_tolerance_s=cfg.jitter_tolerance_s)
         for descriptor in header.streams:
             self._merger.register_stream(descriptor)
-        # gaze velocity needs strictly increasing session times; the
+        # gaze velocity needs session times MIN_GAZE_STEP_S apart; the
         # parser checks producer times, and a sync that moves the offset
-        # back can still map a gaze sample onto or before its predecessor
+        # back can still map a gaze sample onto or just after its predecessor
         self._gaze_stream = next((d.stream_id for d in header.streams if d.kind is StreamKind.PUPIL_GAZE), None)
         self._last_gaze_t = -math.inf
 
         # the kinds whose windows are being cut, in StreamKind order
+        track = GazeTrack(cfg.rolling_median_width, cfg.ivt_velocity_threshold)
         self._extractors: dict[StreamKind, Extractor] = {
-            StreamKind.PUPIL_GAZE: _gaze_extractor(cfg),
-            StreamKind.RR_INTERVAL: _extract_hrv,
+            StreamKind.PUPIL_GAZE: lambda window: window_gaze_features(window, track, cfg.min_fixation_duration_s),
+            StreamKind.RR_INTERVAL: window_hrv,
         }
         self._calibration_values: dict[str, list[tuple[float, float]]] = {}
         self._calibration_kinds: dict[str, StreamKind] = {}
@@ -423,7 +373,7 @@ class Session:
         if self._pace is not None:
             self._pace(session_t)
         if record.stream_id == self._gaze_stream:
-            if session_t <= self._last_gaze_t:
+            if session_t - self._last_gaze_t < MIN_GAZE_STEP_S:
                 self._recorder.note(
                     session_t,
                     "warning",
@@ -431,7 +381,7 @@ class Session:
                         "reason": "session_time_not_increasing",
                         "stream": record.stream_id,
                         "detail": f"producer time {record.t} maps to session time {session_t}, "
-                        f"not after the previous gaze sample at {self._last_gaze_t}",
+                        f"less than {MIN_GAZE_STEP_S} s after the previous gaze sample at {self._last_gaze_t}",
                     },
                 )
                 return
@@ -446,7 +396,7 @@ class Session:
                 self._recorder.note(session_t, "warning", {"reason": "analysis_failed", "detail": str(error)})
                 return
             try:
-                payload = ingest_note_assessment(reply, analyzer_id=self.config.client)
+                payload = ingest_note_assessment(reply)
             except MalformedReplyError as error:
                 self._recorder.note(session_t, "warning", {"reason": "malformed_note_reply", "detail": str(error)})
                 return

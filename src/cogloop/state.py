@@ -129,6 +129,12 @@ class ChannelFeature:
             raise ValueError(f"quality must lie in [0, 1], got {self.quality!r}")
 
 
+# What every window extractor returns: the window's quality, its channel
+# features in fusion order (fusion sums them in list order), and the
+# kind's own trace fields. A window with no features is absent.
+Extraction = tuple[float, list[ChannelFeature], dict]
+
+
 @dataclass(frozen=True)
 class ChannelBaseline:
     mu: float

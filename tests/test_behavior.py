@@ -122,10 +122,9 @@ def test_posture_band_rejects_out_of_range():
 # note assessment replies
 
 def test_reply_parses_score_and_feedback():
-    sample = ingest_note_assessment("score=0.8; feedback=solid summary", analyzer_id="a1")
+    sample = ingest_note_assessment("score=0.8; feedback=solid summary")
     assert sample.correctness == pytest.approx(0.8)
     assert sample.feedback_text == "solid summary"
-    assert sample.analyzer_id == "a1"
     assert not sample.clamped
 
 

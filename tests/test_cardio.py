@@ -13,6 +13,7 @@ from cogloop.cardio import (
 )
 from cogloop.errors import OutOfRangeError, TooFewIntervalsError
 from cogloop.model import RRSample, SampleEnvelope
+from cogloop.state import CHANNEL_HEART_RATE, CHANNEL_PNN50, CHANNEL_RMSSD, CHANNEL_SDNN
 from cogloop.streams import Window
 
 
@@ -120,39 +121,49 @@ def _rr_window(values, confs=None):
     return Window(start=0.0, end=60.0, samples=samples)
 
 
+def _hrv(values):
+    """(window quality, {channel: value}, extras) of one RR window; every
+    channel carries the window quality."""
+    quality, features, extras = window_hrv(_rr_window(values))
+    assert [f.channel_id for f in features] in (
+        [], [CHANNEL_HEART_RATE, CHANNEL_RMSSD, CHANNEL_SDNN, CHANNEL_PNN50]
+    )
+    assert all(f.quality == quality and f.t == 60.0 for f in features)
+    return quality, {f.channel_id: f.value for f in features}, extras
+
+
 def test_window_rejects_artifacts_and_computes_on_the_rest():
     values = [800.0, 150.0, 820.0, 810.0, 3500.0, 805.0, 815.0]
-    features = window_hrv(_rr_window(values))
-    assert features.present
-    assert features.artifact_intervals == 2
-    assert features.valid_intervals == 5
+    _, features, extras = _hrv(values)
+    assert features
+    assert extras["artifact_intervals"] == 2
+    assert extras["valid_intervals"] == 5
     clean = [800.0, 820.0, 810.0, 805.0, 815.0]
-    assert features.rmssd_ms == pytest.approx(rmssd(clean))
-    assert features.sdnn_ms == pytest.approx(sdnn(clean))
-    assert features.mean_hr_bpm == pytest.approx(60000.0 / np.mean(clean))
+    assert features[CHANNEL_RMSSD] == pytest.approx(rmssd(clean))
+    assert features[CHANNEL_SDNN] == pytest.approx(sdnn(clean))
+    assert features[CHANNEL_HEART_RATE] == pytest.approx(60000.0 / np.mean(clean))
 
 
 def test_window_quality_scales_with_artifact_fraction():
     values = [800.0, 150.0, 820.0, 810.0, 3500.0, 805.0, 815.0, 812.0]
-    features = window_hrv(_rr_window(values))
-    assert features.quality == pytest.approx(6 / 8)
+    quality, _, _ = _hrv(values)
+    assert quality == pytest.approx(6 / 8)
 
 
 def test_window_with_too_few_valid_intervals_is_absent():
-    features = window_hrv(_rr_window([800.0, 810.0, 150.0, 820.0]))
-    assert not features.present
-    assert features.quality == 0.0
-    assert features.rmssd_ms is None
-    assert features.valid_intervals == 3
-    assert features.artifact_intervals == 1
+    quality, features, extras = _hrv([800.0, 810.0, 150.0, 820.0])
+    assert not features
+    assert quality == 0.0
+    assert CHANNEL_RMSSD not in features
+    assert extras == {"stress_band": None, "valid_intervals": 3, "artifact_intervals": 1}
 
 
 def test_window_stress_band_comes_from_pnn50():
     steady = [800.0 + (i % 2) * 10.0 for i in range(10)]  # diffs 10ms -> pnn50 0
-    features = window_hrv(_rr_window(steady))
-    assert features.pnn50_percent == 0.0
-    assert features.stress_band is StressBand.HIGH
+    _, features, extras = _hrv(steady)
+    assert features[CHANNEL_PNN50] == 0.0
+    assert extras["stress_band"] == StressBand.HIGH.value
 
     varied = [800.0 + (i % 2) * 80.0 for i in range(10)]  # diffs 80ms -> pnn50 100
-    features = window_hrv(_rr_window(varied))
-    assert features.stress_band is StressBand.LOW
+    _, features, extras = _hrv(varied)
+    assert extras["stress_band"] == StressBand.LOW.value

@@ -215,6 +215,44 @@ def test_two_gaze_streams_exit_2_with_the_line(tmp_path, capsys):
     assert "error: line 1: stream 'g2' is a second pupil_gaze stream" in capsys.readouterr().err
 
 
+def _gaze_only(tmp_path, samples):
+    """A gaze-only scenario with a 20 s calibration; samples are
+    (t, x, pupil_mm)."""
+    header = json.dumps({
+        "type": "header",
+        "streams": [{"stream_id": "gaze", "kind": "pupil_gaze", "nominal_rate_hz": 10}],
+        "config": {"calibration_duration_s": 20.0},
+    })
+    lines = [
+        json.dumps({"type": "sample", "stream": "gaze", "t": t, "x": x, "y": 0.5, "pupil_mm": pupil})
+        for t, x, pupil in samples
+    ]
+    scenario = tmp_path / "gaze.jsonl"
+    scenario.write_text("\n".join([header, *lines]) + "\n")
+    return scenario
+
+
+def test_pupil_past_the_physical_maximum_exits_2_with_the_line(tmp_path, capsys):
+    # three pupils of 1e308 overflowed the window mean (OverflowError);
+    # 5e307 replayed
+    samples = [(0.0, 0.5, 1e308), (0.1, 0.5, 1e308), (0.2, 0.5, 1e308), (12.0, 0.5, 3.0)]
+    assert main(["run", "--scenario", str(_gaze_only(tmp_path, samples))]) == 2
+    assert "error: line 2: bad pupil_gaze payload: pupil_mm must be at most 10.0" in capsys.readouterr().err
+    samples[:3] = [(t, x, 10.0) for t, x, _ in samples[:3]]
+    assert main(["run", "--scenario", str(_gaze_only(tmp_path, samples))]) == 0
+
+
+def test_gaze_step_under_a_nanosecond_exits_2_with_the_line(tmp_path, capsys):
+    # steps of 5e-324 s made an infinite window velocity, and the
+    # baseline's pstdev failed on the NaN it led to (ValueError)
+    samples = [(0.0, 0.0, 3.0), (5e-324, 1.0, 3.0), (1e-323, 0.0, 3.0)]
+    samples += [(round(i * 0.1, 6), 0.5, 3.0) for i in range(1, 400)]
+    assert main(["run", "--scenario", str(_gaze_only(tmp_path, samples))]) == 2
+    assert "error: line 3: gaze timestamps must strictly increase, by at least 1e-09 s" in capsys.readouterr().err
+    samples[1:3] = [(1e-9, 1.0, 3.0), (2e-9, 0.0, 3.0)]
+    assert main(["run", "--scenario", str(_gaze_only(tmp_path, samples))]) == 0
+
+
 def test_sample_before_session_start_is_a_warning(tmp_path, capsys):
     scenario = tmp_path / "early.jsonl"
     lines = [

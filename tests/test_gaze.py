@@ -7,8 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cogloop.errors import ZeroDtError
-from cogloop.gaze import GazeFeatures, GazeTrack, window_gaze_features
+from cogloop.gaze import GazeTrack, window_gaze_features
 from cogloop.model import GazeSample, SampleEnvelope, StreamDescriptor, StreamKind
+from cogloop.state import (
+    CHANNEL_BLINK_RATE,
+    CHANNEL_FIXATION_COUNT,
+    CHANNEL_FIXATION_DURATION,
+    CHANNEL_GAZE_VELOCITY,
+    CHANNEL_PUPIL,
+    ChannelFeature,
+)
 from cogloop.streams import StreamMerger, Window
 
 
@@ -112,12 +120,12 @@ def test_zero_dt_raises():
         window_gaze_features(Window(0.0, 3.0, tuple(samples)), track)
     # a window that does not hold the pair is fine
     track = GazeTrack()
-    assert window_gaze_features(Window(0.0, 1.5, tuple(samples[:2])), track).present
+    _, features, _ = window_gaze_features(Window(0.0, 1.5, tuple(samples[:2])), track)
+    assert features
     # a pair touching a blink has no velocity to compute
     blinking = [_gaze_env(0.0), _gaze_env(1.0, pupil=None), _gaze_env(1.0), _gaze_env(2.0)]
-    assert window_gaze_features(
-        Window(0.0, 3.0, tuple(blinking)), GazeTrack()
-    ).present
+    _, features, _ = window_gaze_features(Window(0.0, 3.0, tuple(blinking)), GazeTrack())
+    assert features
 
 
 # ---------------------------------------------------------------------------
@@ -220,30 +228,35 @@ def test_detect_needs_two_samples():
 # window aggregation
 
 def _features(samples, start=0.0, end=10.0):
-    return window_gaze_features(
+    """(window quality, {channel: feature}, extras) of one window."""
+    quality, features, extras = window_gaze_features(
         Window(start=start, end=end, samples=tuple(samples)), GazeTrack()
     )
+    return quality, {f.channel_id: f for f in features}, extras
 
 
 def test_window_features_absent_below_two_samples():
-    features = _features([_gaze_env(1.0)])
-    assert not features.present
-    assert features.quality == 0.0
+    quality, features, extras = _features([_gaze_env(1.0)])
+    assert not features
+    assert quality == 0.0
+    assert extras == {"saccade_count": 0}
 
 
 def test_window_features_blink_rate_and_pupil():
     samples = [_gaze_env(i * 0.1, pupil=(None if i in (3, 4) else 3.0)) for i in range(20)]
-    features = _features(samples, end=10.0)
-    assert features.present
+    quality, features, _ = _features(samples, end=10.0)
+    assert features
     # one blink run in a 10s window -> 6 per minute
-    assert features.blink_rate_per_min == pytest.approx(6.0)
-    assert features.mean_pupil_mm == pytest.approx(3.0)
-    assert features.valid_pupil_fraction == pytest.approx(18 / 20)
+    assert features[CHANNEL_BLINK_RATE].value == pytest.approx(6.0)
+    assert features[CHANNEL_PUPIL].value == pytest.approx(3.0)
+    # the pupil's quality is the window's times the valid-pupil fraction
+    assert features[CHANNEL_PUPIL].quality == pytest.approx(quality * 18 / 20)
 
 
 def test_window_quality_is_mean_source_confidence():
-    features = _features([_gaze_env(0.0, source_conf=1.0), _gaze_env(0.1, source_conf=0.5)])
-    assert features.quality == pytest.approx(0.75)
+    quality, features, _ = _features([_gaze_env(0.0, source_conf=1.0), _gaze_env(0.1, source_conf=0.5)])
+    assert quality == pytest.approx(0.75)
+    assert features[CHANNEL_BLINK_RATE].quality == quality
 
 
 def test_windows_must_come_in_order_of_their_start():
@@ -263,7 +276,7 @@ def test_windows_must_come_in_order_of_their_start():
 def _oracle_window(window, median_width, threshold, min_fixation_duration_s):
     samples = window.samples
     if len(samples) < 2:
-        return GazeFeatures(present=False, quality=0.0)
+        return 0.0, [], {"saccade_count": 0}
     n = len(samples)
     times = [env.timestamp for env in samples]
     gaze = [env.payload for env in samples]
@@ -302,17 +315,20 @@ def _oracle_window(window, median_width, threshold, min_fixation_duration_s):
     blinks = sum(1 for i in range(n) if blink[i] and (i == 0 or not blink[i - 1]))
     moving = [v for v in velocities if v is not None]
     duration = window.end - window.start
-    return GazeFeatures(
-        present=True,
-        quality=statistics.fmean(env.source_confidence for env in samples),
-        fixation_count=len(fixations),
-        mean_fixation_duration_s=statistics.fmean(fixations) if fixations else None,
-        saccade_count=saccades,
-        mean_gaze_velocity=statistics.fmean(moving) if moving else None,
-        blink_rate_per_min=blinks / duration * 60.0 if duration > 0 else 0.0,
-        mean_pupil_mm=statistics.fmean(pupils) if pupils else None,
-        valid_pupil_fraction=len(pupils) / n,
-    )
+    quality = statistics.fmean(env.source_confidence for env in samples)
+    channels = [
+        (CHANNEL_PUPIL, statistics.fmean(pupils) if pupils else None, quality * (len(pupils) / n)),
+        (CHANNEL_FIXATION_DURATION, statistics.fmean(fixations) if fixations else None, quality),
+        (CHANNEL_FIXATION_COUNT, float(len(fixations)), quality),
+        (CHANNEL_GAZE_VELOCITY, statistics.fmean(moving) if moving else None, quality),
+        (CHANNEL_BLINK_RATE, blinks / duration * 60.0 if duration > 0 else 0.0, quality),
+    ]
+    features = [
+        ChannelFeature(channel, value, channel_quality, window.end)
+        for channel, value, channel_quality in channels
+        if value is not None
+    ]
+    return quality, features, {"saccade_count": saccades}
 
 
 _GAZE_SAMPLE = st.tuples(

@@ -19,6 +19,8 @@ from cogloop.model import (
 )
 from cogloop.scenario import (
     CONTROLS,
+    MAX_PUPIL_MM,
+    MIN_GAZE_STEP_S,
     GeneratorSpec,
     SampleRecord,
     Scenario,
@@ -410,6 +412,8 @@ def _oracle_payload(kind, raw, line_no):
                 _oracle_finite("pupil_diameter_mm", sample.pupil_diameter_mm)
                 if sample.pupil_diameter_mm <= 0:
                     raise ValueError("pupil_diameter_mm must be positive when present")
+                if sample.pupil_diameter_mm > MAX_PUPIL_MM:
+                    raise ValueError("pupil_diameter_mm must be at most MAX_PUPIL_MM")
             return sample, None
         if kind is StreamKind.RR_INTERVAL:
             sample = RRSample(rr_ms=raw["rr_ms"])
@@ -512,7 +516,7 @@ def _oracle_parse(lines):
         kind = kinds[stream_id]
         previous = last_t.get(stream_id)
         if previous is not None:
-            if kind is StreamKind.PUPIL_GAZE and t <= previous:
+            if kind is StreamKind.PUPIL_GAZE and t - previous < MIN_GAZE_STEP_S:
                 raise ScenarioError("gaze timestamps must strictly increase", line_no)
             if t < previous:
                 raise ScenarioError("timestamps decrease", line_no)

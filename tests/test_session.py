@@ -39,6 +39,7 @@ from cogloop.session import (
     validate_trace,
     write_trace,
 )
+from cogloop import state
 from cogloop.state import CHANNEL_POSTURE, ChannelFeature
 from cogloop.streams import StreamMerger
 
@@ -503,6 +504,26 @@ def test_gaze_sample_whose_session_time_does_not_advance_is_skipped_with_a_warni
     assert validate_trace(header, result.events) == []
 
 
+def test_gaze_sample_under_a_nanosecond_after_its_predecessor_is_skipped_with_a_warning():
+    # a sync maps producer t = 21 to 1e-12 s after the sample at session
+    # time 20: a time step the parser refuses in producer times
+    def gaze(t):
+        return json.dumps({"type": "sample", "stream": "gaze", "t": t, "x": t % 2, "y": 0.5, "pupil_mm": 3.0})
+
+    header = _header_lines(
+        [{"stream_id": "gaze", "kind": "pupil_gaze", "nominal_rate_hz": 1}],
+        config={"calibration_duration_s": 10.0, "window_hop_s": 10.0, "window_length.pupil_gaze": 10.0},
+    )
+    sync = json.dumps({"type": "sync", "stream": "gaze", "marks": [[21, 20 + 1e-12], [31, 30 + 1e-12]]})
+    result = run_session(parse_scenario_lines([header, *map(gaze, range(21)), sync, *map(gaze, range(21, 60))]))
+    skipped = [
+        e.payload["detail"] for e in result.events
+        if e.kind == "warning" and e.payload["reason"] == "session_time_not_increasing"
+    ]
+    assert len(skipped) == 1 and "less than 1e-09 s after the previous gaze sample at 20.0" in skipped[0]
+    assert _summaries(result)["gaze"]["accepted"] == 59
+
+
 def test_realtime_mode_paces_by_record_gaps():
     lines = [
         _header_lines(NOTE_AND_HEART),
@@ -827,3 +848,34 @@ def test_posture_windows_equal_the_per_window_scoring(frames, length, hop_share,
     assert len(scored) == len({id(pose) for pose in scored})
     if calibrated and windows:
         assert len(scored) == windows[-1].hi
+
+
+# The channels each stream kind's windows carry. gaze.py, cardio.py and
+# session.py each decide some of them; baselines and weights are keyed by
+# channel, so no channel may come from two kinds.
+KIND_CHANNELS = {
+    StreamKind.PUPIL_GAZE: {
+        state.CHANNEL_PUPIL, state.CHANNEL_FIXATION_DURATION, state.CHANNEL_FIXATION_COUNT,
+        state.CHANNEL_GAZE_VELOCITY, state.CHANNEL_BLINK_RATE,
+    },
+    StreamKind.RR_INTERVAL: {state.CHANNEL_HEART_RATE, state.CHANNEL_RMSSD, state.CHANNEL_SDNN, state.CHANNEL_PNN50},
+    StreamKind.POSTURE_LANDMARKS: {CHANNEL_POSTURE},
+    StreamKind.NOTE_SCORE: {state.CHANNEL_NOTE_ERROR},
+}
+
+
+def test_each_stream_kind_emits_its_own_channels_on_every_bundled_profile():
+    seen = {kind: set() for kind in StreamKind}
+    for name in ("all_baseline", "stress_ramp", "load_excursion", "mixed_session"):
+        ref = resources.files("cogloop").joinpath("profiles", f"{name}.json")
+        with resources.as_file(ref) as path:
+            result = run_session(synthesize(load_profile(path)))
+        for event in result.events:
+            if event.kind == "window_features":
+                kind = StreamKind(event.payload["stream_kind"])
+                assert set(event.payload["values"]) <= KIND_CHANNELS[kind], (name, event.t)
+                seen[kind] |= set(event.payload["values"])
+    assert seen == KIND_CHANNELS
+    channels = [channel for kind in StreamKind for channel in KIND_CHANNELS[kind]]
+    assert len(channels) == len(set(channels))  # disjoint
+    assert set(channels) == set(state.ALL_CHANNELS)
