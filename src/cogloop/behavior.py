@@ -26,8 +26,6 @@ from enum import Enum
 from .errors import MalformedReplyError, MissingLandmarksError, OutOfRangeError
 from .model import NoteScoreSample, PostureSample
 
-VISIBILITY_FLOOR = 0.5
-
 SHOULDER_TILT_TOLERANCE_DEG = 10.0
 NECK_OFFSET_TOLERANCE = 0.05
 TRUNK_ANGLE_TOLERANCE_DEG = 12.0
@@ -61,58 +59,24 @@ class PostureScore:
     sub_scores: dict[str, float]
 
 
-def _midpoint(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
-    return (a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0
-
-
-def _pair_visible(pose: PostureSample, left: str, right: str) -> bool:
-    return pose.point_visible(left, VISIBILITY_FLOOR) and pose.point_visible(right, VISIBILITY_FLOOR)
-
-
-def _shoulder_tilt_deg(pose: PostureSample) -> float:
-    (lx, ly) = pose.landmarks["shoulder_left"]
-    (rx, ry) = pose.landmarks["shoulder_right"]
-    return math.degrees(math.atan2(ry - ly, rx - lx))
-
-
-def _neck_offset(pose: PostureSample) -> float:
-    ear_mid = _midpoint(pose.landmarks["ear_left"], pose.landmarks["ear_right"])
-    shoulder_mid = _midpoint(pose.landmarks["shoulder_left"], pose.landmarks["shoulder_right"])
-    return ear_mid[0] - shoulder_mid[0]
-
-
-def _trunk_angle_deg(pose: PostureSample) -> float:
-    shoulder_mid = _midpoint(pose.landmarks["shoulder_left"], pose.landmarks["shoulder_right"])
-    hip_mid = _midpoint(pose.landmarks["hip_left"], pose.landmarks["hip_right"])
-    # angle from the vertical axis; y grows downward in image coordinates
-    dx = shoulder_mid[0] - hip_mid[0]
-    dy = hip_mid[1] - shoulder_mid[1]
-    return math.degrees(math.atan2(dx, dy))
-
-
 def _sub_score(deviation: float, tolerance: float) -> float:
     return 100.0 * max(0.0, 1.0 - abs(deviation) / tolerance)
 
 
 def score_posture(sample: PostureSample, baseline: PostureSample) -> PostureScore:
     """Score a pose against the calibrated baseline pose."""
-    if not (_pair_visible(sample, "shoulder_left", "shoulder_right")
-            and _pair_visible(baseline, "shoulder_left", "shoulder_right")):
+    pose, base = sample.geometry, baseline.geometry
+    if pose.shoulder_tilt_deg is None or base.shoulder_tilt_deg is None:
         raise MissingLandmarksError("both shoulders must be visible in sample and baseline")
 
     sub_scores: dict[str, float] = {
-        "shoulder_level": _sub_score(
-            _shoulder_tilt_deg(sample) - _shoulder_tilt_deg(baseline),
-            SHOULDER_TILT_TOLERANCE_DEG,
-        )
+        "shoulder_level": _sub_score(pose.shoulder_tilt_deg - base.shoulder_tilt_deg, SHOULDER_TILT_TOLERANCE_DEG)
     }
-    if _pair_visible(sample, "ear_left", "ear_right") and _pair_visible(baseline, "ear_left", "ear_right"):
-        sub_scores["neck_alignment"] = _sub_score(
-            _neck_offset(sample) - _neck_offset(baseline), NECK_OFFSET_TOLERANCE
-        )
-    if _pair_visible(sample, "hip_left", "hip_right") and _pair_visible(baseline, "hip_left", "hip_right"):
+    if pose.neck_offset is not None and base.neck_offset is not None:
+        sub_scores["neck_alignment"] = _sub_score(pose.neck_offset - base.neck_offset, NECK_OFFSET_TOLERANCE)
+    if pose.trunk_angle_deg is not None and base.trunk_angle_deg is not None:
         sub_scores["back_straightness"] = _sub_score(
-            _trunk_angle_deg(sample) - _trunk_angle_deg(baseline), TRUNK_ANGLE_TOLERANCE_DEG
+            pose.trunk_angle_deg - base.trunk_angle_deg, TRUNK_ANGLE_TOLERANCE_DEG
         )
 
     percent = statistics.fmean(sub_scores.values())

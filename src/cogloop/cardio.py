@@ -50,7 +50,7 @@ def _successive_diffs(rr_ms: list[float]) -> list[float]:
 def rmssd(rr_ms: list[float]) -> float:
     """Root mean square of successive differences."""
     diffs = _successive_diffs(rr_ms)
-    return math.sqrt(statistics.fmean(d * d for d in diffs))
+    return math.sqrt(statistics.fmean([d * d for d in diffs]))
 
 
 def sdnn(rr_ms: list[float]) -> float:

@@ -11,10 +11,14 @@ None of the per-sample quantities (blink flag, pair velocity, I-VT
 label, despiked pupil) depends on the window, so a ``GazeTrack``
 computes each once per channel timeline, from the samples of the
 windows it is given, and every window aggregates its index slice of the
-track. Only the pupil medians within half a median width of a window
-edge are recomputed there, because the edge truncates their
-neighbourhood. ``window_gaze_features`` returns a window's channels in
-the shape every window extractor returns (``state.Extraction``).
+track. Each quantity depends only on a sample and its neighbours, so the
+track builds it as a whole column for a window's new samples: ``map``
+over C functions, comprehensions, and ``sorted`` over shifted slices for
+the medians, rather than one pass of a Python loop body per sample. Only
+the pupil medians within half a median width of a window edge are
+recomputed there, because the edge truncates their neighbourhood.
+``window_gaze_features`` returns a window's channels in the shape every
+window extractor returns (``state.Extraction``).
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from __future__ import annotations
 import math
 import re
 import statistics
-from array import array
 from collections.abc import Sequence
 from itertools import compress
+from operator import attrgetter, itemgetter, sub, truediv
 
 from .errors import ZeroDtError
 from .model import GazeSample, SampleEnvelope, Timestamp
@@ -39,22 +43,23 @@ from .state import (
 )
 from .streams import Window
 
-# Tracker confidence below this marks the sample as a blink even when a
-# pupil value is reported.
+# A sample is a blink when it has no pupil, a pupil of 0 or less, or a
+# tracker confidence below this floor, even with a pupil value reported.
 BLINK_CONFIDENCE_FLOOR = 0.2
 
 # I-VT label of the pair (i-1, i). Pairs touching a blink carry none;
 # a pair whose time step is not positive has no velocity at all.
 NO_LABEL, FIXATION, SACCADE, ZERO_DT = 0, 1, 2, 3
 _RUNS = re.compile(b"\x01+|\x02+")
+_BLINKS = re.compile(b"\x00+")
 
-
-def is_blink(sample: GazeSample) -> bool:
-    """Absent or non-positive pupil, or tracker confidence under the floor."""
-    pupil = sample.pupil_diameter_mm
-    if pupil is None or pupil <= 0:
-        return True
-    return sample.confidence < BLINK_CONFIDENCE_FLOOR
+_payload = attrgetter("payload")
+_timestamp = attrgetter("timestamp")
+_source_confidence = attrgetter("source_confidence")
+_pupil = attrgetter("pupil_diameter_mm")
+_confidence = attrgetter("confidence")
+_x = attrgetter("x")
+_y = attrgetter("y")
 
 
 class GazeTrack:
@@ -69,8 +74,9 @@ class GazeTrack:
     Windows are given in order of their start, each with its samples.
     ``advance`` drops the columns before the window, which no later
     window reaches, and computes the columns of each sample the first
-    time a window holds it, so the track holds one window of samples at
-    a time and never reads outside the window it is given. A despiked
+    time a window holds it, one pass per column over the window's new
+    samples, so the track holds one window of samples at a time and
+    never reads outside the window it is given. A despiked
     pupil is computed once its whole neighbourhood is in: only the
     pupils at least half a median width inside some window are read
     from the track, and those have it.
@@ -90,11 +96,11 @@ class GazeTrack:
         self.base = 0
         self._last_lo = 0
         self.valid = bytearray()
-        self.raw_pupil = array("d")
-        self.pupil = array("d")
-        self.times = array("d")
-        self.confidence = array("d")
-        self.velocity = array("d")
+        self.raw_pupil: list[float] = []
+        self.pupil: list[float] = []
+        self.times: list[Timestamp] = []
+        self.confidence: list[float] = []
+        self.velocity: list[float] = []
         self.label = bytearray()
 
     def advance(self, lo: int, samples: Sequence[SampleEnvelope]) -> None:
@@ -112,36 +118,79 @@ class GazeTrack:
 
     def _compute(self, samples: Sequence[SampleEnvelope]) -> None:
         # base is the window's lo: column position k holds samples[k]
-        half, n = self.half, len(samples)
-        valid, raw, times = self.valid, self.raw_pupil, self.times
-        for k in range(len(valid), n):
-            cur = samples[k]
-            gaze = cur.payload
-            ok = not is_blink(gaze)
-            valid.append(ok)
-            raw.append(gaze.pupil_diameter_mm if ok else math.nan)
-            times.append(cur.timestamp)
-            self.confidence.append(cur.source_confidence)
-            velocity, label = 0.0, NO_LABEL
-            # the pair at the window's first sample is read by no window
-            if k > 0 and valid[k - 1] and ok:
-                prev = samples[k - 1]
-                dt = cur.timestamp - prev.timestamp
-                if dt <= 0:
-                    label = ZERO_DT
-                else:
-                    velocity = math.hypot(gaze.x - prev.payload.x, gaze.y - prev.payload.y) / dt
-                    label = FIXATION if velocity < self.velocity_threshold else SACCADE
-            self.velocity.append(velocity)
-            self.label.append(label)
-        for k in range(len(self.pupil), n - half):
-            if valid[k]:
-                # _median(base + k, base, base + n), inlined: this runs once per sample
-                around = sorted([raw[j] for j in range(max(0, k - half), k + half + 1) if valid[j]])
-                m = len(around) // 2
-                self.pupil.append(around[m] if len(around) % 2 else (around[m - 1] + around[m]) / 2)
-            else:
-                self.pupil.append(math.nan)
+        valid, n = self.valid, len(samples)
+        a = len(valid)
+        if a < n:
+            # the new samples, after the one before them when the track
+            # holds it, for the pair at a
+            prev = 1 if a else 0
+            envelopes = samples[a - prev:]
+            gaze = list(map(_payload, envelopes))
+            times = list(map(_timestamp, envelopes))
+            pupils = list(map(_pupil, gaze[prev:]))
+            ok = [
+                not (pupil is None or pupil <= 0 or confidence < BLINK_CONFIDENCE_FLOOR)
+                for pupil, confidence in zip(pupils, map(_confidence, gaze[prev:]))
+            ]
+            valid.extend(ok)
+            self.raw_pupil.extend([pupil if good else math.nan for pupil, good in zip(pupils, ok)])
+            self.times.extend(times[prev:])
+            self.confidence.extend(map(_source_confidence, envelopes[prev:]))
+            if not a:
+                # the pair at the window's first sample is read by no window
+                self.velocity.append(0.0)
+                self.label.append(NO_LABEL)
+            if len(gaze) > 1:
+                self._pairs(gaze, times, valid[a - prev:])
+        lo, hi = len(self.pupil), n - self.half
+        if lo < hi:
+            self.pupil.extend(self._medians(lo, hi))
+
+    def _pairs(self, gaze: list[GazeSample], times: list[Timestamp], valid: bytearray) -> None:
+        """Append the velocity and the I-VT label of each consecutive pair
+        of samples; ``gaze``, ``times`` and ``valid`` hold their payloads,
+        times and blink flags."""
+        xs, ys = list(map(_x, gaze)), list(map(_y, gaze))
+        dts = list(map(sub, times[1:], times))
+        # a pair whose time step is not positive has no velocity
+        stalls = [dt <= 0 for dt in dts] if min(dts) <= 0 else []
+        if stalls:
+            dts = [1.0 if stall else dt for stall, dt in zip(stalls, dts)]
+        velocity = list(map(truediv, map(math.hypot, map(sub, xs[1:], xs), map(sub, ys[1:], ys)), dts))
+        threshold = self.velocity_threshold
+        label = [
+            (FIXATION if v < threshold else SACCADE) if before and after else NO_LABEL
+            for v, before, after in zip(velocity, valid, valid[1:])
+        ]
+        if stalls:
+            velocity = [0.0 if stall else v for stall, v in zip(stalls, velocity)]
+            label = [ZERO_DT if stall and mark else mark for stall, mark in zip(stalls, label)]
+        self.velocity.extend(velocity)
+        self.label.extend(label)
+
+    def _medians(self, lo: int, hi: int) -> list[float]:
+        """Despiked pupils of column positions [lo, hi), NaN on blinks.
+
+        Each is the median of the valid raw pupils within half a median
+        width, cut at the track's start. The sorted neighbourhoods come
+        from shifted slices of the raw pupils; only those that hold a
+        blink (a NaN) or reach before the track's start are computed
+        again, from their valid pupils alone.
+        """
+        half, raw, valid = self.half, self.raw_pupil, self.valid
+        head = range(lo, min(max(lo, half), hi))
+        shifted = [raw[head.stop - half + j:hi - half + j] for j in range(2 * half + 1)]
+        medians = [math.nan] * len(head)
+        medians.extend(map(itemgetter(half), map(sorted, zip(*shifted))))
+        near_blinks = (
+            k
+            for run in _BLINKS.finditer(valid, head.stop - half, hi + half)
+            for k in range(max(run.start() - half, head.stop), min(run.end() + half, hi))
+        )
+        base, end = self.base, self.base + len(valid)
+        for k in (*head, *near_blinks):
+            medians[k - lo] = self._median(base + k, base, end) if valid[k] else math.nan
+        return medians
 
     def _median(self, i: int, lo: int, hi: int) -> float:
         """Median of the valid raw pupils around sample i, within [lo, hi).
@@ -246,7 +295,7 @@ def window_gaze_features(
         pupil_quality = quality * (len(pupils) / (hi - lo))
         features.append(ChannelFeature(CHANNEL_PUPIL, statistics.fmean(pupils), pupil_quality, end))
     if fixations:
-        mean_duration = statistics.fmean(stop - start for start, stop in fixations)
+        mean_duration = statistics.fmean([stop - start for start, stop in fixations])
         features.append(ChannelFeature(CHANNEL_FIXATION_DURATION, mean_duration, quality, end))
     features.append(ChannelFeature(CHANNEL_FIXATION_COUNT, float(len(fixations)), quality, end))
     if velocities:

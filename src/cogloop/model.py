@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from typing import NamedTuple
 
 Timestamp = float
 
@@ -95,16 +97,55 @@ POSTURE_POINTS = (
     "hip_right",
 )
 
+# A landmark whose visibility is under this is treated as hidden.
+VISIBILITY_FLOOR = 0.5
+
+
+class PoseGeometry(NamedTuple):
+    """What posture scoring compares between a pose and the baseline.
+
+    ``shoulder_tilt_deg`` is the shoulder line's angle; ``neck_offset``
+    the horizontal drift of the ear midpoint from the shoulder midpoint;
+    ``trunk_angle_deg`` the shoulder-to-hip midpoint line's angle from
+    vertical. Each is None unless both shoulders, and its own landmark
+    pair, are visible.
+    """
+
+    shoulder_tilt_deg: float | None
+    neck_offset: float | None
+    trunk_angle_deg: float | None
+
 
 @dataclass(frozen=True)
 class PostureSample:
     landmarks: dict[str, tuple[float, float]]
     visibility: dict[str, float] = field(default_factory=dict)
 
-    def point_visible(self, name: str, floor: float = 0.5) -> bool:
+    def point_visible(self, name: str, floor: float = VISIBILITY_FLOOR) -> bool:
         if name not in self.landmarks:
             return False
         return self.visibility.get(name, 1.0) >= floor
+
+    def _pair_visible(self, left: str, right: str) -> bool:
+        return self.point_visible(left) and self.point_visible(right)
+
+    @cached_property
+    def geometry(self) -> PoseGeometry:
+        """The pose's geometry, derived once: the baseline pose is
+        compared with every frame of a session."""
+        if not self._pair_visible("shoulder_left", "shoulder_right"):
+            return PoseGeometry(None, None, None)
+        points = self.landmarks
+        (lx, ly), (rx, ry) = points["shoulder_left"], points["shoulder_right"]
+        shoulder_x, shoulder_y = (lx + rx) / 2.0, (ly + ry) / 2.0
+        neck = trunk = None
+        if self._pair_visible("ear_left", "ear_right"):
+            neck = (points["ear_left"][0] + points["ear_right"][0]) / 2.0 - shoulder_x
+        if self._pair_visible("hip_left", "hip_right"):
+            (hlx, hly), (hrx, hry) = points["hip_left"], points["hip_right"]
+            # y grows downward in image coordinates
+            trunk = math.degrees(math.atan2(shoulder_x - (hlx + hrx) / 2.0, (hly + hry) / 2.0 - shoulder_y))
+        return PoseGeometry(math.degrees(math.atan2(ry - ly, rx - lx)), neck, trunk)
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,7 @@ from .state import (
     compute_baseline,
     infer_state,
 )
-from .streams import IngestOutcome, StreamMerger, Window, grid_time
+from .streams import ACCEPTED, IngestOutcome, StreamMerger, Window, grid_time
 
 ENGINE_TAG = "cogloop-0.1.0"
 
@@ -225,7 +225,7 @@ def _posture_extractor(baseline_pose: PostureSample | None) -> Extractor:
         skipped = len(window_scores) - len(scored)
         if not scored:
             return 0.0, [], {"category": None, "skipped_samples": skipped}
-        percent = statistics.fmean(s.percent for s in scored)
+        percent = statistics.fmean([s.percent for s in scored])
         confidences = [
             env.source_confidence for env, s in zip(window.samples, window_scores) if s is not None
         ]
@@ -241,8 +241,8 @@ def _extract_notes(window: Window) -> Extraction:
     extras = {"sample_count": len(window.samples)}
     if not window.samples:
         return 0.0, [], extras
-    error = statistics.fmean(1.0 - env.payload.correctness for env in window.samples)
-    quality = statistics.fmean(env.source_confidence for env in window.samples)
+    error = statistics.fmean([1.0 - env.payload.correctness for env in window.samples])
+    quality = statistics.fmean([env.source_confidence for env in window.samples])
     return quality, [ChannelFeature(CHANNEL_NOTE_ERROR, error, quality, window.end)], extras
 
 
@@ -357,7 +357,7 @@ class Session:
             self._recorder.note(sync_t, "sync", {"stream": record.stream_id, "offset_s": offset})
             return
         registration = merger.registrations[record.stream_id]
-        session_t = registration.session_time(record.t)
+        session_t = record.t + registration.clock_offset_s
         if not 0.0 <= session_t <= MAX_SESSION_S:
             self._recorder.note(
                 _on_span(session_t),
@@ -404,7 +404,7 @@ class Session:
                 self._recorder.note(session_t, "warning", {"reason": "note_score_clamped", "stream": record.stream_id})
 
         outcome = merger.ingest(registration, session_t, payload, record.source_confidence)
-        if outcome is not IngestOutcome.ACCEPTED:
+        if outcome is not ACCEPTED:
             self._recorder.note(session_t, "ingest", {"stream": record.stream_id, "outcome": outcome.value})
         if merger.watermark >= self._due:
             self._advance()
@@ -707,6 +707,7 @@ _NUMBER = ("a number", _is_number)
 _COUNT = ("a non-negative integer", lambda value: _is_int(value) and value >= 0)
 _TIME_OR_NULL = ("a number or null", lambda value: value is None or _is_number(value))
 _FLAG = ("true or false", lambda value: isinstance(value, bool))
+_DIMENSION_NAMES = frozenset(dim.value for dim in Dimension)
 _DIMENSION = _one_of([dim.value for dim in Dimension])
 _DIMENSION_STATE = {
     "score": _NUMBER, "confidence": _NUMBER, "signed_score": _NUMBER, "observed": _FLAG,
@@ -716,7 +717,7 @@ _DIMENSION_STATE = {
 def _is_dims(dims) -> bool:
     return (
         isinstance(dims, dict)
-        and dims.keys() == {dim.value for dim in Dimension}
+        and dims.keys() == _DIMENSION_NAMES
         and all(
             isinstance(state, dict)
             and all(name in state and check(state[name]) for name, (_, check) in _DIMENSION_STATE.items())

@@ -4,9 +4,10 @@ Samples from independent producers are shifted onto the session clock
 by their stream's offset, and each kept sample goes straight onto the
 timeline of its stream's kind, in session-time order; samples of equal
 time keep their arrival order. A stream's registration is the one place
-that sets and applies its clock offset (``set_offset``,
-``session_time``) and keeps its counts, and the merger the one place
-that builds an envelope. The watermark, the newest time seen less
+that sets its clock offset (``set_offset``; a session time is the
+producer time plus ``clock_offset_s``, as ``session_time`` computes it)
+and keeps its counts, and the merger the one place that builds an
+envelope. The watermark, the newest time seen less
 ``jitter_tolerance_s``, absorbs cross-stream jitter: a sample at or
 after it is placed; one stamped before it is late, and is dropped and
 counted.
@@ -35,6 +36,12 @@ class IngestOutcome(str, Enum):
     ACCEPTED = "accepted"
     REORDERED = "reordered"
     DROPPED_LATE = "dropped_late"
+
+
+# Reading a member off an enum class goes through the enum metaclass's
+# attribute hook, several times slower than reading a global; the
+# per-sample path reads this one.
+ACCEPTED = IngestOutcome.ACCEPTED
 
 
 @dataclass(frozen=True)
@@ -176,21 +183,26 @@ class StreamMerger:
             outcome = IngestOutcome.REORDERED
             registration.reordered += 1
         else:
-            outcome = IngestOutcome.ACCEPTED
+            outcome = ACCEPTED
             self._max_seen_t = session_t
             self.watermark = session_t - self.jitter_tolerance_s
         envelope = SampleEnvelope(session_t, payload, source_confidence)
         samples = registration.timeline.samples
         if not samples or samples[-1].timestamp <= session_t:
             samples.append(envelope)
+            # no placed envelope of the stream is later: those the
+            # timeline forgot lie before the watermark
+            if registration.first_t is None:
+                registration.first_t = session_t
+            registration.last_t = session_t
         else:
             # in a scenario, only after a sync moves a stream's clock
             # back: the sample lands after those of its time placed
             samples.insert(bisect_right(samples, session_t, key=_timestamp), envelope)
-        if registration.first_t is None or session_t < registration.first_t:
-            registration.first_t = session_t
-        if registration.last_t is None or session_t > registration.last_t:
-            registration.last_t = session_t
+            if registration.first_t is None or session_t < registration.first_t:
+                registration.first_t = session_t
+            if registration.last_t is None or session_t > registration.last_t:
+                registration.last_t = session_t
         return outcome
 
     def flush(self) -> None:

@@ -1,9 +1,16 @@
 import math
+import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cogloop.behavior import (
+    NECK_OFFSET_TOLERANCE,
+    SHOULDER_TILT_TOLERANCE_DEG,
+    TRUNK_ANGLE_TOLERANCE_DEG,
     PostureCategory,
+    PostureScore,
     categorize_posture,
     ingest_note_assessment,
     score_posture,
@@ -94,6 +101,91 @@ def test_sub_scores_shrink_to_visible_landmarks():
     score = score_posture(shoulders_only, _pose())
     assert set(score.sub_scores) == {"shoulder_level"}
     assert score.percent == pytest.approx(score.sub_scores["shoulder_level"])
+
+
+# ---------------------------------------------------------------------------
+# the pose geometry, derived once per pose, against the formulas it replaced
+
+def _visible(pose, left, right):
+    return all(
+        name in pose.landmarks and pose.visibility.get(name, 1.0) >= 0.5 for name in (left, right)
+    )
+
+
+def _midpoint(pose, left, right):
+    (ax, ay), (bx, by) = pose.landmarks[left], pose.landmarks[right]
+    return (ax + bx) / 2.0, (ay + by) / 2.0
+
+
+def _tilt(pose):
+    (lx, ly), (rx, ry) = pose.landmarks["shoulder_left"], pose.landmarks["shoulder_right"]
+    return math.degrees(math.atan2(ry - ly, rx - lx))
+
+
+def _neck(pose):
+    return _midpoint(pose, "ear_left", "ear_right")[0] - _midpoint(pose, "shoulder_left", "shoulder_right")[0]
+
+
+def _trunk(pose):
+    shoulder = _midpoint(pose, "shoulder_left", "shoulder_right")
+    hip = _midpoint(pose, "hip_left", "hip_right")
+    return math.degrees(math.atan2(shoulder[0] - hip[0], hip[1] - shoulder[1]))
+
+
+def _oracle_score(sample, baseline):
+    """Every angle and offset derived from scratch, for both poses, on
+    every call."""
+    if not (_visible(sample, "shoulder_left", "shoulder_right") and _visible(baseline, "shoulder_left", "shoulder_right")):
+        raise MissingLandmarksError("both shoulders must be visible in sample and baseline")
+
+    def sub_score(deviation, tolerance):
+        return 100.0 * max(0.0, 1.0 - abs(deviation) / tolerance)
+
+    sub_scores = {"shoulder_level": sub_score(_tilt(sample) - _tilt(baseline), SHOULDER_TILT_TOLERANCE_DEG)}
+    if _visible(sample, "ear_left", "ear_right") and _visible(baseline, "ear_left", "ear_right"):
+        sub_scores["neck_alignment"] = sub_score(_neck(sample) - _neck(baseline), NECK_OFFSET_TOLERANCE)
+    if _visible(sample, "hip_left", "hip_right") and _visible(baseline, "hip_left", "hip_right"):
+        sub_scores["back_straightness"] = sub_score(_trunk(sample) - _trunk(baseline), TRUNK_ANGLE_TOLERANCE_DEG)
+    percent = statistics.fmean(sub_scores.values())
+    return PostureScore(percent, categorize_posture(percent), sub_scores)
+
+
+# each landmark is absent, hidden (visibility under the floor), on the
+# floor, or seen, at a random place
+_LANDMARK = st.one_of(
+    st.none(),
+    st.tuples(
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.sampled_from([None, 0.0, 0.49, 0.5, 0.9]),
+    ),
+)
+_POSE_STRATEGY = st.fixed_dictionaries({name: _LANDMARK for name in UPRIGHT})
+
+
+def _pose_from(drawn):
+    landmarks = {name: point[:2] for name, point in drawn.items() if point is not None}
+    visibility = {
+        name: point[2] for name, point in drawn.items() if point is not None and point[2] is not None
+    }
+    return PostureSample(landmarks=landmarks, visibility=visibility)
+
+
+@settings(max_examples=300, deadline=None)
+@given(baseline=_POSE_STRATEGY, samples=st.lists(_POSE_STRATEGY, min_size=1, max_size=4))
+def test_cached_geometry_scores_equal_the_uncached_formula(baseline, samples):
+    # one baseline against several frames, as in a session: its
+    # geometry is derived on the first call and read on the others
+    baseline = _pose_from(baseline)
+    for drawn in samples:
+        sample = _pose_from(drawn)
+        try:
+            want = _oracle_score(sample, baseline)
+        except MissingLandmarksError:
+            with pytest.raises(MissingLandmarksError):
+                score_posture(sample, baseline)
+            continue
+        assert score_posture(sample, baseline) == want
 
 
 # ---------------------------------------------------------------------------

@@ -332,14 +332,25 @@ def _oracle_window(window, median_width, threshold, min_fixation_duration_s):
 
 
 _GAZE_SAMPLE = st.tuples(
-    # time step: zero steps only matter where a window holds them
-    st.sampled_from([0.0, 0.01, 0.016, 0.02, 0.033, 0.05]),
-    st.sampled_from([0.2, 0.5, 0.5, 0.501, 0.51, 0.9]),  # repeats make fixations
+    # time step: zero steps only matter where a window holds them; a
+    # step of 1/16 s between x = 0.5 and 0.5625 moves at exactly the
+    # velocity threshold, 1.0, while the times stay exact
+    st.sampled_from([0.0, 0.01, 0.016, 0.02, 0.033, 0.05, 0.0625, 0.0625]),
+    st.sampled_from([0.2, 0.5, 0.5, 0.501, 0.51, 0.5625, 0.5625, 0.9]),  # repeats make fixations
     st.sampled_from([0.5, 0.5, 0.502, 0.7]),
-    st.one_of(st.none(), st.floats(min_value=1.0, max_value=8.0)),  # None: eye shut
+    # None: eye shut; repeated pupils tie in a median neighbourhood
+    st.one_of(st.none(), st.sampled_from([3.0, 3.5]), st.floats(min_value=1.0, max_value=8.0)),
     st.sampled_from([0.1, 0.9, 0.95, 1.0]),  # under 0.2: a blink despite the pupil
     st.sampled_from([0.3, 0.8, 1.0]),
 )
+
+
+def _on_the_threshold(i):
+    """Sample i of a trace every 1/16 s whose pairs (4m, 4m+1) step at
+    exactly the velocity threshold, with pupils that tie, and whose blink
+    runs (4m+2, 4m+3) end on the first sample of each 1/8 s-hop window."""
+    blink = i % 4 in (2, 3)
+    return 0.0625, 0.5 + 0.0625 * (i % 2), 0.5, None if blink else (3.0, 3.0, 3.5, 4.0)[i % 8 // 2], 0.9, 1.0
 
 
 def _gaze_timeline(steps):
@@ -373,6 +384,8 @@ def _merged_windows(samples, length, hop):
     steps=[(0.02, 0.5, 0.5, None if i % 7 in (2, 3, 4) else 3.0 + i % 3, 0.9, 1.0) for i in range(60)],
     length=0.1, hop_share=0.3, median_width=7, min_fixation=0.02,
 )
+@example(steps=[_on_the_threshold(i) for i in range(40)], length=0.25, hop_share=0.5, median_width=3, min_fixation=0.0)
+@example(steps=[_on_the_threshold(i) for i in range(40)], length=0.25, hop_share=0.5, median_width=5, min_fixation=0.0)
 def test_window_features_equal_the_per_window_computation(steps, length, hop_share, median_width, min_fixation):
     windows = _merged_windows(_gaze_timeline(steps), length, length * hop_share)
     track = GazeTrack(median_width=median_width, velocity_threshold=1.0)

@@ -850,6 +850,24 @@ def test_posture_windows_equal_the_per_window_scoring(frames, length, hop_share,
         assert len(scored) == windows[-1].hi
 
 
+def test_a_session_derives_the_baseline_pose_geometry_once(monkeypatch):
+    # every pose whose geometry is derived, kept alive so ids stay unique
+    derived = []
+    derive = PostureSample.geometry.func
+    monkeypatch.setattr(PostureSample.geometry, "func", lambda pose: derived.append(pose) or derive(pose))
+    baselines = []
+    monkeypatch.setattr(
+        session, "score_posture", lambda sample, baseline: baselines.append(baseline) or score_posture(sample, baseline)
+    )
+    run_session(synthesize(parse_profile(STRESS_PROFILE)))
+
+    assert len(baselines) > 100
+    assert all(baseline is baselines[0] for baseline in baselines)
+    assert sum(pose is baselines[0] for pose in derived) == 1
+    # and every frame's own geometry once
+    assert len(derived) == len({id(pose) for pose in derived})
+
+
 # The channels each stream kind's windows carry. gaze.py, cardio.py and
 # session.py each decide some of them; baselines and weights are keyed by
 # channel, so no channel may come from two kinds.
