@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 import re
-import statistics
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import MalformedReplyError, MissingLandmarksError, OutOfRangeError
 from .model import NoteScoreSample, PostureSample
+from .stats import fmean
 
 SHOULDER_TILT_TOLERANCE_DEG = 10.0
 NECK_OFFSET_TOLERANCE = 0.05
@@ -52,8 +52,7 @@ def categorize_posture(percent: float) -> PostureCategory:
     return PostureCategory.POOR
 
 
-@dataclass(frozen=True)
-class PostureScore:
+class PostureScore(NamedTuple):
     percent: float
     category: PostureCategory
     sub_scores: dict[str, float]
@@ -79,12 +78,8 @@ def score_posture(sample: PostureSample, baseline: PostureSample) -> PostureScor
             pose.trunk_angle_deg - base.trunk_angle_deg, TRUNK_ANGLE_TOLERANCE_DEG
         )
 
-    percent = statistics.fmean(sub_scores.values())
-    return PostureScore(
-        percent=percent,
-        category=categorize_posture(percent),
-        sub_scores=sub_scores,
-    )
+    percent = fmean(sub_scores.values())
+    return PostureScore(percent, categorize_posture(percent), sub_scores)
 
 
 # ---------------------------------------------------------------------------

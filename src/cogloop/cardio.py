@@ -15,13 +15,12 @@ extractor returns (``state.Extraction``).
 from __future__ import annotations
 
 import math
-import statistics
 from enum import Enum
 
 from .errors import OutOfRangeError, TooFewIntervalsError
 from .model import RRSample
 from .state import CHANNEL_HEART_RATE, CHANNEL_PNN50, CHANNEL_RMSSD, CHANNEL_SDNN, ChannelFeature, Extraction
-from .stats import pstdev
+from .stats import fmean, pstdev
 from .streams import Window
 
 # Intervals outside this physiological range are treated as artifacts
@@ -50,7 +49,7 @@ def _successive_diffs(rr_ms: list[float]) -> list[float]:
 def rmssd(rr_ms: list[float]) -> float:
     """Root mean square of successive differences."""
     diffs = _successive_diffs(rr_ms)
-    return math.sqrt(statistics.fmean([d * d for d in diffs]))
+    return math.sqrt(fmean([d * d for d in diffs]))
 
 
 def sdnn(rr_ms: list[float]) -> float:
@@ -63,7 +62,7 @@ def sdnn(rr_ms: list[float]) -> float:
 def pnn50(rr_ms: list[float]) -> float:
     """Percentage of successive differences strictly beyond 50 ms."""
     diffs = _successive_diffs(rr_ms)
-    beyond = sum(1 for d in diffs if abs(d) > PNN50_THRESHOLD_MS)
+    beyond = len([d for d in diffs if abs(d) > PNN50_THRESHOLD_MS])
     return 100.0 * beyond / len(diffs)
 
 
@@ -107,11 +106,11 @@ def window_hrv(window: Window) -> Extraction:
     if len(rr) < MIN_VALID_INTERVALS:
         return 0.0, [], extras
 
-    quality = statistics.fmean(confidences) * (len(rr) / (len(rr) + artifacts))
+    quality = fmean(confidences) * (len(rr) / (len(rr) + artifacts))
     end, pnn = window.end, pnn50(rr)
     extras["stress_band"] = classify_stress(pnn).value
     return quality, [
-        ChannelFeature(CHANNEL_HEART_RATE, 60000.0 / statistics.fmean(rr), quality, end),
+        ChannelFeature(CHANNEL_HEART_RATE, 60000.0 / fmean(rr), quality, end),
         ChannelFeature(CHANNEL_RMSSD, rmssd(rr), quality, end),
         ChannelFeature(CHANNEL_SDNN, sdnn(rr), quality, end),
         ChannelFeature(CHANNEL_PNN50, pnn, quality, end),

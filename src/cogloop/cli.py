@@ -18,7 +18,7 @@ from importlib import resources
 
 from .config import config_to_dict, parse_config_text
 from .errors import ConfigError, ScenarioError
-from .scenario import load_profile, load_scenario, synthesize, write_scenario
+from .scenario import first_escaped_line, load_profile, load_scenario, synthesize, write_scenario
 from .session import read_trace, run_session, summarize, validate_trace, write_trace
 
 
@@ -55,12 +55,23 @@ def _load_profile_arg(name_or_path: str):
     return load_profile(name_or_path)
 
 
+def _read_config(path) -> str:
+    """A config file's text; a byte that is not UTF-8 is a ConfigError at
+    its line, counted as ``parse_config_text`` counts lines."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+            line_no = first_escaped_line(handle.read().splitlines())
+        raise ConfigError(f"line {line_no}: not UTF-8 text") from None
+
+
 def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     overrides: dict[str, object] = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            overrides.update(parse_config_text(handle.read()))
+        overrides.update(parse_config_text(_read_config(args.config)))
     if args.client is not None:
         overrides["client"] = args.client
 

@@ -8,9 +8,10 @@ prompt; the numeric trail lives in the trace instead.
 
 from __future__ import annotations
 
-import hashlib
+import importlib
 import json
 import os
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -283,8 +284,26 @@ class GenerationClient(Protocol):
     def analyze_note(self, transcript: str) -> str: ...
 
 
+def sha256_constructor():
+    """The SHA-256 constructor of CPython's builtin module: ``_sha2`` on
+    3.12 and later, ``_sha256`` before. ``hashlib`` is the fallback, for
+    builds without a builtin SHA-2 (``--with-builtin-hashlib-hashes``
+    can leave it out): importing it maps OpenSSL's libcrypto, several
+    megabytes that a replay hashing a few prompts has no use for."""
+    name = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+    try:
+        return importlib.import_module(name).sha256
+    except ImportError:
+        import hashlib
+
+        return hashlib.sha256
+
+
+sha256 = sha256_constructor()
+
+
 def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+    return sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
 def mock_generate(prompt: str) -> str:

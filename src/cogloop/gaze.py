@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import re
-import statistics
 from collections.abc import Sequence
 from itertools import compress
 from operator import attrgetter, itemgetter, sub, truediv
@@ -41,6 +40,7 @@ from .state import (
     ChannelFeature,
     Extraction,
 )
+from .stats import fmean, median
 from .streams import Window
 
 # A sample is a blink when it has no pupil, a pupil of 0 or less, or a
@@ -193,16 +193,10 @@ class GazeTrack:
         return medians
 
     def _median(self, i: int, lo: int, hi: int) -> float:
-        """Median of the valid raw pupils around sample i, within [lo, hi).
-
-        The arithmetic of ``statistics.median``: the middle value of the
-        sorted neighbours, or the mean of the two middle ones.
-        """
+        """Median of the valid raw pupils around sample i, within [lo, hi)."""
         valid, raw, base = self.valid, self.raw_pupil, self.base
         near = range(max(lo, i - self.half) - base, min(hi, i + self.half + 1) - base)
-        around = sorted([raw[k] for k in near if valid[k]])
-        m = len(around) // 2
-        return around[m] if len(around) % 2 else (around[m - 1] + around[m]) / 2
+        return median([raw[k] for k in near if valid[k]])
 
     def despiked_pupils(self, lo: int, hi: int) -> list[float]:
         """The despiked pupils of the valid samples in [lo, hi), in order.
@@ -232,7 +226,7 @@ class GazeTrack:
 
     def quality(self, lo: int, hi: int) -> float:
         """Mean source confidence of the samples in [lo, hi)."""
-        return statistics.fmean(self.confidence[lo - self.base:hi - self.base])
+        return fmean(self.confidence[lo - self.base:hi - self.base])
 
     def segment(
         self, lo: int, hi: int, min_fixation_duration_s: float
@@ -293,13 +287,13 @@ def window_gaze_features(
     features: list[ChannelFeature] = []
     if pupils:
         pupil_quality = quality * (len(pupils) / (hi - lo))
-        features.append(ChannelFeature(CHANNEL_PUPIL, statistics.fmean(pupils), pupil_quality, end))
+        features.append(ChannelFeature(CHANNEL_PUPIL, fmean(pupils), pupil_quality, end))
     if fixations:
-        mean_duration = statistics.fmean([stop - start for start, stop in fixations])
+        mean_duration = fmean([stop - start for start, stop in fixations])
         features.append(ChannelFeature(CHANNEL_FIXATION_DURATION, mean_duration, quality, end))
     features.append(ChannelFeature(CHANNEL_FIXATION_COUNT, float(len(fixations)), quality, end))
     if velocities:
-        features.append(ChannelFeature(CHANNEL_GAZE_VELOCITY, statistics.fmean(velocities), quality, end))
+        features.append(ChannelFeature(CHANNEL_GAZE_VELOCITY, fmean(velocities), quality, end))
     blink_rate = track.blink_count(lo, hi) / duration * 60.0 if duration > 0 else 0.0
     features.append(ChannelFeature(CHANNEL_BLINK_RATE, blink_rate, quality, end))
     return quality, features, {"saccade_count": len(saccades)}

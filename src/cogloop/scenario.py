@@ -27,11 +27,14 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 import sys
 from bisect import bisect_left
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import TextIO
 
 from .config import MAX_SESSION_S
 from .errors import ScenarioError
@@ -409,6 +412,30 @@ def _parse_header(obj: dict, line_no: int) -> ScenarioHeader:
     return ScenarioHeader(streams=streams, **_shared_fields(obj, line_no))
 
 
+# errors="surrogateescape" decodes each byte that is not UTF-8 to one of these
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def first_escaped_line(lines: Iterable[str]) -> int:
+    """The number of the first of ``lines``, decoded with
+    errors="surrogateescape", that holds a byte that is not UTF-8."""
+    return next(line_no for line_no, line in enumerate(lines, start=1) if _ESCAPED_BYTE.search(line))
+
+
+@contextmanager
+def utf8_text(path) -> Iterator[TextIO]:
+    """A text file opened as UTF-8. A byte that is not UTF-8 raises
+    ScenarioError with the number of its line, counted as text mode
+    counts lines: the file is read again, only then, to find it."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError:
+            with open(path, "r", encoding="utf-8", errors="surrogateescape") as escaped:
+                line_no = first_escaped_line(escaped)
+            raise ScenarioError("not UTF-8 text", line_no) from None
+
+
 class ScenarioFile:
     """The records of a scenario file, read afresh on each iteration.
 
@@ -423,7 +450,7 @@ class ScenarioFile:
         self._count: int | None = None
 
     def __iter__(self) -> Iterator[SampleRecord | SyncRecord]:
-        with open(self.path, "r", encoding="utf-8") as handle:
+        with utf8_text(self.path) as handle:
             yield from iter_records(handle)
 
     def __len__(self) -> int:
@@ -435,7 +462,7 @@ class ScenarioFile:
 def load_scenario(path) -> Scenario:
     """The scenario in a file: its header read and checked now, its
     records a ``ScenarioFile`` view, parsed as they are replayed."""
-    with open(path, "r", encoding="utf-8") as handle:
+    with utf8_text(path) as handle:
         header = next(_scan(handle))
     return Scenario(header=header, records=ScenarioFile(path))
 
@@ -635,7 +662,7 @@ class SyntheticProfile:
 
 
 def load_profile(path) -> SyntheticProfile:
-    with open(path, "r", encoding="utf-8") as handle:
+    with utf8_text(path) as handle:
         try:
             data = json.load(handle)
         except json.JSONDecodeError as error:

@@ -17,11 +17,9 @@ final tie-break, so identical inputs produce byte-identical traces.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
-import statistics
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -44,6 +42,7 @@ from .directives import (
     MockGenerationClient,
     build_directives,
     render_prompt,
+    sha256,
 )
 from .errors import (
     ClientUnavailableError,
@@ -61,7 +60,15 @@ from .interventions import (
     TriggerPolicy,
 )
 from .model import Dimension, PostureSample, StreamKind, Timestamp
-from .scenario import MIN_GAZE_STEP_S, SampleRecord, Scenario, ScenarioHeader, SyncRecord, _is_finite_number
+from .scenario import (
+    MIN_GAZE_STEP_S,
+    SampleRecord,
+    Scenario,
+    ScenarioHeader,
+    SyncRecord,
+    _is_finite_number,
+    utf8_text,
+)
 from .state import (
     CHANNEL_NOTE_ERROR,
     CHANNEL_POSTURE,
@@ -72,6 +79,7 @@ from .state import (
     compute_baseline,
     infer_state,
 )
+from .stats import fmean
 from .streams import ACCEPTED, IngestOutcome, StreamMerger, Window, grid_time
 
 ENGINE_TAG = "cogloop-0.1.0"
@@ -225,11 +233,11 @@ def _posture_extractor(baseline_pose: PostureSample | None) -> Extractor:
         skipped = len(window_scores) - len(scored)
         if not scored:
             return 0.0, [], {"category": None, "skipped_samples": skipped}
-        percent = statistics.fmean([s.percent for s in scored])
+        percent = fmean([s.percent for s in scored])
         confidences = [
             env.source_confidence for env, s in zip(window.samples, window_scores) if s is not None
         ]
-        quality = statistics.fmean(confidences) * len(scored) / (len(scored) + skipped)
+        quality = fmean(confidences) * len(scored) / (len(scored) + skipped)
         # the category is the latest pose band in the window
         extras = {"category": scored[-1].category.value, "skipped_samples": skipped}
         return quality, [ChannelFeature(CHANNEL_POSTURE, percent, quality, window.end)], extras
@@ -241,8 +249,8 @@ def _extract_notes(window: Window) -> Extraction:
     extras = {"sample_count": len(window.samples)}
     if not window.samples:
         return 0.0, [], extras
-    error = statistics.fmean([1.0 - env.payload.correctness for env in window.samples])
-    quality = statistics.fmean([env.source_confidence for env in window.samples])
+    error = fmean([1.0 - env.payload.correctness for env in window.samples])
+    quality = fmean([env.source_confidence for env in window.samples])
     return quality, [ChannelFeature(CHANNEL_NOTE_ERROR, error, quality, window.end)], extras
 
 
@@ -589,7 +597,7 @@ class Session:
                 },
                 "directive": packet.directive_text,
                 "prompt": prompt,
-                "prompt_sha256": hashlib.sha256(prompt.encode("utf-8")).hexdigest(),
+                "prompt_sha256": sha256(prompt.encode("utf-8")).hexdigest(),
             },
         )
         try:
@@ -788,7 +796,7 @@ def _check_trace_header(header: dict, line_no: int) -> None:
 def read_trace(path) -> tuple[dict, list[TraceEvent]]:
     header: dict | None = None
     events: list[TraceEvent] = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with utf8_text(path) as handle:
         for line_no, raw_line in enumerate(handle, start=1):
             line = raw_line.strip()
             if not line:

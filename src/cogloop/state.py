@@ -16,13 +16,12 @@ silently renormalizing it away.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import NoUsableChannelsError, UncalibratedChannelError
 from .model import Dimension, Timestamp
-from .stats import pstdev
+from .stats import fmean, pstdev
 
 # Channel identifiers produced by the feature pipelines.
 CHANNEL_PUPIL = "pupil_mm"
@@ -181,13 +180,13 @@ def compute_baseline(
             continue
         values = [v for v, _ in pairs]
         qualities = [q for _, q in pairs]
-        mu = statistics.fmean(values)
+        mu = fmean(values)
         sigma = max(pstdev(values, mu=mu), sigma_floor)
         profile.channels[channel_id] = ChannelBaseline(
             mu=mu,
             sigma=sigma,
             n_samples=len(values),
-            quality_mean=statistics.fmean(qualities),
+            quality_mean=fmean(qualities),
         )
     return profile
 

@@ -1,20 +1,46 @@
-"""Population standard deviation, correctly rounded on every supported Python.
+"""Means, the median and the population standard deviation: the
+engine's one owner of ``statistics``' arithmetic, on every supported
+Python, without importing ``statistics``.
 
 ``statistics.pstdev`` became correctly rounded in Python 3.11. On 3.10 it
 can differ in the last bit, and that bit reaches SDNN, baseline sigmas,
 z-scores and every score after them, so replays there missed the golden
 digests. This module does 3.11's arithmetic with plain integers, so
-every interpreter gives 3.11's floats.
+every interpreter gives 3.11's floats. ``fmean`` and ``median`` are
+``statistics.fmean`` and ``statistics.median`` on 3.10 to 3.13. Importing
+``statistics`` would also load ``fractions`` and ``decimal``, which a
+replay never uses.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from fractions import Fraction
-from math import isqrt
+from collections.abc import Collection, Iterable, Sequence
+from math import fsum, isqrt
 
 # working precision of the square root: two float mantissas and 3 bits
 _SQRT_BIT_WIDTH = 109
+
+
+def fmean(data: Collection[float]) -> float:
+    """The mean of a sized collection of finite numbers, as a float:
+    their correctly rounded sum (``math.fsum``) over their count."""
+    n = len(data)
+    if not n:
+        raise ValueError("fmean needs at least one value")
+    return fsum(data) / n
+
+
+def median(data: Iterable[float]) -> float:
+    """The middle value of the sorted numbers, or the mean of the two
+    middle values when their count is even."""
+    data = sorted(data)
+    n = len(data)
+    if not n:
+        raise ValueError("median needs at least one value")
+    half = n // 2
+    if n % 2:
+        return data[half]
+    return (data[half - 1] + data[half]) / 2
 
 
 def _scaled(values: Sequence[float]) -> tuple[list[int], int]:
@@ -36,8 +62,11 @@ def _sqrt_round_to_odd(n: int, m: int) -> int:
 
 def _sqrt_of_fraction(n: int, m: int) -> float:
     """The square root of n/m (n >= 0, m > 0) as a float, correctly rounded:
-    CPython 3.11's ``statistics._float_sqrt_of_frac``. The root is taken
-    at 109 bits, rounded to odd, then rounded once more, to a float."""
+    CPython 3.11's ``statistics._float_sqrt_of_frac``. The radicand is
+    scaled to at least 109 bits, so the root has at least 55, two more
+    than a float; it is rounded to odd, then rounded once more, to a
+    float. The result depends on n/m only, not on its terms, so n/m
+    need not be in lowest terms."""
     q = (n.bit_length() - m.bit_length() - _SQRT_BIT_WIDTH) // 2
     if q >= 0:
         numerator, denominator = _sqrt_round_to_odd(n, m << 2 * q) << q, 1
@@ -63,8 +92,8 @@ def pstdev(data: Sequence[float], mu: float | None = None) -> float:
         total = sum(scaled)
         # sum((x - mean)^2) / n = (n * sum(x^2) - sum(x)^2) / n^2
         numerator = n * sum(x * x for x in scaled) - total * total
-        mean_square = Fraction(numerator, n * n * scale * scale)
+        denominator = n * n * scale * scale
     else:
         scaled, scale = _scaled([(x - mu) * (x - mu) for x in data])
-        mean_square = Fraction(sum(scaled), n * scale)
-    return _sqrt_of_fraction(mean_square.numerator, mean_square.denominator)
+        numerator, denominator = sum(scaled), n * scale
+    return _sqrt_of_fraction(numerator, denominator)

@@ -22,7 +22,6 @@ long the session; window positions count from the start of the timeline.
 from __future__ import annotations
 
 import math
-import statistics
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
@@ -30,6 +29,7 @@ from operator import attrgetter
 
 from .errors import DuplicateStreamError, InsufficientMarksError
 from .model import Payload, SampleEnvelope, StreamDescriptor, StreamKind, Timestamp
+from .stats import median
 
 
 class IngestOutcome(str, Enum):
@@ -74,7 +74,7 @@ def estimate_offset(marks: list[tuple[Timestamp, Timestamp]]) -> float:
     """
     if len(marks) < 2:
         raise InsufficientMarksError(f"need at least 2 sync marks, got {len(marks)}")
-    return statistics.median(session_t - producer_t for producer_t, session_t in marks)
+    return median(session_t - producer_t for producer_t, session_t in marks)
 
 
 def grid_time(index: int, hop_s: float, offset_s: float = 0.0) -> Timestamp:

@@ -366,6 +366,74 @@ def test_hand_edited_trace_exits_2_with_the_line(tmp_path, capsys, commands, lin
         assert f"error: {message}" in capsys.readouterr().err
 
 
+def _spoil(path, line_no):
+    """Put a byte that is not UTF-8 (0xff) into line ``line_no`` of a file
+    whose lines end in a newline."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line_no - 1] = lines[line_no - 1][:1] + b"\xff" + lines[line_no - 1][1:]
+    path.write_bytes(b"\n".join(lines))
+
+
+def _scenario_and_trace(tmp_path, profile_path):
+    scenario = _synth(tmp_path, profile_path)
+    trace = tmp_path / "out.trace.jsonl"
+    assert main(["run", "--scenario", str(scenario), "--trace", str(trace)]) == 0
+    return scenario, trace
+
+
+# each of these ended in a UnicodeDecodeError traceback, exit 1
+
+
+def test_run_of_a_scenario_that_is_not_utf8_exits_2_with_the_line(tmp_path, profile_path, capsys):
+    scenario, _ = _scenario_and_trace(tmp_path, profile_path)
+    # past the header's first read: the replay reaches the byte
+    last = len(scenario.read_bytes().splitlines())
+    assert scenario.stat().st_size > 3 * 8192
+    _spoil(scenario, last)
+    capsys.readouterr()
+    assert main(["run", "--scenario", str(scenario)]) == 2
+    assert capsys.readouterr().err == f"error: line {last}: not UTF-8 text\n"
+
+
+def test_validate_of_a_scenario_that_is_not_utf8_exits_2_with_the_line(tmp_path, profile_path, capsys):
+    scenario, _ = _scenario_and_trace(tmp_path, profile_path)
+    _spoil(scenario, 3)
+    capsys.readouterr()
+    assert main(["validate", "--scenario", str(scenario)]) == 2
+    assert capsys.readouterr().err == "error: line 3: not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "summarize"])
+def test_a_trace_that_is_not_utf8_exits_2_with_the_line(tmp_path, profile_path, capsys, command):
+    _, trace = _scenario_and_trace(tmp_path, profile_path)
+    _spoil(trace, 4)
+    capsys.readouterr()
+    assert main([command, "--trace", str(trace)]) == 2
+    assert capsys.readouterr().err == "error: line 4: not UTF-8 text\n"
+
+
+def test_synth_of_a_profile_that_is_not_utf8_exits_2_with_the_line(tmp_path, capsys):
+    # lines end in a lone \r, which text mode counts as a line end too
+    profile = tmp_path / "profile.json"
+    profile.write_bytes(json.dumps(PROFILE, indent=1).replace("\n", "\r").encode("utf-8"))
+    assert main(["synth", "--profile", str(profile), "--out", str(tmp_path / "out.jsonl")]) == 0
+    profile.write_bytes(profile.read_bytes().replace(b'"topic"', b'"topic\xff"'))
+    capsys.readouterr()
+    assert main(["synth", "--profile", str(profile), "--out", str(tmp_path / "out.jsonl")]) == 2
+    assert capsys.readouterr().err == "error: line 3: not UTF-8 text\n"
+
+
+def test_run_with_a_config_that_is_not_utf8_exits_2_with_the_line(tmp_path, profile_path, capsys):
+    scenario = _synth(tmp_path, profile_path)
+    config = tmp_path / "tweak.cfg"
+    config.write_bytes(b"# tuned\r\ntrigger_threshold = 2.5\r\nconsecutive_windows = 2\xff\r\n")
+    capsys.readouterr()
+    assert main(["run", "--scenario", str(scenario), "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: line 3: not UTF-8 text\n"
+    config.write_bytes(config.read_bytes().replace(b"\xff", b""))
+    assert main(["run", "--scenario", str(scenario), "--config", str(config)]) == 0
+
+
 def _readme_console_block():
     """(command, printed lines) for each command in the README's Quick start."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

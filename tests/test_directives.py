@@ -1,7 +1,10 @@
+import hashlib
+import importlib.util
 import io
 import json
 import random
 import re
+import sys
 import urllib.error
 import urllib.request
 
@@ -24,6 +27,8 @@ from cogloop.directives import (
     mock_generate,
     render_prompt,
     render_template,
+    sha256,
+    sha256_constructor,
 )
 from cogloop.errors import ClientUnavailableError, UnknownTemplateError
 from cogloop.interventions import (
@@ -260,6 +265,21 @@ def test_mock_client_plays_scripted_replies_then_hashes():
     assert re.match(r"^score=0\.\d{2}; feedback=", fallback)
     # hash fallback is deterministic per transcript
     assert fallback == MockGenerationClient().analyze_note("third note")
+
+
+def test_sha256_is_the_builtin_module_and_falls_back_to_hashlib(monkeypatch):
+    name = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+    prompt = render_prompt(_packet()).encode("utf-8")
+    expected = hashlib.sha256(prompt).hexdigest()
+    if importlib.util.find_spec(name) is not None:
+        assert sha256.__module__ == name
+    assert sha256(prompt).hexdigest() == expected
+    # a build without the builtin module, as --with-builtin-hashlib-hashes
+    # can make one: importing the name raises ImportError
+    monkeypatch.setitem(sys.modules, name, None)
+    fallback = sha256_constructor()
+    assert fallback is hashlib.sha256
+    assert fallback(prompt).hexdigest() == expected
 
 
 def test_mock_client_generate_delegates():

@@ -1,10 +1,14 @@
-"""The package's imports, checked from its source.
+"""The package's imports, checked from its source and at run time.
 
 The runtime stays standard-library only, and a module imports no name
-it never uses, so a deletion cannot leave a dead import behind.
+it never uses, so a deletion cannot leave a dead import behind. A
+replay loads only the standard library it uses.
 """
 
 import ast
+import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,6 +46,49 @@ def test_imports_are_standard_library_or_the_package(path):
         and module.partition(".")[0] != "cogloop"
     ]
     assert foreign == []
+
+
+# Synthesizes a bundled profile, replays it and writes the trace, as
+# ``cogloop synth`` and ``cogloop run --trace`` do, then prints the
+# modules loaded since the interpreter started.
+_REPLAY_CHILD = """
+import sys
+before = set(sys.modules)
+from cogloop.scenario import load_profile, load_scenario, synthesize, write_scenario
+from cogloop.session import run_session, write_trace
+profile, scenario, trace = sys.argv[1:4]
+write_scenario(synthesize(load_profile(profile)), scenario)
+write_trace(run_session(load_scenario(scenario)), trace)
+loaded = sorted(set(sys.modules) - before)
+import json
+print(json.dumps(loaded))
+"""
+
+
+def test_a_replay_loads_only_the_standard_library_it_uses(tmp_path):
+    # hashlib maps OpenSSL's libcrypto, and statistics loads fractions
+    # and decimal: megabytes of a replay's peak memory, none of it used
+    unused = {"fractions", "decimal", "statistics"}
+    # a build without a builtin SHA-2 module falls back to hashlib
+    if any(map(importlib.util.find_spec, ("_sha2", "_sha256"))):
+        unused |= {"hashlib", "_hashlib"}
+    profile = Path(cogloop.__file__).parent / "profiles" / "load_excursion.json"
+    trace = tmp_path / "trace.jsonl"
+    child = subprocess.run(
+        [sys.executable, "-c", _REPLAY_CHILD, str(profile), str(tmp_path / "scenario.jsonl"), str(trace)],
+        env={"PYTHONPATH": str(Path(cogloop.__file__).parents[1])}, capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    loaded = json.loads(child.stdout)
+    assert "cogloop.session" in loaded
+    foreign = [
+        name for name in loaded
+        if name.partition(".")[0] not in sys.stdlib_module_names and name.partition(".")[0] != "cogloop"
+    ]
+    assert foreign == []
+    assert unused.intersection(loaded) == set()
+    # the replay decided, so it hashed prompts
+    assert '"kind":"directive_sent"' in trace.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
@@ -95,9 +142,9 @@ def test_every_private_module_level_name_is_read():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_fmean_is_never_given_a_generator_expression(path):
-    # statistics.fmean counts an input that has no length through a
-    # Python-level generator wrapped around it (CPython 3.10 and 3.11);
-    # a list gives the same fsum(data) / n, without the per-item cost
+    # stats.fmean takes its input's length, so a generator expression
+    # raises TypeError, and only when a replay reaches that call; a list
+    # gives the same fsum(data) / n
     tree = ast.parse(path.read_text(encoding="utf-8"))
     calls = [
         f"line {node.lineno}"
