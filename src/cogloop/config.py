@@ -13,14 +13,12 @@ address structured entries:
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
 
 from .directives import TEMPLATE_IDS
 from .errors import ConfigError
 from .interventions import Category, Severity, StrategyKey
-from .model import Dimension, Modality, StreamKind
+from .model import Dimension, Modality, Slotted, StreamKind
 from .state import ALL_CHANNELS, SIGMA_FLOOR, MODERATE_FLOOR, WeightMatrix, default_weight_matrix
 
 
@@ -42,27 +40,58 @@ def default_cooldowns() -> dict[Category, float]:
     }
 
 
-@dataclass
-class SessionConfig:
-    calibration_duration_s: float = 300.0
-    window_length_s: dict[StreamKind, float] = field(default_factory=default_window_lengths)
-    window_hop_s: float = 10.0
-    jitter_tolerance_s: float = 0.25
-    ivt_velocity_threshold: float = 1.0
-    min_fixation_duration_s: float = 0.1
-    rolling_median_width: int = 5
-    weights: WeightMatrix = field(default_factory=default_weight_matrix)
-    quality_floor: float = 0.0
-    trigger_threshold: float = 1.5
-    persistence_s: float = 10.0
-    consecutive_windows: int = 3
-    confidence_min: float = 0.6
-    cooldown_s: dict[Category, float] = field(default_factory=default_cooldowns)
-    sigma_floor: float = SIGMA_FLOOR
-    baseline_min_samples: int = 30
-    history_turns: int = 6
-    client: str = "mock"
-    strategy_overrides: dict[StrategyKey, str] = field(default_factory=dict)
+class SessionConfig(Slotted):
+    """Every knob of a replay. A field is a scalar, typed by its default,
+    or a structured entry, a dict each instance builds afresh."""
+
+    __slots__ = (
+        "calibration_duration_s", "window_length_s", "window_hop_s", "jitter_tolerance_s",
+        "ivt_velocity_threshold", "min_fixation_duration_s", "rolling_median_width", "weights",
+        "quality_floor", "trigger_threshold", "persistence_s", "consecutive_windows", "confidence_min",
+        "cooldown_s", "sigma_floor", "baseline_min_samples", "history_turns", "client", "strategy_overrides",
+    )
+
+    def __init__(
+        self,
+        calibration_duration_s: float = 300.0,
+        window_length_s: dict[StreamKind, float] | None = None,
+        window_hop_s: float = 10.0,
+        jitter_tolerance_s: float = 0.25,
+        ivt_velocity_threshold: float = 1.0,
+        min_fixation_duration_s: float = 0.1,
+        rolling_median_width: int = 5,
+        weights: WeightMatrix | None = None,
+        quality_floor: float = 0.0,
+        trigger_threshold: float = 1.5,
+        persistence_s: float = 10.0,
+        consecutive_windows: int = 3,
+        confidence_min: float = 0.6,
+        cooldown_s: dict[Category, float] | None = None,
+        sigma_floor: float = SIGMA_FLOOR,
+        baseline_min_samples: int = 30,
+        history_turns: int = 6,
+        client: str = "mock",
+        strategy_overrides: dict[StrategyKey, str] | None = None,
+    ):
+        self.calibration_duration_s = calibration_duration_s
+        self.window_length_s = default_window_lengths() if window_length_s is None else window_length_s
+        self.window_hop_s = window_hop_s
+        self.jitter_tolerance_s = jitter_tolerance_s
+        self.ivt_velocity_threshold = ivt_velocity_threshold
+        self.min_fixation_duration_s = min_fixation_duration_s
+        self.rolling_median_width = rolling_median_width
+        self.weights = default_weight_matrix() if weights is None else weights
+        self.quality_floor = quality_floor
+        self.trigger_threshold = trigger_threshold
+        self.persistence_s = persistence_s
+        self.consecutive_windows = consecutive_windows
+        self.confidence_min = confidence_min
+        self.cooldown_s = default_cooldowns() if cooldown_s is None else cooldown_s
+        self.sigma_floor = sigma_floor
+        self.baseline_min_samples = baseline_min_samples
+        self.history_turns = history_turns
+        self.client = client
+        self.strategy_overrides = {} if strategy_overrides is None else strategy_overrides
 
 
 # The longest session a replay covers, in seconds. Replay walks every
@@ -79,9 +108,9 @@ MAX_SESSION_S = 24 * 3600.0
 MIN_WINDOW_HOP_S = 0.1
 
 
-@dataclass
 class ValidationReport:
-    failures: list[str] = field(default_factory=list)
+    def __init__(self):
+        self.failures: list[str] = []
 
     @property
     def ok(self) -> bool:
@@ -184,9 +213,11 @@ def validate_config(cfg: SessionConfig) -> ValidationReport:
 # flat key=value entries
 
 # the flat scalar keys, each typed by its default; the other fields are
-# the structured entries, built by a default factory
+# the structured entries, dicts
 _SCALAR_KEYS = {
-    f.name: type(f.default) for f in dataclasses.fields(SessionConfig) if f.default is not dataclasses.MISSING
+    name: type(value)
+    for name, value in zip(SessionConfig.__slots__, SessionConfig()._values())
+    if not isinstance(value, dict)
 }
 
 
@@ -249,8 +280,7 @@ def apply_entries(cfg: SessionConfig, entries: dict[str, object]) -> SessionConf
         else:
             raise ConfigError(f"unknown config key {key!r}")
 
-    return dataclasses.replace(
-        cfg,
+    return cfg._replace(
         window_length_s=window_lengths,
         cooldown_s=cooldowns,
         weights=weights,

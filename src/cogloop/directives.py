@@ -13,9 +13,8 @@ import json
 import os
 import sys
 from collections import deque
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 from .errors import ClientUnavailableError, UnknownTemplateError
 from .interventions import Framing, InterventionDecision
@@ -47,8 +46,7 @@ class MetaphorUsage(str, Enum):
     RICH = "rich"
 
 
-@dataclass(frozen=True)
-class ToneParameters:
+class ToneParameters(NamedTuple):
     sentence_complexity: SentenceComplexity = SentenceComplexity.MEDIUM
     encouragement_frequency: EncouragementFrequency = EncouragementFrequency.MEDIUM
     explanation_directness: ExplanationDirectness = ExplanationDirectness.BALANCED
@@ -199,14 +197,12 @@ def descriptor_label(dimension: Dimension, descriptor: Descriptor) -> str:
     return f"{_DESCRIPTOR_LABEL[descriptor]} {_DIMENSION_LABEL[dimension]}"
 
 
-@dataclass(frozen=True)
-class LearningContext:
+class LearningContext(NamedTuple):
     topic: str
     dialogue: tuple[dict[str, str], ...] = ()
 
 
-@dataclass(frozen=True)
-class DirectivePacket:
+class DirectivePacket(NamedTuple):
     decision: InterventionDecision
     descriptors: dict[Dimension, Descriptor]
     tone: ToneParameters
@@ -317,7 +313,6 @@ def mock_generate(prompt: str) -> str:
     return f"ok digest={_digest(prompt)} :: {echoed}"
 
 
-@dataclass
 class MockGenerationClient:
     """Offline client used for replay; fully deterministic.
 
@@ -325,11 +320,8 @@ class MockGenerationClient:
     loaded, otherwise from a stable hash of the transcript.
     """
 
-    scripted_note_replies: tuple[str, ...] = ()
-    _queue: deque = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._queue = deque(self.scripted_note_replies)
+    def __init__(self, scripted_note_replies: tuple[str, ...] = ()):
+        self._queue = deque(scripted_note_replies)
 
     def generate(self, prompt: str) -> str:
         return mock_generate(prompt)
@@ -342,7 +334,6 @@ class MockGenerationClient:
         return f"score={score:.2f}; feedback=auto-assessed note coverage"
 
 
-@dataclass
 class LiveGenerationClient:
     """Minimal HTTP client: POST JSON, timeout, one retry.
 
@@ -351,8 +342,9 @@ class LiveGenerationClient:
     session runner degrades those to trace warnings.
     """
 
-    endpoint: str | None = None
-    timeout_s: float = 10.0
+    def __init__(self, endpoint: str | None = None, timeout_s: float = 10.0):
+        self.endpoint = endpoint
+        self.timeout_s = timeout_s
 
     def _url(self) -> str:
         url = self.endpoint or os.environ.get("COGLOOP_GENERATION_URL", "")

@@ -16,11 +16,11 @@ excursion (hysteresis).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import NonMonotoneTimeError
-from .model import Dimension, Modality, Timestamp
+from .model import Dimension, Modality, Slotted, Timestamp
 from .state import Descriptor, StateVector, to_descriptor
 
 
@@ -71,8 +71,7 @@ def severity_of(score: float) -> Severity:
     raise ValueError(f"score {score!r} is below the moderate band, no severity")
 
 
-@dataclass(frozen=True)
-class StrategyEntry:
+class StrategyEntry(NamedTuple):
     category: Category
     tier: Tier
     template_id: str
@@ -143,11 +142,13 @@ def _default_entries() -> dict[StrategyKey, StrategyEntry]:
     return entries
 
 
-@dataclass
-class StrategyTable:
+class StrategyTable(Slotted):
     """Total mapping (dimension, severity, modality) -> strategy entry."""
 
-    entries: dict[StrategyKey, StrategyEntry] = field(default_factory=_default_entries)
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: dict[StrategyKey, StrategyEntry] | None = None):
+        self.entries = _default_entries() if entries is None else entries
 
     def validate(self) -> None:
         for dimension in Dimension:
@@ -168,8 +169,7 @@ class StrategyTable:
         return StrategyTable(entries=entries)
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """A dimension that has cleared every trigger gate this window."""
 
     dimension: Dimension
@@ -182,8 +182,7 @@ class Candidate:
     repeat_ordinal: int = 1
 
 
-@dataclass(frozen=True)
-class InterventionDecision:
+class InterventionDecision(NamedTuple):
     t: Timestamp
     dimension: Dimension
     severity: Severity
@@ -197,11 +196,13 @@ class InterventionDecision:
     composite: bool = False
 
 
-@dataclass
 class _Run:
-    consecutive: int = 0
-    first_exceeded_at: Timestamp | None = None
-    repeat_count: int = 0  # decisions within the current supra episode
+    __slots__ = ("consecutive", "first_exceeded_at", "repeat_count")
+
+    def __init__(self):
+        self.consecutive = 0
+        self.first_exceeded_at: Timestamp | None = None
+        self.repeat_count = 0  # decisions within the current supra episode
 
     def reset(self) -> None:
         self.consecutive = 0
@@ -212,8 +213,7 @@ class _Run:
         self.repeat_count = 0
 
 
-@dataclass(frozen=True)
-class TriggerPolicy:
+class TriggerPolicy(NamedTuple):
     """The knobs consulted by :class:`InterventionEngine`."""
 
     trigger_threshold: float = 1.5

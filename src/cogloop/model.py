@@ -4,10 +4,14 @@ Timestamps are seconds on the session clock, stored as plain floats.
 Producers with their own clocks are aligned via per-stream offsets at
 ingestion (see :mod:`cogloop.streams`).
 
-The types built once per record (gaze and RR samples, envelopes) are
-slotted dataclasses and not frozen: a frozen dataclass sets each field
-through ``object.__setattr__``, which costs several times a plain slot
-store. Nothing mutates them after construction.
+Records are declared with what the interpreter loads at startup, so a
+replay never imports a class generator that brings ``inspect``,
+``ast``, ``dis`` and ``tokenize`` with it. A record built once per
+window, tick or config is a ``NamedTuple``. One built once per sample
+(gaze and RR samples, envelopes) is a ``Slotted`` class with a
+hand-written ``__init__``, which builds faster than a ``NamedTuple``;
+so is a record that checks its fields in its constructor or that
+changes after it. Nothing mutates a sample or an envelope once built.
 
 Payload constructors check nothing. A sample from a scenario file is
 checked once, field by field, by its stream's parser in
@@ -18,12 +22,41 @@ validation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
 Timestamp = float
+
+
+class Slotted:
+    """Base of the records declared as plain ``__slots__`` classes.
+
+    Equality, ``repr`` and ``_replace`` (named as a ``NamedTuple`` names
+    it) go over the fields the subclass lists in ``__slots__``, and its
+    ``__init__`` takes each field by that name. An instance hashes only
+    if its class defines ``__hash__``.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def _replace(self, **changes):
+        """A copy with ``changes`` applied to its fields."""
+        fields = dict(zip(self.__slots__, self._values()))
+        fields.update(changes)
+        return type(self)(**fields)
 
 
 class StreamKind(str, Enum):
@@ -49,23 +82,22 @@ class Modality(str, Enum):
     VIDEO = "video"
 
 
-@dataclass(frozen=True)
-class StreamDescriptor:
+class StreamDescriptor(Slotted):
     """Identity and nominal cadence of one producer stream."""
 
-    stream_id: str
-    kind: StreamKind
-    nominal_rate_hz: float
+    __slots__ = ("stream_id", "kind", "nominal_rate_hz")
 
-    def __post_init__(self):
-        if not self.stream_id:
+    def __init__(self, stream_id: str, kind: StreamKind, nominal_rate_hz: float):
+        if not stream_id:
             raise ValueError("stream_id must be non-empty")
-        if not (math.isfinite(self.nominal_rate_hz) and self.nominal_rate_hz > 0):
-            raise ValueError(f"nominal_rate_hz must be positive, got {self.nominal_rate_hz!r}")
+        if not (math.isfinite(nominal_rate_hz) and nominal_rate_hz > 0):
+            raise ValueError(f"nominal_rate_hz must be positive, got {nominal_rate_hz!r}")
+        self.stream_id = stream_id
+        self.kind = kind
+        self.nominal_rate_hz = nominal_rate_hz
 
 
-@dataclass(slots=True)
-class GazeSample:
+class GazeSample(Slotted):
     """One eye-tracker sample in screen-normalized coordinates.
 
     ``pupil_diameter_mm`` is None while the pupil is not measurable
@@ -73,17 +105,22 @@ class GazeSample:
     estimate for the sample.
     """
 
-    x: float
-    y: float
-    pupil_diameter_mm: float | None = None
-    confidence: float = 1.0
+    __slots__ = ("x", "y", "pupil_diameter_mm", "confidence")
+
+    def __init__(self, x: float, y: float, pupil_diameter_mm: float | None = None, confidence: float = 1.0):
+        self.x = x
+        self.y = y
+        self.pupil_diameter_mm = pupil_diameter_mm
+        self.confidence = confidence
 
 
-@dataclass(slots=True)
-class RRSample:
+class RRSample(Slotted):
     """One beat-to-beat interval in milliseconds."""
 
-    rr_ms: float
+    __slots__ = ("rr_ms",)
+
+    def __init__(self, rr_ms: float):
+        self.rr_ms = rr_ms
 
 
 # Landmark names used by the posture scorer. Coordinates are
@@ -116,10 +153,18 @@ class PoseGeometry(NamedTuple):
     trunk_angle_deg: float | None
 
 
-@dataclass(frozen=True)
 class PostureSample:
-    landmarks: dict[str, tuple[float, float]]
-    visibility: dict[str, float] = field(default_factory=dict)
+    """One pose's landmarks, with the visibility of those the source
+    scored. Not slotted: ``geometry`` is kept in the instance's dict."""
+
+    def __init__(self, landmarks: dict[str, tuple[float, float]], visibility: dict[str, float] | None = None):
+        self.landmarks = landmarks
+        self.visibility = {} if visibility is None else visibility
+
+    def __eq__(self, other):
+        if other.__class__ is not PostureSample:
+            return NotImplemented
+        return (self.landmarks, self.visibility) == (other.landmarks, other.visibility)
 
     def point_visible(self, name: str, floor: float = VISIBILITY_FLOOR) -> bool:
         if name not in self.landmarks:
@@ -148,8 +193,7 @@ class PostureSample:
         return PoseGeometry(math.degrees(math.atan2(ry - ly, rx - lx)), neck, trunk)
 
 
-@dataclass(frozen=True)
-class NoteScoreSample:
+class NoteScoreSample(NamedTuple):
     """Assessed correctness of the learner's recent notes, in [0, 1]."""
 
     correctness: float
@@ -160,8 +204,7 @@ class NoteScoreSample:
 Payload = GazeSample | RRSample | PostureSample | NoteScoreSample
 
 
-@dataclass(slots=True)
-class SampleEnvelope:
+class SampleEnvelope(Slotted):
     """A payload at its session time, with the confidence its source
     gave it.
 
@@ -169,6 +212,9 @@ class SampleEnvelope:
     time it computes and the source confidence before building one.
     """
 
-    timestamp: Timestamp
-    payload: Payload
-    source_confidence: float = 1.0
+    __slots__ = ("timestamp", "payload", "source_confidence")
+
+    def __init__(self, timestamp: Timestamp, payload: Payload, source_confidence: float = 1.0):
+        self.timestamp = timestamp
+        self.payload = payload
+        self.source_confidence = source_confidence

@@ -32,9 +32,8 @@ import sys
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from .config import MAX_SESSION_S
 from .errors import ScenarioError
@@ -46,6 +45,7 @@ from .model import (
     Payload,
     PostureSample,
     RRSample,
+    Slotted,
     StreamDescriptor,
     StreamKind,
     Timestamp,
@@ -56,39 +56,60 @@ from .streams import estimate_offset
 # scenario records
 
 
-@dataclass(slots=True)
-class SampleRecord:
-    stream_id: str
-    t: Timestamp
-    source_confidence: float
-    payload: Payload | None = None
-    transcript: str | None = None  # note awaiting analysis
+class SampleRecord(Slotted):
+    __slots__ = ("stream_id", "t", "source_confidence", "payload", "transcript")
+
+    def __init__(
+        self,
+        stream_id: str,
+        t: Timestamp,
+        source_confidence: float,
+        payload: Payload | None = None,
+        transcript: str | None = None,  # note awaiting analysis
+    ):
+        self.stream_id = stream_id
+        self.t = t
+        self.source_confidence = source_confidence
+        self.payload = payload
+        self.transcript = transcript
 
 
-@dataclass(frozen=True)
-class SyncRecord:
+class SyncRecord(NamedTuple):
     stream_id: str
     marks: tuple[tuple[float, float], ...]
 
 
-@dataclass
-class ScenarioHeader:
-    streams: list[StreamDescriptor]
-    config_entries: dict[str, object] = field(default_factory=dict)
-    seed: int = 0
-    modality: Modality = Modality.TEXT
-    topic: str = "the current topic"
-    analyzer_replies: tuple[str, ...] = ()
-    dialogue: tuple[dict[str, str], ...] = ()
+class ScenarioHeader(Slotted):
+    __slots__ = ("streams", "config_entries", "seed", "modality", "topic", "analyzer_replies", "dialogue")
+
+    def __init__(
+        self,
+        streams: list[StreamDescriptor],
+        config_entries: dict[str, object] | None = None,
+        seed: int = 0,
+        modality: Modality = Modality.TEXT,
+        topic: str = "the current topic",
+        analyzer_replies: tuple[str, ...] = (),
+        dialogue: tuple[dict[str, str], ...] = (),
+    ):
+        self.streams = streams
+        self.config_entries = {} if config_entries is None else config_entries
+        self.seed = seed
+        self.modality = modality
+        self.topic = topic
+        self.analyzer_replies = analyzer_replies
+        self.dialogue = dialogue
 
 
-@dataclass
-class Scenario:
+class Scenario(Slotted):
     """A header and its records: a list when synthesized or parsed from
     lines, a ``ScenarioFile`` when loaded from a file."""
 
-    header: ScenarioHeader
-    records: list[SampleRecord | SyncRecord] | ScenarioFile
+    __slots__ = ("header", "records")
+
+    def __init__(self, header: ScenarioHeader, records: list[SampleRecord | SyncRecord] | ScenarioFile):
+        self.header = header
+        self.records = records
 
     def duration_s(self) -> float:
         return max((r.t for r in self.records if isinstance(r, SampleRecord)), default=0.0)
@@ -628,8 +649,7 @@ _GENERATOR_KINDS = ("baseline", "ramp", "oscillation")
 MAX_STREAM_SAMPLES = 2**23
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(NamedTuple):
     kind: str
     target_z: float = 0.0
     tau_s: float = 10.0
@@ -637,25 +657,25 @@ class GeneratorSpec:
     period_s: float = 60.0
 
 
-@dataclass(frozen=True)
-class ProfileSegment:
+class ProfileSegment(NamedTuple):
     duration_s: float
-    channels: dict[str, GeneratorSpec] = field(default_factory=dict)
+    channels: dict[str, GeneratorSpec]
 
 
-@dataclass
-class SyntheticProfile:
+class SyntheticProfile(NamedTuple):
+    """A parsed profile; ``parse_profile`` sets every field."""
+
     segments: list[ProfileSegment]
-    seed: int = 0
-    topic: str = "the current topic"
-    modality: Modality = Modality.TEXT
-    noise: dict[str, float] = field(default_factory=dict)
-    config_entries: dict[str, object] = field(default_factory=dict)
-    analyzer_replies: tuple[str, ...] = ()
-    dialogue: tuple[dict[str, str], ...] = ()
-    gaze_rate_hz: float = 60.0
-    posture_rate_hz: float = 5.0
-    note_interval_s: float = 60.0
+    seed: int
+    topic: str
+    modality: Modality
+    noise: dict[str, float]
+    config_entries: dict[str, object]
+    analyzer_replies: tuple[str, ...]
+    dialogue: tuple[dict[str, str], ...]
+    gaze_rate_hz: float
+    posture_rate_hz: float
+    note_interval_s: float
 
     def duration_s(self) -> float:
         return sum(segment.duration_s for segment in self.segments)

@@ -22,8 +22,8 @@ import json
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 from .behavior import PostureScore, ingest_note_assessment, score_posture
 from .cardio import window_hrv
@@ -53,13 +53,14 @@ from .errors import (
 )
 from .gaze import GazeTrack, window_gaze_features
 from .interventions import (
+    CHALLENGE_LOAD_CEILING,
     Category,
     InterventionDecision,
     InterventionEngine,
     StrategyTable,
     TriggerPolicy,
 )
-from .model import Dimension, PostureSample, StreamKind, Timestamp
+from .model import Dimension, PostureSample, Slotted, StreamKind, Timestamp
 from .scenario import (
     MIN_GAZE_STEP_S,
     SampleRecord,
@@ -102,19 +103,20 @@ KIND_PRIORITY: dict[str, int] = {
 INGEST_OUTCOMES = tuple(outcome.value for outcome in IngestOutcome)
 
 
-@dataclass(slots=True)
-class TraceEvent:
-    t: Timestamp
-    kind: str
-    seq: int
-    payload: dict
+class TraceEvent(Slotted):
+    __slots__ = ("t", "kind", "seq", "payload")
+
+    def __init__(self, t: Timestamp, kind: str, seq: int, payload: dict):
+        self.t = t
+        self.kind = kind
+        self.seq = seq
+        self.payload = payload
 
     def sort_key(self) -> tuple[float, int, int]:
         return (self.t, KIND_PRIORITY[self.kind], self.seq)
 
 
-@dataclass
-class SessionResult:
+class SessionResult(NamedTuple):
     config: SessionConfig
     events: list[TraceEvent]
     decisions: list[InterventionDecision]
@@ -934,7 +936,7 @@ def validate_trace(header: dict, events: list[TraceEvent]) -> list[str]:
                 eng = dims[Dimension.ENGAGEMENT.value]
                 return (
                     load["observed"] and eng["observed"]
-                    and load["signed_score"] <= -1.0
+                    and load["signed_score"] <= CHALLENGE_LOAD_CEILING
                     and eng["signed_score"] > 0.0
                     and min(load["confidence"], eng["confidence"]) > _cfg.confidence_min
                 )

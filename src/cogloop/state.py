@@ -16,11 +16,11 @@ silently renormalizing it away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import NoUsableChannelsError, UncalibratedChannelError
-from .model import Dimension, Timestamp
+from .model import Dimension, Slotted, Timestamp
 from .stats import fmean, pstdev
 
 # Channel identifiers produced by the feature pipelines.
@@ -114,18 +114,18 @@ def to_descriptor(score: float) -> Descriptor:
     return Descriptor.PRONOUNCED
 
 
-@dataclass(frozen=True)
-class ChannelFeature:
+class ChannelFeature(Slotted):
     """One windowed feature value with its signal quality."""
 
-    channel_id: str
-    value: float
-    quality: float
-    t: Timestamp
+    __slots__ = ("channel_id", "value", "quality", "t")
 
-    def __post_init__(self):
-        if not (0.0 <= self.quality <= 1.0):
-            raise ValueError(f"quality must lie in [0, 1], got {self.quality!r}")
+    def __init__(self, channel_id: str, value: float, quality: float, t: Timestamp):
+        if not (0.0 <= quality <= 1.0):
+            raise ValueError(f"quality must lie in [0, 1], got {quality!r}")
+        self.channel_id = channel_id
+        self.value = value
+        self.quality = quality
+        self.t = t
 
 
 # What every window extractor returns: the window's quality, its channel
@@ -134,20 +134,21 @@ class ChannelFeature:
 Extraction = tuple[float, list[ChannelFeature], dict]
 
 
-@dataclass(frozen=True)
-class ChannelBaseline:
+class ChannelBaseline(NamedTuple):
     mu: float
     sigma: float
     n_samples: int
     quality_mean: float
 
 
-@dataclass
-class CalibrationProfile:
+class CalibrationProfile(Slotted):
     """Per-channel baseline statistics captured during calibration."""
 
-    channels: dict[str, ChannelBaseline] = field(default_factory=dict)
-    uncalibrated: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("channels", "uncalibrated")
+
+    def __init__(self, channels: dict[str, ChannelBaseline] | None = None, uncalibrated: dict[str, str] | None = None):
+        self.channels = {} if channels is None else channels
+        self.uncalibrated = {} if uncalibrated is None else uncalibrated
 
     def is_calibrated(self, channel_id: str) -> bool:
         return channel_id in self.channels
@@ -233,8 +234,7 @@ def dimension_score(
     return num / den, den / weight_total
 
 
-@dataclass(frozen=True)
-class DimensionState:
+class DimensionState(NamedTuple):
     score: float
     confidence: float
     descriptor: Descriptor
@@ -243,8 +243,7 @@ class DimensionState:
     supra_channels: int
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(NamedTuple):
     """All six dimension states at one instant."""
 
     t: Timestamp

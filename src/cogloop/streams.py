@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import DuplicateStreamError, InsufficientMarksError
 from .model import Payload, SampleEnvelope, StreamDescriptor, StreamKind, Timestamp
@@ -44,8 +44,7 @@ class IngestOutcome(str, Enum):
 ACCEPTED = IngestOutcome.ACCEPTED
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(NamedTuple):
     """Half-open slice [start, end) of one channel's timeline.
 
     ``samples`` sit at positions [lo, hi) of the channel timeline,
@@ -90,30 +89,34 @@ def grid_time(index: int, hop_s: float, offset_s: float = 0.0) -> Timestamp:
 _timestamp = attrgetter("timestamp")
 
 
-@dataclass
 class _ChannelTimeline:
     """The placed envelopes of one kind from position ``base`` on; the
     ones before it lie before every window still to be cut."""
 
-    samples: list[SampleEnvelope] = field(default_factory=list)
-    base: int = 0
-    next_window_index: int = 0
+    __slots__ = ("samples", "base", "next_window_index")
+
+    def __init__(self):
+        self.samples: list[SampleEnvelope] = []
+        self.base = 0
+        self.next_window_index = 0
 
 
-@dataclass
 class StreamRegistration:
     """One registered stream: its clock offset, its ingest counts, the
     earliest and latest session times of its placed envelopes, and the
     timeline of its kind, which its placed envelopes join."""
 
-    descriptor: StreamDescriptor
-    timeline: _ChannelTimeline = field(repr=False, compare=False)
-    clock_offset_s: float = 0.0
-    ingested: int = 0
-    reordered: int = 0
-    dropped: int = 0
-    first_t: Timestamp | None = None
-    last_t: Timestamp | None = None
+    __slots__ = ("descriptor", "timeline", "clock_offset_s", "ingested", "reordered", "dropped", "first_t", "last_t")
+
+    def __init__(self, descriptor: StreamDescriptor, timeline: _ChannelTimeline):
+        self.descriptor = descriptor
+        self.timeline = timeline
+        self.clock_offset_s = 0.0
+        self.ingested = 0
+        self.reordered = 0
+        self.dropped = 0
+        self.first_t: Timestamp | None = None
+        self.last_t: Timestamp | None = None
 
     @property
     def accepted(self) -> int:

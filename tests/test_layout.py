@@ -49,16 +49,19 @@ def test_imports_are_standard_library_or_the_package(path):
 
 
 # Synthesizes a bundled profile, replays it and writes the trace, as
-# ``cogloop synth`` and ``cogloop run --trace`` do, then prints the
+# ``cogloop synth`` and ``cogloop run --trace`` do, replays it once more
+# through ``cogloop run`` itself, then prints, on its last line, the
 # modules loaded since the interpreter started.
 _REPLAY_CHILD = """
 import sys
 before = set(sys.modules)
 from cogloop.scenario import load_profile, load_scenario, synthesize, write_scenario
 from cogloop.session import run_session, write_trace
-profile, scenario, trace = sys.argv[1:4]
+profile, scenario, trace, cli_trace = sys.argv[1:5]
 write_scenario(synthesize(load_profile(profile)), scenario)
 write_trace(run_session(load_scenario(scenario)), trace)
+from cogloop.cli import main
+assert main(["run", "--scenario", scenario, "--trace", cli_trace]) == 0
 loaded = sorted(set(sys.modules) - before)
 import json
 print(json.dumps(loaded))
@@ -66,21 +69,23 @@ print(json.dumps(loaded))
 
 
 def test_a_replay_loads_only_the_standard_library_it_uses(tmp_path):
-    # hashlib maps OpenSSL's libcrypto, and statistics loads fractions
-    # and decimal: megabytes of a replay's peak memory, none of it used
-    unused = {"fractions", "decimal", "statistics"}
+    # hashlib maps OpenSSL's libcrypto, statistics loads fractions and
+    # decimal, and dataclasses loads inspect, which loads ast, dis and
+    # tokenize: megabytes of a replay's peak memory, none of it used
+    unused = {"fractions", "decimal", "statistics", "dataclasses", "inspect", "ast", "dis", "tokenize"}
     # a build without a builtin SHA-2 module falls back to hashlib
     if any(map(importlib.util.find_spec, ("_sha2", "_sha256"))):
         unused |= {"hashlib", "_hashlib"}
     profile = Path(cogloop.__file__).parent / "profiles" / "load_excursion.json"
-    trace = tmp_path / "trace.jsonl"
+    trace, cli_trace = tmp_path / "trace.jsonl", tmp_path / "cli_trace.jsonl"
     child = subprocess.run(
-        [sys.executable, "-c", _REPLAY_CHILD, str(profile), str(tmp_path / "scenario.jsonl"), str(trace)],
+        [sys.executable, "-c", _REPLAY_CHILD, str(profile), str(tmp_path / "scenario.jsonl"), str(trace),
+         str(cli_trace)],
         env={"PYTHONPATH": str(Path(cogloop.__file__).parents[1])}, capture_output=True, text=True, timeout=300,
     )
     assert child.returncode == 0, child.stderr
-    loaded = json.loads(child.stdout)
-    assert "cogloop.session" in loaded
+    loaded = json.loads(child.stdout.splitlines()[-1])
+    assert {"cogloop.session", "cogloop.cli"} <= set(loaded)
     foreign = [
         name for name in loaded
         if name.partition(".")[0] not in sys.stdlib_module_names and name.partition(".")[0] != "cogloop"
@@ -89,6 +94,7 @@ def test_a_replay_loads_only_the_standard_library_it_uses(tmp_path):
     assert unused.intersection(loaded) == set()
     # the replay decided, so it hashed prompts
     assert '"kind":"directive_sent"' in trace.read_text(encoding="utf-8")
+    assert cli_trace.read_bytes() == trace.read_bytes()
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

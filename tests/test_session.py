@@ -1,6 +1,6 @@
-import dataclasses
 import hashlib
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -19,7 +19,8 @@ from cogloop import session
 from cogloop.behavior import score_posture
 from cogloop.config import SessionConfig, config_to_dict
 from cogloop.errors import ConfigError, MissingLandmarksError, ScenarioError
-from cogloop.model import NoteScoreSample, PostureSample, RRSample, StreamDescriptor, StreamKind
+from cogloop.interventions import CHALLENGE_LOAD_CEILING
+from cogloop.model import Dimension, NoteScoreSample, PostureSample, RRSample, StreamDescriptor, StreamKind
 from cogloop.scenario import (
     Scenario,
     ScenarioHeader,
@@ -226,7 +227,7 @@ def test_validator_flags_low_confidence_decision(stress_result):
     for event in stress_result.events:
         if event.kind == "decision":
             payload = dict(event.payload, confidence=0.1)
-            event = dataclasses.replace(event, payload=payload)
+            event = event._replace(payload=payload)
         doctored.append(event)
     violations = validate_trace(header, doctored)
     assert any("confidence" in v for v in violations)
@@ -248,7 +249,7 @@ def test_validator_flags_cooldown_violation(stress_result):
     header = {"type": "header", "config": config_to_dict(stress_result.config)}
     decision = next(e for e in stress_result.events if e.kind == "decision")
     rushed_t = decision.t + 10.0
-    clone = dataclasses.replace(decision, t=rushed_t)
+    clone = decision._replace(t=rushed_t)
     doctored = sorted(stress_result.events + [clone], key=TraceEvent.sort_key)
     violations = validate_trace(header, doctored)
     assert any("cooldown" in v for v in violations)
@@ -270,6 +271,29 @@ def test_validator_checks_cooldowns_with_the_engines_arithmetic():
 
     assert cooldown_violations([decision(460.8, 0), decision(520.8, 1)]) == []
     assert len(cooldown_violations([decision(460.8, 0), decision(520.7, 1)])) == 1
+
+
+def test_validator_checks_the_composite_with_the_engines_load_ceiling():
+    header = {"config": config_to_dict(SessionConfig())}
+
+    def violations(load_signed_score):
+        # three state vectors 20 s apart, under-challenged in each, then
+        # the composite engagement decision on the last
+        dims = {dim.value: {"observed": True, "score": 0.0, "signed_score": 0.0, "confidence": 1.0}
+                for dim in Dimension}
+        dims[Dimension.COGNITIVE_LOAD.value]["signed_score"] = load_signed_score
+        dims[Dimension.ENGAGEMENT.value]["signed_score"] = 0.5
+        events = [TraceEvent(t, "state_vector", seq, {"dims": dims}) for seq, t in enumerate((10.0, 20.0, 30.0))]
+        events.append(TraceEvent(30.0, "candidate", 3, {"dimension": "engagement"}))
+        events.append(TraceEvent(30.0, "decision", 4, {
+            "dimension": "engagement", "category": "challenge_enhancement", "confidence": 1.0, "composite": True,
+        }))
+        return validate_trace(header, events)
+
+    assert violations(CHALLENGE_LOAD_CEILING) == []
+    assert violations(math.nextafter(CHALLENGE_LOAD_CEILING, 0.0)) == [
+        "decision t=30.0 engagement: no qualifying state vector at decision time"
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +351,8 @@ def test_failing_live_client_degrades_to_warnings(monkeypatch):
     monkeypatch.setenv("COGLOOP_GENERATION_URL", "http://localhost:9/generate")
     scenario = synthesize(parse_profile(STRESS_PROFILE))
     first_note = next(i for i, r in enumerate(scenario.records) if getattr(r, "stream_id", None) == "notes")
-    scenario.records[first_note] = dataclasses.replace(
-        scenario.records[first_note], payload=None, transcript="osmosis is diffusion of water"
+    scenario.records[first_note] = scenario.records[first_note]._replace(
+        payload=None, transcript="osmosis is diffusion of water"
     )
     result = run_session(scenario, overrides={"client": "live"})
     assert result.decisions
@@ -610,7 +634,7 @@ def test_validator_flags_stream_summaries_that_disagree_with_the_trace():
     notes_summary = next(e for e in events if e.kind == "stream_summary" and e.payload["stream"] == "notes")
 
     def with_notes_summary(**changes):
-        doctored = dataclasses.replace(notes_summary, payload=dict(notes_summary.payload, **changes))
+        doctored = notes_summary._replace(payload=dict(notes_summary.payload, **changes))
         return [doctored if e is notes_summary else e for e in events]
 
     assert validate_trace(header, with_notes_summary(reordered=1)) == [
@@ -621,7 +645,7 @@ def test_validator_flags_stream_summaries_that_disagree_with_the_trace():
     ]
     missing = [e for e in events if e is not notes_summary]
     assert validate_trace(header, missing) == ["stream 'notes': ingest events but no stream_summary"]
-    twice = sorted(events + [dataclasses.replace(notes_summary, seq=len(events))], key=TraceEvent.sort_key)
+    twice = sorted(events + [notes_summary._replace(seq=len(events))], key=TraceEvent.sort_key)
     assert validate_trace(header, twice) == ["stream 'notes': more than one stream_summary"]
 
 
@@ -737,7 +761,7 @@ def test_expected_calibration_window_counts():
     cfg = SessionConfig()
     assert expected_calibration_windows(cfg, StreamKind.PUPIL_GAZE) == 30
     assert expected_calibration_windows(cfg, StreamKind.RR_INTERVAL) == 25
-    short = dataclasses.replace(cfg, calibration_duration_s=5.0)
+    short = cfg._replace(calibration_duration_s=5.0)
     assert expected_calibration_windows(short, StreamKind.RR_INTERVAL) == 0
 
 
@@ -750,8 +774,8 @@ def test_expected_calibration_windows_count_the_grid(calibration, length, hop):
     merger.ingest(heart, calibration, RRSample(rr_ms=800.0))
     merger.flush()
     windows = merger.pop_windows(StreamKind.RR_INTERVAL, length, hop)
-    cfg = dataclasses.replace(
-        SessionConfig(), calibration_duration_s=calibration, window_hop_s=hop,
+    cfg = SessionConfig(
+        calibration_duration_s=calibration, window_hop_s=hop,
         window_length_s={**SessionConfig().window_length_s, StreamKind.RR_INTERVAL: length},
     )
     assert expected_calibration_windows(cfg, StreamKind.RR_INTERVAL) == len(windows)
