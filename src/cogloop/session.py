@@ -101,6 +101,9 @@ KIND_PRIORITY: dict[str, int] = {
 
 # the counts a stream_summary event carries, one per ingest outcome
 INGEST_OUTCOMES = tuple(outcome.value for outcome in IngestOutcome)
+# the outcomes an ingest event traces: a sample the merger accepts in
+# order is only counted
+LATE_OUTCOMES = (IngestOutcome.REORDERED.value, IngestOutcome.DROPPED_LATE.value)
 
 
 class TraceEvent(Slotted):
@@ -133,7 +136,12 @@ class _Recorder:
     (``add``). seq numbers the arrivals first, then the engine's events,
     each in the order recorded: among events of one time and priority,
     an arrival comes before the engine's events, whichever was recorded
-    first, as a cause before its effects."""
+    first, as a cause before its effects.
+
+    A payload is kept by reference until ``sorted_events``, so an event
+    noted once can still be updated: an ``ingest`` event is noted when
+    its run of late samples opens, and keeps that t and seq while the
+    run's later samples raise its ``count`` and move its ``last_t``."""
 
     def __init__(self):
         self.arrivals: list[tuple[float, str, dict]] = []
@@ -322,6 +330,9 @@ class Session:
         self.baseline: CalibrationProfile | None = None
         self._pace = pace
         self._recorder = _Recorder()
+        # each stream's open run of late samples: (the stream's ingested
+        # count at the run's last sample, the run's ingest payload)
+        self._late_runs: dict[str, tuple[int, dict]] = {}
         self._merger = StreamMerger(jitter_tolerance_s=cfg.jitter_tolerance_s)
         for descriptor in header.streams:
             self._merger.register_stream(descriptor)
@@ -415,9 +426,25 @@ class Session:
 
         outcome = merger.ingest(registration, session_t, payload, record.source_confidence)
         if outcome is not ACCEPTED:
-            self._recorder.note(session_t, "ingest", {"stream": record.stream_id, "outcome": outcome.value})
+            self._note_late(record.stream_id, registration.ingested, session_t, outcome.value)
         if merger.watermark >= self._due:
             self._advance()
+
+    def _note_late(self, stream: str, ingested: int, session_t: float, outcome: str) -> None:
+        """Trace the stream's ``ingested``-th sample, which came late. It
+        extends the stream's open run when it is the run's next ingested
+        sample and has the run's outcome; otherwise it opens a run, an
+        ``ingest`` event at its own time. An accepted sample closes a run
+        with no work here: it moves the ingested count past the run."""
+        run = self._late_runs.get(stream)
+        if run is not None and run[0] == ingested - 1 and run[1]["outcome"] == outcome:
+            payload = run[1]
+            payload["count"] += 1
+            payload["last_t"] = session_t
+        else:
+            payload = {"stream": stream, "outcome": outcome, "count": 1, "last_t": session_t}
+            self._recorder.note(session_t, "ingest", payload)
+        self._late_runs[stream] = (ingested, payload)
 
     def close(self) -> SessionResult:
         """Flush the merger, cut and walk the rest, and return the result."""
@@ -738,7 +765,12 @@ def _is_dims(dims) -> bool:
 
 # the payload fields validate_trace and summarize read, by event kind
 PAYLOAD_FIELDS: dict[str, dict[str, tuple[str, Callable[[object], bool]]]] = {
-    "ingest": {"stream": _STRING, "outcome": _one_of(INGEST_OUTCOMES)},
+    "ingest": {
+        "stream": _STRING,
+        "outcome": _one_of(LATE_OUTCOMES),
+        "count": ("an integer of at least 1", lambda value: _is_int(value) and value >= 1),
+        "last_t": ("a finite number", _is_finite_number),
+    },
     "stream_summary": {
         "stream": _STRING,
         **{outcome: _COUNT for outcome in INGEST_OUTCOMES},
@@ -885,7 +917,8 @@ def validate_trace(header: dict, events: list[TraceEvent]) -> list[str]:
         [0, MAX_SESSION_S];
       - every stream has at most one stream_summary, a stream that
         ingest events name has one, and its reordered and dropped_late
-        counts equal the number of its ingest events with that outcome.
+        counts equal the summed ``count`` of its ingest events (one per
+        run of late samples) with that outcome.
     """
     cfg = config_from_dict(header["config"])
     violations: list[str] = []
@@ -994,15 +1027,15 @@ def _stream_summary_violations(events: list[TraceEvent]) -> list[str]:
             summaries[stream] = event.payload
         elif event.kind == "ingest":
             key = (event.payload["stream"], event.payload["outcome"])
-            traced[key] = traced.get(key, 0) + 1
+            traced[key] = traced.get(key, 0) + event.payload["count"]
     for stream in sorted({stream for stream, _ in traced} - summaries.keys()):
         violations.append(f"stream {stream!r}: ingest events but no stream_summary")
     for stream, summary in summaries.items():
-        for outcome in (IngestOutcome.REORDERED.value, IngestOutcome.DROPPED_LATE.value):
+        for outcome in LATE_OUTCOMES:
             count = traced.get((stream, outcome), 0)
             if summary[outcome] != count:
                 violations.append(
                     f"stream {stream!r}: stream_summary counts {summary[outcome]} {outcome}, "
-                    f"the trace has {count} {outcome} ingest events"
+                    f"its {outcome} ingest runs count {count}"
                 )
     return violations

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import resource
 import subprocess
@@ -342,6 +343,11 @@ def test_sync_that_moves_gaze_time_back_is_a_warning(tmp_path, capsys):
 CONFIG_HEADER = json.dumps({"type": "header", "config": {}})
 
 
+def _ingest_event(**changes):
+    payload = {"stream": "heart", "outcome": "dropped_late", "count": 2, "last_t": 1.5, **changes}
+    return {"t": 1.0, "kind": "ingest", "payload": payload}
+
+
 @pytest.mark.parametrize(
     "commands,lines,message",
     [
@@ -353,11 +359,22 @@ CONFIG_HEADER = json.dumps({"type": "header", "config": {}})
          "line 1: trace header needs a config object"),
         (["summarize"], [CONFIG_HEADER, {"t": 1.0, "kind": "ingest", "payload": {"stream": "heart"}}],
          "line 2: ingest payload missing field 'outcome'"),
+        # an ingest event is a run of late samples; accepted ones are only counted
+        (["validate", "summarize"], [CONFIG_HEADER, _ingest_event(outcome="accepted")],
+         "line 2: ingest payload field 'outcome' must be one of reordered, dropped_late, got 'accepted'"),
+        (["validate", "summarize"], [CONFIG_HEADER, _ingest_event(count=0)],
+         "line 2: ingest payload field 'count' must be an integer of at least 1, got 0"),
+        (["validate", "summarize"], [CONFIG_HEADER, _ingest_event(last_t=math.inf)],
+         "line 2: ingest payload field 'last_t' must be a finite number, got inf"),
     ],
-    ids=["unknown_kind", "empty_decision", "header_without_config", "ingest_without_outcome"],
+    ids=[
+        "unknown_kind", "empty_decision", "header_without_config", "ingest_without_outcome",
+        "ingest_of_accepted_samples", "ingest_run_of_no_samples", "ingest_run_ending_at_infinity",
+    ],
 )
 def test_hand_edited_trace_exits_2_with_the_line(tmp_path, capsys, commands, lines, message):
-    # each of these ended in a KeyError traceback, exit 1
+    # each fails in read_trace with its line, not in a KeyError traceback
+    # inside the audit, and not silently past it
     trace = tmp_path / "edited.trace.jsonl"
     header, event = lines
     trace.write_text(f"{header}\n{json.dumps(dict(type='event', seq=0, **event))}\n")

@@ -57,9 +57,9 @@ GOLDEN = {
     ),
     # seeded arrival order: the merger reorders some samples and drops others
     ("stress_ramp:arrivals", None): (
-        "4a47891ad47a96f5f54830bee8c518b517db2e22ae6a4d737b686306584edcc8",
+        "68f413cb500804f36bc78cd9cd2db19652ce467c6162e49ef873f1fe712e3020",
         "daa3ac567e2bd52017d4190ea5ffcc4dab1c678b8b9a12dfe3d87cf2fcce6f47",
-        "0b59635bd74c759b759e8fa96644d70f6fe5fcb71ba9d5f80c6fea260bcbe3ea",
+        "2ebe2229e9db1328c7ffae336e0514bfb16baf4385f69567cdd31723bd41ff1b",
     ),
 }
 

@@ -583,14 +583,20 @@ def _arrival_lines(arrivals):
     ]
 
 
+def _ingest_runs(events):
+    return [
+        (e.t, e.payload["stream"], e.payload["outcome"], e.payload["count"], e.payload["last_t"])
+        for e in events if e.kind == "ingest"
+    ]
+
+
 def test_only_reordered_and_dropped_samples_get_ingest_events():
     result = run_session(parse_scenario_lines(_arrival_lines(ARRIVALS)))
-    ingests = [(e.t, e.payload["stream"], e.payload["outcome"]) for e in result.events if e.kind == "ingest"]
-    assert ingests == [
-        (1.9, "notes", "reordered"),
-        (2.9, "notes", "dropped_late"),
-        (3.0, "notes", "dropped_late"),
-        (5.8, "notes", "reordered"),
+    # the notes at 2.9 and 3.0 s are dropped one after the other: one run
+    assert _ingest_runs(result.events) == [
+        (1.9, "notes", "reordered", 1, 1.9),
+        (2.9, "notes", "dropped_late", 2, 3.0),
+        (5.8, "notes", "reordered", 1, 5.8),
     ]
 
     merger = StreamMerger(jitter_tolerance_s=0.25)
@@ -638,10 +644,15 @@ def test_validator_flags_stream_summaries_that_disagree_with_the_trace():
         return [doctored if e is notes_summary else e for e in events]
 
     assert validate_trace(header, with_notes_summary(reordered=1)) == [
-        "stream 'notes': stream_summary counts 1 reordered, the trace has 2 reordered ingest events"
+        "stream 'notes': stream_summary counts 1 reordered, its reordered ingest runs count 2"
     ]
     assert validate_trace(header, with_notes_summary(dropped_late=0)) == [
-        "stream 'notes': stream_summary counts 0 dropped_late, the trace has 2 dropped_late ingest events"
+        "stream 'notes': stream_summary counts 0 dropped_late, its dropped_late ingest runs count 2"
+    ]
+    dropped_run = next(e for e in events if e.kind == "ingest" and e.payload["outcome"] == "dropped_late")
+    doctored_run = dropped_run._replace(payload=dict(dropped_run.payload, count=3))
+    assert validate_trace(header, [doctored_run if e is dropped_run else e for e in events]) == [
+        "stream 'notes': stream_summary counts 2 dropped_late, its dropped_late ingest runs count 3"
     ]
     missing = [e for e in events if e is not notes_summary]
     assert validate_trace(header, missing) == ["stream 'notes': ingest events but no stream_summary"]
@@ -672,6 +683,107 @@ def test_trace_grows_with_windows_and_ticks_not_with_records():
     assert records_60 - records_30 >= 29 * 60  # the extra gaze samples
     assert kinds_60 == kinds_30
     assert "ingest" not in kinds_60
+
+
+def test_trace_grows_with_stalls_not_with_their_length():
+    # gaze every 0.1 s and a beat every 0.5 s; the gaze samples from 10 s
+    # to the end of the stall arrive 1 s after it, behind the beats
+    def replay(stall_s):
+        stall_end = 10.0 + stall_s
+        records = []
+        for i in range(300):
+            t = i / 10
+            arrival = stall_end + 1.0 if 10.0 <= t < stall_end + 1.0 else t
+            records.append((arrival, t, json.dumps(
+                {"type": "sample", "stream": "gaze", "t": t, "x": 0.5, "y": 0.5, "pupil_mm": 3.0}
+            )))
+        for i in range(60):
+            t = i / 2
+            records.append((t, t, json.dumps({"type": "sample", "stream": "heart", "t": t, "rr_ms": 500})))
+        records.sort(key=lambda record: record[:2])
+        streams = [
+            {"stream_id": "gaze", "kind": "pupil_gaze", "nominal_rate_hz": 10.0},
+            {"stream_id": "heart", "kind": "rr_interval", "nominal_rate_hz": 2.0},
+        ]
+        lines = [_header_lines(streams, config={"jitter_tolerance_s": 0.25})] + [line for _, _, line in records]
+        result = run_session(parse_scenario_lines(lines))
+        assert validate_trace({"config": config_to_dict(result.config)}, result.events) == []
+        return _ingest_runs(result.events)
+
+    short, long = replay(2.0), replay(8.0)
+    assert len(short) == len(long) == 2
+    # dropped: 10 s up to the watermark, 0.25 s behind the beat at 0.5 s
+    # after the stall; reordered: the two gaze samples after the watermark
+    assert [run[2:4] for run in short] == [("dropped_late", 23), ("reordered", 2)]
+    assert [run[2:4] for run in long] == [("dropped_late", 83), ("reordered", 2)]
+
+
+_LATE_RUN_STREAMS = {
+    "heart": ({"kind": "rr_interval", "nominal_rate_hz": 1.0}, {"rr_ms": 800}),
+    "notes": ({"kind": "note_score", "nominal_rate_hz": 0.1}, {"correctness": 0.8}),
+    "cam": (
+        {"kind": "posture_landmarks", "nominal_rate_hz": 5.0},
+        {"landmarks": {"shoulder_left": [0.4, 0.5], "shoulder_right": [0.6, 0.5]}},
+    ),
+}
+
+
+@st.composite
+def _late_arrivals(draw):
+    """(stream ids, sample lines in arrival order) for two or three
+    streams. Times are in tenths of a second; each sample is delayed by
+    0-0.2 s, inside the 0.25 s jitter tolerance, or by 0.3-1.5 s,
+    outside it, and never overtakes an earlier sample of its stream."""
+    streams = draw(st.lists(st.sampled_from(sorted(_LATE_RUN_STREAMS)), min_size=2, max_size=3, unique=True))
+    keyed = []
+    for stream in streams:
+        t = arrival = 0
+        # breaks ties with other streams' samples of the same arrival
+        rank = draw(st.integers(min_value=0, max_value=3))
+        for index in range(draw(st.integers(min_value=1, max_value=12))):
+            t += draw(st.integers(min_value=0, max_value=8))
+            delay = draw(st.one_of(st.integers(min_value=0, max_value=2), st.integers(min_value=3, max_value=15)))
+            arrival = max(arrival, t + delay)
+            line = json.dumps({"type": "sample", "stream": stream, "t": t / 10, **_LATE_RUN_STREAMS[stream][1]})
+            keyed.append((arrival, rank, stream, index, line))
+    keyed.sort(key=lambda entry: entry[:4])
+    return streams, [line for *_, line in keyed]
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrivals=_late_arrivals())
+def test_ingest_events_run_length_encode_the_mergers_outcomes(arrivals):
+    streams, lines = arrivals
+    descriptors = [{"stream_id": stream, **_LATE_RUN_STREAMS[stream][0]} for stream in streams]
+    scenario = parse_scenario_lines([_header_lines(descriptors, config={"jitter_tolerance_s": 0.25})] + lines)
+
+    # the oracle: a bare merger's per-sample outcomes, run-length encoded
+    # per stream; a run opens at its first sample
+    merger = StreamMerger(jitter_tolerance_s=0.25)
+    open_runs, runs = {}, []
+    for descriptor in scenario.header.streams:
+        merger.register_stream(descriptor)
+    for record in scenario.records:
+        outcome = merger.ingest(merger.registrations[record.stream_id], record.t, record.payload).value
+        run = open_runs.get(record.stream_id)
+        if outcome == "accepted":
+            open_runs.pop(record.stream_id, None)
+        elif run is not None and run["outcome"] == outcome:
+            run["count"] += 1
+            run["last_t"] = record.t
+        else:
+            open_runs[record.stream_id] = run = {
+                "t": record.t, "stream": record.stream_id, "outcome": outcome, "count": 1, "last_t": record.t,
+            }
+            runs.append(run)
+    expected = [
+        (run["t"], run["stream"], run["outcome"], run["count"], run["last_t"])
+        for run in sorted(runs, key=lambda run: run["t"])  # stable: opening order within one time
+    ]
+
+    result = run_session(scenario)
+    assert _ingest_runs(result.events) == expected
+    assert validate_trace({"config": config_to_dict(result.config)}, result.events) == []
 
 
 # ---------------------------------------------------------------------------
