@@ -16,7 +16,7 @@ import json
 import sys
 from importlib import resources
 
-from .config import config_to_dict, parse_config_text
+from .config import parse_config_text
 from .errors import ConfigError, ScenarioError
 from .scenario import first_escaped_line, load_profile, load_scenario, synthesize, write_scenario
 from .session import read_trace, run_session, summarize, validate_trace, write_trace
@@ -79,7 +79,7 @@ def _cmd_run(args) -> int:
     if args.trace:
         write_trace(result, args.trace)
 
-    summary = summarize({"config": config_to_dict(result.config)}, result.events)
+    summary = summarize({"config": result.config}, result.events)
     print(f"events: {len(result.events)}")
     print(f"decisions: {summary['decisions_total']}")
     for category, count in summary["decisions_by_category"].items():

@@ -60,6 +60,8 @@ PRIORITY_ORDER = (
 # Directional gate for the challenge-enhancement composite: cognitive
 # load this far below baseline (signed z) with engagement above it.
 CHALLENGE_LOAD_CEILING = -1.0
+# the dimensions the composite reads: load, then engagement
+COMPOSITE_DIMENSIONS = (Dimension.COGNITIVE_LOAD, Dimension.ENGAGEMENT)
 
 
 def severity_of(score: float) -> Severity:
@@ -231,22 +233,23 @@ ROUTES: tuple[tuple[Dimension, bool], ...] = (
 )
 
 
-def _reading(
+def route_reading(
     dimension: Dimension, composite: bool, state: StateVector, policy: TriggerPolicy
 ) -> tuple[float, float, int] | None:
     """(score, confidence, supra channels) when the route is active.
 
     A dimension is active above the trigger threshold; the composite
     when cognitive load sits well below baseline with engagement above
-    it. Either way the confidence must clear the floor.
+    it. Either way the confidence must clear the floor. The rule reads
+    only the route's own dimensions: the plain route's, or
+    ``COMPOSITE_DIMENSIONS``.
     """
     if not composite:
         ds = state.dims[dimension]
         if ds.observed and ds.score > policy.trigger_threshold and ds.confidence > policy.confidence_min:
             return ds.score, ds.confidence, ds.supra_channels
         return None
-    load = state.dims[Dimension.COGNITIVE_LOAD]
-    engagement = state.dims[Dimension.ENGAGEMENT]
+    load, engagement = (state.dims[d] for d in COMPOSITE_DIMENSIONS)
     confidence = min(load.confidence, engagement.confidence)
     if (
         load.observed
@@ -320,7 +323,7 @@ class InterventionEngine:
 
         candidates: list[Candidate] = []
         for (dimension, composite), run in self.runs.items():
-            reading = _reading(dimension, composite, state, policy)
+            reading = route_reading(dimension, composite, state, policy)
             if reading is None:
                 run.clear()
                 continue

@@ -129,7 +129,7 @@ def _is_finite_number(value) -> bool:
     )
 
 
-def _is_seed(value) -> bool:
+def _is_int(value) -> bool:
     """A JSON integer; booleans are not integers here."""
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -286,9 +286,9 @@ def _sample_parser(descriptor: StreamDescriptor) -> Callable[[dict, int], Sample
     return parse
 
 
-# One decoder for every line. The lines are stripped, so decoding from
-# position 0 and refusing anything after the value accepts and rejects
-# what json.loads does, without its whitespace scans.
+# One decoder for every scenario and trace line. The lines are stripped,
+# so decoding from position 0 and refusing anything after the value
+# accepts and rejects what json.loads does, without its whitespace scans.
 _decode = json.JSONDecoder().raw_decode
 
 
@@ -377,7 +377,7 @@ def _shared_fields(obj: dict, line_no: int | None = None) -> dict:
     except ValueError:
         raise ScenarioError(f"unknown modality {modality_raw!r}", line_no) from None
     seed = obj.get("seed", 0)
-    if not _is_seed(seed):
+    if not _is_int(seed):
         raise ScenarioError(f"seed must be an integer, got {seed!r}", line_no)
     config_entries = obj.get("config", {})
     if not isinstance(config_entries, dict):
@@ -491,7 +491,8 @@ def load_scenario(path) -> Scenario:
 # ---------------------------------------------------------------------------
 # serialization
 
-# one encoder for every line written: sorted keys, no spaces
+# one encoder for every scenario and trace line written: sorted keys,
+# no spaces
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 

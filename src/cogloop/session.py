@@ -53,12 +53,14 @@ from .errors import (
 )
 from .gaze import GazeTrack, window_gaze_features
 from .interventions import (
-    CHALLENGE_LOAD_CEILING,
+    COMPOSITE_DIMENSIONS,
+    ROUTES,
     Category,
     InterventionDecision,
     InterventionEngine,
     StrategyTable,
     TriggerPolicy,
+    route_reading,
 )
 from .model import Dimension, PostureSample, Slotted, StreamKind, Timestamp
 from .scenario import (
@@ -67,7 +69,10 @@ from .scenario import (
     Scenario,
     ScenarioHeader,
     SyncRecord,
+    _decode,
+    _encode,
     _is_finite_number,
+    _is_int,
     utf8_text,
 )
 from .state import (
@@ -75,6 +80,7 @@ from .state import (
     CHANNEL_POSTURE,
     CalibrationProfile,
     ChannelFeature,
+    DimensionState,
     Extraction,
     StateVector,
     compute_baseline,
@@ -173,6 +179,11 @@ def _on_span(t: float) -> float:
     """A session time clamped into [0, MAX_SESSION_S]: where an event
     about a time off the span is stamped."""
     return min(t, MAX_SESSION_S) if t >= 0.0 else 0.0
+
+
+def _trigger_policy(cfg: SessionConfig) -> TriggerPolicy:
+    """The trigger knobs of a config, as the engine and the audit read them."""
+    return TriggerPolicy(cfg.trigger_threshold, cfg.confidence_min, cfg.consecutive_windows, cfg.persistence_s)
 
 
 def _make_client(cfg: SessionConfig, header: ScenarioHeader) -> GenerationClient:
@@ -353,12 +364,7 @@ class Session:
         # live features cut but not yet read by a tick, in time order
         self._live: list[ChannelFeature] = []
         self._engine = InterventionEngine(
-            policy=TriggerPolicy(
-                trigger_threshold=cfg.trigger_threshold,
-                confidence_min=cfg.confidence_min,
-                consecutive_windows=cfg.consecutive_windows,
-                persistence_s=cfg.persistence_s,
-            ),
+            policy=_trigger_policy(cfg),
             cooldown_s=cfg.cooldown_s,
             modality=header.modality,
             table=StrategyTable().with_template_overrides(cfg.strategy_overrides),
@@ -702,14 +708,6 @@ def _decision_payload(decision: InterventionDecision) -> dict:
 # ---------------------------------------------------------------------------
 # trace files
 
-# One encoder for every trace line (sorted keys, no spaces) and one
-# decoder. Read lines are stripped, so decoding from position 0 and
-# refusing anything after the value accepts and rejects what json.loads
-# does, without its whitespace scans.
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-_decode = json.JSONDecoder().raw_decode
-
-
 def write_trace(result: SessionResult, path) -> None:
     header = {
         "type": "header",
@@ -731,10 +729,6 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _one_of(values) -> tuple[str, Callable[[object], bool]]:
     return f"one of {', '.join(values)}", lambda value: isinstance(value, str) and value in values
 
@@ -747,7 +741,7 @@ _FLAG = ("true or false", lambda value: isinstance(value, bool))
 _DIMENSION_NAMES = frozenset(dim.value for dim in Dimension)
 _DIMENSION = _one_of([dim.value for dim in Dimension])
 _DIMENSION_STATE = {
-    "score": _NUMBER, "confidence": _NUMBER, "signed_score": _NUMBER, "observed": _FLAG,
+    "score": _NUMBER, "confidence": _NUMBER, "signed_score": _NUMBER, "observed": _FLAG, "supra_channels": _COUNT,
 }
 
 
@@ -778,12 +772,14 @@ PAYLOAD_FIELDS: dict[str, dict[str, tuple[str, Callable[[object], bool]]]] = {
         "last_t": _TIME_OR_NULL,
     },
     "state_vector": {
-        "dims": ("an object of every dimension's score, confidence, signed_score and observed", _is_dims),
+        "dims": ("an object of every dimension's score, confidence, signed_score, observed and supra_channels",
+                 _is_dims),
     },
     "candidate": {"dimension": _DIMENSION},
     "decision": {
         "dimension": _DIMENSION,
         "category": _one_of([category.value for category in Category]),
+        "triggering_score": _NUMBER,
         "confidence": _NUMBER,
         "composite": _FLAG,
     },
@@ -817,17 +813,21 @@ def _trace_event(obj: dict, line_no: int) -> TraceEvent:
     return TraceEvent(t, kind, seq, payload)
 
 
-def _check_trace_header(header: dict, line_no: int) -> None:
+def _trace_config(header: dict, line_no: int) -> SessionConfig:
     config = header.get("config")
     if not isinstance(config, dict):
         raise ScenarioError("trace header needs a config object", line_no)
     try:
-        config_from_dict(config)
+        return config_from_dict(config)
     except ConfigError as error:
         raise ScenarioError(f"trace header config: {error}", line_no) from None
 
 
 def read_trace(path) -> tuple[dict, list[TraceEvent]]:
+    """The header and events of a trace; a bad line is a ScenarioError
+    naming it. Each event holds the fields the audit reads, and the
+    header's config is decoded once, here, into the ``SessionConfig``
+    that ``validate_trace`` and ``summarize`` read."""
     header: dict | None = None
     events: list[TraceEvent] = []
     with utf8_text(path) as handle:
@@ -846,7 +846,7 @@ def read_trace(path) -> tuple[dict, list[TraceEvent]]:
             if obj.get("type") == "header":
                 if header is not None:
                     raise ScenarioError("duplicate trace header", line_no)
-                _check_trace_header(obj, line_no)
+                obj["config"] = _trace_config(obj, line_no)
                 header = obj
                 continue
             if obj.get("type") != "event":
@@ -860,8 +860,9 @@ def read_trace(path) -> tuple[dict, list[TraceEvent]]:
 
 
 def summarize(header: dict, events: list[TraceEvent]) -> dict:
-    """Aggregate counts a human wants first when reading a trace."""
-    cfg = config_from_dict(header["config"])
+    """Aggregate counts a human wants first when reading a trace whose
+    header holds its ``SessionConfig`` (as ``read_trace`` returns it)."""
+    cfg = header["config"]
     ingest_outcomes = dict.fromkeys(INGEST_OUTCOMES, 0)
     decisions_by_category: dict[str, int] = {}
     decisions_by_dimension: dict[str, int] = {}
@@ -906,10 +907,15 @@ def summarize(header: dict, events: list[TraceEvent]) -> dict:
 def validate_trace(header: dict, events: list[TraceEvent]) -> list[str]:
     """Check the closed-loop invariants a finished trace must satisfy.
 
-    Violations (empty list when clean):
-      - every decision is preceded by enough consecutive qualifying
-        state vectors, spanning at least the persistence time;
-      - decision confidence clears the floor;
+    ``header["config"]`` is the trace's ``SessionConfig``, as
+    ``read_trace`` returns it. Violations (empty list when clean):
+      - every decision takes one of the engine's trigger routes
+        (``interventions.ROUTES``), and the engine's own rule for it
+        (``route_reading``) reads the state vector at the decision's
+        time as active, with the decision's triggering_score and
+        confidence;
+      - the route reads active on enough consecutive state vectors up
+        to the decision, spanning at least the persistence time;
       - decisions of one category are spaced by at least the category
         cooldown (boundary inclusive);
       - every decision coincides with a candidate of the same dimension;
@@ -920,7 +926,8 @@ def validate_trace(header: dict, events: list[TraceEvent]) -> list[str]:
         counts equal the summed ``count`` of its ingest events (one per
         run of late samples) with that outcome.
     """
-    cfg = config_from_dict(header["config"])
+    cfg = header["config"]
+    policy = _trigger_policy(cfg)
     violations: list[str] = []
 
     keys = [e.sort_key() for e in events]
@@ -937,65 +944,37 @@ def validate_trace(header: dict, events: list[TraceEvent]) -> list[str]:
     candidates = {(e.t, e.payload["dimension"]) for e in events if e.kind == "candidate"}
     decisions = [e for e in events if e.kind == "decision"]
 
-    def qualifying_run(t: float, qualifies) -> tuple[int, float] | None:
-        """Length and span of the maximal qualifying run ending at t."""
-        index = state_index.get(t)
-        if index is None:
-            return None
-        count = 0
-        first_t = t
-        for i in range(index, -1, -1):
-            if not qualifies(states[i].payload["dims"]):
-                break
-            count += 1
-            first_t = states[i].t
-        if count == 0:
-            return None
-        return count, t - first_t
-
     for event in decisions:
-        dim = event.payload["dimension"]
+        payload = event.payload
+        dim = payload["dimension"]
         label = f"decision t={event.t} {dim}"
         if (event.t, dim) not in candidates:
             violations.append(f"{label}: no matching candidate event")
-        if not event.payload["confidence"] > cfg.confidence_min:
-            violations.append(
-                f"{label}: confidence {event.payload['confidence']} not above {cfg.confidence_min}"
-            )
-
-        if event.payload["composite"]:
-            def qualifies(dims, _cfg=cfg):
-                load = dims[Dimension.COGNITIVE_LOAD.value]
-                eng = dims[Dimension.ENGAGEMENT.value]
-                return (
-                    load["observed"] and eng["observed"]
-                    and load["signed_score"] <= CHALLENGE_LOAD_CEILING
-                    and eng["signed_score"] > 0.0
-                    and min(load["confidence"], eng["confidence"]) > _cfg.confidence_min
-                )
-        else:
-            def qualifies(dims, _dim=dim, _cfg=cfg):
-                ds = dims[_dim]
-                return (
-                    ds["observed"]
-                    and ds["score"] > _cfg.trigger_threshold
-                    and ds["confidence"] > _cfg.confidence_min
-                )
-
-        run = qualifying_run(event.t, qualifies)
-        if run is None:
+        route = (Dimension(dim), payload["composite"])
+        if route not in ROUTES:
+            violations.append(f"{label}: no trigger route for dimension {dim} with composite {route[1]}")
+            continue
+        index = state_index.get(event.t)
+        reading = None if index is None else _traced_reading(route, states[index], policy)
+        if reading is None:
             violations.append(f"{label}: no qualifying state vector at decision time")
             continue
-        count, span = run
-        if count < cfg.consecutive_windows:
+        for field, value in zip(("triggering_score", "confidence"), reading):
+            if payload[field] != value:
+                violations.append(f"{label}: {field} {payload[field]} is not the reading's {value}")
+        # walk back while the route reads active, until both gates hold
+        count, span = 1, 0.0
+        while (count < policy.consecutive_windows or span < policy.persistence_s) and index > 0:
+            index -= 1
+            if _traced_reading(route, states[index], policy) is None:
+                break
+            count, span = count + 1, event.t - states[index].t
+        if count < policy.consecutive_windows:
             violations.append(
-                f"{label}: only {count} consecutive qualifying windows, "
-                f"need {cfg.consecutive_windows}"
+                f"{label}: only {count} consecutive qualifying windows, need {policy.consecutive_windows}"
             )
-        if span < cfg.persistence_s:
-            violations.append(
-                f"{label}: qualifying span {span}s is shorter than persistence {cfg.persistence_s}s"
-            )
+        if span < policy.persistence_s:
+            violations.append(f"{label}: qualifying span {span}s is shorter than persistence {policy.persistence_s}s")
 
     last_by_category: dict[str, TraceEvent] = {}
     for event in decisions:
@@ -1013,6 +992,21 @@ def validate_trace(header: dict, events: list[TraceEvent]) -> list[str]:
                 )
         last_by_category[category] = event
     return violations
+
+
+def _traced_reading(route: tuple[Dimension, bool], state: TraceEvent, policy: TriggerPolicy):
+    """The engine's reading of a route on a traced state vector. Only the
+    route's own dimensions are rebuilt, without the descriptor that no
+    trigger rule reads."""
+    dimension, composite = route
+    traced = state.payload["dims"]
+    dims = {}
+    for d in COMPOSITE_DIMENSIONS if composite else (dimension,):
+        ds = traced[d.value]
+        dims[d] = DimensionState(
+            ds["score"], ds["confidence"], None, ds["observed"], ds["signed_score"], ds["supra_channels"]
+        )
+    return route_reading(dimension, composite, StateVector(state.t, dims), policy)
 
 
 def _stream_summary_violations(events: list[TraceEvent]) -> list[str]:

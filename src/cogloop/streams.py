@@ -169,13 +169,10 @@ class StreamMerger:
         ``session_t``, its producer time under the stream's offset
         (``registration.session_time``).
 
-        The parser has checked the sample itself; this checks what the
-        envelope adds, the session time and the source confidence.
+        The caller owns the checks: the parser checks the sample and its
+        source confidence, ``Session.push`` that ``session_t`` lies on
+        the session span.
         """
-        if not 0.0 <= session_t < math.inf:
-            raise ValueError(f"session time must be finite and non-negative, got {session_t!r}")
-        if not 0.0 <= source_confidence <= 1.0:
-            raise ValueError(f"source_confidence must lie in [0, 1], got {source_confidence!r}")
         registration.ingested += 1
 
         if session_t < self.watermark:

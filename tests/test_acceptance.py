@@ -17,7 +17,6 @@ import pytest
 
 from cogloop.behavior import PostureCategory, categorize_posture
 from cogloop.cardio import StressBand, classify_stress, pnn50, rmssd, sdnn
-from cogloop.config import config_to_dict
 from cogloop.directives import (
     LearningContext,
     TEMPLATE_IDS,
@@ -390,7 +389,7 @@ def test_criterion_09_prompts_never_leak_numeric_state():
 def test_criterion_10_all_bundled_traces_validate(profile_results):
     failures = []
     for name, result in profile_results.items():
-        header = {"type": "header", "config": config_to_dict(result.config)}
+        header = {"type": "header", "config": result.config}
         violations = validate_trace(header, result.events)
         for violation in violations:
             failures.append(f"{name}: {violation}")

@@ -348,6 +348,19 @@ def _ingest_event(**changes):
     return {"t": 1.0, "kind": "ingest", "payload": payload}
 
 
+def _state_vector_event(supra_channels):
+    dims = {dimension: {"score": 0.0, "confidence": 1.0, "signed_score": 0.0, "observed": True, "supra_channels": 0}
+            for dimension in ["attention", "cognitive_load", "engagement", "fatigue", "stress", "understanding"]}
+    dims["engagement"]["supra_channels"] = supra_channels
+    return {"t": 1.0, "kind": "state_vector", "payload": {"dims": dims}}
+
+
+def _decision_event(**changes):
+    payload = {"dimension": "stress", "category": "physiological", "triggering_score": 2.0, "confidence": 1.0,
+               "composite": False, **changes}
+    return {"t": 1.0, "kind": "decision", "payload": payload}
+
+
 @pytest.mark.parametrize(
     "commands,lines,message",
     [
@@ -366,10 +379,17 @@ def _ingest_event(**changes):
          "line 2: ingest payload field 'count' must be an integer of at least 1, got 0"),
         (["validate", "summarize"], [CONFIG_HEADER, _ingest_event(last_t=math.inf)],
          "line 2: ingest payload field 'last_t' must be a finite number, got inf"),
+        # the audit reads these with the engine's own trigger rule
+        (["validate", "summarize"], [CONFIG_HEADER, _state_vector_event(supra_channels="2")],
+         "line 2: state_vector payload field 'dims' must be an object of every dimension's score, "
+         "confidence, signed_score, observed and supra_channels, got"),
+        (["validate", "summarize"], [CONFIG_HEADER, _decision_event(triggering_score="2.0")],
+         "line 2: decision payload field 'triggering_score' must be a number, got '2.0'"),
     ],
     ids=[
         "unknown_kind", "empty_decision", "header_without_config", "ingest_without_outcome",
         "ingest_of_accepted_samples", "ingest_run_of_no_samples", "ingest_run_ending_at_infinity",
+        "state_vector_supra_channels_not_a_count", "decision_triggering_score_not_a_number",
     ],
 )
 def test_hand_edited_trace_exits_2_with_the_line(tmp_path, capsys, commands, lines, message):

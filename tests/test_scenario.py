@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cogloop.config import MAX_SESSION_S, config_to_dict
+from cogloop.config import MAX_SESSION_S
 from cogloop.errors import ConfigError, ScenarioError
 from cogloop.model import (
     POSTURE_POINTS,
@@ -259,7 +259,7 @@ def test_mutated_sync_lines_fail_cleanly_or_replay_clean(stream, marks, position
     except ScenarioError:
         return
     result = run_session(scenario)
-    assert validate_trace({"config": config_to_dict(result.config)}, result.events) == []
+    assert validate_trace({"config": result.config}, result.events) == []
 
 
 # A small valid scenario with one stream of every kind, then one mutated
@@ -380,7 +380,7 @@ def test_mutated_header_and_sample_lines_fail_cleanly_or_replay_clean(lines):
         result = run_session(scenario)
     except (ScenarioError, ConfigError):
         return
-    assert validate_trace({"config": config_to_dict(result.config)}, result.events) == []
+    assert validate_trace({"config": result.config}, result.events) == []
 
 
 # ---------------------------------------------------------------------------

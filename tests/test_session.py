@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import cogloop
 from cogloop import session
 from cogloop.behavior import score_posture
-from cogloop.config import SessionConfig, config_to_dict
+from cogloop.config import SessionConfig, config_from_dict
 from cogloop.errors import ConfigError, MissingLandmarksError, ScenarioError
 from cogloop.interventions import CHALLENGE_LOAD_CEILING
 from cogloop.model import Dimension, NoteScoreSample, PostureSample, RRSample, StreamDescriptor, StreamKind
@@ -153,12 +153,12 @@ def test_ticks_cover_the_post_calibration_span(stress_result):
 
 
 def test_trace_validates_clean(stress_result):
-    header = {"type": "header", "config": config_to_dict(stress_result.config)}
+    header = {"type": "header", "config": stress_result.config}
     assert validate_trace(header, stress_result.events) == []
 
 
 def test_summary_matches_a_direct_recount(stress_result):
-    header = {"type": "header", "engine": "x", "config": config_to_dict(stress_result.config)}
+    header = {"type": "header", "engine": "x", "config": stress_result.config}
     summary = summarize(header, stress_result.events)
     events = stress_result.events
     assert summary["ingest"] == {
@@ -186,7 +186,7 @@ def test_trace_file_round_trip(tmp_path, stress_result):
     write_trace(stress_result, path)
     header, events = read_trace(path)
     assert header["engine"] == "cogloop-0.1.0"
-    assert header["config"] == config_to_dict(stress_result.config)
+    assert header["config"] == stress_result.config
     assert len(events) == len(stress_result.events)
     for ours, theirs in zip(stress_result.events, events):
         assert (ours.t, ours.kind, ours.seq) == (theirs.t, theirs.kind, theirs.seq)
@@ -208,21 +208,21 @@ def test_trace_lines_that_are_not_one_object_report_their_line(tmp_path, stress_
 
 
 def test_validator_flags_unsorted_events(stress_result):
-    header = {"type": "header", "config": config_to_dict(stress_result.config)}
+    header = {"type": "header", "config": stress_result.config}
     shuffled = list(reversed(stress_result.events))
     violations = validate_trace(header, shuffled)
     assert any("not sorted" in v for v in violations)
 
 
 def test_validator_flags_decision_without_candidate(stress_result):
-    header = {"type": "header", "config": config_to_dict(stress_result.config)}
+    header = {"type": "header", "config": stress_result.config}
     stripped = [e for e in stress_result.events if e.kind != "candidate"]
     violations = validate_trace(header, stripped)
     assert any("no matching candidate" in v for v in violations)
 
 
 def test_validator_flags_low_confidence_decision(stress_result):
-    header = {"type": "header", "config": config_to_dict(stress_result.config)}
+    header = {"type": "header", "config": stress_result.config}
     doctored = []
     for event in stress_result.events:
         if event.kind == "decision":
@@ -234,7 +234,7 @@ def test_validator_flags_low_confidence_decision(stress_result):
 
 
 def test_validator_flags_missing_run(stress_result):
-    header = {"type": "header", "config": config_to_dict(stress_result.config)}
+    header = {"type": "header", "config": stress_result.config}
     first_decision = next(e for e in stress_result.events if e.kind == "decision")
     # erase the qualifying history: drop every state vector before it
     doctored = [
@@ -246,7 +246,7 @@ def test_validator_flags_missing_run(stress_result):
 
 
 def test_validator_flags_cooldown_violation(stress_result):
-    header = {"type": "header", "config": config_to_dict(stress_result.config)}
+    header = {"type": "header", "config": stress_result.config}
     decision = next(e for e in stress_result.events if e.kind == "decision")
     rushed_t = decision.t + 10.0
     clone = decision._replace(t=rushed_t)
@@ -259,7 +259,7 @@ def test_validator_checks_cooldowns_with_the_engines_arithmetic():
     # at hop 0.6 stress_ramp fires comprehension decisions at 460.8 and
     # 520.8; the engine allows the second (460.8 + 60 == 520.8), though
     # 520.8 - 460.8 is 59.99999999999994
-    header = {"config": config_to_dict(SessionConfig())}  # comprehension cooldown 60 s
+    header = {"config": SessionConfig()}  # comprehension cooldown 60 s
 
     def decision(t, seq):
         payload = {"dimension": "understanding", "category": "comprehension_oriented",
@@ -273,27 +273,70 @@ def test_validator_checks_cooldowns_with_the_engines_arithmetic():
     assert len(cooldown_violations([decision(460.8, 0), decision(520.7, 1)])) == 1
 
 
+def _under_challenged_trace(load_signed_score, dimension="engagement", **decision):
+    """Three state vectors 10 s apart, with load at ``load_signed_score``
+    and engagement above baseline in each, then a composite decision on
+    ``dimension`` and its candidate at the last."""
+    dims = {dim.value: {"observed": True, "score": 0.0, "signed_score": 0.0, "confidence": 1.0, "supra_channels": 0}
+            for dim in Dimension}
+    dims[Dimension.COGNITIVE_LOAD.value]["signed_score"] = load_signed_score
+    dims[Dimension.ENGAGEMENT.value]["signed_score"] = 0.5
+    events = [TraceEvent(t, "state_vector", seq, {"dims": dims}) for seq, t in enumerate((10.0, 20.0, 30.0))]
+    events.append(TraceEvent(30.0, "candidate", 3, {"dimension": dimension}))
+    events.append(TraceEvent(30.0, "decision", 4, {
+        "dimension": dimension, "category": "challenge_enhancement", "triggering_score": abs(load_signed_score),
+        "confidence": 1.0, "composite": True, **decision,
+    }))
+    return events
+
+
 def test_validator_checks_the_composite_with_the_engines_load_ceiling():
-    header = {"config": config_to_dict(SessionConfig())}
+    header = {"config": SessionConfig()}
 
     def violations(load_signed_score):
-        # three state vectors 20 s apart, under-challenged in each, then
-        # the composite engagement decision on the last
-        dims = {dim.value: {"observed": True, "score": 0.0, "signed_score": 0.0, "confidence": 1.0}
-                for dim in Dimension}
-        dims[Dimension.COGNITIVE_LOAD.value]["signed_score"] = load_signed_score
-        dims[Dimension.ENGAGEMENT.value]["signed_score"] = 0.5
-        events = [TraceEvent(t, "state_vector", seq, {"dims": dims}) for seq, t in enumerate((10.0, 20.0, 30.0))]
-        events.append(TraceEvent(30.0, "candidate", 3, {"dimension": "engagement"}))
-        events.append(TraceEvent(30.0, "decision", 4, {
-            "dimension": "engagement", "category": "challenge_enhancement", "confidence": 1.0, "composite": True,
-        }))
-        return validate_trace(header, events)
+        return validate_trace(header, _under_challenged_trace(load_signed_score))
 
     assert violations(CHALLENGE_LOAD_CEILING) == []
     assert violations(math.nextafter(CHALLENGE_LOAD_CEILING, 0.0)) == [
         "decision t=30.0 engagement: no qualifying state vector at decision time"
     ]
+
+
+def test_validator_flags_a_route_the_engine_does_not_have():
+    # load and engagement read as under-challenged, but the composite
+    # acts on engagement only
+    events = _under_challenged_trace(-1.2, dimension="stress")
+    assert validate_trace({"config": SessionConfig()}, events) == [
+        "decision t=30.0 stress: no trigger route for dimension stress with composite True"
+    ]
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("triggering_score", 1.0, "triggering_score 1.0 is not the reading's 1.2"),
+        ("confidence", 0.9, "confidence 0.9 is not the reading's 1.0"),
+    ],
+)
+def test_validator_flags_a_decision_that_is_not_its_reading(field, value, message):
+    events = _under_challenged_trace(-1.2, **{field: value})
+    assert validate_trace({"config": SessionConfig()}, events) == [f"decision t=30.0 engagement: {message}"]
+
+
+def test_one_audit_decodes_the_trace_config_once(tmp_path, stress_result, monkeypatch):
+    path = tmp_path / "session.trace.jsonl"
+    write_trace(stress_result, path)
+    calls = []
+
+    def counted(data):
+        calls.append(data)
+        return config_from_dict(data)
+
+    monkeypatch.setattr(session, "config_from_dict", counted)
+    header, events = read_trace(path)
+    assert validate_trace(header, events) == []
+    summarize(header, events)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +375,11 @@ def test_transcript_warning_is_stamped_at_its_session_time():
     result = run_session(parse_scenario_lines(lines))
     warnings = [(e.t, e.payload["reason"]) for e in result.events if e.kind == "warning"]
     assert (130.0, "malformed_note_reply") in warnings
-    assert validate_trace({"config": config_to_dict(result.config)}, result.events) == []
+    assert validate_trace({"config": result.config}, result.events) == []
 
 
 def test_validator_flags_events_outside_the_session_span(stress_result):
-    header = {"config": config_to_dict(stress_result.config)}
+    header = {"config": stress_result.config}
     stray = TraceEvent(1e9, "warning", len(stress_result.events), {"reason": "hand_edited"})
     assert validate_trace(header, [*stress_result.events, stray]) == [
         f"warning event at t=1000000000.0: outside the session span [0, {session.MAX_SESSION_S}]"
@@ -365,7 +408,7 @@ def test_failing_live_client_degrades_to_warnings(monkeypatch):
         *((d.t, "generation_failed") for d in result.decisions),
     ]
     assert not any(e.kind == "client_reply" for e in result.events)
-    header = {"config": config_to_dict(result.config)}
+    header = {"config": result.config}
     assert validate_trace(header, result.events) == []
 
 
@@ -438,7 +481,7 @@ def test_negative_session_time_is_skipped_with_a_warning():
     ]
     heart = _summaries(result)["heart"]
     assert (heart["accepted"], heart["first_t"]) == (1, 5.0)
-    header = {"config": config_to_dict(result.config)}
+    header = {"config": result.config}
     assert validate_trace(header, result.events) == []
     assert summarize(header, result.events)["warnings"] == {"session_time_out_of_range": 1}
 
@@ -524,7 +567,7 @@ def test_gaze_sample_whose_session_time_does_not_advance_is_skipped_with_a_warni
     assert gaze_summary["accepted"] == 59
     assert (gaze_summary["first_t"], gaze_summary["last_t"]) == (0.0, 58.0)
     assert [e.t for e in result.events if e.kind == "state_vector"] == [20.0, 30.0, 40.0, 50.0]
-    header = {"config": config_to_dict(result.config)}
+    header = {"config": result.config}
     assert validate_trace(header, result.events) == []
 
 
@@ -621,7 +664,7 @@ def test_only_reordered_and_dropped_samples_get_ingest_events():
     )
     assert {e.t for e in result.events if e.kind == "stream_summary"} == {6.0}  # the final watermark
 
-    header = {"config": config_to_dict(result.config)}
+    header = {"config": result.config}
     assert validate_trace(header, result.events) == []
     assert summarize(header, result.events)["ingest"] == {"accepted": 7, "dropped_late": 2, "reordered": 2}
 
@@ -635,7 +678,7 @@ def test_stream_without_samples_has_an_empty_summary():
 
 def test_validator_flags_stream_summaries_that_disagree_with_the_trace():
     result = run_session(parse_scenario_lines(_arrival_lines(ARRIVALS)))
-    header = {"config": config_to_dict(result.config)}
+    header = {"config": result.config}
     events = result.events
     notes_summary = next(e for e in events if e.kind == "stream_summary" and e.payload["stream"] == "notes")
 
@@ -707,7 +750,7 @@ def test_trace_grows_with_stalls_not_with_their_length():
         ]
         lines = [_header_lines(streams, config={"jitter_tolerance_s": 0.25})] + [line for _, _, line in records]
         result = run_session(parse_scenario_lines(lines))
-        assert validate_trace({"config": config_to_dict(result.config)}, result.events) == []
+        assert validate_trace({"config": result.config}, result.events) == []
         return _ingest_runs(result.events)
 
     short, long = replay(2.0), replay(8.0)
@@ -783,7 +826,7 @@ def test_ingest_events_run_length_encode_the_mergers_outcomes(arrivals):
 
     result = run_session(scenario)
     assert _ingest_runs(result.events) == expected
-    assert validate_trace({"config": config_to_dict(result.config)}, result.events) == []
+    assert validate_trace({"config": result.config}, result.events) == []
 
 
 # ---------------------------------------------------------------------------

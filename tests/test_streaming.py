@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 import cogloop
 from cogloop.cli import main
-from cogloop.config import config_to_dict
 from cogloop.errors import ScenarioError
 from cogloop.model import RRSample, StreamDescriptor, StreamKind
 from cogloop.scenario import (
@@ -134,7 +133,7 @@ def test_an_arrival_sorts_before_the_engine_events_of_its_time():
         ("warning", "note_score_clamped"),
         ("warning", "uncalibrated_channel"),
     ]
-    assert validate_trace({"config": config_to_dict(result.config)}, result.events) == []
+    assert validate_trace({"config": result.config}, result.events) == []
 
 
 def test_a_session_shorter_than_calibration_freezes_the_baseline_at_close():

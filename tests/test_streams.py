@@ -60,22 +60,6 @@ def test_ingest_stamps_session_time_and_sequence():
     ]
 
 
-def test_ingest_rejects_out_of_range_session_time_and_confidence():
-    merger = _merger(jitter=0.0)
-    merger.registrations["hr"].set_offset([(10.0, 0.0), (20.0, 10.0)])  # offset -10 s
-    with pytest.raises(ValueError, match="session time"):
-        _ingest(merger, 9.5)
-    with pytest.raises(ValueError, match="session time"):
-        _ingest(merger, float("nan"))
-    with pytest.raises(ValueError, match="source_confidence"):
-        _ingest(merger, 12.0, source_confidence=1.5)
-    # a refused sample is not counted and reaches no timeline
-    assert merger.registrations["hr"].ingested == 0
-    _ingest(merger, 10.0)
-    merger.flush()
-    assert [e.timestamp for e in merger.timeline(StreamKind.RR_INTERVAL)] == [0.0]
-
-
 def test_within_jitter_arrivals_are_reordered_not_dropped():
     merger = _merger()
     assert _ingest(merger, 1.0) is IngestOutcome.ACCEPTED
