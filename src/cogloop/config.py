@@ -117,6 +117,14 @@ class ValidationReport:
         return not self.failures
 
 
+def checked_config(cfg: SessionConfig) -> SessionConfig:
+    """``cfg``, once ``validate_config`` passes it; else ConfigError naming every failure."""
+    report = validate_config(cfg)
+    if not report.ok:
+        raise ConfigError("; ".join(report.failures))
+    return cfg
+
+
 def validate_config(cfg: SessionConfig) -> ValidationReport:
     """Check every invariant the runtime assumes. Returns all failures
     at once rather than stopping at the first."""
@@ -356,4 +364,4 @@ def config_from_dict(data: dict) -> SessionConfig:
             flat[key] = value
         else:
             raise ConfigError(f"unknown config key {key!r}")
-    return apply_entries(cfg, flat)
+    return checked_config(apply_entries(cfg, flat))

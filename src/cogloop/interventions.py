@@ -148,9 +148,10 @@ class StrategyTable(Slotted):
     """Total mapping (dimension, severity, modality) -> strategy entry."""
 
     __slots__ = ("entries",)
+    _DEFAULTS = _default_entries()
 
     def __init__(self, entries: dict[StrategyKey, StrategyEntry] | None = None):
-        self.entries = _default_entries() if entries is None else entries
+        self.entries = dict(self._DEFAULTS) if entries is None else entries
 
     def validate(self) -> None:
         for dimension in Dimension:
@@ -286,6 +287,25 @@ def choose_framing(repeat_count: int, contributing_channels: int) -> Framing:
     return Framing.IMPLICIT
 
 
+def decide(winner: Candidate, table: StrategyTable, modality: Modality) -> InterventionDecision:
+    """The decision on a winning candidate: the table's strategy for its
+    dimension and severity at the modality, framed by ``choose_framing``."""
+    entry = table.lookup(winner.dimension, winner.severity, modality)
+    return InterventionDecision(
+        t=winner.t,
+        dimension=winner.dimension,
+        severity=winner.severity,
+        category=entry.category,
+        tier=entry.tier,
+        framing=choose_framing(winner.repeat_ordinal, winner.supra_channels),
+        modality=modality,
+        template_id=entry.template_id,
+        triggering_score=winner.score,
+        confidence=winner.confidence,
+        composite=winner.composite,
+    )
+
+
 class InterventionEngine:
     """Drives the trigger routes over a session: per-route runs,
     per-category cooldowns and the time of the last state vector."""
@@ -345,24 +365,10 @@ class InterventionEngine:
         winner = prioritize(candidates)
         if winner is None:
             return candidates, None
-        entry = self.table.lookup(winner.dimension, winner.severity, self.modality)
-        framing = choose_framing(winner.repeat_ordinal, winner.supra_channels)
-        decision = InterventionDecision(
-            t=winner.t,
-            dimension=winner.dimension,
-            severity=winner.severity,
-            category=entry.category,
-            tier=entry.tier,
-            framing=framing,
-            modality=self.modality,
-            template_id=entry.template_id,
-            triggering_score=winner.score,
-            confidence=winner.confidence,
-            composite=winner.composite,
-        )
+        decision = decide(winner, self.table, self.modality)
         # the cooldown boundary is inclusive: a candidate at exactly
         # t + cooldown may fire
-        self.cooldown_until[entry.category] = t + self.cooldown_s[entry.category]
+        self.cooldown_until[decision.category] = t + self.cooldown_s[decision.category]
         run = self.runs[winner.dimension, winner.composite]
         run.reset()
         run.repeat_count += 1

@@ -208,8 +208,9 @@ class SampleEnvelope(Slotted):
     """A payload at its session time, with the confidence its source
     gave it.
 
-    The constructor checks nothing: the merger range-checks the session
-    time it computes and the source confidence before building one.
+    Neither the constructor nor the merger checks anything: the parser
+    checks the source confidence, and ``Session.place`` the session time,
+    before the merger builds one.
     """
 
     __slots__ = ("timestamp", "payload", "source_confidence")

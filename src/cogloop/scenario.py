@@ -117,6 +117,8 @@ class Scenario(Slotted):
 
 _FLOAT_MAX = sys.float_info.max
 _NUMBER = (int, float)
+# where a parser sends a checked sample's fields: SampleRecord, or Session.place
+Emit = Callable[[str, Timestamp, float, Payload | None, str | None], object]
 
 
 def _is_finite_number(value) -> bool:
@@ -141,11 +143,11 @@ def _is_mark(mark) -> bool:
 # ---------------------------------------------------------------------------
 # sample parsers: one per declared stream, the only owner of sample checks
 #
-# A record builder reads one kind's payload fields from a decoded sample
-# line, checks each once and builds the record; the payload constructors
-# check nothing. It raises KeyError, TypeError, ValueError or
-# OverflowError on a malformed field, which the stream's parser reports
-# with the line.
+# A payload builder reads one kind's payload fields from a decoded sample
+# line, checks each once and returns (payload, transcript), one of them
+# None; the payload constructors check nothing. It raises KeyError,
+# TypeError, ValueError or OverflowError on a malformed field, which the
+# stream's parser reports with the line.
 # A unit-interval field is a number (booleans included, as 0 and 1) in
 # [0, 1]: the range comparison is False for NaN and both infinities.
 
@@ -166,7 +168,7 @@ MAX_PUPIL_MM = 10.0
 MIN_GAZE_STEP_S = 1e-9
 
 
-def _gaze_record(obj: dict, stream_id: str, t: float, source_confidence: float) -> SampleRecord:
+def _gaze_payload(obj: dict) -> tuple[GazeSample, None]:
     pupil = obj.get("pupil_mm")
     if pupil is not None:
         if pupil <= 0:
@@ -180,17 +182,17 @@ def _gaze_record(obj: dict, stream_id: str, t: float, source_confidence: float) 
         raise _outside_unit_interval("y", y)
     if not (isinstance(confidence, _NUMBER) and 0.0 <= confidence <= 1.0):
         raise _outside_unit_interval("confidence", confidence)
-    return SampleRecord(stream_id, t, source_confidence, GazeSample(x, y, pupil, confidence))
+    return GazeSample(x, y, pupil, confidence), None
 
 
-def _rr_record(obj: dict, stream_id: str, t: float, source_confidence: float) -> SampleRecord:
+def _rr_payload(obj: dict) -> tuple[RRSample, None]:
     rr = obj["rr_ms"]
     if not (isinstance(rr, _NUMBER) and math.isfinite(rr) and rr > 0):
         raise ValueError(f"rr_ms must be a positive finite number, got {rr!r}")
-    return SampleRecord(stream_id, t, source_confidence, RRSample(rr))
+    return RRSample(rr), None
 
 
-def _posture_record(obj: dict, stream_id: str, t: float, source_confidence: float) -> SampleRecord:
+def _posture_payload(obj: dict) -> tuple[PostureSample, None]:
     landmarks, visibility = obj["landmarks"], obj.get("visibility", {})
     if not (isinstance(landmarks, dict) and isinstance(visibility, dict)):
         raise ValueError("landmarks and visibility must be objects")
@@ -209,10 +211,10 @@ def _posture_record(obj: dict, stream_id: str, t: float, source_confidence: floa
             raise ValueError(f"unknown landmark {name!r}")
         if not (isinstance(value, _NUMBER) and 0.0 <= value <= 1.0):
             raise _outside_unit_interval(f"{name}.visibility", value)
-    return SampleRecord(stream_id, t, source_confidence, PostureSample(points, visibility))
+    return PostureSample(points, visibility), None
 
 
-def _note_record(obj: dict, stream_id: str, t: float, source_confidence: float) -> SampleRecord:
+def _note_payload(obj: dict) -> tuple[NoteScoreSample, None] | tuple[None, str]:
     # either a pre-assessed correctness or a transcript for the
     # analyzer, never both
     if ("correctness" in obj) == ("transcript" in obj):
@@ -221,40 +223,40 @@ def _note_record(obj: dict, stream_id: str, t: float, source_confidence: float) 
         transcript = obj["transcript"]
         if not (isinstance(transcript, str) and transcript.strip()):
             raise ValueError("a note transcript must be a non-empty string")
-        return SampleRecord(stream_id, t, source_confidence, transcript=transcript)
+        return None, transcript
     correctness = obj["correctness"]
     if not (isinstance(correctness, _NUMBER) and 0.0 <= correctness <= 1.0):
         raise _outside_unit_interval("correctness", correctness)
     feedback = obj.get("feedback", "")
-    return SampleRecord(stream_id, t, source_confidence, NoteScoreSample(correctness, feedback))
+    return NoteScoreSample(correctness, feedback), None
 
 
-_RECORD_BUILDERS = {
-    StreamKind.PUPIL_GAZE: _gaze_record,
-    StreamKind.RR_INTERVAL: _rr_record,
-    StreamKind.POSTURE_LANDMARKS: _posture_record,
-    StreamKind.NOTE_SCORE: _note_record,
+_PAYLOAD_BUILDERS = {
+    StreamKind.PUPIL_GAZE: _gaze_payload,
+    StreamKind.RR_INTERVAL: _rr_payload,
+    StreamKind.POSTURE_LANDMARKS: _posture_payload,
+    StreamKind.NOTE_SCORE: _note_payload,
 }
 
 
-def _sample_parser(descriptor: StreamDescriptor) -> Callable[[dict, int], SampleRecord]:
+def _sample_parser(descriptor: StreamDescriptor, emit: Emit) -> Callable[[dict, int], object]:
     """The parser of one declared stream's sample lines.
 
     It checks a line's timestamp (``t`` in seconds or ``t_ms``, finite
     and non-negative), its order after the stream's previous sample
     (gaze at least ``MIN_GAZE_STEP_S`` later, other streams
     non-decreasing) and its source confidence, then its payload fields
-    through the stream kind's builder. Each check runs once per sample.
+    through the kind's builder, each once; it returns what ``emit`` makes of them.
     """
     stream_id = descriptor.stream_id
     kind = descriptor.kind
-    build = _RECORD_BUILDERS[kind]
+    build = _PAYLOAD_BUILDERS[kind]
     # gaze velocity needs advancing clocks; other streams may
     # legitimately repeat a timestamp
     min_step = MIN_GAZE_STEP_S if kind is StreamKind.PUPIL_GAZE else 0.0
     last_t = -math.inf
 
-    def parse(obj: dict, line_no: int) -> SampleRecord:
+    def parse(obj: dict, line_no: int):
         nonlocal last_t
         if "t" in obj:
             if "t_ms" in obj:
@@ -268,7 +270,7 @@ def _sample_parser(descriptor: StreamDescriptor) -> Callable[[dict, int], Sample
         # float are refused; the comparison is False for NaN
         if not ((type(t) is float or type(t) is int) and 0 <= t <= _FLOAT_MAX):
             raise ScenarioError(f"bad timestamp {t!r}", line_no)
-        t = float(t) / scale
+        t = t / scale
         if t - last_t < min_step:
             if min_step:
                 rule = f"gaze timestamps must strictly increase, by at least {min_step} s"
@@ -279,52 +281,58 @@ def _sample_parser(descriptor: StreamDescriptor) -> Callable[[dict, int], Sample
         if not (isinstance(source_confidence, _NUMBER) and 0.0 <= source_confidence <= 1.0):
             raise ScenarioError(f"bad source_confidence {source_confidence!r}", line_no)
         try:
-            return build(obj, stream_id, t, float(source_confidence))
+            payload, transcript = build(obj)
         except (KeyError, TypeError, ValueError, OverflowError) as error:
             raise ScenarioError(f"bad {kind.value} payload: {error}", line_no) from None
+        return emit(stream_id, t, float(source_confidence), payload, transcript)
 
     return parse
 
 
-# One decoder for every scenario and trace line. The lines are stripped,
-# so decoding from position 0 and refusing anything after the value
-# accepts and rejects what json.loads does, without its whitespace scans.
-_decode = json.JSONDecoder().raw_decode
+# One decoder for every scenario and trace line: json's scanner, without raw_decode's
+# frame. The lines are stripped, so scanning from 0 and refusing anything after the value
+# accepts and rejects what json.loads does; StopIteration is its "Expecting value".
+_decode = json.scanner.make_scanner(json.JSONDecoder())
 
 
-def _scan(lines) -> Iterator[ScenarioHeader | SampleRecord | SyncRecord]:
-    """The header, then each record, of a scenario's lines, one at a
-    time; a malformed line raises ScenarioError with its number."""
+def _scan(lines, emit: Emit = SampleRecord) -> Iterator[ScenarioHeader | SampleRecord | SyncRecord]:
+    """The header, then each record, of a scenario's lines, one at a time (a sample
+    as ``emit`` returns it, unless None); a malformed line raises ScenarioError with its number."""
     header: ScenarioHeader | None = None
     # one parser per declared stream, built when the header is read
-    parsers: dict[str, Callable[[dict, int], SampleRecord]] = {}
+    parsers: dict[str, Callable[[dict, int], object]] = {}
 
     for line_no, raw_line in enumerate(lines, start=1):
         line = raw_line.strip()
         if not line:
             continue
         try:
-            obj, end = _decode(line)
+            obj, end = _decode(line, 0)
+        except StopIteration:
+            raise ScenarioError("invalid JSON: Expecting value", line_no) from None
         except json.JSONDecodeError as error:
             raise ScenarioError(f"invalid JSON: {error.msg}", line_no) from None
         if end != len(line):
             raise ScenarioError("invalid JSON: Extra data", line_no)
-        if not isinstance(obj, dict) or "type" not in obj:
-            raise ScenarioError("each line must be an object with a 'type'", line_no)
+        try:
+            record_type = obj["type"]
+        except (KeyError, TypeError):
+            raise ScenarioError("each line must be an object with a 'type'", line_no) from None
 
-        record_type = obj["type"]
         if record_type == "sample" and header is not None:
-            stream_id = obj.get("stream")
-            parse = parsers.get(stream_id) if isinstance(stream_id, str) else None
-            if parse is None:
-                raise ScenarioError(f"sample for undeclared stream {stream_id!r}", line_no)
-            yield parse(obj, line_no)
+            try:
+                parse = parsers[obj["stream"]]
+            except (KeyError, TypeError):
+                raise ScenarioError(f"sample for undeclared stream {obj.get('stream')!r}", line_no) from None
+            record = parse(obj, line_no)
+            if record is not None:
+                yield record
             continue
         if record_type == "header":
             if header is not None:
                 raise ScenarioError("duplicate header", line_no)
             header = _parse_header(obj, line_no)
-            parsers = {d.stream_id: _sample_parser(d) for d in header.streams}
+            parsers = {d.stream_id: _sample_parser(d, emit) for d in header.streams}
             yield header
             continue
         if header is None:
@@ -351,11 +359,11 @@ def _scan(lines) -> Iterator[ScenarioHeader | SampleRecord | SyncRecord]:
         raise ScenarioError("scenario is empty (no header)", 1)
 
 
-def iter_records(lines) -> Iterator[SampleRecord | SyncRecord]:
+def iter_records(lines, emit: Emit = SampleRecord) -> Iterator[SampleRecord | SyncRecord]:
     """The records of a scenario's lines, parsed one at a time as they
     are taken, with every check ``parse_scenario_lines`` makes. The
-    header is checked here and skipped."""
-    scan = _scan(lines)
+    header is checked here and skipped. ``emit`` takes each sample (``_scan``)."""
+    scan = _scan(lines, emit)
     next(scan)
     return scan
 
@@ -470,9 +478,12 @@ class ScenarioFile:
         self.path = path
         self._count: int | None = None
 
-    def __iter__(self) -> Iterator[SampleRecord | SyncRecord]:
+    def scan(self, emit: Emit = SampleRecord) -> Iterator[SampleRecord | SyncRecord]:
+        """One iteration, each sample going to ``emit`` (``iter_records``)."""
         with utf8_text(self.path) as handle:
-            yield from iter_records(handle)
+            yield from iter_records(handle, emit)
+
+    __iter__ = scan
 
     def __len__(self) -> int:
         if self._count is None:

@@ -31,9 +31,9 @@ from .config import (
     MAX_SESSION_S,
     SessionConfig,
     apply_entries,
+    checked_config,
     config_from_dict,
     config_to_dict,
-    validate_config,
 )
 from .directives import (
     GenerationClient,
@@ -55,18 +55,22 @@ from .gaze import GazeTrack, window_gaze_features
 from .interventions import (
     COMPOSITE_DIMENSIONS,
     ROUTES,
+    Candidate,
     Category,
     InterventionDecision,
     InterventionEngine,
     StrategyTable,
     TriggerPolicy,
+    decide,
     route_reading,
+    severity_of,
 )
-from .model import Dimension, PostureSample, Slotted, StreamKind, Timestamp
+from .model import Dimension, Modality, Payload, PostureSample, Slotted, StreamKind, Timestamp
 from .scenario import (
     MIN_GAZE_STEP_S,
     SampleRecord,
     Scenario,
+    ScenarioFile,
     ScenarioHeader,
     SyncRecord,
     _decode,
@@ -186,6 +190,11 @@ def _trigger_policy(cfg: SessionConfig) -> TriggerPolicy:
     return TriggerPolicy(cfg.trigger_threshold, cfg.confidence_min, cfg.consecutive_windows, cfg.persistence_s)
 
 
+def _strategy_table(cfg: SessionConfig) -> StrategyTable:
+    """The strategy table of a config, as the engine and the audit read it."""
+    return StrategyTable().with_template_overrides(cfg.strategy_overrides)
+
+
 def _make_client(cfg: SessionConfig, header: ScenarioHeader) -> GenerationClient:
     if cfg.client == "live":
         return LiveGenerationClient()
@@ -303,10 +312,7 @@ def resolve_config(header: ScenarioHeader, overrides: dict[str, object] | None =
     cfg = apply_entries(SessionConfig(), header.config_entries)
     if overrides:
         cfg = apply_entries(cfg, overrides)
-    report = validate_config(cfg)
-    if not report.ok:
-        raise ConfigError("; ".join(report.failures))
-    return cfg
+    return checked_config(cfg)
 
 
 class Session:
@@ -367,7 +373,7 @@ class Session:
             policy=_trigger_policy(cfg),
             cooldown_s=cfg.cooldown_s,
             modality=header.modality,
-            table=StrategyTable().with_template_overrides(cfg.strategy_overrides),
+            table=_strategy_table(cfg),
         )
         self._context = LearningContext(topic=header.topic, dialogue=header.dialogue)
         self._step = 1  # index of the next decision tick
@@ -376,49 +382,53 @@ class Session:
         self._due = self._next_due()
 
     def push(self, record: SampleRecord | SyncRecord) -> None:
-        """Ingest one record, then cut and walk whatever it made final."""
-        merger = self._merger
+        """Install a sync record's clock offset, or ``place`` a sample."""
         if isinstance(record, SyncRecord):
-            offset = merger.registrations[record.stream_id].set_offset(list(record.marks))
+            offset = self._merger.registrations[record.stream_id].set_offset(list(record.marks))
             sync_t = _on_span(max(session_t for _, session_t in record.marks))
             self._recorder.note(sync_t, "sync", {"stream": record.stream_id, "offset_s": offset})
             return
-        registration = merger.registrations[record.stream_id]
-        session_t = record.t + registration.clock_offset_s
+        self.place(record.stream_id, record.t, record.source_confidence, record.payload, record.transcript)
+
+    def place(self, stream_id: str, t: Timestamp, source_confidence: float,
+              payload: Payload | None, transcript: str | None) -> None:
+        """Ingest one sample (``SampleRecord``'s fields), then cut and walk what it made final."""
+        merger = self._merger
+        registration = merger.registrations[stream_id]
+        session_t = t + registration.clock_offset_s
         if not 0.0 <= session_t <= MAX_SESSION_S:
             self._recorder.note(
                 _on_span(session_t),
                 "warning",
                 {
                     "reason": "session_time_out_of_range",
-                    "stream": record.stream_id,
-                    "detail": f"producer time {record.t} maps to session time {session_t}, "
+                    "stream": stream_id,
+                    "detail": f"producer time {t} maps to session time {session_t}, "
                     f"outside [0, {MAX_SESSION_S}]",
                 },
             )
             return
         if self._pace is not None:
             self._pace(session_t)
-        if record.stream_id == self._gaze_stream:
+        if stream_id == self._gaze_stream:
             if session_t - self._last_gaze_t < MIN_GAZE_STEP_S:
                 self._recorder.note(
                     session_t,
                     "warning",
                     {
                         "reason": "session_time_not_increasing",
-                        "stream": record.stream_id,
-                        "detail": f"producer time {record.t} maps to session time {session_t}, "
+                        "stream": stream_id,
+                        "detail": f"producer time {t} maps to session time {session_t}, "
                         f"less than {MIN_GAZE_STEP_S} s after the previous gaze sample at {self._last_gaze_t}",
                     },
                 )
                 return
             self._last_gaze_t = session_t
 
-        payload = record.payload
-        if record.transcript is not None:
+        if transcript is not None:
             # transcripts go through the analyzer before they can score
             try:
-                reply = self.client.analyze_note(record.transcript)
+                reply = self.client.analyze_note(transcript)
             except ClientUnavailableError as error:
                 self._recorder.note(session_t, "warning", {"reason": "analysis_failed", "detail": str(error)})
                 return
@@ -428,11 +438,11 @@ class Session:
                 self._recorder.note(session_t, "warning", {"reason": "malformed_note_reply", "detail": str(error)})
                 return
             if payload.clamped:
-                self._recorder.note(session_t, "warning", {"reason": "note_score_clamped", "stream": record.stream_id})
+                self._recorder.note(session_t, "warning", {"reason": "note_score_clamped", "stream": stream_id})
 
-        outcome = merger.ingest(registration, session_t, payload, record.source_confidence)
+        outcome = merger.ingest(registration, session_t, payload, source_confidence)
         if outcome is not ACCEPTED:
-            self._note_late(record.stream_id, registration.ingested, session_t, outcome.value)
+            self._note_late(stream_id, registration.ingested, session_t, outcome.value)
         if merger.watermark >= self._due:
             self._advance()
 
@@ -514,7 +524,8 @@ class Session:
             self._extractors[StreamKind.NOTE_SCORE] = _extract_notes
         live: list[ChannelFeature] = []
         for kind, extract in self._extractors.items():
-            live += self._cut(kind, extract)
+            if merger.next_window_end(kind, cfg.window_length_s[kind], cfg.window_hop_s) <= watermark:
+                live += self._cut(kind, extract)
         # every window of this cut ends after every window of the last
         live.sort(key=attrgetter("t"))
         self._live += live
@@ -608,7 +619,8 @@ class Session:
         if decision is None:
             return
         self.decisions.append(decision)
-        add(tick, "decision", _decision_payload(decision))
+        payload = _decision_payload(decision)
+        add(tick, "decision", payload)
         descriptors = {dim: state.dims[dim].descriptor for dim in Dimension}
         packet = build_directives(decision, descriptors, self._context)
         prompt = render_prompt(packet, history_turns=cfg.history_turns)
@@ -616,20 +628,9 @@ class Session:
             tick,
             "directive_sent",
             {
-                "template_id": decision.template_id,
-                "category": decision.category.value,
-                "tier": decision.tier.value,
-                "framing": decision.framing.value,
-                "modality": decision.modality.value,
-                "dimension": decision.dimension.value,
-                "severity": decision.severity.value,
-                "composite": decision.composite,
-                "tone": {
-                    "sentence_complexity": packet.tone.sentence_complexity.value,
-                    "encouragement_frequency": packet.tone.encouragement_frequency.value,
-                    "explanation_directness": packet.tone.explanation_directness.value,
-                    "metaphor_usage": packet.tone.metaphor_usage.value,
-                },
+                # the decision's strategy, without the reading
+                **{field: value for field, value in payload.items() if field not in _READING_FIELDS},
+                "tone": {field: value.value for field, value in packet.tone._asdict().items()},
                 "directive": packet.directive_text,
                 "prompt": prompt,
                 "prompt_sha256": sha256(prompt.encode("utf-8")).hexdigest(),
@@ -665,11 +666,14 @@ def run_session(
     realtime: bool = False,
     _sleep=time.sleep,
 ) -> SessionResult:
-    """Replay a scenario through one ``Session``, a record at a time;
-    ``realtime`` paces the records at their session times."""
+    """Replay a scenario through one ``Session`` (a file's samples straight
+    to ``place``); ``realtime`` paces the records at their session times."""
     session = Session(scenario.header, overrides, client, pace=_pacer(_sleep) if realtime else None)
+    records = scenario.records
+    if isinstance(records, ScenarioFile):
+        records = records.scan(session.place)
     push = session.push
-    for record in scenario.records:
+    for record in records:
         push(record)
     return session.close()
 
@@ -690,19 +694,12 @@ def _state_payload(state: StateVector) -> dict:
     }
 
 
+_READING_FIELDS = ("triggering_score", "confidence")
+
+
 def _decision_payload(decision: InterventionDecision) -> dict:
-    return {
-        "dimension": decision.dimension.value,
-        "severity": decision.severity.value,
-        "category": decision.category.value,
-        "tier": decision.tier.value,
-        "framing": decision.framing.value,
-        "modality": decision.modality.value,
-        "template_id": decision.template_id,
-        "triggering_score": decision.triggering_score,
-        "confidence": decision.confidence,
-        "composite": decision.composite,
-    }
+    """Every field of a decision but its time, each enum as its value."""
+    return {field: getattr(value, "value", value) for field, value in decision._asdict().items() if field != "t"}
 
 
 # ---------------------------------------------------------------------------
@@ -740,6 +737,7 @@ _TIME_OR_NULL = ("a number or null", lambda value: value is None or _is_number(v
 _FLAG = ("true or false", lambda value: isinstance(value, bool))
 _DIMENSION_NAMES = frozenset(dim.value for dim in Dimension)
 _DIMENSION = _one_of([dim.value for dim in Dimension])
+_MODALITY = _one_of([modality.value for modality in Modality])
 _DIMENSION_STATE = {
     "score": _NUMBER, "confidence": _NUMBER, "signed_score": _NUMBER, "observed": _FLAG, "supra_channels": _COUNT,
 }
@@ -775,7 +773,7 @@ PAYLOAD_FIELDS: dict[str, dict[str, tuple[str, Callable[[object], bool]]]] = {
         "dims": ("an object of every dimension's score, confidence, signed_score, observed and supra_channels",
                  _is_dims),
     },
-    "candidate": {"dimension": _DIMENSION},
+    "candidate": {"dimension": _DIMENSION, "supra_channels": _COUNT, "repeat_ordinal": _COUNT},
     "decision": {
         "dimension": _DIMENSION,
         "category": _one_of([category.value for category in Category]),
@@ -836,7 +834,9 @@ def read_trace(path) -> tuple[dict, list[TraceEvent]]:
             if not line:
                 continue
             try:
-                obj, end = _decode(line)
+                obj, end = _decode(line, 0)
+            except StopIteration:
+                raise ScenarioError("invalid trace JSON: Expecting value", line_no) from None
             except json.JSONDecodeError as error:
                 raise ScenarioError(f"invalid trace JSON: {error.msg}", line_no) from None
             if end != len(line):
@@ -847,6 +847,8 @@ def read_trace(path) -> tuple[dict, list[TraceEvent]]:
                 if header is not None:
                     raise ScenarioError("duplicate trace header", line_no)
                 obj["config"] = _trace_config(obj, line_no)
+                if not _MODALITY[1](obj.get("modality", Modality.TEXT.value)):
+                    raise ScenarioError(f"trace header modality must be {_MODALITY[0]}, got {obj['modality']!r}", line_no)
                 header = obj
                 continue
             if obj.get("type") != "event":
@@ -914,6 +916,8 @@ def validate_trace(header: dict, events: list[TraceEvent]) -> list[str]:
         (``route_reading``) reads the state vector at the decision's
         time as active, with the decision's triggering_score and
         confidence;
+      - its strategy is what ``interventions.decide`` makes of the reading and
+        the candidate, at the header's modality (text when absent);
       - the route reads active on enough consecutive state vectors up
         to the decision, spanning at least the persistence time;
       - decisions of one category are spaced by at least the category
@@ -928,6 +932,8 @@ def validate_trace(header: dict, events: list[TraceEvent]) -> list[str]:
     """
     cfg = header["config"]
     policy = _trigger_policy(cfg)
+    table = _strategy_table(cfg)
+    modality = Modality(header.get("modality", Modality.TEXT.value))
     violations: list[str] = []
 
     keys = [e.sort_key() for e in events]
@@ -941,14 +947,15 @@ def validate_trace(header: dict, events: list[TraceEvent]) -> list[str]:
 
     states = [e for e in events if e.kind == "state_vector"]
     state_index = {e.t: i for i, e in enumerate(states)}
-    candidates = {(e.t, e.payload["dimension"]) for e in events if e.kind == "candidate"}
+    candidates = {(e.t, e.payload["dimension"]): e.payload for e in events if e.kind == "candidate"}
     decisions = [e for e in events if e.kind == "decision"]
 
     for event in decisions:
         payload = event.payload
         dim = payload["dimension"]
         label = f"decision t={event.t} {dim}"
-        if (event.t, dim) not in candidates:
+        candidate = candidates.get((event.t, dim))
+        if candidate is None:
             violations.append(f"{label}: no matching candidate event")
         route = (Dimension(dim), payload["composite"])
         if route not in ROUTES:
@@ -959,9 +966,16 @@ def validate_trace(header: dict, events: list[TraceEvent]) -> list[str]:
         if reading is None:
             violations.append(f"{label}: no qualifying state vector at decision time")
             continue
-        for field, value in zip(("triggering_score", "confidence"), reading):
+        for field, value in zip(_READING_FIELDS, reading):
             if payload[field] != value:
                 violations.append(f"{label}: {field} {payload[field]} is not the reading's {value}")
+        if candidate is not None:
+            score, confidence, _ = reading
+            winner = Candidate(route[0], event.t, score, confidence, severity_of(score),
+                               candidate["supra_channels"], route[1], candidate["repeat_ordinal"])
+            for field, value in _decision_payload(decide(winner, table, modality)).items():
+                if field not in _READING_FIELDS and payload.get(field) != value:
+                    violations.append(f"{label}: {field} {payload.get(field)} is not the engine's {value}")
         # walk back while the route reads active, until both gates hold
         count, span = 1, 0.0
         while (count < policy.consecutive_windows or span < policy.persistence_s) and index > 0:

@@ -385,11 +385,25 @@ def _decision_event(**changes):
          "confidence, signed_score, observed and supra_channels, got"),
         (["validate", "summarize"], [CONFIG_HEADER, _decision_event(triggering_score="2.0")],
          "line 2: decision payload field 'triggering_score' must be a number, got '2.0'"),
+        # the audit frames a decision from its candidate, at the header's modality
+        (["validate", "summarize"],
+         [CONFIG_HEADER, {"t": 1.0, "kind": "candidate", "payload": {"dimension": "stress", "supra_channels": 2}}],
+         "line 2: candidate payload missing field 'repeat_ordinal'"),
+        (["validate", "summarize"],
+         [json.dumps({"type": "header", "config": {}, "modality": "telepathy"}),
+          {"t": 1.0, "kind": "sync", "payload": {}}],
+         "line 1: trace header modality must be one of text, image, audio, video, got 'telepathy'"),
+        # a config the engine would not run with: no severity below the moderate floor
+        (["validate", "summarize"],
+         [json.dumps({"type": "header", "config": {"trigger_threshold": 0.5}}),
+          {"t": 1.0, "kind": "sync", "payload": {}}],
+         "line 1: trace header config: trigger_threshold (0.5) is below the moderate deviation floor (1.0)"),
     ],
     ids=[
         "unknown_kind", "empty_decision", "header_without_config", "ingest_without_outcome",
         "ingest_of_accepted_samples", "ingest_run_of_no_samples", "ingest_run_ending_at_infinity",
         "state_vector_supra_channels_not_a_count", "decision_triggering_score_not_a_number",
+        "candidate_without_repeat_ordinal", "header_modality_unknown", "header_config_invalid",
     ],
 )
 def test_hand_edited_trace_exits_2_with_the_line(tmp_path, capsys, commands, lines, message):

@@ -99,6 +99,9 @@ def test_invalid_json_reports_its_line():
     with pytest.raises(ScenarioError) as excinfo:
         parse_scenario_lines([HEADER, _gaze_line(0.0), "{not json"])
     assert excinfo.value.line_no == 3
+    # no value where one starts: json's own message
+    with pytest.raises(ScenarioError, match="line 2: invalid JSON: Expecting value"):
+        parse_scenario_lines([HEADER, "]"])
     # two objects on one line: trailing data is an error, as in json.loads
     with pytest.raises(ScenarioError, match="line 3: invalid JSON: Extra data") as excinfo:
         parse_scenario_lines([HEADER, _gaze_line(0.0), _gaze_line(0.1) + " " + _gaze_line(0.2)])

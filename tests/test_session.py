@@ -7,6 +7,7 @@ import subprocess
 import sys
 import urllib.error
 import urllib.request
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -200,6 +201,7 @@ def test_trace_lines_that_are_not_one_object_report_their_line(tmp_path, stress_
     for bad, message in [
         (first + first, "line 2: invalid trace JSON: Extra data"),
         ("{not json", "line 2: invalid trace JSON: Expecting property name"),
+        ("nope", "line 2: invalid trace JSON: Expecting value"),
         ("[1, 2]", "line 2: each trace line must be an object"),
     ]:
         path.write_text(f"{header}\n{bad}\n")
@@ -276,16 +278,18 @@ def test_validator_checks_cooldowns_with_the_engines_arithmetic():
 def _under_challenged_trace(load_signed_score, dimension="engagement", **decision):
     """Three state vectors 10 s apart, with load at ``load_signed_score``
     and engagement above baseline in each, then a composite decision on
-    ``dimension`` and its candidate at the last."""
+    ``dimension`` and its candidate at the last, with the fields the
+    engine writes for a moderate composite reading."""
     dims = {dim.value: {"observed": True, "score": 0.0, "signed_score": 0.0, "confidence": 1.0, "supra_channels": 0}
             for dim in Dimension}
     dims[Dimension.COGNITIVE_LOAD.value]["signed_score"] = load_signed_score
     dims[Dimension.ENGAGEMENT.value]["signed_score"] = 0.5
     events = [TraceEvent(t, "state_vector", seq, {"dims": dims}) for seq, t in enumerate((10.0, 20.0, 30.0))]
-    events.append(TraceEvent(30.0, "candidate", 3, {"dimension": dimension}))
+    events.append(TraceEvent(30.0, "candidate", 3, {"dimension": dimension, "supra_channels": 0, "repeat_ordinal": 1}))
     events.append(TraceEvent(30.0, "decision", 4, {
         "dimension": dimension, "category": "challenge_enhancement", "triggering_score": abs(load_signed_score),
-        "confidence": 1.0, "composite": True, **decision,
+        "confidence": 1.0, "composite": True, "severity": "moderate", "tier": "micro", "framing": "implicit",
+        "modality": "text", "template_id": "advanced_application", **decision,
     }))
     return events
 
@@ -321,6 +325,51 @@ def test_validator_flags_a_route_the_engine_does_not_have():
 def test_validator_flags_a_decision_that_is_not_its_reading(field, value, message):
     events = _under_challenged_trace(-1.2, **{field: value})
     assert validate_trace({"config": SessionConfig()}, events) == [f"decision t=30.0 engagement: {message}"]
+
+
+def _bundled_stress_ramp(**profile):
+    data = json.loads(resources.files("cogloop").joinpath("profiles", "stress_ramp.json").read_text(encoding="utf-8"))
+    return synthesize(parse_profile({**data, **profile}))
+
+
+def test_validator_flags_a_decision_whose_strategy_is_not_the_engines():
+    result = run_session(_bundled_stress_ramp())
+    header = {"config": result.config, "modality": result.modality}
+    assert validate_trace(header, result.events) == []
+    # the first decision: stress, pronounced, box_breathing at meso, explicit
+    first = next(e for e in result.events if e.kind == "decision")
+    edits = {"severity": "moderate", "template_id": "nonsense", "tier": "macro", "framing": "implicit"}
+    doctored = [e._replace(payload={**e.payload, **edits}) if e is first else e for e in result.events]
+    assert validate_trace(header, doctored) == [
+        "decision t=350.0 stress: severity moderate is not the engine's pronounced",
+        "decision t=350.0 stress: tier macro is not the engine's meso",
+        "decision t=350.0 stress: framing implicit is not the engine's explicit",
+        "decision t=350.0 stress: template_id nonsense is not the engine's box_breathing",
+    ]
+
+
+def test_validator_reads_the_strategy_table_of_the_config_at_the_headers_modality(tmp_path):
+    result = run_session(
+        _bundled_stress_ramp(modality="audio"), overrides={"strategy.stress.pronounced.audio": "reassurance"}
+    )
+    decisions = [e for e in result.events if e.kind == "decision"]
+    stress = [e for e in decisions if e.payload["dimension"] == "stress"]
+    assert stress and {e.payload["template_id"] for e in stress} == {"reassurance"}
+    path = tmp_path / "audio.trace.jsonl"
+    write_trace(result, path)
+    header, events = read_trace(path)
+    assert validate_trace(header, events) == []
+
+    def flagged(header):
+        return Counter(v.split(": ", 1)[1].split(" ")[0] for v in validate_trace(header, result.events))
+
+    # the default table, or the override's table at another modality
+    assert flagged({"config": result.config._replace(strategy_overrides={}), "modality": "audio"}) == {
+        "template_id": len(stress)
+    }
+    assert flagged({"config": result.config, "modality": "text"}) == {
+        "template_id": len(stress), "modality": len(decisions)
+    }
 
 
 def test_one_audit_decodes_the_trace_config_once(tmp_path, stress_result, monkeypatch):

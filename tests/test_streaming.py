@@ -24,6 +24,8 @@ from cogloop.cli import main
 from cogloop.errors import ScenarioError
 from cogloop.model import RRSample, StreamDescriptor, StreamKind
 from cogloop.scenario import (
+    SampleRecord,
+    Scenario,
     ScenarioFile,
     SyncRecord,
     iter_records,
@@ -34,7 +36,7 @@ from cogloop.scenario import (
     synthesize,
     write_scenario,
 )
-from cogloop.session import Session, run_session, validate_trace
+from cogloop.session import Session, run_session, validate_trace, write_trace
 from cogloop.streams import StreamMerger
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -181,6 +183,21 @@ def test_each_tick_fuses_the_live_features_since_the_previous_tick_once(monkeypa
     assert set(fused_values.values()) == {1}
 
 
+def test_the_session_cuts_a_kind_only_when_it_has_a_final_window(monkeypatch):
+    returned = []
+    pop_windows = StreamMerger.pop_windows
+
+    def counted(self, kind, length_s, hop_s):
+        windows = pop_windows(self, kind, length_s, hop_s)
+        returned.append(len(windows))
+        return windows
+
+    monkeypatch.setattr(StreamMerger, "pop_windows", counted)
+    result = run_session(synthesize(parse_profile(STRESS_PROFILE)), {"window_hop_s": 2.5})
+    assert 0 not in returned
+    assert sum(returned) == sum(1 for e in result.events if e.kind == "window_features")
+
+
 # ---------------------------------------------------------------------------
 # windows cut as the watermark moves equal windows cut once at the end
 
@@ -265,6 +282,126 @@ def test_a_bad_header_raises_at_load(tmp_path):
         load_scenario(_written(tmp_path, [json.dumps({"type": "sample", "stream": "heart", "t": 0})]))
     with pytest.raises(ScenarioError, match="line 1: scenario is empty"):
         load_scenario(_written(tmp_path, [""]))
+
+
+# ---------------------------------------------------------------------------
+# a file replay hands each sample line straight to the session
+#
+# run_session on a ScenarioFile passes Session.place to the parser, which
+# calls it with each checked sample's fields; a list of records goes
+# through Session.push. Both must make the same replay.
+
+def _hand_made_lines() -> list[str]:
+    """Beats every 0.8 s for 60 s, in arrival order with: notes 0.1 s
+    behind the newest beat (reordered) and 3 s or 0.4 s behind it
+    (dropped), one of the reordered ones a transcript, a sync that moves
+    the heart clock 0.3 s on from 24 s, and a note past the session
+    span."""
+    header = {
+        "type": "header",
+        "streams": [{"stream_id": "heart", "kind": "rr_interval", "nominal_rate_hz": 1.25},
+                    {"stream_id": "notes", "kind": "note_score", "nominal_rate_hz": 0.1}],
+        "config": {"calibration_duration_s": 20.0, "window_hop_s": 5.0,
+                   "window_length.rr_interval": 10.0, "window_length.note_score": 10.0},
+        "analyzer_replies": ["score=0.7; feedback=fine"],
+    }
+    notes = {
+        5.6: {"t": 5.5, "correctness": 0.9},
+        12.0: {"t": 9.0, "correctness": 0.8},
+        30.4: {"t": 30.6, "transcript": "notes on enzyme rates"},
+        40.0: {"t": 39.9, "correctness": 0.85},
+    }
+    lines = [json.dumps(header)]
+    for i in range(75):
+        t = round(i * 0.8, 1)
+        lines.append(json.dumps({"type": "sample", "stream": "heart", "t": t, "rr_ms": 800}))
+        if t in notes:
+            lines.append(json.dumps({"type": "sample", "stream": "notes", **notes[t]}))
+        if t == 24.0:
+            lines.append(json.dumps({"type": "sync", "stream": "heart", "marks": [[0.0, 0.3], [10.0, 10.3]]}))
+    lines.append(json.dumps({"type": "sample", "stream": "notes", "t": 1e6, "correctness": 0.9}))
+    return lines
+
+
+def _bundled_lines(name: str) -> list[str]:
+    text = resources.files("cogloop").joinpath("profiles", f"{name}.json").read_text(encoding="utf-8")
+    return scenario_to_lines(synthesize(parse_profile(json.loads(text))))
+
+
+def _record_replay(lines) -> Scenario:
+    return Scenario(parse_scenario_lines(lines[:1]).header, list(iter_records(lines)))
+
+
+@pytest.mark.parametrize("name", ["all_baseline", "load_excursion", "mixed_session", "stress_ramp", "hand_made"])
+def test_a_file_replay_and_a_record_replay_write_the_same_trace(tmp_path, name):
+    lines = _hand_made_lines() if name == "hand_made" else _bundled_lines(name)
+    from_file, from_records = tmp_path / "file.trace.jsonl", tmp_path / "records.trace.jsonl"
+    write_trace(run_session(load_scenario(_written(tmp_path, lines))), from_file)
+    result = run_session(_record_replay(lines))
+    write_trace(result, from_records)
+    assert from_file.read_bytes() == from_records.read_bytes()
+    if name == "hand_made":
+        kinds = Counter(
+            (e.kind, e.payload.get("outcome") or e.payload.get("reason")) for e in result.events
+            if e.kind in ("sync", "ingest", "warning")
+        )
+        assert kinds == {
+            ("sync", None): 1,
+            ("ingest", "reordered"): 2,
+            ("ingest", "dropped_late"): 2,
+            ("warning", "session_time_out_of_range"): 1,
+        }
+        # the transcript was scored by the analyzer's scripted reply, 0.7
+        note_errors = [e.payload["values"]["note_error"] for e in result.events
+                       if e.kind == "window_features" and e.payload["stream_kind"] == "note_score"
+                       and e.t in (35.0, 40.0)]
+        assert note_errors == [pytest.approx(0.3)] * 2
+
+
+def test_a_malformed_line_raises_the_same_error_on_both_paths(tmp_path):
+    lines = _hand_made_lines()
+    bad = json.dumps({"type": "sample", "stream": "heart", "t": 60.0, "rr_ms": "fast"})
+    lines.insert(-1, bad)
+    errors = []
+    for replay in (lambda: run_session(load_scenario(_written(tmp_path, lines))),
+                   lambda: run_session(_record_replay(lines))):
+        with pytest.raises(ScenarioError) as error:
+            replay()
+        errors.append((str(error.value), error.value.line_no))
+    assert errors[0] == errors[1] == (
+        f"line {len(lines) - 1}: bad rr_interval payload: rr_ms must be a positive finite number, got 'fast'",
+        len(lines) - 1,
+    )
+
+
+def test_a_file_replay_builds_no_sample_record(tmp_path, monkeypatch):
+    # tests/test_bench_layers.py checks that it still makes one ingest
+    # and one envelope per record
+    built = []
+    init = SampleRecord.__init__
+
+    def counted(self, *args):
+        built.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(SampleRecord, "__init__", counted)
+    lines = _hand_made_lines()
+    scenario = load_scenario(_written(tmp_path, lines))
+    run_session(scenario)
+    assert built == []
+    # iterating the file still builds each sample's record
+    samples = [line for line in lines if '"sample"' in line]
+    assert len([r for r in scenario.records if isinstance(r, SampleRecord)]) == len(built) == len(samples)
+
+
+def test_realtime_paces_the_same_session_times_on_both_paths(tmp_path):
+    lines = _hand_made_lines()
+    slept = {"file": [], "records": []}
+    run_session(load_scenario(_written(tmp_path, lines)), realtime=True, _sleep=slept["file"].append)
+    run_session(_record_replay(lines), realtime=True, _sleep=slept["records"].append)
+    assert slept["file"] == slept["records"]
+    # from the first beat to the last, shifted by the sync's 0.3 s
+    assert sum(slept["file"]) == pytest.approx(59.2 + 0.3)
 
 
 # ---------------------------------------------------------------------------
