@@ -22,7 +22,7 @@ import json
 import math
 import time
 from collections.abc import Callable
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .behavior import PostureScore, ingest_note_assessment, score_posture
@@ -59,6 +59,7 @@ from .interventions import (
     Category,
     InterventionDecision,
     InterventionEngine,
+    Severity,
     StrategyTable,
     TriggerPolicy,
     decide,
@@ -73,10 +74,9 @@ from .scenario import (
     ScenarioFile,
     ScenarioHeader,
     SyncRecord,
+    _FLOAT_MAX,
     _decode,
     _encode,
-    _is_finite_number,
-    _is_int,
     utf8_text,
 )
 from .state import (
@@ -425,8 +425,10 @@ class Session:
                 return
             self._last_gaze_t = session_t
 
-        if transcript is not None:
-            # transcripts go through the analyzer before they can score
+        if transcript is not None and session_t >= merger.watermark:
+            # transcripts go through the analyzer before they can score;
+            # one stamped before the watermark, which ingest drops as
+            # late, is not: a live client makes no request for it
             try:
                 reply = self.client.analyze_note(transcript)
             except ClientUnavailableError as error:
@@ -695,6 +697,8 @@ def _state_payload(state: StateVector) -> dict:
 
 
 _READING_FIELDS = ("triggering_score", "confidence")
+# a candidate's fields that are its route's reading, in route_reading's order
+_CANDIDATE_READING_FIELDS = ("score", "confidence", "supra_channels")
 
 
 def _decision_payload(decision: InterventionDecision) -> dict:
@@ -722,37 +726,38 @@ def write_trace(result: SessionResult, path) -> None:
             write(_encode(obj) + "\n")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+# the types of a decoded JSON number: a bool's type is not among them
+_NUMBER_TYPES = (int, float)
 
 
 def _one_of(values) -> tuple[str, Callable[[object], bool]]:
-    return f"one of {', '.join(values)}", lambda value: isinstance(value, str) and value in values
+    members = frozenset(values)
+    return f"one of {', '.join(values)}", lambda value: type(value) is str and value in members
 
 
-_STRING = ("a string", lambda value: isinstance(value, str))
-_NUMBER = ("a number", _is_number)
-_COUNT = ("a non-negative integer", lambda value: _is_int(value) and value >= 0)
-_TIME_OR_NULL = ("a number or null", lambda value: value is None or _is_number(value))
-_FLAG = ("true or false", lambda value: isinstance(value, bool))
+_STRING = ("a string", lambda value: type(value) is str)
+_NUMBER = ("a number", lambda value: type(value) in _NUMBER_TYPES)
+_COUNT = ("a non-negative integer", lambda value: type(value) is int and value >= 0)
+_TIME_OR_NULL = ("a number or null", lambda value: value is None or type(value) in _NUMBER_TYPES)
+_FLAG = ("true or false", lambda value: type(value) is bool)
 _DIMENSION_NAMES = frozenset(dim.value for dim in Dimension)
 _DIMENSION = _one_of([dim.value for dim in Dimension])
 _MODALITY = _one_of([modality.value for modality in Modality])
-_DIMENSION_STATE = {
-    "score": _NUMBER, "confidence": _NUMBER, "signed_score": _NUMBER, "observed": _FLAG, "supra_channels": _COUNT,
-}
+_DIMENSION_STATE = itemgetter("score", "confidence", "signed_score", "observed", "supra_channels")
 
 
 def _is_dims(dims) -> bool:
-    return (
-        isinstance(dims, dict)
-        and dims.keys() == _DIMENSION_NAMES
-        and all(
-            isinstance(state, dict)
-            and all(name in state and check(state[name]) for name, (_, check) in _DIMENSION_STATE.items())
-            for state in dims.values()
-        )
-    )
+    if type(dims) is not dict or dims.keys() != _DIMENSION_NAMES:
+        return False
+    for state in dims.values():
+        try:  # a missing field is a KeyError, a state that is not an object a TypeError
+            score, confidence, signed, observed, supra = _DIMENSION_STATE(state)
+        except (KeyError, TypeError):
+            return False
+        if not (type(score) in _NUMBER_TYPES and type(confidence) in _NUMBER_TYPES and type(signed) in _NUMBER_TYPES
+                and type(observed) is bool and type(supra) is int and supra >= 0):
+            return False
+    return True
 
 
 # the payload fields validate_trace and summarize read, by event kind
@@ -760,8 +765,8 @@ PAYLOAD_FIELDS: dict[str, dict[str, tuple[str, Callable[[object], bool]]]] = {
     "ingest": {
         "stream": _STRING,
         "outcome": _one_of(LATE_OUTCOMES),
-        "count": ("an integer of at least 1", lambda value: _is_int(value) and value >= 1),
-        "last_t": ("a finite number", _is_finite_number),
+        "count": ("an integer of at least 1", lambda value: type(value) is int and value >= 1),
+        "last_t": ("a finite number", lambda value: type(value) in _NUMBER_TYPES and abs(value) <= _FLOAT_MAX),
     },
     "stream_summary": {
         "stream": _STRING,
@@ -773,7 +778,10 @@ PAYLOAD_FIELDS: dict[str, dict[str, tuple[str, Callable[[object], bool]]]] = {
         "dims": ("an object of every dimension's score, confidence, signed_score, observed and supra_channels",
                  _is_dims),
     },
-    "candidate": {"dimension": _DIMENSION, "supra_channels": _COUNT, "repeat_ordinal": _COUNT},
+    "candidate": {
+        "dimension": _DIMENSION, "supra_channels": _COUNT, "repeat_ordinal": _COUNT, "score": _NUMBER,
+        "confidence": _NUMBER, "severity": _one_of([severity.value for severity in Severity]), "composite": _FLAG,
+    },
     "decision": {
         "dimension": _DIMENSION,
         "category": _one_of([category.value for category in Category]),
@@ -793,13 +801,13 @@ def _trace_event(obj: dict, line_no: int) -> TraceEvent:
         t, kind, seq, payload = obj["t"], obj["kind"], obj["seq"], obj["payload"]
     except KeyError as error:
         raise ScenarioError(f"trace event missing field {error}", line_no) from None
-    if not (isinstance(kind, str) and kind in KIND_PRIORITY):
+    if type(kind) is not str or kind not in KIND_PRIORITY:
         raise ScenarioError(f"unknown trace event kind {kind!r}", line_no)
-    if not _is_finite_number(t):
+    if not (type(t) in _NUMBER_TYPES and abs(t) <= _FLOAT_MAX):
         raise ScenarioError(f"trace event t must be a finite number, got {t!r}", line_no)
-    if not _is_int(seq):
+    if type(seq) is not int:
         raise ScenarioError(f"trace event seq must be an integer, got {seq!r}", line_no)
-    if not isinstance(payload, dict):
+    if type(payload) is not dict:
         raise ScenarioError("trace event payload must be an object", line_no)
     for name, (expected, check) in PAYLOAD_FIELDS.get(kind, {}).items():
         if name not in payload:
@@ -841,21 +849,22 @@ def read_trace(path) -> tuple[dict, list[TraceEvent]]:
                 raise ScenarioError(f"invalid trace JSON: {error.msg}", line_no) from None
             if end != len(line):
                 raise ScenarioError("invalid trace JSON: Extra data", line_no)
-            if not isinstance(obj, dict):
+            if type(obj) is not dict:
                 raise ScenarioError("each trace line must be an object", line_no)
-            if obj.get("type") == "header":
+            record_type = obj.get("type")
+            if record_type == "event":
+                if header is None:
+                    raise ScenarioError("trace events before header", line_no)
+                events.append(_trace_event(obj, line_no))
+            elif record_type == "header":
                 if header is not None:
                     raise ScenarioError("duplicate trace header", line_no)
                 obj["config"] = _trace_config(obj, line_no)
                 if not _MODALITY[1](obj.get("modality", Modality.TEXT.value)):
                     raise ScenarioError(f"trace header modality must be {_MODALITY[0]}, got {obj['modality']!r}", line_no)
                 header = obj
-                continue
-            if obj.get("type") != "event":
-                raise ScenarioError(f"unknown trace record type {obj.get('type')!r}", line_no)
-            if header is None:
-                raise ScenarioError("trace events before header", line_no)
-            events.append(_trace_event(obj, line_no))
+            else:
+                raise ScenarioError(f"unknown trace record type {record_type!r}", line_no)
     if header is None:
         raise ScenarioError("trace is empty (no header)", 1)
     return header, events
@@ -911,15 +920,17 @@ def validate_trace(header: dict, events: list[TraceEvent]) -> list[str]:
 
     ``header["config"]`` is the trace's ``SessionConfig``, as
     ``read_trace`` returns it. Violations (empty list when clean):
-      - every decision takes one of the engine's trigger routes
-        (``interventions.ROUTES``), and the engine's own rule for it
-        (``route_reading``) reads the state vector at the decision's
-        time as active, with the decision's triggering_score and
-        confidence;
-      - its strategy is what ``interventions.decide`` makes of the reading and
-        the candidate, at the header's modality (text when absent);
-      - the route reads active on enough consecutive state vectors up
-        to the decision, spanning at least the persistence time;
+      - every candidate and every decision takes one of the engine's
+        trigger routes (``interventions.ROUTES``), the engine's own rule
+        for it (``route_reading``) reads the state vector at its time as
+        active, and the route reads active on enough consecutive state
+        vectors up to it, spanning at least the persistence time;
+      - a candidate carries the reading's score, confidence and
+        supra_channels, and the severity of that score;
+      - a decision carries the reading's triggering_score and
+        confidence, and its strategy is what ``interventions.decide``
+        makes of the reading and its candidate, at the header's
+        modality (text when absent);
       - decisions of one category are spaced by at least the category
         cooldown (boundary inclusive);
       - every decision coincides with a candidate of the same dimension;
@@ -950,46 +961,6 @@ def validate_trace(header: dict, events: list[TraceEvent]) -> list[str]:
     candidates = {(e.t, e.payload["dimension"]): e.payload for e in events if e.kind == "candidate"}
     decisions = [e for e in events if e.kind == "decision"]
 
-    for event in decisions:
-        payload = event.payload
-        dim = payload["dimension"]
-        label = f"decision t={event.t} {dim}"
-        candidate = candidates.get((event.t, dim))
-        if candidate is None:
-            violations.append(f"{label}: no matching candidate event")
-        route = (Dimension(dim), payload["composite"])
-        if route not in ROUTES:
-            violations.append(f"{label}: no trigger route for dimension {dim} with composite {route[1]}")
-            continue
-        index = state_index.get(event.t)
-        reading = None if index is None else _traced_reading(route, states[index], policy)
-        if reading is None:
-            violations.append(f"{label}: no qualifying state vector at decision time")
-            continue
-        for field, value in zip(_READING_FIELDS, reading):
-            if payload[field] != value:
-                violations.append(f"{label}: {field} {payload[field]} is not the reading's {value}")
-        if candidate is not None:
-            score, confidence, _ = reading
-            winner = Candidate(route[0], event.t, score, confidence, severity_of(score),
-                               candidate["supra_channels"], route[1], candidate["repeat_ordinal"])
-            for field, value in _decision_payload(decide(winner, table, modality)).items():
-                if field not in _READING_FIELDS and payload.get(field) != value:
-                    violations.append(f"{label}: {field} {payload.get(field)} is not the engine's {value}")
-        # walk back while the route reads active, until both gates hold
-        count, span = 1, 0.0
-        while (count < policy.consecutive_windows or span < policy.persistence_s) and index > 0:
-            index -= 1
-            if _traced_reading(route, states[index], policy) is None:
-                break
-            count, span = count + 1, event.t - states[index].t
-        if count < policy.consecutive_windows:
-            violations.append(
-                f"{label}: only {count} consecutive qualifying windows, need {policy.consecutive_windows}"
-            )
-        if span < policy.persistence_s:
-            violations.append(f"{label}: qualifying span {span}s is shorter than persistence {policy.persistence_s}s")
-
     last_by_category: dict[str, TraceEvent] = {}
     for event in decisions:
         category = event.payload["category"]
@@ -1005,6 +976,41 @@ def validate_trace(header: dict, events: list[TraceEvent]) -> list[str]:
                     f"{category} decision, cooldown is {needed}s"
                 )
         last_by_category[category] = event
+
+    for event in events:
+        if event.kind == "candidate":
+            payload = event.payload
+            label = f"candidate t={event.t} {payload['dimension']}"
+            reading = _judged_reading(label, event, states, state_index, policy, violations)
+            if reading is None:
+                continue
+            for field, value in zip(_CANDIDATE_READING_FIELDS, reading):
+                if payload[field] != value:
+                    violations.append(f"{label}: {field} {payload[field]} is not the reading's {value}")
+            severity = severity_of(reading[0]).value
+            if payload["severity"] != severity:
+                violations.append(f"{label}: severity {payload['severity']} is not the engine's {severity}")
+        elif event.kind == "decision":
+            payload = event.payload
+            dim = payload["dimension"]
+            label = f"decision t={event.t} {dim}"
+            candidate = candidates.get((event.t, dim))
+            if candidate is None:
+                violations.append(f"{label}: no matching candidate event")
+            reading = _judged_reading(label, event, states, state_index, policy, violations)
+            if reading is None:
+                continue
+            for field, value in zip(_READING_FIELDS, reading):
+                if payload[field] != value:
+                    violations.append(f"{label}: {field} {payload[field]} is not the reading's {value}")
+            if candidate is not None:
+                score, confidence, _ = reading
+                winner = Candidate(Dimension(dim), event.t, score, confidence, severity_of(score),
+                                   candidate["supra_channels"], payload["composite"], candidate["repeat_ordinal"])
+                for field, value in _decision_payload(decide(winner, table, modality)).items():
+                    if field not in _READING_FIELDS and payload.get(field) != value:
+                        violations.append(f"{label}: {field} {payload.get(field)} is not the engine's {value}")
+
     return violations
 
 
@@ -1021,6 +1027,36 @@ def _traced_reading(route: tuple[Dimension, bool], state: TraceEvent, policy: Tr
             ds["score"], ds["confidence"], None, ds["observed"], ds["signed_score"], ds["supra_channels"]
         )
     return route_reading(dimension, composite, StateVector(state.t, dims), policy)
+
+
+def _judged_reading(label: str, event: TraceEvent, states: list[TraceEvent], state_index: dict[float, int],
+                    policy: TriggerPolicy, violations: list[str]):
+    """The engine's reading of a candidate's or a decision's route on the
+    state vector at its time, or None when there is none. Appends a
+    violation when the route is not the engine's, when it does not read
+    active there, and for each trigger gate the run up to it misses."""
+    dim, composite = event.payload["dimension"], event.payload["composite"]
+    route = (Dimension(dim), composite)
+    if route not in ROUTES:
+        violations.append(f"{label}: no trigger route for dimension {dim} with composite {composite}")
+        return None
+    index = state_index.get(event.t)
+    reading = None if index is None else _traced_reading(route, states[index], policy)
+    if reading is None:
+        violations.append(f"{label}: no qualifying state vector at {event.kind} time")
+        return None
+    # walk back while the route reads active, until both gates hold
+    count, span = 1, 0.0
+    while (count < policy.consecutive_windows or span < policy.persistence_s) and index > 0:
+        index -= 1
+        if _traced_reading(route, states[index], policy) is None:
+            break
+        count, span = count + 1, event.t - states[index].t
+    if count < policy.consecutive_windows:
+        violations.append(f"{label}: only {count} consecutive qualifying windows, need {policy.consecutive_windows}")
+    if span < policy.persistence_s:
+        violations.append(f"{label}: qualifying span {span}s is shorter than persistence {policy.persistence_s}s")
+    return reading
 
 
 def _stream_summary_violations(events: list[TraceEvent]) -> list[str]:

@@ -361,6 +361,12 @@ def _decision_event(**changes):
     return {"t": 1.0, "kind": "decision", "payload": payload}
 
 
+def _candidate_event(**changes):
+    payload = {"dimension": "stress", "score": 2.0, "confidence": 1.0, "severity": "pronounced", "supra_channels": 2,
+               "composite": False, "repeat_ordinal": 1, **changes}
+    return {"t": 1.0, "kind": "candidate", "payload": payload}
+
+
 @pytest.mark.parametrize(
     "commands,lines,message",
     [
@@ -389,6 +395,13 @@ def _decision_event(**changes):
         (["validate", "summarize"],
          [CONFIG_HEADER, {"t": 1.0, "kind": "candidate", "payload": {"dimension": "stress", "supra_channels": 2}}],
          "line 2: candidate payload missing field 'repeat_ordinal'"),
+        # the audit judges a candidate by its route's reading, as a decision
+        (["validate", "summarize"], [CONFIG_HEADER, _candidate_event(score="2.0")],
+         "line 2: candidate payload field 'score' must be a number, got '2.0'"),
+        (["validate", "summarize"], [CONFIG_HEADER, _candidate_event(severity="severe")],
+         "line 2: candidate payload field 'severity' must be one of moderate, pronounced, got 'severe'"),
+        (["validate", "summarize"], [CONFIG_HEADER, _candidate_event(composite=1)],
+         "line 2: candidate payload field 'composite' must be true or false, got 1"),
         (["validate", "summarize"],
          [json.dumps({"type": "header", "config": {}, "modality": "telepathy"}),
           {"t": 1.0, "kind": "sync", "payload": {}}],
@@ -403,7 +416,8 @@ def _decision_event(**changes):
         "unknown_kind", "empty_decision", "header_without_config", "ingest_without_outcome",
         "ingest_of_accepted_samples", "ingest_run_of_no_samples", "ingest_run_ending_at_infinity",
         "state_vector_supra_channels_not_a_count", "decision_triggering_score_not_a_number",
-        "candidate_without_repeat_ordinal", "header_modality_unknown", "header_config_invalid",
+        "candidate_without_repeat_ordinal", "candidate_score_not_a_number", "candidate_severity_unknown",
+        "candidate_composite_not_a_flag", "header_modality_unknown", "header_config_invalid",
     ],
 )
 def test_hand_edited_trace_exits_2_with_the_line(tmp_path, capsys, commands, lines, message):

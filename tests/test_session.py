@@ -285,7 +285,10 @@ def _under_challenged_trace(load_signed_score, dimension="engagement", **decisio
     dims[Dimension.COGNITIVE_LOAD.value]["signed_score"] = load_signed_score
     dims[Dimension.ENGAGEMENT.value]["signed_score"] = 0.5
     events = [TraceEvent(t, "state_vector", seq, {"dims": dims}) for seq, t in enumerate((10.0, 20.0, 30.0))]
-    events.append(TraceEvent(30.0, "candidate", 3, {"dimension": dimension, "supra_channels": 0, "repeat_ordinal": 1}))
+    events.append(TraceEvent(30.0, "candidate", 3, {
+        "dimension": dimension, "score": abs(load_signed_score), "confidence": 1.0, "severity": "moderate",
+        "supra_channels": 0, "composite": True, "repeat_ordinal": 1,
+    }))
     events.append(TraceEvent(30.0, "decision", 4, {
         "dimension": dimension, "category": "challenge_enhancement", "triggering_score": abs(load_signed_score),
         "confidence": 1.0, "composite": True, "severity": "moderate", "tier": "micro", "framing": "implicit",
@@ -302,7 +305,8 @@ def test_validator_checks_the_composite_with_the_engines_load_ceiling():
 
     assert violations(CHALLENGE_LOAD_CEILING) == []
     assert violations(math.nextafter(CHALLENGE_LOAD_CEILING, 0.0)) == [
-        "decision t=30.0 engagement: no qualifying state vector at decision time"
+        "candidate t=30.0 engagement: no qualifying state vector at candidate time",
+        "decision t=30.0 engagement: no qualifying state vector at decision time",
     ]
 
 
@@ -311,7 +315,8 @@ def test_validator_flags_a_route_the_engine_does_not_have():
     # acts on engagement only
     events = _under_challenged_trace(-1.2, dimension="stress")
     assert validate_trace({"config": SessionConfig()}, events) == [
-        "decision t=30.0 stress: no trigger route for dimension stress with composite True"
+        "candidate t=30.0 stress: no trigger route for dimension stress with composite True",
+        "decision t=30.0 stress: no trigger route for dimension stress with composite True",
     ]
 
 
@@ -372,6 +377,47 @@ def test_validator_reads_the_strategy_table_of_the_config_at_the_headers_modalit
     }
 
 
+def test_validator_judges_candidates_with_the_engines_route_rule():
+    result = run_session(_bundled_stress_ramp())
+    header = {"config": result.config, "modality": result.modality}
+    candidates = [e for e in result.events if e.kind == "candidate"]
+    # the first candidate at 350 s is cognitive load; fatigue reads
+    # inactive there (score 1.39, under the 1.5 threshold)
+    first, second = candidates[:2]
+    assert (first.t, first.payload["dimension"]) == (350.0, "cognitive_load")
+    doctored = [e._replace(payload={**e.payload, "dimension": "fatigue", "score": 9.0}) if e is first else e
+                for e in result.events]
+    assert validate_trace(header, doctored) == ["candidate t=350.0 fatigue: no qualifying state vector at candidate time"]
+    # the second: stress, the reading 5.11 at confidence 1.0 over 3 channels
+    edits = {"score": 2.0, "confidence": 0.7, "supra_channels": 9, "severity": "moderate"}
+    doctored = [e._replace(payload={**e.payload, **edits}) if e is second else e for e in result.events]
+    assert validate_trace(header, doctored) == [
+        f"candidate t=350.0 stress: score 2.0 is not the reading's {second.payload['score']}",
+        "candidate t=350.0 stress: confidence 0.7 is not the reading's 1.0",
+        "candidate t=350.0 stress: supra_channels 9 is not the reading's 3",
+        "candidate t=350.0 stress: severity moderate is not the engine's pronounced",
+    ]
+
+
+def test_validator_applies_the_trigger_gates_to_candidates():
+    result = run_session(_bundled_stress_ramp())
+    header = {"config": result.config, "modality": result.modality}
+    # a stress candidate with the reading of the tick where stress first
+    # reads active: a run of one state vector, spanning no time
+    policy = session._trigger_policy(result.config)
+    states = [e for e in result.events if e.kind == "state_vector"]
+    onset = next(e for e in states if session._traced_reading((Dimension.STRESS, False), e, policy) is not None)
+    score, confidence, supra_channels = session._traced_reading((Dimension.STRESS, False), onset, policy)
+    forged = TraceEvent(onset.t, "candidate", onset.seq, {
+        "dimension": "stress", "score": score, "confidence": confidence, "severity": "pronounced",
+        "supra_channels": supra_channels, "composite": False, "repeat_ordinal": 1,
+    })
+    assert validate_trace(header, sorted(result.events + [forged], key=TraceEvent.sort_key)) == [
+        f"candidate t={onset.t} stress: only 1 consecutive qualifying windows, need 3",
+        f"candidate t={onset.t} stress: qualifying span 0.0s is shorter than persistence 10.0s",
+    ]
+
+
 def test_one_audit_decodes_the_trace_config_once(tmp_path, stress_result, monkeypatch):
     path = tmp_path / "session.trace.jsonl"
     write_trace(stress_result, path)
@@ -424,6 +470,29 @@ def test_transcript_warning_is_stamped_at_its_session_time():
     result = run_session(parse_scenario_lines(lines))
     warnings = [(e.t, e.payload["reason"]) for e in result.events if e.kind == "warning"]
     assert (130.0, "malformed_note_reply") in warnings
+    assert validate_trace({"config": result.config}, result.events) == []
+
+
+def test_a_transcript_dropped_as_late_is_not_analyzed():
+    # the transcript stamped 9.0 s comes after the beat at 12.0 s, past
+    # the watermark: dropped without using up the first scripted reply
+    config = {"calibration_duration_s": 20.0, "window_hop_s": 5.0, "window_length.note_score": 10.0}
+    lines = [_header_lines(NOTE_AND_HEART, config=config,
+                           analyzer_replies=["score=0.1; feedback=shaky", "score=0.9; feedback=solid"])]
+    for beat in _beats(0.0, 45.0, rr=800.0):
+        lines.append(beat)
+        t = json.loads(beat)["t"]
+        if t == 12.0:
+            lines.append(json.dumps({"type": "sample", "stream": "notes", "t": 9.0, "transcript": "late"}))
+        elif t == 30.4:
+            lines.append(json.dumps({"type": "sample", "stream": "notes", "t": 30.4, "transcript": "on time"}))
+    result = run_session(parse_scenario_lines(lines))
+    notes = _summaries(result)["notes"]
+    assert (notes["accepted"], notes["dropped_late"], notes["first_t"]) == (1, 1, 30.4)
+    assert _ingest_runs(result.events) == [(9.0, "notes", "dropped_late", 1, 9.0)]
+    errors = {e.t: e.payload["values"].get(state.CHANNEL_NOTE_ERROR) for e in result.events
+              if e.kind == "window_features" and e.payload["stream_kind"] == "note_score"}
+    assert (errors[35.0], errors[40.0]) == (pytest.approx(0.9), pytest.approx(0.9))
     assert validate_trace({"config": result.config}, result.events) == []
 
 
@@ -937,6 +1006,245 @@ def test_mutated_trace_fields_fail_cleanly_or_audit(small_traces, tmp_path_facto
         return
     validate_trace(header, events)
     summarize(header, events)
+
+
+# Plain isinstance rules for what read_trace accepts in each field it
+# checks. The checks themselves test the exact type of a decoded JSON
+# value; these pin that they accept the same values.
+
+def _number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite(value):
+    return _number(value) and abs(value) <= sys.float_info.max
+
+
+def _integer(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integer_from(least):
+    return lambda value: _integer(value) and value >= least
+
+
+def _string_in(values=None):
+    return lambda value: isinstance(value, str) and (values is None or value in values)
+
+
+def _flag(value):
+    return isinstance(value, bool)
+
+
+def _number_or_null(value):
+    return value is None or _number(value)
+
+
+_DIMENSION_STATE_RULES = {
+    "score": _number, "confidence": _number, "signed_score": _number, "observed": _flag,
+    "supra_channels": _integer_from(0),
+}
+
+
+def _dims_rule(dims):
+    return (
+        isinstance(dims, dict)
+        and set(dims) == {dim.value for dim in Dimension}
+        and all(isinstance(ds, dict) and all(name in ds and rule(ds[name]) for name, rule in _DIMENSION_STATE_RULES.items())
+                for ds in dims.values())
+    )
+
+
+_DIMENSIONS = tuple(dim.value for dim in Dimension)
+_FIELD_RULES = {
+    "ingest": {
+        "stream": _string_in(), "outcome": _string_in(("reordered", "dropped_late")), "count": _integer_from(1),
+        "last_t": _finite,
+    },
+    "stream_summary": {
+        "stream": _string_in(), "accepted": _integer_from(0), "reordered": _integer_from(0),
+        "dropped_late": _integer_from(0), "first_t": _number_or_null, "last_t": _number_or_null,
+    },
+    "state_vector": {"dims": _dims_rule},
+    "candidate": {
+        "dimension": _string_in(_DIMENSIONS), "score": _number, "confidence": _number,
+        "severity": _string_in(("moderate", "pronounced")), "supra_channels": _integer_from(0), "composite": _flag,
+        "repeat_ordinal": _integer_from(0),
+    },
+    "decision": {
+        "dimension": _string_in(_DIMENSIONS),
+        "category": _string_in(("cognitive_attentional", "physiological", "comprehension_oriented",
+                                "challenge_enhancement")),
+        "triggering_score": _number, "confidence": _number, "composite": _flag,
+    },
+    "warning": {"reason": _string_in()},
+}
+_ENVELOPE_RULES = {"t": _finite, "seq": _integer, "payload": lambda value: isinstance(value, dict)}
+
+_STATE = {"score": 0.5, "confidence": 1.0, "descriptor": "nominal", "observed": True, "signed_score": -0.5,
+          "supra_channels": 0}
+_VALID_PAYLOADS = {
+    "ingest": {"stream": "heart", "outcome": "dropped_late", "count": 2, "last_t": 1.5},
+    "stream_summary": {"stream": "heart", "accepted": 3, "reordered": 1, "dropped_late": 0, "first_t": 0.0,
+                       "last_t": 2.5},
+    "state_vector": {"dims": {dim: dict(_STATE) for dim in _DIMENSIONS}},
+    "candidate": {"dimension": "stress", "score": 2.5, "confidence": 0.9, "severity": "pronounced",
+                  "supra_channels": 2, "composite": False, "repeat_ordinal": 1},
+    "decision": {"dimension": "stress", "category": "physiological", "triggering_score": 2.5, "confidence": 0.9,
+                 "composite": False},
+    "warning": {"reason": "generation_failed"},
+    "sync": {},
+}
+_FIELD_VALUES = st.one_of(_JUNK, st.sampled_from(
+    [0, 1, 2, -1, 0.0, -0.0, 2.5, -2.5, 1e308, True, False, None, "", "heart", "moderate", "pronounced",
+     "reordered", "dropped_late", "challenge_enhancement", *_DIMENSIONS, [], {}]
+))
+
+
+def _decoded(value):
+    """The value as read_trace meets it: decoded from its JSON text."""
+    return json.loads(json.dumps(value))
+
+
+def _event_accepted(kind, payload, envelope=()):
+    obj = _decoded({"type": "event", "t": 1.0, "kind": kind, "seq": 0, "payload": payload, **dict(envelope)})
+    try:
+        session._trace_event(obj, 7)
+    except ScenarioError as error:
+        assert error.line_no == 7
+        return False
+    return True
+
+
+def test_the_field_rules_cover_every_checked_field_and_accept_the_valid_payloads():
+    assert {kind: set(fields) for kind, fields in _FIELD_RULES.items()} == {
+        kind: set(fields) for kind, fields in session.PAYLOAD_FIELDS.items()
+    }
+    for kind, payload in _VALID_PAYLOADS.items():
+        assert _event_accepted(kind, payload)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_each_field_check_accepts_exactly_what_its_plain_rule_accepts(data):
+    kind = data.draw(st.sampled_from(sorted(_FIELD_RULES)))
+    name = data.draw(st.sampled_from(sorted(_FIELD_RULES[kind])))
+    value = _decoded(data.draw(_FIELD_VALUES))
+    assert _event_accepted(kind, {**_VALID_PAYLOADS[kind], name: value}) == _FIELD_RULES[kind][name](value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_envelope_checks_accept_exactly_what_plain_rules_accept(data):
+    name = data.draw(st.sampled_from(sorted(_ENVELOPE_RULES)))
+    value = _decoded(data.draw(_FIELD_VALUES))
+    # a sync payload has no checked field
+    assert _event_accepted("sync", {}, {name: value}) == _ENVELOPE_RULES[name](value)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_the_state_vector_check_accepts_exactly_what_a_plain_rule_accepts(data):
+    dims = _decoded(_VALID_PAYLOADS["state_vector"]["dims"])
+    for _ in range(data.draw(st.integers(min_value=1, max_value=2))):
+        edit = data.draw(st.sampled_from(["field", "delete_field", "state", "extra_dimension", "delete_dimension"]))
+        dim = data.draw(st.sampled_from(sorted(dims)))
+        if edit in ("field", "delete_field") and isinstance(dims[dim], dict):
+            field = data.draw(st.sampled_from(sorted(_STATE)))
+            if edit == "field":
+                dims[dim][field] = _decoded(data.draw(_FIELD_VALUES))
+            else:
+                dims[dim].pop(field, None)
+        elif edit == "state":
+            dims[dim] = _decoded(data.draw(_FIELD_VALUES))
+        elif edit == "extra_dimension":
+            dims[data.draw(st.text(max_size=4))] = dict(_STATE)
+        else:
+            del dims[dim]
+            if not dims:
+                break
+    assert _event_accepted("state_vector", {"dims": dims}) == _dims_rule(dims)
+
+
+def _without(mapping, key):
+    del mapping[key]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda dims: dims["stress"].update(score=True),
+        lambda dims: _without(dims["fatigue"], "observed"),
+        lambda dims: dims["attention"].update(supra_channels=-1),
+        lambda dims: dims.update(boredom=dict(_STATE)),
+        lambda dims: dims.update(engagement=[0.5, 1.0]),
+    ],
+    ids=["boolean_score", "missing_observed", "negative_supra_channels", "extra_dimension", "dimension_not_an_object"],
+)
+def test_a_bad_state_vector_fails_with_its_message_and_line(tmp_path, edit):
+    dims = _decoded(_VALID_PAYLOADS["state_vector"]["dims"])
+    edit(dims)
+    path = tmp_path / "edited.trace.jsonl"
+    lines = [
+        {"type": "header", "config": {}},
+        {"type": "event", "t": 1.0, "kind": "sync", "seq": 0, "payload": {}},
+        {"type": "event", "t": 2.0, "kind": "state_vector", "seq": 1, "payload": {"dims": dims}},
+    ]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    with pytest.raises(ScenarioError) as error:
+        read_trace(path)
+    assert error.value.line_no == 3
+    assert str(error.value) == (
+        "line 3: state_vector payload field 'dims' must be an object of every dimension's score, "
+        f"confidence, signed_score, observed and supra_channels, got {dims!r}"
+    )
+
+
+def _engine_calls(function, *args) -> int:
+    """How many frames of the engine's own code ``function(*args)`` runs,
+    a generator's resumptions included: the ``call`` events under
+    ``sys.setprofile`` whose code lies in the cogloop package (not, say,
+    the text decoder's, whose calls follow the file's size)."""
+    package = str(Path(cogloop.__file__).parent)
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code.co_filename.startswith(package)
+
+    sys.setprofile(profile)
+    try:
+        function(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_reading_a_state_vector_takes_a_fixed_number_of_calls(tmp_path):
+    result = run_session(_bundled_stress_ramp())
+    full = tmp_path / "stress_ramp.trace.jsonl"
+    write_trace(result, full)
+    lines = full.read_text().splitlines(keepends=True)
+    states = [line for line in lines if '"kind":"state_vector"' in line]
+    assert len(states) > 10
+    # the same trace without its state vectors, and with ten more fields
+    # in each dimension's state
+    without = tmp_path / "without.trace.jsonl"
+    without.write_text("".join(line for line in lines if line not in states))
+    wider = tmp_path / "wider.trace.jsonl"
+    widened = []
+    for line in lines:
+        if line in states:
+            obj = json.loads(line)
+            for ds in obj["payload"]["dims"].values():
+                ds.update({f"extra_{i}": i for i in range(10)})
+            line = json.dumps(obj) + "\n"
+        widened.append(line)
+    wider.write_text("".join(widened))
+    base = _engine_calls(read_trace, without)
+    # per state vector: the event check, the dims check and TraceEvent
+    assert _engine_calls(read_trace, full) - base == 3 * len(states)
+    assert _engine_calls(read_trace, wider) - base == 3 * len(states)
 
 
 # ---------------------------------------------------------------------------

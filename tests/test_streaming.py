@@ -113,8 +113,10 @@ def test_ticks_inside_a_silence_are_walked_before_close(monkeypatch):
 
 
 def test_an_arrival_sorts_before_the_engine_events_of_its_time():
-    # the transcript stamped at the end of calibration arrives 20 s late,
-    # after the baseline froze and warned there, and its reply is clamped
+    # the transcript stamped at the end of calibration arrives behind a
+    # beat at 10.25 s, which moved the watermark to 10.0 s: the baseline
+    # froze and warned there, the transcript is not late, so it is
+    # analyzed (its reply clamped) and reordered
     header = json.dumps({
         "type": "header",
         "streams": [{"stream_id": "notes", "kind": "note_score", "nominal_rate_hz": 0.1},
@@ -127,11 +129,13 @@ def test_an_arrival_sorts_before_the_engine_events_of_its_time():
     # 1.6 and 2.4 s: too few for a note_error baseline
     first = json.dumps({"type": "sample", "stream": "notes", "t": 2.0, "correctness": 0.8})
     beats = [json.dumps({"type": "sample", "stream": "heart", "t": i * 0.8, "rr_ms": 800}) for i in range(38)]
-    late = json.dumps({"type": "sample", "stream": "notes", "t": 10.0, "transcript": "late notes"})
-    result = run_session(parse_scenario_lines([header, *beats[:3], first, *beats[3:], late]))
+    freeze = json.dumps({"type": "sample", "stream": "heart", "t": 10.25, "rr_ms": 800})
+    behind = json.dumps({"type": "sample", "stream": "notes", "t": 10.0, "transcript": "notes at the watermark"})
+    lines = [header, *beats[:3], first, *beats[3:13], freeze, behind, *beats[13:]]
+    result = run_session(parse_scenario_lines(lines))
     at_10 = [(e.kind, e.payload.get("reason")) for e in result.events if e.t == 10.0 and e.kind != "window_features"]
     assert at_10 == [
-        ("ingest", None),  # dropped: the watermark had passed it
+        ("ingest", None),  # reordered: behind the beat at 10.25 s
         ("warning", "note_score_clamped"),
         ("warning", "uncalibrated_channel"),
     ]
