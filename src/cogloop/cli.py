@@ -18,8 +18,10 @@ from importlib import resources
 
 from .config import parse_config_text
 from .errors import ConfigError, ScenarioError
-from .scenario import first_escaped_line, load_profile, load_scenario, synthesize, write_scenario
-from .session import read_trace, run_session, summarize, validate_trace, write_trace
+from .scenario import first_escaped_line, load_scenario, write_scenario
+from .session import run_session
+from .synth import load_profile, synthesize
+from .trace import read_trace, summarize, validate_trace, write_trace
 
 
 def _build_parser() -> argparse.ArgumentParser:

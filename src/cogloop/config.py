@@ -17,7 +17,7 @@ import math
 
 from .directives import TEMPLATE_IDS
 from .errors import ConfigError
-from .interventions import Category, Severity, StrategyKey
+from .interventions import Category, Severity, StrategyKey, StrategyTable, TriggerPolicy
 from .model import Dimension, Modality, Slotted, StreamKind
 from .state import ALL_CHANNELS, SIGMA_FLOOR, MODERATE_FLOOR, WeightMatrix, default_weight_matrix
 
@@ -365,3 +365,16 @@ def config_from_dict(data: dict) -> SessionConfig:
         else:
             raise ConfigError(f"unknown config key {key!r}")
     return checked_config(apply_entries(cfg, flat))
+
+
+# ---------------------------------------------------------------------------
+# the engine's knobs, read by the replay and by the trace audit alike
+
+def _trigger_policy(cfg: SessionConfig) -> TriggerPolicy:
+    """The trigger knobs of a config, as the engine and the audit read them."""
+    return TriggerPolicy(cfg.trigger_threshold, cfg.confidence_min, cfg.consecutive_windows, cfg.persistence_s)
+
+
+def _strategy_table(cfg: SessionConfig) -> StrategyTable:
+    """The strategy table of a config, as the engine and the audit read it."""
+    return StrategyTable().with_template_overrides(cfg.strategy_overrides)

@@ -25,8 +25,10 @@ import tempfile
 from importlib import resources
 from pathlib import Path
 
-from cogloop.scenario import load_profile, synthesize, write_scenario
-from cogloop.session import run_session, write_trace
+from cogloop.scenario import write_scenario
+from cogloop.session import run_session
+from cogloop.synth import load_profile, synthesize
+from cogloop.trace import write_trace
 
 
 def _bundled_profile(name):

@@ -38,8 +38,7 @@ from cogloop.interventions import (
     severity_of,
 )
 from cogloop.model import Dimension, GazeSample, Modality, SampleEnvelope
-from cogloop.scenario import load_profile, synthesize
-from cogloop.session import run_session, validate_trace, write_trace
+from cogloop.session import run_session
 from cogloop.state import (
     ALL_CHANNELS,
     ChannelFeature,
@@ -51,6 +50,8 @@ from cogloop.state import (
     dimension_score,
     to_descriptor,
 )
+from cogloop.synth import load_profile, synthesize
+from cogloop.trace import validate_trace, write_trace
 
 BUNDLED = ("all_baseline", "stress_ramp", "load_excursion", "mixed_session")
 

@@ -85,6 +85,7 @@ def _segment(**channel):
         ({"segments": [{"duration_s": float("nan")}]}, "segment 0: duration_s must be a positive finite number"),
         ({"segments": [{"duration_s": 50_000}] * 2}, "segments span 100000.0 s, past the session span (86400.0 s)"),
         ({"noise": {"pupil_mm": float("inf")}}, "noise pupil_mm must be a finite number, got inf"),
+        ({"noise": {"pupil_mm": -0.02}}, "noise pupil_mm must not be negative, got -0.02"),
         ({"noise": [0.0]}, "noise must be an object"),
         ({"note_interval_s": -1.0}, "note_interval_s must be a positive finite number, got -1.0"),
         ({"seed": "x"}, "seed must be an integer, got 'x'"),
@@ -95,8 +96,8 @@ def _segment(**channel):
     ids=[
         "zero_gaze_rate", "nan_posture_rate", "segment_not_object", "text_target_z", "nan_tau",
         "infinite_period", "nan_amplitude", "channels_not_object", "spec_not_object", "nan_duration",
-        "span_past_24h", "infinite_noise", "noise_not_object", "negative_note_interval", "text_seed",
-        "config_not_object", "overflowing_gaze_rate", "overflowing_posture_rate",
+        "span_past_24h", "infinite_noise", "negative_noise", "noise_not_object", "negative_note_interval",
+        "text_seed", "config_not_object", "overflowing_gaze_rate", "overflowing_posture_rate",
     ],
 )
 def test_hostile_profile_exits_2(tmp_path, capsys, edit, message):

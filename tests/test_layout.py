@@ -2,7 +2,10 @@
 
 The runtime stays standard-library only, and a module imports no name
 it never uses, so a deletion cannot leave a dead import behind. A
-replay loads only the standard library it uses.
+replay loads only the standard library it uses, and neither the
+synthesizer nor the command line. ``session`` and ``scenario`` bridge
+the names the benchmark still reads from them, and only the test that
+mirrors the benchmark reads those names there.
 """
 
 import ast
@@ -15,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import cogloop
+from cogloop import scenario, session, synth, trace
 
 MODULES = sorted(Path(cogloop.__file__).parent.glob("*.py"))
 
@@ -55,8 +59,10 @@ def test_imports_are_standard_library_or_the_package(path):
 _REPLAY_CHILD = """
 import sys
 before = set(sys.modules)
-from cogloop.scenario import load_profile, load_scenario, synthesize, write_scenario
-from cogloop.session import run_session, write_trace
+from cogloop.scenario import load_scenario, write_scenario
+from cogloop.session import run_session
+from cogloop.synth import load_profile, synthesize
+from cogloop.trace import write_trace
 profile, scenario, trace, cli_trace = sys.argv[1:5]
 write_scenario(synthesize(load_profile(profile)), scenario)
 write_trace(run_session(load_scenario(scenario)), trace)
@@ -95,6 +101,40 @@ def test_a_replay_loads_only_the_standard_library_it_uses(tmp_path):
     # the replay decided, so it hashed prompts
     assert '"kind":"directive_sent"' in trace.read_text(encoding="utf-8")
     assert cli_trace.read_bytes() == trace.read_bytes()
+
+
+# A replay as ``cogloop run --trace`` makes it, with nothing else loaded
+# first; prints, on its last line, the modules loaded since the
+# interpreter started.
+_BARE_REPLAY_CHILD = """
+import sys
+before = set(sys.modules)
+from cogloop.scenario import load_scenario
+from cogloop.session import run_session
+from cogloop.trace import write_trace
+scenario, trace = sys.argv[1:3]
+write_trace(run_session(load_scenario(scenario)), trace)
+import json
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_a_replay_loads_neither_the_synthesizer_nor_the_command_line(tmp_path):
+    # a fresh process compiles each module it loads, unless its bytecode
+    # is cached, and the compile of a large module sets a replay's peak
+    profile = Path(cogloop.__file__).parent / "profiles" / "load_excursion.json"
+    scenario_path, trace_path = tmp_path / "scenario.jsonl", tmp_path / "trace.jsonl"
+    scenario.write_scenario(synth.synthesize(synth.load_profile(profile)), scenario_path)
+    child = subprocess.run(
+        [sys.executable, "-c", _BARE_REPLAY_CHILD, str(scenario_path), str(trace_path)],
+        env={"PYTHONPATH": str(Path(cogloop.__file__).parents[1]), "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    loaded = set(json.loads(child.stdout.splitlines()[-1]))
+    assert {"cogloop.scenario", "cogloop.session", "cogloop.trace"} <= loaded
+    assert {"cogloop.synth", "cogloop.cli"}.isdisjoint(loaded)
+    assert trace_path.stat().st_size > 0
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
@@ -160,3 +200,72 @@ def test_fmean_is_never_given_a_generator_expression(path):
         and any(isinstance(arg, ast.GeneratorExp) for arg in node.args)
     ]
     assert calls == []
+
+
+# The names that moved out of each module and that the benchmark under
+# bench/ still reads from it, through the module's __getattr__.
+BRIDGES = {
+    session: (trace, ("write_trace", "read_trace", "validate_trace", "summarize")),
+    scenario: (synth, ("synthesize", "parse_profile")),
+}
+
+
+@pytest.mark.parametrize("old", BRIDGES, ids=lambda module: module.__name__)
+def test_each_bridge_resolves_exactly_its_names(old):
+    new, names = BRIDGES[old]
+    for name in names:
+        assert getattr(old, name) is getattr(new, name)
+        assert vars(old)[name] is getattr(new, name)  # cached: the next read is a plain global
+    # every other name of the new module is there only if the old one imports it
+    moved = {name for _, name in _module_level_names(ast.parse(Path(new.__file__).read_text(encoding="utf-8")))}
+    for name in sorted(moved - set(names) - set(vars(old))) + ["no_such_name"]:
+        with pytest.raises(AttributeError, match=name):
+            getattr(old, name)
+
+
+def _source(node: ast.ImportFrom) -> str:
+    """The absolute name of the module an import reads from; a relative
+    import is one inside the package."""
+    if node.level:
+        return "cogloop" + (f".{node.module}" if node.module else "")
+    return node.module or ""
+
+
+def _bridged_reads(tree: ast.Module) -> list[str]:
+    """Every read of a bridged name from the module that bridges it: an
+    import of it by name, or an attribute of the module."""
+    bridged = {f"cogloop.{old.__name__.rpartition('.')[2]}": names for old, (_, names) in BRIDGES.items()}
+    bound: dict[str, str] = {}  # a name bound to a bridging module -> the module
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = _source(node)
+            if source in bridged:
+                found += [f"line {node.lineno}: {source}.{a.name}" for a in node.names if a.name in bridged[source]]
+            elif source == "cogloop":
+                bound.update((a.asname or a.name, f"cogloop.{a.name}") for a in node.names)
+        elif isinstance(node, ast.Import):
+            bound.update((a.asname, a.name) for a in node.names if a.asname)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            owner = node.value
+            module = ast.unparse(owner) if isinstance(owner, ast.Attribute) else bound.get(getattr(owner, "id", None))
+            if node.attr in bridged.get(module, ()):
+                found.append(f"line {node.lineno}: {module}.{node.attr}")
+    return found
+
+
+TESTS = Path(__file__).resolve().parent
+BENCH_MIRROR = TESTS / "test_bench_layers.py"
+
+
+@pytest.mark.parametrize(
+    "path", [*MODULES, *sorted(set(TESTS.glob("*.py")) - {BENCH_MIRROR})], ids=lambda path: path.name
+)
+def test_only_the_bench_mirror_reads_a_bridged_name(path):
+    assert _bridged_reads(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_bench_mirror_reads_bridged_names():
+    # the rule above finds what it looks for
+    assert len(_bridged_reads(ast.parse(BENCH_MIRROR.read_text(encoding="utf-8")))) >= 6

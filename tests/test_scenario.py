@@ -18,29 +18,25 @@ from cogloop.model import (
     StreamKind,
 )
 from cogloop.scenario import (
-    CONTROLS,
     MAX_PUPIL_MM,
     MIN_GAZE_STEP_S,
-    GeneratorSpec,
     SampleRecord,
     Scenario,
     ScenarioHeader,
     SyncRecord,
-    _ControlCurve,
     _render,
     _is_finite_number,
     _is_mark,
     _parse_header,
-    load_profile,
     load_scenario,
-    parse_profile,
     parse_scenario_lines,
     scenario_to_lines,
-    synthesize,
     write_scenario,
 )
-from cogloop.session import run_session, validate_trace
+from cogloop.session import run_session
 from cogloop.streams import estimate_offset
+from cogloop.synth import CONTROLS, GeneratorSpec, _ControlCurve, load_profile, parse_profile, synthesize
+from cogloop.trace import validate_trace
 
 HEADER = json.dumps({
     "type": "header",

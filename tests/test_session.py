@@ -18,32 +18,18 @@ from hypothesis import strategies as st
 import cogloop
 from cogloop import session
 from cogloop.behavior import score_posture
-from cogloop.config import SessionConfig, config_from_dict
+from cogloop.config import SessionConfig, _trigger_policy, config_from_dict
 from cogloop.errors import ConfigError, MissingLandmarksError, ScenarioError
 from cogloop.interventions import CHALLENGE_LOAD_CEILING
 from cogloop.model import Dimension, NoteScoreSample, PostureSample, RRSample, StreamDescriptor, StreamKind
-from cogloop.scenario import (
-    Scenario,
-    ScenarioHeader,
-    SyncRecord,
-    load_profile,
-    parse_profile,
-    parse_scenario_lines,
-    synthesize,
-)
-from cogloop.session import (
-    TraceEvent,
-    expected_calibration_windows,
-    read_trace,
-    resolve_config,
-    run_session,
-    summarize,
-    validate_trace,
-    write_trace,
-)
+from cogloop.scenario import Scenario, ScenarioHeader, SyncRecord, parse_scenario_lines
+from cogloop.session import expected_calibration_windows, resolve_config, run_session
 from cogloop import state
 from cogloop.state import CHANNEL_POSTURE, ChannelFeature
 from cogloop.streams import StreamMerger
+from cogloop.synth import load_profile, parse_profile, synthesize
+from cogloop import trace
+from cogloop.trace import TraceEvent, read_trace, summarize, validate_trace, write_trace
 
 # calibration shortened so the whole session stays around five minutes
 STRESS_PROFILE = {
@@ -332,6 +318,29 @@ def test_validator_flags_a_decision_that_is_not_its_reading(field, value, messag
     assert validate_trace({"config": SessionConfig()}, events) == [f"decision t=30.0 engagement: {message}"]
 
 
+def test_validator_pairs_a_decision_with_the_candidate_of_its_route():
+    # engagement reads active on its plain route (score 2.0) and on the
+    # composite one (load signed -1.2) at every tick; the engine's
+    # composite candidate supersedes the plain one, so a composite
+    # decision can only stand beside the composite candidate
+    *states, composite, decision = _under_challenged_trace(-1.2)
+    engagement = states[0].payload["dims"][Dimension.ENGAGEMENT.value]  # one dims object for every tick
+    engagement.update(score=2.0, signed_score=2.0)
+    plain = TraceEvent(30.0, "candidate", 3, {
+        "dimension": "engagement", "score": 2.0, "confidence": 1.0, "severity": "pronounced",
+        "supra_channels": 0, "composite": False, "repeat_ordinal": 1,
+    })
+    header = {"config": SessionConfig()}
+    assert validate_trace(header, [*states, composite, decision]) == []
+    assert validate_trace(header, [*states, plain, decision]) == [
+        "decision t=30.0 engagement: no matching candidate event",
+    ]
+    assert validate_trace(header, [*states, plain, composite._replace(seq=4), decision._replace(seq=5)]) == [
+        "candidate t=30.0 engagement: both a plain and a composite candidate at one tick, "
+        "where the composite supersedes the plain one",
+    ]
+
+
 def _bundled_stress_ramp(**profile):
     data = json.loads(resources.files("cogloop").joinpath("profiles", "stress_ramp.json").read_text(encoding="utf-8"))
     return synthesize(parse_profile({**data, **profile}))
@@ -404,10 +413,10 @@ def test_validator_applies_the_trigger_gates_to_candidates():
     header = {"config": result.config, "modality": result.modality}
     # a stress candidate with the reading of the tick where stress first
     # reads active: a run of one state vector, spanning no time
-    policy = session._trigger_policy(result.config)
+    policy = _trigger_policy(result.config)
     states = [e for e in result.events if e.kind == "state_vector"]
-    onset = next(e for e in states if session._traced_reading((Dimension.STRESS, False), e, policy) is not None)
-    score, confidence, supra_channels = session._traced_reading((Dimension.STRESS, False), onset, policy)
+    onset = next(e for e in states if trace._traced_reading((Dimension.STRESS, False), e, policy) is not None)
+    score, confidence, supra_channels = trace._traced_reading((Dimension.STRESS, False), onset, policy)
     forged = TraceEvent(onset.t, "candidate", onset.seq, {
         "dimension": "stress", "score": score, "confidence": confidence, "severity": "pronounced",
         "supra_channels": supra_channels, "composite": False, "repeat_ordinal": 1,
@@ -427,7 +436,7 @@ def test_one_audit_decodes_the_trace_config_once(tmp_path, stress_result, monkey
         calls.append(data)
         return config_from_dict(data)
 
-    monkeypatch.setattr(session, "config_from_dict", counted)
+    monkeypatch.setattr(trace, "config_from_dict", counted)
     header, events = read_trace(path)
     assert validate_trace(header, events) == []
     summarize(header, events)
@@ -958,7 +967,7 @@ _JUNK = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.text(max_size=4),
     st.sampled_from(
-        list(session.KIND_PRIORITY) + list(session.INGEST_OUTCOMES)
+        list(trace.KIND_PRIORITY) + list(trace.INGEST_OUTCOMES)
         + ["header", "event", "stress", "engagement", "physiological", "heart"]
     ),
     st.lists(st.integers(), max_size=2),
@@ -1109,7 +1118,7 @@ def _decoded(value):
 def _event_accepted(kind, payload, envelope=()):
     obj = _decoded({"type": "event", "t": 1.0, "kind": kind, "seq": 0, "payload": payload, **dict(envelope)})
     try:
-        session._trace_event(obj, 7)
+        trace._trace_event(obj, 7)
     except ScenarioError as error:
         assert error.line_no == 7
         return False
@@ -1118,7 +1127,7 @@ def _event_accepted(kind, payload, envelope=()):
 
 def test_the_field_rules_cover_every_checked_field_and_accept_the_valid_payloads():
     assert {kind: set(fields) for kind, fields in _FIELD_RULES.items()} == {
-        kind: set(fields) for kind, fields in session.PAYLOAD_FIELDS.items()
+        kind: set(fields) for kind, fields in trace.PAYLOAD_FIELDS.items()
     }
     for kind, payload in _VALID_PAYLOADS.items():
         assert _event_accepted(kind, payload)

@@ -30,14 +30,14 @@ from cogloop.scenario import (
     SyncRecord,
     iter_records,
     load_scenario,
-    parse_profile,
     parse_scenario_lines,
     scenario_to_lines,
-    synthesize,
     write_scenario,
 )
-from cogloop.session import Session, run_session, validate_trace, write_trace
+from cogloop.session import Session, run_session
 from cogloop.streams import StreamMerger
+from cogloop.synth import parse_profile, synthesize
+from cogloop.trace import validate_trace, write_trace
 
 ROOT = Path(__file__).resolve().parents[1]
 REPLAY_CHILD = ROOT / "bench" / "replay_child.py"
