@@ -1,5 +1,5 @@
-"""Posture scoring against a personal baseline pose, and parsing of
-note-assessment replies.
+"""Posture scoring against a personal baseline pose, the posture
+windows' features, and parsing of note-assessment replies.
 
 Posture quality is the mean of up to three sub-scores, each
 100 * max(0, 1 - deviation / tolerance):
@@ -10,21 +10,25 @@ Posture quality is the mean of up to three sub-scores, each
   back_straightness: change of the trunk line's angle from vertical
                     (degrees)
 
-Sub-scores are computed only when their landmarks are visible in both
-the sample and the baseline; the final percentage averages whatever is
-available. Both shoulders are mandatory.
+Scoring compares a pose's geometry (``model.PoseGeometry``) with the
+baseline pose's. Sub-scores are computed only when their landmarks are
+visible in both the sample and the baseline; the final percentage
+averages whatever is available. Both shoulders are mandatory.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Callable
 from enum import Enum
 from typing import NamedTuple
 
 from .errors import MalformedReplyError, MissingLandmarksError, OutOfRangeError
-from .model import NoteScoreSample, PostureSample
+from .model import NoteScoreSample, PoseGeometry, PostureSample, SampleEnvelope
+from .state import CHANNEL_POSTURE, ChannelFeature, Extraction
 from .stats import fmean
+from .streams import Window
 
 SHOULDER_TILT_TOLERANCE_DEG = 10.0
 NECK_OFFSET_TOLERANCE = 0.05
@@ -62,9 +66,8 @@ def _sub_score(deviation: float, tolerance: float) -> float:
     return 100.0 * max(0.0, 1.0 - abs(deviation) / tolerance)
 
 
-def score_posture(sample: PostureSample, baseline: PostureSample) -> PostureScore:
-    """Score a pose against the calibrated baseline pose."""
-    pose, base = sample.geometry, baseline.geometry
+def score_posture(pose: PoseGeometry, base: PoseGeometry) -> PostureScore:
+    """Score a pose's geometry against the calibrated baseline pose's."""
     if pose.shoulder_tilt_deg is None or base.shoulder_tilt_deg is None:
         raise MissingLandmarksError("both shoulders must be visible in sample and baseline")
 
@@ -80,6 +83,141 @@ def score_posture(sample: PostureSample, baseline: PostureSample) -> PostureScor
 
     percent = fmean(sub_scores.values())
     return PostureScore(percent, categorize_posture(percent), sub_scores)
+
+
+# ---------------------------------------------------------------------------
+# posture windows
+
+class PostureWindows:
+    """The posture extractor: posture windows, cut from the start of the
+    session.
+
+    Frames are scored against the baseline pose, the mean of the
+    calibration frames, known only once calibration is over. Until then
+    each window cut is held back (the extractor returns None), and each
+    frame is read once, when the first window holds it: its visible
+    landmarks go into per-landmark running sums, and only its geometry
+    and source confidence are kept. ``mean_pose`` finishes the sums and
+    ``freeze`` extracts the held windows; from then on each window is
+    extracted as it is cut. Each frame is scored once, and forgotten
+    once the windows have moved past it.
+    """
+
+    def __init__(self, calibration_s: float, score: Callable[[PoseGeometry, PoseGeometry], PostureScore]):
+        # ``score`` is ``score_posture`` as the caller names it, so a
+        # profiler that wraps the caller's name sees each frame's call
+        self._calibration_s = calibration_s
+        self._score = score
+        # landmark -> (sum of x, sum of y, count) over the calibration frames
+        self._sums: dict[str, tuple[float, float, int]] = {}
+        # the windows held back, as (start, end, lo, hi), and the geometry
+        # and source confidence of each frame they hold, from position 0
+        self._held: list[tuple[float, float, int, int]] = []
+        self._held_geometries: list[PoseGeometry] = []
+        self._held_confidences: list[float] = []
+        self._frozen = False
+        self._baseline: PoseGeometry | None = None
+        # scores[i] and confidences[i] belong to timeline position base + i;
+        # a score is None where a shoulder is missing
+        self._scores: list[PostureScore | None] = []
+        self._confidences: list[float] = []
+        self._base = 0
+
+    def __call__(self, window: Window) -> Extraction | None:
+        if not self._frozen:
+            self._hold(window)
+            return None
+        if self._baseline is not None:
+            fresh = window.samples[self._base + len(self._scores) - window.lo:]
+            self._take(
+                window.lo,
+                [envelope.payload.geometry() for envelope in fresh],
+                [envelope.source_confidence for envelope in fresh],
+            )
+        return self._extract(window.end, window.hi)
+
+    def _hold(self, window: Window) -> None:
+        # before the freeze the watermark, and so every frame a window
+        # holds, is before the calibration end
+        fresh = window.samples[len(self._held_geometries) - window.lo:]
+        poses = [envelope.payload for envelope in fresh]
+        self._fold(poses)
+        self._held_geometries += [pose.geometry() for pose in poses]
+        self._held_confidences += [envelope.source_confidence for envelope in fresh]
+        self._held.append((window.start, window.end, window.lo, window.hi))
+
+    def _fold(self, poses: list[PostureSample]) -> None:
+        sums = self._sums
+        for pose in poses:
+            for name in pose.landmarks:
+                if not pose.point_visible(name):
+                    continue
+                x, y = pose.landmarks[name]
+                sx, sy, n = sums.get(name, (0.0, 0.0, 0))
+                sums[name] = (sx + x, sy + y, n + 1)
+
+    def mean_pose(self, timeline: list[SampleEnvelope]) -> PoseGeometry | None:
+        """The baseline pose's geometry, once calibration is over.
+
+        The calibration frames on the posture ``timeline`` that no window
+        has held, those from the end of the last window cut on, are
+        folded into the sums first. So the sums take every calibration
+        frame in timeline order: a frame placed after a window was cut
+        lies after every frame the window held. Each landmark is averaged
+        over the frames where it is visible; the pose is usable only if
+        both shoulders made it in.
+        """
+        read_to = self._held[-1][1] if self._held else -math.inf
+        calibration_s = self._calibration_s
+        self._fold([env.payload for env in timeline if read_to <= env.timestamp < calibration_s])
+        landmarks = {name: (sx / n, sy / n) for name, (sx, sy, n) in self._sums.items()}
+        if "shoulder_left" not in landmarks or "shoulder_right" not in landmarks:
+            return None
+        return PostureSample(landmarks=landmarks).geometry()
+
+    def freeze(self, baseline: PoseGeometry | None) -> list[tuple[float, float, Extraction]]:
+        """Score from now on against ``baseline``; returns each held
+        window's (start, end, extraction), in the order they were cut."""
+        self._frozen, self._baseline = True, baseline
+        # the held frames sit at timeline positions 0, 1, ...
+        geometries, confidences = self._held_geometries, self._held_confidences
+        released = []
+        for start, end, lo, hi in self._held:
+            if baseline is not None:
+                read = self._base + len(self._scores)
+                self._take(lo, geometries[read:hi], confidences[read:hi])
+            released.append((start, end, self._extract(end, hi)))
+        self._held, self._held_geometries, self._held_confidences = [], [], []
+        return released
+
+    def _take(self, lo: int, geometries: list[PoseGeometry], confidences: list[float]) -> None:
+        """Forget the positions before ``lo``, then score the frames of
+        the given geometries and source confidences, from the first
+        unscored position on."""
+        scores, baseline, score = self._scores, self._baseline, self._score
+        del scores[:lo - self._base]
+        del self._confidences[:lo - self._base]
+        self._base = lo
+        for geometry in geometries:
+            try:
+                scores.append(score(geometry, baseline))
+            except MissingLandmarksError:
+                scores.append(None)
+        self._confidences += confidences
+
+    def _extract(self, end: float, hi: int) -> Extraction:
+        """The window from the first kept position up to ``hi``."""
+        window_scores = self._scores[:hi - self._base]
+        scored = [s for s in window_scores if s is not None]
+        skipped = len(window_scores) - len(scored)
+        if not scored:
+            return 0.0, [], {"category": None, "skipped_samples": skipped}
+        percent = fmean([s.percent for s in scored])
+        confidences = [c for c, s in zip(self._confidences, window_scores) if s is not None]
+        quality = fmean(confidences) * len(scored) / (len(scored) + skipped)
+        # the category is the latest pose band in the window
+        extras = {"category": scored[-1].category.value, "skipped_samples": skipped}
+        return quality, [ChannelFeature(CHANNEL_POSTURE, percent, quality, end)], extras
 
 
 # ---------------------------------------------------------------------------

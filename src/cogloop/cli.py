@@ -20,7 +20,6 @@ from .config import parse_config_text
 from .errors import ConfigError, ScenarioError
 from .scenario import first_escaped_line, load_scenario, write_scenario
 from .session import run_session
-from .synth import load_profile, synthesize
 from .trace import read_trace, summarize, validate_trace, write_trace
 
 
@@ -50,6 +49,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_profile_arg(name_or_path: str):
+    # the synthesizer is imported only by the command that uses it: a
+    # fresh process compiles each module it loads, and ``run`` needs none
+    from .synth import load_profile
+
     bundled = resources.files("cogloop").joinpath("profiles", f"{name_or_path}.json")
     if "/" not in name_or_path and not name_or_path.endswith(".json") and bundled.is_file():
         with resources.as_file(bundled) as path:
@@ -94,6 +97,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from .synth import synthesize
+
     profile = _load_profile_arg(args.profile)
     scenario = synthesize(profile, seed=args.seed)
     write_scenario(scenario, args.out)

@@ -8,7 +8,7 @@ Records are declared with what the interpreter loads at startup, so a
 replay never imports a class generator that brings ``inspect``,
 ``ast``, ``dis`` and ``tokenize`` with it. A record built once per
 window, tick or config is a ``NamedTuple``. One built once per sample
-(gaze and RR samples, envelopes) is a ``Slotted`` class with a
+(gaze, RR and posture samples, envelopes) is a ``Slotted`` class with a
 hand-written ``__init__``, which builds faster than a ``NamedTuple``;
 so is a record that checks its fields in its constructor or that
 changes after it. Nothing mutates a sample or an envelope once built.
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import cached_property
 from typing import NamedTuple
 
 Timestamp = float
@@ -153,18 +152,15 @@ class PoseGeometry(NamedTuple):
     trunk_angle_deg: float | None
 
 
-class PostureSample:
+class PostureSample(Slotted):
     """One pose's landmarks, with the visibility of those the source
-    scored. Not slotted: ``geometry`` is kept in the instance's dict."""
+    scored."""
+
+    __slots__ = ("landmarks", "visibility")
 
     def __init__(self, landmarks: dict[str, tuple[float, float]], visibility: dict[str, float] | None = None):
         self.landmarks = landmarks
         self.visibility = {} if visibility is None else visibility
-
-    def __eq__(self, other):
-        if other.__class__ is not PostureSample:
-            return NotImplemented
-        return (self.landmarks, self.visibility) == (other.landmarks, other.visibility)
 
     def point_visible(self, name: str, floor: float = VISIBILITY_FLOOR) -> bool:
         if name not in self.landmarks:
@@ -174,10 +170,10 @@ class PostureSample:
     def _pair_visible(self, left: str, right: str) -> bool:
         return self.point_visible(left) and self.point_visible(right)
 
-    @cached_property
     def geometry(self) -> PoseGeometry:
-        """The pose's geometry, derived once: the baseline pose is
-        compared with every frame of a session."""
+        """The pose's geometry, derived on each call: a session derives
+        it once for each frame and once for the baseline pose, and keeps
+        it in place of the landmarks."""
         if not self._pair_visible("shoulder_left", "shoulder_right"):
             return PoseGeometry(None, None, None)
         points = self.landmarks

@@ -7,8 +7,15 @@ baseline freezes once calibration is over, and every final decision
 tick is walked: fuse, trigger, render, send. ``close`` flushes the
 merger and finishes the rest. So decisions come out while the records
 are still arriving, and memory holds about one window of samples per
-stream, whatever the session's length. ``run_session`` replays a
-whole scenario through one session.
+stream, whatever the session's length or its calibration span.
+
+Posture windows are cut from the start, as gaze and RR windows are,
+but their frames are scored against the baseline pose, the mean of the
+calibration frames: until it is known, a frame leaves only its running
+sums and its geometry behind, and the posture windows wait, with their
+``window_features`` events, for the pass that freezes the baseline.
+Note windows are cut from that pass on. ``run_session`` replays a whole
+scenario through one session.
 
 Everything observable lands in the trace as an event; the trace is
 sorted by time with a fixed per-kind priority and a sequence number as
@@ -25,7 +32,7 @@ from collections.abc import Callable
 from operator import attrgetter
 from typing import NamedTuple
 
-from .behavior import PostureScore, ingest_note_assessment, score_posture
+from .behavior import PostureWindows, ingest_note_assessment, score_posture
 from .cardio import window_hrv
 from .config import MAX_SESSION_S, SessionConfig, _strategy_table, _trigger_policy, apply_entries, checked_config
 from .directives import (
@@ -37,14 +44,13 @@ from .directives import (
     render_prompt,
     sha256,
 )
-from .errors import ClientUnavailableError, MalformedReplyError, MissingLandmarksError
+from .errors import ClientUnavailableError, MalformedReplyError
 from .gaze import GazeTrack, window_gaze_features
 from .interventions import InterventionDecision, InterventionEngine
-from .model import Dimension, Payload, PostureSample, StreamKind, Timestamp
+from .model import Dimension, Payload, StreamKind, Timestamp
 from .scenario import MIN_GAZE_STEP_S, SampleRecord, Scenario, ScenarioFile, ScenarioHeader, SyncRecord
 from .state import (
     CHANNEL_NOTE_ERROR,
-    CHANNEL_POSTURE,
     CalibrationProfile,
     ChannelFeature,
     Extraction,
@@ -160,50 +166,18 @@ def _baseline_minimum(cfg: SessionConfig, kind: StreamKind) -> int:
 # window -> channel features
 
 # An extractor turns one window at a time into a ``state.Extraction``:
-# (quality, channel features, kind-specific payload extras). Windows
+# (quality, channel features, kind-specific payload extras), or None for
+# a posture window held back until the baseline pose is known. Windows
 # come in order of their start; the gaze and posture extractors are made
 # once per session and compute a per-sample quantity once, the first
-# time a window holds the sample. The gaze and RR extractors are
-# ``gaze.window_gaze_features`` (with the session's track) and
-# ``cardio.window_hrv``. The session reaches the feature functions by
-# their names in this module, so a profiler that wraps those names here
-# before a session starts sees every call.
+# time a window holds the sample. The extractors are
+# ``gaze.window_gaze_features`` (with the session's track),
+# ``cardio.window_hrv`` and a ``behavior.PostureWindows`` (given this
+# module's ``score_posture``). The session reaches the feature functions
+# by their names in this module, so a profiler that wraps those names
+# here before a session starts sees every call.
 
-Extractor = Callable[[Window], Extraction]
-
-
-def _posture_extractor(baseline_pose: PostureSample | None) -> Extractor:
-    # Each frame is scored once, when the first window holds it, and
-    # forgotten once the windows have moved past it. scores[i] belongs
-    # to timeline position base + i; None where a shoulder is missing.
-    scores: list[PostureScore | None] = []
-    base = 0
-
-    def extract(window: Window) -> Extraction:
-        nonlocal base
-        if baseline_pose is not None:
-            del scores[:window.lo - base]
-            base = window.lo
-            for envelope in window.samples[len(scores):]:
-                try:
-                    scores.append(score_posture(envelope.payload, baseline_pose))
-                except MissingLandmarksError:
-                    scores.append(None)
-        window_scores = scores[:window.hi - base]
-        scored = [s for s in window_scores if s is not None]
-        skipped = len(window_scores) - len(scored)
-        if not scored:
-            return 0.0, [], {"category": None, "skipped_samples": skipped}
-        percent = fmean([s.percent for s in scored])
-        confidences = [
-            env.source_confidence for env, s in zip(window.samples, window_scores) if s is not None
-        ]
-        quality = fmean(confidences) * len(scored) / (len(scored) + skipped)
-        # the category is the latest pose band in the window
-        extras = {"category": scored[-1].category.value, "skipped_samples": skipped}
-        return quality, [ChannelFeature(CHANNEL_POSTURE, percent, quality, window.end)], extras
-
-    return extract
+Extractor = Callable[[Window], Extraction | None]
 
 
 def _extract_notes(window: Window) -> Extraction:
@@ -213,26 +187,6 @@ def _extract_notes(window: Window) -> Extraction:
     error = fmean([1.0 - env.payload.correctness for env in window.samples])
     quality = fmean([env.source_confidence for env in window.samples])
     return quality, [ChannelFeature(CHANNEL_NOTE_ERROR, error, quality, window.end)], extras
-
-
-def _mean_pose(samples: list[PostureSample]) -> PostureSample | None:
-    """Average landmark positions over calibration poses.
-
-    Each landmark is averaged over the samples where it is visible;
-    the result is usable only if both shoulders made it in.
-    """
-    sums: dict[str, tuple[float, float, int]] = {}
-    for pose in samples:
-        for name in pose.landmarks:
-            if not pose.point_visible(name):
-                continue
-            x, y = pose.landmarks[name]
-            sx, sy, n = sums.get(name, (0.0, 0.0, 0))
-            sums[name] = (sx + x, sy + y, n + 1)
-    landmarks = {name: (sx / n, sy / n) for name, (sx, sy, n) in sums.items() if n > 0}
-    if "shoulder_left" not in landmarks or "shoulder_right" not in landmarks:
-        return None
-    return PostureSample(landmarks=landmarks)
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +207,15 @@ class Session:
     decision tick that the merger's watermark has made final: those ending
     at or before the merger's watermark. Calibration windows feed the
     baseline, which freezes once the watermark reaches the end of
-    calibration; posture and note windows are cut from then on (see
-    ``_advance``). ``close`` flushes the merger and cuts
-    and walks the rest. A decision is therefore made as soon as the
-    samples that decide it are in, and the session holds about one
-    window of samples per stream, not the records it has seen.
+    calibration. Posture windows cut before then are held back until the
+    baseline pose is known (``behavior.PostureWindows``), and their
+    events come out in the pass that freezes the baseline, ahead of the
+    posture windows that pass cuts, so the trace's order and ``seq``
+    numbers are those of cutting them all in that pass. Note windows
+    are cut from then on (see ``_advance``). ``close`` flushes the
+    merger and cuts and walks the rest. A decision is therefore made as
+    soon as the samples that decide it are in, and the session holds
+    about one window of samples per stream, not the records it has seen.
 
     ``pace``, when given, is called with each in-span record's session
     time before the record takes effect (``run_session``'s realtime
@@ -292,9 +250,11 @@ class Session:
 
         # the kinds whose windows are being cut, in StreamKind order
         track = GazeTrack(cfg.rolling_median_width, cfg.ivt_velocity_threshold)
+        self._posture = PostureWindows(cfg.calibration_duration_s, score_posture)
         self._extractors: dict[StreamKind, Extractor] = {
             StreamKind.PUPIL_GAZE: lambda window: window_gaze_features(window, track, cfg.min_fixation_duration_s),
             StreamKind.RR_INTERVAL: window_hrv,
+            StreamKind.POSTURE_LANDMARKS: self._posture,
         }
         self._calibration_values: dict[str, list[tuple[float, float]]] = {}
         self._calibration_kinds: dict[str, StreamKind] = {}
@@ -443,20 +403,20 @@ class Session:
         cfg, merger = self.config, self._merger
         watermark = merger.watermark
         calibration_over = self.baseline is None and (final or watermark >= cfg.calibration_duration_s)
+        held: list[tuple[float, float, Extraction]] = []
         if calibration_over:
-            # two-pass posture baseline: the reference pose comes from
-            # the raw calibration poses, all still on the timeline, then
-            # every posture window is scored against it. Note windows
-            # start after posture ones, so that windows ending at one
-            # time always come out in StreamKind order.
-            poses = [
-                env.payload for env in merger.timeline(StreamKind.POSTURE_LANDMARKS)
-                if env.timestamp < cfg.calibration_duration_s
-            ]
-            self._extractors[StreamKind.POSTURE_LANDMARKS] = _posture_extractor(_mean_pose(poses))
+            # the posture windows cut so far waited for the baseline pose;
+            # they come out in this pass, ahead of the posture windows it
+            # cuts. Note windows start now, after posture ones, so that
+            # windows ending at one time always come out in StreamKind order.
+            posture = self._posture
+            held = posture.freeze(posture.mean_pose(merger.timeline(StreamKind.POSTURE_LANDMARKS)))
             self._extractors[StreamKind.NOTE_SCORE] = _extract_notes
         live: list[ChannelFeature] = []
         for kind, extract in self._extractors.items():
+            if held and kind is StreamKind.POSTURE_LANDMARKS:
+                for start, end, extraction in held:
+                    live += self._record(kind, start, end, extraction)
             if merger.next_window_end(kind, cfg.window_length_s[kind], cfg.window_hop_s) <= watermark:
                 live += self._cut(kind, extract)
         # every window of this cut ends after every window of the last
@@ -474,29 +434,34 @@ class Session:
         cfg = self.config
         live: list[ChannelFeature] = []
         for window in self._merger.pop_windows(kind, cfg.window_length_s[kind], cfg.window_hop_s):
-            quality, features, extras = extract(window)
-            self._recorder.add(
-                window.end,
-                "window_features",
-                {
-                    "stream_kind": kind.value,
-                    "start": window.start,
-                    "end": window.end,
-                    "present": bool(features),
-                    "quality": quality,
-                    "values": {f.channel_id: f.value for f in features},
-                    **extras,
-                },
-            )
-            if window.end <= cfg.calibration_duration_s:
-                for feature in features:
-                    self._calibration_values.setdefault(feature.channel_id, []).append(
-                        (feature.value, feature.quality)
-                    )
-                    self._calibration_kinds[feature.channel_id] = kind
-            else:
-                live += features
+            extraction = extract(window)
+            if extraction is not None:
+                live += self._record(kind, window.start, window.end, extraction)
         return live
+
+    def _record(self, kind: StreamKind, start: float, end: float, extraction: Extraction) -> list[ChannelFeature]:
+        """Trace one window's features. A window that ends inside
+        calibration keeps them for the baseline; any other returns them."""
+        quality, features, extras = extraction
+        self._recorder.add(
+            end,
+            "window_features",
+            {
+                "stream_kind": kind.value,
+                "start": start,
+                "end": end,
+                "present": bool(features),
+                "quality": quality,
+                "values": {f.channel_id: f.value for f in features},
+                **extras,
+            },
+        )
+        if end > self.config.calibration_duration_s:
+            return features
+        for feature in features:
+            self._calibration_values.setdefault(feature.channel_id, []).append((feature.value, feature.quality))
+            self._calibration_kinds[feature.channel_id] = kind
+        return []
 
     def _freeze_baseline(self) -> None:
         cfg = self.config

@@ -38,7 +38,7 @@ def _pose(overrides=None, drop=(), visibility=None):
 # scoring
 
 def test_identical_pose_scores_100_ideal():
-    score = score_posture(_pose(), _pose())
+    score = score_posture(_pose().geometry(), _pose().geometry())
     assert score.percent == pytest.approx(100.0)
     assert score.category is PostureCategory.IDEAL
     assert set(score.sub_scores) == {"shoulder_level", "neck_alignment", "back_straightness"}
@@ -51,7 +51,7 @@ def test_shoulder_tilt_degrades_its_sub_score():
     dx = 0.62 - 0.38
     dy = dx * math.tan(math.radians(5.0))
     tilted = _pose({"shoulder_right": (0.62, 0.50 - dy)})
-    score = score_posture(tilted, _pose())
+    score = score_posture(tilted.geometry(), _pose().geometry())
     assert score.sub_scores["shoulder_level"] == pytest.approx(50.0, abs=1e-9)
     assert score.sub_scores["neck_alignment"] == pytest.approx(100.0)
 
@@ -62,7 +62,7 @@ def test_forward_head_drift_degrades_neck_alignment():
         "ear_left": (0.44 + 0.05, 0.30),
         "ear_right": (0.56 + 0.05, 0.30),
     })
-    score = score_posture(shifted, _pose())
+    score = score_posture(shifted.geometry(), _pose().geometry())
     assert score.sub_scores["neck_alignment"] == pytest.approx(0.0, abs=1e-9)
     assert score.sub_scores["shoulder_level"] == pytest.approx(100.0)
 
@@ -77,28 +77,28 @@ def test_degradation_is_monotone_in_lean():
             "ear_right": (0.56 + dx, 0.30),
         })
 
-    percents = [score_posture(leaned(d), _pose()).percent for d in (0.0, 2.0, 4.0, 8.0)]
+    percents = [score_posture(leaned(d).geometry(), _pose().geometry()).percent for d in (0.0, 2.0, 4.0, 8.0)]
     assert percents == sorted(percents, reverse=True)
     assert percents[0] > percents[-1]
 
 
 def test_missing_shoulders_raise():
     with pytest.raises(MissingLandmarksError):
-        score_posture(_pose(drop=("shoulder_left",)), _pose())
+        score_posture(_pose(drop=("shoulder_left",)).geometry(), _pose().geometry())
     with pytest.raises(MissingLandmarksError):
-        score_posture(_pose(), _pose(drop=("shoulder_right",)))
+        score_posture(_pose().geometry(), _pose(drop=("shoulder_right",)).geometry())
     # low visibility counts as missing
     with pytest.raises(MissingLandmarksError):
-        score_posture(_pose(visibility={"shoulder_left": 0.2}), _pose())
+        score_posture(_pose(visibility={"shoulder_left": 0.2}).geometry(), _pose().geometry())
 
 
 def test_sub_scores_shrink_to_visible_landmarks():
     no_ears = _pose(drop=("ear_left", "ear_right"))
-    score = score_posture(no_ears, _pose())
+    score = score_posture(no_ears.geometry(), _pose().geometry())
     assert set(score.sub_scores) == {"shoulder_level", "back_straightness"}
 
     shoulders_only = _pose(drop=("ear_left", "ear_right", "hip_left", "hip_right"))
-    score = score_posture(shoulders_only, _pose())
+    score = score_posture(shoulders_only.geometry(), _pose().geometry())
     assert set(score.sub_scores) == {"shoulder_level"}
     assert score.percent == pytest.approx(score.sub_scores["shoulder_level"])
 
@@ -175,17 +175,18 @@ def _pose_from(drawn):
 @given(baseline=_POSE_STRATEGY, samples=st.lists(_POSE_STRATEGY, min_size=1, max_size=4))
 def test_cached_geometry_scores_equal_the_uncached_formula(baseline, samples):
     # one baseline against several frames, as in a session: its
-    # geometry is derived on the first call and read on the others
+    # geometry is derived once and compared with each frame's
     baseline = _pose_from(baseline)
+    baseline_geometry = baseline.geometry()
     for drawn in samples:
         sample = _pose_from(drawn)
         try:
             want = _oracle_score(sample, baseline)
         except MissingLandmarksError:
             with pytest.raises(MissingLandmarksError):
-                score_posture(sample, baseline)
+                score_posture(sample.geometry(), baseline_geometry)
             continue
-        assert score_posture(sample, baseline) == want
+        assert score_posture(sample.geometry(), baseline_geometry) == want
 
 
 # ---------------------------------------------------------------------------

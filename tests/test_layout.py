@@ -3,7 +3,8 @@
 The runtime stays standard-library only, and a module imports no name
 it never uses, so a deletion cannot leave a dead import behind. A
 replay loads only the standard library it uses, and neither the
-synthesizer nor the command line. ``session`` and ``scenario`` bridge
+synthesizer nor the command line; ``cogloop run`` does not load the
+synthesizer either. ``session`` and ``scenario`` bridge
 the names the benchmark still reads from them, and only the test that
 mirrors the benchmark reads those names there.
 """
@@ -134,6 +135,36 @@ def test_a_replay_loads_neither_the_synthesizer_nor_the_command_line(tmp_path):
     loaded = set(json.loads(child.stdout.splitlines()[-1]))
     assert {"cogloop.scenario", "cogloop.session", "cogloop.trace"} <= loaded
     assert {"cogloop.synth", "cogloop.cli"}.isdisjoint(loaded)
+    assert trace_path.stat().st_size > 0
+
+
+# ``cogloop run --trace`` through the command line's ``main``, with
+# nothing else loaded first; prints, on its last line, the modules loaded
+# since the interpreter started.
+_CLI_RUN_CHILD = """
+import sys
+before = set(sys.modules)
+from cogloop.cli import main
+scenario, trace = sys.argv[1:3]
+assert main(["run", "--scenario", scenario, "--trace", trace]) == 0
+import json
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cogloop_run_loads_no_synthesizer(tmp_path):
+    profile = Path(cogloop.__file__).parent / "profiles" / "load_excursion.json"
+    scenario_path, trace_path = tmp_path / "scenario.jsonl", tmp_path / "trace.jsonl"
+    scenario.write_scenario(synth.synthesize(synth.load_profile(profile)), scenario_path)
+    child = subprocess.run(
+        [sys.executable, "-c", _CLI_RUN_CHILD, str(scenario_path), str(trace_path)],
+        env={"PYTHONPATH": str(Path(cogloop.__file__).parents[1]), "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    loaded = set(json.loads(child.stdout.splitlines()[-1]))
+    assert {"cogloop.cli", "cogloop.session", "cogloop.trace"} <= loaded
+    assert "cogloop.synth" not in loaded
     assert trace_path.stat().st_size > 0
 
 

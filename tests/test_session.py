@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import cogloop
 from cogloop import session
-from cogloop.behavior import score_posture
+from cogloop.behavior import PostureWindows, score_posture
 from cogloop.config import SessionConfig, _trigger_policy, config_from_dict
 from cogloop.errors import ConfigError, MissingLandmarksError, ScenarioError
 from cogloop.interventions import CHALLENGE_LOAD_CEILING
@@ -1340,7 +1340,7 @@ def _oracle_posture(window, baseline_pose):
     if baseline_pose is not None:
         for envelope in window.samples:
             try:
-                scores.append(score_posture(envelope.payload, baseline_pose))
+                scores.append(score_posture(envelope.payload.geometry(), baseline_pose.geometry()))
                 confidences.append(envelope.source_confidence)
             except MissingLandmarksError:
                 skipped += 1
@@ -1380,37 +1380,42 @@ def test_posture_windows_equal_the_per_window_scoring(frames, length, hop_share,
     windows = merger.pop_windows(StreamKind.POSTURE_LANDMARKS, length, length * hop_share)
     baseline_pose = PostureSample(landmarks=dict(_POSE)) if calibrated else None
 
-    calls = []
-    session.score_posture = lambda *args: calls.append(args) or score_posture(*args)
+    wanted = [_oracle_posture(window, baseline_pose) for window in windows]
+    calls, derived = [], []
+    derive = PostureSample.geometry
+    PostureSample.geometry = lambda pose: derived.append(pose) or derive(pose)
     try:
-        extract = session._posture_extractor(baseline_pose)
-        for window in windows:
-            assert extract(window) == _oracle_posture(window, baseline_pose)
+        extract = PostureWindows(0.0, lambda *args: calls.append(args) or score_posture(*args))
+        extract.freeze(derive(baseline_pose) if calibrated else None)
+        for window, want in zip(windows, wanted):
+            assert extract(window) == want
     finally:
-        session.score_posture = score_posture
+        PostureSample.geometry = derive
     # every frame a window holds is scored exactly once
     scored = [args[0] for args in calls]
     assert len(scored) == len({id(pose) for pose in scored})
+    assert len(derived) == len({id(pose) for pose in derived}) == len(scored)
     if calibrated and windows:
         assert len(scored) == windows[-1].hi
 
 
 def test_a_session_derives_the_baseline_pose_geometry_once(monkeypatch):
-    # every pose whose geometry is derived, kept alive so ids stay unique
+    # every pose whose geometry is derived, with that geometry, kept alive
+    # so ids stay unique
     derived = []
-    derive = PostureSample.geometry.func
-    monkeypatch.setattr(PostureSample.geometry, "func", lambda pose: derived.append(pose) or derive(pose))
+    derive = PostureSample.geometry
+    monkeypatch.setattr(PostureSample, "geometry", lambda pose: derived.append((pose, derive(pose))) or derived[-1][1])
     baselines = []
     monkeypatch.setattr(
-        session, "score_posture", lambda sample, baseline: baselines.append(baseline) or score_posture(sample, baseline)
+        session, "score_posture", lambda pose, baseline: baselines.append(baseline) or score_posture(pose, baseline)
     )
     run_session(synthesize(parse_profile(STRESS_PROFILE)))
 
     assert len(baselines) > 100
     assert all(baseline is baselines[0] for baseline in baselines)
-    assert sum(pose is baselines[0] for pose in derived) == 1
+    assert sum(geometry is baselines[0] for _, geometry in derived) == 1
     # and every frame's own geometry once
-    assert len(derived) == len({id(pose) for pose in derived})
+    assert len(derived) == len({id(pose) for pose, _ in derived})
 
 
 # The channels each stream kind's windows carry. gaze.py, cardio.py and

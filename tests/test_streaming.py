@@ -444,3 +444,15 @@ def test_peak_memory_of_a_replay_grows_little_with_session_length(tmp_path):
     short = _peak_rss_of_a_replay(tmp_path, _shrunk_mixed_session(0.2), "short")  # 240 s
     long = _peak_rss_of_a_replay(tmp_path, _shrunk_mixed_session(1.0), "long")  # 1,200 s
     assert long <= 1.5 * short, f"{long / 1e6:.1f} MB for 1,200 s against {short / 1e6:.1f} MB for 240 s"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="VmHWM is read from /proc")
+def test_peak_memory_of_a_replay_does_not_grow_with_its_calibration(tmp_path):
+    # the 1,200 s mixed_session, calibrated over 60 s and over 900 s:
+    # the calibration frames are folded as they go by, not kept
+    data = _shrunk_mixed_session(1.0)
+    data["config"]["calibration_duration_s"] = 60.0
+    short = _peak_rss_of_a_replay(tmp_path, data, "short")
+    data["config"]["calibration_duration_s"] = 900.0
+    long = _peak_rss_of_a_replay(tmp_path, data, "long")
+    assert abs(long - short) <= 1e6, f"{long / 1e6:.1f} MB calibrating 900 s against {short / 1e6:.1f} MB for 60 s"
