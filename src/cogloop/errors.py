@@ -37,14 +37,6 @@ class MalformedReplyError(EngineError):
     """A note-analysis reply could not be parsed."""
 
 
-class UncalibratedChannelError(EngineError):
-    """The channel has no baseline in the calibration profile."""
-
-
-class NoUsableChannelsError(EngineError):
-    """Every weighted channel of the dimension has zero effective quality."""
-
-
 class NonMonotoneTimeError(EngineError):
     """State vectors must arrive with strictly increasing timestamps."""
 

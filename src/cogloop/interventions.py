@@ -219,10 +219,10 @@ class _Run:
 class TriggerPolicy(NamedTuple):
     """The knobs consulted by :class:`InterventionEngine`."""
 
-    trigger_threshold: float = 1.5
-    confidence_min: float = 0.6
-    consecutive_windows: int = 3
-    persistence_s: float = 10.0
+    trigger_threshold: float
+    confidence_min: float
+    consecutive_windows: int
+    persistence_s: float
 
 
 # The trigger routes, walked in this order: (dimension, composite). The

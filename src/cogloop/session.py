@@ -156,10 +156,10 @@ def _baseline_minimum(cfg: SessionConfig, kind: StreamKind) -> int:
 
     Slow channels cannot physically produce ``baseline_min_samples``
     windows inside the calibration span, so the requirement is capped at
-    80% of what the window grid can yield (never below 2).
+    80% of what the window grid can yield (``compute_baseline`` never
+    asks for fewer than 2).
     """
-    attainable = max(2, int(math.floor(0.8 * expected_calibration_windows(cfg, kind))))
-    return min(cfg.baseline_min_samples, attainable)
+    return min(cfg.baseline_min_samples, math.floor(0.8 * expected_calibration_windows(cfg, kind)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +256,7 @@ class Session:
             StreamKind.RR_INTERVAL: window_hrv,
             StreamKind.POSTURE_LANDMARKS: self._posture,
         }
-        self._calibration_values: dict[str, list[tuple[float, float]]] = {}
+        self._calibration_values: dict[str, list[float]] = {}
         self._calibration_kinds: dict[str, StreamKind] = {}
         # live features cut but not yet read by a tick, in time order
         self._live: list[ChannelFeature] = []
@@ -459,7 +459,7 @@ class Session:
         if end > self.config.calibration_duration_s:
             return features
         for feature in features:
-            self._calibration_values.setdefault(feature.channel_id, []).append((feature.value, feature.quality))
+            self._calibration_values.setdefault(feature.channel_id, []).append(feature.value)
             self._calibration_kinds[feature.channel_id] = kind
         return []
 
@@ -467,11 +467,8 @@ class Session:
         cfg = self.config
         self.baseline = compute_baseline(
             self._calibration_values,
-            min_samples=cfg.baseline_min_samples,
-            sigma_floor=cfg.sigma_floor,
-            min_samples_per_channel={
-                channel: _baseline_minimum(cfg, kind) for channel, kind in self._calibration_kinds.items()
-            },
+            {channel: _baseline_minimum(cfg, kind) for channel, kind in self._calibration_kinds.items()},
+            cfg.sigma_floor,
         )
         self._calibration_values.clear()
         for channel, reason in sorted(self.baseline.uncalibrated.items()):

@@ -1,17 +1,21 @@
 """Baseline calibration and fusion of channel features into dimension scores.
 
 Each physiological or behavioral feature channel is normalized against
-its own calibration baseline, z = (x - mu) / sigma, and the six learner
-dimensions are quality-weighted averages of the absolute z-scores of
-their channels:
+its own calibration baseline (mu, sigma and n per channel), z = (x - mu)
+/ sigma, and the six learner dimensions are quality-weighted averages of
+the absolute z-scores of their usable channels:
 
-    score      = sum(w * q * |z|) / sum(w * q)
-    confidence = sum(w * q) / sum(w)
+    score        = sum(w * q * |z|) / sum(w * q)
+    confidence   = sum(w * q) / sum(w)
+    signed_score = sum(w * q * z) / sum(w * q)
 
 where w is the configured channel weight and q the channel's current
-signal quality in [0, 1]. The denominator of the confidence uses the
-full weight row, so missing channels lower confidence rather than
-silently renormalizing it away.
+signal quality in [0, 1]. A channel is usable when w > 0 and q exceeds
+the quality floor; ``supra_channels`` counts the usable channels with
+|z| at or beyond the trigger threshold. The denominator of the
+confidence uses the full weight row, so missing channels lower
+confidence rather than silently renormalizing it away. A dimension with
+no usable channel is unobserved: score 0, confidence 0.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import NoUsableChannelsError, UncalibratedChannelError
 from .model import Dimension, Slotted, Timestamp
 from .stats import fmean, pstdev
 
@@ -138,7 +141,6 @@ class ChannelBaseline(NamedTuple):
     mu: float
     sigma: float
     n_samples: int
-    quality_mean: float
 
 
 class CalibrationProfile(Slotted):
@@ -150,88 +152,30 @@ class CalibrationProfile(Slotted):
         self.channels = {} if channels is None else channels
         self.uncalibrated = {} if uncalibrated is None else uncalibrated
 
-    def is_calibrated(self, channel_id: str) -> bool:
-        return channel_id in self.channels
-
 
 def compute_baseline(
-    values_per_channel: dict[str, list[tuple[float, float]]],
-    min_samples: int = 30,
-    sigma_floor: float = SIGMA_FLOOR,
-    min_samples_per_channel: dict[str, int] | None = None,
+    values_per_channel: dict[str, list[float]],
+    minimums: dict[str, int],
+    sigma_floor: float,
 ) -> CalibrationProfile:
-    """Build a calibration profile from (value, quality) pairs per channel.
+    """Build a calibration profile from each channel's calibration values.
 
     sigma is the population standard deviation, floored at
     ``sigma_floor`` so later z-scores stay finite on constant channels.
-    Channels with fewer than the required samples are excluded and
-    listed in ``profile.uncalibrated`` instead of failing the run.
-    Slow channels may override the global minimum through
-    ``min_samples_per_channel``.
+    A channel needs ``minimums[channel]`` values, and never fewer than
+    2; one with fewer is excluded and listed in ``profile.uncalibrated``
+    instead of failing the run.
     """
     profile = CalibrationProfile()
-    for channel_id, pairs in sorted(values_per_channel.items()):
-        needed = min_samples
-        if min_samples_per_channel and channel_id in min_samples_per_channel:
-            needed = min_samples_per_channel[channel_id]
-        if len(pairs) < max(2, needed):
-            profile.uncalibrated[channel_id] = (
-                f"{len(pairs)} calibration samples, {max(2, needed)} required"
-            )
+    for channel_id, values in sorted(values_per_channel.items()):
+        needed = max(2, minimums[channel_id])
+        if len(values) < needed:
+            profile.uncalibrated[channel_id] = f"{len(values)} calibration samples, {needed} required"
             continue
-        values = [v for v, _ in pairs]
-        qualities = [q for _, q in pairs]
         mu = fmean(values)
         sigma = max(pstdev(values, mu=mu), sigma_floor)
-        profile.channels[channel_id] = ChannelBaseline(
-            mu=mu,
-            sigma=sigma,
-            n_samples=len(values),
-            quality_mean=fmean(qualities),
-        )
+        profile.channels[channel_id] = ChannelBaseline(mu=mu, sigma=sigma, n_samples=len(values))
     return profile
-
-
-def zscore(x: float, profile: CalibrationProfile, channel_id: str) -> float:
-    """Baseline-normalized deviation of ``x`` on the given channel."""
-    baseline = profile.channels.get(channel_id)
-    if baseline is None:
-        raise UncalibratedChannelError(f"channel {channel_id!r} has no baseline")
-    return (x - baseline.mu) / baseline.sigma
-
-
-def dimension_score(
-    features: list[ChannelFeature],
-    zs: list[float],
-    weights: WeightMatrix,
-    dimension: Dimension,
-    quality_floor: float = 0.0,
-) -> tuple[float, float]:
-    """Quality-weighted mean absolute deviation for one dimension.
-
-    ``zs`` is aligned with ``features`` (signed z-scores; the score uses
-    their magnitudes). Features whose quality does not exceed
-    ``quality_floor`` are treated as unusable. Raises
-    NoUsableChannelsError when every weighted channel is unusable.
-    """
-    if len(features) != len(zs):
-        raise ValueError("features and zs must be aligned")
-    row = weights.get(dimension, {})
-    weight_total = sum(row.values())
-    if weight_total <= 0:
-        raise NoUsableChannelsError(f"{dimension.value}: empty weight row")
-    num = 0.0
-    den = 0.0
-    for feature, z in zip(features, zs):
-        w = row.get(feature.channel_id, 0.0)
-        if w <= 0:
-            continue
-        q = feature.quality if feature.quality > quality_floor else 0.0
-        num += w * q * abs(z)
-        den += w * q
-    if den <= 0:
-        raise NoUsableChannelsError(f"{dimension.value}: no usable channels")
-    return num / den, den / weight_total
 
 
 class DimensionState(NamedTuple):
@@ -248,9 +192,6 @@ class StateVector(NamedTuple):
 
     t: Timestamp
     dims: dict[Dimension, DimensionState]
-
-    def score(self, dimension: Dimension) -> float:
-        return self.dims[dimension].score
 
 
 _UNOBSERVED = DimensionState(
@@ -273,50 +214,43 @@ def infer_state(
 ) -> StateVector:
     """Score all six dimensions from the window's channel features.
 
-    Features on uncalibrated channels are dropped. Dimensions with no
-    usable channel come back unobserved: score 0, confidence 0,
-    nominal descriptor. ``signed_score`` keeps the direction of the
-    deviation (the same weighted average without the absolute value),
-    which downstream policy uses for direction-sensitive rules.
-    ``supra_channels`` counts usable channels at or beyond the trigger
-    threshold.
+    Features on uncalibrated channels are dropped; every other feature
+    gets its z once. Each dimension then sums score, confidence, signed
+    score and supra count over its usable channels in one pass, in
+    feature order. A dimension with no usable channel comes back
+    unobserved: score 0, confidence 0, nominal descriptor.
     """
-    usable: list[ChannelFeature] = []
-    zs: list[float] = []
+    channels = profile.channels
+    calibrated: list[tuple[str, float, float]] = []  # (channel, quality, z)
     for feature in features:
-        if not profile.is_calibrated(feature.channel_id):
-            continue
-        usable.append(feature)
-        zs.append(zscore(feature.value, profile, feature.channel_id))
+        baseline = channels.get(feature.channel_id)
+        if baseline is not None:
+            calibrated.append((feature.channel_id, feature.quality, (feature.value - baseline.mu) / baseline.sigma))
 
     dims: dict[Dimension, DimensionState] = {}
     for dimension in Dimension:
-        try:
-            score, confidence = dimension_score(
-                usable, zs, weights, dimension, quality_floor=quality_floor
-            )
-        except NoUsableChannelsError:
+        row = weights.get(dimension, {})
+        num = den = signed_num = 0.0
+        supra = 0
+        for channel_id, q, z in calibrated:
+            w = row.get(channel_id, 0.0)
+            if w > 0 and q > quality_floor:
+                wq = w * q
+                num += wq * abs(z)
+                den += wq
+                signed_num += wq * z
+                if abs(z) >= trigger_threshold:
+                    supra += 1
+        if den <= 0:
             dims[dimension] = _UNOBSERVED
             continue
-        row = weights[dimension]
-        signed_num = 0.0
-        signed_den = 0.0
-        supra = 0
-        for feature, z in zip(usable, zs):
-            w = row.get(feature.channel_id, 0.0)
-            q = feature.quality if feature.quality > quality_floor else 0.0
-            if w <= 0 or q <= 0:
-                continue
-            signed_num += w * q * z
-            signed_den += w * q
-            if abs(z) >= trigger_threshold:
-                supra += 1
+        score = num / den
         dims[dimension] = DimensionState(
             score=score,
-            confidence=confidence,
+            confidence=den / sum(row.values()),
             descriptor=to_descriptor(score),
             observed=True,
-            signed_score=signed_num / signed_den,
+            signed_score=signed_num / den,
             supra_channels=supra,
         )
     return StateVector(t=t, dims=dims)

@@ -5,7 +5,7 @@ by their stream's offset, and each kept sample goes straight onto the
 timeline of its stream's kind, in session-time order; samples of equal
 time keep their arrival order. A stream's registration is the one place
 that sets its clock offset (``set_offset``; a session time is the
-producer time plus ``clock_offset_s``, as ``session_time`` computes it)
+producer time plus ``clock_offset_s``, which ``Session.place`` adds)
 and keeps its counts, and the merger the one place that builds an
 envelope. The watermark, the newest time seen less
 ``jitter_tolerance_s``, absorbs cross-stream jitter: a sample at or
@@ -122,11 +122,6 @@ class StreamRegistration:
     def accepted(self) -> int:
         return self.ingested - self.reordered - self.dropped
 
-    def session_time(self, t: Timestamp) -> Timestamp:
-        """A producer timestamp on the session clock, under the stream's
-        current offset. This is the time to ``ingest`` the sample at."""
-        return t + self.clock_offset_s
-
     def set_offset(self, marks: list[tuple[Timestamp, Timestamp]]) -> float:
         """Estimate and install the stream's clock offset from sync marks.
 
@@ -166,8 +161,8 @@ class StreamMerger:
         source_confidence: float = 1.0,
     ) -> IngestOutcome:
         """Place one sample of a registered stream on its kind's timeline at
-        ``session_t``, its producer time under the stream's offset
-        (``registration.session_time``).
+        ``session_t``, its producer time plus the stream's
+        ``clock_offset_s``.
 
         The caller owns the checks: the parser checks the sample and its
         source confidence, ``Session.push`` that ``session_t`` lies on

@@ -44,10 +44,11 @@ from cogloop.state import (
     ChannelFeature,
     Descriptor,
     DimensionState,
-    NoUsableChannelsError,
+    SIGMA_FLOOR,
     StateVector,
+    compute_baseline,
     default_weight_matrix,
-    dimension_score,
+    infer_state,
     to_descriptor,
 )
 from cogloop.synth import load_profile, synthesize
@@ -201,6 +202,10 @@ def test_criterion_03_fixation_segmentation_matches_oracle():
 def test_criterion_04_fusion_matches_brute_force():
     failures = []
     rng = random.Random(777)
+    # every channel at mu = 0 and sigma = 1, so a feature's z is its value
+    unit = compute_baseline(
+        {channel: [-1.0, 1.0] for channel in ALL_CHANNELS}, {channel: 2 for channel in ALL_CHANNELS}, SIGMA_FLOOR
+    )
     weights = default_weight_matrix()
     scaled = default_weight_matrix()
     for row in scaled.values():
@@ -210,33 +215,31 @@ def test_criterion_04_fusion_matches_brute_force():
     for case in range(10_000):
         dimension = rng.choice(dims)
         row = weights[dimension]
-        features, zs = [], []
+        features = []
         for channel in ALL_CHANNELS:
             if rng.random() < 0.35:
                 continue
-            features.append(ChannelFeature(channel, 0.0, rng.random(), 0.0))
-            zs.append(rng.uniform(-4.0, 4.0))
+            quality = rng.random()
+            features.append(ChannelFeature(channel, rng.uniform(-4.0, 4.0), quality, 0.0))
         num = den = 0.0
-        for feature, z in zip(features, zs):
+        for feature in features:
             w = row.get(feature.channel_id, 0.0)
-            num += w * feature.quality * abs(z)
+            num += w * feature.quality * abs(feature.value)
             den += w * feature.quality
+        got = infer_state(features, unit, weights, 0.0).dims[dimension]
         if den <= 0:
-            try:
-                dimension_score(features, zs, weights, dimension)
-                failures.append(f"case {case}: expected NoUsableChannelsError")
-            except NoUsableChannelsError:
-                pass
+            if got.observed:
+                failures.append(f"case {case}: expected an unobserved dimension")
             continue
-        score, confidence = dimension_score(features, zs, weights, dimension)
+        score, confidence = got.score, got.confidence
         if abs(score - num / den) > 1e-12:
             failures.append(f"case {case}: score {score} != {num / den}")
         if abs(confidence - den / sum(row.values())) > 1e-12:
             failures.append(f"case {case}: confidence off")
-        s2, c2 = dimension_score(features, zs, scaled, dimension)
-        if abs(score - s2) > 1e-12 * max(1.0, abs(score)):
+        again = infer_state(features, unit, scaled, 0.0).dims[dimension]
+        if abs(score - again.score) > 1e-12 * max(1.0, abs(score)):
             failures.append(f"case {case}: score not scale-invariant")
-        if abs(confidence - c2) > 1e-12:
+        if abs(confidence - again.confidence) > 1e-12:
             failures.append(f"case {case}: confidence not scale-invariant")
     _verdict(4, failures)
 

@@ -300,3 +300,19 @@ def test_only_the_bench_mirror_reads_a_bridged_name(path):
 def test_the_bench_mirror_reads_bridged_names():
     # the rule above finds what it looks for
     assert len(_bridged_reads(ast.parse(BENCH_MIRROR.read_text(encoding="utf-8")))) >= 6
+
+
+def test_every_exception_class_is_raised():
+    # an exception class that nothing raises is dead API: a caller may
+    # catch it, and nothing will ever be caught
+    errors = ast.parse((Path(cogloop.__file__).parent / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)} - {"EngineError"}
+    raised = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert classes, "errors.py defines no exception class"
+    assert sorted(classes - raised) == []

@@ -551,8 +551,8 @@ def test_underfilled_channel_warns_as_uncalibrated():
     assert warning.payload["reason"] == "uncalibrated_channel"
     assert warning.payload["channel"] == "note_error"
     assert warning.t == 120.0
-    assert not result.baseline.is_calibrated("note_error")
-    assert result.baseline.is_calibrated("rmssd_ms")
+    assert "note_error" not in result.baseline.channels
+    assert "rmssd_ms" in result.baseline.channels
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ def _merger(jitter=0.25, streams=("hr",)):
 def _ingest(merger, t, stream="hr", source_confidence=1.0):
     """Ingest a beat stamped ``t`` by its producer."""
     registration = merger.registrations[stream]
-    session_t = registration.session_time(t)
+    session_t = t + registration.clock_offset_s
     return merger.ingest(registration, session_t, RRSample(rr_ms=800.0), source_confidence)
 
 
@@ -50,7 +50,7 @@ def test_offset_applies_to_later_ingests_only():
 def test_ingest_stamps_session_time_and_sequence():
     merger = _merger(jitter=0.0)
     merger.registrations["hr"].set_offset([(0.0, 2.0), (1.0, 3.0)])
-    assert merger.registrations["hr"].session_time(10.0) == 12.0
+    assert 10.0 + merger.registrations["hr"].clock_offset_s == 12.0
     _ingest(merger, 10.0, source_confidence=0.5)
     _ingest(merger, 11.0)
     merger.flush()
@@ -134,7 +134,7 @@ def test_emitted_matches_offline_sort_of_survivors():
         stream_id = rng.choice("abc")
         producer_t = last[stream_id] = max(last[stream_id], round(t - rng.uniform(0.0, 0.7), 1))
         registration = merger.registrations[stream_id]
-        session_t = registration.session_time(producer_t)
+        session_t = producer_t + registration.clock_offset_s
         if merger.ingest(registration, session_t, RRSample(rr_ms=float(i))) is not IngestOutcome.DROPPED_LATE:
             kept[stream_id].append((session_t, float(i)))
     merger.flush()
