@@ -1,9 +1,13 @@
-"""Session configuration: defaults, validation, and the flat config file.
+"""Session configuration: defaults, validation, and its two formats.
 
-The config file is one ``key = value`` per line with ``#`` comments.
-Unknown keys, weight channels and template ids are errors, not
-warnings, so typos cannot silently fall back to defaults. Dotted keys
-address structured entries:
+Flat entries come from a config file (``key = value`` per line, ``#``
+comments), a scenario header's ``config`` object or ``--config``. A
+trace header's ``config`` object is the resolved config: each scalar by
+name, each structured field an object keyed by its flat keys' parts
+after the prefix (a weight row nested by channel). ``_STRUCTURED``
+describes each structured field once, for both formats. Unknown keys,
+weight channels and template ids are errors, not warnings, so typos
+cannot silently fall back to defaults. The structured flat keys:
 
     weight.<dimension>.<channel> = <float>
     window_length.<stream_kind>  = <seconds>
@@ -14,10 +18,12 @@ address structured entries:
 from __future__ import annotations
 
 import math
+from itertools import product
+from typing import NamedTuple
 
 from .directives import TEMPLATE_IDS
 from .errors import ConfigError
-from .interventions import Category, Severity, StrategyKey, StrategyTable, TriggerPolicy
+from .interventions import DEFAULT_STRATEGIES, Category, Severity, StrategyEntry, StrategyKey, TriggerPolicy
 from .model import Dimension, Modality, Slotted, StreamKind
 from .state import ALL_CHANNELS, SIGMA_FLOOR, MODERATE_FLOOR, WeightMatrix, default_weight_matrix
 
@@ -108,28 +114,20 @@ MAX_SESSION_S = 24 * 3600.0
 MIN_WINDOW_HOP_S = 0.1
 
 
-class ValidationReport:
-    def __init__(self):
-        self.failures: list[str] = []
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def checked_config(cfg: SessionConfig) -> SessionConfig:
     """``cfg``, once ``validate_config`` passes it; else ConfigError naming every failure."""
-    report = validate_config(cfg)
-    if not report.ok:
-        raise ConfigError("; ".join(report.failures))
+    failures = validate_config(cfg)
+    if failures:
+        raise ConfigError("; ".join(failures))
     return cfg
 
 
-def validate_config(cfg: SessionConfig) -> ValidationReport:
+def validate_config(cfg: SessionConfig) -> list[str]:
     """Check every invariant the runtime assumes. Returns all failures
-    at once rather than stopping at the first."""
-    report = ValidationReport()
-    fail = report.failures.append
+    at once rather than stopping at the first: an empty list when ``cfg``
+    is valid."""
+    failures: list[str] = []
+    fail = failures.append
 
     def is_positive(value) -> bool:
         return isinstance(value, (int, float)) and math.isfinite(value) and value > 0
@@ -214,14 +212,14 @@ def validate_config(cfg: SessionConfig) -> ValidationReport:
                 f"{template_id!r} (valid: {', '.join(TEMPLATE_IDS)})"
             )
 
-    return report
+    return failures
 
 
 # ---------------------------------------------------------------------------
-# flat key=value entries
+# the two formats: flat key=value entries and the trace header's object
 
 # the flat scalar keys, each typed by its default; the other fields are
-# the structured entries, dicts
+# the structured ones, dicts
 _SCALAR_KEYS = {
     name: type(value)
     for name, value in zip(SessionConfig.__slots__, SessionConfig()._values())
@@ -229,11 +227,48 @@ _SCALAR_KEYS = {
 }
 
 
+class _Structured(NamedTuple):
+    """A structured field, whose flat keys are ``<prefix>.<part>...``:
+    one part per entry of ``parts``, the enum whose member keys the
+    field's dict (several make a tuple key), or None for a channel id,
+    the key within a row."""
+
+    name: str  # the SessionConfig field, and its trace header key
+    prefix: str
+    parts: tuple
+    value_type: type
+
+    @property
+    def rows(self) -> bool:
+        return self.parts[-1] is None
+
+
+_STRUCTURED = {
+    field.name: field
+    for field in (
+        _Structured("window_length_s", "window_length", (StreamKind,), float),
+        _Structured("weights", "weight", (Dimension, None), float),
+        _Structured("cooldown_s", "cooldown", (Category,), float),
+        _Structured("strategy_overrides", "strategy", (Dimension, Severity, Modality), str),
+    )
+}
+# each field by its prefix, with its dict keys by the text of their enum
+# parts: "stress" is Dimension.STRESS, "stress.moderate.text" a tuple
+_BY_PREFIX = {
+    field.prefix: (field, {
+        ".".join(members): members[0] if len(members) == 1 else members
+        for members in product(*(enum for enum in field.parts if enum is not None))
+    })
+    for field in _STRUCTURED.values()
+}
+
+
 def _coerce(key: str, raw: object, target: type) -> object:
     try:
+        # a JSON boolean is no number
+        if isinstance(raw, bool) and target is not str:
+            raise ValueError
         if target is int:
-            if isinstance(raw, bool):
-                raise ValueError
             if isinstance(raw, (int, float)) and float(raw).is_integer():
                 return int(raw)
             return int(str(raw).strip())
@@ -244,57 +279,52 @@ def _coerce(key: str, raw: object, target: type) -> object:
         raise ConfigError(f"{key}: cannot interpret {raw!r} as {target.__name__}") from None
 
 
-def _enum_member(key: str, enum_cls, token: str):
-    try:
-        return enum_cls(token)
-    except ValueError:
-        valid = ", ".join(m.value for m in enum_cls)
-        raise ConfigError(f"{key}: unknown {enum_cls.__name__.lower()} {token!r} (valid: {valid})") from None
+def _key_error(key: str, field: _Structured) -> ConfigError:
+    """Why a flat key with the field's prefix names no entry: the number
+    of its parts, or the first part that names no member of its enum."""
+    tokens = key.split(".")
+    if len(tokens) == 1 + len(field.parts):
+        for enum, token in zip(field.parts, tokens[1:]):
+            values = [] if enum is None else [member.value for member in enum]
+            if values and token not in values:
+                return ConfigError(f"{key}: unknown {enum.__name__.lower()} {token!r} (valid: {', '.join(values)})")
+    return ConfigError(f"unknown config key {key!r}")
 
 
 def apply_entries(cfg: SessionConfig, entries: dict[str, object]) -> SessionConfig:
     """Return a new config with the given flat entries applied.
 
     Accepts the same keys as the config file; values may already be
-    numbers (scenario headers embed them as JSON). Unknown keys raise
-    ConfigError.
+    numbers (scenario headers embed them as JSON). Entries are applied
+    in key order, and the first that is unknown or does not convert
+    raises ConfigError.
     """
     updates: dict[str, object] = {}
-    window_lengths = dict(cfg.window_length_s)
-    cooldowns = dict(cfg.cooldown_s)
-    weights = {dim: dict(row) for dim, row in cfg.weights.items()}
-    strategy = dict(cfg.strategy_overrides)
+    for field in _STRUCTURED.values():
+        mapping = getattr(cfg, field.name)
+        updates[field.name] = {key: dict(row) for key, row in mapping.items()} if field.rows else dict(mapping)
 
     for key in sorted(entries):
         raw = entries[key]
         if key in _SCALAR_KEYS:
             updates[key] = _coerce(key, raw, _SCALAR_KEYS[key])
             continue
-        parts = key.split(".")
-        if parts[0] == "window_length" and len(parts) == 2:
-            kind = _enum_member(key, StreamKind, parts[1])
-            window_lengths[kind] = _coerce(key, raw, float)
-        elif parts[0] == "cooldown" and len(parts) == 2:
-            category = _enum_member(key, Category, parts[1])
-            cooldowns[category] = _coerce(key, raw, float)
-        elif parts[0] == "weight" and len(parts) == 3:
-            dimension = _enum_member(key, Dimension, parts[1])
-            weights.setdefault(dimension, {})[parts[2]] = _coerce(key, raw, float)
-        elif parts[0] == "strategy" and len(parts) == 4:
-            dimension = _enum_member(key, Dimension, parts[1])
-            severity = _enum_member(key, Severity, parts[2])
-            modality = _enum_member(key, Modality, parts[3])
-            strategy[(dimension, severity, modality)] = _coerce(key, raw, str)
-        else:
+        prefix, _, text = key.partition(".")
+        field, keys = _BY_PREFIX.get(prefix, (None, None))
+        if field is None:
             raise ConfigError(f"unknown config key {key!r}")
+        if field.rows:
+            text, _, channel = text.rpartition(".")
+        dict_key = keys.get(text)
+        if dict_key is None:
+            raise _key_error(key, field)
+        value = _coerce(key, raw, field.value_type)
+        if field.rows:
+            updates[field.name].setdefault(dict_key, {})[channel] = value
+        else:
+            updates[field.name][dict_key] = value
 
-    return cfg._replace(
-        window_length_s=window_lengths,
-        cooldown_s=cooldowns,
-        weights=weights,
-        strategy_overrides=strategy,
-        **updates,
-    )
+    return cfg._replace(**updates)
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -317,54 +347,41 @@ def parse_config_text(text: str) -> dict[str, str]:
     return entries
 
 
-# ---------------------------------------------------------------------------
-# round-trip through JSON (trace headers)
-
 def config_to_dict(cfg: SessionConfig) -> dict:
-    return {
-        **{key: getattr(cfg, key) for key in _SCALAR_KEYS},
-        "window_length_s": {k.value: v for k, v in sorted(cfg.window_length_s.items())},
-        "weights": {
-            dim.value: dict(sorted(row.items())) for dim, row in sorted(cfg.weights.items())
-        },
-        "cooldown_s": {c.value: v for c, v in sorted(cfg.cooldown_s.items())},
-        "strategy_overrides": {
-            f"{d.value}.{s.value}.{m.value}": tid
-            for (d, s, m), tid in sorted(cfg.strategy_overrides.items())
-        },
-    }
-
-
-_NESTED_KEYS = {"window_length_s", "cooldown_s", "weights", "strategy_overrides"}
+    """The trace header's config object."""
+    data = {key: getattr(cfg, key) for key in _SCALAR_KEYS}
+    for field in _STRUCTURED.values():
+        entries = data[field.name] = {}
+        for key, value in sorted(getattr(cfg, field.name).items()):
+            text = ".".join(key) if isinstance(key, tuple) else key.value
+            entries[text] = dict(sorted(value.items())) if field.rows else value
+    return data
 
 
 def config_from_dict(data: dict) -> SessionConfig:
-    cfg = SessionConfig()
-    flat: dict[str, object] = {}
+    """The validated config of a trace header's config object: its flat
+    entries, over the defaults but for rows, which replace them whole."""
+    replaced: dict[str, dict] = {}
+    entries: dict[str, object] = {}
     for key, value in data.items():
-        if key in _NESTED_KEYS and not isinstance(value, dict):
+        field = _STRUCTURED.get(key)
+        if field is None:
+            if key not in _SCALAR_KEYS:
+                raise ConfigError(f"unknown config key {key!r}")
+            entries[key] = value
+        elif not isinstance(value, dict):
             raise ConfigError(f"{key} must be an object, got {value!r}")
-        if key == "window_length_s":
-            for kind, length in value.items():
-                flat[f"window_length.{kind}"] = length
-        elif key == "cooldown_s":
-            for category, seconds in value.items():
-                flat[f"cooldown.{category}"] = seconds
-        elif key == "weights":
-            cfg.weights = {}
-            for dim, row in value.items():
+        elif field.rows:
+            replaced[key] = {}
+            for part, row in value.items():
                 if not isinstance(row, dict):
-                    raise ConfigError(f"weights.{dim} must be an object, got {row!r}")
-                for channel, weight in row.items():
-                    flat[f"weight.{dim}.{channel}"] = weight
-        elif key == "strategy_overrides":
-            for dotted, template_id in value.items():
-                flat[f"strategy.{dotted}"] = template_id
-        elif key in _SCALAR_KEYS:
-            flat[key] = value
+                    raise ConfigError(f"{key}.{part} must be an object, got {row!r}")
+                for channel, raw in row.items():
+                    entries[f"{field.prefix}.{part}.{channel}"] = raw
         else:
-            raise ConfigError(f"unknown config key {key!r}")
-    return checked_config(apply_entries(cfg, flat))
+            for part, raw in value.items():
+                entries[f"{field.prefix}.{part}"] = raw
+    return checked_config(apply_entries(SessionConfig(**replaced), entries))
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +392,10 @@ def _trigger_policy(cfg: SessionConfig) -> TriggerPolicy:
     return TriggerPolicy(cfg.trigger_threshold, cfg.confidence_min, cfg.consecutive_windows, cfg.persistence_s)
 
 
-def _strategy_table(cfg: SessionConfig) -> StrategyTable:
-    """The strategy table of a config, as the engine and the audit read it."""
-    return StrategyTable().with_template_overrides(cfg.strategy_overrides)
+def _strategy_table(cfg: SessionConfig) -> dict[StrategyKey, StrategyEntry]:
+    """The strategy table of a config, as the engine and the audit read
+    it: the defaults, each overridden key given its template."""
+    table = dict(DEFAULT_STRATEGIES)
+    for key, template_id in cfg.strategy_overrides.items():
+        table[key] = table[key]._replace(template_id=template_id)
+    return table

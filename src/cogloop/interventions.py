@@ -20,7 +20,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import NonMonotoneTimeError
-from .model import Dimension, Modality, Slotted, Timestamp
+from .model import Dimension, Modality, Timestamp
 from .state import Descriptor, StateVector, to_descriptor
 
 
@@ -144,32 +144,10 @@ def _default_entries() -> dict[StrategyKey, StrategyEntry]:
     return entries
 
 
-class StrategyTable(Slotted):
-    """Total mapping (dimension, severity, modality) -> strategy entry."""
-
-    __slots__ = ("entries",)
-    _DEFAULTS = _default_entries()
-
-    def __init__(self, entries: dict[StrategyKey, StrategyEntry] | None = None):
-        self.entries = dict(self._DEFAULTS) if entries is None else entries
-
-    def validate(self) -> None:
-        for dimension in Dimension:
-            for severity in Severity:
-                for modality in Modality:
-                    key = (dimension, severity, modality)
-                    if key not in self.entries:
-                        raise ValueError(f"strategy table missing entry for {key}")
-
-    def lookup(self, dimension: Dimension, severity: Severity, modality: Modality) -> StrategyEntry:
-        return self.entries[(dimension, severity, modality)]
-
-    def with_template_overrides(self, overrides: dict[StrategyKey, str]) -> "StrategyTable":
-        entries = dict(self.entries)
-        for key, template_id in overrides.items():
-            base = entries[key]
-            entries[key] = StrategyEntry(base.category, base.tier, template_id)
-        return StrategyTable(entries=entries)
+# (dimension, severity, modality) -> strategy entry. A config's table
+# overlays it with template overrides keyed by the same enum members, so
+# every table is total.
+DEFAULT_STRATEGIES = _default_entries()
 
 
 class Candidate(NamedTuple):
@@ -287,10 +265,12 @@ def choose_framing(repeat_count: int, contributing_channels: int) -> Framing:
     return Framing.IMPLICIT
 
 
-def decide(winner: Candidate, table: StrategyTable, modality: Modality) -> InterventionDecision:
+def decide(
+    winner: Candidate, table: dict[StrategyKey, StrategyEntry], modality: Modality
+) -> InterventionDecision:
     """The decision on a winning candidate: the table's strategy for its
     dimension and severity at the modality, framed by ``choose_framing``."""
-    entry = table.lookup(winner.dimension, winner.severity, modality)
+    entry = table[winner.dimension, winner.severity, modality]
     return InterventionDecision(
         t=winner.t,
         dimension=winner.dimension,
@@ -315,13 +295,12 @@ class InterventionEngine:
         policy: TriggerPolicy,
         cooldown_s: dict[Category, float],
         modality: Modality = Modality.TEXT,
-        table: StrategyTable | None = None,
+        table: dict[StrategyKey, StrategyEntry] = DEFAULT_STRATEGIES,
     ):
         self.policy = policy
         self.cooldown_s = dict(cooldown_s)
         self.modality = modality
-        self.table = table or StrategyTable()
-        self.table.validate()
+        self.table = table
         self.runs = {route: _Run() for route in ROUTES}
         self.cooldown_until = {category: -math.inf for category in Category}
         self.last_t: Timestamp | None = None
@@ -354,7 +333,7 @@ class InterventionEngine:
                 continue
             score, confidence, supra_channels = reading
             severity = severity_of(score)
-            if t < self.cooldown_until[self.table.lookup(dimension, severity, self.modality).category]:
+            if t < self.cooldown_until[self.table[dimension, severity, self.modality].category]:
                 continue  # deferred, run intact
             if composite:
                 candidates = [c for c in candidates if c.dimension is not dimension]

@@ -59,7 +59,7 @@ from .state import (
 )
 from .stats import fmean
 from .streams import ACCEPTED, StreamMerger, Window, grid_time
-from .trace import KIND_PRIORITY, TraceEvent, _READING_FIELDS, _decision_payload, _state_payload
+from .trace import KIND_PRIORITY, TraceEvent, _READING_FIELDS, _record_payload, _state_payload
 
 # The trace functions that moved to ``trace``, still read from here by
 # the benchmark under ``bench/``: ``__getattr__`` resolves each one on
@@ -498,23 +498,11 @@ class Session:
 
         candidates, decision = self._engine.step(state)
         for candidate in candidates:
-            add(
-                tick,
-                "candidate",
-                {
-                    "dimension": candidate.dimension.value,
-                    "score": candidate.score,
-                    "confidence": candidate.confidence,
-                    "severity": candidate.severity.value,
-                    "supra_channels": candidate.supra_channels,
-                    "composite": candidate.composite,
-                    "repeat_ordinal": candidate.repeat_ordinal,
-                },
-            )
+            add(tick, "candidate", _record_payload(candidate))
         if decision is None:
             return
         self.decisions.append(decision)
-        payload = _decision_payload(decision)
+        payload = _record_payload(decision)
         add(tick, "decision", payload)
         descriptors = {dim: state.dims[dim].descriptor for dim in Dimension}
         packet = build_directives(decision, descriptors, self._context)

@@ -209,8 +209,8 @@ def infer_state(
     profile: CalibrationProfile,
     weights: WeightMatrix,
     t: Timestamp,
-    trigger_threshold: float = PRONOUNCED_FLOOR,
-    quality_floor: float = 0.0,
+    trigger_threshold: float,
+    quality_floor: float,
 ) -> StateVector:
     """Score all six dimensions from the window's channel features.
 

@@ -95,9 +95,10 @@ _READING_FIELDS = ("triggering_score", "confidence")
 _CANDIDATE_READING_FIELDS = ("score", "confidence", "supra_channels")
 
 
-def _decision_payload(decision: InterventionDecision) -> dict:
-    """Every field of a decision but its time, each enum as its value."""
-    return {field: getattr(value, "value", value) for field, value in decision._asdict().items() if field != "t"}
+def _record_payload(record: Candidate | InterventionDecision) -> dict:
+    """Every field of a candidate or decision but its time, each enum as
+    its value."""
+    return {field: getattr(value, "value", value) for field, value in record._asdict().items() if field != "t"}
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +414,7 @@ def validate_trace(header: dict, events: list[TraceEvent]) -> list[str]:
                 score, confidence, _ = reading
                 winner = Candidate(Dimension(dim), event.t, score, confidence, severity_of(score),
                                    candidate["supra_channels"], payload["composite"], candidate["repeat_ordinal"])
-                for field, value in _decision_payload(decide(winner, table, modality)).items():
+                for field, value in _record_payload(decide(winner, table, modality)).items():
                     if field not in _READING_FIELDS and payload.get(field) != value:
                         violations.append(f"{label}: {field} {payload.get(field)} is not the engine's {value}")
 

@@ -44,6 +44,7 @@ from cogloop.state import (
     ChannelFeature,
     Descriptor,
     DimensionState,
+    PRONOUNCED_FLOOR,
     SIGMA_FLOOR,
     StateVector,
     compute_baseline,
@@ -226,7 +227,7 @@ def test_criterion_04_fusion_matches_brute_force():
             w = row.get(feature.channel_id, 0.0)
             num += w * feature.quality * abs(feature.value)
             den += w * feature.quality
-        got = infer_state(features, unit, weights, 0.0).dims[dimension]
+        got = infer_state(features, unit, weights, 0.0, PRONOUNCED_FLOOR, 0.0).dims[dimension]
         if den <= 0:
             if got.observed:
                 failures.append(f"case {case}: expected an unobserved dimension")
@@ -236,7 +237,7 @@ def test_criterion_04_fusion_matches_brute_force():
             failures.append(f"case {case}: score {score} != {num / den}")
         if abs(confidence - den / sum(row.values())) > 1e-12:
             failures.append(f"case {case}: confidence off")
-        again = infer_state(features, unit, scaled, 0.0).dims[dimension]
+        again = infer_state(features, unit, scaled, 0.0, PRONOUNCED_FLOOR, 0.0).dims[dimension]
         if abs(score - again.score) > 1e-12 * max(1.0, abs(score)):
             failures.append(f"case {case}: score not scale-invariant")
         if abs(confidence - again.confidence) > 1e-12:

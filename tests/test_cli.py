@@ -319,6 +319,20 @@ def test_boolean_header_seed_exits_2(tmp_path, profile_path, capsys):
     assert "error: line 1: seed must be an integer, got True" in capsys.readouterr().err
 
 
+# each replayed with the boolean taken as 1.0 or 0.0, as a float knob
+@pytest.mark.parametrize(
+    "key", ["trigger_threshold", "window_length.rr_interval", "cooldown.physiological", "weight.stress.rmssd_ms"]
+)
+def test_boolean_header_float_knob_exits_2(tmp_path, profile_path, capsys, key):
+    scenario = _synth(tmp_path, profile_path)
+    header, rest = scenario.read_text().split("\n", 1)
+    edited = json.loads(header)
+    edited.setdefault("config", {})[key] = True
+    scenario.write_text(json.dumps(edited) + "\n" + rest)
+    assert main(["run", "--scenario", str(scenario)]) == 2
+    assert f"error: {key}: cannot interpret True as float" in capsys.readouterr().err
+
+
 def test_sync_that_moves_gaze_time_back_is_a_warning(tmp_path, capsys):
     # a sync that moves the gaze clock back maps a sample onto its
     # predecessor's session time: a zero gaze time step, once a traceback
@@ -412,6 +426,15 @@ def _candidate_event(**changes):
          [json.dumps({"type": "header", "config": {"trigger_threshold": 0.5}}),
           {"t": 1.0, "kind": "sync", "payload": {}}],
          "line 1: trace header config: trigger_threshold (0.5) is below the moderate deviation floor (1.0)"),
+        # a boolean is no number, for a float knob as for an int one
+        (["validate", "summarize"],
+         [json.dumps({"type": "header", "config": {"trigger_threshold": True}}),
+          {"t": 1.0, "kind": "sync", "payload": {}}],
+         "line 1: trace header config: trigger_threshold: cannot interpret True as float"),
+        (["validate", "summarize"],
+         [json.dumps({"type": "header", "config": {"weights": {"stress": {"rmssd_ms": False}}}}),
+          {"t": 1.0, "kind": "sync", "payload": {}}],
+         "line 1: trace header config: weight.stress.rmssd_ms: cannot interpret False as float"),
     ],
     ids=[
         "unknown_kind", "empty_decision", "header_without_config", "ingest_without_outcome",
@@ -419,6 +442,7 @@ def _candidate_event(**changes):
         "state_vector_supra_channels_not_a_count", "decision_triggering_score_not_a_number",
         "candidate_without_repeat_ordinal", "candidate_score_not_a_number", "candidate_severity_unknown",
         "candidate_composite_not_a_flag", "header_modality_unknown", "header_config_invalid",
+        "header_boolean_threshold", "header_boolean_weight",
     ],
 )
 def test_hand_edited_trace_exits_2_with_the_line(tmp_path, capsys, commands, lines, message):

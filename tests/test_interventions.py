@@ -1,13 +1,15 @@
 import pytest
 
+from cogloop.config import SessionConfig, _strategy_table
+from cogloop.directives import TEMPLATE_IDS
 from cogloop.errors import NonMonotoneTimeError
 from cogloop.interventions import (
+    DEFAULT_STRATEGIES,
     Candidate,
     Category,
     Framing,
     InterventionEngine,
     Severity,
-    StrategyTable,
     Tier,
     TriggerPolicy,
     choose_framing,
@@ -293,52 +295,46 @@ def test_severity_bands():
 
 
 def test_default_strategy_lookups():
-    table = StrategyTable()
+    table = DEFAULT_STRATEGIES
     for modality in Modality:
-        entry = table.lookup(Dimension.STRESS, Severity.PRONOUNCED, modality)
+        entry = table[Dimension.STRESS, Severity.PRONOUNCED, modality]
         assert entry.template_id == "box_breathing"
         assert entry.category is Category.PHYSIOLOGICAL
         assert entry.tier is Tier.MESO
 
-    entry = table.lookup(Dimension.COGNITIVE_LOAD, Severity.PRONOUNCED, Modality.TEXT)
+    entry = table[Dimension.COGNITIVE_LOAD, Severity.PRONOUNCED, Modality.TEXT]
     assert (entry.category, entry.tier, entry.template_id) == (
         Category.COGNITIVE_ATTENTIONAL, Tier.MICRO, "chunk_and_distill"
     )
-    entry = table.lookup(Dimension.UNDERSTANDING, Severity.PRONOUNCED, Modality.VIDEO)
+    entry = table[Dimension.UNDERSTANDING, Severity.PRONOUNCED, Modality.VIDEO]
     assert (entry.category, entry.tier, entry.template_id) == (
         Category.COMPREHENSION_ORIENTED, Tier.MACRO, "first_principles"
     )
-    entry = table.lookup(Dimension.FATIGUE, Severity.PRONOUNCED, Modality.AUDIO)
+    entry = table[Dimension.FATIGUE, Severity.PRONOUNCED, Modality.AUDIO]
     assert entry.template_id == "take_break"
     assert entry.category is Category.PHYSIOLOGICAL
 
 
 def test_default_table_is_total_and_valid():
-    table = StrategyTable()
-    table.validate()
+    assert len(DEFAULT_STRATEGIES) == len(Dimension) * len(Severity) * len(Modality)
     for dimension in Dimension:
         for severity in Severity:
             for modality in Modality:
-                assert table.lookup(dimension, severity, modality).template_id
-
-
-def test_incomplete_table_fails_validation():
-    table = StrategyTable()
-    del table.entries[(Dimension.STRESS, Severity.MODERATE, Modality.AUDIO)]
-    with pytest.raises(ValueError):
-        table.validate()
+                assert DEFAULT_STRATEGIES[dimension, severity, modality].template_id in TEMPLATE_IDS
 
 
 def test_template_overrides_swap_text_only():
-    base = StrategyTable()
     key = (Dimension.STRESS, Severity.PRONOUNCED, Modality.TEXT)
-    overridden = base.with_template_overrides({key: "my_custom_script"})
-    entry = overridden.lookup(*key)
+    table = _strategy_table(SessionConfig(strategy_overrides={key: "my_custom_script"}))
+    entry = table[key]
     assert entry.template_id == "my_custom_script"
     assert entry.category is Category.PHYSIOLOGICAL
     assert entry.tier is Tier.MESO
-    # the base table is untouched
-    assert base.lookup(*key).template_id == "box_breathing"
+    # every other entry, and the default table, are untouched
+    assert {k: v for k, v in table.items() if k != key} == {
+        k: v for k, v in DEFAULT_STRATEGIES.items() if k != key
+    }
+    assert DEFAULT_STRATEGIES[key].template_id == "box_breathing"
 
 
 # ---------------------------------------------------------------------------

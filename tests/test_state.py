@@ -12,6 +12,7 @@ from cogloop.state import (
     CHANNEL_PNN50,
     CHANNEL_PUPIL,
     CHANNEL_RMSSD,
+    PRONOUNCED_FLOOR,
     SIGMA_FLOOR,
     ChannelFeature,
     Descriptor,
@@ -42,7 +43,7 @@ UNIT = _profile(**{channel: (0.0, 1.0) for channel in ALL_CHANNELS})
 
 def _fuse(features, weights, dimension, quality_floor=0.0):
     """One dimension of the fused state, on the unit baseline."""
-    return infer_state(features, UNIT, weights, 0.0, quality_floor=quality_floor).dims[dimension]
+    return infer_state(features, UNIT, weights, 0.0, PRONOUNCED_FLOOR, quality_floor).dims[dimension]
 
 
 def _z(baseline, value):
@@ -67,7 +68,9 @@ def test_constant_channel_gets_sigma_floor():
     assert _z(baseline, 3.0) == 0.0
     # one micrometer off the constant baseline is a huge deviation
     assert _z(baseline, 3.001) == pytest.approx(1000.0, rel=1e-6)
-    state = infer_state([_feat(CHANNEL_PUPIL, value=3.001)], profile, default_weight_matrix(), 0.0)
+    state = infer_state(
+        [_feat(CHANNEL_PUPIL, value=3.001)], profile, default_weight_matrix(), 0.0, PRONOUNCED_FLOOR, 0.0
+    )
     assert state.dims[Dimension.COGNITIVE_LOAD].score == pytest.approx(1000.0, rel=1e-6)
 
 
@@ -77,7 +80,9 @@ def test_underfilled_channel_is_reported_not_fatal():
     assert "rmssd_ms" not in profile.channels
     assert "3 calibration samples" in profile.uncalibrated["rmssd_ms"]
     # a feature on the uncalibrated channel is dropped, not scored
-    state = infer_state([_feat(CHANNEL_RMSSD, value=40.0)], profile, default_weight_matrix(), 0.0)
+    state = infer_state(
+        [_feat(CHANNEL_RMSSD, value=40.0)], profile, default_weight_matrix(), 0.0, PRONOUNCED_FLOOR, 0.0
+    )
     assert not state.dims[Dimension.STRESS].observed
 
 
@@ -161,8 +166,8 @@ def test_score_is_invariant_under_weight_row_scaling():
         qualities = [rng.uniform(0.1, 1.0) for _ in ALL_CHANNELS]
         zs = [rng.uniform(-3, 3) for _ in ALL_CHANNELS]
         features = [_feat(c, value=z, quality=q) for c, q, z in zip(ALL_CHANNELS, qualities, zs)]
-        s1 = infer_state(features, UNIT, base, 0.0)
-        s2 = infer_state(features, UNIT, scaled, 0.0)
+        s1 = infer_state(features, UNIT, base, 0.0, PRONOUNCED_FLOOR, 0.0)
+        s2 = infer_state(features, UNIT, scaled, 0.0, PRONOUNCED_FLOOR, 0.0)
         for dimension in Dimension:
             d1, d2 = s1.dims[dimension], s2.dims[dimension]
             assert d1.score == pytest.approx(d2.score, rel=1e-12)
@@ -274,7 +279,7 @@ def test_infer_state_scores_observed_dimensions():
         _feat(CHANNEL_RMSSD, value=24.0),   # z = -2
         _feat(CHANNEL_HEART_RATE, value=80.0),  # z = +2
     ]
-    state = infer_state(features, profile, default_weight_matrix(), t=100.0)
+    state = infer_state(features, profile, default_weight_matrix(), 100.0, PRONOUNCED_FLOOR, 0.0)
     stress = state.dims[Dimension.STRESS]
     assert stress.observed
     assert stress.score == pytest.approx(2.0, abs=1e-9)
@@ -288,7 +293,7 @@ def test_infer_state_scores_observed_dimensions():
 def test_infer_state_marks_unobserved_dimensions():
     profile = _profile(pnn50_percent=(30.0, 10.0))
     features = [_feat(CHANNEL_PNN50, value=10.0)]
-    state = infer_state(features, profile, default_weight_matrix(), t=0.0)
+    state = infer_state(features, profile, default_weight_matrix(), 0.0, PRONOUNCED_FLOOR, 0.0)
     attention = state.dims[Dimension.ATTENTION]
     assert not attention.observed
     assert attention.score == 0.0
@@ -303,7 +308,7 @@ def test_infer_state_drops_uncalibrated_channels():
         _feat(CHANNEL_PNN50, value=50.0),       # z = +2
         _feat(CHANNEL_NOTE_ERROR, value=0.9),   # no baseline: ignored
     ]
-    state = infer_state(features, profile, default_weight_matrix(), t=0.0)
+    state = infer_state(features, profile, default_weight_matrix(), 0.0, PRONOUNCED_FLOOR, 0.0)
     assert state.dims[Dimension.STRESS].observed
     assert not state.dims[Dimension.UNDERSTANDING].observed
 
@@ -315,11 +320,11 @@ def test_supra_channel_count_uses_trigger_threshold():
         _feat(CHANNEL_RMSSD, value=44.0),  # z = +0.5
     ]
     state = infer_state(
-        features, profile, default_weight_matrix(), t=0.0, trigger_threshold=1.5
+        features, profile, default_weight_matrix(), t=0.0, trigger_threshold=1.5, quality_floor=0.0
     )
     assert state.dims[Dimension.STRESS].supra_channels == 1
     state = infer_state(
-        features, profile, default_weight_matrix(), t=0.0, trigger_threshold=0.5
+        features, profile, default_weight_matrix(), t=0.0, trigger_threshold=0.5, quality_floor=0.0
     )
     # |0.5| >= 0.5: the boundary counts
     assert state.dims[Dimension.STRESS].supra_channels == 2
