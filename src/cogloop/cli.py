@@ -16,11 +16,12 @@ import json
 import sys
 from importlib import resources
 
-from .config import parse_config_text
 from .errors import ConfigError, ScenarioError
 from .scenario import first_escaped_line, load_scenario, write_scenario
-from .session import run_session
-from .trace import read_trace, summarize, validate_trace, write_trace
+
+# Each command imports the engine modules it runs inside its handler: a
+# fresh process compiles each module it loads, unless its bytecode is
+# cached, and ``synth`` runs no replay, ``run`` no synthesizer.
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,8 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_profile_arg(name_or_path: str):
-    # the synthesizer is imported only by the command that uses it: a
-    # fresh process compiles each module it loads, and ``run`` needs none
     from .synth import load_profile
 
     bundled = resources.files("cogloop").joinpath("profiles", f"{name_or_path}.json")
@@ -73,6 +72,10 @@ def _read_config(path) -> str:
 
 
 def _cmd_run(args) -> int:
+    from .config import parse_config_text
+    from .session import run_session
+    from .trace import summarize, write_trace
+
     scenario = load_scenario(args.scenario)
     overrides: dict[str, object] = {}
     if args.config:
@@ -107,12 +110,16 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
+    from .trace import read_trace, summarize
+
     header, events = read_trace(args.trace)
     print(json.dumps(summarize(header, events), indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_validate(args) -> int:
+    from .trace import read_trace, validate_trace
+
     if not args.scenario and not args.trace:
         print("validate needs --scenario or --trace", file=sys.stderr)
         return 2

@@ -24,7 +24,7 @@ from typing import NamedTuple
 from .directives import TEMPLATE_IDS
 from .errors import ConfigError
 from .interventions import DEFAULT_STRATEGIES, Category, Severity, StrategyEntry, StrategyKey, TriggerPolicy
-from .model import Dimension, Modality, Slotted, StreamKind
+from .model import MAX_SESSION_S, Dimension, Modality, Slotted, StreamKind
 from .state import ALL_CHANNELS, SIGMA_FLOOR, MODERATE_FLOOR, WeightMatrix, default_weight_matrix
 
 
@@ -99,14 +99,6 @@ class SessionConfig(Slotted):
         self.client = client
         self.strategy_overrides = {} if strategy_overrides is None else strategy_overrides
 
-
-# The longest session a replay covers, in seconds. Replay walks every
-# window and decision tick up to the last session time, so its cost
-# grows with the timestamps, not with the data: a sample whose session
-# time lies past this is skipped with a warning, not replayed through a
-# gap of years, and every trace event lies in [0, MAX_SESSION_S]. A
-# constant, not a config key: one value is in use.
-MAX_SESSION_S = 24 * 3600.0
 
 # The smallest window_hop_s, in seconds. With every span at most
 # MAX_SESSION_S, a replay walks at most 864,000 ticks and cuts at most
@@ -279,15 +271,19 @@ def _coerce(key: str, raw: object, target: type) -> object:
         raise ConfigError(f"{key}: cannot interpret {raw!r} as {target.__name__}") from None
 
 
+def _unknown_member(key: str, enum: type, token: str) -> ConfigError:
+    values = ", ".join(member.value for member in enum)
+    return ConfigError(f"{key}: unknown {enum.__name__.lower()} {token!r} (valid: {values})")
+
+
 def _key_error(key: str, field: _Structured) -> ConfigError:
     """Why a flat key with the field's prefix names no entry: the number
     of its parts, or the first part that names no member of its enum."""
     tokens = key.split(".")
     if len(tokens) == 1 + len(field.parts):
         for enum, token in zip(field.parts, tokens[1:]):
-            values = [] if enum is None else [member.value for member in enum]
-            if values and token not in values:
-                return ConfigError(f"{key}: unknown {enum.__name__.lower()} {token!r} (valid: {', '.join(values)})")
+            if enum is not None and token not in {member.value for member in enum}:
+                return _unknown_member(key, enum, token)
     return ConfigError(f"unknown config key {key!r}")
 
 
@@ -376,6 +372,9 @@ def config_from_dict(data: dict) -> SessionConfig:
             for part, row in value.items():
                 if not isinstance(row, dict):
                     raise ConfigError(f"{key}.{part} must be an object, got {row!r}")
+                # an empty row spells no entry, so no entry checks its part
+                if not row and part not in _BY_PREFIX[field.prefix][1]:
+                    raise _unknown_member(f"{field.prefix}.{part}", field.parts[0], part)
                 for channel, raw in row.items():
                     entries[f"{field.prefix}.{part}.{channel}"] = raw
         else:

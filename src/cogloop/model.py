@@ -27,6 +27,15 @@ from typing import NamedTuple
 
 Timestamp = float
 
+# The longest session a replay covers, in seconds. Replay walks every
+# window and decision tick up to the last session time, so its cost
+# grows with the timestamps, not with the data: a sample whose session
+# time lies past this is skipped with a warning, not replayed through a
+# gap of years, and every trace event lies in [0, MAX_SESSION_S]. A
+# constant, not a config key: one value is in use. The synthesizer
+# holds a profile to it too.
+MAX_SESSION_S = 24 * 3600.0
+
 
 class Slotted:
     """Base of the records declared as plain ``__slots__`` classes.

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from .behavior import PostureWindows, ingest_note_assessment, score_posture
 from .cardio import window_hrv
-from .config import MAX_SESSION_S, SessionConfig, _strategy_table, _trigger_policy, apply_entries, checked_config
+from .config import SessionConfig, _strategy_table, _trigger_policy, apply_entries, checked_config
 from .directives import (
     GenerationClient,
     LearningContext,
@@ -47,7 +47,7 @@ from .directives import (
 from .errors import ClientUnavailableError, MalformedReplyError
 from .gaze import GazeTrack, window_gaze_features
 from .interventions import InterventionDecision, InterventionEngine
-from .model import Dimension, Payload, StreamKind, Timestamp
+from .model import MAX_SESSION_S, Dimension, Payload, StreamKind, Timestamp
 from .scenario import MIN_GAZE_STEP_S, SampleRecord, Scenario, ScenarioFile, ScenarioHeader, SyncRecord
 from .state import (
     CHANNEL_NOTE_ERROR,

@@ -14,6 +14,11 @@ small set of physical controls in z-units of their nominal spread:
 
 The ``noise`` map gates every stochastic element; an all-zero noise map
 produces constant streams at each control's nominal mean.
+
+Gaze and posture draw from their RNGs in a loop, then clamp, round and
+build their records in whole-column passes, each exactly the scalar
+``max(lo, min(hi, v))`` and ``round(v, digits)`` it replaces, so a seed
+gives the bytes a sample-by-sample generator gives.
 """
 
 from __future__ import annotations
@@ -22,12 +27,14 @@ import json
 import math
 import random
 from bisect import bisect_left
-from operator import attrgetter
+from itertools import repeat
+from math import copysign
+from operator import attrgetter, sub, truediv
 from typing import NamedTuple
 
-from .config import MAX_SESSION_S
 from .errors import ScenarioError
 from .model import (
+    MAX_SESSION_S,
     POSTURE_POINTS,
     GazeSample,
     Modality,
@@ -284,12 +291,13 @@ def synthesize(profile: SyntheticProfile, seed: int | None = None) -> Scenario:
     curves = {name: _ControlCurve(profile, name) for name in CONTROLS}
     noise = {**NOISE_DEFAULTS, **profile.noise}
 
-    records: list[SampleRecord] = []
-    records.extend(_gen_gaze(profile, curves, noise, seed, duration))
-    records.extend(_gen_rr(curves, noise, seed, duration))
-    records.extend(_gen_posture(profile, curves, noise, seed, duration))
-    records.extend(_gen_notes(profile, curves, noise, seed, duration))
-    records.sort(key=attrgetter("t", "stream_id"))
+    # the streams in the order of their ids, so that one stable sort by
+    # time puts the records in (t, stream_id) order
+    records = _gen_posture(profile, curves, noise, seed, duration)
+    records += _gen_gaze(profile, curves, noise, seed, duration)
+    records += _gen_rr(curves, noise, seed, duration)
+    records += _gen_notes(profile, curves, noise, seed, duration)
+    records.sort(key=attrgetter("t"))
 
     header = ScenarioHeader(
         streams=[
@@ -308,11 +316,38 @@ def synthesize(profile: SyntheticProfile, seed: int | None = None) -> Scenario:
     return Scenario(header=header, records=records)
 
 
-# The generators clamp with max(lo, min(hi, v)), which turns a -0.0
-# into a lo of 0.0 where a conditional would keep it, and draw
-# rng.uniform(a, b) as its body on every supported CPython,
-# a + (b - a) * rng.random(). Each keeps its RNG calls in one fixed
-# order, so a seed gives the same bytes.
+# The generators draw rng.uniform(a, b) as its body on every supported
+# CPython, a + (b - a) * rng.random(), and keep their RNG calls in one
+# fixed order, so a seed gives the same bytes. Gaze and posture draw in
+# a loop, then clamp, round and build their records a column at a time.
+
+# (s + _RNE) - _RNE is s rounded half to even, for |s| <= 2**51
+_RNE = 1.5 * 2.0**52
+
+
+def _rounded(values: list[float], digits: int) -> list[float]:
+    """``[round(v, digits) for v in values]`` bit for bit, 0 <= digits <= 22.
+
+    s = v * 10**digits is rounded half to even to i, and i / 10**digits,
+    signed as v, is the result. While |s| <= 2**51 the half-integers
+    near s are floats, so the rounded, monotone multiply keeps the exact
+    v * 10**digits between the same two as s: unless s is one, i is v's
+    correctly rounded decimal, and the division rounds as ``round``
+    does. Any other column is rounded value by value.
+    """
+    scale = float(10**digits)
+    scaled = [v * scale for v in values]
+    if max(map(abs, scaled), default=0.0) <= 2.0**51:
+        nearest = [(s + _RNE) - _RNE for s in scaled]
+        if max(map(abs, map(sub, scaled, nearest)), default=0.0) < 0.5:
+            return list(map(copysign, map(truediv, nearest, repeat(scale)), values))
+    return [round(v, digits) for v in values]
+
+
+def _clamped(values: list[float], lo: float, hi: float) -> list[float]:
+    """``[max(lo, min(hi, v)) for v in values]`` bit for bit, for lo <
+    hi: a -0.0 becomes lo and a NaN hi."""
+    return [v if lo < v < hi else (lo if v < hi else hi) for v in values]
 
 
 def _gen_gaze(profile, curves, noise, seed, duration) -> list[SampleRecord]:
@@ -326,18 +361,18 @@ def _gen_gaze(profile, curves, noise, seed, duration) -> list[SampleRecord]:
     pupil_noise = noise["pupil_mm"]
 
     n = int(round(duration * profile.gaze_rate_hz))
-    times = [round(k * dt, 6) for k in range(n)]
+    times = _rounded([k * dt for k in range(n)], 6)
     blink_rates = curves["blink_rate_hz"].values(times)
     drift_speeds = curves["gaze_drift_speed"].values(times)
     pupil_means = curves["pupil_mm"].values(times)
 
-    records: list[SampleRecord] = []
-    append = records.append
+    # per sample: x, y, whether it blinks, and the pupil while it does not
+    xs, ys, blinks, pupils = [], [], [], []
     anchor_x, anchor_y = 0.5, 0.5
     offset_x = offset_y = 0.0
     dwell_left = 0.8 + (2.5 - 0.8) * draw()
     blink_left = 0.0
-    for t, blink_rate, drift_speed, pupil in zip(times, blink_rates, drift_speeds, pupil_means):
+    for blink_rate, drift_speed, pupil in zip(blink_rates, drift_speeds, pupil_means):
         blinking = blink_left > 0.0
         if blinking:
             blink_left -= dt
@@ -357,18 +392,19 @@ def _gen_gaze(profile, curves, noise, seed, duration) -> list[SampleRecord]:
             offset_x = (offset_x + step * cos(angle)) * 0.95
             offset_y = (offset_y + step * sin(angle)) * 0.95
 
-        x = max(0.0, min(1.0, anchor_x + offset_x))
-        y = max(0.0, min(1.0, anchor_y + offset_y))
-        if blinking:
-            pupil = None
-            confidence = 0.05
-        else:
-            if pupil_noise > 0:
-                pupil += gauss(0.0, pupil_noise)
-            pupil = round(max(1.0, min(9.0, pupil)), 6)
-            confidence = 0.98
-        append(SampleRecord("gaze", t, 0.99, GazeSample(round(x, 6), round(y, 6), pupil, confidence)))
-    return records
+        xs.append(anchor_x + offset_x)
+        ys.append(anchor_y + offset_y)
+        blinks.append(blinking)
+        if not blinking:
+            pupils.append(pupil + gauss(0.0, pupil_noise) if pupil_noise > 0 else pupil)
+
+    xs = _rounded(_clamped(xs, 0.0, 1.0), 6)
+    ys = _rounded(_clamped(ys, 0.0, 1.0), 6)
+    readings = iter(_rounded(_clamped(pupils, 1.0, 9.0), 6))
+    return [
+        SampleRecord("gaze", t, 0.99, GazeSample(x, y, None, 0.05) if blink else GazeSample(x, y, next(readings), 0.98))
+        for t, x, y, blink in zip(times, xs, ys, blinks)
+    ]
 
 
 def _gen_rr(curves, noise, seed, duration) -> list[SampleRecord]:
@@ -381,17 +417,13 @@ def _gen_rr(curves, noise, seed, duration) -> list[SampleRecord]:
         jitter = max(0.0, curves["rr_jitter_ms"].value(t)) * jitter_scale
         if jitter > 0:
             rr += rng.gauss(0.0, jitter)
-        rr = round(max(300.0, min(2000.0, rr)), 3)
+        rr = round(rr if 300.0 < rr < 2000.0 else (300.0 if rr < 2000.0 else 2000.0), 3)
         t_next = t + rr / 1000.0
         if t_next >= duration:
             break
         records.append(SampleRecord("heart", round(t_next, 6), 1.0, RRSample(rr)))
         t = t_next
     return records
-
-
-# (name, base x, base y) of each landmark, in the order of its draws
-_POSE = tuple((name, *_BASE_POSE[name]) for name in POSTURE_POINTS)
 
 
 def _gen_posture(profile, curves, noise, seed, duration) -> list[SampleRecord]:
@@ -401,26 +433,29 @@ def _gen_posture(profile, curves, noise, seed, duration) -> list[SampleRecord]:
     jitter_sd = 0.003 * noise["posture"]
     dt = 1.0 / profile.posture_rate_hz
     n = int(round(duration * profile.posture_rate_hz))
-    times = [round(k * dt, 6) for k in range(n)]
+    times = _rounded([k * dt for k in range(n)], 6)
+    slumps = curves["posture_slump"].values(times)
 
-    records: list[SampleRecord] = []
-    for t, slump in zip(times, curves["posture_slump"].values(times)):
-        tilt_dy = tan(radians(_SLUMP_TILT_DEG * slump)) * _SHOULDER_HALF_WIDTH
-        lean_dx = tan(radians(_SLUMP_LEAN_DEG * slump)) * _TRUNK_LENGTH
-        ear_dx = _SLUMP_EAR_DRIFT * slump
-        # shoulders lean and tilt, ears lean and drift, hips stay
-        dxs = (lean_dx, lean_dx, lean_dx + ear_dx, lean_dx + ear_dx, 0.0, 0.0)
-        dys = (tilt_dy, -tilt_dy, 0.0, 0.0, 0.0, 0.0)
-        landmarks = {}
-        for (name, base_x, base_y), dx, dy in zip(_POSE, dxs, dys):
-            jx = gauss(0.0, jitter_sd) if jitter_sd > 0 else 0.0
-            jy = gauss(0.0, jitter_sd) if jitter_sd > 0 else 0.0
-            landmarks[name] = (
-                round(max(0.0, min(1.0, base_x + dx + jx)), 6),
-                round(max(0.0, min(1.0, base_y + dy + jy)), 6),
-            )
-        records.append(SampleRecord("cam", t, 1.0, PostureSample(landmarks)))
-    return records
+    # frame by frame, landmark by landmark, x then y
+    width = 2 * len(POSTURE_POINTS)
+    jitter = [gauss(0.0, jitter_sd) for _ in range(width * n)] if jitter_sd > 0 else [0.0] * (width * n)
+    # in POSTURE_POINTS order: shoulders lean and tilt, ears lean and
+    # drift, hips stay
+    lean = [tan(radians(_SLUMP_LEAN_DEG * slump)) * _TRUNK_LENGTH for slump in slumps]
+    tilt = [tan(radians(_SLUMP_TILT_DEG * slump)) * _SHOULDER_HALF_WIDTH for slump in slumps]
+    ear = [lean_dx + _SLUMP_EAR_DRIFT * slump for lean_dx, slump in zip(lean, slumps)]
+    still = [0.0] * n
+    shifts = ((lean, tilt), (lean, [-dy for dy in tilt]), (ear, still), (ear, still), (still, still), (still, still))
+    columns = []
+    for index, (name, (dxs, dys)) in enumerate(zip(POSTURE_POINTS, shifts)):
+        base_x, base_y = _BASE_POSE[name]
+        xs = [base_x + dx + jx for dx, jx in zip(dxs, jitter[2 * index::width])]
+        ys = [base_y + dy + jy for dy, jy in zip(dys, jitter[2 * index + 1::width])]
+        columns.append(list(zip(_rounded(_clamped(xs, 0.0, 1.0), 6), _rounded(_clamped(ys, 0.0, 1.0), 6))))
+    return [
+        SampleRecord("cam", t, 1.0, PostureSample(dict(zip(POSTURE_POINTS, frame))))
+        for t, frame in zip(times, zip(*columns))
+    ]
 
 
 def _gen_notes(profile, curves, noise, seed, duration) -> list[SampleRecord]:
@@ -432,7 +467,7 @@ def _gen_notes(profile, curves, noise, seed, duration) -> list[SampleRecord]:
         value = curves["note_correctness"].value(t)
         if note_noise > 0:
             value += rng.gauss(0.0, note_noise)
-        correctness = round(max(0.0, min(1.0, value)), 4)
+        correctness = round(value if 0.0 < value < 1.0 else (0.0 if value < 1.0 else 1.0), 4)
         records.append(SampleRecord("notes", round(t, 6), 1.0, NoteScoreSample(correctness)))
         t += profile.note_interval_s
     return records

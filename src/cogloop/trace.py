@@ -16,7 +16,7 @@ import json
 from collections.abc import Callable
 from operator import itemgetter
 
-from .config import MAX_SESSION_S, SessionConfig, _strategy_table, _trigger_policy, config_from_dict, config_to_dict
+from .config import SessionConfig, _strategy_table, _trigger_policy, config_from_dict, config_to_dict
 from .errors import ConfigError, ScenarioError
 from .interventions import (
     COMPOSITE_DIMENSIONS,
@@ -30,7 +30,7 @@ from .interventions import (
     route_reading,
     severity_of,
 )
-from .model import Dimension, Modality, Slotted, Timestamp
+from .model import MAX_SESSION_S, Dimension, Modality, Slotted, Timestamp
 from .scenario import _FLOAT_MAX, _decode, _encode, utf8_text
 from .state import DimensionState, StateVector
 from .streams import IngestOutcome

@@ -12,9 +12,11 @@ trace sha256] triple for each (profile, window_hop_s override) given; a
 profile named ``<name>:arrivals`` is replayed in a seeded arrival order
 (``arrival_order``); and
 
-    PYTHONPATH=src python tests/golden_replay.py --scenarios '["all_baseline", "stress_ramp"]'
+    PYTHONPATH=src python tests/golden_replay.py --scenarios '[["all_baseline", null], ["stress_ramp", 2]]'
 
-prints a JSON list with the sha256 of each profile's written scenario.
+prints a JSON list with the sha256 of the scenario written for each
+(profile, seed) given, a null seed being the profile's own; a profile
+named ``<name>:noiseless`` has every ``noise`` key set to 0.
 """
 
 import hashlib
@@ -94,17 +96,23 @@ def replay_digests(name, hop) -> tuple[str, str, str]:
     return hashlib.sha256(trace).hexdigest(), _decisions_sha256(result.events), _unsequenced_sha256(trace)
 
 
-def scenario_sha256(name) -> str:
+def scenario_sha256(name, seed=None) -> str:
     """sha256 of the scenario file that ``write_scenario`` writes for
-    ``synthesize`` of a bundled profile at its own seed."""
+    ``synthesize`` of a bundled profile at ``seed``, or at its own seed
+    when ``seed`` is None. ``<name>:noiseless`` synthesizes the profile
+    with every ``noise`` key set to 0."""
+    name, _, variant = name.partition(":")
+    profile = _bundled_profile(name)
+    if variant == "noiseless":
+        profile = profile._replace(noise=dict.fromkeys(profile.noise, 0.0))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.jsonl"
-        write_scenario(synthesize(_bundled_profile(name)), path)
+        write_scenario(synthesize(profile, seed), path)
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 if __name__ == "__main__":
     if sys.argv[1] == "--scenarios":
-        print(json.dumps([scenario_sha256(name) for name in json.loads(sys.argv[2])]))
+        print(json.dumps([scenario_sha256(name, seed) for name, seed in json.loads(sys.argv[2])]))
     else:
         print(json.dumps([replay_digests(name, hop) for name, hop in json.loads(sys.argv[1])]))

@@ -10,6 +10,7 @@ import pytest
 
 import cogloop
 from cogloop.cli import main
+from cogloop.config import SessionConfig, config_to_dict
 
 PROFILE = {
     "seed": 13,
@@ -435,6 +436,13 @@ def _candidate_event(**changes):
          [json.dumps({"type": "header", "config": {"weights": {"stress": {"rmssd_ms": False}}}}),
           {"t": 1.0, "kind": "sync", "payload": {}}],
          "line 1: trace header config: weight.stress.rmssd_ms: cannot interpret False as float"),
+        # an unknown dimension with an empty row, beside the default matrix
+        (["validate", "summarize"],
+         [json.dumps({"type": "header", "config": {"weights": {**config_to_dict(SessionConfig())["weights"],
+                                                               "bogus": {}}}}),
+          {"t": 1.0, "kind": "sync", "payload": {}}],
+         "line 1: trace header config: weight.bogus: unknown dimension 'bogus' (valid: cognitive_load, attention, "
+         "engagement, understanding, stress, fatigue)"),
     ],
     ids=[
         "unknown_kind", "empty_decision", "header_without_config", "ingest_without_outcome",
@@ -442,7 +450,7 @@ def _candidate_event(**changes):
         "state_vector_supra_channels_not_a_count", "decision_triggering_score_not_a_number",
         "candidate_without_repeat_ordinal", "candidate_score_not_a_number", "candidate_severity_unknown",
         "candidate_composite_not_a_flag", "header_modality_unknown", "header_config_invalid",
-        "header_boolean_threshold", "header_boolean_weight",
+        "header_boolean_threshold", "header_boolean_weight", "header_empty_row_of_unknown_dimension",
     ],
 )
 def test_hand_edited_trace_exits_2_with_the_line(tmp_path, capsys, commands, lines, message):

@@ -322,7 +322,11 @@ PINNED_HEADER = [
      {"strategy_overrides": {"stress.pronounced.text": "reassurance"}}),
     ({"weights": {"stress": {"rmssd_ms": 1.0}}}, EMPTY_ROWS.replace("; weight row for stress is empty", "")),
     ({"weights": {}}, EMPTY_ROWS),
-    ({"weights": {"bogus": {}}}, EMPTY_ROWS),
+    # an empty row names its dimension too
+    ({"weights": {"bogus": {}}}, f"weight.bogus: unknown dimension 'bogus' (valid: {DIMENSIONS})"),
+    ({"weights": {**config_to_dict(SessionConfig())["weights"], "bogus": {}}},
+     f"weight.bogus: unknown dimension 'bogus' (valid: {DIMENSIONS})"),
+    ({"weights": {"stress.x": {}}}, f"weight.stress.x: unknown dimension 'stress.x' (valid: {DIMENSIONS})"),
     ({"weights": {"stress": {}}}, EMPTY_ROWS),
     ({"window_length.rr_interval": 90}, "unknown config key 'window_length.rr_interval'"),
     ({"weight.stress.rmssd_ms": 1.0}, "unknown config key 'weight.stress.rmssd_ms'"),

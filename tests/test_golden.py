@@ -72,6 +72,29 @@ SCENARIO_GOLDEN = {
     "stress_ramp": "3942af717ccd07741740b1ed52c84574e58013b308260e60357045f95916b554",
 }
 
+# (profile, seed) -> sha256 of write_scenario(synthesize(profile, seed)):
+# seeds other than each profile's own, and a profile with every noise key
+# set to 0 (``:noiseless``), where every stream is its controls' curves
+SEEDED_SCENARIO_GOLDEN = {
+    ("all_baseline", 1): "6ca66841b7818dd9f3a06558fdca71fabfd0c9c0e63acdbe9160911021d9a060",
+    ("all_baseline", 2): "7803908e3294a082701e828e643d8de4494f35ef60d602dc09b2860c1daed4fe",
+    ("all_baseline", 3): "476946770a8d94a0867e3c3c3eae3b7756a0eb0372f37b01e11b961b5e7104d5",
+    ("load_excursion", 1): "33bd93fbd16db8aad3b07801d472ec2ada843a3ea2aeb4e51be7bf474e92a606",
+    ("load_excursion", 2): "14fdb26fc4ac857587d859382155a4ca375b13f3dc04ccd3eaf147acae2166ce",
+    ("load_excursion", 3): "c0db2ff9fbfaf79d83eee78e8af6de46776c0e785539c8cab28f21cc09da872c",
+    ("mixed_session", 1): "2e4a99a9c6d40c887652b0ce020d9e7a3a550f49089fcab03a87466d388c297f",
+    ("mixed_session", 2): "7e3037b6aa8778987759712d221373d238751743f9899dead86b790aeb848386",
+    ("mixed_session", 3): "ff5adefefef8ae80ffe2f219e5cefa47c8099537f95a9508eec698f37e730ae1",
+    ("stress_ramp", 1): "036ccebe24a5f49ce8acc6c80563925218a768c180a0ad5807e4670b5052cfc9",
+    ("stress_ramp", 2): "407867ac6b0ed0c6e13082567aeac16687e62b64f1f1adb16092fdfa0890cb79",
+    ("stress_ramp", 3): "52fc801014c24b0bad033fd0b52b28e92d9f279466eb3e289d1e139a70bf5ed2",
+    ("mixed_session:noiseless", None): "f80561c4f51ad38bd1b243dfadb2b5c069854b2590bb1158aba430b07d56ed1c",
+}
+
+# every scenario pin as (profile, seed) -> sha256, a seed of None being
+# the profile's own
+ALL_SCENARIO_GOLDEN = {**{(name, None): digest for name, digest in SCENARIO_GOLDEN.items()}, **SEEDED_SCENARIO_GOLDEN}
+
 
 @pytest.mark.parametrize(
     "name,hop", list(GOLDEN), ids=[f"{name}@{hop or 'default'}" for name, hop in GOLDEN]
@@ -136,8 +159,8 @@ def _check_replays_on_another_python(which: str):
 
 
 def _check_scenarios_on_another_python(which: str):
-    version, executable, digests = _run_on_another_python(which, "--scenarios", json.dumps(list(SCENARIO_GOLDEN)))
-    assert dict(zip(SCENARIO_GOLDEN, digests)) == SCENARIO_GOLDEN, f"Python {version} ({executable})"
+    version, executable, digests = _run_on_another_python(which, "--scenarios", json.dumps(list(ALL_SCENARIO_GOLDEN)))
+    assert dict(zip(ALL_SCENARIO_GOLDEN, digests)) == ALL_SCENARIO_GOLDEN, f"Python {version} ({executable})"
 
 
 # The oldest other CPython checks the arithmetic that changed in 3.11
@@ -156,6 +179,13 @@ def test_replay_matches_golden_digests_on_the_newest_other_python():
 @pytest.mark.parametrize("name", list(SCENARIO_GOLDEN))
 def test_written_scenario_matches_golden_digest(name):
     assert scenario_sha256(name) == SCENARIO_GOLDEN[name]
+
+
+@pytest.mark.parametrize(
+    "name,seed", list(SEEDED_SCENARIO_GOLDEN), ids=[f"{name}@{seed}" for name, seed in SEEDED_SCENARIO_GOLDEN]
+)
+def test_written_scenario_at_a_seed_matches_golden_digest(name, seed):
+    assert scenario_sha256(name, seed) == SEEDED_SCENARIO_GOLDEN[(name, seed)]
 
 
 def test_written_scenarios_match_golden_digests_on_the_oldest_other_python():

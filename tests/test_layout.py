@@ -4,7 +4,7 @@ The runtime stays standard-library only, and a module imports no name
 it never uses, so a deletion cannot leave a dead import behind. A
 replay loads only the standard library it uses, and neither the
 synthesizer nor the command line; ``cogloop run`` does not load the
-synthesizer either. ``session`` and ``scenario`` bridge
+synthesizer either, and ``cogloop synth`` loads no replay. ``session`` and ``scenario`` bridge
 the names the benchmark still reads from them, and only the test that
 mirrors the benchmark reads those names there.
 """
@@ -166,6 +166,35 @@ def test_cogloop_run_loads_no_synthesizer(tmp_path):
     assert {"cogloop.cli", "cogloop.session", "cogloop.trace"} <= loaded
     assert "cogloop.synth" not in loaded
     assert trace_path.stat().st_size > 0
+
+
+# ``cogloop synth`` through the command line's ``main``, with nothing
+# else loaded first; prints, on its last line, the modules loaded since
+# the interpreter started.
+_CLI_SYNTH_CHILD = """
+import sys
+before = set(sys.modules)
+from cogloop.cli import main
+profile, scenario = sys.argv[1:3]
+assert main(["synth", "--profile", profile, "--out", scenario]) == 0
+import json
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cogloop_synth_loads_no_replay(tmp_path):
+    scenario_path = tmp_path / "scenario.jsonl"
+    child = subprocess.run(
+        [sys.executable, "-c", _CLI_SYNTH_CHILD, "all_baseline", str(scenario_path)],
+        env={"PYTHONPATH": str(Path(cogloop.__file__).parents[1]), "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    loaded = set(json.loads(child.stdout.splitlines()[-1]))
+    assert {"cogloop.cli", "cogloop.scenario", "cogloop.synth"} <= loaded
+    replay = {"session", "trace", "config", "directives", "interventions", "gaze", "behavior", "cardio", "state"}
+    assert {f"cogloop.{name}" for name in replay}.isdisjoint(loaded)
+    assert scenario_path.stat().st_size > 0
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cogloop.config import MAX_SESSION_S
+from cogloop.model import MAX_SESSION_S
 from cogloop.errors import ConfigError, ScenarioError
 from cogloop.model import (
     POSTURE_POINTS,
