@@ -17,7 +17,7 @@ import sys
 from importlib import resources
 
 from .errors import ConfigError, ScenarioError
-from .scenario import first_escaped_line, load_scenario, write_scenario
+from .scenario import first_escaped_line, load_scenario
 
 # Each command imports the engine modules it runs inside its handler: a
 # fresh process compiles each module it loads, unless its bytecode is
@@ -102,10 +102,11 @@ def _cmd_run(args) -> int:
 def _cmd_synth(args) -> int:
     from .synth import synthesize
 
-    profile = _load_profile_arg(args.profile)
-    scenario = synthesize(profile, seed=args.seed)
-    write_scenario(scenario, args.out)
-    print(f"wrote {len(scenario.records)} records ({scenario.duration_s():.0f}s) to {args.out}")
+    scenario = synthesize(_load_profile_arg(args.profile), seed=args.seed)
+    # the writer counts what it writes: reading ``records`` would build them
+    with open(args.out, "w", encoding="utf-8") as handle:
+        records, span = scenario.write(handle)
+    print(f"wrote {records} records ({span:.0f}s) to {args.out}")
     return 0
 
 

@@ -100,8 +100,9 @@ class ScenarioHeader(Slotted):
 
 
 class Scenario(Slotted):
-    """A header and its records: a list when synthesized or parsed from
-    lines, a ``ScenarioFile`` when loaded from a file."""
+    """A header and its records: a list when parsed from lines (or once a
+    synthesized scenario's are read), a ``ScenarioFile`` when loaded
+    from a file."""
 
     __slots__ = ("header", "records")
 
@@ -111,6 +112,14 @@ class Scenario(Slotted):
 
     def duration_s(self) -> float:
         return max((r.t for r in self.records if isinstance(r, SampleRecord)), default=0.0)
+
+    def scan(self, emit: Emit) -> Iterable[SampleRecord | SyncRecord]:
+        """The records for ``Session.push``; a file's samples go straight to ``emit``."""
+        records = self.records
+        return records.scan(emit) if isinstance(records, ScenarioFile) else records
+
+    def write(self, handle: TextIO) -> None:
+        handle.write(_scenario_text(self) + "\n")
 
 
 _FLOAT_MAX = sys.float_info.max
@@ -590,7 +599,13 @@ def _sample_templates(records, kinds: dict[str, StreamKind]):
 
 
 def scenario_to_lines(scenario: Scenario) -> list[str]:
-    """The scenario's lines: canonical JSON, sorted keys, no spaces.
+    """The scenario's lines (``_scenario_text``)."""
+    return _scenario_text(scenario).split("\n")
+
+
+def _scenario_text(scenario: Scenario) -> str:
+    """The scenario's lines, joined by newlines: canonical JSON, sorted
+    keys, no spaces.
 
     Sample lines are filled from templates (strings encoded into them,
     keys sorted), and the numbers of all lines are rendered by one
@@ -616,12 +631,12 @@ def scenario_to_lines(scenario: Scenario) -> list[str]:
     for template, values in _sample_templates(scenario.records, kinds):
         templates.append(template)
         numbers += values
-    lines = [_encode(header_obj)]
+    text = _encode(header_obj)
     if templates:
-        lines += ("\n".join(templates) % tuple(_render(numbers))).split("\n")
-    return lines
+        text += "\n" + "\n".join(templates) % tuple(_render(numbers))
+    return text
 
 
 def write_scenario(scenario: Scenario, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(scenario_to_lines(scenario)) + "\n")
+        scenario.write(handle)

@@ -48,7 +48,7 @@ from .errors import ClientUnavailableError, MalformedReplyError
 from .gaze import GazeTrack, window_gaze_features
 from .interventions import InterventionDecision, InterventionEngine
 from .model import MAX_SESSION_S, Dimension, Payload, StreamKind, Timestamp
-from .scenario import MIN_GAZE_STEP_S, SampleRecord, Scenario, ScenarioFile, ScenarioHeader, SyncRecord
+from .scenario import MIN_GAZE_STEP_S, SampleRecord, Scenario, ScenarioHeader, SyncRecord
 from .state import (
     CHANNEL_NOTE_ERROR,
     CalibrationProfile,
@@ -549,13 +549,11 @@ def run_session(
     realtime: bool = False,
     _sleep=time.sleep,
 ) -> SessionResult:
-    """Replay a scenario through one ``Session`` (a file's samples straight
-    to ``place``); ``realtime`` paces the records at their session times."""
+    """Replay a scenario through one ``Session`` (a file's or the
+    synthesizer's samples straight to ``place``, ``Scenario.scan``);
+    ``realtime`` paces the records at their session times."""
     session = Session(scenario.header, overrides, client, pace=_pacer(_sleep) if realtime else None)
-    records = scenario.records
-    if isinstance(records, ScenarioFile):
-        records = records.scan(session.place)
     push = session.push
-    for record in records:
+    for record in scenario.scan(session.place):
         push(record)
     return session.close()

@@ -15,10 +15,18 @@ small set of physical controls in z-units of their nominal spread:
 The ``noise`` map gates every stochastic element; an all-zero noise map
 produces constant streams at each control's nominal mean.
 
-Gaze and posture draw from their RNGs in a loop, then clamp, round and
-build their records in whole-column passes, each exactly the scalar
-``max(lo, min(hi, v))`` and ``round(v, digits)`` it replaces, so a seed
-gives the bytes a sample-by-sample generator gives.
+A synthesized scenario's samples come from one column source, drawn
+afresh each time they are read, ``CHUNK_S`` session seconds at a time.
+Each stream's generator keeps its RNG from chunk to chunk, so the
+chunking changes no draw; gaze and posture clamp and round each chunk in
+whole-column passes, each exactly the scalar ``max(lo, min(hi, v))`` and
+``round(v, digits)`` it replaces. A stable sort of each chunk by time,
+over the streams in stream-id order, gives the (t, stream id) order.
+Three sinks read the source: the writer fills each stream's line
+templates, its constant fields written into the template text, straight
+from the columns; ``run_session`` sends each sample's fields to
+``Session.place``; and the first read of ``records`` builds the record
+list. No sink holds more than a chunk, except the record list.
 """
 
 from __future__ import annotations
@@ -27,9 +35,9 @@ import json
 import math
 import random
 from bisect import bisect_left
-from itertools import repeat
+from itertools import chain, count, repeat, zip_longest
 from math import copysign
-from operator import attrgetter, sub, truediv
+from operator import sub, truediv
 from typing import NamedTuple
 
 from .errors import ScenarioError
@@ -44,7 +52,18 @@ from .model import (
     StreamDescriptor,
     StreamKind,
 )
-from .scenario import SampleRecord, Scenario, ScenarioHeader, _is_finite_number, _shared_fields, utf8_text
+from .scenario import (
+    Emit,
+    SampleRecord,
+    Scenario,
+    ScenarioHeader,
+    _is_finite_number,
+    _literal,
+    _render,
+    _shared_fields,
+    _template,
+    utf8_text,
+)
 
 # control -> (nominal mean, nominal spread); generator z-units refer to
 # the spread
@@ -69,9 +88,9 @@ NOISE_DEFAULTS: dict[str, float] = {
 
 _GENERATOR_KINDS = ("baseline", "ramp", "oscillation")
 
-# The most samples a profile may make on one stream. Synthesis holds
-# every record it makes, so its work and memory grow with the rates,
-# not with the span; 24 h of gaze at 60 Hz is 5.2M samples.
+# The most samples a profile may make on one stream. Synthesis draws a
+# chunk at a time, so its memory stays flat, but its work grows with the
+# rates, not with the span; 24 h of gaze at 60 Hz is 5.2M samples.
 MAX_STREAM_SAMPLES = 2**23
 
 
@@ -190,8 +209,8 @@ def parse_profile(data: dict) -> SyntheticProfile:
         "posture_rate_hz": span * profile.posture_rate_hz,
         "note_interval_s": span / profile.note_interval_s,
     }
-    for name, count in counts.items():
-        if not count <= MAX_STREAM_SAMPLES:
+    for name, total in counts.items():
+        if not total <= MAX_STREAM_SAMPLES:
             raise ScenarioError(
                 f"{name} ({getattr(profile, name)}) over the segments' {span} s gives more than 2**23 samples"
             )
@@ -280,25 +299,15 @@ _TRUNK_LENGTH = 0.38
 _SHOULDER_HALF_WIDTH = 0.12
 
 
-def synthesize(profile: SyntheticProfile, seed: int | None = None) -> Scenario:
-    """Generate a complete scenario from the profile, deterministically.
+def synthesize(profile: SyntheticProfile, seed: int | None = None) -> SynthesizedScenario:
+    """The scenario of the profile at ``seed`` (the profile's own when
+    None). Nothing is drawn here: the samples come from the column
+    source each time they are written, replayed or read as records.
 
     Each stream draws from its own RNG keyed by (seed, stream name), so
     editing one stream's parameters never perturbs the others.
     """
     seed = profile.seed if seed is None else seed
-    duration = profile.duration_s()
-    curves = {name: _ControlCurve(profile, name) for name in CONTROLS}
-    noise = {**NOISE_DEFAULTS, **profile.noise}
-
-    # the streams in the order of their ids, so that one stable sort by
-    # time puts the records in (t, stream_id) order
-    records = _gen_posture(profile, curves, noise, seed, duration)
-    records += _gen_gaze(profile, curves, noise, seed, duration)
-    records += _gen_rr(curves, noise, seed, duration)
-    records += _gen_notes(profile, curves, noise, seed, duration)
-    records.sort(key=attrgetter("t"))
-
     header = ScenarioHeader(
         streams=[
             StreamDescriptor("gaze", StreamKind.PUPIL_GAZE, profile.gaze_rate_hz),
@@ -313,13 +322,173 @@ def synthesize(profile: SyntheticProfile, seed: int | None = None) -> Scenario:
         analyzer_replies=profile.analyzer_replies,
         dialogue=profile.dialogue,
     )
-    return Scenario(header=header, records=records)
+    return SynthesizedScenario(header, _Columns(profile, seed))
+
+
+# Scenario's records slot: a synthesized scenario keeps its column source
+# there until its records are read
+_RECORDS = Scenario.records
+
+
+class SynthesizedScenario(Scenario):
+    """A scenario whose samples come from a column source until its
+    ``records`` are read. The first read builds the record list and keeps
+    it, and from then on the list, which may be edited or replaced, is
+    what is written and replayed.
+
+    It declares no ``__slots__``: ``Slotted``'s equality and repr go
+    over the fields of ``Scenario``'s.
+    """
+
+    @property
+    def records(self) -> list[SampleRecord]:
+        source = _RECORDS.__get__(self)
+        if not isinstance(source, _Columns):
+            return source
+        records = []
+        for columns in source.samples():
+            records += map(SampleRecord, *columns)
+        _RECORDS.__set__(self, records)
+        return records
+
+    @records.setter
+    def records(self, records) -> None:
+        _RECORDS.__set__(self, records)
+
+    def scan(self, emit: Emit):
+        source = _RECORDS.__get__(self)
+        return source.scan(emit) if isinstance(source, _Columns) else super().scan(emit)
+
+    def write(self, handle) -> tuple[int, float] | None:
+        """Write the scenario's lines. From the column source, return how
+        many records it wrote and the time of the last, as
+        ``len(records)`` and ``duration_s()`` would give them."""
+        source = _RECORDS.__get__(self)
+        if not isinstance(source, _Columns):
+            return super().write(handle)
+        Scenario(self.header, []).write(handle)  # the header line
+        return source.write(handle)
+
+
+# Session seconds drawn at a time: chunk c of a stream is its samples
+# stamped in [c * CHUNK_S, (c + 1) * CHUNK_S). It sets how much a sink
+# holds at once, and no byte of what it makes.
+CHUNK_S = 60.0
+
+
+class _Columns:
+    """The samples of a profile at a seed, drawn afresh on each read, a
+    chunk at a time: each stream's generator yields a chunk of columns,
+    times first, and keeps its RNG from one chunk to the next, so it
+    draws in one fixed order whatever the chunk length."""
+
+    def __init__(self, profile: SyntheticProfile, seed: int):
+        self.profile = profile
+        self.seed = seed
+
+    def _chunks(self):
+        """Each chunk's columns, per stream in stream-id order (None for
+        a stream that has ended), so that one stable sort by time puts
+        a chunk's samples in (t, stream id) order."""
+        profile, seed = self.profile, self.seed
+        duration = profile.duration_s()
+        curves = {name: _ControlCurve(profile, name) for name in CONTROLS}
+        noise = {**NOISE_DEFAULTS, **profile.noise}
+        return zip_longest(
+            _posture_chunks(profile, curves, noise, seed, duration),
+            _gaze_chunks(profile, curves, noise, seed, duration),
+            _chunked(_beats(curves, noise, seed, duration)),
+            _chunked(_notes(profile, curves, noise, seed, duration)),
+        )
+
+    def samples(self):
+        """Each chunk's samples in (t, stream id) order, as four
+        iterators: their stream ids, times, source confidences and
+        payloads, the first four arguments of ``SampleRecord`` and of
+        ``Session.place``."""
+        for chunk in self._chunks():
+            ids, times, confidences, payloads = [], [], [], []
+            for (stream_id, confidence, _, to_payloads), columns in zip(_STREAMS, chunk):
+                if columns is not None:
+                    ids += [stream_id] * len(columns[0])
+                    times += columns[0]
+                    confidences += [confidence] * len(columns[0])
+                    payloads += to_payloads(*columns)
+            order = _order(times)
+            yield [map(column.__getitem__, order) for column in (ids, times, confidences, payloads)]
+
+    def scan(self, emit: Emit):
+        """Send each sample to ``emit``, yielding what it returns unless
+        None, as ``ScenarioFile.scan`` does."""
+        for columns in self.samples():
+            for record in map(emit, *columns, repeat(None)):
+                if record is not None:
+                    yield record
+
+    def write(self, handle) -> tuple[int, float]:
+        """Write each sample's line in (t, stream id) order, a chunk at a
+        time: its numbers rendered by one ``_render`` call and filled
+        into the lines' templates. Return the number of lines and the
+        time of the last."""
+        count, last = 0, 0.0
+        for chunk in self._chunks():
+            times, templates, rows = [], [], []
+            for (_, _, to_lines, _), columns in zip(_STREAMS, chunk):
+                if columns is not None:
+                    times += columns[0]
+                    stream_templates, stream_rows = to_lines(*columns)
+                    templates += stream_templates
+                    rows += stream_rows
+            order = _order(times)
+            if order:
+                numbers = list(chain.from_iterable(map(rows.__getitem__, order)))
+                handle.write("\n".join(map(templates.__getitem__, order)) % tuple(_render(numbers)) + "\n")
+                count += len(order)
+                last = times[order[-1]]
+        return count, last
+
+
+def _order(times: list[float]) -> list[int]:
+    """The indices of ``times`` in a stable sort by time."""
+    return sorted(range(len(times)), key=times.__getitem__)
+
+
+def _spans(dt: float, n: int):
+    """(first, end) of each chunk's indices among n samples stamped
+    ``round(k * dt, 6)``: a chunk ends at the first sample stamped at
+    or past its end."""
+    first = 0
+    for c in count(1):
+        if first >= n:
+            return
+        boundary = c * CHUNK_S
+        end = max(first, min(n, int(boundary / dt)))
+        while end > first and round((end - 1) * dt, 6) >= boundary:
+            end -= 1
+        while end < n and round(end * dt, 6) < boundary:
+            end += 1
+        yield first, end
+        first = end
+
+
+def _chunked(samples):
+    """Each chunk's (times, values) of (time, value) samples in time order."""
+    times, values = [], []
+    c = 1
+    for t, value in samples:
+        while t >= c * CHUNK_S:
+            yield times, values
+            times, values = [], []
+            c += 1
+        times.append(t)
+        values.append(value)
+    yield times, values
 
 
 # The generators draw rng.uniform(a, b) as its body on every supported
 # CPython, a + (b - a) * rng.random(), and keep their RNG calls in one
-# fixed order, so a seed gives the same bytes. Gaze and posture draw in
-# a loop, then clamp, round and build their records a column at a time.
+# fixed order, so a seed gives the same bytes. Gaze and posture draw a
+# chunk in a loop, then clamp and round it a column at a time.
 
 # (s + _RNE) - _RNE is s rounded half to even, for |s| <= 2**51
 _RNE = 1.5 * 2.0**52
@@ -350,7 +519,8 @@ def _clamped(values: list[float], lo: float, hi: float) -> list[float]:
     return [v if lo < v < hi else (lo if v < hi else hi) for v in values]
 
 
-def _gen_gaze(profile, curves, noise, seed, duration) -> list[SampleRecord]:
+def _gaze_chunks(profile, curves, noise, seed, duration):
+    """Each chunk's (times, xs, ys, pupils), a pupil None in a blink."""
     rng = random.Random(f"{seed}:gaze")
     draw, gauss = rng.random, rng.gauss
     cos, sin = math.cos, math.sin
@@ -360,57 +530,57 @@ def _gen_gaze(profile, curves, noise, seed, duration) -> list[SampleRecord]:
     blink_scale = noise["blink"]
     pupil_noise = noise["pupil_mm"]
 
-    n = int(round(duration * profile.gaze_rate_hz))
-    times = _rounded([k * dt for k in range(n)], 6)
-    blink_rates = curves["blink_rate_hz"].values(times)
-    drift_speeds = curves["gaze_drift_speed"].values(times)
-    pupil_means = curves["pupil_mm"].values(times)
-
-    # per sample: x, y, whether it blinks, and the pupil while it does not
-    xs, ys, blinks, pupils = [], [], [], []
     anchor_x, anchor_y = 0.5, 0.5
     offset_x = offset_y = 0.0
     dwell_left = 0.8 + (2.5 - 0.8) * draw()
     blink_left = 0.0
-    for blink_rate, drift_speed, pupil in zip(blink_rates, drift_speeds, pupil_means):
-        blinking = blink_left > 0.0
-        if blinking:
-            blink_left -= dt
-        elif blink_scale > 0 and draw() < blink_rate * blink_scale * dt:
-            blink_left = 0.08 + (0.15 - 0.08) * draw()
-            blinking = True
+    for first, end in _spans(dt, int(round(duration * profile.gaze_rate_hz))):
+        times = _rounded([k * dt for k in range(first, end)], 6)
+        blink_rates = curves["blink_rate_hz"].values(times)
+        drift_speeds = curves["gaze_drift_speed"].values(times)
+        pupil_means = curves["pupil_mm"].values(times)
 
-        if not blinking and motion_scale > 0:
-            dwell_left -= dt
-            if dwell_left <= 0:
-                anchor_x = 0.15 + (0.85 - 0.15) * draw()
-                anchor_y = 0.15 + (0.85 - 0.15) * draw()
-                offset_x = offset_y = 0.0
-                dwell_left = 0.8 + (2.5 - 0.8) * draw()
-            angle = 0.0 + (two_pi - 0.0) * draw()
-            step = drift_speed * dt * motion_scale
-            offset_x = (offset_x + step * cos(angle)) * 0.95
-            offset_y = (offset_y + step * sin(angle)) * 0.95
+        # per sample: x, y, whether it blinks, and the pupil while it does not
+        xs, ys, blinks, pupils = [], [], [], []
+        for blink_rate, drift_speed, pupil in zip(blink_rates, drift_speeds, pupil_means):
+            blinking = blink_left > 0.0
+            if blinking:
+                blink_left -= dt
+            elif blink_scale > 0 and draw() < blink_rate * blink_scale * dt:
+                blink_left = 0.08 + (0.15 - 0.08) * draw()
+                blinking = True
 
-        xs.append(anchor_x + offset_x)
-        ys.append(anchor_y + offset_y)
-        blinks.append(blinking)
-        if not blinking:
-            pupils.append(pupil + gauss(0.0, pupil_noise) if pupil_noise > 0 else pupil)
+            if not blinking and motion_scale > 0:
+                dwell_left -= dt
+                if dwell_left <= 0:
+                    anchor_x = 0.15 + (0.85 - 0.15) * draw()
+                    anchor_y = 0.15 + (0.85 - 0.15) * draw()
+                    offset_x = offset_y = 0.0
+                    dwell_left = 0.8 + (2.5 - 0.8) * draw()
+                angle = 0.0 + (two_pi - 0.0) * draw()
+                step = drift_speed * dt * motion_scale
+                offset_x = (offset_x + step * cos(angle)) * 0.95
+                offset_y = (offset_y + step * sin(angle)) * 0.95
 
-    xs = _rounded(_clamped(xs, 0.0, 1.0), 6)
-    ys = _rounded(_clamped(ys, 0.0, 1.0), 6)
-    readings = iter(_rounded(_clamped(pupils, 1.0, 9.0), 6))
-    return [
-        SampleRecord("gaze", t, 0.99, GazeSample(x, y, None, 0.05) if blink else GazeSample(x, y, next(readings), 0.98))
-        for t, x, y, blink in zip(times, xs, ys, blinks)
-    ]
+            xs.append(anchor_x + offset_x)
+            ys.append(anchor_y + offset_y)
+            blinks.append(blinking)
+            if not blinking:
+                pupils.append(pupil + gauss(0.0, pupil_noise) if pupil_noise > 0 else pupil)
+
+        readings = iter(_rounded(_clamped(pupils, 1.0, 9.0), 6))
+        yield (
+            times,
+            _rounded(_clamped(xs, 0.0, 1.0), 6),
+            _rounded(_clamped(ys, 0.0, 1.0), 6),
+            [None if blink else next(readings) for blink in blinks],
+        )
 
 
-def _gen_rr(curves, noise, seed, duration) -> list[SampleRecord]:
+def _beats(curves, noise, seed, duration):
+    """Each beat's (time, rr_ms)."""
     rng = random.Random(f"{seed}:rr")
     jitter_scale = noise["rr_ms"]
-    records: list[SampleRecord] = []
     t = 0.0
     while True:
         rr = curves["rr_mean_ms"].value(t)
@@ -420,54 +590,111 @@ def _gen_rr(curves, noise, seed, duration) -> list[SampleRecord]:
         rr = round(rr if 300.0 < rr < 2000.0 else (300.0 if rr < 2000.0 else 2000.0), 3)
         t_next = t + rr / 1000.0
         if t_next >= duration:
-            break
-        records.append(SampleRecord("heart", round(t_next, 6), 1.0, RRSample(rr)))
+            return
+        yield round(t_next, 6), rr
         t = t_next
-    return records
 
 
-def _gen_posture(profile, curves, noise, seed, duration) -> list[SampleRecord]:
+def _posture_chunks(profile, curves, noise, seed, duration):
+    """Each chunk's (times, coordinates): x then y of each landmark, in
+    POSTURE_POINTS order, a column each."""
     rng = random.Random(f"{seed}:posture")
     gauss = rng.gauss
     tan, radians = math.tan, math.radians
     jitter_sd = 0.003 * noise["posture"]
     dt = 1.0 / profile.posture_rate_hz
-    n = int(round(duration * profile.posture_rate_hz))
-    times = _rounded([k * dt for k in range(n)], 6)
-    slumps = curves["posture_slump"].values(times)
-
-    # frame by frame, landmark by landmark, x then y
     width = 2 * len(POSTURE_POINTS)
-    jitter = [gauss(0.0, jitter_sd) for _ in range(width * n)] if jitter_sd > 0 else [0.0] * (width * n)
-    # in POSTURE_POINTS order: shoulders lean and tilt, ears lean and
-    # drift, hips stay
-    lean = [tan(radians(_SLUMP_LEAN_DEG * slump)) * _TRUNK_LENGTH for slump in slumps]
-    tilt = [tan(radians(_SLUMP_TILT_DEG * slump)) * _SHOULDER_HALF_WIDTH for slump in slumps]
-    ear = [lean_dx + _SLUMP_EAR_DRIFT * slump for lean_dx, slump in zip(lean, slumps)]
-    still = [0.0] * n
-    shifts = ((lean, tilt), (lean, [-dy for dy in tilt]), (ear, still), (ear, still), (still, still), (still, still))
-    columns = []
-    for index, (name, (dxs, dys)) in enumerate(zip(POSTURE_POINTS, shifts)):
-        base_x, base_y = _BASE_POSE[name]
-        xs = [base_x + dx + jx for dx, jx in zip(dxs, jitter[2 * index::width])]
-        ys = [base_y + dy + jy for dy, jy in zip(dys, jitter[2 * index + 1::width])]
-        columns.append(list(zip(_rounded(_clamped(xs, 0.0, 1.0), 6), _rounded(_clamped(ys, 0.0, 1.0), 6))))
-    return [
-        SampleRecord("cam", t, 1.0, PostureSample(dict(zip(POSTURE_POINTS, frame))))
-        for t, frame in zip(times, zip(*columns))
-    ]
+    for first, end in _spans(dt, int(round(duration * profile.posture_rate_hz))):
+        times = _rounded([k * dt for k in range(first, end)], 6)
+        slumps = curves["posture_slump"].values(times)
+
+        # frame by frame, landmark by landmark, x then y
+        draws = width * (end - first)
+        jitter = [gauss(0.0, jitter_sd) for _ in range(draws)] if jitter_sd > 0 else [0.0] * draws
+        # in POSTURE_POINTS order: shoulders lean and tilt, ears lean and
+        # drift, hips stay
+        lean = [tan(radians(_SLUMP_LEAN_DEG * slump)) * _TRUNK_LENGTH for slump in slumps]
+        tilt = [tan(radians(_SLUMP_TILT_DEG * slump)) * _SHOULDER_HALF_WIDTH for slump in slumps]
+        ear = [lean_dx + _SLUMP_EAR_DRIFT * slump for lean_dx, slump in zip(lean, slumps)]
+        still = [0.0] * len(times)
+        shifts = ((lean, tilt), (lean, [-dy for dy in tilt]), (ear, still), (ear, still), (still, still), (still, still))
+        coordinates = []
+        for index, (name, (dxs, dys)) in enumerate(zip(POSTURE_POINTS, shifts)):
+            base_x, base_y = _BASE_POSE[name]
+            xs = [base_x + dx + jx for dx, jx in zip(dxs, jitter[2 * index::width])]
+            ys = [base_y + dy + jy for dy, jy in zip(dys, jitter[2 * index + 1::width])]
+            coordinates += (_rounded(_clamped(xs, 0.0, 1.0), 6), _rounded(_clamped(ys, 0.0, 1.0), 6))
+        yield times, coordinates
 
 
-def _gen_notes(profile, curves, noise, seed, duration) -> list[SampleRecord]:
+def _notes(profile, curves, noise, seed, duration):
+    """Each note's (time, correctness)."""
     rng = random.Random(f"{seed}:notes")
     note_noise = noise["note_correctness"]
-    records: list[SampleRecord] = []
     t = profile.note_interval_s / 2.0
     while t < duration:
         value = curves["note_correctness"].value(t)
         if note_noise > 0:
             value += rng.gauss(0.0, note_noise)
-        correctness = round(value if 0.0 < value < 1.0 else (0.0 if value < 1.0 else 1.0), 4)
-        records.append(SampleRecord("notes", round(t, 6), 1.0, NoteScoreSample(correctness)))
+        yield round(t, 6), round(value if 0.0 < value < 1.0 else (0.0 if value < 1.0 else 1.0), 4)
         t += profile.note_interval_s
-    return records
+
+
+# ---------------------------------------------------------------------------
+# the sinks' view of each stream's columns
+#
+# A line template has one "%s" per number, in sorted key order, as the
+# record writer's templates do, with every constant field written into
+# its text: gaze's source confidence, a tracked sample's confidence, a
+# blink's confidence and null pupil. A stream whose source confidence is
+# 1.0 leaves it out.
+
+_TRACKED = _template("gaze", False, {
+    "confidence": _literal(0.98), "pupil_mm": "%s", "source_confidence": _literal(0.99), "x": "%s", "y": "%s",
+})
+_BLINK = _template("gaze", False, {
+    "confidence": _literal(0.05), "pupil_mm": "null", "source_confidence": _literal(0.99), "x": "%s", "y": "%s",
+})
+_POSE = _template("cam", False, {"landmarks": "{" + ",".join(f"{_literal(name)}:[%s,%s]" for name in sorted(POSTURE_POINTS)) + "}"})
+# the coordinate columns in the order the pose template takes them
+_POSE_COLUMNS = [2 * POSTURE_POINTS.index(name) + axis for name in sorted(POSTURE_POINTS) for axis in (0, 1)]
+_BEAT = _template("heart", False, {"rr_ms": "%s"})
+_NOTE = _template("notes", False, {"correctness": "%s"})
+
+
+def _gaze_lines(times, xs, ys, pupils):
+    templates = [_BLINK if pupil is None else _TRACKED for pupil in pupils]
+    rows = [(t, x, y) if pupil is None else (pupil, t, x, y) for t, x, y, pupil in zip(times, xs, ys, pupils)]
+    return templates, rows
+
+
+def _gaze_payloads(times, xs, ys, pupils):
+    return [GazeSample(x, y, pupil, 0.05 if pupil is None else 0.98) for x, y, pupil in zip(xs, ys, pupils)]
+
+
+def _pose_lines(times, coordinates):
+    return [_POSE] * len(times), list(zip(*map(coordinates.__getitem__, _POSE_COLUMNS), times))
+
+
+def _poses(times, coordinates):
+    frames = zip(*map(zip, coordinates[::2], coordinates[1::2]))
+    return [PostureSample(dict(zip(POSTURE_POINTS, frame))) for frame in frames]
+
+
+def _beat_lines(times, rrs):
+    return [_BEAT] * len(times), list(zip(rrs, times))
+
+
+def _note_lines(times, scores):
+    return [_NOTE] * len(times), list(zip(scores, times))
+
+
+# per stream, in the order of ``_Columns._chunks``: its id and source
+# confidence, and what makes a chunk's (templates, rows) for the writer
+# and its payloads
+_STREAMS = (
+    ("cam", 1.0, _pose_lines, _poses),
+    ("gaze", 0.99, _gaze_lines, _gaze_payloads),
+    ("heart", 1.0, _beat_lines, lambda times, rrs: list(map(RRSample, rrs))),
+    ("notes", 1.0, _note_lines, lambda times, scores: list(map(NoteScoreSample, scores))),
+)

@@ -5,29 +5,31 @@ digest the scenario file each profile synthesizes to.
 The module needs nothing but the engine, so it also runs as a script
 under interpreters that have no pytest:
 
-    PYTHONPATH=src python tests/golden_replay.py '[["stress_ramp", null], ["stress_ramp", 0.6]]'
+    PYTHONPATH=src python tests/golden_replay.py \
+        --replays '[["stress_ramp", null], ["stress_ramp", 0.6]]' \
+        --scenarios '[["all_baseline", null], ["stress_ramp", 2]]' \
+        --record-scenarios '[["all_baseline", null]]'
 
-prints a JSON list with one [trace sha256, decisions sha256, unsequenced
-trace sha256] triple for each (profile, window_hop_s override) given; a
+prints a JSON object with a list for each option; any may be left out.
+"replays" holds one [trace sha256, decisions sha256, unsequenced trace
+sha256] triple for each (profile, window_hop_s override) given; a
 profile named ``<name>:arrivals`` is replayed in a seeded arrival order
-(``arrival_order``); and
-
-    PYTHONPATH=src python tests/golden_replay.py --scenarios '[["all_baseline", null], ["stress_ramp", 2]]'
-
-prints a JSON list with the sha256 of the scenario written for each
-(profile, seed) given, a null seed being the profile's own; a profile
-named ``<name>:noiseless`` has every ``noise`` key set to 0.
+(``arrival_order``). "scenarios" holds the sha256 of the scenario file
+the column source writes for each (profile, seed) given, a null seed
+being the profile's own, and "record_scenarios" that of the file its
+record list writes, through the record writer; a profile named
+``<name>:noiseless`` has every ``noise`` key set to 0.
 """
 
+import argparse
 import hashlib
 import json
 import random
-import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
 
-from cogloop.scenario import write_scenario
+from cogloop.scenario import Scenario, write_scenario
 from cogloop.session import run_session
 from cogloop.synth import load_profile, synthesize
 from cogloop.trace import write_trace
@@ -96,23 +98,34 @@ def replay_digests(name, hop) -> tuple[str, str, str]:
     return hashlib.sha256(trace).hexdigest(), _decisions_sha256(result.events), _unsequenced_sha256(trace)
 
 
-def scenario_sha256(name, seed=None) -> str:
+def scenario_sha256(name, seed=None, records=False) -> str:
     """sha256 of the scenario file that ``write_scenario`` writes for
     ``synthesize`` of a bundled profile at ``seed``, or at its own seed
-    when ``seed`` is None. ``<name>:noiseless`` synthesizes the profile
-    with every ``noise`` key set to 0."""
+    when ``seed`` is None: from the column source, or with ``records``
+    from the record list, through the record writer.
+    ``<name>:noiseless`` synthesizes the profile with every ``noise`` key
+    set to 0."""
     name, _, variant = name.partition(":")
     profile = _bundled_profile(name)
     if variant == "noiseless":
         profile = profile._replace(noise=dict.fromkeys(profile.noise, 0.0))
+    scenario = synthesize(profile, seed)
+    if records:
+        scenario = Scenario(scenario.header, scenario.records)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.jsonl"
-        write_scenario(synthesize(profile, seed), path)
+        write_scenario(scenario, path)
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 if __name__ == "__main__":
-    if sys.argv[1] == "--scenarios":
-        print(json.dumps([scenario_sha256(name, seed) for name, seed in json.loads(sys.argv[2])]))
-    else:
-        print(json.dumps([replay_digests(name, hop) for name, hop in json.loads(sys.argv[1])]))
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--replays", type=json.loads, default=[])
+    parser.add_argument("--scenarios", type=json.loads, default=[])
+    parser.add_argument("--record-scenarios", type=json.loads, default=[])
+    args = parser.parse_args()
+    print(json.dumps({
+        "replays": [replay_digests(name, hop) for name, hop in args.replays],
+        "scenarios": [scenario_sha256(name, seed) for name, seed in args.scenarios],
+        "record_scenarios": [scenario_sha256(name, seed, records=True) for name, seed in args.record_scenarios],
+    }))

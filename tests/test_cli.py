@@ -65,6 +65,15 @@ def test_bundled_profile_names_resolve(tmp_path):
     assert out.exists()
 
 
+def test_synth_reports_the_records_and_the_span_it_wrote(tmp_path, capsys):
+    # the writer counts the lines it writes; the file holds as many
+    out = tmp_path / "bundled.jsonl"
+    assert main(["synth", "--profile", "load_excursion", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 35743 records (540s) to {out}\n"
+    assert main(["validate", "--scenario", str(out)]) == 0
+    assert capsys.readouterr().out == "scenario ok: 35743 records, 4 streams\n"
+
+
 def _segment(**channel):
     """PROFILE's one segment, with the pupil channel given as ``channel``."""
     return [{"duration_s": 8.0, "channels": {"pupil_mm": {"kind": "ramp", **channel}}}]

@@ -4,12 +4,15 @@ so does the scenario file it synthesizes to.
 
 Criterion 07 compares two replays inside one process; these pins hold
 across processes and across changes to the engine. The replay pins
-synthesize in memory; the scenario pins cover the synthesizer and the
-writer down to the byte. A change that alters behaviour on purpose
+synthesize in memory and replay from the column source (or, for
+``:arrivals``, from the record list); the scenario pins cover the
+synthesizer and both writers, the column source's and the record
+list's, down to the byte. A change that alters behaviour on purpose
 re-pins them and records the old and new digests, with the reason, in
 CHANGES.md.
 """
 
+import functools
 import json
 import os
 import re
@@ -135,32 +138,44 @@ def _other_cpythons() -> list[tuple[tuple[int, ...], str]]:
     return sorted(found)
 
 
-def _run_on_another_python(which: str, *args: str):
-    """(version, executable, decoded stdout) of ``golden_replay.py`` run
-    with ``args`` under the ``which`` ("oldest" or "newest") other
-    CPython; skips when there is none."""
+@functools.lru_cache(maxsize=None)
+def _digests_on_another_python(which: str):
+    """(version, executable, replay digests, scenario digests, record
+    list digests) from one ``golden_replay.py`` child under the
+    ``which`` ("oldest" or "newest") other CPython, keyed as
+    ``GOLDEN``, ``ALL_SCENARIO_GOLDEN`` and ``SCENARIO_GOLDEN`` are: the
+    record writer is checked on the four bundled pins, which cost a
+    quarter of the time of all 17. Skips when there is no other
+    CPython."""
     others = _other_cpythons()
     if not others:
         pytest.skip("no other CPython that requires-python admits is installed")
     version, executable = others[0] if which == "oldest" else others[-1]
     # the engine is standard-library only; the other interpreter needs no pytest
     child = subprocess.run(
-        [executable, str(ROOT / "tests" / "golden_replay.py"), *args],
+        [executable, str(ROOT / "tests" / "golden_replay.py"),
+         "--replays", json.dumps(list(GOLDEN)), "--scenarios", json.dumps(list(ALL_SCENARIO_GOLDEN)),
+         "--record-scenarios", json.dumps([[name, None] for name in SCENARIO_GOLDEN])],
         env={"PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True, timeout=900,
     )
     assert child.returncode == 0, child.stderr
-    return ".".join(map(str, version)), executable, json.loads(child.stdout)
+    digests = json.loads(child.stdout)
+    replays = {key: tuple(triple) for key, triple in zip(GOLDEN, digests["replays"])}
+    scenarios = dict(zip(ALL_SCENARIO_GOLDEN, digests["scenarios"]))
+    record_scenarios = dict(zip(SCENARIO_GOLDEN, digests["record_scenarios"]))
+    return ".".join(map(str, version)), executable, replays, scenarios, record_scenarios
 
 
 def _check_replays_on_another_python(which: str):
-    version, executable, triples = _run_on_another_python(which, json.dumps(list(GOLDEN)))
-    digests = {key: tuple(triple) for key, triple in zip(GOLDEN, triples)}
-    assert digests == GOLDEN, f"Python {version} ({executable})"
+    version, executable, replays, _, _ = _digests_on_another_python(which)
+    assert replays == GOLDEN, f"Python {version} ({executable})"
 
 
 def _check_scenarios_on_another_python(which: str):
-    version, executable, digests = _run_on_another_python(which, "--scenarios", json.dumps(list(ALL_SCENARIO_GOLDEN)))
-    assert dict(zip(ALL_SCENARIO_GOLDEN, digests)) == ALL_SCENARIO_GOLDEN, f"Python {version} ({executable})"
+    # both writers: the column source's and the record list's
+    version, executable, _, scenarios, record_scenarios = _digests_on_another_python(which)
+    assert scenarios == ALL_SCENARIO_GOLDEN, f"Python {version} ({executable})"
+    assert record_scenarios == SCENARIO_GOLDEN, f"Python {version} ({executable}), record writer"
 
 
 # The oldest other CPython checks the arithmetic that changed in 3.11
@@ -179,6 +194,11 @@ def test_replay_matches_golden_digests_on_the_newest_other_python():
 @pytest.mark.parametrize("name", list(SCENARIO_GOLDEN))
 def test_written_scenario_matches_golden_digest(name):
     assert scenario_sha256(name) == SCENARIO_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", list(SCENARIO_GOLDEN))
+def test_the_record_list_writes_the_golden_scenario(name):
+    assert scenario_sha256(name, records=True) == SCENARIO_GOLDEN[name]
 
 
 @pytest.mark.parametrize(

@@ -456,3 +456,34 @@ def test_peak_memory_of_a_replay_does_not_grow_with_its_calibration(tmp_path):
     data["config"]["calibration_duration_s"] = 900.0
     long = _peak_rss_of_a_replay(tmp_path, data, "long")
     assert abs(long - short) <= 1e6, f"{long / 1e6:.1f} MB calibrating 900 s against {short / 1e6:.1f} MB for 60 s"
+
+
+# ``cogloop synth`` through the command line's ``main`` in a fresh
+# process; prints its peak resident set size (VmHWM, as
+# bench/replay_child.py reads it) on its last line.
+_SYNTH_CHILD = """
+import sys
+from cogloop.cli import main
+assert main(["synth", "--profile", sys.argv[1], "--out", sys.argv[2]]) == 0
+with open("/proc/self/status", encoding="ascii") as status:
+    print(next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmHWM:")))
+"""
+
+
+def _peak_rss_of_cogloop_synth(tmp_path, data, name) -> int:
+    profile_path = tmp_path / f"{name}.profile.json"
+    profile_path.write_text(json.dumps(data), encoding="utf-8")
+    child = subprocess.run(
+        [sys.executable, "-c", _SYNTH_CHILD, str(profile_path), str(tmp_path / f"{name}.jsonl")],
+        env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    return int(child.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="VmHWM is read from /proc")
+def test_peak_memory_of_cogloop_synth_grows_little_with_session_length(tmp_path):
+    # the writer draws and writes a chunk of session time at a time
+    short = _peak_rss_of_cogloop_synth(tmp_path, _shrunk_mixed_session(0.2), "short")  # 240 s
+    long = _peak_rss_of_cogloop_synth(tmp_path, _shrunk_mixed_session(1.0), "long")  # 1,200 s
+    assert long <= 1.5 * short, f"{long / 1e6:.1f} MB for 1,200 s against {short / 1e6:.1f} MB for 240 s"

@@ -1,15 +1,25 @@
 """The synthesizer's column helpers against the scalar expressions they
 stand for, bit for bit: ``_rounded`` against ``round(v, digits)`` and
-``_clamped`` against ``max(lo, min(hi, v))``. The scenario digests in
-``test_golden.py`` pin what the synthesizer makes with them."""
+``_clamped`` against ``max(lo, min(hi, v))``; and its column source
+against the records it makes: each sink of the source gives what the
+record list gives, whatever the chunk length. The scenario digests in
+``test_golden.py`` pin what the synthesizer makes."""
 
+import io
 import math
 import struct
+import tempfile
+from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cogloop.synth import _clamped, _rounded
+from cogloop import synth
+from cogloop.scenario import Scenario, load_scenario
+from cogloop.session import run_session
+from cogloop.synth import NOISE_DEFAULTS, _clamped, _rounded, parse_profile, synthesize
+from cogloop.trace import write_trace
 
 
 def _bits(values) -> bytes:
@@ -86,3 +96,105 @@ def test_clamped_is_max_of_min_bit_for_bit(bounds, values):
     # the bounds themselves are values too
     values = values + [lo, hi]
     assert _bits(_clamped(values, lo, hi)) == _bits([max(lo, min(hi, v)) for v in values])
+
+
+# ---------------------------------------------------------------------------
+# the column source against the record list
+
+
+def _text(scenario) -> str:
+    handle = io.StringIO()
+    scenario.write(handle)
+    return handle.getvalue()
+
+
+def _trace(scenario, path: Path) -> bytes:
+    write_trace(run_session(scenario), path)
+    return path.read_bytes()
+
+
+# rates and chunk lengths that put samples exactly on chunk boundaries:
+# at 60 Hz, 5 Hz and a note every 2 s, a sample is stamped at every
+# whole second
+RAMP = {"kind": "ramp", "target_z": 4.0, "tau_s": 2.0}
+WAVE = {"kind": "oscillation", "amplitude_z": 3.0, "period_s": 5.0}
+SEGMENTS = st.lists(
+    st.fixed_dictionaries({
+        "duration_s": st.sampled_from([1.0, 2.5, 4.0, 7.3, 12.0]),
+        "channels": st.dictionaries(
+            st.sampled_from(["pupil_mm", "blink_rate_hz", "rr_mean_ms", "rr_jitter_ms", "posture_slump",
+                             "note_correctness"]),
+            st.sampled_from([RAMP, WAVE, {"kind": "baseline"}]),
+            max_size=3,
+        ),
+    }),
+    min_size=1, max_size=3,
+)
+PROFILES = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32),
+    "segments": SEGMENTS,
+    "noise": st.dictionaries(st.sampled_from(sorted(NOISE_DEFAULTS)), st.sampled_from([0.0, 0.5, 1.0, 3.0])),
+    "gaze_rate_hz": st.sampled_from([7.0, 30.0, 60.0, 61.3]),
+    "posture_rate_hz": st.sampled_from([2.0, 4.7, 5.0]),
+    "note_interval_s": st.sampled_from([1.0, 2.0, 3.3]),
+    "config": st.just({
+        "calibration_duration_s": 4.0, "window_hop_s": 1.0,
+        "window_length.pupil_gaze": 2.0, "window_length.rr_interval": 4.0,
+        "window_length.posture_landmarks": 2.0, "window_length.note_score": 4.0,
+    }),
+})
+ON_THE_BOUNDARIES = {
+    "seed": 5,
+    "segments": [{"duration_s": 4.0, "channels": {}}, {"duration_s": 7.3, "channels": {"pupil_mm": RAMP}}],
+    "noise": {"blink": 0.0},
+    "gaze_rate_hz": 60.0,
+    "posture_rate_hz": 5.0,
+    "note_interval_s": 2.0,
+    "config": {"calibration_duration_s": 4.0, "window_hop_s": 1.0},
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=PROFILES, chunk_s=st.sampled_from([0.5, 1.0, 2.5, 3.0, 60.0]))
+@example(data=ON_THE_BOUNDARIES, chunk_s=1.0)
+def test_every_sink_of_the_column_source_matches_the_record_list(data, chunk_s):
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+        patch.setattr(synth, "CHUNK_S", chunk_s)
+        profile = parse_profile(data)
+        written = _text(synthesize(profile))
+        records = list(synthesize(profile).records)
+        header = synthesize(profile).header
+        # the writer of the record list writes the same bytes
+        assert _text(Scenario(header, records)) == written
+        # a replay from the source, from the records and from the file
+        path = Path(tmp) / "scenario.jsonl"
+        path.write_text(written, encoding="utf-8")
+        from_source = _trace(synthesize(profile), Path(tmp) / "source.jsonl")
+        assert _trace(Scenario(header, records), Path(tmp) / "records.jsonl") == from_source
+        assert _trace(load_scenario(path), Path(tmp) / "file.jsonl") == from_source
+
+
+def test_samples_on_a_chunk_boundary_open_the_next_chunk(monkeypatch):
+    # the example above stamps a gaze sample and a pose at every whole
+    # second, and a note at every odd one: each opens its chunk
+    monkeypatch.setattr(synth, "CHUNK_S", 1.0)
+    profile = parse_profile(ON_THE_BOUNDARIES)
+    chunks = [
+        [[] if columns is None else columns[0] for columns in chunk]
+        for chunk in synth._Columns(profile, profile.seed)._chunks()
+    ]
+    assert len(chunks) == 12
+    for index, (cam, gaze, heart, notes) in enumerate(chunks):
+        assert cam[0] == gaze[0] == float(index)
+        assert all(index <= t < index + 1 for t in cam + gaze + heart + notes)
+        assert notes == ([float(index)] if index % 2 else [])
+
+
+@pytest.mark.parametrize("chunk_s", [0.7, 17.0, 1e9])
+def test_the_chunk_length_changes_no_byte(monkeypatch, chunk_s):
+    profile = parse_profile({
+        "seed": 8, "segments": [{"duration_s": 40.0, "channels": {"rr_mean_ms": RAMP}}], "note_interval_s": 6.0,
+    })
+    default = _text(synthesize(profile)), synthesize(profile).records
+    monkeypatch.setattr(synth, "CHUNK_S", chunk_s)
+    assert (_text(synthesize(profile)), synthesize(profile).records) == default
