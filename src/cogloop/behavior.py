@@ -11,9 +11,11 @@ Posture quality is the mean of up to three sub-scores, each
                     (degrees)
 
 Scoring compares a pose's geometry (``model.PoseGeometry``) with the
-baseline pose's. Sub-scores are computed only when their landmarks are
-visible in both the sample and the baseline; the final percentage
-averages whatever is available. Both shoulders are mandatory.
+baseline pose's and returns the percentage. Sub-scores are computed only
+when their landmarks are visible in both the sample and the baseline;
+the percentage averages whatever is available. Both shoulders are
+mandatory. A posture window's band is taken once, from its last scored
+frame.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import math
 import re
 from collections.abc import Callable
 from enum import Enum
-from typing import NamedTuple
 
 from .errors import MalformedReplyError, MissingLandmarksError, OutOfRangeError
 from .model import NoteScoreSample, PoseGeometry, PostureSample, SampleEnvelope
@@ -56,33 +57,22 @@ def categorize_posture(percent: float) -> PostureCategory:
     return PostureCategory.POOR
 
 
-class PostureScore(NamedTuple):
-    percent: float
-    category: PostureCategory
-    sub_scores: dict[str, float]
-
-
 def _sub_score(deviation: float, tolerance: float) -> float:
     return 100.0 * max(0.0, 1.0 - abs(deviation) / tolerance)
 
 
-def score_posture(pose: PoseGeometry, base: PoseGeometry) -> PostureScore:
-    """Score a pose's geometry against the calibrated baseline pose's."""
+def score_posture(pose: PoseGeometry, base: PoseGeometry) -> float:
+    """The posture percentage of a pose's geometry against the calibrated
+    baseline pose's."""
     if pose.shoulder_tilt_deg is None or base.shoulder_tilt_deg is None:
         raise MissingLandmarksError("both shoulders must be visible in sample and baseline")
 
-    sub_scores: dict[str, float] = {
-        "shoulder_level": _sub_score(pose.shoulder_tilt_deg - base.shoulder_tilt_deg, SHOULDER_TILT_TOLERANCE_DEG)
-    }
+    sub_scores = [_sub_score(pose.shoulder_tilt_deg - base.shoulder_tilt_deg, SHOULDER_TILT_TOLERANCE_DEG)]
     if pose.neck_offset is not None and base.neck_offset is not None:
-        sub_scores["neck_alignment"] = _sub_score(pose.neck_offset - base.neck_offset, NECK_OFFSET_TOLERANCE)
+        sub_scores.append(_sub_score(pose.neck_offset - base.neck_offset, NECK_OFFSET_TOLERANCE))
     if pose.trunk_angle_deg is not None and base.trunk_angle_deg is not None:
-        sub_scores["back_straightness"] = _sub_score(
-            pose.trunk_angle_deg - base.trunk_angle_deg, TRUNK_ANGLE_TOLERANCE_DEG
-        )
-
-    percent = fmean(sub_scores.values())
-    return PostureScore(percent, categorize_posture(percent), sub_scores)
+        sub_scores.append(_sub_score(pose.trunk_angle_deg - base.trunk_angle_deg, TRUNK_ANGLE_TOLERANCE_DEG))
+    return fmean(sub_scores)
 
 
 # ---------------------------------------------------------------------------
@@ -94,57 +84,53 @@ class PostureWindows:
 
     Frames are scored against the baseline pose, the mean of the
     calibration frames, known only once calibration is over. Until then
-    each window cut is held back (the extractor returns None), and each
-    frame is read once, when the first window holds it: its visible
-    landmarks go into per-landmark running sums, and only its geometry
-    and source confidence are kept. ``mean_pose`` finishes the sums and
-    ``freeze`` extracts the held windows; from then on each window is
-    extracted as it is cut. Each frame is scored once, and forgotten
-    once the windows have moved past it.
+    each window cut is held back (the extractor returns None). Each
+    frame is read once, when the first window holds it, into one store:
+    its geometry, its source confidence and, once scored, its score.
+    While calibration is open its visible landmarks also go into
+    per-landmark running sums, which ``mean_pose`` finishes. ``freeze``
+    extracts the held windows; from then on each window is extracted as
+    it is cut. Each frame is scored once, and forgotten once the windows
+    have moved past it.
     """
 
-    def __init__(self, calibration_s: float, score: Callable[[PoseGeometry, PoseGeometry], PostureScore]):
+    def __init__(self, calibration_s: float, score: Callable[[PoseGeometry, PoseGeometry], float]):
         # ``score`` is ``score_posture`` as the caller names it, so a
         # profiler that wraps the caller's name sees each frame's call
         self._calibration_s = calibration_s
         self._score = score
         # landmark -> (sum of x, sum of y, count) over the calibration frames
         self._sums: dict[str, tuple[float, float, int]] = {}
-        # the windows held back, as (start, end, lo, hi), and the geometry
-        # and source confidence of each frame they hold, from position 0
+        # the windows held back until the freeze, as (start, end, lo, hi)
         self._held: list[tuple[float, float, int, int]] = []
-        self._held_geometries: list[PoseGeometry] = []
-        self._held_confidences: list[float] = []
         self._frozen = False
         self._baseline: PoseGeometry | None = None
-        # scores[i] and confidences[i] belong to timeline position base + i;
-        # a score is None where a shoulder is missing
-        self._scores: list[PostureScore | None] = []
+        # geometries[i], confidences[i] and, once scored, scores[i] belong to
+        # timeline position base + i; a score is None where a shoulder is missing
+        self._geometries: list[PoseGeometry] = []
         self._confidences: list[float] = []
+        self._scores: list[float | None] = []
         self._base = 0
 
     def __call__(self, window: Window) -> Extraction | None:
-        if not self._frozen:
-            self._hold(window)
-            return None
-        if self._baseline is not None:
-            fresh = window.samples[self._base + len(self._scores) - window.lo:]
-            self._take(
-                window.lo,
-                [envelope.payload.geometry() for envelope in fresh],
-                [envelope.source_confidence for envelope in fresh],
-            )
-        return self._extract(window.end, window.hi)
-
-    def _hold(self, window: Window) -> None:
-        # before the freeze the watermark, and so every frame a window
-        # holds, is before the calibration end
-        fresh = window.samples[len(self._held_geometries) - window.lo:]
-        poses = [envelope.payload for envelope in fresh]
-        self._fold(poses)
-        self._held_geometries += [pose.geometry() for pose in poses]
-        self._held_confidences += [envelope.source_confidence for envelope in fresh]
+        # without a baseline pose nothing is scored, so nothing is read
+        if not self._frozen or self._baseline is not None:
+            self._read(window)
+        if self._frozen:
+            return self._extract(window.end, window.lo, window.hi)
         self._held.append((window.start, window.end, window.lo, window.hi))
+        return None
+
+    def _read(self, window: Window) -> None:
+        """Store the frames of the window that no earlier window held."""
+        fresh = window.samples[self._base + len(self._geometries) - window.lo:]
+        poses = [envelope.payload for envelope in fresh]
+        if not self._frozen:
+            # before the freeze the watermark, and so every frame a
+            # window holds, is before the calibration end
+            self._fold(poses)
+        self._geometries += [pose.geometry() for pose in poses]
+        self._confidences += [envelope.source_confidence for envelope in fresh]
 
     def _fold(self, poses: list[PostureSample]) -> None:
         sums = self._sums
@@ -179,44 +165,32 @@ class PostureWindows:
         """Score from now on against ``baseline``; returns each held
         window's (start, end, extraction), in the order they were cut."""
         self._frozen, self._baseline = True, baseline
-        # the held frames sit at timeline positions 0, 1, ...
-        geometries, confidences = self._held_geometries, self._held_confidences
-        released = []
-        for start, end, lo, hi in self._held:
-            if baseline is not None:
-                read = self._base + len(self._scores)
-                self._take(lo, geometries[read:hi], confidences[read:hi])
-            released.append((start, end, self._extract(end, hi)))
-        self._held, self._held_geometries, self._held_confidences = [], [], []
-        return released
+        held, self._held = self._held, []
+        return [(start, end, self._extract(end, lo, hi)) for start, end, lo, hi in held]
 
-    def _take(self, lo: int, geometries: list[PoseGeometry], confidences: list[float]) -> None:
-        """Forget the positions before ``lo``, then score the frames of
-        the given geometries and source confidences, from the first
-        unscored position on."""
-        scores, baseline, score = self._scores, self._baseline, self._score
-        del scores[:lo - self._base]
-        del self._confidences[:lo - self._base]
+    def _extract(self, end: float, lo: int, hi: int) -> Extraction:
+        """The window of positions [lo, hi): the positions before ``lo``
+        are forgotten, and its frames not yet scored are scored first."""
+        drop = lo - self._base
+        del self._geometries[:drop], self._confidences[:drop], self._scores[:drop]
         self._base = lo
-        for geometry in geometries:
-            try:
-                scores.append(score(geometry, baseline))
-            except MissingLandmarksError:
-                scores.append(None)
-        self._confidences += confidences
-
-    def _extract(self, end: float, hi: int) -> Extraction:
-        """The window from the first kept position up to ``hi``."""
-        window_scores = self._scores[:hi - self._base]
+        scores, baseline, score = self._scores, self._baseline, self._score
+        if baseline is not None:
+            for geometry in self._geometries[len(scores):hi - lo]:
+                try:
+                    scores.append(score(geometry, baseline))
+                except MissingLandmarksError:
+                    scores.append(None)
+        window_scores = scores[:hi - lo]
         scored = [s for s in window_scores if s is not None]
         skipped = len(window_scores) - len(scored)
         if not scored:
             return 0.0, [], {"category": None, "skipped_samples": skipped}
-        percent = fmean([s.percent for s in scored])
+        percent = fmean(scored)
         confidences = [c for c, s in zip(self._confidences, window_scores) if s is not None]
         quality = fmean(confidences) * len(scored) / (len(scored) + skipped)
-        # the category is the latest pose band in the window
-        extras = {"category": scored[-1].category.value, "skipped_samples": skipped}
+        # the category is the band of the latest scored pose in the window
+        extras = {"category": categorize_posture(scored[-1]).value, "skipped_samples": skipped}
         return quality, [ChannelFeature(CHANNEL_POSTURE, percent, quality, end)], extras
 
 

@@ -225,7 +225,7 @@ def build_directives(
     )
 
 
-def render_prompt(packet: DirectivePacket, history_turns: int = 6) -> str:
+def render_prompt(packet: DirectivePacket, history_turns: int) -> str:
     """Deterministic prompt text for the generation client.
 
     Includes descriptor labels for all six dimensions, tone words, the

@@ -86,7 +86,7 @@ class GazeTrack:
     raises ``ZeroDtError``.
     """
 
-    def __init__(self, median_width: int = 5, velocity_threshold: float = 1.0):
+    def __init__(self, median_width: int, velocity_threshold: float):
         if median_width < 3 or median_width % 2 == 0:
             raise ValueError(f"median_width must be odd and >= 3, got {median_width}")
         if velocity_threshold <= 0:
@@ -262,7 +262,7 @@ class GazeTrack:
 def window_gaze_features(
     window: Window,
     track: GazeTrack,
-    min_fixation_duration_s: float = 0.1,
+    min_fixation_duration_s: float,
 ) -> Extraction:
     """Aggregate one gaze window from its slice [lo, hi) of the track.
 

@@ -294,8 +294,8 @@ class InterventionEngine:
         self,
         policy: TriggerPolicy,
         cooldown_s: dict[Category, float],
-        modality: Modality = Modality.TEXT,
-        table: dict[StrategyKey, StrategyEntry] = DEFAULT_STRATEGIES,
+        modality: Modality,
+        table: dict[StrategyKey, StrategyEntry],
     ):
         self.policy = policy
         self.cooldown_s = dict(cooldown_s)

@@ -171,10 +171,10 @@ class PostureSample(Slotted):
         self.landmarks = landmarks
         self.visibility = {} if visibility is None else visibility
 
-    def point_visible(self, name: str, floor: float = VISIBILITY_FLOOR) -> bool:
+    def point_visible(self, name: str) -> bool:
         if name not in self.landmarks:
             return False
-        return self.visibility.get(name, 1.0) >= floor
+        return self.visibility.get(name, 1.0) >= VISIBILITY_FLOOR
 
     def _pair_visible(self, left: str, right: str) -> bool:
         return self.point_visible(left) and self.point_visible(right)

@@ -83,15 +83,15 @@ class ScenarioHeader(Slotted):
     def __init__(
         self,
         streams: list[StreamDescriptor],
-        config_entries: dict[str, object] | None = None,
-        seed: int = 0,
-        modality: Modality = Modality.TEXT,
-        topic: str = "the current topic",
-        analyzer_replies: tuple[str, ...] = (),
-        dialogue: tuple[dict[str, str], ...] = (),
+        config_entries: dict[str, object],
+        seed: int,
+        modality: Modality,
+        topic: str,
+        analyzer_replies: tuple[str, ...],
+        dialogue: tuple[dict[str, str], ...],
     ):
         self.streams = streams
-        self.config_entries = {} if config_entries is None else config_entries
+        self.config_entries = config_entries
         self.seed = seed
         self.modality = modality
         self.topic = topic
@@ -100,7 +100,7 @@ class ScenarioHeader(Slotted):
 
 
 class Scenario(Slotted):
-    """A header and its records: a list when parsed from lines (or once a
+    """A header and its records: a list when built in memory (or once a
     synthesized scenario's are read), a ``ScenarioFile`` when loaded
     from a file."""
 
@@ -368,18 +368,11 @@ def _scan(lines, emit: Emit = SampleRecord) -> Iterator[ScenarioHeader | SampleR
 
 def iter_records(lines, emit: Emit = SampleRecord) -> Iterator[SampleRecord | SyncRecord]:
     """The records of a scenario's lines, parsed one at a time as they
-    are taken, with every check ``parse_scenario_lines`` makes. The
-    header is checked here and skipped. ``emit`` takes each sample (``_scan``)."""
+    are taken. The header is checked here and skipped. ``emit`` takes
+    each sample (``_scan``)."""
     scan = _scan(lines, emit)
     next(scan)
     return scan
-
-
-def parse_scenario_lines(lines) -> Scenario:
-    """A scenario with all its records parsed into memory."""
-    scan = _scan(lines)
-    header = next(scan)
-    return Scenario(header=header, records=list(scan))
 
 
 def _shared_fields(obj: dict, line_no: int | None = None) -> dict:
@@ -596,11 +589,6 @@ def _sample_templates(records, kinds: dict[str, StreamKind]):
             if payload.feedback_text:
                 fields["feedback"] = _literal(payload.feedback_text)
             yield _template(stream_id, has_sc, fields), (payload.correctness, *head)
-
-
-def scenario_to_lines(scenario: Scenario) -> list[str]:
-    """The scenario's lines (``_scenario_text``)."""
-    return _scenario_text(scenario).split("\n")
 
 
 def _scenario_text(scenario: Scenario) -> str:

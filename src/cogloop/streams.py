@@ -136,7 +136,7 @@ class StreamMerger:
     """Places envelopes from all registered streams on their kinds'
     timelines and keeps the watermark."""
 
-    def __init__(self, jitter_tolerance_s: float = 0.25):
+    def __init__(self, jitter_tolerance_s: float):
         if jitter_tolerance_s < 0:
             raise ValueError("jitter_tolerance_s must be non-negative")
         self.jitter_tolerance_s = jitter_tolerance_s

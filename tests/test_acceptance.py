@@ -25,6 +25,7 @@ from cogloop.directives import (
 )
 from cogloop.gaze import GazeTrack
 from cogloop.interventions import (
+    DEFAULT_STRATEGIES,
     Candidate,
     Category,
     InterventionDecision,
@@ -263,23 +264,23 @@ def test_criterion_05_trigger_timing_is_exact():
     policy = TriggerPolicy(1.5, 0.6, 3, 10.0)
     quiet = {c: 0.0 for c in Category}
 
-    engine = InterventionEngine(policy, quiet)
+    engine = InterventionEngine(policy, quiet, Modality.TEXT, DEFAULT_STRATEGIES)
     decided = [t for t in (100.0, 110.0, 120.0, 130.0)
                if engine.step(_state(t, 2.0))[1] is not None]
     if decided != [120.0]:
         failures.append(f"sustained excursion decided at {decided}, wanted [120.0]")
 
-    engine = InterventionEngine(policy, quiet)
+    engine = InterventionEngine(policy, quiet, Modality.TEXT, DEFAULT_STRATEGIES)
     script = [(100.0, 2.0), (110.0, 2.0), (120.0, 0.3), (130.0, 2.0), (140.0, 2.0)]
     if any(engine.step(_state(t, s))[1] for t, s in script):
         failures.append("two-window excursion produced a decision")
 
-    engine = InterventionEngine(policy, quiet)
+    engine = InterventionEngine(policy, quiet, Modality.TEXT, DEFAULT_STRATEGIES)
     if any(engine.step(_state(t, 2.0, conf=0.55))[1] for t in (100.0, 110.0, 120.0, 130.0)):
         failures.append("low-confidence excursion produced a decision")
 
     cooldown = dict(quiet, **{Category.PHYSIOLOGICAL: 60.0})
-    engine = InterventionEngine(policy, cooldown)
+    engine = InterventionEngine(policy, cooldown, Modality.TEXT, DEFAULT_STRATEGIES)
     decided = [float(t) for t in range(100, 200, 10)
                if engine.step(_state(float(t), 2.0))[1] is not None]
     if decided != [120.0, 180.0]:
@@ -379,7 +380,7 @@ def test_criterion_09_prompts_never_leak_numeric_state():
         packet = build_directives(
             decision, descriptors, LearningContext(topic="redox reactions")
         )
-        prompt = render_prompt(packet)
+        prompt = render_prompt(packet, history_turns=6)
         if float_re.search(prompt):
             failures.append(f"case {case}: float leaked: {float_re.search(prompt).group()}")
         if "z=" in prompt or "sigma" in prompt.lower():

@@ -10,13 +10,14 @@ from cogloop.behavior import (
     SHOULDER_TILT_TOLERANCE_DEG,
     TRUNK_ANGLE_TOLERANCE_DEG,
     PostureCategory,
-    PostureScore,
+    PostureWindows,
     categorize_posture,
     ingest_note_assessment,
     score_posture,
 )
 from cogloop.errors import MalformedReplyError, MissingLandmarksError, OutOfRangeError
-from cogloop.model import PostureSample
+from cogloop.model import PostureSample, SampleEnvelope
+from cogloop.streams import Window
 
 UPRIGHT = {
     "shoulder_left": (0.38, 0.50),
@@ -35,36 +36,38 @@ def _pose(overrides=None, drop=(), visibility=None):
 
 
 # ---------------------------------------------------------------------------
-# scoring
+# scoring: the percentage is the mean of the sub-scores whose landmarks
+# both poses show
+
+def _tilted(drop=()):
+    # raise the right shoulder so the shoulder line tilts by 5 degrees:
+    # half the 10-degree tolerance, so the shoulder sub-score drops to 50
+    dx = 0.62 - 0.38
+    dy = dx * math.tan(math.radians(5.0))
+    return _pose({"shoulder_right": (0.62, 0.50 - dy)}, drop=drop)
+
 
 def test_identical_pose_scores_100_ideal():
-    score = score_posture(_pose().geometry(), _pose().geometry())
-    assert score.percent == pytest.approx(100.0)
-    assert score.category is PostureCategory.IDEAL
-    assert set(score.sub_scores) == {"shoulder_level", "neck_alignment", "back_straightness"}
-    assert all(v == pytest.approx(100.0) for v in score.sub_scores.values())
+    percent = score_posture(_pose().geometry(), _pose().geometry())
+    assert percent == pytest.approx(100.0)
+    assert categorize_posture(percent) is PostureCategory.IDEAL
 
 
 def test_shoulder_tilt_degrades_its_sub_score():
-    # raise the right shoulder so the shoulder line tilts by 5 degrees:
-    # half the 10-degree tolerance, so the sub-score drops to 50
-    dx = 0.62 - 0.38
-    dy = dx * math.tan(math.radians(5.0))
-    tilted = _pose({"shoulder_right": (0.62, 0.50 - dy)})
-    score = score_posture(tilted.geometry(), _pose().geometry())
-    assert score.sub_scores["shoulder_level"] == pytest.approx(50.0, abs=1e-9)
-    assert score.sub_scores["neck_alignment"] == pytest.approx(100.0)
+    # shoulder 50, neck and back unchanged at 100
+    percent = score_posture(_tilted().geometry(), _pose().geometry())
+    assert percent == pytest.approx(statistics.fmean([50.0, 100.0, 100.0]), abs=1e-9)
 
 
 def test_forward_head_drift_degrades_neck_alignment():
-    # ear midpoint shifted by the full 0.05 tolerance -> sub-score 0
+    # ear midpoint shifted by the full 0.05 tolerance: neck 0, shoulder
+    # and back unchanged at 100
     shifted = _pose({
         "ear_left": (0.44 + 0.05, 0.30),
         "ear_right": (0.56 + 0.05, 0.30),
     })
-    score = score_posture(shifted.geometry(), _pose().geometry())
-    assert score.sub_scores["neck_alignment"] == pytest.approx(0.0, abs=1e-9)
-    assert score.sub_scores["shoulder_level"] == pytest.approx(100.0)
+    percent = score_posture(shifted.geometry(), _pose().geometry())
+    assert percent == pytest.approx(statistics.fmean([100.0, 0.0, 100.0]), abs=1e-9)
 
 
 def test_degradation_is_monotone_in_lean():
@@ -77,7 +80,7 @@ def test_degradation_is_monotone_in_lean():
             "ear_right": (0.56 + dx, 0.30),
         })
 
-    percents = [score_posture(leaned(d).geometry(), _pose().geometry()).percent for d in (0.0, 2.0, 4.0, 8.0)]
+    percents = [score_posture(leaned(d).geometry(), _pose().geometry()) for d in (0.0, 2.0, 4.0, 8.0)]
     assert percents == sorted(percents, reverse=True)
     assert percents[0] > percents[-1]
 
@@ -93,14 +96,41 @@ def test_missing_shoulders_raise():
 
 
 def test_sub_scores_shrink_to_visible_landmarks():
-    no_ears = _pose(drop=("ear_left", "ear_right"))
-    score = score_posture(no_ears.geometry(), _pose().geometry())
-    assert set(score.sub_scores) == {"shoulder_level", "back_straightness"}
+    # hidden ears take the neck term out of the mean: shoulder 50 and back 100,
+    # whether the frame or the baseline hides them
+    ears = ("ear_left", "ear_right")
+    for pose, base in (
+        (_tilted(ears), _pose()),
+        (_tilted(), _pose(drop=ears)),
+        (_tilted(), _pose(visibility={"ear_left": 0.2})),
+    ):
+        assert score_posture(pose.geometry(), base.geometry()) == pytest.approx(75.0, abs=1e-9)
 
-    shoulders_only = _pose(drop=("ear_left", "ear_right", "hip_left", "hip_right"))
-    score = score_posture(shoulders_only.geometry(), _pose().geometry())
-    assert set(score.sub_scores) == {"shoulder_level"}
-    assert score.percent == pytest.approx(score.sub_scores["shoulder_level"])
+    # shoulders only: the percentage is the shoulder sub-score
+    shoulders_only = _tilted(ears + ("hip_left", "hip_right"))
+    assert score_posture(shoulders_only.geometry(), _pose().geometry()) == pytest.approx(50.0, abs=1e-9)
+
+
+def test_a_posture_windows_category_is_the_band_of_its_last_scored_frame():
+    # ideal, ideal, poor, below average, then a frame without its left
+    # shoulder: the first frame's band is ideal, the mean's (79.2) average
+    # and the worst frame's poor, but the window's is its last scored
+    # frame's
+    drift = {"ear_left": (0.49, 0.30), "ear_right": (0.56 + 0.05, 0.30)}
+    poor = _pose({**drift, "shoulder_right": _tilted().landmarks["shoulder_right"]})
+    below_average = _pose(drift)
+    frames = [_pose(), _pose(), poor, below_average, _pose(drop=("shoulder_left",))]
+    percents = [100.0, 100.0, 50.0, statistics.fmean([100.0, 0.0, 100.0])]
+    window = Window(0.0, 2.5, tuple(SampleEnvelope(0.5 * i, pose) for i, pose in enumerate(frames)))
+
+    # held back through calibration, and cut after the freeze
+    held, live = PostureWindows(10.0, score_posture), PostureWindows(0.0, score_posture)
+    assert held(window) is None
+    [(_, _, from_held)] = held.freeze(_pose().geometry())
+    assert live.freeze(_pose().geometry()) == []
+    for _, features, extras in (from_held, live(window)):
+        assert [feature.value for feature in features] == [pytest.approx(statistics.fmean(percents))]
+        assert extras == {"category": PostureCategory.BELOW_AVERAGE.value, "skipped_samples": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +176,7 @@ def _oracle_score(sample, baseline):
         sub_scores["neck_alignment"] = sub_score(_neck(sample) - _neck(baseline), NECK_OFFSET_TOLERANCE)
     if _visible(sample, "hip_left", "hip_right") and _visible(baseline, "hip_left", "hip_right"):
         sub_scores["back_straightness"] = sub_score(_trunk(sample) - _trunk(baseline), TRUNK_ANGLE_TOLERANCE_DEG)
-    percent = statistics.fmean(sub_scores.values())
-    return PostureScore(percent, categorize_posture(percent), sub_scores)
+    return statistics.fmean(sub_scores.values())
 
 
 # each landmark is absent, hidden (visibility under the floor), on the

@@ -20,9 +20,10 @@ from cogloop.directives import TEMPLATE_IDS
 from cogloop.errors import ConfigError
 from cogloop.interventions import Category, Severity
 from cogloop.model import Dimension, Modality, StreamKind
-from cogloop.scenario import parse_scenario_lines
 from cogloop.session import resolve_config, run_session
 from cogloop.state import ALL_CHANNELS
+
+from scenario_lines import parse_scenario_lines
 
 
 def test_defaults_are_valid():

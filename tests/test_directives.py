@@ -166,12 +166,12 @@ def test_unknown_template_raises():
 
 def test_prompt_is_deterministic():
     packet = _packet(dialogue=[{"role": "learner", "text": "why junction rule?"}])
-    assert render_prompt(packet) == render_prompt(packet)
+    assert render_prompt(packet, history_turns=6) == render_prompt(packet, history_turns=6)
 
 
 def test_prompt_contains_labels_not_numbers():
     packet = _packet()
-    prompt = render_prompt(packet)
+    prompt = render_prompt(packet, history_turns=6)
     assert "High Stress" in prompt
     assert "Nominal Attention" in prompt
     assert "box_breathing" not in prompt  # template text, not its id
@@ -181,9 +181,9 @@ def test_prompt_contains_labels_not_numbers():
 
 
 def test_prompt_framing_lines():
-    implicit = render_prompt(_packet(_decision(framing=Framing.IMPLICIT)))
+    implicit = render_prompt(_packet(_decision(framing=Framing.IMPLICIT)), history_turns=6)
     assert "Adapt silently" in implicit
-    explicit = render_prompt(_packet(_decision(framing=Framing.EXPLICIT)))
+    explicit = render_prompt(_packet(_decision(framing=Framing.EXPLICIT)), history_turns=6)
     assert "explicitly acknowledge" in explicit
 
 
@@ -198,7 +198,7 @@ def test_prompt_history_is_bounded():
 
 
 def test_prompt_carries_tone_and_strategy_metadata():
-    prompt = render_prompt(_packet())
+    prompt = render_prompt(_packet(), history_turns=6)
     assert "sentence complexity low" in prompt
     assert "physiological" in prompt
     assert "meso tier" in prompt
@@ -236,7 +236,7 @@ def test_fuzzed_prompts_never_leak_numeric_state():
         packet = build_directives(
             decision, descriptors, LearningContext(topic="cell respiration")
         )
-        prompt = render_prompt(packet)
+        prompt = render_prompt(packet, history_turns=6)
         assert float_re.search(prompt) is None
         assert "z=" not in prompt
         assert "sigma" not in prompt.lower()
@@ -246,7 +246,7 @@ def test_fuzzed_prompts_never_leak_numeric_state():
 # mock clients
 
 def test_mock_generate_is_stable_and_echoes_directive_lines():
-    prompt = render_prompt(_packet())
+    prompt = render_prompt(_packet(), history_turns=6)
     reply1, reply2 = mock_generate(prompt), mock_generate(prompt)
     assert reply1 == reply2
     assert "Learner state:" in reply1
@@ -269,7 +269,7 @@ def test_mock_client_plays_scripted_replies_then_hashes():
 
 def test_sha256_is_the_builtin_module_and_falls_back_to_hashlib(monkeypatch):
     name = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
-    prompt = render_prompt(_packet()).encode("utf-8")
+    prompt = render_prompt(_packet(), history_turns=6).encode("utf-8")
     expected = hashlib.sha256(prompt).hexdigest()
     if importlib.util.find_spec(name) is not None:
         assert sha256.__module__ == name
@@ -284,7 +284,7 @@ def test_sha256_is_the_builtin_module_and_falls_back_to_hashlib(monkeypatch):
 
 def test_mock_client_generate_delegates():
     client = MockGenerationClient()
-    prompt = render_prompt(_packet())
+    prompt = render_prompt(_packet(), history_turns=6)
     assert client.generate(prompt) == mock_generate(prompt)
 
 

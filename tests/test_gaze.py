@@ -64,9 +64,9 @@ def test_despike_preserves_length_and_order():
 def test_even_or_tiny_width_rejected():
     samples = [_gaze_env(0.0), _gaze_env(0.1)]
     with pytest.raises(ValueError):
-        GazeTrack(median_width=4)
+        GazeTrack(median_width=4, velocity_threshold=1.0)
     with pytest.raises(ValueError):
-        GazeTrack(median_width=1)
+        GazeTrack(median_width=1, velocity_threshold=1.0)
 
 
 def test_blink_samples_stay_absent_and_are_excluded_from_windows():
@@ -115,16 +115,18 @@ def test_velocity_translation_invariance():
 
 def test_zero_dt_raises():
     samples = [_gaze_env(0.0), _gaze_env(1.0), _gaze_env(1.0), _gaze_env(2.0)]
-    track = GazeTrack()  # building the track raises nothing
+    track = GazeTrack(median_width=5, velocity_threshold=1.0)  # building the track raises nothing
     with pytest.raises(ZeroDtError):
-        window_gaze_features(Window(0.0, 3.0, tuple(samples)), track)
+        window_gaze_features(Window(0.0, 3.0, tuple(samples)), track, 0.1)
     # a window that does not hold the pair is fine
-    track = GazeTrack()
-    _, features, _ = window_gaze_features(Window(0.0, 1.5, tuple(samples[:2])), track)
+    track = GazeTrack(median_width=5, velocity_threshold=1.0)
+    _, features, _ = window_gaze_features(Window(0.0, 1.5, tuple(samples[:2])), track, 0.1)
     assert features
     # a pair touching a blink has no velocity to compute
     blinking = [_gaze_env(0.0), _gaze_env(1.0, pupil=None), _gaze_env(1.0), _gaze_env(2.0)]
-    _, features, _ = window_gaze_features(Window(0.0, 3.0, tuple(blinking)), GazeTrack())
+    _, features, _ = window_gaze_features(
+        Window(0.0, 3.0, tuple(blinking)), GazeTrack(median_width=5, velocity_threshold=1.0), 0.1
+    )
     assert features
 
 
@@ -230,7 +232,7 @@ def test_detect_needs_two_samples():
 def _features(samples, start=0.0, end=10.0):
     """(window quality, {channel: feature}, extras) of one window."""
     quality, features, extras = window_gaze_features(
-        Window(start=start, end=end, samples=tuple(samples)), GazeTrack()
+        Window(start=start, end=end, samples=tuple(samples)), GazeTrack(median_width=5, velocity_threshold=1.0), 0.1
     )
     return quality, {f.channel_id: f for f in features}, extras
 
@@ -261,10 +263,10 @@ def test_window_quality_is_mean_source_confidence():
 
 def test_windows_must_come_in_order_of_their_start():
     samples = [_gaze_env(i * 0.1) for i in range(10)]
-    track = GazeTrack()
-    window_gaze_features(Window(0.5, 1.0, tuple(samples[5:]), lo=5), track)
+    track = GazeTrack(median_width=5, velocity_threshold=1.0)
+    window_gaze_features(Window(0.5, 1.0, tuple(samples[5:]), lo=5), track, 0.1)
     with pytest.raises(ValueError, match="order"):
-        window_gaze_features(Window(0.0, 0.5, tuple(samples[:5]), lo=0), track)
+        window_gaze_features(Window(0.0, 0.5, tuple(samples[:5]), lo=0), track, 0.1)
 
 
 # ---------------------------------------------------------------------------

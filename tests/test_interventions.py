@@ -49,7 +49,7 @@ def _vec(t, **overrides):
 
 
 def _engine(cooldowns=None, policy=POLICY):
-    return InterventionEngine(policy, cooldowns or NO_COOLDOWN)
+    return InterventionEngine(policy, cooldowns or NO_COOLDOWN, Modality.TEXT, DEFAULT_STRATEGIES)
 
 
 def _drive(engine, times, make_vec):

@@ -6,7 +6,9 @@ replay loads only the standard library it uses, and neither the
 synthesizer nor the command line; ``cogloop run`` does not load the
 synthesizer either, and ``cogloop synth`` loads no replay. ``session`` and ``scenario`` bridge
 the names the benchmark still reads from them, and only the test that
-mirrors the benchmark reads those names there.
+mirrors the benchmark reads those names there. Every public name and
+method is read by the package or the benchmark: one that only tests
+read lives under ``tests/``.
 """
 
 import ast
@@ -225,11 +227,11 @@ def _module_level_names(tree: ast.Module):
                         yield node.lineno, name.id
 
 
-def test_every_private_module_level_name_is_read():
-    # read: loaded as a name, reached as an attribute or imported by name
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+def _read_names(trees) -> set[str]:
+    """Every name the code of the trees reads: loaded as a name, reached
+    as an attribute or imported by name."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -237,11 +239,51 @@ def test_every_private_module_level_name_is_read():
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
+    return read
+
+
+def _method_names(tree: ast.Module):
+    """(line, "Class.method") for every method of the module's classes."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield method.lineno, f"{node.name}.{method.name}"
+
+
+def test_every_private_module_level_name_is_read():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    read = _read_names(trees.values())
     unread = [
         f"{module} line {line}: {name}"
         for module, tree in trees.items()
         for line, name in _module_level_names(tree)
         if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+    assert unread == []
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_every_public_name_is_read_by_the_package_or_the_benchmark():
+    # a public function, class, constant or method that only tests read
+    # is a test helper, and belongs under tests/. The benchmark's own
+    # modules count, not its frozen reference engine (bench/cogloop_ref),
+    # and so do the names its tracer wraps, which it spells in strings.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    bench = [ast.parse(path.read_text(encoding="utf-8")) for path in BENCH.glob("*.py")]
+    read = _read_names([*trees.values(), *bench])
+    spec = importlib.util.spec_from_file_location("tracer", BENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for _, _, path, _ in tracer.WRAPPED:
+        read.update(path.split("."))
+    unread = [
+        f"{module} line {line}: {name}"
+        for module, tree in trees.items()
+        for line, name in [*_module_level_names(tree), *_method_names(tree)]
+        if not name.rpartition(".")[2].startswith("_") and name.rpartition(".")[2] not in read
     ]
     assert unread == []
 

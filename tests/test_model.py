@@ -8,7 +8,8 @@ from cogloop.model import (
     NoteScoreSample,
     RRSample,
 )
-from cogloop.scenario import parse_scenario_lines
+
+from scenario_lines import parse_scenario_lines
 
 
 # Payload constructors check nothing: a sample is checked once, by its

@@ -22,15 +22,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cogloop.behavior import PostureWindows, score_posture
+from cogloop.behavior import PostureWindows, categorize_posture, score_posture
 from cogloop.errors import MissingLandmarksError
 from cogloop.model import PostureSample, StreamDescriptor, StreamKind
-from cogloop.scenario import parse_scenario_lines
 from cogloop.session import Session, run_session
 from cogloop.state import CHANNEL_POSTURE, ChannelFeature
 from cogloop.streams import IngestOutcome, StreamMerger
 from cogloop.synth import load_profile, synthesize
 from cogloop.trace import validate_trace, write_trace
+
+from scenario_lines import parse_scenario_lines
 
 STREAMS = [
     {"stream_id": "cam", "kind": "posture_landmarks", "nominal_rate_hz": 5.0},
@@ -224,9 +225,9 @@ def _oracle_window(window, baseline_pose):
                 skipped += 1
     if not scores:
         return 0.0, [], {"category": None, "skipped_samples": skipped}
-    percent = statistics.fmean(s.percent for s in scores)
+    percent = statistics.fmean(scores)
     quality = statistics.fmean(confidences) * len(scores) / (len(scores) + skipped)
-    extras = {"category": scores[-1].category.value, "skipped_samples": skipped}
+    extras = {"category": categorize_posture(scores[-1]).value, "skipped_samples": skipped}
     return quality, [ChannelFeature(CHANNEL_POSTURE, percent, quality, window.end)], extras
 
 

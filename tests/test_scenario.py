@@ -28,15 +28,16 @@ from cogloop.scenario import (
     _is_finite_number,
     _is_mark,
     _parse_header,
+    _shared_fields,
     load_scenario,
-    parse_scenario_lines,
-    scenario_to_lines,
     write_scenario,
 )
 from cogloop.session import run_session
 from cogloop.streams import estimate_offset
 from cogloop.synth import CONTROLS, GeneratorSpec, _ControlCurve, load_profile, parse_profile, synthesize
 from cogloop.trace import validate_trace
+
+from scenario_lines import parse_scenario_lines, scenario_to_lines
 
 HEADER = json.dumps({
     "type": "header",
@@ -750,7 +751,8 @@ def _written_scenario(draw):
         else:
             payload = NoteScoreSample(draw(_UNIT), draw(_TEXT))
         records.append(SampleRecord(stream_id, t, source_confidence, payload))
-    return Scenario(ScenarioHeader(streams=streams), records)
+    # the header fields a header line without them is read with
+    return Scenario(ScenarioHeader(streams=streams, **_shared_fields({})), records)
 
 
 @settings(max_examples=150, deadline=None)

@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 
 import cogloop
 from cogloop import session
-from cogloop.behavior import PostureWindows, score_posture
+from cogloop.behavior import PostureWindows, categorize_posture, score_posture
 from cogloop.config import SessionConfig, _trigger_policy, config_from_dict
 from cogloop.errors import ConfigError, MissingLandmarksError, ScenarioError
 from cogloop.interventions import CHALLENGE_LOAD_CEILING
 from cogloop.model import Dimension, NoteScoreSample, PostureSample, RRSample, StreamDescriptor, StreamKind
-from cogloop.scenario import Scenario, ScenarioHeader, SyncRecord, parse_scenario_lines
+from cogloop.scenario import Scenario, ScenarioHeader, SyncRecord
 from cogloop.session import expected_calibration_windows, resolve_config, run_session
 from cogloop import state
 from cogloop.state import CHANNEL_POSTURE, ChannelFeature
@@ -30,6 +30,8 @@ from cogloop.streams import StreamMerger
 from cogloop.synth import load_profile, parse_profile, synthesize
 from cogloop import trace
 from cogloop.trace import TraceEvent, read_trace, summarize, validate_trace, write_trace
+
+from scenario_lines import parse_scenario_lines
 
 # calibration shortened so the whole session stays around five minutes
 STRESS_PROFILE = {
@@ -1346,9 +1348,9 @@ def _oracle_posture(window, baseline_pose):
                 skipped += 1
     if not scores:
         return 0.0, [], {"category": None, "skipped_samples": skipped}
-    percent = statistics.fmean(s.percent for s in scores)
+    percent = statistics.fmean(scores)
     quality = statistics.fmean(confidences) * len(scores) / (len(scores) + skipped)
-    extras = {"category": scores[-1].category.value, "skipped_samples": skipped}
+    extras = {"category": categorize_posture(scores[-1]).value, "skipped_samples": skipped}
     return quality, [ChannelFeature(CHANNEL_POSTURE, percent, quality, window.end)], extras
 
 

@@ -76,7 +76,7 @@ def _bits(x):
 @example(data=[0.5, -0.0, 2.0], wide=[1e308, 1.5e308], as_dict_view=True)
 @example(data=[3, 1, 4, 2], wide=[5e-324, 5e-324], as_dict_view=False)
 def test_fmean_and_median_are_the_statistics_modules_bit_for_bit(data, wide, as_dict_view):
-    # a dict's values are what score_posture passes to fmean
+    # any sized collection, a dict's values view among them
     values = dict(enumerate(data)).values() if as_dict_view else data
     assert _bits(fmean(values)) == _bits(statistics.fmean(values))
     for values in (values, wide):

@@ -30,14 +30,14 @@ from cogloop.scenario import (
     SyncRecord,
     iter_records,
     load_scenario,
-    parse_scenario_lines,
-    scenario_to_lines,
     write_scenario,
 )
 from cogloop.session import Session, run_session
 from cogloop.streams import StreamMerger
 from cogloop.synth import parse_profile, synthesize
 from cogloop.trace import validate_trace, write_trace
+
+from scenario_lines import parse_scenario_lines, scenario_to_lines
 
 ROOT = Path(__file__).resolve().parents[1]
 REPLAY_CHILD = ROOT / "bench" / "replay_child.py"
