@@ -182,24 +182,11 @@ _DESCRIPTOR_LABEL = {
     Descriptor.PRONOUNCED: "High",
 }
 
-_DIMENSION_LABEL = {
-    Dimension.COGNITIVE_LOAD: "Cognitive Load",
-    Dimension.ATTENTION: "Attention",
-    Dimension.ENGAGEMENT: "Engagement",
-    Dimension.UNDERSTANDING: "Understanding",
-    Dimension.STRESS: "Stress",
-    Dimension.FATIGUE: "Fatigue",
-}
-
 
 def descriptor_label(dimension: Dimension, descriptor: Descriptor) -> str:
-    """Human label like 'High Stress' or 'Nominal Attention'."""
-    return f"{_DESCRIPTOR_LABEL[descriptor]} {_DIMENSION_LABEL[dimension]}"
-
-
-class LearningContext(NamedTuple):
-    topic: str
-    dialogue: tuple[dict[str, str], ...] = ()
+    """Human label like 'High Stress' or 'Nominal Attention': the
+    dimension's name in title case."""
+    return f"{_DESCRIPTOR_LABEL[descriptor]} {dimension.value.replace('_', ' ').title()}"
 
 
 class DirectivePacket(NamedTuple):
@@ -207,21 +194,24 @@ class DirectivePacket(NamedTuple):
     descriptors: dict[Dimension, Descriptor]
     tone: ToneParameters
     directive_text: str
-    context: LearningContext
+    topic: str
+    dialogue: tuple[dict[str, str], ...]
 
 
 def build_directives(
     decision: InterventionDecision,
     descriptors: dict[Dimension, Descriptor],
-    context: LearningContext,
+    topic: str,
+    dialogue: tuple[dict[str, str], ...],
 ) -> DirectivePacket:
     """Assemble the packet for one decision."""
     return DirectivePacket(
         decision=decision,
         descriptors=descriptors,
         tone=build_tone(descriptors),
-        directive_text=render_template(decision.template_id, decision.modality, context.topic),
-        context=context,
+        directive_text=render_template(decision.template_id, decision.modality, topic),
+        topic=topic,
+        dialogue=dialogue,
     )
 
 
@@ -258,9 +248,9 @@ def render_prompt(packet: DirectivePacket, history_turns: int) -> str:
             f"{packet.directive_text}"
         ),
         framing_line,
-        f"Topic: {packet.context.topic}",
+        f"Topic: {packet.topic}",
     ]
-    recent = list(packet.context.dialogue)[-history_turns:] if history_turns > 0 else []
+    recent = list(packet.dialogue)[-history_turns:] if history_turns > 0 else []
     if recent:
         lines.append("Recent dialogue:")
         for turn in recent:
@@ -334,20 +324,20 @@ class MockGenerationClient:
         return f"score={score:.2f}; feedback=auto-assessed note coverage"
 
 
+# seconds a live generation request may take before it counts as failed
+_TIMEOUT_S = 10.0
+
+
 class LiveGenerationClient:
     """Minimal HTTP client: POST JSON, timeout, one retry.
 
-    Endpoint comes from ``endpoint`` or the COGLOOP_GENERATION_URL
-    environment variable. Failures raise ClientUnavailableError; the
-    session runner degrades those to trace warnings.
+    The endpoint comes from the COGLOOP_GENERATION_URL environment
+    variable. Failures raise ClientUnavailableError; the session runner
+    degrades those to trace warnings.
     """
 
-    def __init__(self, endpoint: str | None = None, timeout_s: float = 10.0):
-        self.endpoint = endpoint
-        self.timeout_s = timeout_s
-
     def _url(self) -> str:
-        url = self.endpoint or os.environ.get("COGLOOP_GENERATION_URL", "")
+        url = os.environ.get("COGLOOP_GENERATION_URL", "")
         if not url:
             raise ClientUnavailableError("no generation endpoint configured")
         return url
@@ -365,7 +355,7 @@ class LiveGenerationClient:
         last_error: Exception | None = None
         for _ in range(2):  # one retry
             try:
-                with urllib.request.urlopen(request, timeout=self.timeout_s) as response:
+                with urllib.request.urlopen(request, timeout=_TIMEOUT_S) as response:
                     return response.read().decode("utf-8")
             except (urllib.error.URLError, TimeoutError, OSError) as error:
                 last_error = error

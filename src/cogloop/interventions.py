@@ -82,72 +82,56 @@ class StrategyEntry(NamedTuple):
 StrategyKey = tuple[Dimension, Severity, Modality]
 
 
-def _default_entries() -> dict[StrategyKey, StrategyEntry]:
-    # (category, tier, template) per dimension and severity; the default
-    # table uses the same entry for all four modalities, the renderer
-    # handles modality-specific mechanics.
-    per_dim: dict[Dimension, dict[Severity, StrategyEntry]] = {
-        Dimension.STRESS: {
-            Severity.MODERATE: StrategyEntry(
-                Category.PHYSIOLOGICAL, Tier.MESO, "reassurance"
-            ),
-            Severity.PRONOUNCED: StrategyEntry(
-                Category.PHYSIOLOGICAL, Tier.MESO, "box_breathing"
-            ),
-        },
-        Dimension.COGNITIVE_LOAD: {
-            Severity.MODERATE: StrategyEntry(
-                Category.COGNITIVE_ATTENTIONAL, Tier.MICRO, "restructure"
-            ),
-            Severity.PRONOUNCED: StrategyEntry(
-                Category.COGNITIVE_ATTENTIONAL, Tier.MICRO, "chunk_and_distill"
-            ),
-        },
-        Dimension.ATTENTION: {
-            Severity.MODERATE: StrategyEntry(
-                Category.COGNITIVE_ATTENTIONAL, Tier.MESO, "curiosity_prompt"
-            ),
-            Severity.PRONOUNCED: StrategyEntry(
-                Category.COGNITIVE_ATTENTIONAL, Tier.MESO, "physical_reset"
-            ),
-        },
-        Dimension.UNDERSTANDING: {
-            Severity.MODERATE: StrategyEntry(
-                Category.COMPREHENSION_ORIENTED, Tier.MICRO, "alternate_explanations"
-            ),
-            Severity.PRONOUNCED: StrategyEntry(
-                Category.COMPREHENSION_ORIENTED, Tier.MACRO, "first_principles"
-            ),
-        },
-        Dimension.FATIGUE: {
-            Severity.MODERATE: StrategyEntry(
-                Category.PHYSIOLOGICAL, Tier.MESO, "shorter_segments"
-            ),
-            Severity.PRONOUNCED: StrategyEntry(
-                Category.PHYSIOLOGICAL, Tier.MESO, "take_break"
-            ),
-        },
-        Dimension.ENGAGEMENT: {
-            Severity.MODERATE: StrategyEntry(
-                Category.CHALLENGE_ENHANCEMENT, Tier.MICRO, "advanced_application"
-            ),
-            Severity.PRONOUNCED: StrategyEntry(
-                Category.CHALLENGE_ENHANCEMENT, Tier.MICRO, "synthesis_prompt"
-            ),
-        },
-    }
-    entries: dict[StrategyKey, StrategyEntry] = {}
-    for dimension, by_severity in per_dim.items():
-        for severity, entry in by_severity.items():
-            for modality in Modality:
-                entries[(dimension, severity, modality)] = entry
-    return entries
-
+# (category, tier, template) per dimension and severity. The default
+# table uses the same entry for all four modalities; the renderer
+# handles modality-specific mechanics.
+_ENTRIES: dict[tuple[Dimension, Severity], StrategyEntry] = {
+    (Dimension.STRESS, Severity.MODERATE): StrategyEntry(
+        Category.PHYSIOLOGICAL, Tier.MESO, "reassurance"
+    ),
+    (Dimension.STRESS, Severity.PRONOUNCED): StrategyEntry(
+        Category.PHYSIOLOGICAL, Tier.MESO, "box_breathing"
+    ),
+    (Dimension.COGNITIVE_LOAD, Severity.MODERATE): StrategyEntry(
+        Category.COGNITIVE_ATTENTIONAL, Tier.MICRO, "restructure"
+    ),
+    (Dimension.COGNITIVE_LOAD, Severity.PRONOUNCED): StrategyEntry(
+        Category.COGNITIVE_ATTENTIONAL, Tier.MICRO, "chunk_and_distill"
+    ),
+    (Dimension.ATTENTION, Severity.MODERATE): StrategyEntry(
+        Category.COGNITIVE_ATTENTIONAL, Tier.MESO, "curiosity_prompt"
+    ),
+    (Dimension.ATTENTION, Severity.PRONOUNCED): StrategyEntry(
+        Category.COGNITIVE_ATTENTIONAL, Tier.MESO, "physical_reset"
+    ),
+    (Dimension.UNDERSTANDING, Severity.MODERATE): StrategyEntry(
+        Category.COMPREHENSION_ORIENTED, Tier.MICRO, "alternate_explanations"
+    ),
+    (Dimension.UNDERSTANDING, Severity.PRONOUNCED): StrategyEntry(
+        Category.COMPREHENSION_ORIENTED, Tier.MACRO, "first_principles"
+    ),
+    (Dimension.FATIGUE, Severity.MODERATE): StrategyEntry(
+        Category.PHYSIOLOGICAL, Tier.MESO, "shorter_segments"
+    ),
+    (Dimension.FATIGUE, Severity.PRONOUNCED): StrategyEntry(
+        Category.PHYSIOLOGICAL, Tier.MESO, "take_break"
+    ),
+    (Dimension.ENGAGEMENT, Severity.MODERATE): StrategyEntry(
+        Category.CHALLENGE_ENHANCEMENT, Tier.MICRO, "advanced_application"
+    ),
+    (Dimension.ENGAGEMENT, Severity.PRONOUNCED): StrategyEntry(
+        Category.CHALLENGE_ENHANCEMENT, Tier.MICRO, "synthesis_prompt"
+    ),
+}
 
 # (dimension, severity, modality) -> strategy entry. A config's table
 # overlays it with template overrides keyed by the same enum members, so
 # every table is total.
-DEFAULT_STRATEGIES = _default_entries()
+DEFAULT_STRATEGIES: dict[StrategyKey, StrategyEntry] = {
+    (dimension, severity, modality): entry
+    for (dimension, severity), entry in _ENTRIES.items()
+    for modality in Modality
+}
 
 
 class Candidate(NamedTuple):
@@ -244,17 +228,7 @@ def route_reading(
 def prioritize(candidates: list[Candidate]) -> Candidate | None:
     """Pick the single candidate to act on: highest score wins, exact
     ties fall back to the fixed dimension priority order."""
-    best: Candidate | None = None
-    for candidate in candidates:
-        if best is None:
-            best = candidate
-            continue
-        if candidate.score > best.score:
-            best = candidate
-        elif candidate.score == best.score:
-            if PRIORITY_ORDER.index(candidate.dimension) < PRIORITY_ORDER.index(best.dimension):
-                best = candidate
-    return best
+    return min(candidates, key=lambda c: (-c.score, PRIORITY_ORDER.index(c.dimension)), default=None)
 
 
 def choose_framing(repeat_count: int, contributing_channels: int) -> Framing:

@@ -471,12 +471,12 @@ class ScenarioFile:
     Each iteration opens the file and parses it a line at a time
     (``iter_records``), so a replay holds one record at a time and a
     malformed line raises its ScenarioError when the iteration reaches
-    it. ``len`` parses the whole file once and keeps the count.
+    it. ``len`` parses the whole file on each call, so a file that
+    changed is counted as it is now.
     """
 
     def __init__(self, path):
         self.path = path
-        self._count: int | None = None
 
     def scan(self, emit: Emit = SampleRecord) -> Iterator[SampleRecord | SyncRecord]:
         """One iteration, each sample going to ``emit`` (``iter_records``)."""
@@ -486,9 +486,7 @@ class ScenarioFile:
     __iter__ = scan
 
     def __len__(self) -> int:
-        if self._count is None:
-            self._count = sum(1 for _ in self)
-        return self._count
+        return sum(1 for _ in self)
 
 
 def load_scenario(path) -> Scenario:

@@ -37,7 +37,6 @@ from .cardio import window_hrv
 from .config import SessionConfig, _strategy_table, _trigger_policy, apply_entries, checked_config
 from .directives import (
     GenerationClient,
-    LearningContext,
     LiveGenerationClient,
     MockGenerationClient,
     build_directives,
@@ -81,9 +80,7 @@ class SessionResult(NamedTuple):
     events: list[TraceEvent]
     decisions: list[InterventionDecision]
     baseline: CalibrationProfile
-    seed: int = 0
-    modality: str = "text"
-    topic: str = ""
+    header: ScenarioHeader
 
 
 class _Recorder:
@@ -266,7 +263,6 @@ class Session:
             modality=header.modality,
             table=_strategy_table(cfg),
         )
-        self._context = LearningContext(topic=header.topic, dialogue=header.dialogue)
         self._step = 1  # index of the next decision tick
         # the watermark at which the next window, the baseline or the
         # next tick becomes final
@@ -381,9 +377,7 @@ class Session:
             events=self._recorder.sorted_events(),
             decisions=self.decisions,
             baseline=self.baseline,
-            seed=self.header.seed,
-            modality=self.header.modality.value,
-            topic=self.header.topic,
+            header=self.header,
         )
 
     def _next_due(self) -> float:
@@ -505,7 +499,7 @@ class Session:
         payload = _record_payload(decision)
         add(tick, "decision", payload)
         descriptors = {dim: state.dims[dim].descriptor for dim in Dimension}
-        packet = build_directives(decision, descriptors, self._context)
+        packet = build_directives(decision, descriptors, self.header.topic, self.header.dialogue)
         prompt = render_prompt(packet, history_turns=cfg.history_turns)
         add(
             tick,

@@ -181,10 +181,14 @@ def compute_baseline(
 class DimensionState(NamedTuple):
     score: float
     confidence: float
-    descriptor: Descriptor
     observed: bool
     signed_score: float
     supra_channels: int
+
+    @property
+    def descriptor(self) -> Descriptor:
+        """The score's semantic band (``to_descriptor``)."""
+        return to_descriptor(self.score)
 
 
 class StateVector(NamedTuple):
@@ -197,7 +201,6 @@ class StateVector(NamedTuple):
 _UNOBSERVED = DimensionState(
     score=0.0,
     confidence=0.0,
-    descriptor=Descriptor.NOMINAL,
     observed=False,
     signed_score=0.0,
     supra_channels=0,
@@ -218,7 +221,7 @@ def infer_state(
     gets its z once. Each dimension then sums score, confidence, signed
     score and supra count over its usable channels in one pass, in
     feature order. A dimension with no usable channel comes back
-    unobserved: score 0, confidence 0, nominal descriptor.
+    unobserved: score 0, confidence 0, so a nominal descriptor.
     """
     channels = profile.channels
     calibrated: list[tuple[str, float, float]] = []  # (channel, quality, z)
@@ -244,11 +247,9 @@ def infer_state(
         if den <= 0:
             dims[dimension] = _UNOBSERVED
             continue
-        score = num / den
         dims[dimension] = DimensionState(
-            score=score,
+            score=num / den,
             confidence=den / sum(row.values()),
-            descriptor=to_descriptor(score),
             observed=True,
             signed_score=signed_num / den,
             supra_channels=supra,

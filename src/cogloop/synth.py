@@ -649,12 +649,15 @@ def _notes(profile, curves, noise, seed, duration):
 # blink's confidence and null pupil. A stream whose source confidence is
 # 1.0 leaves it out.
 
-_TRACKED = _template("gaze", False, {
-    "confidence": _literal(0.98), "pupil_mm": "%s", "source_confidence": _literal(0.99), "x": "%s", "y": "%s",
-})
-_BLINK = _template("gaze", False, {
-    "confidence": _literal(0.05), "pupil_mm": "null", "source_confidence": _literal(0.99), "x": "%s", "y": "%s",
-})
+# gaze's source confidence, and the tracker's confidence in a tracked
+# sample and in a blink
+_GAZE_SOURCE_CONFIDENCE = 0.99
+_TRACKED_CONFIDENCE = 0.98
+_BLINK_CONFIDENCE = 0.05
+
+_GAZE_FIELDS = {"source_confidence": _literal(_GAZE_SOURCE_CONFIDENCE), "x": "%s", "y": "%s"}
+_TRACKED = _template("gaze", False, {**_GAZE_FIELDS, "confidence": _literal(_TRACKED_CONFIDENCE), "pupil_mm": "%s"})
+_BLINK = _template("gaze", False, {**_GAZE_FIELDS, "confidence": _literal(_BLINK_CONFIDENCE), "pupil_mm": "null"})
 _POSE = _template("cam", False, {"landmarks": "{" + ",".join(f"{_literal(name)}:[%s,%s]" for name in sorted(POSTURE_POINTS)) + "}"})
 # the coordinate columns in the order the pose template takes them
 _POSE_COLUMNS = [2 * POSTURE_POINTS.index(name) + axis for name in sorted(POSTURE_POINTS) for axis in (0, 1)]
@@ -669,7 +672,8 @@ def _gaze_lines(times, xs, ys, pupils):
 
 
 def _gaze_payloads(times, xs, ys, pupils):
-    return [GazeSample(x, y, pupil, 0.05 if pupil is None else 0.98) for x, y, pupil in zip(xs, ys, pupils)]
+    confidences = [_BLINK_CONFIDENCE if pupil is None else _TRACKED_CONFIDENCE for pupil in pupils]
+    return list(map(GazeSample, xs, ys, pupils, confidences))
 
 
 def _pose_lines(times, coordinates):
@@ -694,7 +698,7 @@ def _note_lines(times, scores):
 # and its payloads
 _STREAMS = (
     ("cam", 1.0, _pose_lines, _poses),
-    ("gaze", 0.99, _gaze_lines, _gaze_payloads),
+    ("gaze", _GAZE_SOURCE_CONFIDENCE, _gaze_lines, _gaze_payloads),
     ("heart", 1.0, _beat_lines, lambda times, rrs: list(map(RRSample, rrs))),
     ("notes", 1.0, _note_lines, lambda times, scores: list(map(NoteScoreSample, scores))),
 )

@@ -106,14 +106,15 @@ def _record_payload(record: Candidate | InterventionDecision) -> dict:
 
 def write_trace(result, path) -> None:
     """Write a replay's result (a ``session.SessionResult``): the header,
+    its seed, modality and topic those of the result's scenario header,
     then each event on its own line."""
     header = {
         "type": "header",
         "engine": ENGINE_TAG,
         "config": config_to_dict(result.config),
-        "seed": result.seed,
-        "modality": result.modality,
-        "topic": result.topic,
+        "seed": result.header.seed,
+        "modality": result.header.modality.value,
+        "topic": result.header.topic,
     }
     with open(path, "w", encoding="utf-8") as handle:
         write = handle.write
@@ -140,7 +141,8 @@ _FLAG = ("true or false", lambda value: type(value) is bool)
 _DIMENSION_NAMES = frozenset(dim.value for dim in Dimension)
 _DIMENSION = _one_of([dim.value for dim in Dimension])
 _MODALITY = _one_of([modality.value for modality in Modality])
-_DIMENSION_STATE = itemgetter("score", "confidence", "signed_score", "observed", "supra_channels")
+# a traced dimension state's fields, in ``DimensionState`` order
+_DIMENSION_STATE = itemgetter(*DimensionState._fields)
 
 
 def _is_dims(dims) -> bool:
@@ -148,7 +150,7 @@ def _is_dims(dims) -> bool:
         return False
     for state in dims.values():
         try:  # a missing field is a KeyError, a state that is not an object a TypeError
-            score, confidence, signed, observed, supra = _DIMENSION_STATE(state)
+            score, confidence, observed, signed, supra = _DIMENSION_STATE(state)
         except (KeyError, TypeError):
             return False
         if not (type(score) in _NUMBER_TYPES and type(confidence) in _NUMBER_TYPES and type(signed) in _NUMBER_TYPES
@@ -226,11 +228,21 @@ def _trace_config(header: dict, line_no: int) -> SessionConfig:
         raise ScenarioError(f"trace header config: {error}", line_no) from None
 
 
+def _trace_modality(header: dict, line_no: int) -> Modality:
+    if "modality" not in header:
+        raise ScenarioError("trace header needs a modality", line_no)
+    modality = header["modality"]
+    if not _MODALITY[1](modality):
+        raise ScenarioError(f"trace header modality must be {_MODALITY[0]}, got {modality!r}", line_no)
+    return Modality(modality)
+
+
 def read_trace(path) -> tuple[dict, list[TraceEvent]]:
     """The header and events of a trace; a bad line is a ScenarioError
     naming it. Each event holds the fields the audit reads, and the
-    header's config is decoded once, here, into the ``SessionConfig``
-    that ``validate_trace`` and ``summarize`` read."""
+    header's config and modality are decoded once, here, into the
+    ``SessionConfig`` and ``Modality`` that ``validate_trace`` and
+    ``summarize`` read."""
     header: dict | None = None
     events: list[TraceEvent] = []
     with utf8_text(path) as handle:
@@ -257,8 +269,7 @@ def read_trace(path) -> tuple[dict, list[TraceEvent]]:
                 if header is not None:
                     raise ScenarioError("duplicate trace header", line_no)
                 obj["config"] = _trace_config(obj, line_no)
-                if not _MODALITY[1](obj.get("modality", Modality.TEXT.value)):
-                    raise ScenarioError(f"trace header modality must be {_MODALITY[0]}, got {obj['modality']!r}", line_no)
+                obj["modality"] = _trace_modality(obj, line_no)
                 header = obj
             else:
                 raise ScenarioError(f"unknown trace record type {record_type!r}", line_no)
@@ -315,8 +326,9 @@ def summarize(header: dict, events: list[TraceEvent]) -> dict:
 def validate_trace(header: dict, events: list[TraceEvent]) -> list[str]:
     """Check the closed-loop invariants a finished trace must satisfy.
 
-    ``header["config"]`` is the trace's ``SessionConfig``, as
-    ``read_trace`` returns it. Violations (empty list when clean):
+    ``header["config"]`` and ``header["modality"]`` are the trace's
+    ``SessionConfig`` and ``Modality``, as ``read_trace`` returns them.
+    Violations (empty list when clean):
       - every candidate and every decision takes one of the engine's
         trigger routes (``interventions.ROUTES``), the engine's own rule
         for it (``route_reading``) reads the state vector at its time as
@@ -327,7 +339,7 @@ def validate_trace(header: dict, events: list[TraceEvent]) -> list[str]:
       - a decision carries the reading's triggering_score and
         confidence, and its strategy is what ``interventions.decide``
         makes of the reading and its candidate, at the header's
-        modality (text when absent);
+        modality;
       - decisions of one category are spaced by at least the category
         cooldown (boundary inclusive);
       - every decision coincides with a candidate of its route (the same
@@ -344,7 +356,7 @@ def validate_trace(header: dict, events: list[TraceEvent]) -> list[str]:
     cfg = header["config"]
     policy = _trigger_policy(cfg)
     table = _strategy_table(cfg)
-    modality = Modality(header.get("modality", Modality.TEXT.value))
+    modality = header["modality"]
     violations: list[str] = []
 
     keys = [e.sort_key() for e in events]
@@ -423,16 +435,12 @@ def validate_trace(header: dict, events: list[TraceEvent]) -> list[str]:
 
 def _traced_reading(route: tuple[Dimension, bool], state: TraceEvent, policy: TriggerPolicy):
     """The engine's reading of a route on a traced state vector. Only the
-    route's own dimensions are rebuilt, without the descriptor that no
-    trigger rule reads."""
+    route's own dimensions are rebuilt."""
     dimension, composite = route
     traced = state.payload["dims"]
     dims = {}
     for d in COMPOSITE_DIMENSIONS if composite else (dimension,):
-        ds = traced[d.value]
-        dims[d] = DimensionState(
-            ds["score"], ds["confidence"], None, ds["observed"], ds["signed_score"], ds["supra_channels"]
-        )
+        dims[d] = DimensionState(*_DIMENSION_STATE(traced[d.value]))
     return route_reading(dimension, composite, StateVector(state.t, dims), policy)
 
 

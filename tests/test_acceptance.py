@@ -18,7 +18,6 @@ import pytest
 from cogloop.behavior import PostureCategory, categorize_posture
 from cogloop.cardio import StressBand, classify_stress, pnn50, rmssd, sdnn
 from cogloop.directives import (
-    LearningContext,
     TEMPLATE_IDS,
     build_directives,
     render_prompt,
@@ -248,12 +247,12 @@ def test_criterion_04_fusion_matches_brute_force():
 
 def _state(t, score, conf=0.9):
     nominal = DimensionState(
-        score=0.0, confidence=0.0, descriptor=Descriptor.NOMINAL,
+        score=0.0, confidence=0.0,
         observed=False, signed_score=0.0, supra_channels=0,
     )
     dims = {d: nominal for d in Dimension}
     dims[Dimension.STRESS] = DimensionState(
-        score=score, confidence=conf, descriptor=to_descriptor(score),
+        score=score, confidence=conf,
         observed=True, signed_score=score, supra_channels=1,
     )
     return StateVector(t=t, dims=dims)
@@ -377,9 +376,7 @@ def test_criterion_09_prompts_never_leak_numeric_state():
             triggering_score=rng.uniform(1.0, 5.0),
             confidence=rng.uniform(0.6, 1.0),
         )
-        packet = build_directives(
-            decision, descriptors, LearningContext(topic="redox reactions")
-        )
+        packet = build_directives(decision, descriptors, "redox reactions", ())
         prompt = render_prompt(packet, history_turns=6)
         if float_re.search(prompt):
             failures.append(f"case {case}: float leaked: {float_re.search(prompt).group()}")
@@ -395,7 +392,7 @@ def test_criterion_09_prompts_never_leak_numeric_state():
 def test_criterion_10_all_bundled_traces_validate(profile_results):
     failures = []
     for name, result in profile_results.items():
-        header = {"type": "header", "config": result.config}
+        header = {"type": "header", "config": result.config, "modality": result.header.modality}
         violations = validate_trace(header, result.events)
         for violation in violations:
             failures.append(f"{name}: {violation}")

@@ -365,7 +365,7 @@ def test_sync_that_moves_gaze_time_back_is_a_warning(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["warnings"]["session_time_not_increasing"] == 1
 
 
-CONFIG_HEADER = json.dumps({"type": "header", "config": {}})
+CONFIG_HEADER = json.dumps({"type": "header", "config": {}, "modality": "text"})
 
 
 def _ingest_event(**changes):
@@ -431,6 +431,10 @@ def _candidate_event(**changes):
          [json.dumps({"type": "header", "config": {}, "modality": "telepathy"}),
           {"t": 1.0, "kind": "sync", "payload": {}}],
          "line 1: trace header modality must be one of text, image, audio, video, got 'telepathy'"),
+        # the engine writes the modality as it writes the config
+        (["validate", "summarize"],
+         [json.dumps({"type": "header", "config": {}}), {"t": 1.0, "kind": "sync", "payload": {}}],
+         "line 1: trace header needs a modality"),
         # a config the engine would not run with: no severity below the moderate floor
         (["validate", "summarize"],
          [json.dumps({"type": "header", "config": {"trigger_threshold": 0.5}}),
@@ -458,7 +462,7 @@ def _candidate_event(**changes):
         "ingest_of_accepted_samples", "ingest_run_of_no_samples", "ingest_run_ending_at_infinity",
         "state_vector_supra_channels_not_a_count", "decision_triggering_score_not_a_number",
         "candidate_without_repeat_ordinal", "candidate_score_not_a_number", "candidate_severity_unknown",
-        "candidate_composite_not_a_flag", "header_modality_unknown", "header_config_invalid",
+        "candidate_composite_not_a_flag", "header_modality_unknown", "header_without_modality", "header_config_invalid",
         "header_boolean_threshold", "header_boolean_weight", "header_empty_row_of_unknown_dimension",
     ],
 )

@@ -14,7 +14,6 @@ from cogloop.directives import (
     DirectivePacket,
     EncouragementFrequency,
     ExplanationDirectness,
-    LearningContext,
     LiveGenerationClient,
     MetaphorUsage,
     MockGenerationClient,
@@ -75,9 +74,7 @@ def _descriptors(**overrides):
 def _packet(decision=None, descriptors=None, topic="Kirchhoff's laws", dialogue=()):
     decision = decision or _decision()
     descriptors = descriptors or _descriptors(stress=Descriptor.PRONOUNCED)
-    return build_directives(
-        decision, descriptors, LearningContext(topic=topic, dialogue=tuple(dialogue))
-    )
+    return build_directives(decision, descriptors, topic, tuple(dialogue))
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +206,9 @@ def test_descriptor_labels():
     assert descriptor_label(Dimension.STRESS, Descriptor.PRONOUNCED) == "High Stress"
     assert descriptor_label(Dimension.COGNITIVE_LOAD, Descriptor.MODERATE) == "Moderate Cognitive Load"
     assert descriptor_label(Dimension.ATTENTION, Descriptor.NOMINAL) == "Nominal Attention"
+    assert descriptor_label(Dimension.ENGAGEMENT, Descriptor.PRONOUNCED) == "High Engagement"
+    assert descriptor_label(Dimension.UNDERSTANDING, Descriptor.MODERATE) == "Moderate Understanding"
+    assert descriptor_label(Dimension.FATIGUE, Descriptor.NOMINAL) == "Nominal Fatigue"
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +233,7 @@ def test_fuzzed_prompts_never_leak_numeric_state():
             triggering_score=rng.uniform(1.0, 5.0),
             confidence=rng.uniform(0.6, 1.0),
         )
-        packet = build_directives(
-            decision, descriptors, LearningContext(topic="cell respiration")
-        )
+        packet = build_directives(decision, descriptors, "cell respiration", ())
         prompt = render_prompt(packet, history_turns=6)
         assert float_re.search(prompt) is None
         assert "z=" not in prompt
@@ -321,8 +319,9 @@ def test_live_client_without_an_endpoint_is_unavailable(monkeypatch):
 
 
 def test_live_client_retries_once_after_a_failure(monkeypatch):
+    monkeypatch.setenv("COGLOOP_GENERATION_URL", ENDPOINT)
     sent = _serve(monkeypatch, urllib.error.URLError("connection refused"), "a reply")
-    assert LiveGenerationClient(endpoint=ENDPOINT).generate("hello") == "a reply"
+    assert LiveGenerationClient().generate("hello") == "a reply"
     assert sent == [{"kind": "generate", "prompt": "hello"}] * 2
 
 

@@ -17,7 +17,7 @@ from cogloop.interventions import (
     severity_of,
 )
 from cogloop.model import Dimension, Modality
-from cogloop.state import Descriptor, DimensionState, StateVector, to_descriptor
+from cogloop.state import DimensionState, StateVector
 
 POLICY = TriggerPolicy(
     trigger_threshold=1.5, confidence_min=0.6, consecutive_windows=3, persistence_s=10.0
@@ -28,14 +28,14 @@ NO_COOLDOWN = {c: 0.0 for c in Category}
 
 def _unobserved():
     return DimensionState(
-        score=0.0, confidence=0.0, descriptor=Descriptor.NOMINAL,
+        score=0.0, confidence=0.0,
         observed=False, signed_score=0.0, supra_channels=0,
     )
 
 
 def _observed(score, conf=0.9, signed=None, supra=1):
     return DimensionState(
-        score=score, confidence=conf, descriptor=to_descriptor(score),
+        score=score, confidence=conf,
         observed=True, signed_score=score if signed is None else signed,
         supra_channels=supra,
     )

@@ -165,7 +165,7 @@ def test_a_hand_made_posture_case_matches_its_pinned_trace(tmp_path, name):
     result = run_session(parse_scenario_lines(CASES[name]()))
     path = tmp_path / "trace.jsonl"
     write_trace(result, path)
-    assert validate_trace({"config": result.config}, result.events) == []
+    assert validate_trace({"config": result.config, "modality": result.header.modality}, result.events) == []
     assert hashlib.sha256(path.read_bytes()).hexdigest() == TRACE_SHA256[name]
 
 

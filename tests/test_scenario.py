@@ -259,7 +259,7 @@ def test_mutated_sync_lines_fail_cleanly_or_replay_clean(stream, marks, position
     except ScenarioError:
         return
     result = run_session(scenario)
-    assert validate_trace({"config": result.config}, result.events) == []
+    assert validate_trace({"config": result.config, "modality": result.header.modality}, result.events) == []
 
 
 # A small valid scenario with one stream of every kind, then one mutated
@@ -380,7 +380,7 @@ def test_mutated_header_and_sample_lines_fail_cleanly_or_replay_clean(lines):
         result = run_session(scenario)
     except (ScenarioError, ConfigError):
         return
-    assert validate_trace({"config": result.config}, result.events) == []
+    assert validate_trace({"config": result.config, "modality": result.header.modality}, result.events) == []
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from cogloop.behavior import PostureWindows, categorize_posture, score_posture
 from cogloop.config import SessionConfig, _trigger_policy, config_from_dict
 from cogloop.errors import ConfigError, MissingLandmarksError, ScenarioError
 from cogloop.interventions import CHALLENGE_LOAD_CEILING
-from cogloop.model import Dimension, NoteScoreSample, PostureSample, RRSample, StreamDescriptor, StreamKind
+from cogloop.model import Dimension, Modality, NoteScoreSample, PostureSample, RRSample, StreamDescriptor, StreamKind
 from cogloop.scenario import Scenario, ScenarioHeader, SyncRecord
 from cogloop.session import expected_calibration_windows, resolve_config, run_session
 from cogloop import state
@@ -142,7 +142,7 @@ def test_ticks_cover_the_post_calibration_span(stress_result):
 
 
 def test_trace_validates_clean(stress_result):
-    header = {"type": "header", "config": stress_result.config}
+    header = {"type": "header", "config": stress_result.config, "modality": stress_result.header.modality}
     assert validate_trace(header, stress_result.events) == []
 
 
@@ -176,10 +176,25 @@ def test_trace_file_round_trip(tmp_path, stress_result):
     header, events = read_trace(path)
     assert header["engine"] == "cogloop-0.1.0"
     assert header["config"] == stress_result.config
+    assert header["modality"] is stress_result.header.modality
     assert len(events) == len(stress_result.events)
     for ours, theirs in zip(stress_result.events, events):
         assert (ours.t, ours.kind, ours.seq) == (theirs.t, theirs.kind, theirs.seq)
         assert json.loads(json.dumps(ours.payload)) == theirs.payload
+
+
+def test_a_trace_header_without_modality_fails_on_its_line(tmp_path, stress_result):
+    # the engine writes the modality as it writes the config
+    path = tmp_path / "session.trace.jsonl"
+    write_trace(stress_result, path)
+    header, *events = path.read_text().splitlines()
+    header = json.loads(header)
+    del header["modality"]
+    path.write_text("\n".join([json.dumps(header), *events]) + "\n")
+    with pytest.raises(ScenarioError) as error:
+        read_trace(path)
+    assert error.value.line_no == 1
+    assert str(error.value) == "line 1: trace header needs a modality"
 
 
 def test_trace_lines_that_are_not_one_object_report_their_line(tmp_path, stress_result):
@@ -198,21 +213,21 @@ def test_trace_lines_that_are_not_one_object_report_their_line(tmp_path, stress_
 
 
 def test_validator_flags_unsorted_events(stress_result):
-    header = {"type": "header", "config": stress_result.config}
+    header = {"type": "header", "config": stress_result.config, "modality": stress_result.header.modality}
     shuffled = list(reversed(stress_result.events))
     violations = validate_trace(header, shuffled)
     assert any("not sorted" in v for v in violations)
 
 
 def test_validator_flags_decision_without_candidate(stress_result):
-    header = {"type": "header", "config": stress_result.config}
+    header = {"type": "header", "config": stress_result.config, "modality": stress_result.header.modality}
     stripped = [e for e in stress_result.events if e.kind != "candidate"]
     violations = validate_trace(header, stripped)
     assert any("no matching candidate" in v for v in violations)
 
 
 def test_validator_flags_low_confidence_decision(stress_result):
-    header = {"type": "header", "config": stress_result.config}
+    header = {"type": "header", "config": stress_result.config, "modality": stress_result.header.modality}
     doctored = []
     for event in stress_result.events:
         if event.kind == "decision":
@@ -224,7 +239,7 @@ def test_validator_flags_low_confidence_decision(stress_result):
 
 
 def test_validator_flags_missing_run(stress_result):
-    header = {"type": "header", "config": stress_result.config}
+    header = {"type": "header", "config": stress_result.config, "modality": stress_result.header.modality}
     first_decision = next(e for e in stress_result.events if e.kind == "decision")
     # erase the qualifying history: drop every state vector before it
     doctored = [
@@ -236,7 +251,7 @@ def test_validator_flags_missing_run(stress_result):
 
 
 def test_validator_flags_cooldown_violation(stress_result):
-    header = {"type": "header", "config": stress_result.config}
+    header = {"type": "header", "config": stress_result.config, "modality": stress_result.header.modality}
     decision = next(e for e in stress_result.events if e.kind == "decision")
     rushed_t = decision.t + 10.0
     clone = decision._replace(t=rushed_t)
@@ -249,7 +264,7 @@ def test_validator_checks_cooldowns_with_the_engines_arithmetic():
     # at hop 0.6 stress_ramp fires comprehension decisions at 460.8 and
     # 520.8; the engine allows the second (460.8 + 60 == 520.8), though
     # 520.8 - 460.8 is 59.99999999999994
-    header = {"config": SessionConfig()}  # comprehension cooldown 60 s
+    header = {"config": SessionConfig(), "modality": Modality.TEXT}  # comprehension cooldown 60 s
 
     def decision(t, seq):
         payload = {"dimension": "understanding", "category": "comprehension_oriented",
@@ -286,7 +301,7 @@ def _under_challenged_trace(load_signed_score, dimension="engagement", **decisio
 
 
 def test_validator_checks_the_composite_with_the_engines_load_ceiling():
-    header = {"config": SessionConfig()}
+    header = {"config": SessionConfig(), "modality": Modality.TEXT}
 
     def violations(load_signed_score):
         return validate_trace(header, _under_challenged_trace(load_signed_score))
@@ -302,7 +317,7 @@ def test_validator_flags_a_route_the_engine_does_not_have():
     # load and engagement read as under-challenged, but the composite
     # acts on engagement only
     events = _under_challenged_trace(-1.2, dimension="stress")
-    assert validate_trace({"config": SessionConfig()}, events) == [
+    assert validate_trace({"config": SessionConfig(), "modality": Modality.TEXT}, events) == [
         "candidate t=30.0 stress: no trigger route for dimension stress with composite True",
         "decision t=30.0 stress: no trigger route for dimension stress with composite True",
     ]
@@ -317,7 +332,8 @@ def test_validator_flags_a_route_the_engine_does_not_have():
 )
 def test_validator_flags_a_decision_that_is_not_its_reading(field, value, message):
     events = _under_challenged_trace(-1.2, **{field: value})
-    assert validate_trace({"config": SessionConfig()}, events) == [f"decision t=30.0 engagement: {message}"]
+    header = {"config": SessionConfig(), "modality": Modality.TEXT}
+    assert validate_trace(header, events) == [f"decision t=30.0 engagement: {message}"]
 
 
 def test_validator_pairs_a_decision_with_the_candidate_of_its_route():
@@ -332,7 +348,7 @@ def test_validator_pairs_a_decision_with_the_candidate_of_its_route():
         "dimension": "engagement", "score": 2.0, "confidence": 1.0, "severity": "pronounced",
         "supra_channels": 0, "composite": False, "repeat_ordinal": 1,
     })
-    header = {"config": SessionConfig()}
+    header = {"config": SessionConfig(), "modality": Modality.TEXT}
     assert validate_trace(header, [*states, composite, decision]) == []
     assert validate_trace(header, [*states, plain, decision]) == [
         "decision t=30.0 engagement: no matching candidate event",
@@ -350,7 +366,7 @@ def _bundled_stress_ramp(**profile):
 
 def test_validator_flags_a_decision_whose_strategy_is_not_the_engines():
     result = run_session(_bundled_stress_ramp())
-    header = {"config": result.config, "modality": result.modality}
+    header = {"config": result.config, "modality": result.header.modality}
     assert validate_trace(header, result.events) == []
     # the first decision: stress, pronounced, box_breathing at meso, explicit
     first = next(e for e in result.events if e.kind == "decision")
@@ -380,17 +396,17 @@ def test_validator_reads_the_strategy_table_of_the_config_at_the_headers_modalit
         return Counter(v.split(": ", 1)[1].split(" ")[0] for v in validate_trace(header, result.events))
 
     # the default table, or the override's table at another modality
-    assert flagged({"config": result.config._replace(strategy_overrides={}), "modality": "audio"}) == {
+    assert flagged({"config": result.config._replace(strategy_overrides={}), "modality": Modality.AUDIO}) == {
         "template_id": len(stress)
     }
-    assert flagged({"config": result.config, "modality": "text"}) == {
+    assert flagged({"config": result.config, "modality": Modality.TEXT}) == {
         "template_id": len(stress), "modality": len(decisions)
     }
 
 
 def test_validator_judges_candidates_with_the_engines_route_rule():
     result = run_session(_bundled_stress_ramp())
-    header = {"config": result.config, "modality": result.modality}
+    header = {"config": result.config, "modality": result.header.modality}
     candidates = [e for e in result.events if e.kind == "candidate"]
     # the first candidate at 350 s is cognitive load; fatigue reads
     # inactive there (score 1.39, under the 1.5 threshold)
@@ -412,7 +428,7 @@ def test_validator_judges_candidates_with_the_engines_route_rule():
 
 def test_validator_applies_the_trigger_gates_to_candidates():
     result = run_session(_bundled_stress_ramp())
-    header = {"config": result.config, "modality": result.modality}
+    header = {"config": result.config, "modality": result.header.modality}
     # a stress candidate with the reading of the tick where stress first
     # reads active: a run of one state vector, spanning no time
     policy = _trigger_policy(result.config)
@@ -481,7 +497,7 @@ def test_transcript_warning_is_stamped_at_its_session_time():
     result = run_session(parse_scenario_lines(lines))
     warnings = [(e.t, e.payload["reason"]) for e in result.events if e.kind == "warning"]
     assert (130.0, "malformed_note_reply") in warnings
-    assert validate_trace({"config": result.config}, result.events) == []
+    assert validate_trace({"config": result.config, "modality": result.header.modality}, result.events) == []
 
 
 def test_a_transcript_dropped_as_late_is_not_analyzed():
@@ -504,11 +520,11 @@ def test_a_transcript_dropped_as_late_is_not_analyzed():
     errors = {e.t: e.payload["values"].get(state.CHANNEL_NOTE_ERROR) for e in result.events
               if e.kind == "window_features" and e.payload["stream_kind"] == "note_score"}
     assert (errors[35.0], errors[40.0]) == (pytest.approx(0.9), pytest.approx(0.9))
-    assert validate_trace({"config": result.config}, result.events) == []
+    assert validate_trace({"config": result.config, "modality": result.header.modality}, result.events) == []
 
 
 def test_validator_flags_events_outside_the_session_span(stress_result):
-    header = {"config": stress_result.config}
+    header = {"config": stress_result.config, "modality": stress_result.header.modality}
     stray = TraceEvent(1e9, "warning", len(stress_result.events), {"reason": "hand_edited"})
     assert validate_trace(header, [*stress_result.events, stray]) == [
         f"warning event at t=1000000000.0: outside the session span [0, {session.MAX_SESSION_S}]"
@@ -537,7 +553,7 @@ def test_failing_live_client_degrades_to_warnings(monkeypatch):
         *((d.t, "generation_failed") for d in result.decisions),
     ]
     assert not any(e.kind == "client_reply" for e in result.events)
-    header = {"config": result.config}
+    header = {"config": result.config, "modality": result.header.modality}
     assert validate_trace(header, result.events) == []
 
 
@@ -610,7 +626,7 @@ def test_negative_session_time_is_skipped_with_a_warning():
     ]
     heart = _summaries(result)["heart"]
     assert (heart["accepted"], heart["first_t"]) == (1, 5.0)
-    header = {"config": result.config}
+    header = {"config": result.config, "modality": result.header.modality}
     assert validate_trace(header, result.events) == []
     assert summarize(header, result.events)["warnings"] == {"session_time_out_of_range": 1}
 
@@ -696,7 +712,7 @@ def test_gaze_sample_whose_session_time_does_not_advance_is_skipped_with_a_warni
     assert gaze_summary["accepted"] == 59
     assert (gaze_summary["first_t"], gaze_summary["last_t"]) == (0.0, 58.0)
     assert [e.t for e in result.events if e.kind == "state_vector"] == [20.0, 30.0, 40.0, 50.0]
-    header = {"config": result.config}
+    header = {"config": result.config, "modality": result.header.modality}
     assert validate_trace(header, result.events) == []
 
 
@@ -793,7 +809,7 @@ def test_only_reordered_and_dropped_samples_get_ingest_events():
     )
     assert {e.t for e in result.events if e.kind == "stream_summary"} == {6.0}  # the final watermark
 
-    header = {"config": result.config}
+    header = {"config": result.config, "modality": result.header.modality}
     assert validate_trace(header, result.events) == []
     assert summarize(header, result.events)["ingest"] == {"accepted": 7, "dropped_late": 2, "reordered": 2}
 
@@ -807,7 +823,7 @@ def test_stream_without_samples_has_an_empty_summary():
 
 def test_validator_flags_stream_summaries_that_disagree_with_the_trace():
     result = run_session(parse_scenario_lines(_arrival_lines(ARRIVALS)))
-    header = {"config": result.config}
+    header = {"config": result.config, "modality": result.header.modality}
     events = result.events
     notes_summary = next(e for e in events if e.kind == "stream_summary" and e.payload["stream"] == "notes")
 
@@ -879,7 +895,7 @@ def test_trace_grows_with_stalls_not_with_their_length():
         ]
         lines = [_header_lines(streams, config={"jitter_tolerance_s": 0.25})] + [line for _, _, line in records]
         result = run_session(parse_scenario_lines(lines))
-        assert validate_trace({"config": result.config}, result.events) == []
+        assert validate_trace({"config": result.config, "modality": result.header.modality}, result.events) == []
         return _ingest_runs(result.events)
 
     short, long = replay(2.0), replay(8.0)
@@ -955,7 +971,7 @@ def test_ingest_events_run_length_encode_the_mergers_outcomes(arrivals):
 
     result = run_session(scenario)
     assert _ingest_runs(result.events) == expected
-    assert validate_trace({"config": result.config}, result.events) == []
+    assert validate_trace({"config": result.config, "modality": result.header.modality}, result.events) == []
 
 
 # ---------------------------------------------------------------------------
@@ -1197,7 +1213,7 @@ def test_a_bad_state_vector_fails_with_its_message_and_line(tmp_path, edit):
     edit(dims)
     path = tmp_path / "edited.trace.jsonl"
     lines = [
-        {"type": "header", "config": {}},
+        {"type": "header", "config": {}, "modality": "text"},
         {"type": "event", "t": 1.0, "kind": "sync", "seq": 0, "payload": {}},
         {"type": "event", "t": 2.0, "kind": "state_vector", "seq": 1, "payload": {"dims": dims}},
     ]

@@ -139,7 +139,7 @@ def test_an_arrival_sorts_before_the_engine_events_of_its_time():
         ("warning", "note_score_clamped"),
         ("warning", "uncalibrated_channel"),
     ]
-    assert validate_trace({"config": result.config}, result.events) == []
+    assert validate_trace({"config": result.config, "modality": result.header.modality}, result.events) == []
 
 
 def test_a_session_shorter_than_calibration_freezes_the_baseline_at_close():
