@@ -4,10 +4,11 @@ Flat entries come from a config file (``key = value`` per line, ``#``
 comments), a scenario header's ``config`` object or ``--config``. A
 trace header's ``config`` object is the resolved config: each scalar by
 name, each structured field an object keyed by its flat keys' parts
-after the prefix (a weight row nested by channel). ``_STRUCTURED``
-describes each structured field once, for both formats. Unknown keys,
-weight channels and template ids are errors, not warnings, so typos
-cannot silently fall back to defaults. The structured flat keys:
+after the prefix (a weight row nested by channel). ``_SCALARS`` and
+``_STRUCTURED`` name each knob once, with its default, for the config
+and both formats. Unknown keys, weight channels and template ids are
+errors, not warnings, so typos cannot silently fall back to defaults.
+The structured flat keys:
 
     weight.<dimension>.<channel> = <float>
     window_length.<stream_kind>  = <seconds>
@@ -18,86 +19,95 @@ cannot silently fall back to defaults. The structured flat keys:
 from __future__ import annotations
 
 import math
-from itertools import product
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .directives import TEMPLATE_IDS
 from .errors import ConfigError
 from .interventions import DEFAULT_STRATEGIES, Category, Severity, StrategyEntry, StrategyKey, TriggerPolicy
 from .model import MAX_SESSION_S, Dimension, Modality, Slotted, StreamKind
-from .state import ALL_CHANNELS, SIGMA_FLOOR, MODERATE_FLOOR, WeightMatrix, default_weight_matrix
+from .state import ALL_CHANNELS, SIGMA_FLOOR, MODERATE_FLOOR, default_weight_matrix
+
+# ---------------------------------------------------------------------------
+# the knobs, each named with its default once: a scalar converts to its
+# default's type, a structured field is a dict built afresh per config
+
+_SCALARS = {
+    "calibration_duration_s": 300.0,
+    "window_hop_s": 10.0,
+    "jitter_tolerance_s": 0.25,
+    "ivt_velocity_threshold": 1.0,
+    "min_fixation_duration_s": 0.1,
+    "rolling_median_width": 5,
+    "quality_floor": 0.0,
+    "trigger_threshold": 1.5,
+    "persistence_s": 10.0,
+    "consecutive_windows": 3,
+    "confidence_min": 0.6,
+    "sigma_floor": SIGMA_FLOOR,
+    "baseline_min_samples": 30,
+    "history_turns": 6,
+    "client": "mock",
+}
 
 
-def default_window_lengths() -> dict[StreamKind, float]:
-    return {
-        StreamKind.PUPIL_GAZE: 10.0,
-        StreamKind.RR_INTERVAL: 60.0,
-        StreamKind.POSTURE_LANDMARKS: 10.0,
-        StreamKind.NOTE_SCORE: 60.0,
-    }
+class _Structured(NamedTuple):
+    """A structured field, whose flat keys are ``<prefix>.<part>...``:
+    one part per entry of ``parts``, the enum whose member keys the
+    field's dict (several make a tuple key), or None for a channel id,
+    the key within a row."""
+
+    name: str  # the SessionConfig field, and its trace header key
+    prefix: str
+    parts: tuple
+    value_type: type
+    default: Callable[[], dict]  # builds the field's default dict afresh
+
+    @property
+    def rows(self) -> bool:
+        return self.parts[-1] is None
 
 
-def default_cooldowns() -> dict[Category, float]:
-    return {
-        Category.COGNITIVE_ATTENTIONAL: 60.0,
-        Category.PHYSIOLOGICAL: 120.0,
-        Category.COMPREHENSION_ORIENTED: 60.0,
-        Category.CHALLENGE_ENHANCEMENT: 60.0,
-    }
+_STRUCTURED = {
+    field.name: field
+    for field in (
+        _Structured("window_length_s", "window_length", (StreamKind,), float, lambda: {
+            StreamKind.PUPIL_GAZE: 10.0,
+            StreamKind.RR_INTERVAL: 60.0,
+            StreamKind.POSTURE_LANDMARKS: 10.0,
+            StreamKind.NOTE_SCORE: 60.0,
+        }),
+        _Structured("weights", "weight", (Dimension, None), float, default_weight_matrix),
+        _Structured("cooldown_s", "cooldown", (Category,), float, lambda: {
+            Category.COGNITIVE_ATTENTIONAL: 60.0,
+            Category.PHYSIOLOGICAL: 120.0,
+            Category.COMPREHENSION_ORIENTED: 60.0,
+            Category.CHALLENGE_ENHANCEMENT: 60.0,
+        }),
+        _Structured("strategy_overrides", "strategy", (Dimension, Severity, Modality), str, dict),
+    )
+}
+_BY_PREFIX = {field.prefix: field for field in _STRUCTURED.values()}
+# each enum part's members by their text: "stress" is Dimension.STRESS
+_MEMBERS = {
+    enum: {member.value: member for member in enum}
+    for field in _STRUCTURED.values() for enum in field.parts if enum is not None
+}
 
 
 class SessionConfig(Slotted):
-    """Every knob of a replay. A field is a scalar, typed by its default,
-    or a structured entry, a dict each instance builds afresh."""
+    """Every knob of a replay, each given by name or else its default.
+    ``None`` for a structured field also means its default."""
 
-    __slots__ = (
-        "calibration_duration_s", "window_length_s", "window_hop_s", "jitter_tolerance_s",
-        "ivt_velocity_threshold", "min_fixation_duration_s", "rolling_median_width", "weights",
-        "quality_floor", "trigger_threshold", "persistence_s", "consecutive_windows", "confidence_min",
-        "cooldown_s", "sigma_floor", "baseline_min_samples", "history_turns", "client", "strategy_overrides",
-    )
+    __slots__ = (*_SCALARS, *_STRUCTURED)
 
-    def __init__(
-        self,
-        calibration_duration_s: float = 300.0,
-        window_length_s: dict[StreamKind, float] | None = None,
-        window_hop_s: float = 10.0,
-        jitter_tolerance_s: float = 0.25,
-        ivt_velocity_threshold: float = 1.0,
-        min_fixation_duration_s: float = 0.1,
-        rolling_median_width: int = 5,
-        weights: WeightMatrix | None = None,
-        quality_floor: float = 0.0,
-        trigger_threshold: float = 1.5,
-        persistence_s: float = 10.0,
-        consecutive_windows: int = 3,
-        confidence_min: float = 0.6,
-        cooldown_s: dict[Category, float] | None = None,
-        sigma_floor: float = SIGMA_FLOOR,
-        baseline_min_samples: int = 30,
-        history_turns: int = 6,
-        client: str = "mock",
-        strategy_overrides: dict[StrategyKey, str] | None = None,
-    ):
-        self.calibration_duration_s = calibration_duration_s
-        self.window_length_s = default_window_lengths() if window_length_s is None else window_length_s
-        self.window_hop_s = window_hop_s
-        self.jitter_tolerance_s = jitter_tolerance_s
-        self.ivt_velocity_threshold = ivt_velocity_threshold
-        self.min_fixation_duration_s = min_fixation_duration_s
-        self.rolling_median_width = rolling_median_width
-        self.weights = default_weight_matrix() if weights is None else weights
-        self.quality_floor = quality_floor
-        self.trigger_threshold = trigger_threshold
-        self.persistence_s = persistence_s
-        self.consecutive_windows = consecutive_windows
-        self.confidence_min = confidence_min
-        self.cooldown_s = default_cooldowns() if cooldown_s is None else cooldown_s
-        self.sigma_floor = sigma_floor
-        self.baseline_min_samples = baseline_min_samples
-        self.history_turns = history_turns
-        self.client = client
-        self.strategy_overrides = {} if strategy_overrides is None else strategy_overrides
+    def __init__(self, **knobs):
+        for name, default in _SCALARS.items():
+            setattr(self, name, knobs.pop(name, default))
+        for name, field in _STRUCTURED.items():
+            value = knobs.pop(name, None)
+            setattr(self, name, field.default() if value is None else value)
+        if knobs:
+            raise TypeError(f"SessionConfig() got an unexpected keyword argument {next(iter(knobs))!r}")
 
 
 # The smallest window_hop_s, in seconds. With every span at most
@@ -210,51 +220,6 @@ def validate_config(cfg: SessionConfig) -> list[str]:
 # ---------------------------------------------------------------------------
 # the two formats: flat key=value entries and the trace header's object
 
-# the flat scalar keys, each typed by its default; the other fields are
-# the structured ones, dicts
-_SCALAR_KEYS = {
-    name: type(value)
-    for name, value in zip(SessionConfig.__slots__, SessionConfig()._values())
-    if not isinstance(value, dict)
-}
-
-
-class _Structured(NamedTuple):
-    """A structured field, whose flat keys are ``<prefix>.<part>...``:
-    one part per entry of ``parts``, the enum whose member keys the
-    field's dict (several make a tuple key), or None for a channel id,
-    the key within a row."""
-
-    name: str  # the SessionConfig field, and its trace header key
-    prefix: str
-    parts: tuple
-    value_type: type
-
-    @property
-    def rows(self) -> bool:
-        return self.parts[-1] is None
-
-
-_STRUCTURED = {
-    field.name: field
-    for field in (
-        _Structured("window_length_s", "window_length", (StreamKind,), float),
-        _Structured("weights", "weight", (Dimension, None), float),
-        _Structured("cooldown_s", "cooldown", (Category,), float),
-        _Structured("strategy_overrides", "strategy", (Dimension, Severity, Modality), str),
-    )
-}
-# each field by its prefix, with its dict keys by the text of their enum
-# parts: "stress" is Dimension.STRESS, "stress.moderate.text" a tuple
-_BY_PREFIX = {
-    field.prefix: (field, {
-        ".".join(members): members[0] if len(members) == 1 else members
-        for members in product(*(enum for enum in field.parts if enum is not None))
-    })
-    for field in _STRUCTURED.values()
-}
-
-
 def _coerce(key: str, raw: object, target: type) -> object:
     try:
         # a JSON boolean is no number
@@ -272,19 +237,8 @@ def _coerce(key: str, raw: object, target: type) -> object:
 
 
 def _unknown_member(key: str, enum: type, token: str) -> ConfigError:
-    values = ", ".join(member.value for member in enum)
+    values = ", ".join(_MEMBERS[enum])
     return ConfigError(f"{key}: unknown {enum.__name__.lower()} {token!r} (valid: {values})")
-
-
-def _key_error(key: str, field: _Structured) -> ConfigError:
-    """Why a flat key with the field's prefix names no entry: the number
-    of its parts, or the first part that names no member of its enum."""
-    tokens = key.split(".")
-    if len(tokens) == 1 + len(field.parts):
-        for enum, token in zip(field.parts, tokens[1:]):
-            if enum is not None and token not in {member.value for member in enum}:
-                return _unknown_member(key, enum, token)
-    return ConfigError(f"unknown config key {key!r}")
 
 
 def apply_entries(cfg: SessionConfig, entries: dict[str, object]) -> SessionConfig:
@@ -302,23 +256,24 @@ def apply_entries(cfg: SessionConfig, entries: dict[str, object]) -> SessionConf
 
     for key in sorted(entries):
         raw = entries[key]
-        if key in _SCALAR_KEYS:
-            updates[key] = _coerce(key, raw, _SCALAR_KEYS[key])
+        if key in _SCALARS:
+            updates[key] = _coerce(key, raw, type(_SCALARS[key]))
             continue
-        prefix, _, text = key.partition(".")
-        field, keys = _BY_PREFIX.get(prefix, (None, None))
-        if field is None:
+        prefix, *tokens = key.split(".")
+        field = _BY_PREFIX.get(prefix)
+        if field is None or len(tokens) != len(field.parts):
             raise ConfigError(f"unknown config key {key!r}")
-        if field.rows:
-            text, _, channel = text.rpartition(".")
-        dict_key = keys.get(text)
-        if dict_key is None:
-            raise _key_error(key, field)
+        members = []
+        for enum, token in zip(field.parts, tokens):
+            member = token if enum is None else _MEMBERS[enum].get(token)
+            if member is None:
+                raise _unknown_member(key, enum, token)
+            members.append(member)
         value = _coerce(key, raw, field.value_type)
-        if field.rows:
-            updates[field.name].setdefault(dict_key, {})[channel] = value
-        else:
-            updates[field.name][dict_key] = value
+        target = updates[field.name]
+        if field.rows:  # a row per first part, keyed within it by the channel
+            target = target.setdefault(members.pop(0), {})
+        target[members[0] if len(members) == 1 else tuple(members)] = value
 
     return cfg._replace(**updates)
 
@@ -345,7 +300,7 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def config_to_dict(cfg: SessionConfig) -> dict:
     """The trace header's config object."""
-    data = {key: getattr(cfg, key) for key in _SCALAR_KEYS}
+    data = {key: getattr(cfg, key) for key in _SCALARS}
     for field in _STRUCTURED.values():
         entries = data[field.name] = {}
         for key, value in sorted(getattr(cfg, field.name).items()):
@@ -362,7 +317,7 @@ def config_from_dict(data: dict) -> SessionConfig:
     for key, value in data.items():
         field = _STRUCTURED.get(key)
         if field is None:
-            if key not in _SCALAR_KEYS:
+            if key not in _SCALARS:
                 raise ConfigError(f"unknown config key {key!r}")
             entries[key] = value
         elif not isinstance(value, dict):
@@ -373,7 +328,7 @@ def config_from_dict(data: dict) -> SessionConfig:
                 if not isinstance(row, dict):
                     raise ConfigError(f"{key}.{part} must be an object, got {row!r}")
                 # an empty row spells no entry, so no entry checks its part
-                if not row and part not in _BY_PREFIX[field.prefix][1]:
+                if not row and part not in _MEMBERS[field.parts[0]]:
                     raise _unknown_member(f"{field.prefix}.{part}", field.parts[0], part)
                 for channel, raw in row.items():
                     entries[f"{field.prefix}.{part}.{channel}"] = raw

@@ -54,16 +54,16 @@ class ToneParameters(NamedTuple):
 
 
 def build_tone(descriptors: dict[Dimension, Descriptor]) -> ToneParameters:
-    """Derive tone from the current descriptor bands.
+    """Derive tone from the current descriptor bands, one per dimension.
 
     Precedence: pronounced stress, then pronounced fatigue, then the
     socratic case (engagement elevated while load stays nominal),
     otherwise neutral defaults.
     """
-    stress = descriptors.get(Dimension.STRESS, Descriptor.NOMINAL)
-    fatigue = descriptors.get(Dimension.FATIGUE, Descriptor.NOMINAL)
-    engagement = descriptors.get(Dimension.ENGAGEMENT, Descriptor.NOMINAL)
-    load = descriptors.get(Dimension.COGNITIVE_LOAD, Descriptor.NOMINAL)
+    stress = descriptors[Dimension.STRESS]
+    fatigue = descriptors[Dimension.FATIGUE]
+    engagement = descriptors[Dimension.ENGAGEMENT]
+    load = descriptors[Dimension.COGNITIVE_LOAD]
 
     if stress is Descriptor.PRONOUNCED:
         return ToneParameters(
@@ -223,8 +223,7 @@ def render_prompt(packet: DirectivePacket, history_turns: int) -> str:
     state: scores and z-values stay in the trace.
     """
     state_labels = "; ".join(
-        descriptor_label(dimension, packet.descriptors.get(dimension, Descriptor.NOMINAL))
-        for dimension in Dimension
+        descriptor_label(dimension, packet.descriptors[dimension]) for dimension in Dimension
     )
     tone = packet.tone
     decision = packet.decision

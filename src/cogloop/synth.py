@@ -169,16 +169,17 @@ def parse_profile(data: dict) -> SyntheticProfile:
             if control not in CONTROLS:
                 raise ScenarioError(f"{where}: unknown control {control!r}")
             _profile_object(spec, f"{where}: {control}")
+            for key in spec:
+                if key not in GeneratorSpec._fields:
+                    raise ScenarioError(f"{where}: unknown {control} key {key!r}")
             kind = spec.get("kind")
             if kind not in _GENERATOR_KINDS:
                 raise ScenarioError(f"{where}: unknown generator kind {kind!r}")
-            channels[control] = GeneratorSpec(
-                kind=kind,
-                target_z=_profile_number(spec.get("target_z", 0.0), f"{where}: {control} target_z"),
-                tau_s=_profile_number(spec.get("tau_s", 10.0), f"{where}: {control} tau_s", positive=True),
-                amplitude_z=_profile_number(spec.get("amplitude_z", 0.0), f"{where}: {control} amplitude_z"),
-                period_s=_profile_number(spec.get("period_s", 60.0), f"{where}: {control} period_s", positive=True),
-            )
+            # the time constants, tau_s and period_s, must be positive
+            channels[control] = GeneratorSpec(kind, *(
+                _profile_number(spec.get(name, default), f"{where}: {control} {name}", positive=name.endswith("_s"))
+                for name, default in GeneratorSpec._field_defaults.items()
+            ))
         segments.append(ProfileSegment(duration_s=duration, channels=channels))
 
     noise = dict(NOISE_DEFAULTS)

@@ -102,12 +102,15 @@ def _segment(**channel):
         ({"config": "x"}, "config must be an object"),
         ({"gaze_rate_hz": 1e308}, "gaze_rate_hz (1e+308) over the segments' 8.0 s gives more than 2**23 samples"),
         ({"posture_rate_hz": 1e308}, "posture_rate_hz (1e+308) over the segments' 8.0 s gives more than 2**23 samples"),
+        # was silently ignored: the ramp went to 0
+        ({"segments": _segment(traget_z=3)}, "segment 0: unknown pupil_mm key 'traget_z'"),
     ],
     ids=[
         "zero_gaze_rate", "nan_posture_rate", "segment_not_object", "text_target_z", "nan_tau",
         "infinite_period", "nan_amplitude", "channels_not_object", "spec_not_object", "nan_duration",
         "span_past_24h", "infinite_noise", "negative_noise", "noise_not_object", "negative_note_interval",
         "text_seed", "config_not_object", "overflowing_gaze_rate", "overflowing_posture_rate",
+        "misspelled_generator_key",
     ],
 )
 def test_hostile_profile_exits_2(tmp_path, capsys, edit, message):

@@ -1,14 +1,18 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cogloop.config import (
+    _SCALARS,
+    _STRUCTURED,
     MAX_SESSION_S,
     MIN_WINDOW_HOP_S,
     SessionConfig,
+    _coerce,
     apply_entries,
     checked_config,
     config_from_dict,
@@ -28,6 +32,49 @@ from scenario_lines import parse_scenario_lines
 
 def test_defaults_are_valid():
     assert validate_config(SessionConfig()) == []
+
+
+def test_each_config_builds_its_own_structured_defaults():
+    # a test may mutate a config's dicts in place; a fresh config must
+    # still start from the defaults
+    cfg = SessionConfig()
+    cfg.weights[Dimension.STRESS]["rmssd_ms"] = 9.0
+    cfg.window_length_s[StreamKind.PUPIL_GAZE] = 99.0
+    cfg.cooldown_s[Category.PHYSIOLOGICAL] = 1.0
+    cfg.strategy_overrides[(Dimension.STRESS, Severity.MODERATE, Modality.TEXT)] = "reassurance"
+    fresh = SessionConfig(weights=None)
+    assert fresh.weights[Dimension.STRESS]["rmssd_ms"] == 0.3
+    assert fresh.window_length_s[StreamKind.PUPIL_GAZE] == 10.0
+    assert fresh.cooldown_s[Category.PHYSIOLOGICAL] == 120.0
+    assert fresh.strategy_overrides == {}
+    assert validate_config(fresh) == []
+
+
+def test_an_unknown_knob_is_a_type_error():
+    with pytest.raises(TypeError, match="'bogus'"):
+        SessionConfig(bogus=1)
+
+
+def _readme_config_rows() -> dict[str, str]:
+    """Each key of the README's Configuration table, with its default cell."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        if line.startswith("| `"):
+            key, default = line.split("|")[1:3]
+            rows[key.strip(" `")] = default.strip(" `")
+    return rows
+
+
+def test_the_readme_lists_each_knob_with_its_default():
+    rows = _readme_config_rows()
+    scalars = {key: cell for key, cell in rows.items() if "<" not in key}
+    assert scalars.keys() == _SCALARS.keys()
+    for key, cell in scalars.items():
+        assert _coerce(key, cell, type(_SCALARS[key])) == _SCALARS[key], key
+    structured = {key.partition(".")[0]: key.count(".") for key in rows if "<" in key}
+    assert structured == {field.prefix: len(field.parts) for field in _STRUCTURED.values()}
 
 
 def test_even_median_width_rejected():
