@@ -18,7 +18,6 @@ import math
 from enum import Enum
 
 from .errors import OutOfRangeError, TooFewIntervalsError
-from .model import RRSample
 from .state import CHANNEL_HEART_RATE, CHANNEL_PNN50, CHANNEL_RMSSD, CHANNEL_SDNN, ChannelFeature, Extraction
 from .stats import fmean, pstdev
 from .streams import Window
@@ -93,11 +92,9 @@ def window_hrv(window: Window) -> Extraction:
     confidences: list[float] = []
     artifacts = 0
     for envelope in window.samples:
-        sample = envelope.payload
-        if not isinstance(sample, RRSample):
-            raise TypeError(f"expected RRSample payload, got {type(sample).__name__}")
-        if RR_ARTIFACT_LOW_MS <= sample.rr_ms <= RR_ARTIFACT_HIGH_MS:
-            rr.append(sample.rr_ms)
+        rr_ms = envelope.payload.rr_ms
+        if RR_ARTIFACT_LOW_MS <= rr_ms <= RR_ARTIFACT_HIGH_MS:
+            rr.append(rr_ms)
             confidences.append(envelope.source_confidence)
         else:
             artifacts += 1

@@ -16,7 +16,7 @@ from collections import deque
 from enum import Enum
 from typing import NamedTuple, Protocol
 
-from .errors import ClientUnavailableError, UnknownTemplateError
+from .errors import ClientUnavailableError
 from .interventions import Framing, InterventionDecision
 from .model import Dimension, Modality
 from .state import Descriptor
@@ -169,8 +169,8 @@ TEMPLATE_IDS = tuple(sorted(_STRATEGY_TEXT))
 
 
 def render_template(template_id: str, modality: Modality, topic: str) -> str:
-    if template_id not in _STRATEGY_TEXT:
-        raise UnknownTemplateError(f"no directive template {template_id!r}")
+    """The directive text of one of ``TEMPLATE_IDS``; ``validate_config``
+    refuses a strategy override naming any other."""
     strategy = _STRATEGY_TEXT[template_id].format(topic=topic)
     return f"{strategy} {_MODALITY_MECHANICS[modality]}"
 

@@ -9,18 +9,6 @@ class ConfigError(EngineError):
     """Invalid configuration entry, unknown key, or failed validation."""
 
 
-class DuplicateStreamError(EngineError):
-    """A stream id was registered twice on the same merger."""
-
-
-class InsufficientMarksError(EngineError):
-    """Clock offset estimation needs at least two sync marks."""
-
-
-class ZeroDtError(EngineError):
-    """Velocity is undefined for a non-positive time step."""
-
-
 class TooFewIntervalsError(EngineError):
     """An HRV statistic needs at least two intervals."""
 
@@ -35,14 +23,6 @@ class MissingLandmarksError(EngineError):
 
 class MalformedReplyError(EngineError):
     """A note-analysis reply could not be parsed."""
-
-
-class NonMonotoneTimeError(EngineError):
-    """State vectors must arrive with strictly increasing timestamps."""
-
-
-class UnknownTemplateError(EngineError):
-    """No directive template registered under the requested id."""
 
 
 class ScenarioError(EngineError):

@@ -29,7 +29,6 @@ from collections.abc import Sequence
 from itertools import compress
 from operator import attrgetter, itemgetter, sub, truediv
 
-from .errors import ZeroDtError
 from .model import GazeSample, SampleEnvelope, Timestamp
 from .state import (
     CHANNEL_BLINK_RATE,
@@ -47,9 +46,8 @@ from .streams import Window
 # tracker confidence below this floor, even with a pupil value reported.
 BLINK_CONFIDENCE_FLOOR = 0.2
 
-# I-VT label of the pair (i-1, i). Pairs touching a blink carry none;
-# a pair whose time step is not positive has no velocity at all.
-NO_LABEL, FIXATION, SACCADE, ZERO_DT = 0, 1, 2, 3
+# I-VT label of the pair (i-1, i). Pairs touching a blink carry none.
+NO_LABEL, FIXATION, SACCADE = 0, 1, 2
 _RUNS = re.compile(b"\x01+|\x02+")
 _BLINKS = re.compile(b"\x00+")
 
@@ -71,7 +69,8 @@ class GazeTrack:
     confidence. Pair columns hold the pair (i-1, i) at position i: its
     velocity and its I-VT label.
 
-    Windows are given in order of their start, each with its samples.
+    Windows are given in order of their start, each with its samples,
+    as the merger cuts them.
     ``advance`` drops the columns before the window, which no later
     window reaches, and computes the columns of each sample the first
     time a window holds it, one pass per column over the window's new
@@ -81,20 +80,17 @@ class GazeTrack:
     pupils at least half a median width inside some window are read
     from the track, and those have it.
 
-    Computing a column raises nothing: a pair whose time step is not
-    positive is labelled ``ZERO_DT``, and only a window holding it
-    raises ``ZeroDtError``.
+    The track checks none of its inputs; their owners do. The median
+    width is odd and at least 3 and the velocity threshold positive
+    (``config.validate_config``), and each time step is positive: the
+    parser allows one gaze stream, and ``Session.place`` places a gaze
+    sample only ``MIN_GAZE_STEP_S`` or more after the one before it.
     """
 
     def __init__(self, median_width: int, velocity_threshold: float):
-        if median_width < 3 or median_width % 2 == 0:
-            raise ValueError(f"median_width must be odd and >= 3, got {median_width}")
-        if velocity_threshold <= 0:
-            raise ValueError(f"velocity_threshold must be positive, got {velocity_threshold}")
         self.half = median_width // 2
         self.velocity_threshold = velocity_threshold
         self.base = 0
-        self._last_lo = 0
         self.valid = bytearray()
         self.raw_pupil: list[float] = []
         self.pupil: list[float] = []
@@ -105,9 +101,6 @@ class GazeTrack:
 
     def advance(self, lo: int, samples: Sequence[SampleEnvelope]) -> None:
         """Cover the window whose samples sit at positions [lo, lo + len(samples))."""
-        if lo < self._last_lo:
-            raise ValueError(f"windows must come in order of their start, got {lo} after {self._last_lo}")
-        self._last_lo = lo
         drop = lo - self.base
         if drop > 0:
             columns = (self.valid, self.raw_pupil, self.pupil, self.times, self.confidence, self.velocity, self.label)
@@ -151,20 +144,13 @@ class GazeTrack:
         of samples; ``gaze``, ``times`` and ``valid`` hold their payloads,
         times and blink flags."""
         xs, ys = list(map(_x, gaze)), list(map(_y, gaze))
-        dts = list(map(sub, times[1:], times))
-        # a pair whose time step is not positive has no velocity
-        stalls = [dt <= 0 for dt in dts] if min(dts) <= 0 else []
-        if stalls:
-            dts = [1.0 if stall else dt for stall, dt in zip(stalls, dts)]
+        dts = map(sub, times[1:], times)
         velocity = list(map(truediv, map(math.hypot, map(sub, xs[1:], xs), map(sub, ys[1:], ys)), dts))
         threshold = self.velocity_threshold
         label = [
             (FIXATION if v < threshold else SACCADE) if before and after else NO_LABEL
             for v, before, after in zip(velocity, valid, valid[1:])
         ]
-        if stalls:
-            velocity = [0.0 if stall else v for stall, v in zip(stalls, velocity)]
-            label = [ZERO_DT if stall and mark else mark for stall, mark in zip(stalls, label)]
         self.velocity.extend(velocity)
         self.label.extend(label)
 
@@ -243,9 +229,6 @@ class GazeTrack:
         dropped.
         """
         base, times, label = self.base, self.times, self.label
-        zero_dt = label.find(ZERO_DT, lo + 1 - base, hi - base)
-        if zero_dt >= 0:
-            raise ZeroDtError(f"time step must be positive, got {times[zero_dt] - times[zero_dt - 1]}")
         fixations: list[tuple[Timestamp, Timestamp]] = []
         saccades: list[tuple[Timestamp, Timestamp]] = []
         # a run of pairs p..q spans the samples p-1..q

@@ -19,7 +19,6 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import NonMonotoneTimeError
 from .model import Dimension, Modality, Timestamp
 from .state import Descriptor, StateVector, to_descriptor
 
@@ -277,21 +276,17 @@ class InterventionEngine:
         self.table = table
         self.runs = {route: _Run() for route in ROUTES}
         self.cooldown_until = {category: -math.inf for category in Category}
-        self.last_t: Timestamp | None = None
 
     def step(self, state: StateVector) -> tuple[list[Candidate], InterventionDecision | None]:
         """Advance every route by one state vector; decide on the winner.
 
-        Raises NonMonotoneTimeError when the vector does not move time
-        strictly forward. Each route goes through the same gates: active,
+        The vectors come in strictly increasing time, one per tick of the
+        session's grid. Each route goes through the same gates: active,
         run, persistence, cooldown. A candidate blocked only by its
         category cooldown keeps its run; an inactive route clears its run
         and its repeat count.
         """
         t = state.t
-        if self.last_t is not None and t <= self.last_t:
-            raise NonMonotoneTimeError(f"state at t={t} does not advance past t={self.last_t}")
-        self.last_t = t
         policy = self.policy
 
         candidates: list[Candidate] = []

@@ -13,10 +13,18 @@ hand-written ``__init__``, which builds faster than a ``NamedTuple``;
 so is a record that checks its fields in its constructor or that
 changes after it. Nothing mutates a sample or an envelope once built.
 
-Payload constructors check nothing. A sample from a scenario file is
-checked once, field by field, by its stream's parser in
-:mod:`cogloop.scenario`; that parser is the only owner of sample
-validation.
+Payload constructors check nothing. Each input rule is checked once,
+by the one boundary that owns it, and the engine behind it trusts it:
+
+- the parser in :mod:`cogloop.scenario` owns the header (its keys,
+  distinct stream ids, one stream per kind), sync marks (at least two)
+  and every sample, field by field, with its stream's parser;
+- ``config.validate_config`` owns every knob's range, from the window
+  hop and lengths to the template ids of the strategy overrides;
+- ``session.Session`` owns session time: a sample off the session span,
+  or a gaze sample less than ``MIN_GAZE_STEP_S`` after the one before
+  it, is a warning, and its tick grid hands the intervention engine
+  strictly increasing times.
 """
 
 from __future__ import annotations

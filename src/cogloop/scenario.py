@@ -375,6 +375,18 @@ def iter_records(lines, emit: Emit = SampleRecord) -> Iterator[SampleRecord | Sy
     return scan
 
 
+def _refuse_unknown_keys(obj: dict, known, what: str, line_no: int | None = None, where: str = "") -> None:
+    """Refuse the first key of ``obj`` not in ``known`` as an unknown
+    key of ``what``; ``where`` prefixes the message."""
+    for key in obj:
+        if key not in known:
+            raise ScenarioError(f"{where}unknown {what} key {key!r}", line_no)
+
+
+# the keys _shared_fields reads
+_SHARED_KEYS = ("modality", "seed", "config", "analyzer_replies", "dialogue", "topic")
+
+
 def _shared_fields(obj: dict, line_no: int | None = None) -> dict:
     """The fields a scenario header and a profile share, checked and
     keyed by their names on ``ScenarioHeader`` and ``SyntheticProfile``;
@@ -406,7 +418,14 @@ def _shared_fields(obj: dict, line_no: int | None = None) -> dict:
     }
 
 
+_HEADER_KEYS = ("type", "streams", *_SHARED_KEYS)
+
+
 def _parse_header(obj: dict, line_no: int) -> ScenarioHeader:
+    """The header on line ``line_no``; a key it does not define is refused,
+    in the header and in each stream entry, whose keys are the
+    descriptor's fields."""
+    _refuse_unknown_keys(obj, _HEADER_KEYS, "header", line_no)
     streams_raw = obj.get("streams")
     if not isinstance(streams_raw, list) or not streams_raw:
         raise ScenarioError("header must declare at least one stream", line_no)
@@ -418,6 +437,7 @@ def _parse_header(obj: dict, line_no: int) -> ScenarioHeader:
     for entry in streams_raw:
         if not (isinstance(entry, dict) and isinstance(entry.get("stream_id"), str)):
             raise ScenarioError("each stream must be an object with a string stream_id", line_no)
+        _refuse_unknown_keys(entry, StreamDescriptor.__slots__, "stream", line_no)
         try:
             descriptor = StreamDescriptor(
                 stream_id=entry["stream_id"],

@@ -118,13 +118,13 @@ def to_descriptor(score: float) -> Descriptor:
 
 
 class ChannelFeature(Slotted):
-    """One windowed feature value with its signal quality."""
+    """One windowed feature value with its signal quality, in [0, 1]: a
+    mean of source confidences, which the parser holds to that range,
+    times at most 1."""
 
     __slots__ = ("channel_id", "value", "quality", "t")
 
     def __init__(self, channel_id: str, value: float, quality: float, t: Timestamp):
-        if not (0.0 <= quality <= 1.0):
-            raise ValueError(f"quality must lie in [0, 1], got {quality!r}")
         self.channel_id = channel_id
         self.value = value
         self.quality = quality

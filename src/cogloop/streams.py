@@ -27,7 +27,6 @@ from enum import Enum
 from operator import attrgetter
 from typing import NamedTuple
 
-from .errors import DuplicateStreamError, InsufficientMarksError
 from .model import Payload, SampleEnvelope, StreamDescriptor, StreamKind, Timestamp
 from .stats import median
 
@@ -70,9 +69,8 @@ def estimate_offset(marks: list[tuple[Timestamp, Timestamp]]) -> float:
     """Median clock offset from (producer_time, session_time) pairs.
 
     The median keeps a single outlier mark from skewing the estimate.
+    The parser sees to it that a sync record has at least two marks.
     """
-    if len(marks) < 2:
-        raise InsufficientMarksError(f"need at least 2 sync marks, got {len(marks)}")
     return median(session_t - producer_t for producer_t, session_t in marks)
 
 
@@ -106,10 +104,9 @@ class StreamRegistration:
     earliest and latest session times of its placed envelopes, and the
     timeline of its kind, which its placed envelopes join."""
 
-    __slots__ = ("descriptor", "timeline", "clock_offset_s", "ingested", "reordered", "dropped", "first_t", "last_t")
+    __slots__ = ("timeline", "clock_offset_s", "ingested", "reordered", "dropped", "first_t", "last_t")
 
-    def __init__(self, descriptor: StreamDescriptor, timeline: _ChannelTimeline):
-        self.descriptor = descriptor
+    def __init__(self, timeline: _ChannelTimeline):
         self.timeline = timeline
         self.clock_offset_s = 0.0
         self.ingested = 0
@@ -134,11 +131,14 @@ class StreamRegistration:
 
 class StreamMerger:
     """Places envelopes from all registered streams on their kinds'
-    timelines and keeps the watermark."""
+    timelines and keeps the watermark.
+
+    Its inputs are checked where they come in: the parser gives each
+    stream its own id, and ``config.validate_config`` a non-negative
+    jitter tolerance and a window hop in (0, length].
+    """
 
     def __init__(self, jitter_tolerance_s: float):
-        if jitter_tolerance_s < 0:
-            raise ValueError("jitter_tolerance_s must be non-negative")
         self.jitter_tolerance_s = jitter_tolerance_s
         self.registrations: dict[str, StreamRegistration] = {}
         self._max_seen_t = -math.inf
@@ -147,9 +147,7 @@ class StreamMerger:
         self._by_kind = {kind: _ChannelTimeline() for kind in StreamKind}
 
     def register_stream(self, descriptor: StreamDescriptor) -> StreamRegistration:
-        if descriptor.stream_id in self.registrations:
-            raise DuplicateStreamError(f"stream {descriptor.stream_id!r} already registered")
-        registration = StreamRegistration(descriptor, self._by_kind[descriptor.kind])
+        registration = StreamRegistration(self._by_kind[descriptor.kind])
         self.registrations[descriptor.stream_id] = registration
         return registration
 
@@ -223,8 +221,6 @@ class StreamMerger:
         the previous one stopped, and the envelopes before the next
         window's start leave the timeline.
         """
-        if not (hop_s > 0 and length_s >= hop_s):
-            raise ValueError(f"need 0 < hop_s <= length_s, got hop={hop_s} length={length_s}")
         timeline = self._by_kind[kind]
         samples, base = timeline.samples, timeline.base
         watermark = self.watermark

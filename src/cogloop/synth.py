@@ -59,6 +59,8 @@ from .scenario import (
     ScenarioHeader,
     _is_finite_number,
     _literal,
+    _SHARED_KEYS,
+    _refuse_unknown_keys,
     _render,
     _shared_fields,
     _template,
@@ -151,27 +153,29 @@ def _profile_object(value, what: str) -> dict:
     return value
 
 
+_PROFILE_KEYS = ("segments", "noise", "gaze_rate_hz", "posture_rate_hz", "note_interval_s", *_SHARED_KEYS)
+_SEGMENT_KEYS = ("duration_s", "channels")
+
+
 def parse_profile(data: dict) -> SyntheticProfile:
-    """Check a decoded profile and build it; any malformed field is a
-    ScenarioError, and the segments may span at most MAX_SESSION_S,
-    the span a replay covers."""
-    _profile_object(data, "profile")
+    """Check a decoded profile and build it; any malformed field or
+    unknown key is a ScenarioError, and the segments may span at most
+    MAX_SESSION_S, the span a replay covers."""
+    _refuse_unknown_keys(_profile_object(data, "profile"), _PROFILE_KEYS, "profile")
     segments_raw = data.get("segments")
     if not isinstance(segments_raw, list) or not segments_raw:
         raise ScenarioError("profile needs a non-empty segments list")
     segments: list[ProfileSegment] = []
     for index, seg in enumerate(segments_raw):
         where = f"segment {index}"
-        _profile_object(seg, where)
+        _refuse_unknown_keys(_profile_object(seg, where), _SEGMENT_KEYS, "segment", where=f"{where}: ")
         duration = _profile_number(seg.get("duration_s"), f"{where}: duration_s", positive=True)
         channels: dict[str, GeneratorSpec] = {}
         for control, spec in _profile_object(seg.get("channels", {}), f"{where}: channels").items():
             if control not in CONTROLS:
                 raise ScenarioError(f"{where}: unknown control {control!r}")
             _profile_object(spec, f"{where}: {control}")
-            for key in spec:
-                if key not in GeneratorSpec._fields:
-                    raise ScenarioError(f"{where}: unknown {control} key {key!r}")
+            _refuse_unknown_keys(spec, GeneratorSpec._fields, control, where=f"{where}: ")
             kind = spec.get("kind")
             if kind not in _GENERATOR_KINDS:
                 raise ScenarioError(f"{where}: unknown generator kind {kind!r}")
@@ -183,9 +187,9 @@ def parse_profile(data: dict) -> SyntheticProfile:
         segments.append(ProfileSegment(duration_s=duration, channels=channels))
 
     noise = dict(NOISE_DEFAULTS)
-    for key, value in _profile_object(data.get("noise", {}), "noise").items():
-        if key not in NOISE_DEFAULTS:
-            raise ScenarioError(f"unknown noise key {key!r}")
+    noise_raw = _profile_object(data.get("noise", {}), "noise")
+    _refuse_unknown_keys(noise_raw, NOISE_DEFAULTS, "noise")
+    for key, value in noise_raw.items():
         scale = noise[key] = _profile_number(value, f"noise {key}")
         # every generator gates on a scale above zero, so a negative one
         # would act as zero

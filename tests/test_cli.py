@@ -102,15 +102,19 @@ def _segment(**channel):
         ({"config": "x"}, "config must be an object"),
         ({"gaze_rate_hz": 1e308}, "gaze_rate_hz (1e+308) over the segments' 8.0 s gives more than 2**23 samples"),
         ({"posture_rate_hz": 1e308}, "posture_rate_hz (1e+308) over the segments' 8.0 s gives more than 2**23 samples"),
-        # was silently ignored: the ramp went to 0
+        # were silently ignored: the ramp went to 0, every control stayed
+        # at baseline, the gaze rate and the noise kept their defaults
         ({"segments": _segment(traget_z=3)}, "segment 0: unknown pupil_mm key 'traget_z'"),
+        ({"segments": [{"duration_s": 8.0, "chanels": {"pupil_mm": {"kind": "ramp", "target_z": 3}}}]},
+         "segment 0: unknown segment key 'chanels'"),
+        ({"gaze_rate": 5, "noize": {}}, "unknown profile key 'gaze_rate'"),
     ],
     ids=[
         "zero_gaze_rate", "nan_posture_rate", "segment_not_object", "text_target_z", "nan_tau",
         "infinite_period", "nan_amplitude", "channels_not_object", "spec_not_object", "nan_duration",
         "span_past_24h", "infinite_noise", "negative_noise", "noise_not_object", "negative_note_interval",
         "text_seed", "config_not_object", "overflowing_gaze_rate", "overflowing_posture_rate",
-        "misspelled_generator_key",
+        "misspelled_generator_key", "misspelled_segment_key", "misspelled_top_level_key",
     ],
 )
 def test_hostile_profile_exits_2(tmp_path, capsys, edit, message):
@@ -330,6 +334,24 @@ def test_boolean_header_seed_exits_2(tmp_path, profile_path, capsys):
     scenario.write_text(json.dumps({**json.loads(header), "seed": True}) + "\n" + rest)
     assert main(["run", "--scenario", str(scenario)]) == 2
     assert "error: line 1: seed must be an integer, got True" in capsys.readouterr().err
+
+
+# each replayed as if the key were absent: the default hop and topic
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"confg": {"window_hop_s": 5}}, "unknown header key 'confg'"),
+        ({"topik": "x"}, "unknown header key 'topik'"),
+        ({"streams": [{"stream_id": "heart", "kind": "rr_interval", "nominal_rate_hz": 200, "rate": 5}]},
+         "unknown stream key 'rate'"),
+    ],
+    ids=["misspelled_config", "misspelled_topic", "unknown_stream_entry_key"],
+)
+def test_unknown_header_key_exits_2_with_the_line(tmp_path, capsys, edit, message):
+    scenario = tmp_path / "typo.jsonl"
+    scenario.write_text(json.dumps({**json.loads(HEART_HEADER), **edit}) + "\n")
+    assert main(["run", "--scenario", str(scenario)]) == 2
+    assert f"error: line 1: {message}" in capsys.readouterr().err
 
 
 # each replayed with the boolean taken as 1.0 or 0.0, as a float knob

@@ -84,6 +84,23 @@ def test_even_median_width_rejected():
     assert any("rolling_median_width" in f for f in failures)
 
 
+# the one owner of these ranges: GazeTrack and StreamMerger take the
+# validated values as they come
+@pytest.mark.parametrize(
+    "knobs, message",
+    [
+        ({"rolling_median_width": 1}, "rolling_median_width must be odd and >= 3, got 1"),
+        ({"jitter_tolerance_s": -0.1}, "jitter_tolerance_s must be non-negative, got -0.1"),
+        ({"jitter_tolerance_s": math.inf}, "jitter_tolerance_s must be non-negative, got inf"),
+        ({"ivt_velocity_threshold": 0.0}, "ivt_velocity_threshold must be a positive finite number, got 0.0"),
+        ({"ivt_velocity_threshold": math.nan}, "ivt_velocity_threshold must be a positive finite number, got nan"),
+    ],
+    ids=["tiny_median_width", "negative_jitter", "infinite_jitter", "zero_velocity_threshold", "nan_velocity_threshold"],
+)
+def test_gaze_and_merger_ranges_rejected(knobs, message):
+    assert validate_config(SessionConfig(**knobs)) == [message]
+
+
 def test_trigger_threshold_below_moderate_floor_rejected():
     failures = validate_config(SessionConfig(trigger_threshold=0.9))
     assert any("moderate" in f for f in failures)
@@ -143,7 +160,7 @@ def test_spans_of_too_many_hops_rejected(entries):
 @pytest.mark.parametrize(
     "entries, message",
     [
-        # validated, then UnknownTemplateError at the first stress decision
+        # refused here: render_template trusts the ids it is given
         ({"strategy.stress.pronounced.text": "nope"}, "strategy.stress.pronounced.text: unknown template id 'nope'"),
         # a typo of rmssd_ms, taken as a fourth stress weight
         ({"weight.stress.rmsd_ms": 0.3}, "weight.stress.rmsd_ms: unknown channel"),

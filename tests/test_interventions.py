@@ -2,7 +2,6 @@ import pytest
 
 from cogloop.config import SessionConfig, _strategy_table
 from cogloop.directives import TEMPLATE_IDS
-from cogloop.errors import NonMonotoneTimeError
 from cogloop.interventions import (
     DEFAULT_STRATEGIES,
     Candidate,
@@ -133,15 +132,6 @@ def test_unobserved_dimension_never_triggers():
         candidates, decision = engine.step(vec)
         assert candidates == []
         assert decision is None
-
-
-def test_time_must_move_forward():
-    engine = _engine()
-    engine.step(_vec(100.0))
-    with pytest.raises(NonMonotoneTimeError):
-        engine.step(_vec(100.0))
-    with pytest.raises(NonMonotoneTimeError):
-        engine.step(_vec(90.0))
 
 
 # ---------------------------------------------------------------------------

@@ -615,6 +615,20 @@ def test_second_stream_of_a_kind_rejected_with_line_number():
         parse_scenario_lines([header])
 
 
+def test_duplicate_stream_id_rejected_with_line_number():
+    # the parser is the one owner of this rule: the merger registers
+    # each declared stream without looking for a second one of its id
+    header = json.dumps({
+        "type": "header",
+        "streams": [
+            {"stream_id": "s", "kind": "rr_interval", "nominal_rate_hz": 1},
+            {"stream_id": "s", "kind": "pupil_gaze", "nominal_rate_hz": 60},
+        ],
+    })
+    with pytest.raises(ScenarioError, match="line 1: duplicate stream id 's'"):
+        parse_scenario_lines([header])
+
+
 def test_bad_stream_descriptor_in_header():
     header = json.dumps({
         "type": "header",
