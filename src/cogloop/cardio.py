@@ -92,7 +92,7 @@ def window_hrv(window: Window) -> Extraction:
     confidences: list[float] = []
     artifacts = 0
     for envelope in window.samples:
-        rr_ms = envelope.payload.rr_ms
+        rr_ms = envelope.payload
         if RR_ARTIFACT_LOW_MS <= rr_ms <= RR_ARTIFACT_HIGH_MS:
             rr.append(rr_ms)
             confidences.append(envelope.source_confidence)

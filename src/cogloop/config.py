@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 from .directives import TEMPLATE_IDS
 from .errors import ConfigError
-from .interventions import DEFAULT_STRATEGIES, Category, Severity, StrategyEntry, StrategyKey, TriggerPolicy
+from .interventions import DEFAULT_STRATEGIES, Category, Severity, StrategyEntry, StrategyKey
 from .model import MAX_SESSION_S, Dimension, Modality, Slotted, StreamKind
 from .state import ALL_CHANNELS, SIGMA_FLOOR, MODERATE_FLOOR, default_weight_matrix
 
@@ -339,12 +339,7 @@ def config_from_dict(data: dict) -> SessionConfig:
 
 
 # ---------------------------------------------------------------------------
-# the engine's knobs, read by the replay and by the trace audit alike
-
-def _trigger_policy(cfg: SessionConfig) -> TriggerPolicy:
-    """The trigger knobs of a config, as the engine and the audit read them."""
-    return TriggerPolicy(cfg.trigger_threshold, cfg.confidence_min, cfg.consecutive_windows, cfg.persistence_s)
-
+# the strategy table, read by the replay and by the trace audit alike
 
 def _strategy_table(cfg: SessionConfig) -> dict[StrategyKey, StrategyEntry]:
     """The strategy table of a config, as the engine and the audit read

@@ -17,10 +17,13 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .model import Dimension, Modality, Timestamp
 from .state import Descriptor, StateVector, to_descriptor
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import SessionConfig
 
 
 class Severity(str, Enum):
@@ -177,15 +180,6 @@ class _Run:
         self.repeat_count = 0
 
 
-class TriggerPolicy(NamedTuple):
-    """The knobs consulted by :class:`InterventionEngine`."""
-
-    trigger_threshold: float
-    confidence_min: float
-    consecutive_windows: int
-    persistence_s: float
-
-
 # The trigger routes, walked in this order: (dimension, composite). The
 # six dimensions, then the under-challenge composite, which acts on
 # engagement and supersedes a plain engagement candidate.
@@ -196,7 +190,7 @@ ROUTES: tuple[tuple[Dimension, bool], ...] = (
 
 
 def route_reading(
-    dimension: Dimension, composite: bool, state: StateVector, policy: TriggerPolicy
+    dimension: Dimension, composite: bool, state: StateVector, cfg: SessionConfig
 ) -> tuple[float, float, int] | None:
     """(score, confidence, supra channels) when the route is active.
 
@@ -208,7 +202,7 @@ def route_reading(
     """
     if not composite:
         ds = state.dims[dimension]
-        if ds.observed and ds.score > policy.trigger_threshold and ds.confidence > policy.confidence_min:
+        if ds.observed and ds.score > cfg.trigger_threshold and ds.confidence > cfg.confidence_min:
             return ds.score, ds.confidence, ds.supra_channels
         return None
     load, engagement = (state.dims[d] for d in COMPOSITE_DIMENSIONS)
@@ -218,7 +212,7 @@ def route_reading(
         and engagement.observed
         and load.signed_score <= CHALLENGE_LOAD_CEILING
         and engagement.signed_score > 0.0
-        and confidence > policy.confidence_min
+        and confidence > cfg.confidence_min
     ):
         return abs(load.signed_score), confidence, max(load.supra_channels, engagement.supra_channels)
     return None
@@ -260,18 +254,11 @@ def decide(
 
 
 class InterventionEngine:
-    """Drives the trigger routes over a session: per-route runs,
-    per-category cooldowns and the time of the last state vector."""
+    """Drives the trigger routes over a session: per-route runs and
+    per-category cooldowns, its trigger knobs read off ``cfg``."""
 
-    def __init__(
-        self,
-        policy: TriggerPolicy,
-        cooldown_s: dict[Category, float],
-        modality: Modality,
-        table: dict[StrategyKey, StrategyEntry],
-    ):
-        self.policy = policy
-        self.cooldown_s = dict(cooldown_s)
+    def __init__(self, cfg: SessionConfig, modality: Modality, table: dict[StrategyKey, StrategyEntry]):
+        self.cfg = cfg
         self.modality = modality
         self.table = table
         self.runs = {route: _Run() for route in ROUTES}
@@ -287,18 +274,18 @@ class InterventionEngine:
         and its repeat count.
         """
         t = state.t
-        policy = self.policy
+        cfg = self.cfg
 
         candidates: list[Candidate] = []
         for (dimension, composite), run in self.runs.items():
-            reading = route_reading(dimension, composite, state, policy)
+            reading = route_reading(dimension, composite, state, cfg)
             if reading is None:
                 run.clear()
                 continue
             run.consecutive += 1
             if run.first_exceeded_at is None:
                 run.first_exceeded_at = t
-            if run.consecutive < policy.consecutive_windows or t - run.first_exceeded_at < policy.persistence_s:
+            if run.consecutive < cfg.consecutive_windows or t - run.first_exceeded_at < cfg.persistence_s:
                 continue
             score, confidence, supra_channels = reading
             severity = severity_of(score)
@@ -316,7 +303,7 @@ class InterventionEngine:
         decision = decide(winner, self.table, self.modality)
         # the cooldown boundary is inclusive: a candidate at exactly
         # t + cooldown may fire
-        self.cooldown_until[decision.category] = t + self.cooldown_s[decision.category]
+        self.cooldown_until[decision.category] = t + cfg.cooldown_s[decision.category]
         run = self.runs[winner.dimension, winner.composite]
         run.reset()
         run.repeat_count += 1

@@ -26,7 +26,6 @@ from .model import (
     NoteScoreSample,
     Payload,
     PostureSample,
-    RRSample,
     Slotted,
     StreamDescriptor,
     StreamKind,
@@ -192,11 +191,11 @@ def _gaze_payload(obj: dict) -> tuple[GazeSample, None]:
     return GazeSample(x, y, pupil, confidence), None
 
 
-def _rr_payload(obj: dict) -> tuple[RRSample, None]:
+def _rr_payload(obj: dict) -> tuple[float, None]:
     rr = obj["rr_ms"]
     if not (isinstance(rr, _NUMBER) and math.isfinite(rr) and rr > 0):
         raise ValueError(f"rr_ms must be a positive finite number, got {rr!r}")
-    return RRSample(rr), None
+    return rr, None
 
 
 def _posture_payload(obj: dict) -> tuple[PostureSample, None]:
@@ -383,8 +382,11 @@ def _refuse_unknown_keys(obj: dict, known, what: str, line_no: int | None = None
             raise ScenarioError(f"{where}unknown {what} key {key!r}", line_no)
 
 
-# the keys _shared_fields reads
+# the keys _shared_fields reads, and those of a dialogue turn, each
+# optional: render_prompt reads a turn's missing role as the learner's
+# and its missing text as empty
 _SHARED_KEYS = ("modality", "seed", "config", "analyzer_replies", "dialogue", "topic")
+_TURN_KEYS = ("role", "text")
 
 
 def _shared_fields(obj: dict, line_no: int | None = None) -> dict:
@@ -408,10 +410,17 @@ def _shared_fields(obj: dict, line_no: int | None = None) -> dict:
     dialogue = obj.get("dialogue", [])
     if not (isinstance(dialogue, list) and all(isinstance(turn, dict) for turn in dialogue)):
         raise ScenarioError("dialogue must be a list of objects", line_no)
+    for turn in dialogue:
+        _refuse_unknown_keys(turn, _TURN_KEYS, "dialogue turn", line_no)
+        if not all(isinstance(value, str) for value in turn.values()):
+            raise ScenarioError(f"a dialogue turn's role and text must be strings, got {turn!r}", line_no)
+    topic = obj.get("topic", "the current topic")
+    if not isinstance(topic, str):
+        raise ScenarioError(f"topic must be a string, got {topic!r}", line_no)
     return {
         "modality": modality,
         "seed": seed,
-        "topic": str(obj.get("topic", "the current topic")),
+        "topic": topic,
         "config_entries": dict(config_entries),
         "analyzer_replies": tuple(analyzer_replies),
         "dialogue": tuple(dialogue),
@@ -586,7 +595,7 @@ def _sample_templates(records, kinds: dict[str, StreamKind]):
             template = known.get(key)
             if template is None:
                 template = known[key] = _template(stream_id, has_sc, {"rr_ms": "%s"})
-            yield template, (payload.rr_ms, *head)
+            yield template, (payload, *head)
         elif kind is StreamKind.POSTURE_LANDMARKS:
             landmarks = sorted(payload.landmarks.items())
             visibility = sorted(payload.visibility.items())

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from .behavior import PostureWindows, ingest_note_assessment, score_posture
 from .cardio import window_hrv
-from .config import SessionConfig, _strategy_table, _trigger_policy, apply_entries, checked_config
+from .config import SessionConfig, _strategy_table, apply_entries, checked_config
 from .directives import (
     GenerationClient,
     LiveGenerationClient,
@@ -257,12 +257,7 @@ class Session:
         self._calibration_kinds: dict[str, StreamKind] = {}
         # live features cut but not yet read by a tick, in time order
         self._live: list[ChannelFeature] = []
-        self._engine = InterventionEngine(
-            policy=_trigger_policy(cfg),
-            cooldown_s=cfg.cooldown_s,
-            modality=header.modality,
-            table=_strategy_table(cfg),
-        )
+        self._engine = InterventionEngine(cfg, header.modality, _strategy_table(cfg))
         self._step = 1  # index of the next decision tick
         # the watermark at which the next window, the baseline or the
         # next tick becomes final

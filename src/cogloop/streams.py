@@ -1,13 +1,14 @@
 """Multi-stream alignment: clock offsets, late-sample dropping, windowing.
 
 Samples from independent producers are shifted onto the session clock
-by their stream's offset, and each kept sample goes straight onto the
-timeline of its stream's kind, in session-time order; samples of equal
-time keep their arrival order. A stream's registration is the one place
-that sets its clock offset (``set_offset``; a session time is the
-producer time plus ``clock_offset_s``, which ``Session.place`` adds)
-and keeps its counts, and the merger the one place that builds an
-envelope. The watermark, the newest time seen less
+by their stream's offset, and each kept sample goes straight onto its
+stream's timeline, in session-time order; samples of equal time keep
+their arrival order. A scenario declares at most one stream per kind,
+so a stream's timeline is its kind's. A stream's registration is the
+one place that sets its clock offset (``set_offset``; a session time is
+the producer time plus ``clock_offset_s``, which ``Session.place``
+adds) and keeps its counts and its timeline, and the merger the one
+place that builds an envelope. The watermark, the newest time seen less
 ``jitter_tolerance_s``, absorbs cross-stream jitter: a sample at or
 after it is placed; one stamped before it is late, and is dropped and
 counted.
@@ -87,27 +88,19 @@ def grid_time(index: int, hop_s: float, offset_s: float = 0.0) -> Timestamp:
 _timestamp = attrgetter("timestamp")
 
 
-class _ChannelTimeline:
-    """The placed envelopes of one kind from position ``base`` on; the
-    ones before it lie before every window still to be cut."""
+class StreamRegistration:
+    """The one stream of a kind: its clock offset, its ingest counts, the
+    earliest and latest session times of its placed envelopes, and its
+    timeline, the placed envelopes from position ``base`` on (the ones
+    before it lie before every window still to be cut)."""
 
-    __slots__ = ("samples", "base", "next_window_index")
+    __slots__ = ("samples", "base", "next_window_index", "clock_offset_s", "ingested", "reordered", "dropped",
+                 "first_t", "last_t")
 
     def __init__(self):
         self.samples: list[SampleEnvelope] = []
         self.base = 0
         self.next_window_index = 0
-
-
-class StreamRegistration:
-    """One registered stream: its clock offset, its ingest counts, the
-    earliest and latest session times of its placed envelopes, and the
-    timeline of its kind, which its placed envelopes join."""
-
-    __slots__ = ("timeline", "clock_offset_s", "ingested", "reordered", "dropped", "first_t", "last_t")
-
-    def __init__(self, timeline: _ChannelTimeline):
-        self.timeline = timeline
         self.clock_offset_s = 0.0
         self.ingested = 0
         self.reordered = 0
@@ -134,8 +127,11 @@ class StreamMerger:
     timelines and keeps the watermark.
 
     Its inputs are checked where they come in: the parser gives each
-    stream its own id, and ``config.validate_config`` a non-negative
-    jitter tolerance and a window hop in (0, length].
+    stream its own id and each kind at most one stream, and
+    ``config.validate_config`` a non-negative jitter tolerance and a
+    window hop in (0, length]. Each kind has its registration from the
+    start, so a kind that no stream declares still has its (empty)
+    windows cut.
     """
 
     def __init__(self, jitter_tolerance_s: float):
@@ -144,11 +140,11 @@ class StreamMerger:
         self._max_seen_t = -math.inf
         # largest time up to which every timeline is final
         self.watermark = -math.inf
-        self._by_kind = {kind: _ChannelTimeline() for kind in StreamKind}
+        self._by_kind = {kind: StreamRegistration() for kind in StreamKind}
 
     def register_stream(self, descriptor: StreamDescriptor) -> StreamRegistration:
-        registration = StreamRegistration(self._by_kind[descriptor.kind])
-        self.registrations[descriptor.stream_id] = registration
+        """The registration of the stream's kind, now under its id."""
+        registration = self.registrations[descriptor.stream_id] = self._by_kind[descriptor.kind]
         return registration
 
     def ingest(
@@ -180,7 +176,7 @@ class StreamMerger:
             self._max_seen_t = session_t
             self.watermark = session_t - self.jitter_tolerance_s
         envelope = SampleEnvelope(session_t, payload, source_confidence)
-        samples = registration.timeline.samples
+        samples = registration.samples
         if not samples or samples[-1].timestamp <= session_t:
             samples.append(envelope)
             # no placed envelope of the stream is later: those the
@@ -189,13 +185,11 @@ class StreamMerger:
                 registration.first_t = session_t
             registration.last_t = session_t
         else:
-            # in a scenario, only after a sync moves a stream's clock
-            # back: the sample lands after those of its time placed
+            # in a scenario, only after a sync moves the stream's clock
+            # back: the sample lands after those of its time placed, and
+            # before the stream's last, so only first_t can move
             samples.insert(bisect_right(samples, session_t, key=_timestamp), envelope)
-            if registration.first_t is None or session_t < registration.first_t:
-                registration.first_t = session_t
-            if registration.last_t is None or session_t > registration.last_t:
-                registration.last_t = session_t
+            registration.first_t = min(registration.first_t, session_t)
         return outcome
 
     def flush(self) -> None:
@@ -221,11 +215,11 @@ class StreamMerger:
         the previous one stopped, and the envelopes before the next
         window's start leave the timeline.
         """
-        timeline = self._by_kind[kind]
-        samples, base = timeline.samples, timeline.base
+        registration = self._by_kind[kind]
+        samples, base = registration.samples, registration.base
         watermark = self.watermark
         windows: list[Window] = []
-        k = timeline.next_window_index
+        k = registration.next_window_index
         while (end := grid_time(k, hop_s, length_s)) <= watermark:
             start = grid_time(k, hop_s)
             lo = bisect_left(samples, start, key=_timestamp)
@@ -233,8 +227,8 @@ class StreamMerger:
             windows.append(Window(start=start, end=end, samples=tuple(samples[lo:hi]), lo=base + lo))
             k += 1
         if windows:
-            timeline.next_window_index = k
+            registration.next_window_index = k
             gone = bisect_left(samples, grid_time(k, hop_s), key=_timestamp)
             del samples[:gone]
-            timeline.base = base + gone
+            registration.base = base + gone
         return windows

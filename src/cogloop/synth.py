@@ -48,7 +48,6 @@ from .model import (
     Modality,
     NoteScoreSample,
     PostureSample,
-    RRSample,
     StreamDescriptor,
     StreamKind,
 )
@@ -350,9 +349,7 @@ class SynthesizedScenario(Scenario):
         source = _RECORDS.__get__(self)
         if not isinstance(source, _Columns):
             return source
-        records = []
-        for columns in source.samples():
-            records += map(SampleRecord, *columns)
+        records = list(source.scan(SampleRecord))
         _RECORDS.__set__(self, records)
         return records
 
@@ -406,11 +403,11 @@ class _Columns:
             _chunked(_notes(profile, curves, noise, seed, duration)),
         )
 
-    def samples(self):
-        """Each chunk's samples in (t, stream id) order, as four
-        iterators: their stream ids, times, source confidences and
-        payloads, the first four arguments of ``SampleRecord`` and of
-        ``Session.place``."""
+    def scan(self, emit: Emit):
+        """Send each sample's fields to ``emit`` in (t, stream id) order,
+        a chunk at a time, yielding what it returns unless None, as
+        ``ScenarioFile.scan`` does: ``SampleRecord`` builds the records,
+        ``Session.place`` replays them."""
         for chunk in self._chunks():
             ids, times, confidences, payloads = [], [], [], []
             for (stream_id, confidence, _, to_payloads), columns in zip(_STREAMS, chunk):
@@ -420,12 +417,7 @@ class _Columns:
                     confidences += [confidence] * len(columns[0])
                     payloads += to_payloads(*columns)
             order = _order(times)
-            yield [map(column.__getitem__, order) for column in (ids, times, confidences, payloads)]
-
-    def scan(self, emit: Emit):
-        """Send each sample to ``emit``, yielding what it returns unless
-        None, as ``ScenarioFile.scan`` does."""
-        for columns in self.samples():
+            columns = [map(column.__getitem__, order) for column in (ids, times, confidences, payloads)]
             for record in map(emit, *columns, repeat(None)):
                 if record is not None:
                     yield record
@@ -704,6 +696,6 @@ def _note_lines(times, scores):
 _STREAMS = (
     ("cam", 1.0, _pose_lines, _poses),
     ("gaze", _GAZE_SOURCE_CONFIDENCE, _gaze_lines, _gaze_payloads),
-    ("heart", 1.0, _beat_lines, lambda times, rrs: list(map(RRSample, rrs))),
+    ("heart", 1.0, _beat_lines, lambda times, rrs: rrs),
     ("notes", 1.0, _note_lines, lambda times, scores: list(map(NoteScoreSample, scores))),
 )

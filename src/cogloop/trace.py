@@ -16,7 +16,7 @@ import json
 from collections.abc import Callable
 from operator import itemgetter
 
-from .config import SessionConfig, _strategy_table, _trigger_policy, config_from_dict, config_to_dict
+from .config import SessionConfig, _strategy_table, config_from_dict, config_to_dict
 from .errors import ConfigError, ScenarioError
 from .interventions import (
     COMPOSITE_DIMENSIONS,
@@ -25,7 +25,6 @@ from .interventions import (
     Category,
     InterventionDecision,
     Severity,
-    TriggerPolicy,
     decide,
     route_reading,
     severity_of,
@@ -354,7 +353,6 @@ def validate_trace(header: dict, events: list[TraceEvent]) -> list[str]:
         run of late samples) with that outcome.
     """
     cfg = header["config"]
-    policy = _trigger_policy(cfg)
     table = _strategy_table(cfg)
     modality = header["modality"]
     violations: list[str] = []
@@ -400,7 +398,7 @@ def validate_trace(header: dict, events: list[TraceEvent]) -> list[str]:
         if event.kind == "candidate":
             payload = event.payload
             label = f"candidate t={event.t} {payload['dimension']}"
-            reading = _judged_reading(label, event, states, state_index, policy, violations)
+            reading = _judged_reading(label, event, states, state_index, cfg, violations)
             if reading is None:
                 continue
             for field, value in zip(_CANDIDATE_READING_FIELDS, reading):
@@ -416,7 +414,7 @@ def validate_trace(header: dict, events: list[TraceEvent]) -> list[str]:
             candidate = candidates.get((event.t, dim, payload["composite"]))
             if candidate is None:
                 violations.append(f"{label}: no matching candidate event")
-            reading = _judged_reading(label, event, states, state_index, policy, violations)
+            reading = _judged_reading(label, event, states, state_index, cfg, violations)
             if reading is None:
                 continue
             for field, value in zip(_READING_FIELDS, reading):
@@ -433,7 +431,7 @@ def validate_trace(header: dict, events: list[TraceEvent]) -> list[str]:
     return violations
 
 
-def _traced_reading(route: tuple[Dimension, bool], state: TraceEvent, policy: TriggerPolicy):
+def _traced_reading(route: tuple[Dimension, bool], state: TraceEvent, cfg: SessionConfig):
     """The engine's reading of a route on a traced state vector. Only the
     route's own dimensions are rebuilt."""
     dimension, composite = route
@@ -441,11 +439,11 @@ def _traced_reading(route: tuple[Dimension, bool], state: TraceEvent, policy: Tr
     dims = {}
     for d in COMPOSITE_DIMENSIONS if composite else (dimension,):
         dims[d] = DimensionState(*_DIMENSION_STATE(traced[d.value]))
-    return route_reading(dimension, composite, StateVector(state.t, dims), policy)
+    return route_reading(dimension, composite, StateVector(state.t, dims), cfg)
 
 
 def _judged_reading(label: str, event: TraceEvent, states: list[TraceEvent], state_index: dict[float, int],
-                    policy: TriggerPolicy, violations: list[str]):
+                    cfg: SessionConfig, violations: list[str]):
     """The engine's reading of a candidate's or a decision's route on the
     state vector at its time, or None when there is none. Appends a
     violation when the route is not the engine's, when it does not read
@@ -456,21 +454,21 @@ def _judged_reading(label: str, event: TraceEvent, states: list[TraceEvent], sta
         violations.append(f"{label}: no trigger route for dimension {dim} with composite {composite}")
         return None
     index = state_index.get(event.t)
-    reading = None if index is None else _traced_reading(route, states[index], policy)
+    reading = None if index is None else _traced_reading(route, states[index], cfg)
     if reading is None:
         violations.append(f"{label}: no qualifying state vector at {event.kind} time")
         return None
     # walk back while the route reads active, until both gates hold
     count, span = 1, 0.0
-    while (count < policy.consecutive_windows or span < policy.persistence_s) and index > 0:
+    while (count < cfg.consecutive_windows or span < cfg.persistence_s) and index > 0:
         index -= 1
-        if _traced_reading(route, states[index], policy) is None:
+        if _traced_reading(route, states[index], cfg) is None:
             break
         count, span = count + 1, event.t - states[index].t
-    if count < policy.consecutive_windows:
-        violations.append(f"{label}: only {count} consecutive qualifying windows, need {policy.consecutive_windows}")
-    if span < policy.persistence_s:
-        violations.append(f"{label}: qualifying span {span}s is shorter than persistence {policy.persistence_s}s")
+    if count < cfg.consecutive_windows:
+        violations.append(f"{label}: only {count} consecutive qualifying windows, need {cfg.consecutive_windows}")
+    if span < cfg.persistence_s:
+        violations.append(f"{label}: qualifying span {span}s is shorter than persistence {cfg.persistence_s}s")
     return reading
 
 

@@ -17,6 +17,7 @@ import pytest
 
 from cogloop.behavior import PostureCategory, categorize_posture
 from cogloop.cardio import StressBand, classify_stress, pnn50, rmssd, sdnn
+from cogloop.config import SessionConfig
 from cogloop.directives import (
     TEMPLATE_IDS,
     build_directives,
@@ -33,7 +34,6 @@ from cogloop.interventions import (
     PRIORITY_ORDER,
     Severity,
     Tier,
-    TriggerPolicy,
     prioritize,
     severity_of,
 )
@@ -260,26 +260,26 @@ def _state(t, score, conf=0.9):
 
 def test_criterion_05_trigger_timing_is_exact():
     failures = []
-    policy = TriggerPolicy(1.5, 0.6, 3, 10.0)
-    quiet = {c: 0.0 for c in Category}
+    knobs = dict(trigger_threshold=1.5, confidence_min=0.6, consecutive_windows=3, persistence_s=10.0)
+    quiet = SessionConfig(**knobs, cooldown_s={c: 0.0 for c in Category})
 
-    engine = InterventionEngine(policy, quiet, Modality.TEXT, DEFAULT_STRATEGIES)
+    engine = InterventionEngine(quiet, Modality.TEXT, DEFAULT_STRATEGIES)
     decided = [t for t in (100.0, 110.0, 120.0, 130.0)
                if engine.step(_state(t, 2.0))[1] is not None]
     if decided != [120.0]:
         failures.append(f"sustained excursion decided at {decided}, wanted [120.0]")
 
-    engine = InterventionEngine(policy, quiet, Modality.TEXT, DEFAULT_STRATEGIES)
+    engine = InterventionEngine(quiet, Modality.TEXT, DEFAULT_STRATEGIES)
     script = [(100.0, 2.0), (110.0, 2.0), (120.0, 0.3), (130.0, 2.0), (140.0, 2.0)]
     if any(engine.step(_state(t, s))[1] for t, s in script):
         failures.append("two-window excursion produced a decision")
 
-    engine = InterventionEngine(policy, quiet, Modality.TEXT, DEFAULT_STRATEGIES)
+    engine = InterventionEngine(quiet, Modality.TEXT, DEFAULT_STRATEGIES)
     if any(engine.step(_state(t, 2.0, conf=0.55))[1] for t in (100.0, 110.0, 120.0, 130.0)):
         failures.append("low-confidence excursion produced a decision")
 
-    cooldown = dict(quiet, **{Category.PHYSIOLOGICAL: 60.0})
-    engine = InterventionEngine(policy, cooldown, Modality.TEXT, DEFAULT_STRATEGIES)
+    cooldown = quiet._replace(cooldown_s=dict(quiet.cooldown_s, **{Category.PHYSIOLOGICAL: 60.0}))
+    engine = InterventionEngine(cooldown, Modality.TEXT, DEFAULT_STRATEGIES)
     decided = [float(t) for t in range(100, 200, 10)
                if engine.step(_state(float(t), 2.0))[1] is not None]
     if decided != [120.0, 180.0]:

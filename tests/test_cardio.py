@@ -12,7 +12,7 @@ from cogloop.cardio import (
     window_hrv,
 )
 from cogloop.errors import OutOfRangeError, TooFewIntervalsError
-from cogloop.model import RRSample, SampleEnvelope
+from cogloop.model import SampleEnvelope
 from cogloop.state import CHANNEL_HEART_RATE, CHANNEL_PNN50, CHANNEL_RMSSD, CHANNEL_SDNN
 from cogloop.streams import Window
 
@@ -108,7 +108,7 @@ def test_stress_band_rejects_out_of_range():
 def _rr_env(t, rr, conf=1.0):
     return SampleEnvelope(
         timestamp=t,
-        payload=RRSample(rr_ms=rr),
+        payload=rr,
         source_confidence=conf,
     )
 

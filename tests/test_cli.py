@@ -108,13 +108,15 @@ def _segment(**channel):
         ({"segments": [{"duration_s": 8.0, "chanels": {"pupil_mm": {"kind": "ramp", "target_z": 3}}}]},
          "segment 0: unknown segment key 'chanels'"),
         ({"gaze_rate": 5, "noize": {}}, "unknown profile key 'gaze_rate'"),
+        # was the topic 'None' in every prompt
+        ({"topic": None}, "topic must be a string, got None"),
     ],
     ids=[
         "zero_gaze_rate", "nan_posture_rate", "segment_not_object", "text_target_z", "nan_tau",
         "infinite_period", "nan_amplitude", "channels_not_object", "spec_not_object", "nan_duration",
         "span_past_24h", "infinite_noise", "negative_noise", "noise_not_object", "negative_note_interval",
         "text_seed", "config_not_object", "overflowing_gaze_rate", "overflowing_posture_rate",
-        "misspelled_generator_key", "misspelled_segment_key", "misspelled_top_level_key",
+        "misspelled_generator_key", "misspelled_segment_key", "misspelled_top_level_key", "null_topic",
     ],
 )
 def test_hostile_profile_exits_2(tmp_path, capsys, edit, message):
@@ -336,7 +338,9 @@ def test_boolean_header_seed_exits_2(tmp_path, profile_path, capsys):
     assert "error: line 1: seed must be an integer, got True" in capsys.readouterr().err
 
 
-# each replayed as if the key were absent: the default hop and topic
+# each replayed as if the key were absent: the default hop and topic;
+# a null topic as the text 'None' in every prompt, and the two turns as
+# "learner: " and "learner: 5"
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -344,8 +348,14 @@ def test_boolean_header_seed_exits_2(tmp_path, profile_path, capsys):
         ({"topik": "x"}, "unknown header key 'topik'"),
         ({"streams": [{"stream_id": "heart", "kind": "rr_interval", "nominal_rate_hz": 200, "rate": 5}]},
          "unknown stream key 'rate'"),
+        ({"topic": None}, "topic must be a string, got None"),
+        ({"dialogue": [{"rol": "tutor", "txt": "hi"}]}, "unknown dialogue turn key 'rol'"),
+        ({"dialogue": [{"text": 5}]}, "a dialogue turn's role and text must be strings, got {'text': 5}"),
     ],
-    ids=["misspelled_config", "misspelled_topic", "unknown_stream_entry_key"],
+    ids=[
+        "misspelled_config", "misspelled_topic", "unknown_stream_entry_key",
+        "null_topic", "misspelled_turn_keys", "number_turn_text",
+    ],
 )
 def test_unknown_header_key_exits_2_with_the_line(tmp_path, capsys, edit, message):
     scenario = tmp_path / "typo.jsonl"

@@ -10,7 +10,6 @@ from cogloop.interventions import (
     InterventionEngine,
     Severity,
     Tier,
-    TriggerPolicy,
     choose_framing,
     prioritize,
     severity_of,
@@ -18,9 +17,8 @@ from cogloop.interventions import (
 from cogloop.model import Dimension, Modality
 from cogloop.state import DimensionState, StateVector
 
-POLICY = TriggerPolicy(
-    trigger_threshold=1.5, confidence_min=0.6, consecutive_windows=3, persistence_s=10.0
-)
+# the trigger knobs these tests assume
+KNOBS = dict(trigger_threshold=1.5, confidence_min=0.6, consecutive_windows=3, persistence_s=10.0)
 
 NO_COOLDOWN = {c: 0.0 for c in Category}
 
@@ -47,8 +45,9 @@ def _vec(t, **overrides):
     return StateVector(t=t, dims=dims)
 
 
-def _engine(cooldowns=None, policy=POLICY):
-    return InterventionEngine(policy, cooldowns or NO_COOLDOWN, Modality.TEXT, DEFAULT_STRATEGIES)
+def _engine(cooldowns=None):
+    cfg = SessionConfig(**KNOBS, cooldown_s=cooldowns or NO_COOLDOWN)
+    return InterventionEngine(cfg, Modality.TEXT, DEFAULT_STRATEGIES)
 
 
 def _drive(engine, times, make_vec):

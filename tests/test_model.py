@@ -6,7 +6,6 @@ from cogloop.errors import ScenarioError
 from cogloop.model import (
     GazeSample,
     NoteScoreSample,
-    RRSample,
 )
 
 from scenario_lines import parse_scenario_lines
@@ -50,7 +49,7 @@ def test_gaze_sample_validation():
 
 
 def test_rr_sample_must_be_positive():
-    assert _parse_sample("heart", rr_ms=800) == RRSample(rr_ms=800)
+    assert _parse_sample("heart", rr_ms=800) == 800
     for rr in (0.0, -800.0, float("nan"), float("inf"), "800", None):
         _refused("heart", "rr_ms must be a positive finite number", rr_ms=rr)
 

@@ -13,7 +13,6 @@ from cogloop.model import (
     GazeSample,
     NoteScoreSample,
     PostureSample,
-    RRSample,
     StreamDescriptor,
     StreamKind,
 )
@@ -416,11 +415,11 @@ def _oracle_payload(kind, raw, line_no):
                     raise ValueError("pupil_diameter_mm must be at most MAX_PUPIL_MM")
             return sample, None
         if kind is StreamKind.RR_INTERVAL:
-            sample = RRSample(rr_ms=raw["rr_ms"])
-            _oracle_finite("rr_ms", sample.rr_ms)
-            if sample.rr_ms <= 0:
+            rr = raw["rr_ms"]
+            _oracle_finite("rr_ms", rr)
+            if rr <= 0:
                 raise ValueError("rr_ms must be positive")
-            return sample, None
+            return rr, None
         if kind is StreamKind.POSTURE_LANDMARKS:
             landmarks, visibility = raw["landmarks"], raw.get("visibility", {})
             if not (isinstance(landmarks, dict) and isinstance(visibility, dict)):
@@ -702,7 +701,7 @@ def _sample_to_obj(record: SampleRecord, kind: StreamKind) -> dict:
             confidence=payload.confidence,
         )
     elif kind is StreamKind.RR_INTERVAL:
-        obj["rr_ms"] = payload.rr_ms
+        obj["rr_ms"] = payload
     elif kind is StreamKind.POSTURE_LANDMARKS:
         obj["landmarks"] = {name: list(point) for name, point in sorted(payload.landmarks.items())}
         if payload.visibility:
@@ -758,7 +757,7 @@ def _written_scenario(draw):
             pupil = draw(st.one_of(st.none(), _NUMBER))
             payload = GazeSample(draw(_UNIT), draw(_UNIT), pupil, draw(_UNIT))
         elif kind is StreamKind.RR_INTERVAL:
-            payload = RRSample(draw(_NUMBER))
+            payload = draw(_NUMBER)
         elif kind is StreamKind.POSTURE_LANDMARKS:
             landmarks = _point_map(draw, st.tuples(_UNIT, _UNIT))
             payload = PostureSample(landmarks, _point_map(draw, _UNIT))
@@ -941,7 +940,7 @@ def test_zero_noise_produces_constant_streams():
         assert record.payload.y == 0.5
         assert record.payload.pupil_diameter_mm == 3.0  # never a blink
     for record in by_stream["heart"]:
-        assert record.payload.rr_ms == 850.0
+        assert record.payload == 850.0
     for record in by_stream["notes"]:
         assert record.payload.correctness == 0.9
     poses = {tuple(sorted(r.payload.landmarks.items())) for r in by_stream["cam"]}
@@ -972,7 +971,7 @@ def test_stream_rngs_are_independent():
     # changing gaze behavior must not perturb the heart stream
     quiet = _tiny_profile(noise={"blink": 0.0})
     noisy = _tiny_profile(noise={"blink": 5.0})
-    hearts = lambda s: [r.payload.rr_ms for r in s.records if r.stream_id == "heart"]
+    hearts = lambda s: [r.payload for r in s.records if r.stream_id == "heart"]
     assert hearts(synthesize(quiet)) == hearts(synthesize(noisy))
 
 

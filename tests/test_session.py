@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 import cogloop
 from cogloop import session
 from cogloop.behavior import PostureWindows, categorize_posture, score_posture
-from cogloop.config import SessionConfig, _trigger_policy, config_from_dict
+from cogloop.config import SessionConfig, config_from_dict
 from cogloop.errors import ConfigError, MissingLandmarksError, ScenarioError
 from cogloop.interventions import CHALLENGE_LOAD_CEILING
-from cogloop.model import Dimension, Modality, NoteScoreSample, PostureSample, RRSample, StreamDescriptor, StreamKind
+from cogloop.model import Dimension, Modality, NoteScoreSample, PostureSample, StreamDescriptor, StreamKind
 from cogloop.scenario import Scenario, ScenarioHeader, SyncRecord
 from cogloop.session import expected_calibration_windows, resolve_config, run_session
 from cogloop import state
@@ -431,10 +431,10 @@ def test_validator_applies_the_trigger_gates_to_candidates():
     header = {"config": result.config, "modality": result.header.modality}
     # a stress candidate with the reading of the tick where stress first
     # reads active: a run of one state vector, spanning no time
-    policy = _trigger_policy(result.config)
+    cfg = result.config
     states = [e for e in result.events if e.kind == "state_vector"]
-    onset = next(e for e in states if trace._traced_reading((Dimension.STRESS, False), e, policy) is not None)
-    score, confidence, supra_channels = trace._traced_reading((Dimension.STRESS, False), onset, policy)
+    onset = next(e for e in states if trace._traced_reading((Dimension.STRESS, False), e, cfg) is not None)
+    score, confidence, supra_channels = trace._traced_reading((Dimension.STRESS, False), onset, cfg)
     forged = TraceEvent(onset.t, "candidate", onset.seq, {
         "dimension": "stress", "score": score, "confidence": confidence, "severity": "pronounced",
         "supra_channels": supra_channels, "composite": False, "repeat_ordinal": 1,
@@ -790,7 +790,7 @@ def test_only_reordered_and_dropped_samples_get_ingest_events():
     merger = StreamMerger(jitter_tolerance_s=0.25)
     for payload in NOTE_AND_HEART:
         merger.register_stream(StreamDescriptor(payload["stream_id"], StreamKind(payload["kind"]), 1.0))
-    make = {"heart": lambda: RRSample(rr_ms=800.0), "notes": lambda: NoteScoreSample(correctness=0.8)}
+    make = {"heart": lambda: 800.0, "notes": lambda: NoteScoreSample(correctness=0.8)}
     for stream, t in ARRIVALS:
         merger.ingest(merger.registrations[stream], t, make[stream]())
     merger.flush()
@@ -1310,7 +1310,7 @@ def test_expected_calibration_windows_count_the_grid(calibration, length, hop):
     # missed the window [0.2, 0.3) that the merger does cut
     merger = StreamMerger(jitter_tolerance_s=0.0)
     heart = merger.register_stream(StreamDescriptor("heart", StreamKind.RR_INTERVAL, 1.0))
-    merger.ingest(heart, calibration, RRSample(rr_ms=800.0))
+    merger.ingest(heart, calibration, 800.0)
     merger.flush()
     windows = merger.pop_windows(StreamKind.RR_INTERVAL, length, hop)
     cfg = SessionConfig(

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import cogloop
 from cogloop.cli import main
 from cogloop.errors import ScenarioError
-from cogloop.model import RRSample, StreamDescriptor, StreamKind
+from cogloop.model import StreamDescriptor, StreamKind
 from cogloop.scenario import (
     SampleRecord,
     Scenario,
@@ -202,6 +202,35 @@ def test_the_session_cuts_a_kind_only_when_it_has_a_final_window(monkeypatch):
     assert sum(returned) == sum(1 for e in result.events if e.kind == "window_features")
 
 
+def test_a_kind_no_stream_declares_traces_each_of_its_windows_as_absent():
+    # heart only, beats 0.8 s apart up to 200 s: the gaze, posture and
+    # note windows hold nothing, and each is still cut and traced
+    header = json.dumps({
+        "type": "header",
+        "streams": [{"stream_id": "heart", "kind": "rr_interval", "nominal_rate_hz": 1}],
+        "config": {"calibration_duration_s": 60.0},
+    })
+    beats = [json.dumps({"type": "sample", "stream": "heart", "t": round(i * 0.8, 1), "rr_ms": 800})
+             for i in range(251)]
+    result = run_session(parse_scenario_lines([header, *beats]))
+    spans: dict[tuple[str, bool], list[tuple[float, float]]] = {}
+    for e in result.events:
+        if e.kind == "window_features":
+            w = e.payload
+            spans.setdefault((w["stream_kind"], w["present"]), []).append((w["start"], w["end"]))
+            assert w["present"] == (w["quality"] > 0.0) == bool(w["values"])
+    # gaze and posture windows from the start, RR and note windows of
+    # 60 s, the note windows cut from the end of calibration on
+    short = [(10.0 * k, 10.0 * k + 10.0) for k in range(20)]
+    long = [(10.0 * k, 10.0 * k + 60.0) for k in range(15)]
+    assert spans == {
+        ("pupil_gaze", False): short,
+        ("posture_landmarks", False): short,
+        ("rr_interval", True): long,
+        ("note_score", False): long,
+    }
+
+
 # ---------------------------------------------------------------------------
 # windows cut as the watermark moves equal windows cut once at the end
 
@@ -220,7 +249,7 @@ def test_windows_cut_after_every_ingest_equal_windows_cut_once(times, jitter, le
         heart = merger.register_stream(StreamDescriptor("heart", StreamKind.RR_INTERVAL, 1.0))
         windows = []
         for t in arrivals:
-            merger.ingest(heart, t, RRSample(rr_ms=800.0))
+            merger.ingest(heart, t, 800.0)
             if pop_each_time:
                 windows += merger.pop_windows(StreamKind.RR_INTERVAL, length, hop)
         merger.flush()
@@ -238,7 +267,7 @@ def test_the_timeline_forgets_what_no_later_window_reaches():
     merger = StreamMerger(jitter_tolerance_s=0.0)
     heart = merger.register_stream(StreamDescriptor("heart", StreamKind.RR_INTERVAL, 1.0))
     for t in range(1000):
-        merger.ingest(heart, t * 0.5, RRSample(rr_ms=500.0))
+        merger.ingest(heart, t * 0.5, 500.0)
         merger.pop_windows(StreamKind.RR_INTERVAL, 10.0, 5.0)
     # the next window is [490, 500): samples from 490 s on stay
     assert [env.timestamp for env in merger.timeline(StreamKind.RR_INTERVAL)][:2] == [490.0, 490.5]

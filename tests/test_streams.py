@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cogloop.model import RRSample, StreamDescriptor, StreamKind
+from cogloop.model import StreamDescriptor, StreamKind
 from cogloop.streams import IngestOutcome, StreamMerger, estimate_offset, grid_time
 
 
@@ -17,7 +17,7 @@ def _ingest(merger, t, stream="hr", source_confidence=1.0):
     """Ingest a beat stamped ``t`` by its producer."""
     registration = merger.registrations[stream]
     session_t = t + registration.clock_offset_s
-    return merger.ingest(registration, session_t, RRSample(rr_ms=800.0), source_confidence)
+    return merger.ingest(registration, session_t, 800.0, source_confidence)
 
 
 def test_estimate_offset_is_the_median():
@@ -123,14 +123,14 @@ def test_emitted_matches_offline_sort_of_survivors():
         producer_t = last[stream_id] = max(last[stream_id], round(t - rng.uniform(0.0, 0.7), 1))
         registration = merger.registrations[stream_id]
         session_t = producer_t + registration.clock_offset_s
-        if merger.ingest(registration, session_t, RRSample(rr_ms=float(i))) is not IngestOutcome.DROPPED_LATE:
+        if merger.ingest(registration, session_t, float(i)) is not IngestOutcome.DROPPED_LATE:
             kept[stream_id].append((session_t, float(i)))
     merger.flush()
     # the sort key's second part is the arrival index: samples of one
     # time stay in arrival order, as a stable sort by time keeps them
     assert kept["a"] != sorted(kept["a"])
     for stream_id, kind in kinds.items():
-        placed = [(e.timestamp, e.payload.rr_ms) for e in merger.timeline(kind)]
+        placed = [(e.timestamp, e.payload) for e in merger.timeline(kind)]
         assert placed == sorted(kept[stream_id])
 
 
