@@ -12,24 +12,31 @@ label, despiked pupil) depends on the window, so a ``GazeTrack``
 computes each once per channel timeline, from the samples of the
 windows it is given, and every window aggregates its index slice of the
 track. Each quantity depends only on a sample and its neighbours, so the
-track builds it as a whole column for a window's new samples: ``map``
-over C functions, comprehensions, and ``sorted`` over shifted slices for
-the medians, rather than one pass of a Python loop body per sample. Only
-the pupil medians within half a median width of a window edge are
-recomputed there, because the edge truncates their neighbourhood.
-``window_gaze_features`` returns a window's channels in the shape every
-window extractor returns (``state.Extraction``).
+track builds it as a whole column for a window's new samples: one
+``zip`` turns their payload rows ``(x, y, pupil_mm or None,
+confidence)`` into columns, then ``map`` over C functions,
+comprehensions, and ``sorted`` over shifted slices for the medians,
+rather than one pass of a Python loop body per sample. Only the pupil
+medians within half a median width of a window edge are recomputed
+there, because the edge truncates their neighbourhood.
+
+A window's means are read straight off the track's columns: ``math.fsum``
+over a column slice ``compress``-ed by its blink flags or pair labels,
+over a count that ``bytearray.count`` takes, so no window builds a list
+of its values. ``fsum`` is exact, so each mean is bit for bit the mean
+of the list. ``window_gaze_features`` returns a window's channels in the
+shape every window extractor returns (``state.Extraction``).
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections.abc import Sequence
-from itertools import compress
+from collections.abc import Iterator, Sequence
+from itertools import chain, compress
 from operator import attrgetter, itemgetter, sub, truediv
 
-from .model import GazeSample, SampleEnvelope, Timestamp
+from .model import SampleEnvelope, Timestamp
 from .state import (
     CHANNEL_BLINK_RATE,
     CHANNEL_FIXATION_COUNT,
@@ -54,10 +61,6 @@ _BLINKS = re.compile(b"\x00+")
 _payload = attrgetter("payload")
 _timestamp = attrgetter("timestamp")
 _source_confidence = attrgetter("source_confidence")
-_pupil = attrgetter("pupil_diameter_mm")
-_confidence = attrgetter("confidence")
-_x = attrgetter("x")
-_y = attrgetter("y")
 
 
 class GazeTrack:
@@ -67,7 +70,11 @@ class GazeTrack:
     columns: ``valid`` (1 for a usable sample, 0 for a blink), the raw
     and the despiked pupil (NaN on blinks), the time and the source
     confidence. Pair columns hold the pair (i-1, i) at position i: its
-    velocity and its I-VT label.
+    velocity and its I-VT label. The columns come from the envelopes'
+    times and source confidences and their payload rows; no sample
+    object is built or kept. The readers of a window's pupils and
+    velocities hand back an iterator over the columns with its count,
+    for ``stats.fmean``.
 
     Windows are given in order of their start, each with its samples,
     as the merger cuts them.
@@ -118,12 +125,12 @@ class GazeTrack:
             # holds it, for the pair at a
             prev = 1 if a else 0
             envelopes = samples[a - prev:]
-            gaze = list(map(_payload, envelopes))
+            xs, ys, pupils, confidences = zip(*map(_payload, envelopes))
             times = list(map(_timestamp, envelopes))
-            pupils = list(map(_pupil, gaze[prev:]))
+            pupils = pupils[prev:]
             ok = [
                 not (pupil is None or pupil <= 0 or confidence < BLINK_CONFIDENCE_FLOOR)
-                for pupil, confidence in zip(pupils, map(_confidence, gaze[prev:]))
+                for pupil, confidence in zip(pupils, confidences[prev:])
             ]
             valid.extend(ok)
             self.raw_pupil.extend([pupil if good else math.nan for pupil, good in zip(pupils, ok)])
@@ -133,17 +140,16 @@ class GazeTrack:
                 # the pair at the window's first sample is read by no window
                 self.velocity.append(0.0)
                 self.label.append(NO_LABEL)
-            if len(gaze) > 1:
-                self._pairs(gaze, times, valid[a - prev:])
+            if len(times) > 1:
+                self._pairs(xs, ys, times, valid[a - prev:])
         lo, hi = len(self.pupil), n - self.half
         if lo < hi:
             self.pupil.extend(self._medians(lo, hi))
 
-    def _pairs(self, gaze: list[GazeSample], times: list[Timestamp], valid: bytearray) -> None:
+    def _pairs(self, xs: tuple[float, ...], ys: tuple[float, ...], times: list[Timestamp], valid: bytearray) -> None:
         """Append the velocity and the I-VT label of each consecutive pair
-        of samples; ``gaze``, ``times`` and ``valid`` hold their payloads,
-        times and blink flags."""
-        xs, ys = list(map(_x, gaze)), list(map(_y, gaze))
+        of samples; ``xs``, ``ys``, ``times`` and ``valid`` hold their
+        coordinates, times and blink flags."""
         dts = map(sub, times[1:], times)
         velocity = list(map(truediv, map(math.hypot, map(sub, xs[1:], xs), map(sub, ys[1:], ys)), dts))
         threshold = self.velocity_threshold
@@ -181,11 +187,12 @@ class GazeTrack:
     def _median(self, i: int, lo: int, hi: int) -> float:
         """Median of the valid raw pupils around sample i, within [lo, hi)."""
         valid, raw, base = self.valid, self.raw_pupil, self.base
-        near = range(max(lo, i - self.half) - base, min(hi, i + self.half + 1) - base)
-        return median([raw[k] for k in near if valid[k]])
+        a, b = max(lo, i - self.half) - base, min(hi, i + self.half + 1) - base
+        return median(compress(raw[a:b], valid[a:b]))
 
-    def despiked_pupils(self, lo: int, hi: int) -> list[float]:
-        """The despiked pupils of the valid samples in [lo, hi), in order.
+    def despiked_pupils(self, lo: int, hi: int) -> tuple[Iterator[float], int]:
+        """The despiked pupils of the valid samples in [lo, hi), in order,
+        read straight off the track, and their count.
 
         Equal to a rolling median over the window's samples alone: the
         window edge truncates the neighbourhood of the first and last
@@ -198,12 +205,14 @@ class GazeTrack:
         head = [self._median(i, lo, hi) for i in range(lo, head_end) if valid[i - base]]
         tail = [self._median(i, lo, hi) for i in range(tail_start, hi) if valid[i - base]]
         a, b = head_end - base, tail_start - base
-        return head + list(compress(self.pupil[a:b], valid[a:b])) + tail
+        pupils = chain(head, compress(self.pupil[a:b], valid[a:b]), tail)
+        return pupils, valid.count(1, lo - base, hi - base)
 
-    def velocities(self, lo: int, hi: int) -> list[float]:
-        """Velocities of the labelled pairs inside [lo, hi), in order."""
-        a, b = lo + 1 - self.base, hi - self.base
-        return list(compress(self.velocity[a:b], self.label[a:b]))
+    def velocities(self, lo: int, hi: int) -> tuple[Iterator[float], int]:
+        """Velocities of the labelled pairs inside [lo, hi), in order,
+        read straight off the track, and their count."""
+        a, b, label = lo + 1 - self.base, hi - self.base, self.label
+        return compress(self.velocity[a:b], label[a:b]), b - a - label.count(NO_LABEL, a, b)
 
     def blink_count(self, lo: int, hi: int) -> int:
         """Blink runs inside [lo, hi); a run cut by a window edge counts."""
@@ -264,19 +273,19 @@ def window_gaze_features(
 
     track.advance(lo, window.samples)
     fixations, saccades = track.segment(lo, hi, min_fixation_duration_s)
-    velocities = track.velocities(lo, hi)
-    pupils = track.despiked_pupils(lo, hi)
+    velocities, velocity_count = track.velocities(lo, hi)
+    pupils, pupil_count = track.despiked_pupils(lo, hi)
     quality, end, duration = track.quality(lo, hi), window.end, window.duration_s
     features: list[ChannelFeature] = []
-    if pupils:
-        pupil_quality = quality * (len(pupils) / (hi - lo))
-        features.append(ChannelFeature(CHANNEL_PUPIL, fmean(pupils), pupil_quality, end))
+    if pupil_count:
+        pupil_quality = quality * (pupil_count / (hi - lo))
+        features.append(ChannelFeature(CHANNEL_PUPIL, fmean(pupils, pupil_count), pupil_quality, end))
     if fixations:
         mean_duration = fmean([stop - start for start, stop in fixations])
         features.append(ChannelFeature(CHANNEL_FIXATION_DURATION, mean_duration, quality, end))
     features.append(ChannelFeature(CHANNEL_FIXATION_COUNT, float(len(fixations)), quality, end))
-    if velocities:
-        features.append(ChannelFeature(CHANNEL_GAZE_VELOCITY, fmean(velocities), quality, end))
+    if velocity_count:
+        features.append(ChannelFeature(CHANNEL_GAZE_VELOCITY, fmean(velocities, velocity_count), quality, end))
     blink_rate = track.blink_count(lo, hi) / duration * 60.0 if duration > 0 else 0.0
     features.append(ChannelFeature(CHANNEL_BLINK_RATE, blink_rate, quality, end))
     return quality, features, {"saccade_count": len(saccades)}

@@ -9,13 +9,15 @@ replay never imports a class generator that brings ``inspect``,
 ``ast``, ``dis`` and ``tokenize`` with it. Which of the two a record
 is follows its build cost. A record built once per sample or event, or
 several times per window, is a ``Slotted`` class with a hand-written
-``__init__``: gaze and posture samples, envelopes, and
+``__init__``: posture samples, envelopes, and
 ``state.ChannelFeature``, which builds in about 200 ns, against
 330 ns as a ``NamedTuple`` (CPython 3.11, positional arguments). So is
 a record that checks its fields in its constructor or that changes
 after it. A record built once per window, tick or config is a
-``NamedTuple``. An RR payload needs no record: it is its interval in
-milliseconds, a plain number. Nothing mutates a sample or an envelope
+``NamedTuple``. A payload that is only taken apart again needs no
+record: an RR payload is its interval in milliseconds, a plain number,
+and a gaze payload is its row, a plain tuple (``GazeRow``), which the
+gaze track turns into columns. Nothing mutates a sample or an envelope
 once built.
 
 Payload constructors check nothing. Each input rule is checked once,
@@ -118,23 +120,6 @@ class StreamDescriptor(Slotted):
         self.nominal_rate_hz = nominal_rate_hz
 
 
-class GazeSample(Slotted):
-    """One eye-tracker sample in screen-normalized coordinates.
-
-    ``pupil_diameter_mm`` is None while the pupil is not measurable
-    (blinks, track loss). ``confidence`` is the tracker's own quality
-    estimate for the sample.
-    """
-
-    __slots__ = ("x", "y", "pupil_diameter_mm", "confidence")
-
-    def __init__(self, x: float, y: float, pupil_diameter_mm: float | None = None, confidence: float = 1.0):
-        self.x = x
-        self.y = y
-        self.pupil_diameter_mm = pupil_diameter_mm
-        self.confidence = confidence
-
-
 # Landmark names used by the posture scorer. Coordinates are
 # normalized to [0, 1] with y growing downward (image convention).
 POSTURE_POINTS = (
@@ -210,8 +195,12 @@ class NoteScoreSample(NamedTuple):
     clamped: bool = False
 
 
+# A gaze payload is its row: x and y in screen-normalized coordinates,
+# the pupil in mm (None while it is not measurable: blinks, track loss)
+# and the tracker's own confidence in the sample.
+GazeRow = tuple[float, float, float | None, float]
 # an RR payload is the beat-to-beat interval in milliseconds
-Payload = GazeSample | float | PostureSample | NoteScoreSample
+Payload = GazeRow | float | PostureSample | NoteScoreSample
 
 
 class SampleEnvelope(Slotted):

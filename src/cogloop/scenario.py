@@ -21,7 +21,7 @@ from typing import NamedTuple, TextIO
 from .errors import ScenarioError
 from .model import (
     POSTURE_POINTS,
-    GazeSample,
+    GazeRow,
     Modality,
     NoteScoreSample,
     Payload,
@@ -155,7 +155,9 @@ def _is_mark(mark) -> bool:
 # TypeError, ValueError or OverflowError on a malformed field, which the
 # stream's parser reports with the line.
 # A unit-interval field is a number (booleans included, as 0 and 1) in
-# [0, 1]: the range comparison is False for NaN and both infinities.
+# [0, 1]: the range comparison is False for NaN and both infinities. A
+# physical quantity (a pupil in mm, an RR interval, a stream's rate) is
+# never a boolean: its type is float or int, as a timestamp's is.
 
 _LANDMARKS = frozenset(POSTURE_POINTS)
 
@@ -174,9 +176,11 @@ MAX_PUPIL_MM = 10.0
 MIN_GAZE_STEP_S = 1e-9
 
 
-def _gaze_payload(obj: dict) -> tuple[GazeSample, None]:
+def _gaze_payload(obj: dict) -> tuple[GazeRow, None]:
     pupil = obj.get("pupil_mm")
     if pupil is not None:
+        if not (type(pupil) is float or type(pupil) is int):
+            raise ValueError(f"pupil_mm must be a number, got {pupil!r}")
         if pupil <= 0:
             pupil = None  # trackers report 0 while the eye is shut
         elif not pupil <= MAX_PUPIL_MM:
@@ -188,12 +192,12 @@ def _gaze_payload(obj: dict) -> tuple[GazeSample, None]:
         raise _outside_unit_interval("y", y)
     if not (isinstance(confidence, _NUMBER) and 0.0 <= confidence <= 1.0):
         raise _outside_unit_interval("confidence", confidence)
-    return GazeSample(x, y, pupil, confidence), None
+    return (x, y, pupil, confidence), None
 
 
 def _rr_payload(obj: dict) -> tuple[float, None]:
     rr = obj["rr_ms"]
-    if not (isinstance(rr, _NUMBER) and math.isfinite(rr) and rr > 0):
+    if not ((type(rr) is float or type(rr) is int) and math.isfinite(rr) and rr > 0):
         raise ValueError(f"rr_ms must be a positive finite number, got {rr!r}")
     return rr, None
 
@@ -448,10 +452,13 @@ def _parse_header(obj: dict, line_no: int) -> ScenarioHeader:
             raise ScenarioError("each stream must be an object with a string stream_id", line_no)
         _refuse_unknown_keys(entry, StreamDescriptor.__slots__, "stream", line_no)
         try:
+            rate = entry["nominal_rate_hz"]
+            if isinstance(rate, bool):
+                raise TypeError(f"nominal_rate_hz must be a number, got {rate!r}")
             descriptor = StreamDescriptor(
                 stream_id=entry["stream_id"],
                 kind=StreamKind(entry["kind"]),
-                nominal_rate_hz=entry["nominal_rate_hz"],
+                nominal_rate_hz=rate,
             )
         except (KeyError, TypeError, ValueError, OverflowError) as error:
             raise ScenarioError(f"bad stream descriptor: {error}", line_no) from None
@@ -589,7 +596,8 @@ def _sample_templates(records, kinds: dict[str, StreamKind]):
             if template is None:
                 fields = {"confidence": "%s", "pupil_mm": "%s", "x": "%s", "y": "%s"}
                 template = known[key] = _template(stream_id, has_sc, fields)
-            yield template, (payload.confidence, payload.pupil_diameter_mm, *head, payload.x, payload.y)
+            x, y, pupil, confidence = payload
+            yield template, (confidence, pupil, *head, x, y)
         elif kind is StreamKind.RR_INTERVAL:
             key = (stream_id, has_sc)
             template = known.get(key)

@@ -14,17 +14,19 @@ replay never uses.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from math import fsum, isqrt
 
 # working precision of the square root: two float mantissas and 3 bits
 _SQRT_BIT_WIDTH = 109
 
 
-def fmean(data: Collection[float]) -> float:
-    """The mean of a sized collection of finite numbers, as a float:
-    their correctly rounded sum (``math.fsum``) over their count."""
-    n = len(data)
+def fmean(data: Iterable[float], n: int | None = None) -> float:
+    """The mean of finite numbers, as a float: their correctly rounded
+    sum (``math.fsum``) over their count ``n``, which a sized collection
+    need not give; an iterator is summed as it runs, with no list."""
+    if n is None:
+        n = len(data)
     if not n:
         raise ValueError("fmean needs at least one value")
     return fsum(data) / n

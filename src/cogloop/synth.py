@@ -44,7 +44,6 @@ from .errors import ScenarioError
 from .model import (
     MAX_SESSION_S,
     POSTURE_POINTS,
-    GazeSample,
     Modality,
     NoteScoreSample,
     PostureSample,
@@ -670,7 +669,7 @@ def _gaze_lines(times, xs, ys, pupils):
 
 def _gaze_payloads(times, xs, ys, pupils):
     confidences = [_BLINK_CONFIDENCE if pupil is None else _TRACKED_CONFIDENCE for pupil in pupils]
-    return list(map(GazeSample, xs, ys, pupils, confidences))
+    return list(zip(xs, ys, pupils, confidences))
 
 
 def _pose_lines(times, coordinates):

@@ -37,7 +37,7 @@ from cogloop.interventions import (
     prioritize,
     severity_of,
 )
-from cogloop.model import Dimension, GazeSample, Modality, SampleEnvelope
+from cogloop.model import Dimension, Modality, SampleEnvelope
 from cogloop.session import run_session
 from cogloop.state import (
     ALL_CHANNELS,
@@ -138,11 +138,11 @@ def test_criterion_02_band_edges_are_pinned():
 def _oracle_fixations(points, threshold, min_duration):
     labels = []
     for prev, cur in zip(points, points[1:]):
-        if prev.payload.pupil_diameter_mm is None or cur.payload.pupil_diameter_mm is None:
+        (x0, y0, pupil0, _), (x1, y1, pupil1, _) = prev.payload, cur.payload
+        if pupil0 is None or pupil1 is None:
             labels.append(None)
         else:
-            dx, dy = cur.payload.x - prev.payload.x, cur.payload.y - prev.payload.y
-            v = math.hypot(dx, dy) / (cur.timestamp - prev.timestamp)
+            v = math.hypot(x1 - x0, y1 - y0) / (cur.timestamp - prev.timestamp)
             labels.append(v < threshold)
     fixations, saccades = [], []
     i = 0
@@ -165,8 +165,8 @@ def _oracle_fixations(points, threshold, min_duration):
 
 
 def _gaze_envelope(t, x, y, blink):
-    sample = GazeSample(x=x, y=y, pupil_diameter_mm=None if blink else 3.0, confidence=0.05 if blink else 0.95)
-    return SampleEnvelope(timestamp=t, payload=sample)
+    row = (x, y, None, 0.05) if blink else (x, y, 3.0, 0.95)
+    return SampleEnvelope(timestamp=t, payload=row)
 
 
 def test_criterion_03_fixation_segmentation_matches_oracle():

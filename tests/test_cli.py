@@ -274,6 +274,31 @@ def test_gaze_step_under_a_nanosecond_exits_2_with_the_line(tmp_path, capsys):
     assert main(["run", "--scenario", str(_gaze_only(tmp_path, samples))]) == 0
 
 
+# each replayed with the boolean as 1: pupils alternating 3.0 and true
+# made a window pupil of 2.0 mm
+_GAZE_HEADER = json.dumps({
+    "type": "header",
+    "streams": [{"stream_id": "gaze", "kind": "pupil_gaze", "nominal_rate_hz": 10}],
+})
+
+
+@pytest.mark.parametrize(
+    "header, sample, message",
+    [
+        (_GAZE_HEADER, {"stream": "gaze", "x": 0.5, "y": 0.5, "pupil_mm": True},
+         "line 2: bad pupil_gaze payload: pupil_mm must be a number, got True"),
+        (HEART_HEADER, {"stream": "heart", "rr_ms": True},
+         "line 2: bad rr_interval payload: rr_ms must be a positive finite number, got True"),
+    ],
+    ids=["pupil_mm", "rr_ms"],
+)
+def test_boolean_physical_quantity_exits_2_with_the_line(tmp_path, capsys, header, sample, message):
+    scenario = tmp_path / "boolean.jsonl"
+    scenario.write_text(f"{header}\n{json.dumps({'type': 'sample', 't': 1.0, **sample})}\n")
+    assert main(["run", "--scenario", str(scenario)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_sample_before_session_start_is_a_warning(tmp_path, capsys):
     scenario = tmp_path / "early.jsonl"
     lines = [
@@ -339,8 +364,8 @@ def test_boolean_header_seed_exits_2(tmp_path, profile_path, capsys):
 
 
 # each replayed as if the key were absent: the default hop and topic;
-# a null topic as the text 'None' in every prompt, and the two turns as
-# "learner: " and "learner: 5"
+# a null topic as the text 'None' in every prompt, the two turns as
+# "learner: " and "learner: 5", and a rate of true as 1 Hz
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -351,10 +376,12 @@ def test_boolean_header_seed_exits_2(tmp_path, profile_path, capsys):
         ({"topic": None}, "topic must be a string, got None"),
         ({"dialogue": [{"rol": "tutor", "txt": "hi"}]}, "unknown dialogue turn key 'rol'"),
         ({"dialogue": [{"text": 5}]}, "a dialogue turn's role and text must be strings, got {'text': 5}"),
+        ({"streams": [{"stream_id": "heart", "kind": "rr_interval", "nominal_rate_hz": True}]},
+         "bad stream descriptor: nominal_rate_hz must be a number, got True"),
     ],
     ids=[
         "misspelled_config", "misspelled_topic", "unknown_stream_entry_key",
-        "null_topic", "misspelled_turn_keys", "number_turn_text",
+        "null_topic", "misspelled_turn_keys", "number_turn_text", "boolean_rate",
     ],
 )
 def test_unknown_header_key_exits_2_with_the_line(tmp_path, capsys, edit, message):

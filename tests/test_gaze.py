@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cogloop.gaze import GazeTrack, window_gaze_features
-from cogloop.model import GazeSample, SampleEnvelope, StreamDescriptor, StreamKind
+from cogloop.model import SampleEnvelope, StreamDescriptor, StreamKind
 from cogloop.state import (
     CHANNEL_BLINK_RATE,
     CHANNEL_FIXATION_COUNT,
@@ -16,13 +16,14 @@ from cogloop.state import (
     CHANNEL_PUPIL,
     ChannelFeature,
 )
+from cogloop.stats import fmean
 from cogloop.streams import StreamMerger, Window
 
 
 def _gaze_env(t, x=0.5, y=0.5, pupil=3.0, conf=0.9, source_conf=1.0):
     return SampleEnvelope(
         timestamp=t,
-        payload=GazeSample(x=x, y=y, pupil_diameter_mm=pupil, confidence=conf),
+        payload=(x, y, pupil, conf),
         source_confidence=source_conf,
     )
 
@@ -34,13 +35,22 @@ def _track(samples, median_width=5, threshold=1.0):
     return track
 
 
+def _listed(read):
+    """A track reader's values as a list, checked against the count it
+    gives with them."""
+    values, count = read
+    values = list(values)
+    assert count == len(values)
+    return values
+
+
 def _despiked(pupils, median_width, confs=None):
     samples = [
         _gaze_env(i * 0.1, pupil=p, conf=0.9 if confs is None else confs[i])
         for i, p in enumerate(pupils)
     ]
     track = _track(samples, median_width)
-    return track, track.despiked_pupils(0, len(samples))
+    return track, _listed(track.despiked_pupils(0, len(samples)))
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +98,7 @@ def test_blink_runs_become_single_events():
 def test_velocity_worked_example():
     track = _track([_gaze_env(0.0, x=0.1, y=0.2), _gaze_env(0.1, x=0.4, y=0.6)])
     # step hypot(0.3, 0.4) = 0.5 over 0.1s
-    assert track.velocities(0, 2) == [pytest.approx(5.0)]
+    assert _listed(track.velocities(0, 2)) == [pytest.approx(5.0)]
 
 
 def test_velocity_translation_invariance():
@@ -97,10 +107,10 @@ def test_velocity_translation_invariance():
         x, y = rng.random() * 0.5, rng.random() * 0.5
         dx, dy, dt = rng.random() * 0.3, rng.random() * 0.3, rng.uniform(0.01, 0.2)
         ox, oy = rng.random() * 0.2, rng.random() * 0.2
-        v1 = _track([_gaze_env(0.0, x=x, y=y), _gaze_env(dt, x=x + dx, y=y + dy)]).velocities(0, 2)
-        v2 = _track(
+        v1 = _listed(_track([_gaze_env(0.0, x=x, y=y), _gaze_env(dt, x=x + dx, y=y + dy)]).velocities(0, 2))
+        v2 = _listed(_track(
             [_gaze_env(0.0, x=x + ox, y=y + oy), _gaze_env(dt, x=x + ox + dx, y=y + oy + dy)]
-        ).velocities(0, 2)
+        ).velocities(0, 2))
         assert v1 == [pytest.approx(v2[0], rel=1e-12)]
 
 
@@ -112,11 +122,11 @@ def _oracle_events(samples, threshold, min_duration):
     blink-adjacent pairs split groups."""
     labels = []
     for prev, cur in zip(samples, samples[1:]):
-        if prev.payload.pupil_diameter_mm is None or cur.payload.pupil_diameter_mm is None:
+        (x0, y0, pupil0, _), (x1, y1, pupil1, _) = prev.payload, cur.payload
+        if pupil0 is None or pupil1 is None:
             labels.append(None)
         else:
-            dx, dy = cur.payload.x - prev.payload.x, cur.payload.y - prev.payload.y
-            v = math.hypot(dx, dy) / (cur.timestamp - prev.timestamp)
+            v = math.hypot(x1 - x0, y1 - y0) / (cur.timestamp - prev.timestamp)
             labels.append("fix" if v < threshold else "sac")
 
     fixations, saccades = [], []
@@ -241,31 +251,35 @@ def test_window_quality_is_mean_source_confidence():
 # The oracle despikes the window's own samples, labels and segments
 # their pairs, and aggregates, all from scratch for every window.
 
+def _oracle_lists(samples, median_width):
+    """The despiked pupils of a window's valid samples, and the velocity
+    of each of its pairs (None for a pair touching a blink), from its
+    own samples alone."""
+    n = len(samples)
+    times = [env.timestamp for env in samples]
+    xs, ys, raw, confidences = zip(*(env.payload for env in samples))
+    blink = [pupil is None or pupil <= 0 or conf < 0.2 for pupil, conf in zip(raw, confidences)]
+    half = median_width // 2
+    pupils = [
+        statistics.median([raw[j] for j in range(max(0, i - half), min(n, i + half + 1)) if not blink[j]])
+        for i in range(n)
+        if not blink[i]
+    ]
+    velocities = [
+        None if blink[i - 1] or blink[i]
+        else math.hypot(xs[i] - xs[i - 1], ys[i] - ys[i - 1]) / (times[i] - times[i - 1])
+        for i in range(1, n)
+    ]
+    return pupils, velocities, blink
+
+
 def _oracle_window(window, median_width, threshold, min_fixation_duration_s):
     samples = window.samples
     if len(samples) < 2:
         return 0.0, [], {"saccade_count": 0}
     n = len(samples)
     times = [env.timestamp for env in samples]
-    gaze = [env.payload for env in samples]
-    blink = [
-        g.pupil_diameter_mm is None or g.pupil_diameter_mm <= 0 or g.confidence < 0.2 for g in gaze
-    ]
-    half = median_width // 2
-    pupils = [
-        statistics.median(
-            [gaze[j].pupil_diameter_mm for j in range(max(0, i - half), min(n, i + half + 1)) if not blink[j]]
-        )
-        for i in range(n)
-        if not blink[i]
-    ]
-    velocities = []
-    for i in range(1, n):
-        if blink[i - 1] or blink[i]:
-            velocities.append(None)
-            continue
-        dt = times[i] - times[i - 1]
-        velocities.append(math.hypot(gaze[i].x - gaze[i - 1].x, gaze[i].y - gaze[i - 1].y) / dt)
+    pupils, velocities, blink = _oracle_lists(samples, median_width)
 
     fixations, saccades = [], 0
     run_label, run_first = None, 0
@@ -358,3 +372,55 @@ def test_window_features_equal_the_per_window_computation(steps, length, hop_sha
     for window in windows:
         want = _oracle_window(window, median_width, 1.0, min_fixation)
         assert window_gaze_features(window, track, min_fixation) == want
+
+
+# ---------------------------------------------------------------------------
+# the track's readers over overlapping windows, against oracle lists
+#
+# A run of samples is tracked (pupil and a good tracker confidence), shut
+# (no pupil) or dim (a pupil under a confidence below the blink floor),
+# so blink runs of both kinds start and end anywhere, window edges
+# included.
+
+_RUN = st.tuples(st.integers(min_value=1, max_value=12), st.sampled_from(["tracked", "tracked", "shut", "dim"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    runs=st.lists(_RUN, min_size=1, max_size=24),
+    pupils=st.lists(st.floats(min_value=1.0, max_value=9.0), min_size=1, max_size=9),
+    xs=st.lists(st.sampled_from([0.2, 0.5, 0.5, 0.501, 0.52, 0.9]), min_size=1, max_size=7),
+    source_confidences=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=11),
+    step=st.sampled_from([0.01, 1 / 60, 0.02]),
+    length=st.sampled_from([0.1, 0.25, 0.4]),
+    hop_share=st.sampled_from([0.06, 0.1, 0.3, 0.45, 0.7]),
+    median_width=st.sampled_from([3, 5, 7]),
+)
+def test_overlapping_windows_read_exact_means_off_one_track(
+    runs, pupils, xs, source_confidences, step, length, hop_share, median_width
+):
+    states = [state for count, state in runs for _ in range(count)]
+    steps = [
+        (
+            step,
+            xs[i % len(xs)],
+            0.5,
+            None if state == "shut" else pupils[i % len(pupils)],
+            0.1 if state == "dim" else 0.9,
+            source_confidences[i % len(source_confidences)],
+        )
+        for i, state in enumerate(states)
+    ]
+    track = GazeTrack(median_width=median_width, velocity_threshold=1.0)
+    for window in _merged_windows(_gaze_timeline(steps), length, length * hop_share):
+        lo, hi = window.lo, window.hi
+        if hi - lo < 2:  # window_gaze_features reads no such window
+            continue
+        track.advance(lo, window.samples)
+        despiked, velocities, _ = _oracle_lists(window.samples, median_width)
+        moving = [v for v in velocities if v is not None]
+        for (values, count), want in ((track.despiked_pupils(lo, hi), despiked), (track.velocities(lo, hi), moving)):
+            assert count == len(want)
+            if want:
+                assert fmean(values, count) == statistics.fmean(want)
+        assert track.quality(lo, hi) == statistics.fmean(env.source_confidence for env in window.samples)

@@ -3,10 +3,7 @@ import json
 import pytest
 
 from cogloop.errors import ScenarioError
-from cogloop.model import (
-    GazeSample,
-    NoteScoreSample,
-)
+from cogloop.model import NoteScoreSample
 
 from scenario_lines import parse_scenario_lines
 
@@ -38,19 +35,24 @@ def _refused(stream, message="", **fields):
 
 def test_gaze_sample_validation():
     sample = _parse_sample("gaze", x=0.0, y=1.0, pupil_mm=None, confidence=0.5)
-    assert sample == GazeSample(x=0.0, y=1.0, pupil_diameter_mm=None, confidence=0.5)
+    assert sample == (0.0, 1.0, None, 0.5)
     _refused("gaze", x=1.2, y=0.5)
     _refused("gaze", x=0.5, y=0.5, confidence=-0.1)
     _refused("gaze", y=0.5)
     # a pupil of 0 is an eye the tracker saw shut, not an error
-    assert _parse_sample("gaze", x=0.5, y=0.5, pupil_mm=0.0).pupil_diameter_mm is None
-    for pupil in (float("nan"), float("inf"), "3.0"):
+    assert _parse_sample("gaze", x=0.5, y=0.5, pupil_mm=0.0) == (0.5, 0.5, None, 1.0)
+    for pupil in (float("nan"), float("inf")):
         _refused("gaze", x=0.5, y=0.5, pupil_mm=pupil)
+    # a boolean is no pupil diameter: true replayed as a 1 mm pupil
+    for pupil in (True, False, "3.0"):
+        _refused("gaze", f"pupil_mm must be a number, got {pupil!r}", x=0.5, y=0.5, pupil_mm=pupil)
+    # a unit-interval field takes a boolean as 0 or 1
+    assert _parse_sample("gaze", x=True, y=False, confidence=True) == (True, False, None, True)
 
 
 def test_rr_sample_must_be_positive():
     assert _parse_sample("heart", rr_ms=800) == 800
-    for rr in (0.0, -800.0, float("nan"), float("inf"), "800", None):
+    for rr in (0.0, -800.0, float("nan"), float("inf"), "800", None, True, False):
         _refused("heart", "rr_ms must be a positive finite number", rr_ms=rr)
 
 

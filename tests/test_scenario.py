@@ -10,7 +10,6 @@ from cogloop.model import MAX_SESSION_S
 from cogloop.errors import ConfigError, ScenarioError
 from cogloop.model import (
     POSTURE_POINTS,
-    GazeSample,
     NoteScoreSample,
     PostureSample,
     StreamDescriptor,
@@ -160,7 +159,7 @@ def test_note_records_need_exactly_one_of_score_or_transcript():
 
 def test_non_positive_pupil_becomes_absent():
     scenario = parse_scenario_lines([HEADER, _gaze_line(0.0, pupil=0.0)])
-    assert scenario.records[0].payload.pupil_diameter_mm is None
+    assert scenario.records[0].payload == (0.5, 0.5, None, 0.98)
 
 
 def test_source_confidence_range_checked():
@@ -391,7 +390,7 @@ def _oracle_unit_interval(name, value):
 
 
 def _oracle_finite(name, value):
-    if not (isinstance(value, (int, float)) and math.isfinite(value)):
+    if not (isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)):
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
@@ -401,19 +400,21 @@ def _oracle_payload(kind, raw, line_no):
     try:
         if kind is StreamKind.PUPIL_GAZE:
             pupil = raw.get("pupil_mm")
+            if isinstance(pupil, bool):
+                raise ValueError("pupil_mm must be a number")
             if pupil is not None and pupil <= 0:
                 pupil = None
-            sample = GazeSample(x=raw["x"], y=raw["y"], pupil_diameter_mm=pupil, confidence=raw.get("confidence", 1.0))
-            _oracle_unit_interval("x", sample.x)
-            _oracle_unit_interval("y", sample.y)
-            _oracle_unit_interval("confidence", sample.confidence)
-            if sample.pupil_diameter_mm is not None:
-                _oracle_finite("pupil_diameter_mm", sample.pupil_diameter_mm)
-                if sample.pupil_diameter_mm <= 0:
-                    raise ValueError("pupil_diameter_mm must be positive when present")
-                if sample.pupil_diameter_mm > MAX_PUPIL_MM:
-                    raise ValueError("pupil_diameter_mm must be at most MAX_PUPIL_MM")
-            return sample, None
+            row = (raw["x"], raw["y"], pupil, raw.get("confidence", 1.0))
+            _oracle_unit_interval("x", row[0])
+            _oracle_unit_interval("y", row[1])
+            _oracle_unit_interval("confidence", row[3])
+            if pupil is not None:
+                _oracle_finite("pupil_mm", pupil)
+                if pupil <= 0:
+                    raise ValueError("pupil_mm must be positive when present")
+                if pupil > MAX_PUPIL_MM:
+                    raise ValueError("pupil_mm must be at most MAX_PUPIL_MM")
+            return row, None
         if kind is StreamKind.RR_INTERVAL:
             rr = raw["rr_ms"]
             _oracle_finite("rr_ms", rr)
@@ -696,10 +697,8 @@ def _sample_to_obj(record: SampleRecord, kind: StreamKind) -> dict:
         return obj
     payload = record.payload
     if kind is StreamKind.PUPIL_GAZE:
-        obj.update(
-            x=payload.x, y=payload.y, pupil_mm=payload.pupil_diameter_mm,
-            confidence=payload.confidence,
-        )
+        x, y, pupil, confidence = payload
+        obj.update(x=x, y=y, pupil_mm=pupil, confidence=confidence)
     elif kind is StreamKind.RR_INTERVAL:
         obj["rr_ms"] = payload
     elif kind is StreamKind.POSTURE_LANDMARKS:
@@ -755,7 +754,7 @@ def _written_scenario(draw):
             continue
         if kind is StreamKind.PUPIL_GAZE:
             pupil = draw(st.one_of(st.none(), _NUMBER))
-            payload = GazeSample(draw(_UNIT), draw(_UNIT), pupil, draw(_UNIT))
+            payload = (draw(_UNIT), draw(_UNIT), pupil, draw(_UNIT))
         elif kind is StreamKind.RR_INTERVAL:
             payload = draw(_NUMBER)
         elif kind is StreamKind.POSTURE_LANDMARKS:
@@ -936,9 +935,9 @@ def test_zero_noise_produces_constant_streams():
         by_stream.setdefault(record.stream_id, []).append(record)
 
     for record in by_stream["gaze"]:
-        assert record.payload.x == 0.5
-        assert record.payload.y == 0.5
-        assert record.payload.pupil_diameter_mm == 3.0  # never a blink
+        x, y, pupil, _ = record.payload
+        assert (x, y) == (0.5, 0.5)
+        assert pupil == 3.0  # never a blink
     for record in by_stream["heart"]:
         assert record.payload == 850.0
     for record in by_stream["notes"]:
@@ -983,9 +982,9 @@ def test_synthesized_gaze_has_blinks_and_fixation_structure():
     scenario = synthesize(profile)
     gaze = [r for r in scenario.records if r.stream_id == "gaze"]
     assert len(gaze) == 60 * 60
-    blinks = [r for r in gaze if r.payload.pupil_diameter_mm is None]
+    blinks = [r for r in gaze if r.payload[2] is None]
     # nominal blink rate 0.28Hz for 60s: expect roughly 17 blink episodes,
     # each several samples long
     assert len(blinks) > 20
-    xs = {r.payload.x for r in gaze}
+    xs = {r.payload[0] for r in gaze}
     assert len(xs) > 100  # wandering, not frozen

@@ -79,6 +79,8 @@ def test_fmean_and_median_are_the_statistics_modules_bit_for_bit(data, wide, as_
     # any sized collection, a dict's values view among them
     values = dict(enumerate(data)).values() if as_dict_view else data
     assert _bits(fmean(values)) == _bits(statistics.fmean(values))
+    # an iterator, with its count given
+    assert _bits(fmean(iter(values), len(data))) == _bits(statistics.fmean(values))
     for values in (values, wide):
         expected = _bits(statistics.median(values))
         assert _bits(median(values)) == expected
@@ -92,3 +94,5 @@ def test_fmean_and_median_of_nothing_raise_value_error():
             function([])
     with pytest.raises(ValueError):
         fmean({}.values())
+    with pytest.raises(ValueError):
+        fmean(iter([]), 0)
